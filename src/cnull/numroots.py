@@ -1,13 +1,22 @@
 """Arbitrary-precision numerics: complex roots, clustering, reconstruction.
 
 Root finding is Aberth-Ehrlich simultaneous iteration on mpmath complex
-numbers, run on a doubling-precision ladder.  Precision is expressed in
-bits; results at a given precision are deterministic (no randomness
-enters the iteration).
+numbers, run on a doubling-precision ladder.  Each run first does the
+same iteration in double precision (Python complex) from the same circle
+start; that stage only picks the starting points of the mpmath
+iteration, and when it overflows or leaves the finite range the mpmath
+iteration starts from the circle.  The mpmath iteration stops when every
+correction is below 2^-prec, or at its sweep cap.  A run that reaches
+the cap with a point that is not a root of a polynomial within relative
+2^-prec of the input has not converged: its rung counts as ambiguous,
+and at the top of the ladder PrecisionExhausted is raised.  Precision is
+expressed in bits; results at a given precision are deterministic (no
+randomness enters the iteration).
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,11 +64,16 @@ def _horner(coeffs, z):
 
 
 def _aberth(coeffs, prec: int):
-    """All roots of the ascending coefficient list at the given precision."""
+    """All roots of the ascending coefficient list at the given precision.
+
+    Returns (roots, converged).  converged is False when the mpmath
+    iteration reached its cap before every correction fell below 2^-prec
+    and some point is not backward stable at 2^-prec.
+    """
     d = len(coeffs) - 1
     lead = coeffs[-1]
     if d == 1:
-        return [-coeffs[0] / lead]
+        return [-coeffs[0] / lead], True
     if d == 2:
         a, b, c = coeffs[2], coeffs[1], coeffs[0]
         disc = mp.sqrt(b * b - 4 * a * c)
@@ -69,7 +83,7 @@ def _aberth(coeffs, prec: int):
         q = -(b - disc) / 2
         r1 = q / a
         r2 = c / q if q != 0 else -b / a - r1
-        return [r1, r2]
+        return [r1, r2], True
     deriv = [coeffs[i] * i for i in range(1, d + 1)]
     center = -coeffs[d - 1] / (d * lead)
     radius = 1 + max(abs(c / lead) for c in coeffs[:-1])
@@ -77,10 +91,52 @@ def _aberth(coeffs, prec: int):
         center + radius * mp.expjpi(2 * (k + mp.mpf("0.354")) / d)
         for k in range(d)
     ]
+    warm = _float_start(coeffs, deriv, z)
+    if warm is not None:
+        z = [mp.mpc(w) for w in warm]
     target = mp.mpf(2) ** (-prec)
-    max_iter = max(200, 3 * prec)
+    converged = _aberth_sweeps(coeffs, deriv, z, target, max(200, 3 * prec))
+    return z, converged or _backward_stable(coeffs, z, target)
+
+
+def _backward_stable(coeffs, z, target) -> bool:
+    """Every point is a root of a polynomial within relative target of coeffs.
+
+    The sweeps around a multiple root stall at the rounding level, short of
+    the target, with every point passing this test; a point that is still
+    far from every root fails it.
+    """
+    sizes = [abs(c) for c in coeffs]
+    return all(abs(_horner(coeffs, v)) <= target * _horner(sizes, abs(v)) for v in z)
+
+
+_FLOAT_TARGET = 2.0**-48  # relative correction at which the double-precision stage stops
+_FLOAT_ITER = 100  # cap on its sweeps
+
+
+def _float_start(coeffs, deriv, z):
+    """Double-precision Aberth from the start points z; None when it leaves the finite range."""
+    try:
+        cs = [complex(c) for c in coeffs]
+        ds = [complex(c) for c in deriv]
+        zf = [complex(v) for v in z]
+        if cs[-1] == 0 or not all(map(cmath.isfinite, cs + ds + zf)):
+            return None
+        _aberth_sweeps(cs, ds, zf, _FLOAT_TARGET, _FLOAT_ITER)
+    except (OverflowError, ZeroDivisionError):
+        return None
+    return zf if all(map(cmath.isfinite, zf)) else None
+
+
+def _aberth_sweeps(coeffs, deriv, z, target, max_iter) -> bool:
+    """Aberth-Ehrlich sweeps on z in place, in the arithmetic of the inputs.
+
+    Stops when the largest relative correction of a sweep is below target
+    (returns True) or after max_iter sweeps (returns False).
+    """
+    d = len(z)
     for _ in range(max_iter):
-        biggest = mp.mpf(0)
+        biggest = 0
         for i in range(d):
             pv = _horner(coeffs, z[i])
             if pv == 0:
@@ -91,7 +147,7 @@ def _aberth(coeffs, prec: int):
                 biggest = max(biggest, abs(z[i]) + 1)
                 continue
             ratio = pv / dv
-            s = mp.mpc(0)
+            s = 0
             for j in range(d):
                 if j != i:
                     diff = z[i] - z[j]
@@ -105,8 +161,8 @@ def _aberth(coeffs, prec: int):
             if rel > biggest:
                 biggest = rel
         if biggest < target:
-            break
-    return z
+            return True
+    return False
 
 
 def cluster(points, tol):
@@ -148,7 +204,8 @@ def roots_from_coeffs(coeffs, prec: int = 256) -> RootSet:
     """Root set of an ascending coefficient list (Fraction or complex entries).
 
     Runs the precision ladder until clusters are unambiguously separated;
-    exact zero leading/trailing coefficients are stripped beforehand.
+    a rung whose Aberth iteration did not converge counts as ambiguous.
+    Exact zero leading/trailing coefficients are stripped beforehand.
     """
     coeffs = list(coeffs)
     while coeffs and _is_exact_zero(coeffs[-1]):
@@ -164,7 +221,10 @@ def roots_from_coeffs(coeffs, prec: int = 256) -> RootSet:
         with mp.workprec(wp + 20):
             full = [_to_mpc(c) for c in coeffs]
             cs = [_to_mpc(c) for c in stripped]
-            pts = _aberth(cs, wp) if len(cs) > 1 else []
+            pts, converged = _aberth(cs, wp) if len(cs) > 1 else ([], True)
+            if not converged:
+                failure = "Aberth iteration did not converge"
+                continue
             scale = max([mp.mpf(1)] + [abs(z) for z in pts])
             tol = mp.mpf(2) ** (-wp // 4) * scale
             clusters = cluster(pts, tol)
@@ -173,7 +233,8 @@ def roots_from_coeffs(coeffs, prec: int = 256) -> RootSet:
             ok, residual = _clusters_ok(full, clusters, tol, wp)
             if ok:
                 return RootSet(roots=clusters, residual_bound=float(residual), prec=wp)
-    raise PrecisionExhausted("root clusters remain ambiguous at 1024 bits")
+            failure = "root clusters remain ambiguous"
+    raise PrecisionExhausted(f"{failure} at 1024 bits")
 
 
 def _merge_zero(clusters, zero_mult, tol):

@@ -155,8 +155,10 @@ def geometric_degree(f: CAMap, seed: int = 0, prec: int = 256) -> int:
     """Cardinality of the generic fiber (sheet number over the image).
 
     Samples y = f(phi(t0)) for random rational t0 and counts distinct
-    fiber points; the consensus is the maximum count, which must recur on
-    at least 5 draws (smaller counts are critical-value draws).
+    fiber points; the consensus is the first count to recur on 5 draws.
+    A draw at a critical value of f gives fewer points, and a draw at a
+    point of the set with several parameter preimages (a node of a curve)
+    gives more; neither recurs on 5 random draws.
     """
     check_proper(f, seed, prec)
     counts = []
@@ -164,10 +166,8 @@ def geometric_degree(f: CAMap, seed: int = 0, prec: int = 256) -> int:
         gen = _rng.child_rng(seed, f"geomdeg:{attempt}")
         y = _generic_value(f, gen)
         counts.append(_fiber_count(f, y, prec))
-        if len(counts) >= _FIBER_DRAWS:
-            top = max(counts)
-            if counts.count(top) >= _FIBER_DRAWS:
-                return top
+        if counts.count(counts[-1]) >= _FIBER_DRAWS:
+            return counts[-1]
     raise InconsistentFiberCounts(f"fiber counts did not stabilize: {counts}")
 
 

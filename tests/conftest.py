@@ -3,8 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from cnull.variety import load_map, load_variety
+
+# Property tests draw the same examples on every run, and keep no example
+# database, so that the suite is reproducible.
+settings.register_profile("cnull", derandomize=True, database=None, deadline=None)
+settings.load_profile("cnull")
 
 
 def pj(var_names, terms):

@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import map_spec, pj
+from conftest import V2, map_spec, pj
+from cnull import charpoly
 from cnull.charpoly import (
     CharPoly,
     bounds_table,
@@ -14,7 +17,7 @@ from cnull.charpoly import (
     verify_charpoly,
 )
 from cnull.polycore import NEG_INF, MPoly, total_degree
-from cnull.propermaps import graph_degree, growth_exponent
+from cnull.propermaps import graph_degree, growth_exponent, profile_map
 from cnull.variety import load_map
 
 F = Fraction
@@ -86,6 +89,66 @@ class TestBuildCharpoly:
         assert P.coeffs[0].is_zero()
         assert P.coeffs[1] == MPoly(2, {(1, 0): -1})
         assert verify_charpoly(P, fhat, g)
+
+
+def _line_map(cline, coeffs):
+    """The polynomial map with ascending coefficients on the affine line."""
+    return load_map(cline, map_spec(pj(["x"], {(i,): c for i, c in enumerate(coeffs)})))
+
+
+class TestFiberSolves:
+    @pytest.mark.parametrize(
+        "case,solver",
+        [("curve(4,3)", "fiber_t_clusters"), ("square(2,2)", "fiber_points_2")],
+    )
+    def test_two_fiber_solves_per_grid_node(self, cline, plane2, monkeypatch, case, solver):
+        # the non-critical check solves each grid fiber, and the build solves it again
+        if case == "curve(4,3)":
+            # f = x^4 - x^2 + 3x - 2, g = x^3 + x
+            f, g = _line_map(cline, [-2, 3, -1, 0, 1]), _line_map(cline, [0, 1, 0, 1])
+        else:
+            # f = (x1^2 + x2, x2^2 - x1), g = x1 + 2 x2
+            f = load_map(
+                plane2,
+                map_spec(pj(V2, {(2, 0): 1, (0, 1): 1}), pj(V2, {(0, 2): 1, (1, 0): -1})),
+            )
+            g = load_map(plane2, map_spec(pj(V2, {(1, 0): 1, (0, 1): 2})))
+        profile = profile_map(f, 0, 256)
+        real = getattr(charpoly, solver)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(charpoly, solver, counted)
+        P = build_charpoly(f, g, seed=0, profile=profile)
+        assert P.verified
+        nodes = (max(P.bounds) + 1) ** P.k
+        assert len(calls) == 2 * nodes
+        assert len(set(map(tuple, calls))) == nodes
+        assert calls[:nodes] == calls[nodes:]
+
+
+def _univariate(max_degree):
+    # ascending integer coefficients, degree 1..max_degree, nonzero leading one
+    return st.integers(1, max_degree).flatmap(
+        lambda deg: st.tuples(
+            st.lists(st.integers(-4, 4), min_size=deg, max_size=deg),
+            st.integers(-3, 3).filter(bool),
+        )
+    ).map(lambda t: t[0] + [t[1]])
+
+
+class TestResultantDifferential:
+    @settings(max_examples=5)
+    @given(f_coeffs=_univariate(5), g_coeffs=_univariate(5))
+    def test_sampled_charpoly_equals_resultant_oracle(self, cline, f_coeffs, g_coeffs):
+        f, g = _line_map(cline, f_coeffs), _line_map(cline, g_coeffs)
+        built = build_charpoly(f, g, seed=0)
+        oracle = charpoly_resultant_oracle(f, g)
+        assert built.verified and built.d == oracle.d
+        assert built.coeffs == oracle.coeffs
 
 
 class TestResultantOracle:

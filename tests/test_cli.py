@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from conftest import map_spec, pj
 from cnull.cli import main
 
@@ -136,6 +138,14 @@ class TestOtherCommands:
     def test_geomdeg_graph_cubic(self, capsys):
         code, report = run_json(
             ["geomdeg", "--variety", fx("graph_cubic.json"), "--f", fx("proj23.json")],
+            capsys,
+        )
+        assert code == 0 and report["result"]["geometric_degree"] == 1
+
+    @pytest.mark.parametrize("seed", [56, 68, 83, 85, 86])
+    def test_geomdeg_seeds_with_a_node_draw(self, capsys, seed):
+        code, report = run_json(
+            ["geomdeg", "--variety", fx("graph_cubic.json"), "--f", fx("proj23.json"), "--seed", str(seed)],
             capsys,
         )
         assert code == 0 and report["result"]["geometric_degree"] == 1

@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cnull.errors import NonReal, NonZeroDimensional, NoReconstruction
+from cnull import numroots
+from cnull.errors import NonReal, NonZeroDimensional, NoReconstruction, PrecisionExhausted
 from cnull.numroots import (
     cluster,
     rational_reconstruct,
@@ -78,6 +81,123 @@ def _mul_linear(coeffs, root):
         out[i] += c * (-root)
         out[i + 1] += c
     return out
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _oracle_roots(coeffs):
+    """Roots of an ascending integer coefficient list by mpmath.polyroots at 100 digits."""
+    with mp.workdps(100):
+        return list(mp.polyroots(list(reversed(coeffs)), maxsteps=200, extraprec=200))
+
+
+def _integer_poly(degree):
+    # ascending coefficients with a nonzero leading one
+    return st.tuples(
+        st.lists(st.integers(-20, 20), min_size=degree, max_size=degree),
+        st.integers(-20, 20).filter(bool),
+    ).map(lambda t: t[0] + [t[1]])
+
+
+@st.composite
+def _factored_polys(draw):
+    """(coeffs, [(factor, power)]): a product A * B^m of integer polynomials.
+
+    The degree is 3..16, and at most 8 when m > 1: the sweeps stall at a
+    multiple root and run to their cap, so those cases cost the most.
+    """
+    m = draw(st.sampled_from([1, 2, 3]))
+    b = draw(st.integers(1, 2).flatmap(_integer_poly))
+    top = 16 if m == 1 else 8
+    a_deg = draw(st.integers(max(1, 3 - m * (len(b) - 1)), top - m * (len(b) - 1)))
+    a = draw(_integer_poly(a_deg))
+    coeffs = a
+    for _ in range(m):
+        coeffs = _poly_mul(coeffs, b)
+    return coeffs, [(a, 1), (b, m)]
+
+
+class TestRootProperties:
+    """Random integer polynomials against mpmath.polyroots on their factors."""
+
+    @settings(max_examples=15)
+    @given(_factored_polys())
+    def test_roots_match_polyroots_with_multiplicity(self, case):
+        coeffs, factors = case
+        rs = roots_from_coeffs([F(c) for c in coeffs], 128)
+        assert sum(m for _, m in rs.roots) == len(coeffs) - 1
+        oracle = [(r, power) for factor, power in factors for r in _oracle_roots(factor)]
+        with mp.workprec(300):
+            for rep, mult in rs.roots:
+                tol = mp.mpf(2) ** (-rs.prec // 4) * (1 + abs(rep))
+                assert sum(power for r, power in oracle if abs(r - rep) <= tol) == mult
+
+    @pytest.mark.parametrize(
+        "coeffs,log_scale",
+        [
+            # 10^400 (x^3 - 2): no coefficient is a finite double
+            ([F(-2 * 10**400), 0, 0, F(10**400)], 0),
+            # 10^-400 x^3 - 2: the leading coefficient underflows to 0.0
+            ([F(-2), 0, 0, F(1, 10**400)], 400),
+        ],
+    )
+    def test_circle_start_when_doubles_cannot_hold_the_coefficients(self, coeffs, log_scale):
+        with mp.workprec(276):
+            cs = [numroots._to_mpc(c) for c in coeffs]
+            deriv = [cs[i] * i for i in range(1, len(cs))]
+            assert numroots._float_start(cs, deriv, [mp.mpc(1), mp.mpc(-1), mp.mpc(1j)]) is None
+        rs = roots_from_coeffs(coeffs, 256)
+        assert rs.prec == 256 and [m for _, m in rs.roots] == [1, 1, 1]
+        with mp.workprec(276):
+            # the roots are the cube roots of 2 * 10^log_scale
+            scale = mp.cbrt(mp.mpf(10) ** log_scale)
+            want = [scale * mp.cbrt(2) * mp.expjpi(mp.mpf(2 * k) / 3) for k in range(3)]
+            for root in rs.values():
+                assert min(abs(root - w) for w in want) < 1e-60 * scale
+
+
+class TestAberthConvergence:
+    def test_unconverged_rung_moves_up_the_ladder(self, monkeypatch):
+        real = numroots._aberth
+
+        def stalls_below_512(coeffs, prec):
+            z, _ = real(coeffs, prec)
+            return z, prec >= 512
+
+        monkeypatch.setattr(numroots, "_aberth", stalls_below_512)
+        rs = roots_from_coeffs([F(-2), F(1), F(0), F(1)], 128)
+        assert rs.prec == 512 and rs.distinct() == 3
+
+    def test_unconverged_at_every_rung_exhausts_precision(self, monkeypatch):
+        real = numroots._aberth
+        monkeypatch.setattr(numroots, "_aberth", lambda coeffs, prec: (real(coeffs, prec)[0], False))
+        with pytest.raises(PrecisionExhausted) as info:
+            roots_from_coeffs([F(-2), F(1), F(0), F(1)], 256)
+        assert info.value.exit_code == 3
+        assert "did not converge" in str(info.value)
+
+    def test_capped_sweeps_are_reported_unconverged(self):
+        with mp.workprec(148):
+            cs = [mp.mpc(c) for c in [5, -3, 1, 0, 2, -7, 1, 4, 0, 1]]
+            deriv = [cs[i] * i for i in range(1, len(cs))]
+            z = [mp.mpc(2) * mp.expjpi(mp.mpf(2 * k + 1) / 9) for k in range(9)]
+            target = mp.mpf(2) ** -128
+            assert not numroots._aberth_sweeps(cs, deriv, z, target, 2)
+            assert not numroots._backward_stable(cs, z, target)
+
+    def test_stalled_triple_root_counts_as_converged(self):
+        # (3x - 1)^3 (x + 2): the sweeps stall at the triple root without
+        # meeting the target, but every point is backward stable
+        coeffs = _poly_mul(_poly_mul(_poly_mul([-1, 3], [-1, 3]), [-1, 3]), [2, 1])
+        rs = roots_from_coeffs([F(c) for c in coeffs], 128)
+        assert rs.prec == 128
+        assert sorted(m for _, m in rs.roots) == [1, 3]
 
 
 class TestCluster:

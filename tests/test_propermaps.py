@@ -43,6 +43,11 @@ class TestGeometricDegree:
         assert {geometric_degree(cusp_fx, seed=s) for s in range(10)} == {2}
         assert {geometric_degree(cubic_proj23, seed=s) for s in range(10)} == {1}
 
+    @pytest.mark.parametrize("seed", [56, 68, 83, 85, 86])
+    def test_draw_on_the_node_does_not_block_consensus(self, cubic_proj23, seed):
+        # one draw lands on t = +-1, over the node, and counts 2 points
+        assert geometric_degree(cubic_proj23, seed=seed) == 1
+
     def test_square_two_parameter_case(self, plane2):
         f = load_map(
             plane2,
