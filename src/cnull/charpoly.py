@@ -14,6 +14,7 @@ as an oracle for the curve case.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,13 +43,7 @@ from .polycore import (
     total_degree,
     univ_coeffs,
 )
-from .propermaps import (
-    ProperMapProfile,
-    fiber_points_2,
-    fiber_t_clusters,
-    growth_exponent,
-    profile_map,
-)
+from .propermaps import ProperMapProfile, fiber_points, growth_exponent, profile_map
 from .variety import CAMap
 
 
@@ -152,15 +147,17 @@ def _build_at_precision(f: CAMap, g: CAMap, d: int, bounds: list[int], seed: int
     k = f.domain.param.k
     bmax = max(bounds) if bounds else 0
     nodes = _noncritical_nodes(f, d, bmax + 1, seed, wp)
-    grid = _tensor(nodes, k)
     gp = g.pullbacks[0]
     height = 10 ** max(6, wp // 16)
     samples: list[list] = [[] for _ in range(d)]
     with mp.workprec(wp + 20):
-        for y in grid:
-            tpoints = _fiber_parameter_points(f, y, d, wp)
-            values = [_eval_pullback(gp, t, k) for t in tpoints]
-            asc = _monic_from_roots(values)
+        for y in itertools.product(*nodes):
+            tpoints = fiber_points(f, list(y), wp)
+            if len(tpoints) != d:
+                raise InconsistentSamples(
+                    f"fiber over {y} has {len(tpoints)} points, expected {d}"
+                )
+            asc = _monic_from_roots([evaluate(gp, t) for t in tpoints])
             for j in range(1, d + 1):
                 samples[j - 1].append((y, rational_reconstruct(asc[d - j], height, wp)))
     coeffs = []
@@ -197,40 +194,7 @@ def _noncritical_nodes(f: CAMap, d: int, need: int, seed: int, wp: int):
 
 
 def _grid_noncritical(f: CAMap, axes, d: int, wp: int) -> bool:
-    for y in _tensor(axes, len(axes)):
-        if len(_fiber_any(f, y, wp)) != d:
-            return False
-    return True
-
-
-def _tensor(axes, k):
-    if k == 1:
-        return [(v,) for v in axes[0]]
-    out = []
-    for a in axes[0]:
-        for b in axes[1]:
-            out.append((a, b))
-    return out
-
-
-def _fiber_any(f: CAMap, y, wp: int):
-    if f.domain.param.k == 1:
-        return fiber_t_clusters(f, list(y), wp)
-    return fiber_points_2(f, list(y), wp)
-
-
-def _fiber_parameter_points(f: CAMap, y, d: int, wp: int):
-    pts = _fiber_any(f, y, wp)
-    if len(pts) != d:
-        raise InconsistentSamples(f"fiber over {y} has {len(pts)} points, expected {d}")
-    if f.domain.param.k == 1:
-        return [rep for rep, _ in pts]
-    return pts
-
-
-def _eval_pullback(gp: MPoly, t, k: int):
-    point = [t] if k == 1 else list(t)
-    return evaluate(gp, point)
+    return all(len(fiber_points(f, list(y), wp)) == d for y in itertools.product(*axes))
 
 
 def _monic_from_roots(values):

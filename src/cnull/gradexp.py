@@ -3,9 +3,12 @@
 For a polynomial f of degree d whose gradient is proper with geometric
 degree mu and graph degree D, the exponent theta = 1/(d(D - mu + 1)) in
 (0, 1/d] bounds |f(x)|^theta by a constant multiple of the gradient norm
-for large x.  The profile (mu, D) is computed by generic fiber counting
-and graph slicing; the inequality itself is validated empirically on
-norm shells and can only be falsified by sampling, never proved.
+for large x.  The profile (mu, D) treats the gradient as a map on C^m
+with the identity parametrization: mu counts a generic fiber through
+propermaps.fiber_points, the one fiber slot for m in {1, 2}, and D
+counts graph slices through the shared slicing loop.  The inequality
+itself is validated empirically on norm shells and can only be
+falsified by sampling, never proved.
 """
 
 from __future__ import annotations
@@ -21,9 +24,10 @@ from .errors import (
     NotProper,
     PrecisionExhausted,
 )
-from .numroots import roots_from_coeffs, solve_system_2
-from .polycore import MPoly, evaluate, total_degree, univ_coeffs
+from .polycore import MPoly, evaluate, total_degree
+from .propermaps import fiber_points, graph_slice_count
 from .rng import child_rng
+from .variety import polynomial_map, slice_count
 
 
 @dataclass(frozen=True)
@@ -74,73 +78,20 @@ def grad_profile(f: MPoly, seed: int = 0, prec: int = 256) -> tuple[int, int]:
     finite = [d for d in degs if d != float("-inf")]
     if not finite or max(finite) < 1:
         raise NotProper("gradient is constant; fibers are not finite")
-    if m == 1:
-        return _profile_1d(grads[0], seed, prec)
-    return _profile_2d(f, grads, seed, prec)
-
-
-def _profile_1d(df: MPoly, seed: int, prec: int) -> tuple[int, int]:
+    if m == 2:
+        _growth_gate(grads, child_rng(seed, "proper2d"))
+    grad_map = polynomial_map(grads)
     mu_counts = []
     for draw in range(3):
-        gen = child_rng(seed, f"mu:{draw}")
-        y = _rng.rand_rational(gen)
-        mu_counts.append(roots_from_coeffs(univ_coeffs(df - MPoly.const(1, y)), prec).distinct())
-    if len(set(mu_counts)) != 1:
-        raise PrecisionExhausted(f"gradient fiber counts disagree: {mu_counts}")
-    best_d = 0
-    for draw in range(3):
-        gen = child_rng(seed, f"graph:{draw}")
-        lam = _rng.rand_nonzero_rational(gen)
-        nu = _rng.rand_nonzero_rational(gen)
-        c = _rng.rand_rational(gen)
-        sliced = MPoly(1, {(1,): lam}) + df.scale(nu) - MPoly.const(1, c)
-        if sliced.is_constant() or sliced.is_zero():
-            continue
-        best_d = max(best_d, roots_from_coeffs(univ_coeffs(sliced), prec).distinct())
-    if best_d == 0:
-        raise NotProper("graph slicing degenerated")
-    return mu_counts[0], best_d
-
-
-def _profile_2d(f: MPoly, grads: list[MPoly], seed: int, prec: int) -> tuple[int, int]:
-    gen0 = child_rng(seed, "proper2d")
-    _growth_gate(grads, gen0)
-    mu_counts = []
-    for draw in range(3):
-        gen = child_rng(seed, f"mu:{draw}")
-        y = [_rng.rand_rational(gen) for _ in range(2)]
+        y = _rng.rand_rational_vector(child_rng(seed, f"mu:{draw}"), m)
         try:
-            sols = solve_system_2(
-                grads[0] - MPoly.const(2, y[0]),
-                grads[1] - MPoly.const(2, y[1]),
-                prec,
-            )
+            mu_counts.append(len(fiber_points(grad_map, y, prec)))
         except NonZeroDimensional as exc:
             raise NotProper("gradient fibers are not finite") from exc
-        mu_counts.append(len(sols))
     if len(set(mu_counts)) != 1:
         raise PrecisionExhausted(f"gradient fiber counts disagree: {mu_counts}")
-    coords = [MPoly.variable(2, 0), MPoly.variable(2, 1)] + grads
-    best_d = 0
-    for draw in range(3):
-        gen = child_rng(seed, f"graph:{draw}")
-        eqs = []
-        for _ in range(2):
-            lam = _rng.rand_nonzero_vector(gen, 4)
-            c = _rng.rand_rational(gen)
-            s = MPoly(2, {})
-            for coeff, p in zip(lam, coords):
-                s = s + p.scale(coeff)
-            eqs.append(s - MPoly.const(2, c))
-        if any(e.is_constant() or e.is_zero() for e in eqs):
-            continue
-        try:
-            best_d = max(best_d, len(solve_system_2(eqs[0], eqs[1], prec)))
-        except NonZeroDimensional:
-            continue
-    if best_d == 0:
-        raise NotProper("graph slicing degenerated")
-    return mu_counts[0], best_d
+    D = slice_count(seed, "graph", lambda gen: graph_slice_count(grad_map, gen, prec))
+    return mu_counts[0], D
 
 
 def _growth_gate(grads: list[MPoly], gen):

@@ -51,8 +51,8 @@ from .polycore import (
 )
 from .propermaps import (
     check_proper,
-    fiber_points_2,
-    fiber_t_clusters,
+    count_near,
+    fiber_points,
     geometric_degree,
     image_degree,
     local_multiplicity_at,
@@ -193,23 +193,6 @@ def _certified(f: CAMap, g: CAMap, cert: Certificate) -> Certificate:
 # the square (proper) and partial routes
 
 
-def _zero_fiber_gap(f: CAMap, g: CAMap, prec: int):
-    """Numeric max of |g| over the fiber of f above the origin (None if empty)."""
-    k = f.domain.require_param().k
-    zero = [Fraction(0)] * f.n
-    gp = g.pullbacks[0]
-    with mp.workprec(prec):
-        if k == 1:
-            pts = [[rep] for rep, _ in fiber_t_clusters(f, zero, prec)]
-        elif k == 2 and f.n == 2:
-            pts = [list(p) for p in fiber_points_2(f, zero, prec)]
-        else:
-            return None
-        if not pts:
-            return None
-        return max(abs(evaluate(gp, p)) for p in pts)
-
-
 def certify_proper(
     f: CAMap,
     g: CAMap,
@@ -226,8 +209,10 @@ def certify_proper(
     k = f.domain.require_param().k
     if f.n != k:
         raise ValueError("square route needs as many components as dimensions")
-    gap = _zero_fiber_gap(f, g, prec)
-    if gap is not None and gap > mp.mpf(2) ** (-prec // 4):
+    with mp.workprec(prec):
+        zero_fiber = fiber_points(f, [Fraction(0)] * k, prec)
+        gaps = [abs(evaluate(g.pullbacks[0], t)) for t in zero_fiber]
+    if gaps and max(gaps) > mp.mpf(2) ** (-prec // 4):
         raise VanishingHypothesisFailed(
             "g does not vanish on the fiber of f above the origin"
         )
@@ -737,8 +722,7 @@ def _component_multiplicity(
     prec: int,
 ) -> int:
     """Perturbation estimate of the intersection multiplicity along a component."""
-    k = f.domain.param.k
-    if k != 2 or completed.n != 2:
+    if f.domain.param.k != 2:
         raise ParamRequired("cycle multiplicities implemented for two parameters")
     gen = _rng.child_rng(seed, "cycle-point")
     s0 = [_rng.rand_rational(gen, height=30) for _ in range(comp.param.k)]
@@ -755,17 +739,8 @@ def _component_multiplicity(
             y = [Fraction(b) for b in base]
             for i, w in enumerate(direction):
                 y[i] = y[i] + eps * w
-            sols = fiber_points_2(completed, y, wp)
             radius = mp.mpf("0.25") * (1 + sum(abs(a) for a in anchors[0]))
-            near = sum(
-                1
-                for p in sols
-                if any(
-                    sum(abs(pc - ac) for pc, ac in zip(p, anchor)) < radius
-                    for anchor in anchors
-                )
-            )
-            counts.append(near)
+            counts.append(count_near(fiber_points(completed, y, wp), anchors, radius))
         if len(set(counts)) == 1 and counts[0] > 0:
             return counts[0]
     raise PrecisionExhausted("component multiplicity did not stabilize")
@@ -801,18 +776,9 @@ def cycle_degree_square(f: CAMap, seed: int = 0, prec: int = 256) -> CycleData:
     if f.n != k:
         raise ValueError("square cycle degree needs as many components as dimensions")
     zero = [Fraction(0)] * f.n
-    if k == 1:
-        clusters = fiber_t_clusters(f, zero, prec)
-        reps = [rep for rep, _ in clusters]
-    else:
-        reps = fiber_points_2(f, zero, prec)
-    total = 0
-    rows = []
-    for rep in reps:
-        mult = local_multiplicity_at(f, zero, rep, reps, seed, prec)
-        rows.append((None, mult, 1))
-        total += mult
-    return CycleData(components=rows, total_degree=total)
+    reps = fiber_points(f, zero, prec)
+    rows = [(None, local_multiplicity_at(f, zero, rep, reps, seed, prec), 1) for rep in reps]
+    return CycleData(components=rows, total_degree=sum(mult for _, mult, _ in rows))
 
 
 def load_cycle_components(obj: dict) -> list:

@@ -23,11 +23,9 @@ from fractions import Fraction
 import mpmath as mp
 
 from .errors import NonReal, NonZeroDimensional, NoReconstruction, PrecisionExhausted
-from .polycore import MPoly, coeffs_in_var, sylvester_resultant, univ_coeffs
+from .polycore import MPoly, coeffs_in_var, sylvester_resultant, univ_coeffs, univ_gcd
 
 PREC_LADDER = (128, 256, 512, 1024)
-
-CFloat = mp.mpc  # numeric carrier; precision is the ambient mp context
 
 
 @dataclass(frozen=True)
@@ -165,10 +163,19 @@ def _aberth_sweeps(coeffs, deriv, z, target, max_iter) -> bool:
     return False
 
 
+def _root_key(z, tol):
+    """Sort key of a computed root: its real part rounded to tol, then its imaginary part.
+
+    Conjugate roots share their real part only up to rounding noise, so
+    comparing the raw real parts would order them by that noise.
+    """
+    return (mp.nint(z.real / tol), z.imag)
+
+
 def cluster(points, tol):
     """Single-linkage clusters at tolerance tol; representative is the mean.
 
-    Returns a list of (representative, count) sorted by (re, im) of the
+    Returns a list of (representative, count) sorted by _root_key of the
     representative, so the output is deterministic.
     """
     pts = list(points)
@@ -196,7 +203,7 @@ def cluster(points, tol):
     for members in groups.values():
         rep = sum(members, mp.mpc(0)) / len(members)
         out.append((rep, len(members)))
-    out.sort(key=lambda rc: (mp.re(rc[0]), mp.im(rc[0])))
+    out.sort(key=lambda rc: _root_key(rc[0], tol))
     return out
 
 
@@ -248,7 +255,7 @@ def _merge_zero(clusters, zero_mult, tol):
             out.append((rep, count))
     if not absorbed:
         out.append((mp.mpc(0), zero_mult))
-    out.sort(key=lambda rc: (mp.re(rc[0]), mp.im(rc[0])))
+    out.sort(key=lambda rc: _root_key(rc[0], tol))
     return out
 
 
@@ -353,27 +360,12 @@ def solve_system_2(p: MPoly, q: MPoly, prec: int = 256) -> list:
         raise ValueError("two polynomials in 2 variables expected")
     if p.is_zero() or q.is_zero():
         raise NonZeroDimensional("a zero polynomial has a positive-dimensional zero set")
-    dp1 = _deg_in(p, 1)
-    dq1 = _deg_in(q, 1)
-    if dp1 == 0 and dq1 == 0:
-        # both univariate in variable 0: common zeros fill vertical lines
-        from .polycore import univ_gcd
-
-        a = _drop_var(p, 1)
-        b = _drop_var(q, 1)
-        g = univ_gcd(a, b)
-        if not g.is_constant():
-            raise NonZeroDimensional("common one-variable factor")
-        return []
-    if _deg_in(p, 0) == 0 and _deg_in(q, 0) == 0:
-        from .polycore import univ_gcd
-
-        a = _drop_var(p, 0)
-        b = _drop_var(q, 0)
-        g = univ_gcd(a, b)
-        if not g.is_constant():
-            raise NonZeroDimensional("common one-variable factor")
-        return []
+    for index in (1, 0):
+        if _deg_in(p, index) == 0 and _deg_in(q, index) == 0:
+            # both free of one variable: common zeros fill lines parallel to its axis
+            if not univ_gcd(_drop_var(p, index), _drop_var(q, index)).is_constant():
+                raise NonZeroDimensional("common one-variable factor")
+            return []
     res_x = sylvester_resultant(p, q, 1)  # eliminate var 1 -> poly in var 0
     res_y = sylvester_resultant(p, q, 0)  # eliminate var 0 -> poly in var 1
     if res_x.is_zero() or res_y.is_zero():
@@ -408,7 +400,7 @@ def solve_system_2(p: MPoly, q: MPoly, prec: int = 256) -> list:
         for s in solutions:
             if all(abs(s[0] - t[0]) + abs(s[1] - t[1]) > tol * (1 + abs(s[0]) + abs(s[1])) for t in out):
                 out.append(s)
-    out.sort(key=lambda s: (mp.re(s[0]), mp.im(s[0]), mp.re(s[1]), mp.im(s[1])))
+        out.sort(key=lambda s: _root_key(s[0], tol) + _root_key(s[1], tol))
     return out
 
 

@@ -17,8 +17,6 @@ from typing import Iterable, Sequence
 
 from .errors import GridMalformed, InconsistentSamples, NotDivisible
 
-Rat = Fraction
-
 # Degree of the zero polynomial; excluded from max/ratio computations.
 NEG_INF = float("-inf")
 
@@ -182,17 +180,6 @@ class MPoly:
 
     def __repr__(self):
         return f"MPoly({self.var_count}, {self.sorted_terms()!r})"
-
-
-def arith(p: MPoly, q: MPoly, kind: str) -> MPoly:
-    """Exact ring operation; kind is one of add, sub, mul."""
-    if kind == "add":
-        return p + q
-    if kind == "sub":
-        return p - q
-    if kind == "mul":
-        return p * q
-    raise ValueError(f"unknown operation kind {kind!r}")
 
 
 def evaluate(p: MPoly, point: Sequence):

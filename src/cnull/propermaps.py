@@ -1,10 +1,13 @@
 """Geometric invariants of proper c-algebraic maps along a parametrization.
 
-Fibers are computed in parameter space: for a curve (one parameter) the
-fiber over y is the common-root set of the pulled-back components minus
-y, intersected exactly by a univariate gcd and then counted numerically
-by clustered root finding.  For two parameters the square case goes
-through the bivariate resultant solver.
+Fibers are computed in parameter space, and fiber_points is the one
+place that picks a solver by the number k of parameters: for a curve
+(k = 1) the fiber over y is the common-root set of the pulled-back
+components minus y, intersected exactly by a univariate gcd and then
+counted numerically by clustered root finding (fiber_t_clusters); for
+k = 2 the square case goes through the bivariate resultant solver
+(fiber_points_2).  Every fiber point is a k-tuple.  Graph slices are
+counted as fibers too, so a solver for k >= 3 would plug in there alone.
 
 Generic sample points are always taken on the image, as f(phi(t0)) for
 random rational t0, so maps with non-dominant image (more components
@@ -20,7 +23,6 @@ import mpmath as mp
 
 from . import rng as _rng
 from .errors import (
-    DegenerateSlice,
     InconsistentFiberCounts,
     NonZeroDimensional,
     NotIsolated,
@@ -28,9 +30,9 @@ from .errors import (
     ParamRequired,
     PrecisionExhausted,
 )
-from .numroots import PREC_LADDER, cluster, roots_univariate, solve_system_2
+from .numroots import PREC_LADDER, roots_univariate, solve_system_2
 from .polycore import MPoly, evaluate, total_degree, univ_gcd
-from .variety import CAMap
+from .variety import CAMap, polynomial_map, random_slice, slice_count
 
 _FIBER_DRAWS = 5
 _DRAW_BUDGET = 15
@@ -70,10 +72,8 @@ def check_proper(f: CAMap, seed: int = 0, prec: int = 256) -> dict:
         if f.n != 2:
             raise ParamRequired("two-parameter properness implemented for 2 components")
         gen = _rng.child_rng(seed, "proper")
-        y = [_rng.rand_rational(gen) for _ in range(2)]
-        sys = [p - MPoly.const(2, y_j) for p, y_j in zip(f.pullbacks, y)]
         try:
-            solve_system_2(sys[0], sys[1], prec)
+            fiber_points(f, [_rng.rand_rational(gen) for _ in range(2)], prec)
         except NonZeroDimensional as exc:
             raise NotProper("fibers are not finite") from exc
         lo, hi = _min_norm_on_sphere(f, 10, gen, prec), _min_norm_on_sphere(f, 1000, gen, prec)
@@ -131,18 +131,23 @@ def fiber_points_2(f: CAMap, y, prec: int = 256):
     return solve_system_2(sys[0], sys[1], prec)
 
 
-def _fiber_count(f: CAMap, y, prec: int) -> int:
+def fiber_points(f: CAMap, y, prec: int = 256) -> list[tuple]:
+    """Distinct parameter-space points of the fiber over rational y, as k-tuples.
+
+    The one dispatch on the number k of parameters: k = 1 goes through
+    fiber_t_clusters, k = 2 through fiber_points_2.
+    """
     k = _require_k(f)
     if k == 1:
-        return len(fiber_t_clusters(f, y, prec))
+        return [(rep,) for rep, _ in fiber_t_clusters(f, y, prec)]
     if k == 2:
-        return len(fiber_points_2(f, y, prec))
-    raise ParamRequired("fiber counting implemented for 1 or 2 parameters")
+        return fiber_points_2(f, y, prec)
+    raise ParamRequired("fibers implemented for 1 or 2 parameters")
 
 
 def fiber_count_at(f: CAMap, y, prec: int = 256) -> int:
     """Number of distinct fiber points over the exact rational point y."""
-    return _fiber_count(f, [Fraction(v) for v in y], prec)
+    return len(fiber_points(f, [Fraction(v) for v in y], prec))
 
 
 def _generic_value(f: CAMap, gen) -> list[Fraction]:
@@ -164,8 +169,7 @@ def geometric_degree(f: CAMap, seed: int = 0, prec: int = 256) -> int:
     counts = []
     for attempt in range(_DRAW_BUDGET):
         gen = _rng.child_rng(seed, f"geomdeg:{attempt}")
-        y = _generic_value(f, gen)
-        counts.append(_fiber_count(f, y, prec))
+        counts.append(len(fiber_points(f, _generic_value(f, gen), prec)))
         if counts.count(counts[-1]) >= _FIBER_DRAWS:
             return counts[-1]
     raise InconsistentFiberCounts(f"fiber counts did not stabilize: {counts}")
@@ -201,7 +205,6 @@ def _perturbed_count_near(f: CAMap, y0, anchors, radius, seed: int, prec: int) -
     Perturbations are exact rationals of size 2^(-prec/8) relative to the
     local value scale, so the perturbed systems stay rational.
     """
-    k = f.domain.param.k
     scale = max([Fraction(1)] + [abs(Fraction(v)) for v in y0])
     eps = Fraction(1, 2 ** (prec // 8)) * scale
     counts = []
@@ -209,59 +212,41 @@ def _perturbed_count_near(f: CAMap, y0, anchors, radius, seed: int, prec: int) -
         gen = _rng.child_rng(seed, f"localmult:{draw}")
         direction = _rng.rand_nonzero_vector(gen, f.n, height=9)
         y1 = [Fraction(v) + eps * w for v, w in zip(y0, direction)]
-        if k == 1:
-            pts = [rep for rep, _ in fiber_t_clusters(f, y1, prec)]
-            near = sum(
-                1 for p in pts if any(abs(p - a) < radius for a in anchors)
-            )
-        else:
-            pts = fiber_points_2(f, y1, prec)
-            near = sum(
-                1
-                for p in pts
-                if any(
-                    abs(p[0] - a[0]) + abs(p[1] - a[1]) < radius for a in anchors
-                )
-            )
-        counts.append(near)
+        counts.append(count_near(fiber_points(f, y1, prec), anchors, radius))
     if len(set(counts)) == 1:
         return counts[0]
     raise InconsistentFiberCounts(f"perturbed counts disagree: {counts}")
 
 
+def _point_dist(a, b):
+    return sum(abs(x - y) for x, y in zip(a, b))
+
+
+def count_near(points, anchors, radius) -> int:
+    """Number of points within l1-distance radius of some anchor."""
+    return sum(1 for p in points if any(_point_dist(p, a) < radius for a in anchors))
+
+
 def _anchor_radius(anchor, others):
-    gaps = [
-        _point_dist(anchor, other)
-        for other in others
-        if _point_dist(anchor, other) > 0
-    ]
-    cap = mp.mpf("0.25") * (1 + _point_norm(anchor))
+    gaps = [gap for gap in (_point_dist(anchor, other) for other in others) if gap > 0]
+    cap = mp.mpf("0.25") * (1 + sum(abs(x) for x in anchor))
     if not gaps:
         return cap
     return min(min(gaps) / 2, cap)
 
 
-def _point_dist(a, b):
-    if isinstance(a, tuple):
-        return abs(a[0] - b[0]) + abs(a[1] - b[1])
-    return abs(a - b)
-
-
-def _point_norm(a):
-    if isinstance(a, tuple):
-        return abs(a[0]) + abs(a[1])
-    return abs(a)
-
-
-def local_multiplicity_at(f: CAMap, y0, anchor, others, seed: int = 0, prec: int = 256) -> int:
-    """Multiplicity of the fiber point anchored at a parameter-space cluster."""
-    radius = _anchor_radius(anchor, others)
+def _stable_count_near(f: CAMap, y0, anchors, radius, seed: int, prec: int) -> int:
     for wp in [p for p in PREC_LADDER if p >= prec]:
         try:
-            return _perturbed_count_near(f, y0, [anchor], radius, seed, wp)
+            return _perturbed_count_near(f, y0, anchors, radius, seed, wp)
         except InconsistentFiberCounts:
             continue
     raise PrecisionExhausted("local multiplicity did not stabilize on the precision ladder")
+
+
+def local_multiplicity_at(f: CAMap, y0, anchor, others, seed: int = 0, prec: int = 256) -> int:
+    """Multiplicity of the fiber point anchored at a parameter-space point."""
+    return _stable_count_near(f, y0, [anchor], _anchor_radius(anchor, others), seed, prec)
 
 
 def local_multiplicity(f: CAMap, a, seed: int = 0, prec: int = 256) -> int:
@@ -271,26 +256,17 @@ def local_multiplicity(f: CAMap, a, seed: int = 0, prec: int = 256) -> int:
     f(phi(t)) = f(a) + eps*v near the parameter preimages of a, stable
     over 3 random rational directions v.
     """
-    k = _require_k(f)
+    f.domain.require_param()
     a = [Fraction(v) for v in a]
     if not f.domain.contains(a):
         raise ValueError("point does not satisfy the variety's generators")
     y0 = _map_value_exact(f, a)
-    if k == 1:
-        clusters = fiber_t_clusters(f, y0, prec)
-    else:
-        clusters = [(p, 1) for p in fiber_points_2(f, y0, prec)]
-    if not clusters:
+    reps = fiber_points(f, y0, prec)
+    if not reps:
         raise NotIsolated("empty fiber over f(a)")
-    anchors = _preimage_anchors(f, a, clusters, prec)
-    reps = [rep for rep, _ in clusters]
+    anchors = _preimage_anchors(f, a, reps, prec)
     radius = min(_anchor_radius(anchor, reps) for anchor in anchors)
-    for wp in [p for p in PREC_LADDER if p >= prec]:
-        try:
-            return _perturbed_count_near(f, y0, anchors, radius, seed, wp)
-        except InconsistentFiberCounts:
-            continue
-    raise PrecisionExhausted("local multiplicity did not stabilize on the precision ladder")
+    return _stable_count_near(f, y0, anchors, radius, seed, prec)
 
 
 def _map_value_exact(f: CAMap, a) -> list[Fraction]:
@@ -305,16 +281,15 @@ def _map_value_exact(f: CAMap, a) -> list[Fraction]:
     return out
 
 
-def _preimage_anchors(f: CAMap, a, clusters, prec: int):
-    """Fiber clusters whose image under phi is the point a."""
+def _preimage_anchors(f: CAMap, a, reps, prec: int):
+    """Fiber points whose image under phi is the point a."""
     param = f.domain.param
     anchors = []
     with mp.workprec(prec):
         a_num = [mp.mpf(v.numerator) / mp.mpf(v.denominator) for v in a]
         tol = mp.mpf(2) ** (-prec // 4)
-        for rep, _ in clusters:
-            t = [rep] if param.k == 1 else list(rep)
-            img = [evaluate(c, t) for c in param.components]
+        for rep in reps:
+            img = [evaluate(c, rep) for c in param.components]
             gap = sum(abs(i - w) for i, w in zip(img, a_num))
             size = 1 + sum(abs(w) for w in a_num)
             if gap <= tol * size:
@@ -335,14 +310,8 @@ def stoll_check(f: CAMap, y0, seed: int = 0, prec: int = 256):
         raise ValueError("multiplicity sum check needs a square (k-component) map")
     y0 = [Fraction(v) for v in y0]
     lhs = geometric_degree(f, seed, prec)
-    if k == 1:
-        clusters = fiber_t_clusters(f, y0, prec)
-    else:
-        clusters = [(p, 1) for p in fiber_points_2(f, y0, prec)]
-    reps = [rep for rep, _ in clusters]
-    rhs = 0
-    for rep in reps:
-        rhs += local_multiplicity_at(f, y0, rep, reps, seed, prec)
+    reps = fiber_points(f, y0, prec)
+    rhs = sum(local_multiplicity_at(f, y0, rep, reps, seed, prec) for rep in reps)
     return lhs, rhs, lhs == rhs
 
 
@@ -352,90 +321,53 @@ def stoll_check(f: CAMap, y0, seed: int = 0, prec: int = 256):
 
 def image_degree(f: CAMap, seed: int = 0, prec: int = 256) -> int:
     """Degree of the image curve f(A): distinct image points on a random hyperplane."""
-    k = _require_k(f)
-    if k != 1:
+    if _require_k(f) != 1:
         raise ParamRequired("image degree implemented for curves")
     check_proper(f, seed, prec)
-    best = 0
-    successes = 0
-    for attempt in range(_DRAW_BUDGET):
-        gen = _rng.child_rng(seed, f"imagedeg:{attempt}")
-        lam = _rng.rand_nonzero_vector(gen, f.n)
-        c = _rng.rand_rational(gen)
-        sliced = MPoly(1, {})
-        for coeff, p in zip(lam, f.pullbacks):
-            sliced = sliced + p.scale(coeff)
-        sliced = sliced - MPoly.const(1, c)
-        if sliced.is_constant() or sliced.is_zero():
-            continue
+
+    def count(gen):
+        sliced = random_slice(gen, f.pullbacks)
+        if sliced.is_constant():
+            return None
         rs = roots_univariate(sliced, prec)
         with mp.workprec(prec):
-            images = []
-            for t, _ in rs.roots:
-                images.append(tuple(evaluate(p, [t]) for p in f.pullbacks))
+            images = [tuple(evaluate(p, [t]) for p in f.pullbacks) for t, _ in rs.roots]
             scale = max([mp.mpf(1)] + [sum(abs(c) for c in pt) for pt in images])
             tol = mp.mpf(2) ** (-prec // 4) * scale
-            count = len(_cluster_tuples(images, tol))
-        best = max(best, count)
-        successes += 1
-        if successes >= 3:
-            return best
-    raise DegenerateSlice("no generic image slice found within the retry budget")
+            return len(_cluster_tuples(images, tol))
+
+    return slice_count(seed, "imagedeg", count)
 
 
 def _cluster_tuples(points, tol):
     out: list[tuple] = []
     for pt in points:
-        if all(sum(abs(a - b) for a, b in zip(pt, q)) > tol for q in out):
+        if all(_point_dist(pt, q) > tol for q in out):
             out.append(pt)
     return out
 
 
+def graph_slice_count(f: CAMap, gen, prec: int = 256) -> int | None:
+    """Points of the graph of f on k random affine slices of ambient x target space.
+
+    The slices pull back to k polynomials in the k parameters, whose
+    common zeros are the fiber over 0 of the map they form; None when
+    the draw is not generic.
+    """
+    param = f.domain.require_param()
+    coords = list(param.components) + list(f.pullbacks)
+    slices = [random_slice(gen, coords) for _ in range(param.k)]
+    if any(s.is_constant() for s in slices):
+        return None
+    try:
+        return len(fiber_points(polynomial_map(slices), [0] * param.k, prec))
+    except NonZeroDimensional:
+        return None
+
+
 def graph_degree(f: CAMap, seed: int = 0, prec: int = 256) -> int:
     """Degree of the graph of f, sliced inside ambient x target space."""
-    param = f.domain.require_param()
-    k = param.k
-    coords = list(param.components) + list(f.pullbacks)
-    best = 0
-    successes = 0
-    for attempt in range(_DRAW_BUDGET):
-        gen = _rng.child_rng(seed, f"graphdeg:{attempt}")
-        if k == 1:
-            lam = _rng.rand_nonzero_vector(gen, len(coords))
-            c = _rng.rand_rational(gen)
-            sliced = MPoly(1, {})
-            for coeff, p in zip(lam, coords):
-                sliced = sliced + p.scale(coeff)
-            sliced = sliced - MPoly.const(1, c)
-            if sliced.is_constant() or sliced.is_zero():
-                continue
-            count = roots_univariate(sliced, prec).distinct()
-        elif k == 2:
-            eqs = []
-            degenerate = False
-            for j in range(2):
-                lam = _rng.rand_nonzero_vector(gen, len(coords))
-                c = _rng.rand_rational(gen)
-                s = MPoly(2, {})
-                for coeff, p in zip(lam, coords):
-                    s = s + p.scale(coeff)
-                s = s - MPoly.const(2, c)
-                if s.is_constant() or s.is_zero():
-                    degenerate = True
-                eqs.append(s)
-            if degenerate:
-                continue
-            try:
-                count = len(solve_system_2(eqs[0], eqs[1], prec))
-            except NonZeroDimensional:
-                continue
-        else:
-            raise ParamRequired("graph degree implemented for 1 or 2 parameters")
-        best = max(best, count)
-        successes += 1
-        if successes >= 3:
-            return best
-    raise DegenerateSlice("no generic graph slice found within the retry budget")
+    return slice_count(seed, "graphdeg", lambda gen: graph_slice_count(f, gen, prec))
 
 
 def profile_map(f: CAMap, seed: int = 0, prec: int = 256, with_image: bool = False) -> ProperMapProfile:

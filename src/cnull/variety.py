@@ -9,7 +9,14 @@ A CAMap is a tuple of rational-function components on the ambient space;
 its continuity contract is that each component, composed with phi,
 divides exactly, i.e. the rational function extends polynomially along
 the parametrization.  The resulting pullbacks are cached eagerly and are
-the workhorse of every downstream computation.
+the workhorse of every downstream computation.  polynomial_map views
+polynomials in m variables as such a map on C^m with the identity
+parametrization; gradients and graph slices are counted that way, through
+propermaps.fiber_points, the one fiber slot for k in {1, 2} parameters.
+
+Degrees by slicing share one loop: random_slice draws an affine form in
+the coordinates, and slice_count retries non-generic draws under the
+caller's salt and keeps the max of the first 3 generic counts.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from .errors import (
     SchemaError,
 )
 from .numroots import roots_univariate
-from .polycore import MPoly, compose, evaluate, exact_divide, poly_from_json, poly_to_json
+from .polycore import MPoly, compose, evaluate, exact_divide, poly_from_json
 
 
 @dataclass(frozen=True)
@@ -118,20 +125,6 @@ def load_variety(spec: dict) -> Variety:
     return Variety(ambient_vars=list(names), dim=dim, generators=gens, param=param)
 
 
-def variety_to_json(v: Variety) -> dict:
-    out = {
-        "ambient_vars": list(v.ambient_vars),
-        "dim": v.dim,
-        "generators": [poly_to_json(g, v.ambient_vars) for g in v.generators],
-    }
-    if v.param is not None:
-        out["param"] = {
-            "vars": list(v.param.var_names),
-            "components": [poly_to_json(c, v.param.var_names) for c in v.param.components],
-        }
-    return out
-
-
 def load_map(domain: Variety, spec: dict) -> CAMap:
     """Validated CAMap; computes and caches the pullbacks when phi exists."""
     if not isinstance(spec, dict) or "components" not in spec:
@@ -171,20 +164,52 @@ def make_map(domain: Variety, comps: list[tuple[MPoly, MPoly]]) -> CAMap:
     return CAMap(domain=domain, components=comps, pullbacks=pullbacks)
 
 
-def map_to_json(f: CAMap) -> dict:
-    names = f.domain.ambient_vars
-    return {
-        "components": [
-            {"num": poly_to_json(num, names), "den": poly_to_json(den, names)}
-            for num, den in f.components
-        ]
-    }
+def polynomial_map(polys: list[MPoly]) -> CAMap:
+    """The polynomials in m variables as a map on C^m with the identity parametrization."""
+    m = polys[0].var_count
+    identity = [MPoly.variable(m, i) for i in range(m)]
+    domain = Variety(
+        ambient_vars=[f"x{i + 1}" for i in range(m)],
+        dim=m,
+        generators=[],
+        param=Param(var_names=[f"t{i + 1}" for i in range(m)], components=identity),
+    )
+    one = MPoly.const(m, 1)
+    return CAMap(domain=domain, components=[(p, one) for p in polys], pullbacks=list(polys))
 
 
-def pullback(f: CAMap) -> list[MPoly]:
-    """Component pullbacks along phi (cached at load time)."""
-    f.domain.require_param()
-    return list(f.pullbacks)
+# ---------------------------------------------------------------------------
+# degrees by random affine slicing
+
+_SLICE_DRAWS = 15
+_SLICES_KEPT = 3
+
+
+def random_slice(gen, coords: list[MPoly]) -> MPoly:
+    """sum lam_i coords_i - c for a random nonzero rational vector lam and rational c."""
+    lam = _rng.rand_nonzero_vector(gen, len(coords))
+    c = _rng.rand_rational(gen)
+    var_count = coords[0].var_count
+    sliced = MPoly(var_count, {})
+    for coeff, p in zip(lam, coords):
+        sliced = sliced + p.scale(coeff)
+    return sliced - MPoly.const(var_count, c)
+
+
+def slice_count(seed: int, salt: str, count) -> int:
+    """Max of the first 3 generic slice counts within 15 draws.
+
+    Draw i calls count(child_rng(seed, f"{salt}:{i}")), which returns the
+    number of points on its random slices, or None for a non-generic draw.
+    """
+    counts = []
+    for attempt in range(_SLICE_DRAWS):
+        n = count(_rng.child_rng(seed, f"{salt}:{attempt}"))
+        if n is not None:
+            counts.append(n)
+            if len(counts) == _SLICES_KEPT:
+                return max(counts)
+    raise DegenerateSlice("no generic slice found within the retry budget")
 
 
 def degree_by_slicing(v: Variety, seed: int = 0, prec: int = 256) -> int:
@@ -197,24 +222,12 @@ def degree_by_slicing(v: Variety, seed: int = 0, prec: int = 256) -> int:
     param = v.require_param()
     if param.k != 1:
         raise ParamRequired("slicing degree implemented for curves (one parameter)")
-    best = 0
-    successes = 0
-    for attempt in range(15):
-        gen = _rng.child_rng(seed, f"slice:{attempt}")
-        lam = _rng.rand_nonzero_vector(gen, v.m)
-        c = _rng.rand_rational(gen)
-        sliced = MPoly(1, {})
-        for coeff, comp in zip(lam, param.components):
-            sliced = sliced + comp.scale(coeff)
-        sliced = sliced - MPoly.const(1, c)
-        if sliced.is_zero() or sliced.is_constant():
-            continue
-        count = roots_univariate(sliced, prec).distinct()
-        best = max(best, count)
-        successes += 1
-        if successes >= 3:
-            return best
-    raise DegenerateSlice("no generic slice found within the retry budget")
+
+    def count(gen):
+        sliced = random_slice(gen, param.components)
+        return None if sliced.is_constant() else roots_univariate(sliced, prec).distinct()
+
+    return slice_count(seed, "slice", count)
 
 
 def sample_point(v: Variety, seed: int = 0) -> list[Fraction]:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import V2, map_spec, pj
-from cnull import charpoly
+from cnull import propermaps
 from cnull.charpoly import (
     CharPoly,
     bounds_table,
@@ -114,14 +114,14 @@ class TestFiberSolves:
             )
             g = load_map(plane2, map_spec(pj(V2, {(1, 0): 1, (0, 1): 2})))
         profile = profile_map(f, 0, 256)
-        real = getattr(charpoly, solver)
+        real = getattr(propermaps, solver)
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(args[1])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(charpoly, solver, counted)
+        monkeypatch.setattr(propermaps, solver, counted)
         P = build_charpoly(f, g, seed=0, profile=profile)
         assert P.verified
         nodes = (max(P.bounds) + 1) ** P.k

@@ -214,6 +214,16 @@ class TestCluster:
         pts = [mp.sqrt(mp.mpc(c)), -mp.sqrt(mp.mpc(c))]
         assert len(cluster(pts, 1e-10)) == 2
 
+    def test_conjugate_order_does_not_depend_on_precision(self):
+        # (x^3 - x + 5)^2: the pair 0.952 +- 1.311i shares its real part up
+        # to rounding noise, which must not decide the order of the pair
+        coeffs = [F(c) for c in _poly_mul([5, -1, 0, 1], [5, -1, 0, 1])]
+        orders = []
+        for prec in (128, 256):
+            roots = roots_from_coeffs(coeffs, prec).values()
+            orders.append([(round(float(r.real), 9), round(float(r.imag), 9)) for r in roots])
+        assert orders[0] == orders[1]
+
 
 class TestRationalReconstruct:
     def test_third(self):

@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import map_spec, pj
-from cnull.errors import NotProper
+from cnull.errors import NotProper, ParamRequired
+from cnull.polycore import MPoly
 from cnull.propermaps import (
     fiber_count_at,
+    fiber_points,
     geometric_degree,
     graph_degree,
     growth_exponent,
@@ -14,7 +16,7 @@ from cnull.propermaps import (
     profile_map,
     stoll_check,
 )
-from cnull.variety import load_map
+from cnull.variety import load_map, polynomial_map
 
 F = Fraction
 
@@ -83,6 +85,28 @@ class TestFiberCount:
             assert count <= d
             if y == 0:
                 assert count < d
+
+
+class TestFiberPoints:
+    def test_curve_points_are_1_tuples(self, cusp_fx):
+        pts = fiber_points(cusp_fx, [F(1)])
+        assert all(isinstance(p, tuple) and len(p) == 1 for p in pts)
+        assert len(pts) == fiber_count_at(cusp_fx, [F(1)]) == 2
+        assert all(abs(p[0] ** 2 - 1) < 1e-30 for p in pts)
+
+    def test_square_map_points_are_pairs(self, plane2):
+        f = load_map(
+            plane2,
+            map_spec(pj(["x1", "x2"], {(2, 0): 1}), pj(["x1", "x2"], {(0, 1): 1})),
+        )
+        pts = fiber_points(f, [F(4), F(3)])
+        assert all(isinstance(p, tuple) and len(p) == 2 for p in pts)
+        assert len(pts) == fiber_count_at(f, [F(4), F(3)]) == 2
+
+    def test_three_parameters_raise(self):
+        f = polynomial_map([MPoly.variable(3, i) for i in range(3)])
+        with pytest.raises(ParamRequired):
+            fiber_points(f, [F(0)] * 3)
 
 
 class TestGrowthExponent:

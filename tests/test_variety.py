@@ -3,14 +3,15 @@ from fractions import Fraction
 import pytest
 
 from conftest import map_spec, pj
-from cnull.errors import GeneratorNotAnnihilated, NotCAlgebraic, ParamRequired, SchemaError
+from cnull.errors import DegenerateSlice, GeneratorNotAnnihilated, NotCAlgebraic, SchemaError
 from cnull.polycore import MPoly
+from cnull.rng import child_rng
 from cnull.variety import (
     degree_by_slicing,
     load_map,
     load_variety,
-    pullback,
     sample_point,
+    slice_count,
 )
 
 F = Fraction
@@ -49,21 +50,15 @@ class TestLoadVariety:
 
 class TestPullback:
     def test_gyx_is_t(self, cusp_gyx):
-        assert pullback(cusp_gyx) == [T]
+        assert cusp_gyx.pullbacks == [T]
 
     def test_fx_is_t_squared(self, cusp_fx):
-        assert pullback(cusp_fx) == [T**2]
+        assert cusp_fx.pullbacks == [T**2]
 
     def test_pole_rejected(self, cusp):
         one_over_x = map_spec((pj(["x", "y"], {(0, 0): 1}), pj(["x", "y"], {(1, 0): 1})))
         with pytest.raises(NotCAlgebraic):
             load_map(cusp, one_over_x)
-
-    def test_param_required(self):
-        v = load_variety({"ambient_vars": ["x", "y"], "dim": 1, "generators": []})
-        f = load_map(v, map_spec(pj(["x", "y"], {(1, 0): 1})))
-        with pytest.raises(ParamRequired):
-            pullback(f)
 
 
 class TestDegreeBySlicing:
@@ -93,6 +88,34 @@ class TestDegreeBySlicing:
             c = rng.randint(1, 9)
             rs = roots_from_coeffs([F(-c), F(0), F(lam1), F(lam2)], 256)
             assert rs.distinct() == 3
+
+
+class TestSliceCount:
+    def test_max_of_the_first_three_generic_counts(self):
+        counts = iter([None, 4, None, 2, 7, 9])
+        assert slice_count(0, "test", lambda gen: next(counts)) == 7
+        assert next(counts) == 9  # no draw after the third generic one
+
+    def test_draw_i_uses_salt_i(self):
+        seen = []
+
+        def count(gen):
+            seen.append(gen.random())
+            return 1
+
+        slice_count(3, "test", count)
+        assert seen == [child_rng(3, f"test:{i}").random() for i in range(3)]
+
+    def test_degenerate_after_fifteen_draws(self):
+        seen = []
+
+        def count(gen):
+            seen.append(gen)
+            return None
+
+        with pytest.raises(DegenerateSlice):
+            slice_count(0, "test", count)
+        assert len(seen) == 15
 
 
 class TestSamplePoint:
