@@ -30,7 +30,7 @@ from .errors import (
     NoReconstruction,
     PrecisionExhausted,
 )
-from .numroots import PREC_LADDER, rational_reconstruct, roots_from_coeffs
+from .numroots import ladder_from, rational_reconstruct, roots_from_coeffs
 from .polycore import (
     MPoly,
     NEG_INF,
@@ -61,11 +61,6 @@ class CharPoly:
     @property
     def k(self) -> int:
         return self.coeffs[0].var_count if self.coeffs else 1
-
-    def eval_t_poly(self, y_point):
-        """Ascending t-coefficients of P(y_point, t)."""
-        asc = [evaluate(a, y_point) for a in reversed(self.coeffs)]
-        return asc + [1]
 
 
 def coefficient_bounds(d: int, growth: Fraction, graph_deg: int) -> list[int]:
@@ -118,7 +113,7 @@ def build_charpoly(
     growth = growth_exponent(g)
     bounds = coefficient_bounds(d, growth, prof.graph_degree)
     last_error: Exception | None = None
-    for wp in [p for p in PREC_LADDER if p >= prec]:
+    for wp in ladder_from(prec):
         try:
             P = _build_at_precision(f, g, d, bounds, seed, wp)
         except (NoReconstruction, InconsistentSamples, PrecisionExhausted) as exc:

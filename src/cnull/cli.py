@@ -40,11 +40,10 @@ from .nullcert import (
     load_cycle_components,
     verify_certificate,
 )
+from .numroots import PREC_LADDER
 from .polycore import NEG_INF, poly_from_json, rat_to_str, total_degree
 from .propermaps import geometric_degree, graph_degree, growth_exponent
 from .variety import degree_by_slicing, load_map, load_variety
-
-VALID_PREC = (128, 256, 512, 1024)
 
 
 def _default_prec() -> int:
@@ -98,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
         if need_g:
             p.add_argument("--g", required=True, help="map JSON file for g")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--prec", type=int, default=None, choices=VALID_PREC)
+        p.add_argument("--prec", type=int, default=None, choices=PREC_LADDER)
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
 
     p = sub.add_parser("charpoly", help="characteristic polynomial of g relative to f")
@@ -136,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shells", type=float, nargs="+", default=[10.0, 100.0, 1000.0, 10000.0])
     p.add_argument("--samples-per-shell", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--prec", type=int, default=None, choices=VALID_PREC)
+    p.add_argument("--prec", type=int, default=None, choices=PREC_LADDER)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("cycle", help="degree of the cycle of zeroes of f")
@@ -163,8 +162,8 @@ def run(argv) -> tuple[int, dict | None]:
     parser = build_parser()
     args = parser.parse_args(argv)
     prec = args.prec if args.prec is not None else _default_prec()
-    if prec not in VALID_PREC:
-        raise SchemaError(f"precision must be one of {VALID_PREC}, got {prec}")
+    if prec not in PREC_LADDER:
+        raise SchemaError(f"precision must be one of {PREC_LADDER}, got {prec}")
     seed = getattr(args, "seed", 0)
     result = _dispatch(args, seed, prec)
     report = {

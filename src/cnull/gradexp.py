@@ -25,7 +25,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .polycore import MPoly, evaluate, total_degree
-from .propermaps import fiber_points, graph_slice_count
+from .propermaps import check_growth, fiber_points, graph_slice_count
 from .rng import child_rng
 from .variety import polynomial_map, slice_count
 
@@ -67,8 +67,8 @@ def grad_profile(f: MPoly, seed: int = 0, prec: int = 256) -> tuple[int, int]:
     """(mu, D): generic fiber count of the gradient and its graph degree.
 
     Properness is validated by finite-fiber nondegeneracy plus norm
-    growth sampling, not proved; both counts must be stable over 3
-    independent draws.
+    growth sampling (propermaps.check_growth), not proved; both counts
+    must be stable over 3 independent draws.
     """
     m = f.var_count
     if m > 2:
@@ -78,9 +78,9 @@ def grad_profile(f: MPoly, seed: int = 0, prec: int = 256) -> tuple[int, int]:
     finite = [d for d in degs if d != float("-inf")]
     if not finite or max(finite) < 1:
         raise NotProper("gradient is constant; fibers are not finite")
-    if m == 2:
-        _growth_gate(grads, child_rng(seed, "proper2d"))
     grad_map = polynomial_map(grads)
+    if m == 2:
+        check_growth(grad_map, child_rng(seed, "proper2d"), prec)
     mu_counts = []
     for draw in range(3):
         y = _rng.rand_rational_vector(child_rng(seed, f"mu:{draw}"), m)
@@ -92,25 +92,6 @@ def grad_profile(f: MPoly, seed: int = 0, prec: int = 256) -> tuple[int, int]:
         raise PrecisionExhausted(f"gradient fiber counts disagree: {mu_counts}")
     D = slice_count(seed, "graph", lambda gen: graph_slice_count(grad_map, gen, prec))
     return mu_counts[0], D
-
-
-def _growth_gate(grads: list[MPoly], gen):
-    """Norm-growth sampling: the gradient must grow along parameter spheres."""
-    dirs = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0)]
-    dirs += [(gen.uniform(-1, 1), gen.uniform(-1, 1)) for _ in range(8)]
-    mins = []
-    for radius in (10.0, 1000.0):
-        best = None
-        for dx, dy in dirs:
-            norm = math.hypot(dx, dy)
-            if norm == 0:
-                continue
-            x = [complex(radius * dx / norm), complex(radius * dy / norm)]
-            size = math.hypot(*(abs(evaluate(g, x)) for g in grads))
-            best = size if best is None else min(best, size)
-        mins.append(best)
-    if mins[1] < max(4 * mins[0], 1e-9):
-        raise NotProper("gradient norm does not grow along spheres")
 
 
 def validate_inequality(

@@ -39,7 +39,7 @@ from .errors import (
     SchemaError,
     VanishingHypothesisFailed,
 )
-from .numroots import PREC_LADDER, solve_system_2
+from .numroots import ladder_from, solve_system_2
 from .polycore import (
     MPoly,
     _grlex_key,
@@ -320,7 +320,6 @@ def certify_general(
         return certify_proper(f, g, seed, prec)
     if n < k:
         raise ValueError("overdetermined route needs more components than dimensions")
-    check_proper(f, seed, prec)
     d_f = geometric_degree(f, seed, prec)
     deg_image = image_degree(f, seed, prec)
     product = d_f * deg_image  # the theorem's exponent d(f) * deg f(A)
@@ -730,7 +729,7 @@ def _component_multiplicity(
     value = [evaluate(form, point) for form in forms]
     anchors = _parameter_preimages(f.domain, point, prec)
     base = [Fraction(0)] * f.n + value
-    for wp in [p for p in PREC_LADDER if p >= prec]:
+    for wp in ladder_from(prec):
         counts = []
         for draw in range(3):
             gen_d = _rng.child_rng(seed, f"cycle-perturb:{draw}")

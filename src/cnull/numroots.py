@@ -23,7 +23,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .errors import NonReal, NonZeroDimensional, NoReconstruction, PrecisionExhausted
-from .polycore import MPoly, coeffs_in_var, sylvester_resultant, univ_coeffs, univ_gcd
+from .polycore import MPoly, coeffs_in_var, evaluate, sylvester_resultant, total_degree, univ_coeffs, univ_gcd
 
 PREC_LADDER = (128, 256, 512, 1024)
 
@@ -43,7 +43,8 @@ class RootSet:
         return [r for r, _ in self.roots]
 
 
-def _ladder_from(prec: int):
+def ladder_from(prec: int):
+    """The rungs of PREC_LADDER from the first one >= prec (the top rung when none is)."""
     start = next((i for i, p in enumerate(PREC_LADDER) if p >= prec), len(PREC_LADDER) - 1)
     return PREC_LADDER[start:]
 
@@ -224,7 +225,7 @@ def roots_from_coeffs(coeffs, prec: int = 256) -> RootSet:
     while _is_exact_zero(stripped[0]):
         stripped.pop(0)
         zero_mult += 1
-    for wp in _ladder_from(prec):
+    for wp in ladder_from(prec):
         with mp.workprec(wp + 20):
             full = [_to_mpc(c) for c in coeffs]
             cs = [_to_mpc(c) for c in stripped]
@@ -352,16 +353,20 @@ def rational_reconstruct(v, height_bound: int, prec: int = 256) -> Fraction:
 def solve_system_2(p: MPoly, q: MPoly, prec: int = 256) -> list:
     """All isolated common zeros of two rational polynomials in 2 variables.
 
-    Eliminates each variable by a Sylvester resultant (both must be
-    nonzero, otherwise the solution set is positive-dimensional), then
-    back-substitutes and keeps the pairs on which both residuals vanish.
+    Eliminates each variable by a Sylvester resultant; both must be
+    nonzero, otherwise the solution set is positive-dimensional, and res_y
+    serves only as that exact check.  At each root x0 of res_x one
+    polynomial is solved for y: p(x0, y), or q(x0, y) where p(x0, .)
+    vanishes numerically (both cannot vanish at a true root, since then p
+    and q share a factor in x and res_y is zero).  The pairs on which both
+    residuals vanish are kept.
     """
     if p.var_count != 2 or q.var_count != 2:
         raise ValueError("two polynomials in 2 variables expected")
     if p.is_zero() or q.is_zero():
         raise NonZeroDimensional("a zero polynomial has a positive-dimensional zero set")
     for index in (1, 0):
-        if _deg_in(p, index) == 0 and _deg_in(q, index) == 0:
+        if p.degree_in(index) == 0 and q.degree_in(index) == 0:
             # both free of one variable: common zeros fill lines parallel to its axis
             if not univ_gcd(_drop_var(p, index), _drop_var(q, index)).is_constant():
                 raise NonZeroDimensional("common one-variable factor")
@@ -373,6 +378,9 @@ def solve_system_2(p: MPoly, q: MPoly, prec: int = 256) -> list:
     if res_x.is_constant():
         return []
     xset = roots_univariate(_drop_var(res_x, 1), prec)
+    degree = max(total_degree(p), total_degree(q))
+    py = coeffs_in_var(p, 1)
+    qy = coeffs_in_var(q, 1)
     solutions = []
     with mp.workprec(prec + 20):
         coeff_scale = max(
@@ -381,66 +389,22 @@ def solve_system_2(p: MPoly, q: MPoly, prec: int = 256) -> list:
             + [abs(_to_mpc(c)) for c in q.terms.values()]
         )
         tol = mp.mpf(2) ** (-prec // 4)
-        py = coeffs_in_var(p, 1)
-        qy = coeffs_in_var(q, 1)
         for x0, _ in xset.roots:
-            pc = [_eval_coeff(c, x0) for c in py]
-            qc = [_eval_coeff(c, x0) for c in qy]
-            cands = _y_candidates(pc, qc, tol, coeff_scale, prec)
-            for y0 in cands:
-                scale_pt = (1 + abs(x0) + abs(y0)) ** max(
-                    total_deg := _total_deg(p), _total_deg(q)
-                )
-                rp = abs(_eval2(p, x0, y0)) / (coeff_scale * scale_pt)
-                rq = abs(_eval2(q, x0, y0)) / (coeff_scale * scale_pt)
-                if rp <= tol and rq <= tol:
+            # the y-coefficients are free of y, and a zero one evaluates to an exact 0
+            yc = [evaluate(c, (x0, 0)) for c in py]
+            if all(abs(c) <= tol * coeff_scale for c in yc):
+                yc = [evaluate(c, (x0, 0)) for c in qy]
+            for y0 in _nonconst_roots(yc, prec):
+                scale_pt = coeff_scale * (1 + abs(x0) + abs(y0)) ** degree
+                if all(abs(evaluate(h, (x0, y0))) <= tol * scale_pt for h in (p, q)):
                     solutions.append((x0, y0))
-        # deduplicate
-        out = []
-        for s in solutions:
-            if all(abs(s[0] - t[0]) + abs(s[1] - t[1]) > tol * (1 + abs(s[0]) + abs(s[1])) for t in out):
-                out.append(s)
-        out.sort(key=lambda s: _root_key(s[0], tol) + _root_key(s[1], tol))
-    return out
-
-
-def _total_deg(p: MPoly) -> int:
-    return max((sum(e) for e in p.terms), default=0)
-
-
-def _deg_in(p: MPoly, index: int) -> int:
-    return max((e[index] for e in p.terms), default=0)
+        solutions.sort(key=lambda s: _root_key(s[0], tol) + _root_key(s[1], tol))
+    return solutions
 
 
 def _drop_var(p: MPoly, index: int) -> MPoly:
     keep = 1 - index
     return MPoly(1, {(e[keep],): c for e, c in p.terms.items()})
-
-
-def _eval_coeff(c: MPoly, x0):
-    acc = mp.mpc(0)
-    for e, coeff in c.terms.items():
-        acc += _to_mpc(coeff) * x0 ** e[0]
-    return acc
-
-
-def _eval2(p: MPoly, x0, y0):
-    acc = mp.mpc(0)
-    for e, coeff in p.terms.items():
-        acc += _to_mpc(coeff) * x0 ** e[0] * y0 ** e[1]
-    return acc
-
-
-def _y_candidates(pc, qc, tol, coeff_scale, prec):
-    p_zero = all(abs(c) <= tol * coeff_scale for c in pc)
-    q_zero = all(abs(c) <= tol * coeff_scale for c in qc)
-    if p_zero and q_zero:
-        raise NonZeroDimensional("both polynomials vanish on a vertical line")
-    if p_zero:
-        return _nonconst_roots(qc, prec)
-    if q_zero:
-        return _nonconst_roots(pc, prec)
-    return _nonconst_roots(pc, prec) + _nonconst_roots(qc, prec)
 
 
 def _nonconst_roots(coeffs, prec):

@@ -16,7 +16,7 @@ than parameters) get nonempty generic fibers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
@@ -30,7 +30,7 @@ from .errors import (
     ParamRequired,
     PrecisionExhausted,
 )
-from .numroots import PREC_LADDER, roots_univariate, solve_system_2
+from .numroots import ladder_from, roots_univariate, solve_system_2
 from .polycore import MPoly, evaluate, total_degree, univ_gcd
 from .variety import CAMap, polynomial_map, random_slice, slice_count
 
@@ -45,7 +45,6 @@ class ProperMapProfile:
     graph_degree: int
     image_degree: int | None
     properness_witnessed: bool
-    evidence: dict = field(default_factory=dict)
 
 
 def _require_k(f: CAMap) -> int:
@@ -53,7 +52,7 @@ def _require_k(f: CAMap) -> int:
     return param.k
 
 
-def check_proper(f: CAMap, seed: int = 0, prec: int = 256) -> dict:
+def check_proper(f: CAMap, seed: int = 0, prec: int = 256) -> None:
     """Growth-criterion properness along phi; raises NotProper on failure.
 
     For curves the criterion is exact: some pullback must be nonconstant.
@@ -61,13 +60,11 @@ def check_proper(f: CAMap, seed: int = 0, prec: int = 256) -> dict:
     sampling on parameter spheres; a validation, not a proof.
     """
     k = _require_k(f)
-    degs = [total_degree(p) for p in f.pullbacks]
-    finite_degs = [d for d in degs if d != float("-inf")]
-    if not finite_degs or max(finite_degs) < 1:
+    degs = [d for d in (total_degree(p) for p in f.pullbacks) if d != float("-inf")]
+    if not degs or max(degs) < 1:
         raise NotProper("all pullbacks are constant")
-    evidence = {"pullback_degrees": degs}
     if k == 1:
-        return evidence
+        return
     if k == 2:
         if f.n != 2:
             raise ParamRequired("two-parameter properness implemented for 2 components")
@@ -76,12 +73,22 @@ def check_proper(f: CAMap, seed: int = 0, prec: int = 256) -> dict:
             fiber_points(f, [_rng.rand_rational(gen) for _ in range(2)], prec)
         except NonZeroDimensional as exc:
             raise NotProper("fibers are not finite") from exc
-        lo, hi = _min_norm_on_sphere(f, 10, gen, prec), _min_norm_on_sphere(f, 1000, gen, prec)
-        evidence["min_norms"] = {"10": float(lo), "1000": float(hi)}
-        if hi < max(4 * lo, mp.mpf("1e-6")):
-            raise NotProper("image norm does not grow along the parameter sphere")
-        return evidence
+        check_growth(f, gen, prec)
+        return
     raise ParamRequired("properness check implemented for 1 or 2 parameters")
+
+
+def check_growth(f: CAMap, gen, prec: int = 256) -> None:
+    """Norm-growth sampling along two parameters; raises NotProper on failure.
+
+    The least image norm over 4 axis and 8 random directions (drawn from
+    gen for each sphere) must grow 4-fold from the parameter sphere of
+    radius 10 to that of radius 1000.
+    """
+    lo = _min_norm_on_sphere(f, 10, gen, prec)
+    hi = _min_norm_on_sphere(f, 1000, gen, prec)
+    if hi < max(4 * lo, mp.mpf("1e-6")):
+        raise NotProper("image norm does not grow along the parameter sphere")
 
 
 def _min_norm_on_sphere(f: CAMap, radius, gen, prec):
@@ -236,7 +243,7 @@ def _anchor_radius(anchor, others):
 
 
 def _stable_count_near(f: CAMap, y0, anchors, radius, seed: int, prec: int) -> int:
-    for wp in [p for p in PREC_LADDER if p >= prec]:
+    for wp in ladder_from(prec):
         try:
             return _perturbed_count_near(f, y0, anchors, radius, seed, wp)
         except InconsistentFiberCounts:
@@ -371,8 +378,10 @@ def graph_degree(f: CAMap, seed: int = 0, prec: int = 256) -> int:
 
 
 def profile_map(f: CAMap, seed: int = 0, prec: int = 256, with_image: bool = False) -> ProperMapProfile:
-    """Assemble the degree profile used by the characteristic polynomial."""
-    evidence = check_proper(f, seed, prec)
+    """Assemble the degree profile used by the characteristic polynomial.
+
+    Properness is checked once, inside geometric_degree.
+    """
     d_f = geometric_degree(f, seed, prec)
     g_deg = graph_degree(f, seed, prec)
     img = None
@@ -384,5 +393,4 @@ def profile_map(f: CAMap, seed: int = 0, prec: int = 256, with_image: bool = Fal
         graph_degree=g_deg,
         image_degree=img,
         properness_witnessed=True,
-        evidence=evidence,
     )

@@ -25,13 +25,6 @@ def rand_rational(rng: random.Random, height: int = 100) -> Fraction:
     return Fraction(num, den)
 
 
-def rand_nonzero_rational(rng: random.Random, height: int = 100) -> Fraction:
-    while True:
-        q = rand_rational(rng, height)
-        if q != 0:
-            return q
-
-
 def rand_rational_vector(rng: random.Random, n: int, height: int = 100) -> list[Fraction]:
     return [rand_rational(rng, height) for _ in range(n)]
 

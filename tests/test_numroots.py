@@ -299,6 +299,10 @@ class TestSolveSystem2:
             (("x*y-1", "x-y"), 2),
             (("x^2+y^2-1", "x^2-y"), 4),
             (("x^3-y", "x-y"), 3),
+            # p(x0, y) vanishes at x0 = 0, so q is solved there
+            (("x*y", "x+y-1"), 2),
+            # two y's over each x-root, where p(x0, y) vanishes
+            (("x^2-1", "y^2-4"), 4),
         ],
     )
     def test_against_newton_oracle(self, pq, expected):
@@ -324,6 +328,10 @@ def _parse(text):
         "y-1": MPoly(2, {(0, 1): 1, (0, 0): -1}),
         "x*y-1": MPoly(2, {(1, 1): 1, (0, 0): -1}),
         "x^3-y": MPoly(2, {(3, 0): 1, (0, 1): -1}),
+        "x*y": MPoly(2, {(1, 1): 1}),
+        "x+y-1": MPoly(2, {(1, 0): 1, (0, 1): 1, (0, 0): -1}),
+        "x^2-1": MPoly(2, {(2, 0): 1, (0, 0): -1}),
+        "y^2-4": MPoly(2, {(0, 2): 1, (0, 0): -4}),
     }
     return table[text]
 
