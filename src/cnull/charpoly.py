@@ -3,10 +3,19 @@
 The construction is numeric but self-certifying: fibers over a rational
 sample grid are solved at working precision, the signed elementary
 symmetric functions of the g-values are rationally reconstructed and
-interpolated under the coefficient degree bounds, and the result is then
-verified exactly, as the polynomial identity P(f(phi), g(phi)) = 0 in
-the parameter ring.  A failed verification escalates the precision
-ladder and is never returned silently.
+interpolated, and the result is then verified exactly, as the polynomial
+identity P(f(phi), g(phi)) = 0 in the parameter ring.
+
+The grid grows one node per axis at a time.  The theorem bounds on the
+coefficient degrees are the cap: the grid stops early once every
+coefficient's interpolant on all but the last ZETA nodes per axis
+reproduces the samples on the rest (early termination in the manner of
+Kaltofen and Lee, 2003).  An early result is returned only when it
+verifies and g separates the fiber over some grid node, since only then
+does the identity force P to be the characteristic polynomial;
+otherwise the grid grows to the theorem bounds at the same precision.
+A failed verification there escalates the precision ladder and is never
+returned silently.
 
 An independent exact construction via a Sylvester resultant is provided
 as an oracle for the curve case.
@@ -36,12 +45,15 @@ from .polycore import (
     NEG_INF,
     coeffs_in_var,
     compose,
+    distinct_root_count,
     evaluate,
+    grid_interpolant,
     interpolate,
     poly_to_json,
     sylvester_resultant,
     total_degree,
     univ_coeffs,
+    univ_from_coeffs,
 )
 from .propermaps import ProperMapProfile, fiber_points, growth_exponent, profile_map
 from .variety import CAMap
@@ -115,22 +127,21 @@ def build_charpoly(
     last_error: Exception | None = None
     for wp in ladder_from(prec):
         try:
-            P = _build_at_precision(f, g, d, bounds, seed, wp)
+            for P in _candidates(f, g, d, bounds, seed, wp):
+                if verify_charpoly(P, f, g):
+                    return CharPoly(
+                        d=P.d,
+                        coeffs=P.coeffs,
+                        bounds=P.bounds,
+                        provenance=P.provenance,
+                        y_vars=P.y_vars,
+                        verified=True,
+                    )
+                last_error = ExactVerificationFailed(
+                    "interpolated characteristic polynomial failed the exact identity"
+                )
         except (NoReconstruction, InconsistentSamples, PrecisionExhausted) as exc:
             last_error = exc
-            continue
-        if verify_charpoly(P, f, g):
-            return CharPoly(
-                d=P.d,
-                coeffs=P.coeffs,
-                bounds=P.bounds,
-                provenance=P.provenance,
-                y_vars=P.y_vars,
-                verified=True,
-            )
-        last_error = ExactVerificationFailed(
-            "interpolated characteristic polynomial failed the exact identity"
-        )
     if isinstance(last_error, (NoReconstruction, PrecisionExhausted)):
         raise last_error
     raise ExactVerificationFailed(
@@ -138,58 +149,149 @@ def build_charpoly(
     ) from last_error
 
 
-def _build_at_precision(f: CAMap, g: CAMap, d: int, bounds: list[int], seed: int, wp: int) -> CharPoly:
-    k = f.domain.param.k
-    bmax = max(bounds) if bounds else 0
-    nodes = _noncritical_nodes(f, d, bmax + 1, seed, wp)
-    gp = g.pullbacks[0]
-    height = 10 ** max(6, wp // 16)
-    samples: list[list] = [[] for _ in range(d)]
-    with mp.workprec(wp + 20):
-        for y in itertools.product(*nodes):
-            tpoints = fiber_points(f, list(y), wp)
-            if len(tpoints) != d:
-                raise InconsistentSamples(
-                    f"fiber over {y} has {len(tpoints)} points, expected {d}"
-                )
-            asc = _monic_from_roots([evaluate(gp, t) for t in tpoints])
-            for j in range(1, d + 1):
-                samples[j - 1].append((y, rational_reconstruct(asc[d - j], height, wp)))
-    coeffs = []
-    for j in range(1, d + 1):
-        coeffs.append(interpolate(samples[j - 1], [bounds[j - 1]] * k))
-    return CharPoly(
-        d=d,
-        coeffs=coeffs,
-        bounds=list(bounds),
-        provenance="interpolated",
-        y_vars=[f"y{i + 1}" for i in range(k)],
-        verified=False,
-    )
+ZETA = 2  # confirming nodes per axis beyond those an early interpolant is taken on
 
 
-def _noncritical_nodes(f: CAMap, d: int, need: int, seed: int, wp: int):
-    """Distinct rational nodes per variable whose full grid avoids the critical locus."""
-    k = f.domain.param.k
-    gen = _rng.child_rng(seed, "charpoly-grid")
-    span = list(range(-3 * (need + 2), 3 * (need + 2) + 1))
-    gen.shuffle(span)
-    for _ in range(10):
-        axes = []
-        pool = iter(span)
-        try:
-            for _axis in range(k):
-                axes.append([Fraction(next(pool)) for _ in range(need)])
-        except StopIteration:
-            break
-        if _grid_noncritical(f, axes, d, wp):
-            return axes
+def _candidates(f: CAMap, g: CAMap, d: int, bounds: list[int], seed: int, wp: int):
+    """Interpolated characteristic polynomials at precision wp, on one growing grid.
+
+    The grid gains one node per axis at a time.  It stops early once every
+    coefficient a_j is confirmed: the interpolant on the first n - ZETA
+    nodes per axis reproduces the samples on the rest of the grid.  That
+    early result is offered only when g separates the fiber over some grid
+    node, for then the identity P(f, g) = 0 forces P to be the
+    characteristic polynomial.  Otherwise, and when the early result is
+    rejected, the grid grows to the theorem grid, max_j bound_j + 1 nodes
+    per axis, and the result interpolated under the theorem bounds follows.
+    """
+    need = max(bounds, default=0) + 1
+    grid = _SampleGrid(f, g, d, seed, wp, need)
+    degrees = None
+    while degrees is None and grid.n < need:
+        grid.grow()
+        degrees = grid.confirmed_degrees(bounds)
+    if grid.n < need and grid.separates():
+        yield grid.charpoly(bounds, degrees)
+    while grid.n < need:
+        grid.grow()
+    yield grid.charpoly(bounds, bounds)
+
+
+class _SampleGrid:
+    """A growing tensor grid of rational nodes clear of critical values, and the samples on it.
+
+    Nodes come from one shuffled span under the salt charpoly-grid; a
+    candidate node whose new slab of the grid has a critical fiber is
+    skipped.  Each new slab is solved twice: once to check that every fiber
+    has d points, once to sample.
+    """
+
+    def __init__(self, f: CAMap, g: CAMap, d: int, seed: int, wp: int, need: int):
+        self.f, self.gp, self.d, self.wp = f, g.pullbacks[0], d, wp
+        self.axes: list[list[Fraction]] = [[] for _ in range(f.domain.param.k)]
+        self.rows: list[tuple[tuple, list[Fraction]]] = []  # (node, [a_1 .. a_d]) as sampled
+        # per coefficient: an early interpolant and the number of leading rows it reproduces
+        self.early: list[tuple[MPoly, int] | None] = [None] * d
+        gen = _rng.child_rng(seed, "charpoly-grid")
+        span = list(range(-3 * (need + 2), 3 * (need + 2) + 1))
         gen.shuffle(span)
-    raise CriticalSampleBudgetExhausted("could not draw a grid clear of critical values")
+        self.pool = iter(span)
 
+    @property
+    def n(self) -> int:
+        return len(self.axes[0])
 
-def _grid_noncritical(f: CAMap, axes, d: int, wp: int) -> bool:
-    return all(len(fiber_points(f, list(y), wp)) == d for y in itertools.product(*axes))
+    def grow(self) -> None:
+        """Add one node to every axis.
+
+        The first nodes of all axes are drawn together, as one grid point;
+        after that each axis in turn adds a node against the nodes of the
+        others, so every accepted node has its whole slab checked.
+        """
+        k = len(self.axes)
+        for new in [range(k)] if self.n == 0 else [[axis] for axis in range(k)]:
+            while True:
+                drawn = [Fraction(c) for c in itertools.islice(self.pool, len(new))]
+                if len(drawn) < len(new):
+                    raise CriticalSampleBudgetExhausted(
+                        "could not draw a grid clear of critical values"
+                    )
+                nodes = {axis: [c] for axis, c in zip(new, drawn)}
+                slab = list(itertools.product(*(nodes.get(i, ax) for i, ax in enumerate(self.axes))))
+                if all(len(fiber_points(self.f, list(y), self.wp)) == self.d for y in slab):
+                    break
+            for axis, c in zip(new, drawn):
+                self.axes[axis].append(c)
+            self._sample(slab)
+
+    def _sample(self, slab) -> None:
+        d, wp = self.d, self.wp
+        height = 10 ** max(6, wp // 16)
+        with mp.workprec(wp + 20):
+            for y in slab:
+                tpoints = fiber_points(self.f, list(y), wp)
+                if len(tpoints) != d:
+                    raise InconsistentSamples(
+                        f"fiber over {y} has {len(tpoints)} points, expected {d}"
+                    )
+                asc = _monic_from_roots([evaluate(self.gp, t) for t in tpoints])
+                row = [rational_reconstruct(asc[d - j], height, wp) for j in range(1, d + 1)]
+                self.rows.append((y, row))
+
+    def confirmed_degrees(self, bounds: list[int]) -> list[int] | None:
+        """Per-variable degrees of the coefficients, or None while one is unconfirmed.
+
+        a_j is settled by its theorem bound once the grid has bound_j + 1
+        nodes per axis, and confirmed earlier when the interpolant on the
+        first n - ZETA nodes per axis reproduces every sample.  An
+        interpolant that keeps reproducing the samples is checked only on
+        the new ones.
+        """
+        k, m = len(self.axes), self.n - ZETA
+        degrees = []
+        for j, bound in enumerate(bounds):
+            if self.n > bound:
+                degrees.append(bound)
+                continue
+            if m < 1:
+                return None
+            poly, matched = self.early[j] or (None, 0)
+            if poly is None or not self._reproduces(poly, j, matched):
+                first = [set(axis[:m]) for axis in self.axes]
+                sub = [(y, row[j]) for y, row in self.rows if all(c in s for c, s in zip(y, first))]
+                poly = grid_interpolant(sub, [m - 1] * k)
+                if not self._reproduces(poly, j, 0):
+                    self.early[j] = None
+                    return None
+            self.early[j] = (poly, len(self.rows))
+            degrees.append(0 if poly.is_zero() else max(poly.degree_in(i) for i in range(k)))
+        return degrees
+
+    def _reproduces(self, poly: MPoly, j: int, start: int) -> bool:
+        return all(evaluate(poly, y) == row[j] for y, row in self.rows[start:])
+
+    def separates(self) -> bool:
+        """g takes d distinct values on the fiber over some grid node."""
+        return any(
+            distinct_root_count(univ_from_coeffs(row[::-1] + [Fraction(1)])) == self.d
+            for _, row in self.rows
+        )
+
+    def charpoly(self, bounds: list[int], degrees: list[int]) -> CharPoly:
+        """Interpolation on all nodes under min(bound_j, degree_j), surplus nodes as exact checks."""
+        k = len(self.axes)
+        coeffs = [
+            interpolate([(y, row[j]) for y, row in self.rows], [min(b, e)] * k)
+            for j, (b, e) in enumerate(zip(bounds, degrees))
+        ]
+        return CharPoly(
+            d=self.d,
+            coeffs=coeffs,
+            bounds=list(bounds),
+            provenance="interpolated",
+            y_vars=[f"y{i + 1}" for i in range(k)],
+            verified=False,
+        )
 
 
 def _monic_from_roots(values):

@@ -23,7 +23,17 @@ from fractions import Fraction
 import mpmath as mp
 
 from .errors import NonReal, NonZeroDimensional, NoReconstruction, PrecisionExhausted
-from .polycore import MPoly, coeffs_in_var, evaluate, sylvester_resultant, total_degree, univ_coeffs, univ_gcd
+from .polycore import (
+    MPoly,
+    coeffs_in_var,
+    evaluate,
+    exact_divide,
+    sylvester_resultant,
+    total_degree,
+    univ_coeffs,
+    univ_derivative,
+    univ_gcd,
+)
 
 PREC_LADDER = (128, 256, 512, 1024)
 
@@ -359,7 +369,10 @@ def solve_system_2(p: MPoly, q: MPoly, prec: int = 256) -> list:
     polynomial is solved for y: p(x0, y), or q(x0, y) where p(x0, .)
     vanishes numerically (both cannot vanish at a true root, since then p
     and q share a factor in x and res_y is zero).  The pairs on which both
-    residuals vanish are kept.
+    residuals vanish are kept.  The roots of res_x come to about a
+    fraction 1/m of prec at a root of multiplicity m, too coarse to tell
+    a double root of p(x0, y) from two roots; so when res_x has a multiple
+    root, its roots are solved again on its exact squarefree part.
     """
     if p.var_count != 2 or q.var_count != 2:
         raise ValueError("two polynomials in 2 variables expected")
@@ -377,7 +390,10 @@ def solve_system_2(p: MPoly, q: MPoly, prec: int = 256) -> list:
         raise NonZeroDimensional("a resultant vanishes identically")
     if res_x.is_constant():
         return []
-    xset = roots_univariate(_drop_var(res_x, 1), prec)
+    rx = _drop_var(res_x, 1)
+    xset = roots_univariate(rx, prec)
+    if any(m > 1 for _, m in xset.roots):
+        xset = roots_univariate(exact_divide(rx, univ_gcd(rx, univ_derivative(rx))), prec)
     degree = max(total_degree(p), total_degree(q))
     py = coeffs_in_var(p, 1)
     qy = coeffs_in_var(q, 1)

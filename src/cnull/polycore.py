@@ -473,11 +473,21 @@ def interpolate(samples, degree_bounds: Sequence[int]) -> MPoly:
         if pt in seen and seen[pt] != val:
             raise InconsistentSamples(f"conflicting values at {pt}")
         seen[pt] = val
-    result = _interp_rec(sorted(seen.items()), bounds)
+    result = grid_interpolant(seen.items(), bounds)
     for pt, val in seen.items():
         if evaluate(result, pt) != val:
             raise InconsistentSamples("no interpolant within the degree bounds matches all samples")
     return result
+
+
+def grid_interpolant(samples, degree_bounds: Sequence[int]) -> MPoly:
+    """The polynomial within the bounds through the first bound+1 nodes per variable.
+
+    samples: (point, value) pairs with rational entries on a tensor-product
+    grid, one value per point; nodes count in increasing order.  Unlike
+    interpolate, the samples on the other nodes are not checked.
+    """
+    return _interp_rec(sorted(samples), list(degree_bounds))
 
 
 def _interp_rec(samples: list[tuple[tuple, Fraction]], bounds: list[int]) -> MPoly:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import V2, map_spec, pj
-from cnull import propermaps
+from cnull import charpoly, propermaps
 from cnull.charpoly import (
     CharPoly,
     bounds_table,
@@ -16,7 +16,7 @@ from cnull.charpoly import (
     ploski_delta,
     verify_charpoly,
 )
-from cnull.polycore import NEG_INF, MPoly, total_degree
+from cnull.polycore import NEG_INF, MPoly, compose, total_degree, univ_coeffs, univ_from_coeffs
 from cnull.propermaps import graph_degree, growth_exponent, profile_map
 from cnull.variety import load_map
 
@@ -90,6 +90,19 @@ class TestBuildCharpoly:
         assert P.coeffs[1] == MPoly(2, {(1, 0): -1})
         assert verify_charpoly(P, fhat, g)
 
+    def test_first_draw_on_a_critical_line(self, plane2):
+        # f = (x1^2, x2) is critical over the whole line y1 = 0, and at seed 24 the
+        # grid span starts with 0: the first nodes are skipped together, so the
+        # pool is not spent on partners for y1 = 0
+        fhat = load_map(
+            plane2,
+            map_spec(pj(["x1", "x2"], {(2, 0): 1}), pj(["x1", "x2"], {(0, 1): 1})),
+        )
+        g = load_map(plane2, map_spec(pj(["x1", "x2"], {(1, 0): 1})))
+        P = build_charpoly(fhat, g, seed=24)
+        assert P.verified
+        assert P.coeffs[0].is_zero() and P.coeffs[1] == MPoly(2, {(1, 0): -1})
+
 
 def _line_map(cline, coeffs):
     """The polynomial map with ascending coefficients on the affine line."""
@@ -102,7 +115,7 @@ class TestFiberSolves:
         [("curve(4,3)", "fiber_t_clusters"), ("square(2,2)", "fiber_points_2")],
     )
     def test_two_fiber_solves_per_grid_node(self, cline, plane2, monkeypatch, case, solver):
-        # the non-critical check solves each grid fiber, and the build solves it again
+        # the non-critical check solves each fiber of a new slab, and the sampling solves it again
         if case == "curve(4,3)":
             # f = x^4 - x^2 + 3x - 2, g = x^3 + x
             f, g = _line_map(cline, [-2, 3, -1, 0, 1]), _line_map(cline, [0, 1, 0, 1])
@@ -124,10 +137,79 @@ class TestFiberSolves:
         monkeypatch.setattr(propermaps, solver, counted)
         P = build_charpoly(f, g, seed=0, profile=profile)
         assert P.verified
-        nodes = (max(P.bounds) + 1) ** P.k
+        nodes = len(set(map(tuple, calls)))
         assert len(calls) == 2 * nodes
-        assert len(set(map(tuple, calls))) == nodes
-        assert calls[:nodes] == calls[nodes:]
+        assert nodes <= (max(P.bounds) + 1) ** P.k
+        # each new slab is checked, then sampled: the calls split into runs s + s
+        rest = calls
+        while rest:
+            half = next((h for h in range(1, len(rest) // 2 + 1) if rest[:h] == rest[h : 2 * h]), None)
+            assert half is not None, f"no repeated slab at the head of {rest}"
+            rest = rest[2 * half :]
+
+
+def _counted_solves(monkeypatch):
+    """Record (node, prec) of every curve fiber solve from here on."""
+    real = propermaps.fiber_t_clusters
+    calls = []
+
+    def counted(f, y, prec=256):
+        calls.append((tuple(y), prec))
+        return real(f, y, prec)
+
+    monkeypatch.setattr(propermaps, "fiber_t_clusters", counted)
+    return calls
+
+
+class TestEarlyTermination:
+    @pytest.fixture
+    def curve_8_4(self, cline):
+        # f = x^8 - x^2 + 3x - 2, g = x^4 + x: the theorem bounds reach 32, the true degrees 4
+        f = _line_map(cline, [-2, 3, -1, 0, 0, 0, 0, 0, 1])
+        g = _line_map(cline, [0, 1, 0, 0, 1])
+        return f, g, profile_map(f, 0, 256)
+
+    def test_curve_stops_after_the_true_degree(self, curve_8_4, monkeypatch):
+        f, g, profile = curve_8_4
+        calls = _counted_solves(monkeypatch)
+        P = build_charpoly(f, g, seed=0, profile=profile)
+        assert P.verified and P.bounds == coefficient_bounds(8, F(4), 8)
+        assert P.coeffs == charpoly_resultant_oracle(f, g).coeffs
+        # degree 4 is confirmed on 4 + 1 nodes plus ZETA = 2, against 33 theorem nodes
+        assert len({y for y, _ in calls}) == 7
+        assert {prec for _, prec in calls} == {256}
+
+    def test_false_early_stop_grows_to_the_theorem_grid_at_the_same_precision(
+        self, curve_8_4, monkeypatch
+    ):
+        # with no confirming nodes, a constant interpolant on one node stops the grid
+        f, g, profile = curve_8_4
+        monkeypatch.setattr(charpoly, "ZETA", 0)
+        real_verify = charpoly.verify_charpoly
+        verdicts = []
+
+        def recorded(P, f, g):
+            verdicts.append(real_verify(P, f, g))
+            return verdicts[-1]
+
+        monkeypatch.setattr(charpoly, "verify_charpoly", recorded)
+        calls = _counted_solves(monkeypatch)
+        P = build_charpoly(f, g, seed=0, profile=profile)
+        assert verdicts == [False, True]
+        assert P.verified and P.coeffs == charpoly_resultant_oracle(f, g).coeffs
+        assert len({y for y, _ in calls}) == max(P.bounds) + 1 == 33
+        assert {prec for _, prec in calls} == {256}
+
+    def test_non_separating_g_uses_the_theorem_grid(self, cline_f_t2, cline, monkeypatch):
+        # g = x^4 = f^2 takes one value on each fiber of f = x^2
+        g = _line_map(cline, [0, 0, 0, 0, 1])
+        profile = profile_map(cline_f_t2, 0, 256)
+        calls = _counted_solves(monkeypatch)
+        P = build_charpoly(cline_f_t2, g, seed=0, profile=profile)
+        assert P.verified and P.bounds == [4, 8]
+        assert P.coeffs == [(Y**2).scale(-2), Y**4]
+        assert len({y for y, _ in calls}) == 9
+        assert {prec for _, prec in calls} == {256}
 
 
 def _univariate(max_degree):
@@ -140,11 +222,23 @@ def _univariate(max_degree):
     ).map(lambda t: t[0] + [t[1]])
 
 
+def _composed(h_coeffs, f_coeffs):
+    """Ascending coefficients of h(f)."""
+    return univ_coeffs(compose(univ_from_coeffs(h_coeffs), [univ_from_coeffs(f_coeffs)]))
+
+
+# (f, g) on the line: g free of f, or g = h(f), which takes one value on every fiber of f
+_line_pairs = st.one_of(
+    st.tuples(_univariate(8), _univariate(8)),
+    st.tuples(_univariate(4), _univariate(2)).map(lambda fh: (fh[0], _composed(fh[1], fh[0]))),
+)
+
+
 class TestResultantDifferential:
-    @settings(max_examples=5)
-    @given(f_coeffs=_univariate(5), g_coeffs=_univariate(5))
-    def test_sampled_charpoly_equals_resultant_oracle(self, cline, f_coeffs, g_coeffs):
-        f, g = _line_map(cline, f_coeffs), _line_map(cline, g_coeffs)
+    @settings(max_examples=12)
+    @given(pair=_line_pairs)
+    def test_sampled_charpoly_equals_resultant_oracle(self, cline, pair):
+        f, g = _line_map(cline, pair[0]), _line_map(cline, pair[1])
         built = build_charpoly(f, g, seed=0)
         oracle = charpoly_resultant_oracle(f, g)
         assert built.verified and built.d == oracle.d

@@ -284,6 +284,18 @@ class TestSolveSystem2:
         sols = solve_system_2(x - MPoly.const(2, 1), x - MPoly.const(2, 2))
         assert sols == []
 
+    @pytest.mark.parametrize("prec", [128, 256])
+    def test_multiple_x_root_over_a_nonreduced_fiber(self, prec):
+        # res_x has a triple root at x = -5/12, where p(x0, y) has the double root y = 0;
+        # an x0 known only to a fraction of prec split that root into two points
+        p = MPoly(2, {(1, 2): 1, (2, 0): -4, (1, 0): Fraction(-5, 3)})
+        q = MPoly(2, {(0, 3): Fraction(-1, 2)})
+        sols = solve_system_2(p, q, prec)
+        assert len(sols) == 2
+        with mp.workprec(prec):
+            assert close(sols[0][0], mp.mpf(-5) / 12) and close(sols[0][1], 0)
+            assert close(sols[1][0], 0) and close(sols[1][1], 0)
+
     def test_nonzero_dimensional(self):
         x = MPoly(2, {(1, 0): 1})
         y = MPoly(2, {(0, 1): 1})
