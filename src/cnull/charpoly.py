@@ -35,6 +35,7 @@ from .errors import (
     CriticalSampleBudgetExhausted,
     ExactVerificationFailed,
     InconsistentSamples,
+    InvalidInput,
     NonMonicizable,
     NoReconstruction,
     PrecisionExhausted,
@@ -117,9 +118,9 @@ def build_charpoly(
     param = f.domain.require_param()
     k = param.k
     if f.n != k:
-        raise ValueError("the map must have as many components as the set has dimensions")
+        raise InvalidInput("the map must have as many components as the set has dimensions")
     if g.n != 1:
-        raise ValueError("g must be a single-component map")
+        raise InvalidInput("g must be a single-component map")
     prof = profile if profile is not None else profile_map(f, seed, prec)
     d = prof.d_f
     growth = growth_exponent(g)
@@ -319,12 +320,12 @@ def charpoly_resultant_oracle(f: CAMap, g: CAMap) -> CharPoly:
     """
     param = f.domain.require_param()
     if param.k != 1 or f.n != 1 or g.n != 1:
-        raise ValueError("resultant oracle covers single-component maps on curves")
+        raise InvalidInput("resultant oracle covers single-component maps on curves")
     fp = f.pullbacks[0]
     gp = g.pullbacks[0]
     fp_c = univ_coeffs(fp)
     if len(fp_c) <= 1:
-        raise ValueError("f pulls back to a constant; not proper")
+        raise InvalidInput("f pulls back to a constant; not proper")
     deg_f = len(fp_c) - 1
     # variables (t, y, s)
     def embed_t(p: MPoly) -> MPoly:
@@ -407,9 +408,9 @@ def growth_inclusion_check(
     achieving the top-half max is the witness.
     """
     if q <= 0:
-        raise ValueError("q must be positive")
+        raise InvalidInput("q must be positive")
     if R <= 1:
-        raise ValueError("R must exceed 1")
+        raise InvalidInput("R must exceed 1")
     gen = _rng.child_rng(seed, "growth")
     k = P.k
     q_f = float(q)

@@ -5,7 +5,10 @@ runs one pipeline deterministically for a given (inputs, seed, prec),
 and writes a report to stdout or --out.  Reports embed the tool version,
 seed and precision; exact rationals are carried as strings next to float
 renderings.  Exit codes: 0 success, 2 violated hypothesis, 3 precision
-or genericity exhaustion, 4 parse/schema error.
+or genericity exhaustion, 4 parse/schema error.  An input file that
+cannot be read or parsed, or whose document has the wrong shape, raises
+SchemaError at the point where it is loaded; any other exception is a
+bug and surfaces with its traceback.
 """
 
 from __future__ import annotations
@@ -57,14 +60,32 @@ def _default_prec() -> int:
     return value
 
 
-def _load_json(path: str):
+def _load(path: str, parse):
+    """parse() of the JSON document in the file at path.
+
+    Raises SchemaError when the file cannot be read, is not JSON, or
+    holds a document of a shape that parse() fails on.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except FileNotFoundError:
-        raise SchemaError(f"no such file: {path}")
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON in {path}: {exc}")
+            doc = json.load(handle)
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
+    try:
+        return parse(doc)
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        # e.g. a list where a parser indexes an object, or a non-integer exponent N
+        raise SchemaError(f"malformed document in {path}: {exc}") from exc
+
+
+def _rational(text: str) -> Fraction:
+    """argparse type of a rational option such as --q 1/2."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
 def _rat_view(q) -> dict:
@@ -125,13 +146,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ploski", help="root-growth exponent of the characteristic polynomial")
     common(p, need_f=True, need_g=True)
-    p.add_argument("--q", default=None, help="exponent to test (rational string); default is the computed delta")
+    p.add_argument("--q", type=_rational, default=None, help="exponent to test (rational string); default is the computed delta")
     p.add_argument("--R", type=float, default=100.0)
     p.add_argument("--samples", type=int, default=1000)
 
     p = sub.add_parser("gradexp", help="gradient growth exponent of a polynomial")
     p.add_argument("--poly", required=True, help="polynomial JSON file")
-    p.add_argument("--theta", default=None, help="validate at this exponent instead of the computed one")
+    p.add_argument("--theta", type=_rational, default=None, help="validate at this exponent instead of the computed one")
     p.add_argument("--shells", type=float, nargs="+", default=[10.0, 100.0, 1000.0, 10000.0])
     p.add_argument("--samples-per-shell", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
@@ -151,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_forms(paths, domain):
     forms = []
     for path in paths:
-        poly, _ = poly_from_json(_load_json(path), expected_vars=domain.ambient_vars)
+        poly, _ = _load(path, lambda doc: poly_from_json(doc, expected_vars=domain.ambient_vars))
         if total_degree(poly) > 1:
             raise SchemaError(f"form in {path} is not affine")
         forms.append(poly)
@@ -176,8 +197,11 @@ def run(argv) -> tuple[int, dict | None]:
     }
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise SchemaError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return 0, report
@@ -187,15 +211,15 @@ def _dispatch(args, seed: int, prec: int) -> dict:
     cmd = args.command
     if cmd == "gradexp":
         return _run_gradexp(args, seed, prec)
-    variety = load_variety(_load_json(args.variety))
+    variety = _load(args.variety, load_variety)
     if cmd == "degree":
-        return {"degree": degree_by_slicing(variety, seed, prec)}
-    f = load_map(variety, _load_json(args.f))
+        return {"degree": degree_by_slicing(variety, seed)}
+    f = _load(args.f, lambda doc: load_map(variety, doc))
     if cmd == "geomdeg":
         return {"geometric_degree": geometric_degree(f, seed, prec)}
     if cmd == "cycle":
         forms = _load_forms(args.L, variety)
-        comps = load_cycle_components(_load_json(args.components))
+        comps = _load(args.components, load_cycle_components)
         data = cycle_degree(f, comps, forms, seed, prec)
         return {
             "total_degree": data.total_degree,
@@ -203,7 +227,7 @@ def _dispatch(args, seed: int, prec: int) -> dict:
                 {"multiplicity": mult, "degree": deg} for _, mult, deg in data.components
             ],
         }
-    g = load_map(variety, _load_json(args.g))
+    g = _load(args.g, lambda doc: load_map(variety, doc))
     if cmd == "charpoly":
         P = build_charpoly(f, g, seed, prec)
         out = {"charpoly": charpoly_to_json(P)}
@@ -216,7 +240,7 @@ def _dispatch(args, seed: int, prec: int) -> dict:
         cert = _run_certify(args, variety, f, g, seed, prec)
         return {"certificate": certificate_to_json(cert, variety.ambient_vars)}
     if cmd == "verify":
-        cert = certificate_from_json(_load_json(args.cert), variety.ambient_vars)
+        cert = _load(args.cert, lambda doc: certificate_from_json(doc, variety.ambient_vars))
         return {"verified": verify_certificate(f, g, cert)}
     if cmd == "ploski":
         return _run_ploski(args, f, g, seed, prec)
@@ -254,14 +278,14 @@ def _run_certify(args, variety, f, g, seed: int, prec: int):
     forms = _load_forms(args.L, variety) if args.L else "auto"
     cycle = "estimate"
     if args.cycle:
-        cycle = load_cycle_components(_load_json(args.cycle))
+        cycle = _load(args.cycle, load_cycle_components)
     return certify_strictly_regular(f, g, forms=forms, cycle=cycle, seed=seed, prec=prec)
 
 
 def _run_ploski(args, f, g, seed: int, prec: int) -> dict:
     P = build_charpoly(f, g, seed, prec)
     delta = ploski_delta(P)
-    q = Fraction(args.q) if args.q is not None else delta
+    q = args.q if args.q is not None else delta
     out = {
         "charpoly": charpoly_to_json(P),
         "delta": _rat_view(delta),
@@ -287,11 +311,11 @@ def _run_ploski(args, f, g, seed: int, prec: int) -> dict:
 
 
 def _run_gradexp(args, seed: int, prec: int) -> dict:
-    poly, _ = poly_from_json(_load_json(args.poly))
+    poly, _ = _load(args.poly, poly_from_json)
     if args.theta is not None:
         report = validate_inequality(
             poly,
-            Fraction(args.theta),
+            args.theta,
             shells=tuple(args.shells),
             samples_per_shell=args.samples_per_shell,
             seed=seed,
@@ -327,9 +351,6 @@ def main(argv=None) -> int:
         # argparse exits with 2 on usage errors; report those as parse errors
         if exc.code in (0, None):
             return 0
-        return 4
-    except (ValueError, OSError) as exc:
-        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 4
 
 

@@ -29,6 +29,10 @@ class GridMalformed(SchemaError):
     """Interpolation samples do not form a tensor-product grid."""
 
 
+class InvalidInput(SchemaError, ValueError):
+    """The inputs do not fit the operation: wrong number of components, an option out of range."""
+
+
 # ---------------------------------------------------------------------------
 # violated hypotheses (exit 2)
 

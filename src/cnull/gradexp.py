@@ -5,8 +5,8 @@ degree mu and graph degree D, the exponent theta = 1/(d(D - mu + 1)) in
 (0, 1/d] bounds |f(x)|^theta by a constant multiple of the gradient norm
 for large x.  The profile (mu, D) treats the gradient as a map on C^m
 with the identity parametrization: mu counts a generic fiber through
-propermaps.fiber_points, the one fiber slot for m in {1, 2}, and D
-counts graph slices through the shared slicing loop.  The inequality
+propermaps.fiber_count_at (exactly for m = 1, numerically for m = 2),
+and D counts graph slices through the shared slicing loop.  The inequality
 itself is validated empirically on norm shells and can only be
 falsified by sampling, never proved.
 """
@@ -20,12 +20,13 @@ from fractions import Fraction
 from . import rng as _rng
 from .errors import (
     DivisionByZeroGradient,
+    InvalidInput,
     NonZeroDimensional,
     NotProper,
     PrecisionExhausted,
 )
 from .polycore import MPoly, evaluate, total_degree
-from .propermaps import check_growth, fiber_points, graph_slice_count
+from .propermaps import check_growth, fiber_count_at, graph_slice_count
 from .rng import child_rng
 from .variety import polynomial_map, slice_count
 
@@ -72,7 +73,7 @@ def grad_profile(f: MPoly, seed: int = 0, prec: int = 256) -> tuple[int, int]:
     """
     m = f.var_count
     if m > 2:
-        raise ValueError("gradient profiles implemented for at most 2 variables")
+        raise InvalidInput("gradient profiles implemented for at most 2 variables")
     grads = gradient(f)
     degs = [total_degree(g) for g in grads]
     finite = [d for d in degs if d != float("-inf")]
@@ -85,7 +86,7 @@ def grad_profile(f: MPoly, seed: int = 0, prec: int = 256) -> tuple[int, int]:
     for draw in range(3):
         y = _rng.rand_rational_vector(child_rng(seed, f"mu:{draw}"), m)
         try:
-            mu_counts.append(len(fiber_points(grad_map, y, prec)))
+            mu_counts.append(fiber_count_at(grad_map, y, prec))
         except NonZeroDimensional as exc:
             raise NotProper("gradient fibers are not finite") from exc
     if len(set(mu_counts)) != 1:
@@ -111,7 +112,7 @@ def validate_inequality(
     """
     theta_value = Fraction(theta_value)
     if not 0 < theta_value <= 1:
-        raise ValueError("theta must lie in (0, 1]")
+        raise InvalidInput("theta must lie in (0, 1]")
     grads = gradient(f)
     exponent = float(theta_value)
     gen = child_rng(seed, "shells")
@@ -162,7 +163,7 @@ def gradexp_report(f: MPoly, seed: int = 0, prec: int = 256, shells=(10.0, 100.0
     """Full pipeline: profile, exponent, and shell validation."""
     d = total_degree(f)
     if d == float("-inf") or d < 1:
-        raise ValueError("polynomial must be nonconstant")
+        raise InvalidInput("polynomial must be nonconstant")
     mu, D = grad_profile(f, seed, prec)
     exponent = theta(int(d), D, mu)
     return validate_inequality(

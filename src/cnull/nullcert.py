@@ -30,6 +30,7 @@ from .errors import (
     CycleDataUnavailable,
     ExactVerificationFailed,
     InconsistentFiberCounts,
+    InvalidInput,
     NoSolutionWithinCap,
     NotInIdeal,
     NotProper,
@@ -138,7 +139,7 @@ def split_coeff(a: MPoly, ell: int) -> list[MPoly]:
     exactly the failure of a to vanish on {0}^ell x C^(k-ell).
     """
     if not 1 <= ell <= a.var_count:
-        raise ValueError("ell out of range")
+        raise InvalidInput("ell out of range")
     parts: list[dict] = [dict() for _ in range(ell)]
     for expo, coeff in a.terms.items():
         idx = next((i for i in range(ell) if expo[i] > 0), None)
@@ -208,7 +209,7 @@ def certify_proper(
     """
     k = f.domain.require_param().k
     if f.n != k:
-        raise ValueError("square route needs as many components as dimensions")
+        raise InvalidInput("square route needs as many components as dimensions")
     with mp.workprec(prec):
         zero_fiber = fiber_points(f, [Fraction(0)] * k, prec)
         gaps = [abs(evaluate(g.pullbacks[0], t)) for t in zero_fiber]
@@ -224,9 +225,9 @@ def certify_partial(f: CAMap, ell: int, g: CAMap, seed: int = 0, prec: int = 256
     """Certificate with exponent d(f) using only the first ell components."""
     k = f.domain.require_param().k
     if f.n != k:
-        raise ValueError("partial route needs as many components as dimensions")
+        raise InvalidInput("partial route needs as many components as dimensions")
     if not 1 <= ell <= k:
-        raise ValueError("ell out of range")
+        raise InvalidInput("ell out of range")
     P = build_charpoly(f, g, seed, prec)
     theorem = "proper" if ell == k else "partial"
     return _certificate_from_charpoly(f, g, P, ell=ell, theorem=theorem)
@@ -319,7 +320,7 @@ def certify_general(
     if n == k:
         return certify_proper(f, g, seed, prec)
     if n < k:
-        raise ValueError("overdetermined route needs more components than dimensions")
+        raise InvalidInput("overdetermined route needs more components than dimensions")
     d_f = geometric_degree(f, seed, prec)
     deg_image = image_degree(f, seed, prec)
     product = d_f * deg_image  # the theorem's exponent d(f) * deg f(A)
@@ -418,7 +419,7 @@ def certify_fallback(
     smallest workable exponent up to the given one is reported.
     """
     if exponent < 1:
-        raise ValueError("exponent must be positive")
+        raise InvalidInput("exponent must be positive")
     param = f.domain.require_param()
     n = f.n
     gp = g.pullbacks[0]
@@ -575,16 +576,16 @@ def certify_strictly_regular(
             diagnostics="square case: cycle degree equals the geometric degree",
         )
     if n > k:
-        raise ValueError("strictly regular route needs fewer components than dimensions")
+        raise InvalidInput("strictly regular route needs fewer components than dimensions")
     completed = None
     chosen: list[MPoly] = []
     if forms != "auto":
         chosen = list(forms)
         if len(chosen) != k - n:
-            raise ValueError("need exactly dim - components affine forms")
+            raise InvalidInput("need exactly dim - components affine forms")
         for form in chosen:
             if total_degree(form) > 1:
-                raise ValueError("completion forms must be affine")
+                raise InvalidInput("completion forms must be affine")
         completed = _affine_completion(f, chosen)
         try:
             check_proper(completed, seed, prec)
@@ -678,7 +679,7 @@ def cycle_degree(
     k = f.domain.require_param().k
     n = f.n
     if len(forms) != k - n:
-        raise ValueError("need exactly dim - components affine forms")
+        raise InvalidInput("need exactly dim - components affine forms")
     completed = _affine_completion(f, forms)
     try:
         check_proper(completed, seed, prec)
@@ -689,7 +690,7 @@ def cycle_degree(
     for entry in components:
         comp, override = entry if isinstance(entry, tuple) else (entry, None)
         _check_component_in_fiber(f, comp)
-        deg_v = degree_by_slicing(comp, seed, prec)
+        deg_v = degree_by_slicing(comp, seed)
         mult = override if override is not None else _component_multiplicity(
             f, completed, comp, forms, seed, prec
         )
@@ -701,7 +702,7 @@ def cycle_degree(
 def _check_component_in_fiber(f: CAMap, comp: Variety):
     param = comp.require_param()
     if comp.m != f.domain.m:
-        raise ValueError("component lives in a different ambient space")
+        raise InvalidInput("component lives in a different ambient space")
     for num, den in f.components:
         den_c = compose(den, param.components)
         if den_c.is_zero():
@@ -773,7 +774,7 @@ def cycle_degree_square(f: CAMap, seed: int = 0, prec: int = 256) -> CycleData:
     """Cycle degree in the square case: isolated points with their multiplicities."""
     k = f.domain.require_param().k
     if f.n != k:
-        raise ValueError("square cycle degree needs as many components as dimensions")
+        raise InvalidInput("square cycle degree needs as many components as dimensions")
     zero = [Fraction(0)] * f.n
     reps = fiber_points(f, zero, prec)
     rows = [(None, local_multiplicity_at(f, zero, rep, reps, seed, prec), 1) for rep in reps]

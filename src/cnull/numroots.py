@@ -95,7 +95,9 @@ def _aberth(coeffs, prec: int):
         return [r1, r2], True
     deriv = [coeffs[i] * i for i in range(1, d + 1)]
     center = -coeffs[d - 1] / (d * lead)
-    radius = 1 + max(abs(c / lead) for c in coeffs[:-1])
+    # Fujiwara's bound on the root moduli: the size of the roots, where the
+    # largest coefficient ratio can overshoot it by many orders of magnitude
+    radius = 2 * max(abs(coeffs[d - j] / lead) ** (mp.mpf(1) / j) for j in range(1, d + 1))
     z = [
         center + radius * mp.expjpi(2 * (k + mp.mpf("0.354")) / d)
         for k in range(d)

@@ -1,13 +1,17 @@
 """Geometric invariants of proper c-algebraic maps along a parametrization.
 
-Fibers are computed in parameter space, and fiber_points is the one
-place that picks a solver by the number k of parameters: for a curve
-(k = 1) the fiber over y is the common-root set of the pulled-back
-components minus y, intersected exactly by a univariate gcd and then
-counted numerically by clustered root finding (fiber_t_clusters); for
-k = 2 the square case goes through the bivariate resultant solver
-(fiber_points_2).  Every fiber point is a k-tuple.  Graph slices are
-counted as fibers too, so a solver for k >= 3 would plug in there alone.
+Fibers are computed in parameter space.  For a curve (k = 1) the fiber
+over y is the common-root set of the pulled-back components minus y,
+intersected exactly by a univariate gcd (_fiber_gcd).  fiber_count_at is
+the one fiber count: for a curve it is the squarefree degree of that gcd,
+an exact count, and for k = 2 it counts the points the numeric solver
+finds.  fiber_points is the one place that picks a solver by k, for
+callers that need coordinates: clustered roots of the gcd for a curve
+(fiber_t_clusters), the bivariate resultant solver for the square case
+k = 2 (fiber_points_2).  Every fiber point is a k-tuple.  Generic fibers
+and graph slices are counted through fiber_count_at, which counts
+fiber_points for k >= 2, so a solver for k >= 3 would plug into
+fiber_points alone.
 
 Generic sample points are always taken on the image, as f(phi(t0)) for
 random rational t0, so maps with non-dominant image (more components
@@ -24,6 +28,7 @@ import mpmath as mp
 from . import rng as _rng
 from .errors import (
     InconsistentFiberCounts,
+    InvalidInput,
     NonZeroDimensional,
     NotIsolated,
     NotProper,
@@ -31,7 +36,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .numroots import ladder_from, roots_univariate, solve_system_2
-from .polycore import MPoly, evaluate, total_degree, univ_gcd
+from .polycore import MPoly, distinct_root_count, evaluate, total_degree, univ_gcd
 from .variety import CAMap, polynomial_map, random_slice, slice_count
 
 _FIBER_DRAWS = 5
@@ -111,11 +116,10 @@ def _min_norm_on_sphere(f: CAMap, radius, gen, prec):
 # fibers
 
 
-def fiber_t_clusters(f: CAMap, y, prec: int = 256):
-    """Distinct parameter-space fiber clusters over exact rational y (curves).
+def _fiber_gcd(f: CAMap, y) -> MPoly:
+    """Exact gcd of the pulled-back components minus the rational point y (curves).
 
-    Intersects the pulled-back equations by an exact gcd, then clusters
-    the gcd's roots; returns a list of (representative, count).
+    Its roots are the fiber over y; raises NotIsolated when it is zero.
     """
     if len(y) != f.n:
         raise ValueError("fiber point length does not match component count")
@@ -125,6 +129,16 @@ def fiber_t_clusters(f: CAMap, y, prec: int = 256):
         g = univ_gcd(g, p)  # gcd with 0 passes the other argument through
     if g.is_zero():
         raise NotIsolated("fiber is the whole curve")
+    return g
+
+
+def fiber_t_clusters(f: CAMap, y, prec: int = 256):
+    """Distinct parameter-space fiber clusters over exact rational y (curves).
+
+    Clusters the roots of the exact fiber gcd; returns a list of
+    (representative, count).
+    """
+    g = _fiber_gcd(f, y)
     if g.is_constant():
         return []
     return roots_univariate(g, prec).roots
@@ -153,8 +167,17 @@ def fiber_points(f: CAMap, y, prec: int = 256) -> list[tuple]:
 
 
 def fiber_count_at(f: CAMap, y, prec: int = 256) -> int:
-    """Number of distinct fiber points over the exact rational point y."""
-    return len(fiber_points(f, [Fraction(v) for v in y], prec))
+    """Number of distinct fiber points over the exact rational point y.
+
+    Exact for a curve: the squarefree degree of the fiber gcd, so roots
+    closer than any clustering tolerance still count apart.  For k = 2 it
+    counts the points of fiber_points.
+    """
+    y = [Fraction(v) for v in y]
+    if _require_k(f) == 1:
+        g = _fiber_gcd(f, y)
+        return 0 if g.is_constant() else distinct_root_count(g)
+    return len(fiber_points(f, y, prec))
 
 
 def _generic_value(f: CAMap, gen) -> list[Fraction]:
@@ -167,7 +190,8 @@ def geometric_degree(f: CAMap, seed: int = 0, prec: int = 256) -> int:
     """Cardinality of the generic fiber (sheet number over the image).
 
     Samples y = f(phi(t0)) for random rational t0 and counts distinct
-    fiber points; the consensus is the first count to recur on 5 draws.
+    fiber points with fiber_count_at (exactly for a curve); the consensus
+    is the first count to recur on 5 draws.
     A draw at a critical value of f gives fewer points, and a draw at a
     point of the set with several parameter preimages (a node of a curve)
     gives more; neither recurs on 5 random draws.
@@ -176,7 +200,7 @@ def geometric_degree(f: CAMap, seed: int = 0, prec: int = 256) -> int:
     counts = []
     for attempt in range(_DRAW_BUDGET):
         gen = _rng.child_rng(seed, f"geomdeg:{attempt}")
-        counts.append(len(fiber_points(f, _generic_value(f, gen), prec)))
+        counts.append(fiber_count_at(f, _generic_value(f, gen), prec))
         if counts.count(counts[-1]) >= _FIBER_DRAWS:
             return counts[-1]
     raise InconsistentFiberCounts(f"fiber counts did not stabilize: {counts}")
@@ -191,7 +215,7 @@ def growth_exponent(g: CAMap) -> Fraction:
     an overestimate of the true infimum.
     """
     if g.n != 1:
-        raise ValueError("growth exponent takes a single-component map")
+        raise InvalidInput("growth exponent takes a single-component map")
     param = g.domain.require_param()
     num = total_degree(g.pullbacks[0])
     if num == float("-inf") or num == 0:
@@ -266,7 +290,7 @@ def local_multiplicity(f: CAMap, a, seed: int = 0, prec: int = 256) -> int:
     f.domain.require_param()
     a = [Fraction(v) for v in a]
     if not f.domain.contains(a):
-        raise ValueError("point does not satisfy the variety's generators")
+        raise InvalidInput("point does not satisfy the variety's generators")
     y0 = _map_value_exact(f, a)
     reps = fiber_points(f, y0, prec)
     if not reps:
@@ -314,7 +338,7 @@ def stoll_check(f: CAMap, y0, seed: int = 0, prec: int = 256):
     """
     k = _require_k(f)
     if f.n != k:
-        raise ValueError("multiplicity sum check needs a square (k-component) map")
+        raise InvalidInput("multiplicity sum check needs a square (k-component) map")
     y0 = [Fraction(v) for v in y0]
     lhs = geometric_degree(f, seed, prec)
     reps = fiber_points(f, y0, prec)
@@ -367,7 +391,7 @@ def graph_slice_count(f: CAMap, gen, prec: int = 256) -> int | None:
     if any(s.is_constant() for s in slices):
         return None
     try:
-        return len(fiber_points(polynomial_map(slices), [0] * param.k, prec))
+        return fiber_count_at(polynomial_map(slices), [0] * param.k, prec)
     except NonZeroDimensional:
         return None
 

@@ -12,7 +12,7 @@ the parametrization.  The resulting pullbacks are cached eagerly and are
 the workhorse of every downstream computation.  polynomial_map views
 polynomials in m variables as such a map on C^m with the identity
 parametrization; gradients and graph slices are counted that way, through
-propermaps.fiber_points, the one fiber slot for k in {1, 2} parameters.
+propermaps.fiber_count_at, the one fiber count for k in {1, 2} parameters.
 
 Degrees by slicing share one loop: random_slice draws an affine form in
 the coordinates, and slice_count retries non-generic draws under the
@@ -33,8 +33,7 @@ from .errors import (
     ParamRequired,
     SchemaError,
 )
-from .numroots import roots_univariate
-from .polycore import MPoly, compose, evaluate, exact_divide, poly_from_json
+from .polycore import MPoly, compose, distinct_root_count, evaluate, exact_divide, poly_from_json
 
 
 @dataclass(frozen=True)
@@ -212,12 +211,13 @@ def slice_count(seed: int, salt: str, count) -> int:
     raise DegenerateSlice("no generic slice found within the retry budget")
 
 
-def degree_by_slicing(v: Variety, seed: int = 0, prec: int = 256) -> int:
+def degree_by_slicing(v: Variety, seed: int = 0) -> int:
     """Degree of a parametrized curve: points on a random affine hyperplane.
 
-    Counts distinct clustered roots of <lam, phi(t)> - c for random
-    rational (lam, c); the maximum over 3 independent slices is reported,
-    retrying non-generic draws within a fixed budget.
+    Counts the distinct roots of <lam, phi(t)> - c for random rational
+    (lam, c) exactly, as its squarefree degree; the maximum over 3
+    independent slices is reported, retrying non-generic draws within a
+    fixed budget.
     """
     param = v.require_param()
     if param.k != 1:
@@ -225,7 +225,7 @@ def degree_by_slicing(v: Variety, seed: int = 0, prec: int = 256) -> int:
 
     def count(gen):
         sliced = random_slice(gen, param.components)
-        return None if sliced.is_constant() else roots_univariate(sliced, prec).distinct()
+        return None if sliced.is_constant() else distinct_root_count(sliced)
 
     return slice_count(seed, "slice", count)
 

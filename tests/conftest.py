@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from cnull.variety import load_map, load_variety
 
@@ -11,6 +12,21 @@ from cnull.variety import load_map, load_variety
 # database, so that the suite is reproducible.
 settings.register_profile("cnull", derandomize=True, database=None, deadline=None)
 settings.load_profile("cnull")
+
+
+def univariate_coeffs(max_degree):
+    """Hypothesis strategy: ascending integer coefficients of degree 1..max_degree."""
+    return st.integers(1, max_degree).flatmap(
+        lambda deg: st.tuples(
+            st.lists(st.integers(-4, 4), min_size=deg, max_size=deg),
+            st.integers(-3, 3).filter(bool),
+        )
+    ).map(lambda t: t[0] + [t[1]])
+
+
+def line_poly(coeffs):
+    """Polynomial JSON in x from ascending coefficients."""
+    return pj(["x"], {(i,): c for i, c in enumerate(coeffs)})
 
 
 def pj(var_names, terms):

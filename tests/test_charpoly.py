@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import V2, map_spec, pj
+from conftest import V2, line_poly, map_spec, pj, univariate_coeffs
 from cnull import charpoly, propermaps
 from cnull.charpoly import (
     CharPoly,
@@ -106,7 +106,7 @@ class TestBuildCharpoly:
 
 def _line_map(cline, coeffs):
     """The polynomial map with ascending coefficients on the affine line."""
-    return load_map(cline, map_spec(pj(["x"], {(i,): c for i, c in enumerate(coeffs)})))
+    return load_map(cline, map_spec(line_poly(coeffs)))
 
 
 class TestFiberSolves:
@@ -212,16 +212,6 @@ class TestEarlyTermination:
         assert {prec for _, prec in calls} == {256}
 
 
-def _univariate(max_degree):
-    # ascending integer coefficients, degree 1..max_degree, nonzero leading one
-    return st.integers(1, max_degree).flatmap(
-        lambda deg: st.tuples(
-            st.lists(st.integers(-4, 4), min_size=deg, max_size=deg),
-            st.integers(-3, 3).filter(bool),
-        )
-    ).map(lambda t: t[0] + [t[1]])
-
-
 def _composed(h_coeffs, f_coeffs):
     """Ascending coefficients of h(f)."""
     return univ_coeffs(compose(univ_from_coeffs(h_coeffs), [univ_from_coeffs(f_coeffs)]))
@@ -229,8 +219,8 @@ def _composed(h_coeffs, f_coeffs):
 
 # (f, g) on the line: g free of f, or g = h(f), which takes one value on every fiber of f
 _line_pairs = st.one_of(
-    st.tuples(_univariate(8), _univariate(8)),
-    st.tuples(_univariate(4), _univariate(2)).map(lambda fh: (fh[0], _composed(fh[1], fh[0]))),
+    st.tuples(univariate_coeffs(8), univariate_coeffs(8)),
+    st.tuples(univariate_coeffs(4), univariate_coeffs(2)).map(lambda fh: (fh[0], _composed(fh[1], fh[0]))),
 )
 
 

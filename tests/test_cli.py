@@ -1,9 +1,13 @@
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import map_spec, pj
+from conftest import cline_spec, line_poly, map_spec, pj, univariate_coeffs
+from cnull import cli
 from cnull.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -250,8 +254,74 @@ class TestCliContract:
     def test_usage_error_exit_4(self, capsys):
         assert main(["degree"]) == 4
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [1, 2],
+            {"vars": ["x"], "terms": 5},
+            {"vars": ["x"], "terms": [{"c": "1/0", "e": [2]}]},
+            {"vars": ["x"], "terms": [{"c": "1", "e": 2}]},
+        ],
+    )
+    def test_malformed_polynomial_exit_4(self, capsys, tmp_path, doc):
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps(doc))
+        assert main(["gradexp", "--poly", str(path)]) == 4
+        assert "SchemaError" in capsys.readouterr().err
+
+    def test_malformed_certificate_exit_4(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps({"N": "two", "h": []}))
+        argv = ["verify", "--variety", fx("cusp.json"), "--f", fx("fx.json"), "--g", fx("gyx.json")]
+        assert main(argv + ["--cert", str(path)]) == 4
+
+    def test_bad_rational_option_exit_4(self, capsys):
+        argv = ["ploski", "--variety", fx("cusp.json"), "--f", fx("fx.json"), "--g", fx("gyx.json")]
+        assert main(argv + ["--q", "1/0"]) == 4
+
+    def test_inputs_that_do_not_fit_the_route_exit_4(self, capsys):
+        # proj23 on the curve graph_cubic has more components than dimensions
+        argv = ["certify", "--variety", fx("graph_cubic.json"), "--f", fx("proj23.json")]
+        assert main(argv + ["--g", fx("g_sq_minus1.json"), "--theorem", "proper"]) == 4
+        assert "InvalidInput" in capsys.readouterr().err
+
+    def test_internal_value_error_is_not_a_parse_error(self, monkeypatch):
+        def broken(*args):
+            raise ValueError("internal")
+
+        monkeypatch.setattr(cli, "degree_by_slicing", broken)
+        with pytest.raises(ValueError, match="internal"):
+            main(["degree", "--variety", fx("cusp.json")])
+
+    def test_unwritable_out_path_exit_4(self, capsys, tmp_path):
+        out = tmp_path / "missing-dir" / "report.json"
+        assert main(["degree", "--variety", fx("cusp.json"), "--out", str(out)]) == 4
+
     def test_out_file(self, capsys, tmp_path):
         out = tmp_path / "report.json"
         code = main(["degree", "--variety", fx("cusp.json"), "--out", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["result"]["degree"] == 3
+
+
+def _line_map(max_degree):
+    return univariate_coeffs(max_degree).map(lambda coeffs: map_spec(line_poly(coeffs)))
+
+
+class TestDeterminismProperty:
+    @settings(max_examples=8)
+    @given(f=_line_map(5), g=_line_map(5), seed=st.integers(0, 10**6))
+    def test_same_seed_gives_byte_identical_reports(self, f, g, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {}
+            for role, spec in (("variety", cline_spec()), ("f", f), ("g", g)):
+                paths[role] = Path(tmp) / f"{role}.json"
+                paths[role].write_text(json.dumps(spec))
+            inputs = ["--variety", str(paths["variety"]), "--f", str(paths["f"])]
+            for argv in (["geomdeg"] + inputs, ["charpoly"] + inputs + ["--g", str(paths["g"])]):
+                texts = []
+                for run in range(2):
+                    out = Path(tmp) / f"report{run}.json"
+                    assert cli.run(argv + ["--seed", str(seed), "--out", str(out)])[0] == 0
+                    texts.append(out.read_bytes())
+                assert texts[0] == texts[1]

@@ -191,6 +191,28 @@ class TestAberthConvergence:
             assert not numroots._aberth_sweeps(cs, deriv, z, target, 2)
             assert not numroots._backward_stable(cs, z, target)
 
+    def test_start_circle_has_the_size_of_the_roots(self, monkeypatch):
+        # roots of modulus about 1e3 give coefficients up to about 1e24: a
+        # start circle of that radius needed 68 mpmath sweeps here
+        roots = [1001, -1002, 1010, -1020, 990, -985, 1040, -960]
+        coeffs = [1]
+        for r in roots:
+            coeffs = _poly_mul(coeffs, [-r, 1])
+        real = numroots._aberth_sweeps
+        mp_stages = []
+
+        def capped(coeffs, deriv, z, target, max_iter):
+            if isinstance(target, float):  # the double-precision stage
+                return real(coeffs, deriv, z, target, max_iter)
+            mp_stages.append(real(coeffs, deriv, z, target, 5))
+            return mp_stages[-1]
+
+        monkeypatch.setattr(numroots, "_aberth_sweeps", capped)
+        rs = roots_from_coeffs([F(c) for c in coeffs], 256)
+        assert mp_stages == [True]
+        assert sorted(int(mp.nint(z.real)) for z in rs.values()) == sorted(roots)
+        assert all(close(z, mp.nint(z.real), 1e-60) for z in rs.values())
+
     def test_stalled_triple_root_counts_as_converged(self):
         # (3x - 1)^3 (x + 2): the sweeps stall at the triple root without
         # meeting the target, but every point is backward stable

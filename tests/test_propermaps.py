@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import map_spec, pj
+from conftest import line_poly, map_spec, pj, univariate_coeffs
 from cnull.errors import NotProper, ParamRequired
-from cnull.polycore import MPoly
+from cnull.polycore import MPoly, evaluate
 from cnull.propermaps import (
     fiber_count_at,
     fiber_points,
@@ -85,6 +87,26 @@ class TestFiberCount:
             assert count <= d
             if y == 0:
                 assert count < d
+
+
+class TestExactFiberCount:
+    def test_roots_closer_than_the_cluster_tolerance_count_apart(self):
+        # the fiber of t^2 - 2^-100 t over 0 is {0, 2^-100}
+        T = MPoly.variable(1, 0)
+        f = polynomial_map([T**2 - T.scale(F(1, 2**100))])
+        assert fiber_count_at(f, [F(0)]) == 2
+        # clustering at 256 bits merges the pair into one coordinate
+        assert len(fiber_points(f, [F(0)])) == 1
+
+    @settings(max_examples=15)
+    @given(
+        comps=st.lists(univariate_coeffs(8).map(line_poly), min_size=1, max_size=2),
+        t0=st.tuples(st.integers(-50, 50), st.integers(1, 20)).map(lambda nd: F(*nd)),
+    )
+    def test_matches_the_clustered_fiber_at_a_generic_value(self, cline, comps, t0):
+        f = load_map(cline, map_spec(*comps))
+        y = [evaluate(p, [t0]) for p in f.pullbacks]
+        assert fiber_count_at(f, y) == len(fiber_points(f, y)) >= 1
 
 
 class TestFiberPoints:
