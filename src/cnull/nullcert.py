@@ -108,18 +108,26 @@ def certificate_to_json(cert: Certificate, ambient_vars: list[str] | None = None
 def certificate_from_json(obj: dict, ambient_vars: list[str] | None = None) -> Certificate:
     if not isinstance(obj, dict) or "N" not in obj or "h" not in obj:
         raise SchemaError("certificate JSON must have 'N' and 'h'")
+    try:
+        exponent = int(obj["N"])
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"'N' must be an integer, got {obj['N']!r}") from exc
+    if not isinstance(obj["h"], list):
+        raise SchemaError("'h' must be a list")
     h = []
     for item in obj["h"]:
         poly, _ = poly_from_json(item)
         h.append(poly)
     aux = None
     if obj.get("aux_forms"):
+        if not isinstance(obj["aux_forms"], list):
+            raise SchemaError("'aux_forms' must be a list")
         aux = []
         for item in obj["aux_forms"]:
             poly, _ = poly_from_json(item, expected_vars=ambient_vars)
             aux.append(poly)
     return Certificate(
-        exponent=int(obj["N"]),
+        exponent=exponent,
         h_exprs=h,
         theorem=str(obj.get("theorem", "unknown")),
         verified=bool(obj.get("verified", False)),
@@ -501,12 +509,17 @@ def _solve_exact(basis: list[MPoly], rhs: MPoly):
         if pivot is None:
             continue
         a[r], a[pivot] = a[pivot], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
+        prow = a[r]
+        support = [j for j, x in enumerate(prow) if x]  # zero entries change no row
+        pv = prow[c]
+        for j in support:
+            prow[j] /= pv
         for i in range(rows):
-            if i != r and a[i][c] != 0:
-                factor = a[i][c]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
+            row = a[i]
+            if i != r and row[c]:
+                factor = row[c]
+                for j in support:
+                    row[j] -= factor * prow[j]
         pivot_rows.append((r, c))
         r += 1
         if r == rows:

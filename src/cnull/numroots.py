@@ -46,9 +46,6 @@ class RootSet:
     residual_bound: float
     prec: int
 
-    def distinct(self) -> int:
-        return len(self.roots)
-
     def values(self) -> list:
         return [r for r, _ in self.roots]
 
@@ -365,12 +362,14 @@ def rational_reconstruct(v, height_bound: int, prec: int = 256) -> Fraction:
 def solve_system_2(p: MPoly, q: MPoly, prec: int = 256) -> list:
     """All isolated common zeros of two rational polynomials in 2 variables.
 
-    Eliminates each variable by a Sylvester resultant; both must be
-    nonzero, otherwise the solution set is positive-dimensional, and res_y
-    serves only as that exact check.  At each root x0 of res_x one
+    Eliminates y by the Sylvester resultant res_x.  The solution set is
+    positive-dimensional exactly when p and q share a nonconstant factor:
+    one involving y makes res_x zero, and one free of y (checked as the
+    gcd in x of all y-coefficients of p and q) would make the resultant
+    eliminating x zero.  At each root x0 of res_x one
     polynomial is solved for y: p(x0, y), or q(x0, y) where p(x0, .)
     vanishes numerically (both cannot vanish at a true root, since then p
-    and q share a factor in x and res_y is zero).  The pairs on which both
+    and q share a factor in x).  The pairs on which both
     residuals vanish are kept.  The roots of res_x come to about a
     fraction 1/m of prec at a root of multiplicity m, too coarse to tell
     a double root of p(x0, y) from two roots; so when res_x has a multiple
@@ -387,9 +386,15 @@ def solve_system_2(p: MPoly, q: MPoly, prec: int = 256) -> list:
                 raise NonZeroDimensional("common one-variable factor")
             return []
     res_x = sylvester_resultant(p, q, 1)  # eliminate var 1 -> poly in var 0
-    res_y = sylvester_resultant(p, q, 0)  # eliminate var 0 -> poly in var 1
-    if res_x.is_zero() or res_y.is_zero():
+    if res_x.is_zero():
         raise NonZeroDimensional("a resultant vanishes identically")
+    py = coeffs_in_var(p, 1)
+    qy = coeffs_in_var(q, 1)
+    common = MPoly(1)
+    for c in py + qy:
+        common = univ_gcd(common, _drop_var(c, 1))
+    if not common.is_constant():
+        raise NonZeroDimensional("common factor free of y")
     if res_x.is_constant():
         return []
     rx = _drop_var(res_x, 1)
@@ -397,8 +402,6 @@ def solve_system_2(p: MPoly, q: MPoly, prec: int = 256) -> list:
     if any(m > 1 for _, m in xset.roots):
         xset = roots_univariate(exact_divide(rx, univ_gcd(rx, univ_derivative(rx))), prec)
     degree = max(total_degree(p), total_degree(q))
-    py = coeffs_in_var(p, 1)
-    qy = coeffs_in_var(q, 1)
     solutions = []
     with mp.workprec(prec + 20):
         coeff_scale = max(

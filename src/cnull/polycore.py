@@ -5,6 +5,15 @@ coefficients.  Everything downstream (pullbacks along parametrizations,
 characteristic polynomials, certificate identities) rides on this module,
 so all operations here are exact; floats never enter.
 
+Every MPoly keeps one invariant on its ``terms`` dict: the keys are
+tuples of ``var_count`` nonnegative ints and the values are nonzero
+``Fraction``s.  The public constructor ``MPoly(var_count, terms)`` (and
+through it the JSON parser) validates and normalizes any input into this
+form.  The operations of this module build their results from operands
+that already hold it, so they use the trusted constructor ``MPoly._raw``,
+which checks nothing; code that calls it must produce the invariant
+itself.
+
 The canonical term order is graded lexicographic with variable 1 most
 significant.  It fixes serialization, leading-term selection in exact
 division, and the tie-break rule used by the certificate search.
@@ -13,6 +22,7 @@ division, and the tie-break rule used by the certificate search.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from .errors import GridMalformed, InconsistentSamples, NotDivisible
@@ -53,6 +63,14 @@ class MPoly:
         object.__setattr__(self, "var_count", var_count)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _raw(cls, var_count: int, terms: dict) -> "MPoly":
+        """Trusted constructor: takes ownership of `terms`, which must hold the invariant."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "var_count", var_count)
+        object.__setattr__(p, "terms", terms)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
 
@@ -73,7 +91,7 @@ class MPoly:
             raise ValueError(f"variable index {index} out of range for {var_count} vars")
         expo = [0] * var_count
         expo[index] = 1
-        return MPoly(var_count, {tuple(expo): Fraction(1)})
+        return MPoly._raw(var_count, {tuple(expo): Fraction(1)})
 
     # -- predicates / views -------------------------------------------------
 
@@ -114,47 +132,42 @@ class MPoly:
         self._check_compatible(other)
         out = dict(self.terms)
         for expo, coeff in other.terms.items():
-            acc = out.get(expo, Fraction(0)) + coeff
-            if acc == 0:
-                out.pop(expo, None)
+            if expo in out:
+                out[expo] += coeff
             else:
-                out[expo] = acc
-        return MPoly(self.var_count, out)
+                out[expo] = coeff
+        return MPoly._raw(self.var_count, _nonzero(out))
 
     def __sub__(self, other: "MPoly") -> "MPoly":
         self._check_compatible(other)
         out = dict(self.terms)
         for expo, coeff in other.terms.items():
-            acc = out.get(expo, Fraction(0)) - coeff
-            if acc == 0:
-                out.pop(expo, None)
+            if expo in out:
+                out[expo] -= coeff
             else:
-                out[expo] = acc
-        return MPoly(self.var_count, out)
+                out[expo] = -coeff
+        return MPoly._raw(self.var_count, _nonzero(out))
 
     def __neg__(self) -> "MPoly":
-        return MPoly(self.var_count, {e: -c for e, c in self.terms.items()})
+        return MPoly._raw(self.var_count, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "MPoly") -> "MPoly":
         self._check_compatible(other)
-        if not self.terms or not other.terms:
-            return MPoly(self.var_count)
         out: dict[tuple[int, ...], Fraction] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                expo = tuple(x + y for x, y in zip(ea, eb))
-                acc = out.get(expo, Fraction(0)) + ca * cb
-                if acc == 0:
-                    out.pop(expo, None)
+                expo = tuple(map(add, ea, eb))
+                if expo in out:
+                    out[expo] += ca * cb
                 else:
-                    out[expo] = acc
-        return MPoly(self.var_count, out)
+                    out[expo] = ca * cb
+        return MPoly._raw(self.var_count, _nonzero(out))
 
     def scale(self, value) -> "MPoly":
         value = Fraction(value)
         if value == 0:
-            return MPoly(self.var_count)
-        return MPoly(self.var_count, {e: c * value for e, c in self.terms.items()})
+            return MPoly._raw(self.var_count, {})
+        return MPoly._raw(self.var_count, {e: c * value for e, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "MPoly":
         if n < 0:
@@ -182,6 +195,13 @@ class MPoly:
         return f"MPoly({self.var_count}, {self.sorted_terms()!r})"
 
 
+def _nonzero(terms: dict) -> dict:
+    """`terms` without its zero values (the accumulation loops leave them in)."""
+    if all(terms.values()):
+        return terms
+    return {e: c for e, c in terms.items() if c}
+
+
 def evaluate(p: MPoly, point: Sequence):
     """Evaluate at a point.
 
@@ -195,12 +215,23 @@ def evaluate(p: MPoly, point: Sequence):
         raise ValueError("point length does not match var_count")
     exact = all(isinstance(v, (int, Fraction)) for v in vals)
     if exact:
+        vals = [Fraction(v) for v in vals]
+    # powers[i][e] = vals[i]**e, each computed once per call
+    powers: list[dict] = [{} for _ in vals]
+
+    def power(i: int, e: int):
+        cache = powers[i]
+        if e not in cache:
+            cache[e] = vals[i] ** e
+        return cache[e]
+
+    if exact:
         total = Fraction(0)
         for expo, coeff in p.terms.items():
             term = coeff
-            for e, v in zip(expo, vals):
+            for i, e in enumerate(expo):
                 if e:
-                    term *= Fraction(v) ** e
+                    term *= power(i, e)
             total += term
         return total
     import mpmath as mp
@@ -216,9 +247,9 @@ def evaluate(p: MPoly, point: Sequence):
     total = 0
     for expo, coeff in p.sorted_terms():
         term = conv(coeff)
-        for e, v in zip(expo, vals):
+        for i, e in enumerate(expo):
             if e:
-                term = term * v**e
+                term = term * power(i, e)
         total = total + term
     return total
 
@@ -229,15 +260,14 @@ def compose(p: MPoly, subs: Sequence[MPoly]) -> MPoly:
     if len(subs) != p.var_count:
         raise ValueError("substitution length does not match var_count")
     if not subs:
-        return MPoly(0, dict(p.terms))
+        return MPoly._raw(0, dict(p.terms))
     inner_vars = subs[0].var_count
     for s in subs:
         if s.var_count != inner_vars:
             raise ValueError("substitution polynomials must share one var_count")
     # Cache powers of each substituted polynomial.
-    pow_cache: list[dict[int, MPoly]] = [
-        {0: MPoly.const(inner_vars, 1)} for _ in range(p.var_count)
-    ]
+    one = MPoly.const(inner_vars, 1)
+    pow_cache: list[dict[int, MPoly]] = [{0: one} for _ in range(p.var_count)]
 
     def power(i: int, e: int) -> MPoly:
         cache = pow_cache[i]
@@ -249,14 +279,18 @@ def compose(p: MPoly, subs: Sequence[MPoly]) -> MPoly:
                 cache[k] = acc
         return cache[e]
 
-    total = MPoly(inner_vars)
+    out: dict[tuple[int, ...], Fraction] = {}
     for expo, coeff in p.terms.items():
-        term = MPoly.const(inner_vars, coeff)
+        term = one
         for i, e in enumerate(expo):
             if e:
-                term = term * power(i, e)
-        total = total + term
-    return total
+                term = power(i, e) if term is one else term * power(i, e)
+        for te, tc in term.terms.items():
+            if te in out:
+                out[te] += coeff * tc
+            else:
+                out[te] = coeff * tc
+    return MPoly._raw(inner_vars, _nonzero(out))
 
 
 def exact_divide(p: MPoly, q: MPoly) -> MPoly:
@@ -270,7 +304,7 @@ def exact_divide(p: MPoly, q: MPoly) -> MPoly:
         raise ZeroDivisionError("division by the zero polynomial")
     p._check_compatible(q)
     if p.is_zero():
-        return MPoly(p.var_count)
+        return MPoly._raw(p.var_count, {})
     lt_e, lt_c = q.leading_term()
     rem = dict(p.terms)
     quot: dict[tuple[int, ...], Fraction] = {}
@@ -279,17 +313,21 @@ def exact_divide(p: MPoly, q: MPoly) -> MPoly:
         coeff = rem[expo]
         if any(a < b for a, b in zip(expo, lt_e)):
             raise NotDivisible("remainder is nonzero")
-        qe = tuple(a - b for a, b in zip(expo, lt_e))
+        qe = tuple(map(sub, expo, lt_e))
         qc = coeff / lt_c
-        quot[qe] = quot.get(qe, Fraction(0)) + qc
+        # each step's quotient term is below the previous one in the term order
+        quot[qe] = qc
         for be, bc in q.terms.items():
-            ke = tuple(a + b for a, b in zip(qe, be))
-            acc = rem.get(ke, Fraction(0)) - qc * bc
-            if acc == 0:
-                rem.pop(ke, None)
+            ke = tuple(map(add, qe, be))
+            if ke in rem:
+                acc = rem[ke] - qc * bc
+                if acc:
+                    rem[ke] = acc
+                else:
+                    del rem[ke]
             else:
-                rem[ke] = acc
-    return MPoly(p.var_count, quot)
+                rem[ke] = -qc * bc
+    return MPoly._raw(p.var_count, quot)
 
 
 def total_degree(p: MPoly):
@@ -317,13 +355,14 @@ def univ_coeffs(p: MPoly) -> list[Fraction]:
 
 
 def univ_from_coeffs(coeffs: Iterable) -> MPoly:
-    return MPoly(1, {(i,): Fraction(c) for i, c in enumerate(coeffs)})
+    terms = {(i,): Fraction(c) for i, c in enumerate(coeffs)}
+    return MPoly._raw(1, _nonzero(terms))
 
 
 def univ_derivative(p: MPoly) -> MPoly:
     if p.var_count != 1:
         raise ValueError("univariate polynomial expected")
-    return MPoly(1, {(e - 1,): c * e for (e,), c in p.terms.items() if e > 0})
+    return MPoly._raw(1, {(e - 1,): c * e for (e,), c in p.terms.items() if e > 0})
 
 
 def univ_monic(p: MPoly) -> MPoly:
@@ -385,7 +424,7 @@ def coeffs_in_var(p: MPoly, index: int) -> list[MPoly]:
         k = stripped[index]
         stripped[index] = 0
         buckets[k][tuple(stripped)] = coeff
-    return [MPoly(p.var_count, b) for b in buckets]
+    return [MPoly._raw(p.var_count, b) for b in buckets]
 
 
 def det_bareiss(rows: list[list[MPoly]]) -> MPoly:
@@ -516,13 +555,9 @@ def _interp_rec(samples: list[tuple[tuple, Fraction]], bounds: list[int]) -> MPo
         coeff_vals = [inner[u].terms.get(mono, Fraction(0)) for u in use]
         head = _newton_univariate(use, coeff_vals, bounds[0])
         for (e,), c in head.terms.items():
-            expo = (e,) + mono
-            acc = out.get(expo, Fraction(0)) + c
-            if acc == 0:
-                out.pop(expo, None)
-            else:
-                out[expo] = acc
-    return MPoly(len(bounds), out)
+            # monomials are distinct, so every expo is new
+            out[(e,) + mono] = c
+    return MPoly._raw(len(bounds), out)
 
 
 def _newton_univariate(nodes, values, bound: int) -> MPoly:
@@ -576,12 +611,14 @@ def poly_from_json(obj, expected_vars: Sequence[str] | None = None) -> tuple[MPo
         raise SchemaError("'vars' must be a list of strings")
     if expected_vars is not None and list(names) != list(expected_vars):
         raise SchemaError(f"expected variables {list(expected_vars)}, got {names}")
+    if not isinstance(obj["terms"], list):
+        raise SchemaError("'terms' must be a list")
     terms = {}
     for item in obj["terms"]:
         if not isinstance(item, dict) or "c" not in item or "e" not in item:
             raise SchemaError("each term needs 'c' and 'e'")
         expo = item["e"]
-        if len(expo) != len(names) or any((not isinstance(e, int)) or e < 0 for e in expo):
+        if not isinstance(expo, list) or len(expo) != len(names) or any((not isinstance(e, int)) or e < 0 for e in expo):
             raise SchemaError(f"bad exponent vector {expo}")
         try:
             coeff = Fraction(str(item["c"]))

@@ -96,13 +96,18 @@ def load_variety(spec: dict) -> Variety:
         raise SchemaError("'dim' must be a positive integer")
     if dim > len(names):
         raise SchemaError("dim exceeds ambient dimension")
+    gen_specs = spec.get("generators", [])
+    if not isinstance(gen_specs, list):
+        raise SchemaError("'generators' must be a list")
     gens = []
-    for g in spec.get("generators", []):
+    for g in gen_specs:
         poly, _ = poly_from_json(g, expected_vars=names)
         gens.append(poly)
     param = None
     if spec.get("param") is not None:
         pspec = spec["param"]
+        if not isinstance(pspec, dict):
+            raise SchemaError("'param' must be a JSON object")
         pvars = pspec.get("vars")
         if not isinstance(pvars, list) or len(pvars) != dim:
             raise SchemaError("'param.vars' must list exactly dim parameter names")
@@ -126,8 +131,8 @@ def load_variety(spec: dict) -> Variety:
 
 def load_map(domain: Variety, spec: dict) -> CAMap:
     """Validated CAMap; computes and caches the pullbacks when phi exists."""
-    if not isinstance(spec, dict) or "components" not in spec:
-        raise SchemaError("map document must have 'components'")
+    if not isinstance(spec, dict) or not isinstance(spec.get("components"), list):
+        raise SchemaError("map document must have a 'components' list")
     comps = []
     for item in spec["components"]:
         if not isinstance(item, dict) or "num" not in item:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from cnull.polycore import MPoly
 from cnull.variety import load_map, load_variety
 
 # Property tests draw the same examples on every run, and keep no example
@@ -22,6 +23,13 @@ def univariate_coeffs(max_degree):
             st.integers(-3, 3).filter(bool),
         )
     ).map(lambda t: t[0] + [t[1]])
+
+
+def mpolys(var_count, max_deg=2, max_terms=4):
+    """Hypothesis strategy: sparse MPolys with small rational coefficients (zero ones dropped)."""
+    expo = st.tuples(*[st.integers(0, max_deg)] * var_count)
+    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+    return st.dictionaries(expo, coeff, max_size=max_terms).map(lambda terms: MPoly(var_count, terms))
 
 
 def line_poly(coeffs):

@@ -36,7 +36,7 @@ class TestAberthStress:
 
     def test_fourth_roots_of_unity(self):
         rs = roots_from_coeffs([F(1), F(0), F(0), F(0), F(1)], 256)  # t^4 + 1
-        assert rs.distinct() == 4
+        assert len(rs.roots) == 4
         for root, mult in rs.roots:
             assert mult == 1
             assert abs(abs(root) - 1) < 1e-40
@@ -47,7 +47,7 @@ class TestAberthStress:
         for i in range(1, 11):
             p = p * (t - MPoly.const(1, i))
         rs = roots_univariate(p, 256)
-        assert rs.distinct() == 10
+        assert len(rs.roots) == 10
         got = sorted(float(mp.re(r)) for r, _ in rs.roots)
         assert all(abs(g - w) < 1e-25 for g, w in zip(got, range(1, 11)))
 

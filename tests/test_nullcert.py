@@ -2,12 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import axis_x1_spec, axis_x2_spec, map_spec, pj
+from conftest import axis_x1_spec, axis_x2_spec, map_spec, mpolys, pj
 from cnull.errors import (
     ComponentNotInFiber,
     NoSolutionWithinCap,
     NotInIdeal,
+    SchemaError,
     VanishingHypothesisFailed,
 )
 from cnull.nullcert import (
@@ -26,7 +29,7 @@ from cnull.nullcert import (
 )
 from cnull.polycore import MPoly
 from cnull.propermaps import geometric_degree, image_degree
-from cnull.nullcert import _linear_combination_map
+from cnull.nullcert import _linear_combination_map, _solve_exact
 from cnull.variety import load_map, load_variety
 from cnull import rng as _rng
 
@@ -159,6 +162,65 @@ class TestCertifyGeneral:
         assert hits >= 9
 
 
+def _combination(basis, x):
+    total = MPoly.zero(2)
+    for xi, b in zip(x, basis):
+        total = total + b.scale(xi)
+    return total
+
+
+def _dense_solve(basis, rhs):
+    """Reference: the same elimination updating every entry of every row."""
+    keys = sorted(set(rhs.terms).union(*(b.terms for b in basis)))
+    cols = len(basis)
+    a = [[b.terms.get(e, F(0)) for b in basis] + [rhs.terms.get(e, F(0))] for e in keys]
+    pivots, r = [], 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        a[r] = [v / a[r][c] for v in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                a[i] = [v - a[i][c] * w for v, w in zip(a[i], a[r])]
+        pivots.append((r, c))
+        r += 1
+    if any(row[cols] != 0 for row in a[r:]):
+        return None
+    solution = [F(0)] * cols
+    for row, col in pivots:
+        solution[col] = a[row][cols]
+    return solution
+
+
+coefficient_vectors = st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=4), min_size=6, max_size=6)
+
+
+class TestSolveExact:
+    @given(st.lists(mpolys(2, max_deg=3, max_terms=4), min_size=1, max_size=6), coefficient_vectors)
+    def test_consistent_system_is_solved(self, basis, x):
+        rhs = _combination(basis, x)
+        solution = _solve_exact(basis, rhs)
+        assert solution is not None
+        assert all(type(v) is F for v in solution)
+        assert _combination(basis, solution) == rhs
+        assert solution == _dense_solve(basis, rhs)
+
+    @given(st.lists(mpolys(2, max_deg=3, max_terms=4), min_size=1, max_size=6), coefficient_vectors,
+           st.fractions(min_value=1, max_value=4, max_denominator=4))
+    def test_term_outside_every_basis_support_is_inconsistent(self, basis, x, c):
+        # degrees of the basis stay <= 3 in each variable, so x^4 is in no support
+        rhs = _combination(basis, x) + MPoly(2, {(4, 0): c})
+        assert _solve_exact(basis, rhs) is None
+        assert _dense_solve(basis, rhs) is None
+
+    def test_rhs_in_the_support_but_not_the_span(self):
+        x, y = MPoly(2, {(1, 0): 1}), MPoly(2, {(0, 1): 1})
+        assert _solve_exact([x + y], x) is None
+        assert _solve_exact([x + y, x - y], x) == [F(1, 2), F(1, 2)]
+
+
 class TestCertifyFallback:
     def test_graph_cubic_direct_identity(self, cubic_proj23, cubic_g):
         cert = certify_fallback(cubic_proj23, cubic_g, exponent=3, degree_cap=4)
@@ -208,6 +270,19 @@ class TestVerifyCertificate:
         assert back.exponent == cert.exponent
         assert back.h_exprs == cert.h_exprs
         assert verify_certificate(cusp_fx, cusp_gyx, back)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"N": "two", "h": []},
+            {"N": None, "h": []},
+            {"N": 1, "h": 5},
+            {"N": 1, "h": [], "aux_forms": 5},
+        ],
+    )
+    def test_malformed_shapes_raise_schema_error(self, obj):
+        with pytest.raises(SchemaError):
+            certificate_from_json(obj)
 
 
 class TestStrictlyRegular:

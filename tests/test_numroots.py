@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import mpolys
 from cnull import numroots
 from cnull.errors import NonReal, NonZeroDimensional, NoReconstruction, PrecisionExhausted
 from cnull.numroots import (
@@ -15,7 +16,7 @@ from cnull.numroots import (
     roots_univariate,
     solve_system_2,
 )
-from cnull.polycore import MPoly
+from cnull.polycore import MPoly, sylvester_resultant
 
 F = Fraction
 T = MPoly(1, {(1,): 1})
@@ -36,7 +37,7 @@ class TestRootsUnivariate:
     def test_double_root(self):
         p = (T - MPoly.const(1, 1)) ** 2
         rs = roots_univariate(p)
-        assert rs.distinct() == 1
+        assert len(rs.roots) == 1
         root, mult = rs.roots[0]
         assert mult == 2 and close(root, 1, tol=1e-15)
 
@@ -172,7 +173,7 @@ class TestAberthConvergence:
 
         monkeypatch.setattr(numroots, "_aberth", stalls_below_512)
         rs = roots_from_coeffs([F(-2), F(1), F(0), F(1)], 128)
-        assert rs.prec == 512 and rs.distinct() == 3
+        assert rs.prec == 512 and len(rs.roots) == 3
 
     def test_unconverged_at_every_rung_exhausts_precision(self, monkeypatch):
         real = numroots._aberth
@@ -323,6 +324,30 @@ class TestSolveSystem2:
         y = MPoly(2, {(0, 1): 1})
         with pytest.raises(NonZeroDimensional):
             solve_system_2(x * y, x)
+
+    def test_common_factor_free_of_y(self):
+        # p = x(y - 1), q = x(y + 2): res_x = 0 only through the resultant in x
+        x = MPoly(2, {(1, 0): 1})
+        y = MPoly(2, {(0, 1): 1})
+        one = MPoly.const(2, 1)
+        with pytest.raises(NonZeroDimensional, match="free of y"):
+            solve_system_2(x * (y - one), x * (y + one.scale(2)))
+
+    @settings(max_examples=40)
+    @given(mpolys(2, max_deg=2, max_terms=3), mpolys(2, max_deg=2, max_terms=3),
+           mpolys(2, max_deg=1, max_terms=2))
+    def test_raises_exactly_when_a_resultant_vanishes(self, a, b, h):
+        # differential against both Sylvester resultants; h is a candidate common factor
+        p, q = a * h, b * h
+        assume(not p.is_zero() and not q.is_zero())
+        assume(all(p.degree_in(i) or q.degree_in(i) for i in (0, 1)))
+        vanishes = sylvester_resultant(p, q, 1).is_zero() or sylvester_resultant(p, q, 0).is_zero()
+        try:
+            solve_system_2(p, q, 128)
+        except NonZeroDimensional:
+            assert vanishes
+        else:
+            assert not vanishes
 
     @pytest.mark.parametrize(
         "pq,expected",

@@ -1,12 +1,18 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
+import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cnull.errors import GridMalformed, InconsistentSamples, NotDivisible
+from conftest import mpolys
+from cnull.errors import GridMalformed, InconsistentSamples, NotDivisible, SchemaError
 from cnull.polycore import (
     NEG_INF,
     MPoly,
+    coeffs_in_var,
     compose,
     det_bareiss,
     distinct_root_count,
@@ -18,6 +24,7 @@ from cnull.polycore import (
     sylvester_resultant,
     total_degree,
     univ_coeffs,
+    univ_derivative,
     univ_from_coeffs,
     univ_gcd,
 )
@@ -244,3 +251,123 @@ class TestJson:
         obj = {"vars": ["x"], "terms": [{"c": "-3/2", "e": [1]}, {"c": "4", "e": [0]}]}
         q, _ = poly_from_json(obj)
         assert q == p1({(1,): F(-3, 2), (0,): 4})
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"vars": ["x"], "terms": 5},
+            {"vars": ["x"], "terms": [{"c": "1", "e": 2}]},
+            {"vars": ["x"], "terms": [{"c": "1", "e": None}]},
+        ],
+    )
+    def test_malformed_shapes_raise_schema_error(self, obj):
+        with pytest.raises(SchemaError):
+            poly_from_json(obj)
+
+
+# ---------------------------------------------------------------------------
+# kernel invariant: the operations build their results with the trusted
+# constructor, so every result must be what the validating one would make
+
+
+def assert_invariant(p, var_count):
+    assert p.var_count == var_count
+    for expo, coeff in p.terms.items():
+        assert type(coeff) is Fraction and coeff != 0
+        assert type(expo) is tuple and len(expo) == var_count
+        assert all(type(e) is int and e >= 0 for e in expo)
+    assert p == MPoly(var_count, p.terms)
+
+
+def poly_triples(max_deg=2, max_terms=4):
+    return st.integers(1, 3).flatmap(
+        lambda n: st.tuples(st.just(n), *[mpolys(n, max_deg, max_terms)] * 3)
+    )
+
+
+def cofactor_det(m):
+    """Reference determinant by expansion along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    total = MPoly.zero(m[0][0].var_count)
+    for j, entry in enumerate(m[0]):
+        minor = [row[:j] + row[j + 1:] for row in m[1:]]
+        term = entry * cofactor_det(minor)
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def reference_evaluate(p, point):
+    """The evaluation loop without power tables: v**e recomputed for every term."""
+    total = 0
+    for expo, coeff in p.sorted_terms():
+        term = mp.mpf(coeff.numerator) / mp.mpf(coeff.denominator)
+        for e, v in zip(expo, point):
+            if e:
+                term = term * v**e
+        total = total + term
+    return total
+
+
+class TestKernelProperties:
+    @given(poly_triples(), st.fractions(min_value=-5, max_value=5, max_denominator=5))
+    def test_op_results_hold_the_invariant(self, polys, value):
+        n, a, b, c = polys
+        for result in (a + b, a - b, -a, a * b, a.scale(value), a**2, compose(a, [b, c, a][:n])):
+            assert_invariant(result, n)
+        for index in range(n):
+            for coeff in coeffs_in_var(a, index):
+                assert_invariant(coeff, n)
+        if not b.is_zero():
+            assert_invariant(exact_divide(a * b, b), n)
+
+    @given(mpolys(1, max_deg=5, max_terms=6), mpolys(1, max_deg=5, max_terms=6))
+    def test_univariate_results_hold_the_invariant(self, a, b):
+        assert_invariant(univ_derivative(a), 1)
+        assert_invariant(univ_gcd(a, b), 1)
+        assert_invariant(univ_from_coeffs(univ_coeffs(a)), 1)
+
+    @given(poly_triples())
+    def test_distributive_and_division_undoes_product(self, polys):
+        _, a, b, c = polys
+        assert a * (b + c) == a * b + a * c
+        assert a - b == a + (-b)
+        if not b.is_zero():
+            assert exact_divide(a * b, b) == a
+
+    @given(poly_triples(), st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=3, max_size=3))
+    def test_ops_commute_with_exact_evaluation(self, polys, point):
+        n, a, b, _ = polys
+        pt = point[:n]
+        va, vb = evaluate(a, pt), evaluate(b, pt)
+        assert evaluate(a + b, pt) == va + vb
+        assert evaluate(a - b, pt) == va - vb
+        assert evaluate(a * b, pt) == va * vb
+
+    @settings(max_examples=40)
+    @given(st.integers(3, 4).flatmap(
+        lambda size: st.lists(st.lists(mpolys(2, max_deg=1, max_terms=3), min_size=size, max_size=size),
+                              min_size=size, max_size=size)))
+    def test_det_bareiss_matches_cofactor_expansion(self, m):
+        det = det_bareiss(m)
+        assert_invariant(det, 2)
+        assert det == cofactor_det(m)
+
+    def test_det_bareiss_row_swaps(self):
+        # a zero pivot forces a swap; on permutation matrices the det is the sign
+        one, zero = MPoly.const(1, 1), MPoly.zero(1)
+        m = [[zero, T, one], [one, zero, T], [T, one, zero]]
+        assert det_bareiss(m) == cofactor_det(m)
+        for perm in permutations(range(3)):
+            m = [[one if perm[i] == j else zero for j in range(3)] for i in range(3)]
+            inversions = sum(perm[i] > perm[j] for i in range(3) for j in range(i + 1, 3))
+            assert det_bareiss(m) == cofactor_det(m) == MPoly.const(1, (-1) ** inversions)
+
+    @given(poly_triples(max_deg=3, max_terms=5),
+           st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=3, max_size=3))
+    def test_power_tables_keep_mpmath_evaluation_bit_identical(self, polys, point):
+        n, a, _, _ = polys
+        with mp.workprec(80):
+            pt = [mp.mpc(mp.mpf(re) / 7, mp.mpf(im) / 3) for re, im in point[:n]]
+            assert evaluate(a, pt) == reference_evaluate(a, pt)
+

@@ -43,6 +43,20 @@ class TestLoadVariety:
         with pytest.raises(SchemaError):
             load_variety({"ambient_vars": ["x"], "dim": 0})
 
+    @pytest.mark.parametrize(
+        "change",
+        [{"generators": 5}, {"generators": None}, {"param": 5}, {"param": "t"}, {"param": ["t"]}],
+    )
+    def test_malformed_shapes_raise_schema_error(self, change):
+        spec = {"ambient_vars": ["x"], "dim": 1, "generators": [], **change}
+        with pytest.raises(SchemaError):
+            load_variety(spec)
+
+    @pytest.mark.parametrize("components", [5, None, {"num": 1}])
+    def test_map_components_must_be_a_list(self, cusp, components):
+        with pytest.raises(SchemaError):
+            load_map(cusp, {"components": components})
+
     def test_membership(self, cusp):
         assert cusp.contains([F(4), F(8)])
         assert not cusp.contains([F(1), F(2)])
@@ -87,7 +101,7 @@ class TestDegreeBySlicing:
             lam1, lam2 = rng.randint(1, 9), rng.randint(1, 9)
             c = rng.randint(1, 9)
             rs = roots_from_coeffs([F(-c), F(0), F(lam1), F(lam2)], 256)
-            assert rs.distinct() == 3
+            assert len(rs.roots) == 3
 
 
 class TestSliceCount:
