@@ -418,7 +418,6 @@ def growth_inclusion_check(
     low_max = 0.0
     high_max = 0.0
     best = 0.0
-    witness = None
     top_witness = None
     with mp.workprec(prec):
         for _ in range(samples):
@@ -430,9 +429,7 @@ def growth_inclusion_check(
             denom = mp.mpf(r) ** q_f
             for root, _ in rs.roots:
                 ratio = float(abs(root) / denom)
-                if ratio > best:
-                    best = ratio
-                    witness = (tuple(x), root)
+                best = max(best, ratio)
                 if r <= mid:
                     low_max = max(low_max, ratio)
                 elif ratio > high_max:
@@ -457,12 +454,11 @@ def _sample_point_of_norm(gen, k: int, r: float):
     return point
 
 
-def bounds_table(P: CharPoly, growth: Fraction, graph_deg: int):
-    """Rows (j, deg a_j, bound, ok) for the coefficient degree bounds."""
+def bounds_table(P: CharPoly):
+    """Rows (j, deg a_j, bound, ok) for the coefficient degree bounds recorded in P."""
     rows = []
-    bounds = coefficient_bounds(P.d, growth, graph_deg)
-    for j, a in enumerate(P.coeffs, start=1):
+    for j, (a, bound) in enumerate(zip(P.coeffs, P.bounds), start=1):
         deg = total_degree(a)
-        ok = deg == NEG_INF or deg <= bounds[j - 1]
-        rows.append((j, deg, bounds[j - 1], ok))
+        ok = deg == NEG_INF or deg <= bound
+        rows.append((j, deg, bound, ok))
     return rows

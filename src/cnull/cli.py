@@ -45,7 +45,7 @@ from .nullcert import (
 )
 from .numroots import PREC_LADDER
 from .polycore import NEG_INF, poly_from_json, rat_to_str, total_degree
-from .propermaps import geometric_degree, graph_degree, growth_exponent
+from .propermaps import geometric_degree
 from .variety import degree_by_slicing, load_map, load_variety
 
 
@@ -246,7 +246,7 @@ def _dispatch(args, seed: int, prec: int) -> dict:
         return _run_ploski(args, f, g, seed, prec)
     if cmd == "check-bounds":
         P = build_charpoly(f, g, seed, prec)
-        rows = bounds_table(P, growth_exponent(g), graph_degree(f, seed, prec))
+        rows = bounds_table(P)
         return {
             "rows": [
                 {"j": j, "deg": _deg_view(deg), "bound": bound, "ok": ok}
@@ -275,10 +275,8 @@ def _run_certify(args, variety, f, g, seed: int, prec: int):
         return certify_partial(f, args.ell, g, seed, prec)
     if theorem == "general":
         return certify_general(f, g, seed, prec, degree_cap=args.degree_cap, exponent=args.N)
-    forms = _load_forms(args.L, variety) if args.L else "auto"
-    cycle = "estimate"
-    if args.cycle:
-        cycle = _load(args.cycle, load_cycle_components)
+    forms = _load_forms(args.L, variety) if args.L else None
+    cycle = _load(args.cycle, load_cycle_components) if args.cycle else None
     return certify_strictly_regular(f, g, forms=forms, cycle=cycle, seed=seed, prec=prec)
 
 

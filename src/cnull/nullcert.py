@@ -8,12 +8,15 @@ is the zero polynomial of the parameter ring.  A certificate is returned
 only after that check passes; verify_certificate recomputes it from
 scratch for any certificate, however it was produced.
 
-Routes: the square case (as many components as dimensions), the partial
-case using only the first l components, the overdetermined case through
-a random linear epimorphism (with the vanishing hypothesis checked per
-draw and a linear-algebra fallback search when every draw fails), and
-the underdetermined strictly regular case through an affine completion,
-with the exponent taken from the degree of the cycle of zeroes.
+Routes: the partial case using only the first l components, which
+builds every characteristic-polynomial certificate, the square case (as
+many components as dimensions) as the partial case with l = k, the
+overdetermined case through a random linear epimorphism (with the
+vanishing hypothesis checked per draw and a linear-algebra fallback
+search when every draw fails), and the underdetermined strictly regular
+case through an affine completion, with the exponent taken from the
+degree of the cycle of zeroes.  Cycle multiplicities are local
+multiplicities of the completed map, from propermaps.local_multiplicity.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from . import rng as _rng
-from .charpoly import CharPoly, build_charpoly
+from .charpoly import build_charpoly
 from .errors import (
     ComponentNotInFiber,
     CycleDataUnavailable,
@@ -35,12 +38,9 @@ from .errors import (
     NotInIdeal,
     NotProper,
     NotStrictlyRegular,
-    ParamRequired,
-    PrecisionExhausted,
     SchemaError,
     VanishingHypothesisFailed,
 )
-from .numroots import ladder_from, solve_system_2
 from .polycore import (
     MPoly,
     _grlex_key,
@@ -52,10 +52,10 @@ from .polycore import (
 )
 from .propermaps import (
     check_proper,
-    count_near,
     fiber_points,
     geometric_degree,
     image_degree,
+    local_multiplicity,
     local_multiplicity_at,
 )
 from .variety import CAMap, Variety, degree_by_slicing, load_variety
@@ -69,10 +69,6 @@ class Certificate:
     verified: bool
     diagnostics: str = ""
     aux_forms: list[MPoly] | None = None  # affine forms whose values feed the v symbols
-
-    @property
-    def N(self) -> int:
-        return self.exponent
 
 
 @dataclass(frozen=True)
@@ -202,18 +198,12 @@ def _certified(f: CAMap, g: CAMap, cert: Certificate) -> Certificate:
 # the square (proper) and partial routes
 
 
-def certify_proper(
-    f: CAMap,
-    g: CAMap,
-    seed: int = 0,
-    prec: int = 256,
-    theorem: str = "proper",
-) -> Certificate:
+def certify_proper(f: CAMap, g: CAMap, seed: int = 0, prec: int = 256) -> Certificate:
     """Certificate with exponent d(f) for a square proper map.
 
-    The coefficients of the characteristic polynomial of g relative to f
-    vanish at the origin (checked exactly); regrouping the identity
-    P(f, g) = 0 by the lowest dividing variable yields the h_j.
+    Fails fast, before any characteristic polynomial is built, when g
+    visibly misses a point of the numeric zero fiber; otherwise this is
+    the partial route on all components.
     """
     k = f.domain.require_param().k
     if f.n != k:
@@ -225,24 +215,22 @@ def certify_proper(
         raise VanishingHypothesisFailed(
             "g does not vanish on the fiber of f above the origin"
         )
-    P = build_charpoly(f, g, seed, prec)
-    return _certificate_from_charpoly(f, g, P, ell=k, theorem=theorem)
+    return certify_partial(f, k, g, seed, prec)
 
 
 def certify_partial(f: CAMap, ell: int, g: CAMap, seed: int = 0, prec: int = 256) -> Certificate:
-    """Certificate with exponent d(f) using only the first ell components."""
+    """Certificate with exponent d(f) using only the first ell components.
+
+    The coefficients of the characteristic polynomial of g relative to f
+    vanish on {0}^ell x C^(k-ell) (checked exactly); regrouping the
+    identity P(f, g) = 0 by the lowest dividing variable yields the h_j.
+    """
     k = f.domain.require_param().k
     if f.n != k:
         raise InvalidInput("partial route needs as many components as dimensions")
     if not 1 <= ell <= k:
         raise InvalidInput("ell out of range")
     P = build_charpoly(f, g, seed, prec)
-    theorem = "proper" if ell == k else "partial"
-    return _certificate_from_charpoly(f, g, P, ell=ell, theorem=theorem)
-
-
-def _certificate_from_charpoly(f: CAMap, g: CAMap, P: CharPoly, ell: int, theorem: str) -> Certificate:
-    k = P.k
     d = P.d
     if ell == k:
         # square route: nonzero a_j(0) is the vanishing-hypothesis failure;
@@ -263,6 +251,7 @@ def _certificate_from_charpoly(f: CAMap, g: CAMap, P: CharPoly, ell: int, theore
                 part = splits[j - 1][i]
                 acc = acc - _embed_with_t(part) * _t_power(k + 1, d - j)
         h_exprs.append(acc)
+    theorem = "proper" if ell == k else "partial"
     cert = Certificate(exponent=d, h_exprs=h_exprs, theorem=theorem, verified=False)
     return _certified(f, g, cert)
 
@@ -563,19 +552,35 @@ def _random_affine_forms(domain: Variety, count: int, gen) -> list[MPoly]:
     return forms
 
 
+def _proper_completion(f: CAMap, forms: list[MPoly], seed: int, prec: int) -> CAMap:
+    """f completed by the affine forms to a square map; NotStrictlyRegular unless proper."""
+    if len(forms) != f.domain.require_param().k - f.n:
+        raise InvalidInput("need exactly dim - components affine forms")
+    if any(total_degree(form) > 1 for form in forms):
+        raise InvalidInput("completion forms must be affine")
+    completed = _affine_completion(f, forms)
+    try:
+        check_proper(completed, seed, prec)
+    except NotProper as exc:
+        raise NotStrictlyRegular("the affine completion is not proper") from exc
+    return completed
+
+
 def certify_strictly_regular(
     f: CAMap,
     g: CAMap,
-    forms: list[MPoly] | str = "auto",
-    cycle: CycleData | list | str = "estimate",
+    forms: list[MPoly] | None = None,
+    cycle: list | None = None,
     seed: int = 0,
     prec: int = 256,
 ) -> Certificate:
     """Certificate with exponent deg Z_f for a strictly regular map.
 
-    Completes f with affine forms to a proper map, runs the partial route
-    there, and pads the identity by the required power of g so the final
-    exponent is the degree of the cycle of zeroes.
+    Completes f with affine forms (drawn at random when forms is None) to
+    a proper map, runs the partial route there, and pads the identity by
+    the required power of g so the final exponent is the degree of the
+    cycle of zeroes, whose components (as cycle_degree takes them) must
+    be given unless the map is square.
     """
     k = f.domain.require_param().k
     n = f.n
@@ -590,43 +595,32 @@ def certify_strictly_regular(
         )
     if n > k:
         raise InvalidInput("strictly regular route needs fewer components than dimensions")
-    completed = None
-    chosen: list[MPoly] = []
-    if forms != "auto":
-        chosen = list(forms)
-        if len(chosen) != k - n:
-            raise InvalidInput("need exactly dim - components affine forms")
-        for form in chosen:
-            if total_degree(form) > 1:
-                raise InvalidInput("completion forms must be affine")
-        completed = _affine_completion(f, chosen)
-        try:
-            check_proper(completed, seed, prec)
-        except NotProper as exc:
-            raise NotStrictlyRegular("the supplied affine completion is not proper") from exc
-    else:
+    if forms is None:
         for attempt in range(5):
             gen = _rng.child_rng(seed, f"forms:{attempt}")
-            candidate = _random_affine_forms(f.domain, k - n, gen)
+            forms = _random_affine_forms(f.domain, k - n, gen)
             try:
-                trial = _affine_completion(f, candidate)
-                check_proper(trial, seed, prec)
-            except NotProper:
+                completed = _proper_completion(f, forms, seed, prec)
+                break
+            except NotStrictlyRegular:
                 continue
-            completed, chosen = trial, candidate
-            break
-        if completed is None:
+        else:
             raise NotStrictlyRegular(
                 "no affine completion became proper within the retry budget"
             )
-    d_completed = geometric_degree(completed, seed, prec)
-    cycle_data = _resolve_cycle(f, chosen, cycle, seed, prec)
-    deg_cycle = cycle_data.total_degree
+    else:
+        completed = _proper_completion(f, forms, seed, prec)
+    if cycle is None:
+        raise CycleDataUnavailable(
+            "cycle estimation needs parametrized components of the zero fiber"
+        )
+    deg_cycle = _zero_cycle(f, completed, cycle, seed, prec).total_degree
+    inner = certify_partial(completed, n, g, seed, prec)
+    d_completed = inner.exponent
     if deg_cycle < d_completed:
         raise NotStrictlyRegular(
             f"cycle degree {deg_cycle} is below the completed map degree {d_completed}"
         )
-    inner = certify_partial(completed, n, g, seed, prec)
     pad = deg_cycle - d_completed
     h = []
     uses_aux = False
@@ -639,7 +633,7 @@ def certify_strictly_regular(
         h = [_drop_middle_axes(expr, n, k) for expr in h]
         aux_forms = None
     else:
-        aux_forms = chosen
+        aux_forms = forms
     cert = Certificate(
         exponent=deg_cycle,
         h_exprs=h,
@@ -659,18 +653,6 @@ def _drop_middle_axes(expr: MPoly, n: int, k: int) -> MPoly:
     return MPoly(n + 1, out)
 
 
-def _resolve_cycle(f: CAMap, forms: list[MPoly], cycle, seed: int, prec: int) -> CycleData:
-    if isinstance(cycle, CycleData):
-        return cycle
-    if isinstance(cycle, list):
-        return cycle_degree(f, cycle, forms, seed, prec)
-    if cycle == "estimate":
-        raise CycleDataUnavailable(
-            "cycle estimation needs parametrized components of the zero fiber"
-        )
-    raise ValueError("cycle must be CycleData, a component list, or 'estimate'")
-
-
 # ---------------------------------------------------------------------------
 # degree of the cycle of zeroes
 
@@ -687,17 +669,15 @@ def cycle_degree(
     components: list of Variety (or (Variety, multiplicity) with a
     user-supplied multiplicity overriding the numeric estimate).  Each
     component must be a parametrized curve contained in the zero fiber,
-    checked exactly through the pullbacks.
+    checked exactly through the pullbacks.  The estimate is the local
+    multiplicity (propermaps.local_multiplicity) of f completed by the
+    forms, at a random point of the component.
     """
-    k = f.domain.require_param().k
-    n = f.n
-    if len(forms) != k - n:
-        raise InvalidInput("need exactly dim - components affine forms")
-    completed = _affine_completion(f, forms)
-    try:
-        check_proper(completed, seed, prec)
-    except NotProper as exc:
-        raise NotStrictlyRegular("the affine completion is not proper") from exc
+    return _zero_cycle(f, _proper_completion(f, forms, seed, prec), components, seed, prec)
+
+
+def _zero_cycle(f: CAMap, completed: CAMap, components, seed: int, prec: int) -> CycleData:
+    """cycle_degree on a completion that _proper_completion has checked."""
     rows = []
     total = 0
     for entry in components:
@@ -705,7 +685,7 @@ def cycle_degree(
         _check_component_in_fiber(f, comp)
         deg_v = degree_by_slicing(comp, seed)
         mult = override if override is not None else _component_multiplicity(
-            f, completed, comp, forms, seed, prec
+            completed, comp, seed, prec
         )
         rows.append((comp, mult, deg_v))
         total += mult * deg_v
@@ -726,61 +706,12 @@ def _check_component_in_fiber(f: CAMap, comp: Variety):
             )
 
 
-def _component_multiplicity(
-    f: CAMap,
-    completed: CAMap,
-    comp: Variety,
-    forms: list[MPoly],
-    seed: int,
-    prec: int,
-) -> int:
-    """Perturbation estimate of the intersection multiplicity along a component."""
-    if f.domain.param.k != 2:
-        raise ParamRequired("cycle multiplicities implemented for two parameters")
+def _component_multiplicity(completed: CAMap, comp: Variety, seed: int, prec: int) -> int:
+    """Local multiplicity of the completed map at a random point of the component."""
     gen = _rng.child_rng(seed, "cycle-point")
     s0 = [_rng.rand_rational(gen, height=30) for _ in range(comp.param.k)]
     point = [evaluate(c, s0) for c in comp.param.components]
-    value = [evaluate(form, point) for form in forms]
-    anchors = _parameter_preimages(f.domain, point, prec)
-    base = [Fraction(0)] * f.n + value
-    for wp in ladder_from(prec):
-        counts = []
-        for draw in range(3):
-            gen_d = _rng.child_rng(seed, f"cycle-perturb:{draw}")
-            direction = _rng.rand_nonzero_vector(gen_d, f.n, height=9)
-            eps = Fraction(1, 2 ** (wp // 8))
-            y = [Fraction(b) for b in base]
-            for i, w in enumerate(direction):
-                y[i] = y[i] + eps * w
-            radius = mp.mpf("0.25") * (1 + sum(abs(a) for a in anchors[0]))
-            counts.append(count_near(fiber_points(completed, y, wp), anchors, radius))
-        if len(set(counts)) == 1 and counts[0] > 0:
-            return counts[0]
-    raise PrecisionExhausted("component multiplicity did not stabilize")
-
-
-def _parameter_preimages(domain: Variety, point, prec: int):
-    """Parameter-space preimages of an ambient rational point (two parameters)."""
-    param = domain.require_param()
-    eqs = []
-    for comp, target in zip(param.components, point):
-        delta = comp - MPoly.const(param.k, Fraction(target))
-        if not delta.is_zero() and not delta.is_constant():
-            eqs.append(delta)
-    if len(eqs) < 2:
-        raise ParamRequired("parametrization does not isolate the point")
-    sols = solve_system_2(eqs[0], eqs[1], prec)
-    good = []
-    with mp.workprec(prec):
-        tol = mp.mpf(2) ** (-prec // 4)
-        for s in sols:
-            imgs = [evaluate(c, list(s)) for c in param.components]
-            gap = sum(abs(i - mp.mpf(t.numerator) / t.denominator) for i, t in zip(imgs, [Fraction(v) for v in point]))
-            if gap <= tol * (1 + sum(abs(v) for v in imgs)):
-                good.append(s)
-    if not good:
-        raise ParamRequired("no parameter preimage found for the sampled point")
-    return good
+    return local_multiplicity(completed, point, seed, prec)
 
 
 def cycle_degree_square(f: CAMap, seed: int = 0, prec: int = 256) -> CycleData:
@@ -796,15 +727,15 @@ def cycle_degree_square(f: CAMap, seed: int = 0, prec: int = 256) -> CycleData:
 
 def load_cycle_components(obj: dict) -> list:
     """Parse {"components": [{"variety": {...}, "multiplicity": int?}, ...]}."""
-    if not isinstance(obj, dict) or "components" not in obj:
-        raise SchemaError("cycle JSON must have 'components'")
+    if not isinstance(obj, dict) or not isinstance(obj.get("components"), list):
+        raise SchemaError("cycle JSON must have a 'components' list")
     out = []
     for item in obj["components"]:
         if not isinstance(item, dict) or "variety" not in item:
             raise SchemaError("each cycle component needs a 'variety'")
         comp = load_variety(item["variety"])
         mult = item.get("multiplicity")
-        if mult is not None and (not isinstance(mult, int) or mult < 1):
+        if mult is not None and (type(mult) is not int or mult < 1):  # bool is an int subclass
             raise SchemaError("multiplicity must be a positive integer")
         out.append((comp, mult))
     return out

@@ -45,11 +45,8 @@ _DRAW_BUDGET = 15
 
 @dataclass(frozen=True)
 class ProperMapProfile:
-    map: CAMap
     d_f: int
     graph_degree: int
-    image_degree: int | None
-    properness_witnessed: bool
 
 
 def _require_k(f: CAMap) -> int:
@@ -401,20 +398,12 @@ def graph_degree(f: CAMap, seed: int = 0, prec: int = 256) -> int:
     return slice_count(seed, "graphdeg", lambda gen: graph_slice_count(f, gen, prec))
 
 
-def profile_map(f: CAMap, seed: int = 0, prec: int = 256, with_image: bool = False) -> ProperMapProfile:
+def profile_map(f: CAMap, seed: int = 0, prec: int = 256) -> ProperMapProfile:
     """Assemble the degree profile used by the characteristic polynomial.
 
     Properness is checked once, inside geometric_degree.
     """
-    d_f = geometric_degree(f, seed, prec)
-    g_deg = graph_degree(f, seed, prec)
-    img = None
-    if with_image and f.domain.param.k == 1:
-        img = image_degree(f, seed, prec)
     return ProperMapProfile(
-        map=f,
-        d_f=d_f,
-        graph_degree=g_deg,
-        image_degree=img,
-        properness_witnessed=True,
+        d_f=geometric_degree(f, seed, prec),
+        graph_degree=graph_degree(f, seed, prec),
     )

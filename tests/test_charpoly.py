@@ -17,7 +17,7 @@ from cnull.charpoly import (
     verify_charpoly,
 )
 from cnull.polycore import NEG_INF, MPoly, compose, total_degree, univ_coeffs, univ_from_coeffs
-from cnull.propermaps import graph_degree, growth_exponent, profile_map
+from cnull.propermaps import profile_map
 from cnull.variety import load_map
 
 F = Fraction
@@ -301,17 +301,13 @@ class TestBounds:
 
     def test_bounds_table_rows(self, cusp_fx, cusp_gyx):
         P = build_charpoly(cusp_fx, cusp_gyx, seed=0)
-        rows = bounds_table(
-            P, growth_exponent(cusp_gyx), graph_degree(cusp_fx, seed=0)
-        )
+        rows = bounds_table(P)
         assert rows[0] == (1, NEG_INF, 0, True)
         assert rows[1] == (2, 1, 1, True)
 
     def test_parabola_bound_row(self, parabola_fx, parabola_gy):
         P = build_charpoly(parabola_fx, parabola_gy, seed=0)
-        rows = bounds_table(
-            P, growth_exponent(parabola_gy), graph_degree(parabola_fx, seed=0)
-        )
+        rows = bounds_table(P)
         assert rows == [(1, 2, 2, True)]
 
     def test_coefficient_bounds_formula(self):
@@ -323,7 +319,7 @@ class TestBounds:
 
         zero_g = load_map(cusp, map_spec(pj(["x", "y"], {})))
         P = build_charpoly(cusp_fx, zero_g, seed=0)
-        rows = bounds_table(P, growth_exponent(zero_g), graph_degree(cusp_fx, seed=0))
+        rows = bounds_table(P)
         assert all(ok for _, _, _, ok in rows)
         assert all(deg == NEG_INF for _, deg, _, _ in rows)
 

@@ -24,6 +24,7 @@ from cnull.nullcert import (
     certify_strictly_regular,
     cycle_degree,
     cycle_degree_square,
+    load_cycle_components,
     split_coeff,
     verify_certificate,
 )
@@ -309,7 +310,7 @@ class TestStrictlyRegular:
         f = load_map(plane2, map_spec(pj(V2, {(2, 0): 1})))
         g = load_map(plane2, map_spec(pj(V2, {(1, 0): 1})))
         comps = [load_variety(axis_x2_spec())]
-        cert = certify_strictly_regular(f, g, forms="auto", cycle=comps, seed=0)
+        cert = certify_strictly_regular(f, g, cycle=comps, seed=0)
         assert cert.exponent == 2 and cert.verified
 
     def test_square_case_delegates(self, cusp_fx, cusp_gyx):
@@ -340,12 +341,33 @@ class TestCycleDegree:
         with pytest.raises(ComponentNotInFiber):
             cycle_degree(f, comps, forms, seed=0)
 
+    @pytest.mark.parametrize("seed", [0, 4])
+    @pytest.mark.parametrize("cubic", [(3, 0), (3, 1)])
+    def test_other_fiber_component_is_not_counted(self, plane2, seed, cubic):
+        # the zero fiber of x1^2 + x1^3 (or x1^2 + x1^3 x2) is {x1 = 0}, doubled,
+        # and a second component that the perturbed count must leave out
+        f = load_map(plane2, map_spec(pj(V2, {(2, 0): 1, cubic: 1})))
+        forms = [MPoly(2, {(0, 1): F(1)})]
+        comps = [load_variety(axis_x2_spec())]
+        assert cycle_degree(f, comps, forms, seed=seed).total_degree == 2
+
     def test_multiplicity_override(self, plane2):
         f = load_map(plane2, map_spec(pj(V2, {(2, 0): 1})))
         forms = [MPoly(2, {(0, 1): F(1)})]
         comps = [(load_variety(axis_x2_spec()), 2)]
         data = cycle_degree(f, comps, forms, seed=0)
         assert data.total_degree == 2
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"components": 5},
+            {"components": [{"variety": axis_x2_spec(), "multiplicity": True}]},
+        ],
+    )
+    def test_malformed_components_raise_schema_error(self, obj):
+        with pytest.raises(SchemaError):
+            load_cycle_components(obj)
 
     def test_square_case_equals_degree(self, cusp_fx, parabola_fx, plane2):
         assert cycle_degree_square(cusp_fx, seed=0).total_degree == geometric_degree(

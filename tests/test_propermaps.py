@@ -213,6 +213,5 @@ class TestProfileInvariants:
             assert prof.d_f <= prof.graph_degree
 
     def test_profile_fields(self, cusp_fx):
-        prof = profile_map(cusp_fx, seed=0, with_image=True)
-        assert prof.d_f == 2 and prof.graph_degree == 3 and prof.image_degree == 1
-        assert prof.properness_witnessed
+        prof = profile_map(cusp_fx, seed=0)
+        assert prof.d_f == 2 and prof.graph_degree == 3
