@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -56,7 +56,7 @@ from .polycore import (
     univ_coeffs,
     univ_from_coeffs,
 )
-from .propermaps import ProperMapProfile, fiber_points, growth_exponent, profile_map
+from .propermaps import fiber_points, growth_exponent, profile_map
 from .variety import CAMap
 
 
@@ -107,7 +107,6 @@ def build_charpoly(
     g: CAMap,
     seed: int = 0,
     prec: int = 256,
-    profile: ProperMapProfile | None = None,
 ) -> CharPoly:
     """Characteristic polynomial by fiber sampling, reconstruction and interpolation.
 
@@ -121,7 +120,7 @@ def build_charpoly(
         raise InvalidInput("the map must have as many components as the set has dimensions")
     if g.n != 1:
         raise InvalidInput("g must be a single-component map")
-    prof = profile if profile is not None else profile_map(f, seed, prec)
+    prof = profile_map(f, seed, prec)
     d = prof.d_f
     growth = growth_exponent(g)
     bounds = coefficient_bounds(d, growth, prof.graph_degree)
@@ -130,14 +129,7 @@ def build_charpoly(
         try:
             for P in _candidates(f, g, d, bounds, seed, wp):
                 if verify_charpoly(P, f, g):
-                    return CharPoly(
-                        d=P.d,
-                        coeffs=P.coeffs,
-                        bounds=P.bounds,
-                        provenance=P.provenance,
-                        y_vars=P.y_vars,
-                        verified=True,
-                    )
+                    return replace(P, verified=True)
                 last_error = ExactVerificationFailed(
                     "interpolated characteristic polynomial failed the exact identity"
                 )
@@ -355,7 +347,7 @@ def charpoly_resultant_oracle(f: CAMap, g: CAMap) -> CharPoly:
     )
     if not verify_charpoly(P, f, g):
         raise ExactVerificationFailed("resultant characteristic polynomial failed the exact identity")
-    return CharPoly(P.d, P.coeffs, P.bounds, P.provenance, P.y_vars, verified=True)
+    return replace(P, verified=True)
 
 
 def _project_to_y(a: MPoly) -> MPoly:
@@ -409,6 +401,8 @@ def growth_inclusion_check(
     """
     if q <= 0:
         raise InvalidInput("q must be positive")
+    if samples < 1:
+        raise InvalidInput("samples must be at least 1")
     if R <= 1:
         raise InvalidInput("R must exceed 1")
     gen = _rng.child_rng(seed, "growth")

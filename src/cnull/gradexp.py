@@ -14,7 +14,7 @@ falsified by sampling, never proved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import rng as _rng
@@ -101,18 +101,22 @@ def validate_inequality(
     shells=(10.0, 100.0, 1000.0, 10000.0),
     samples_per_shell: int = 200,
     seed: int = 0,
-    mu: int | None = None,
-    D: int | None = None,
 ) -> GradExpReport:
     """Empirical check of |f(x)|^theta <= C |grad f(x)| on norm shells.
 
     Reports the per-shell maxima of the ratio; validated means the top
     two shells stay within a factor 2 of each other (a bounded-trend
-    test).  Samples with vanishing gradient are redrawn within a budget.
+    test), so at least two positive, increasing shells are needed.
+    Samples with vanishing gradient are redrawn within a budget.  mu and
+    D are left unset; gradexp_report attaches them.
     """
     theta_value = Fraction(theta_value)
     if not 0 < theta_value <= 1:
         raise InvalidInput("theta must lie in (0, 1]")
+    if len(shells) < 2 or not all(0 < a < b for a, b in zip(shells, shells[1:])):
+        raise InvalidInput("shells must be at least two positive, increasing norm scales")
+    if samples_per_shell < 1:
+        raise InvalidInput("samples_per_shell must be at least 1")
     grads = gradient(f)
     exponent = float(theta_value)
     gen = child_rng(seed, "shells")
@@ -142,8 +146,8 @@ def validate_inequality(
     validated = shell_rows[-1][1] <= 2.0 * shell_rows[-2][1]
     return GradExpReport(
         d=int(total_degree(f)),
-        mu=mu,
-        D=D,
+        mu=None,
+        D=None,
         theta=theta_value,
         validated=validated,
         max_ratio_C=overall,
@@ -166,6 +170,7 @@ def gradexp_report(f: MPoly, seed: int = 0, prec: int = 256, shells=(10.0, 100.0
         raise InvalidInput("polynomial must be nonconstant")
     mu, D = grad_profile(f, seed, prec)
     exponent = theta(int(d), D, mu)
-    return validate_inequality(
-        f, exponent, shells=shells, samples_per_shell=samples_per_shell, seed=seed, mu=mu, D=D
+    report = validate_inequality(
+        f, exponent, shells=shells, samples_per_shell=samples_per_shell, seed=seed
     )
+    return replace(report, mu=mu, D=D)

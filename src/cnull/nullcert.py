@@ -9,22 +9,22 @@ only after that check passes; verify_certificate recomputes it from
 scratch for any certificate, however it was produced.
 
 Routes: the partial case using only the first l components, which
-builds every characteristic-polynomial certificate, the square case (as
+builds every characteristic-polynomial certificate and decides the
+vanishing hypothesis exactly (every a_j(0) = 0), the square case (as
 many components as dimensions) as the partial case with l = k, the
 overdetermined case through a random linear epimorphism (with the
-vanishing hypothesis checked per draw and a linear-algebra fallback
-search when every draw fails), and the underdetermined strictly regular
-case through an affine completion, with the exponent taken from the
-degree of the cycle of zeroes.  Cycle multiplicities are local
-multiplicities of the completed map, from propermaps.local_multiplicity.
+vanishing hypothesis decided per draw by an exact gcd, and a
+linear-algebra fallback search when every draw fails), and the
+underdetermined strictly regular case through an affine completion,
+with the exponent taken from the degree of the cycle of zeroes.  Cycle
+multiplicities are local multiplicities of the completed map, from
+propermaps.local_multiplicity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-
-import mpmath as mp
 
 from . import rng as _rng
 from .charpoly import build_charpoly
@@ -45,10 +45,12 @@ from .polycore import (
     MPoly,
     _grlex_key,
     compose,
+    distinct_root_count,
     evaluate,
     poly_from_json,
     poly_to_json,
     total_degree,
+    univ_gcd,
 )
 from .propermaps import (
     check_proper,
@@ -105,6 +107,8 @@ def certificate_from_json(obj: dict, ambient_vars: list[str] | None = None) -> C
     if not isinstance(obj, dict) or "N" not in obj or "h" not in obj:
         raise SchemaError("certificate JSON must have 'N' and 'h'")
     try:
+        if isinstance(obj["N"], (bool, float)):
+            raise TypeError("booleans and floats are not exponents")
         exponent = int(obj["N"])
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"'N' must be an integer, got {obj['N']!r}") from exc
@@ -126,7 +130,7 @@ def certificate_from_json(obj: dict, ambient_vars: list[str] | None = None) -> C
         exponent=exponent,
         h_exprs=h,
         theorem=str(obj.get("theorem", "unknown")),
-        verified=bool(obj.get("verified", False)),
+        verified=False,  # only _certified sets the flag
         diagnostics=str(obj.get("diagnostics", "")),
         aux_forms=aux,
     )
@@ -184,14 +188,7 @@ def _certified(f: CAMap, g: CAMap, cert: Certificate) -> Certificate:
         raise ExactVerificationFailed(
             f"{cert.theorem} certificate failed the exact identity"
         )
-    return Certificate(
-        exponent=cert.exponent,
-        h_exprs=cert.h_exprs,
-        theorem=cert.theorem,
-        verified=True,
-        diagnostics=cert.diagnostics,
-        aux_forms=cert.aux_forms,
-    )
+    return replace(cert, verified=True)
 
 
 # ---------------------------------------------------------------------------
@@ -199,23 +196,8 @@ def _certified(f: CAMap, g: CAMap, cert: Certificate) -> Certificate:
 
 
 def certify_proper(f: CAMap, g: CAMap, seed: int = 0, prec: int = 256) -> Certificate:
-    """Certificate with exponent d(f) for a square proper map.
-
-    Fails fast, before any characteristic polynomial is built, when g
-    visibly misses a point of the numeric zero fiber; otherwise this is
-    the partial route on all components.
-    """
-    k = f.domain.require_param().k
-    if f.n != k:
-        raise InvalidInput("square route needs as many components as dimensions")
-    with mp.workprec(prec):
-        zero_fiber = fiber_points(f, [Fraction(0)] * k, prec)
-        gaps = [abs(evaluate(g.pullbacks[0], t)) for t in zero_fiber]
-    if gaps and max(gaps) > mp.mpf(2) ** (-prec // 4):
-        raise VanishingHypothesisFailed(
-            "g does not vanish on the fiber of f above the origin"
-        )
-    return certify_partial(f, k, g, seed, prec)
+    """Certificate with exponent d(f) for a square proper map: the partial route on all components."""
+    return certify_partial(f, f.domain.require_param().k, g, seed, prec)
 
 
 def certify_partial(f: CAMap, ell: int, g: CAMap, seed: int = 0, prec: int = 256) -> Certificate:
@@ -341,13 +323,18 @@ def certify_general(
                 f"draw {attempt}: composite degree {d_comp} != d(f)*deg image = {product}"
             )
             continue
-        try:
-            inner = certify_proper(composed, g, seed, prec)
-        except VanishingHypothesisFailed:
+        # image_degree raised ParamRequired unless A is a curve, so the composite
+        # is one polynomial p(t), and g o phi vanishes on its zero fiber exactly
+        # when gcd(p, g o phi) has the distinct roots of p; a failing draw is
+        # rejected here, before it costs a characteristic polynomial
+        p = composed.pullbacks[0]
+        common = univ_gcd(p, g.pullbacks[0])
+        if common.is_constant() or distinct_root_count(common) != distinct_root_count(p):
             notes.append(
                 f"draw {attempt}: vanishing hypothesis failed, g misses part of the composite zero fiber"
             )
             continue
+        inner = certify_partial(composed, k, g, seed, prec)
         h = _expand_through_matrix(inner.h_exprs, matrix, n)
         cert = Certificate(
             exponent=inner.exponent,
@@ -364,14 +351,7 @@ def certify_general(
         raise VanishingHypothesisFailed(
             "no certificate found: " + "; ".join(notes)
         ) from exc
-    return Certificate(
-        exponent=fallback.exponent,
-        h_exprs=fallback.h_exprs,
-        theorem="fallback",
-        verified=fallback.verified,
-        diagnostics="; ".join(notes),
-        aux_forms=None,
-    )
+    return replace(fallback, diagnostics="; ".join(notes))
 
 
 def _expand_through_matrix(h_tilde: list[MPoly], matrix, n: int) -> list[MPoly]:
@@ -586,15 +566,13 @@ def certify_strictly_regular(
     n = f.n
     if n == k:
         inner = certify_proper(f, g, seed, prec)
-        return Certificate(
-            exponent=inner.exponent,
-            h_exprs=inner.h_exprs,
-            theorem=inner.theorem,
-            verified=inner.verified,
-            diagnostics="square case: cycle degree equals the geometric degree",
-        )
+        return replace(inner, diagnostics="square case: cycle degree equals the geometric degree")
     if n > k:
         raise InvalidInput("strictly regular route needs fewer components than dimensions")
+    if cycle is None:
+        raise CycleDataUnavailable(
+            "cycle estimation needs parametrized components of the zero fiber"
+        )
     if forms is None:
         for attempt in range(5):
             gen = _rng.child_rng(seed, f"forms:{attempt}")
@@ -610,10 +588,6 @@ def certify_strictly_regular(
             )
     else:
         completed = _proper_completion(f, forms, seed, prec)
-    if cycle is None:
-        raise CycleDataUnavailable(
-            "cycle estimation needs parametrized components of the zero fiber"
-        )
     deg_cycle = _zero_cycle(f, completed, cycle, seed, prec).total_degree
     inner = certify_partial(completed, n, g, seed, prec)
     d_completed = inner.exponent

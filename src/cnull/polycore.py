@@ -618,7 +618,7 @@ def poly_from_json(obj, expected_vars: Sequence[str] | None = None) -> tuple[MPo
         if not isinstance(item, dict) or "c" not in item or "e" not in item:
             raise SchemaError("each term needs 'c' and 'e'")
         expo = item["e"]
-        if not isinstance(expo, list) or len(expo) != len(names) or any((not isinstance(e, int)) or e < 0 for e in expo):
+        if not isinstance(expo, list) or len(expo) != len(names) or any(type(e) is not int or e < 0 for e in expo):
             raise SchemaError(f"bad exponent vector {expo}")
         try:
             coeff = Fraction(str(item["c"]))

@@ -11,7 +11,8 @@ callers that need coordinates: clustered roots of the gcd for a curve
 k = 2 (fiber_points_2).  Every fiber point is a k-tuple.  Generic fibers
 and graph slices are counted through fiber_count_at, which counts
 fiber_points for k >= 2, so a solver for k >= 3 would plug into
-fiber_points alone.
+fiber_points alone.  The image degree of a curve is exact as well: the
+squarefree degree of a random hyperplane slice over d(f).
 
 Generic sample points are always taken on the image, as f(phi(t0)) for
 random rational t0, so maps with non-dominant image (more components
@@ -348,31 +349,25 @@ def stoll_check(f: CAMap, y0, seed: int = 0, prec: int = 256):
 
 
 def image_degree(f: CAMap, seed: int = 0, prec: int = 256) -> int:
-    """Degree of the image curve f(A): distinct image points on a random hyperplane."""
+    """Degree of the image curve f(A): points of f(A) on a random hyperplane, exactly.
+
+    A generic hyperplane meets f(A) in points with d(f) parameter
+    preimages each, so the count is the squarefree degree of the
+    pulled-back slice over d(f); a slice whose count d(f) does not divide
+    is not generic.  geometric_degree also runs check_proper.
+    """
     if _require_k(f) != 1:
         raise ParamRequired("image degree implemented for curves")
-    check_proper(f, seed, prec)
+    d_f = geometric_degree(f, seed, prec)
 
     def count(gen):
         sliced = random_slice(gen, f.pullbacks)
         if sliced.is_constant():
             return None
-        rs = roots_univariate(sliced, prec)
-        with mp.workprec(prec):
-            images = [tuple(evaluate(p, [t]) for p in f.pullbacks) for t, _ in rs.roots]
-            scale = max([mp.mpf(1)] + [sum(abs(c) for c in pt) for pt in images])
-            tol = mp.mpf(2) ** (-prec // 4) * scale
-            return len(_cluster_tuples(images, tol))
+        points, rest = divmod(distinct_root_count(sliced), d_f)
+        return None if rest else points
 
     return slice_count(seed, "imagedeg", count)
-
-
-def _cluster_tuples(points, tol):
-    out: list[tuple] = []
-    for pt in points:
-        if all(_point_dist(pt, q) > tol for q in out):
-            out.append(pt)
-    return out
 
 
 def graph_slice_count(f: CAMap, gen, prec: int = 256) -> int | None:

@@ -92,7 +92,7 @@ def load_variety(spec: dict) -> Variety:
     if not isinstance(names, list) or not names or not all(isinstance(v, str) for v in names):
         raise SchemaError("'ambient_vars' must be a nonempty list of strings")
     dim = spec.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:  # bool is an int subclass
         raise SchemaError("'dim' must be a positive integer")
     if dim > len(names):
         raise SchemaError("dim exceeds ambient dimension")

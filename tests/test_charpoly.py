@@ -16,6 +16,7 @@ from cnull.charpoly import (
     ploski_delta,
     verify_charpoly,
 )
+from cnull.errors import InvalidInput
 from cnull.polycore import NEG_INF, MPoly, compose, total_degree, univ_coeffs, univ_from_coeffs
 from cnull.propermaps import profile_map
 from cnull.variety import load_map
@@ -109,6 +110,12 @@ def _line_map(cline, coeffs):
     return load_map(cline, map_spec(line_poly(coeffs)))
 
 
+def _profile_now(monkeypatch, f):
+    """Profile f here, and have build_charpoly reuse it, so its solves stay out of later counts."""
+    profile = profile_map(f, 0, 256)
+    monkeypatch.setattr(charpoly, "profile_map", lambda *args: profile)
+
+
 class TestFiberSolves:
     @pytest.mark.parametrize(
         "case,solver",
@@ -126,7 +133,7 @@ class TestFiberSolves:
                 map_spec(pj(V2, {(2, 0): 1, (0, 1): 1}), pj(V2, {(0, 2): 1, (1, 0): -1})),
             )
             g = load_map(plane2, map_spec(pj(V2, {(1, 0): 1, (0, 1): 2})))
-        profile = profile_map(f, 0, 256)
+        _profile_now(monkeypatch, f)
         real = getattr(propermaps, solver)
         calls = []
 
@@ -135,7 +142,7 @@ class TestFiberSolves:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(propermaps, solver, counted)
-        P = build_charpoly(f, g, seed=0, profile=profile)
+        P = build_charpoly(f, g, seed=0)
         assert P.verified
         nodes = len(set(map(tuple, calls)))
         assert len(calls) == 2 * nodes
@@ -163,16 +170,17 @@ def _counted_solves(monkeypatch):
 
 class TestEarlyTermination:
     @pytest.fixture
-    def curve_8_4(self, cline):
+    def curve_8_4(self, cline, monkeypatch):
         # f = x^8 - x^2 + 3x - 2, g = x^4 + x: the theorem bounds reach 32, the true degrees 4
         f = _line_map(cline, [-2, 3, -1, 0, 0, 0, 0, 0, 1])
         g = _line_map(cline, [0, 1, 0, 0, 1])
-        return f, g, profile_map(f, 0, 256)
+        _profile_now(monkeypatch, f)
+        return f, g
 
     def test_curve_stops_after_the_true_degree(self, curve_8_4, monkeypatch):
-        f, g, profile = curve_8_4
+        f, g = curve_8_4
         calls = _counted_solves(monkeypatch)
-        P = build_charpoly(f, g, seed=0, profile=profile)
+        P = build_charpoly(f, g, seed=0)
         assert P.verified and P.bounds == coefficient_bounds(8, F(4), 8)
         assert P.coeffs == charpoly_resultant_oracle(f, g).coeffs
         # degree 4 is confirmed on 4 + 1 nodes plus ZETA = 2, against 33 theorem nodes
@@ -183,7 +191,7 @@ class TestEarlyTermination:
         self, curve_8_4, monkeypatch
     ):
         # with no confirming nodes, a constant interpolant on one node stops the grid
-        f, g, profile = curve_8_4
+        f, g = curve_8_4
         monkeypatch.setattr(charpoly, "ZETA", 0)
         real_verify = charpoly.verify_charpoly
         verdicts = []
@@ -194,7 +202,7 @@ class TestEarlyTermination:
 
         monkeypatch.setattr(charpoly, "verify_charpoly", recorded)
         calls = _counted_solves(monkeypatch)
-        P = build_charpoly(f, g, seed=0, profile=profile)
+        P = build_charpoly(f, g, seed=0)
         assert verdicts == [False, True]
         assert P.verified and P.coeffs == charpoly_resultant_oracle(f, g).coeffs
         assert len({y for y, _ in calls}) == max(P.bounds) + 1 == 33
@@ -203,9 +211,9 @@ class TestEarlyTermination:
     def test_non_separating_g_uses_the_theorem_grid(self, cline_f_t2, cline, monkeypatch):
         # g = x^4 = f^2 takes one value on each fiber of f = x^2
         g = _line_map(cline, [0, 0, 0, 0, 1])
-        profile = profile_map(cline_f_t2, 0, 256)
+        _profile_now(monkeypatch, cline_f_t2)
         calls = _counted_solves(monkeypatch)
-        P = build_charpoly(cline_f_t2, g, seed=0, profile=profile)
+        P = build_charpoly(cline_f_t2, g, seed=0)
         assert P.verified and P.bounds == [4, 8]
         assert P.coeffs == [(Y**2).scale(-2), Y**4]
         assert len({y for y, _ in calls}) == 9
@@ -350,6 +358,11 @@ class TestGrowthInclusion:
         res = growth_inclusion_check(P, F(1, 4), R=100.0, samples=1000, seed=0)
         assert not res.holds
         assert res.violation is not None
+
+    def test_no_samples_raise(self):
+        P = CharPoly(2, [MPoly(1, {}), -Y], None, "resultant", ["y1"])
+        with pytest.raises(InvalidInput):
+            growth_inclusion_check(P, F(1, 2), samples=0, seed=0)
 
     def test_pure_power_holds_everywhere(self):
         P = CharPoly(3, [MPoly(1, {})] * 3, None, "resultant", ["y1"])

@@ -72,6 +72,30 @@ class TestCertifyCommand:
         cert = report["result"]["certificate"]
         assert cert["N"] == 2 and cert["theorem"] == "strictly_regular"
 
+    def test_certificate_in_the_form_values_reverifies(self, capsys, tmp_path):
+        # g = x1 x2: the expressions use the value of the form x2, saved as aux_forms
+        g = tmp_path / "g_x1x2.json"
+        g.write_text(json.dumps(map_spec(pj(["x1", "x2"], {(1, 1): 1}))))
+        cert = tmp_path / "cert.json"
+        maps = ["--variety", fx("plane2.json"), "--f", fx("f_x1sq.json"), "--g", str(g)]
+        completion = ["--L", fx("form_x2.json"), "--cycle", fx("cycle_axis.json")]
+        code, report = run_json(["certify", *maps, *completion], capsys)
+        assert code == 0 and report["result"]["certificate"]["N"] == 2
+        assert len(report["result"]["certificate"]["aux_forms"]) == 1
+        cert.write_text(json.dumps(report["result"]["certificate"]))
+        code, report = run_json(["verify", *maps, "--cert", str(cert)], capsys)
+        assert code == 0 and report["result"]["verified"] is True
+
+    def test_vanishing_far_from_the_origin_prec_128(self, capsys, tmp_path):
+        # f = 3x - 10^9 and g = f x^3, whose zero fiber x = 10^9/3 is far out
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps(map_spec(line_poly([-(10**9), 3]))))
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps(map_spec(line_poly([0, 0, 0, -(10**9), 3]))))
+        argv = ["certify", "--variety", fx("cline.json"), "--f", str(f), "--g", str(g), "--prec", "128"]
+        code, report = run_json(argv, capsys)
+        assert code == 0 and report["result"]["certificate"]["N"] == 1
+
     def test_hypothesis_violation_exit_code(self, capsys, tmp_path):
         bad_g = tmp_path / "g_x2.json"
         bad_g.write_text(json.dumps(map_spec(pj(["x1", "x2"], {(0, 1): 1}))))
@@ -274,6 +298,19 @@ class TestCliContract:
         path.write_text(json.dumps({"N": "two", "h": []}))
         argv = ["verify", "--variety", fx("cusp.json"), "--f", fx("fx.json"), "--g", fx("gyx.json")]
         assert main(argv + ["--cert", str(path)]) == 4
+
+    @pytest.mark.parametrize(
+        "options",
+        [["--shells", "10"], ["--shells", "100", "10"], ["--samples-per-shell", "0"]],
+    )
+    def test_unusable_gradexp_sampling_exit_4(self, capsys, options):
+        assert main(["gradexp", "--poly", fx("sum_squares.json"), *options]) == 4
+        assert "InvalidInput" in capsys.readouterr().err
+
+    def test_ploski_without_samples_exit_4(self, capsys):
+        argv = ["ploski", "--variety", fx("cusp.json"), "--f", fx("fx.json"), "--g", fx("gyx.json")]
+        assert main(argv + ["--samples", "0"]) == 4
+        assert "InvalidInput" in capsys.readouterr().err
 
     def test_bad_rational_option_exit_4(self, capsys):
         argv = ["ploski", "--variety", fx("cusp.json"), "--f", fx("fx.json"), "--g", fx("gyx.json")]

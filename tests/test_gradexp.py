@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from cnull.errors import NotProper
+from cnull.errors import InvalidInput, NotProper
 from cnull.gradexp import (
     grad_profile,
     gradexp_report,
@@ -102,6 +102,20 @@ class TestValidateInequality:
         good = theta(2, D, mu)
         assert validate_inequality(SQ1, good, seed=0).validated
         assert not validate_inequality(SQ1, 2 * good, seed=0).validated
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"shells": (10.0,)},
+            {"shells": (100.0, 10.0)},
+            {"shells": (10.0, 10.0)},
+            {"shells": (-10.0, 10.0)},
+            {"samples_per_shell": 0},
+        ],
+    )
+    def test_unusable_sampling_options_raise(self, options):
+        with pytest.raises(InvalidInput):
+            validate_inequality(SQ1, F(1, 2), seed=0, **options)
 
 
 class TestPipeline:

@@ -6,8 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import axis_x1_spec, axis_x2_spec, map_spec, mpolys, pj
+from cnull import nullcert
 from cnull.errors import (
     ComponentNotInFiber,
+    CycleDataUnavailable,
     NoSolutionWithinCap,
     NotInIdeal,
     SchemaError,
@@ -102,6 +104,15 @@ class TestCertifyProper:
         g_one = load_map(cusp, map_spec(pj(["x", "y"], {(0, 0): 1, (1, 0): 1})))  # 1 + x
         with pytest.raises(VanishingHypothesisFailed):
             certify_proper(cusp_fx, g_one, seed=0)
+
+    def test_vanishing_is_decided_exactly(self, cline):
+        # g = f x^3 vanishes on the zero fiber x = 10^9/3, where |x^3| is about 3.7e25
+        f = load_map(cline, map_spec(pj(["x"], {(1,): 3, (0,): -(10**9)})))
+        g = load_map(cline, map_spec(pj(["x"], {(4,): 3, (3,): -(10**9)})))
+        cert = certify_proper(f, g, seed=0, prec=128)
+        assert cert.exponent == 1 and cert.verified
+        y1 = MPoly(2, {(1, 0): 1})
+        assert cert.h_exprs[0] == (y1 + MPoly.const(2, 10**9)).scale(F(1, 3)) ** 3  # h1 = x^3
 
 
 class TestCertifyPartial:
@@ -272,11 +283,18 @@ class TestVerifyCertificate:
         assert back.h_exprs == cert.h_exprs
         assert verify_certificate(cusp_fx, cusp_gyx, back)
 
+    @pytest.mark.parametrize("claim", [True, "false"])
+    def test_loaded_certificate_is_not_verified(self, cusp_fx, cusp_gyx, claim):
+        obj = certificate_to_json(certify_proper(cusp_fx, cusp_gyx, seed=0))
+        assert certificate_from_json({**obj, "verified": claim}).verified is False
+
     @pytest.mark.parametrize(
         "obj",
         [
             {"N": "two", "h": []},
             {"N": None, "h": []},
+            {"N": True, "h": []},
+            {"N": 2.9, "h": []},
             {"N": 1, "h": 5},
             {"N": 1, "h": [], "aux_forms": 5},
         ],
@@ -316,6 +334,26 @@ class TestStrictlyRegular:
     def test_square_case_delegates(self, cusp_fx, cusp_gyx):
         cert = certify_strictly_regular(cusp_fx, cusp_gyx, seed=0)
         assert cert.exponent == 2 and cert.verified
+
+    def test_missing_cycle_fails_before_the_completion_search(self, plane2, monkeypatch):
+        f = load_map(plane2, map_spec(pj(V2, {(2, 0): 1})))
+        g = load_map(plane2, map_spec(pj(V2, {(1, 0): 1})))
+        calls = []
+        monkeypatch.setattr(nullcert, "check_proper", lambda *args: calls.append(args))
+        with pytest.raises(CycleDataUnavailable):
+            certify_strictly_regular(f, g, seed=0)
+        assert calls == []
+
+    def test_expressions_in_the_form_values(self, plane2):
+        # g = x1 x2 on the double line x1^2 = 0: h1 needs the value v1 of the form x2
+        f = load_map(plane2, map_spec(pj(V2, {(2, 0): 1})))
+        g = load_map(plane2, map_spec(pj(V2, {(1, 1): 1})))
+        forms = [MPoly(2, {(0, 1): F(1)})]
+        cert = certify_strictly_regular(f, g, forms=forms, cycle=[load_variety(axis_x2_spec())], seed=0)
+        assert cert.exponent == 2 and cert.verified
+        assert cert.aux_forms == forms
+        back = certificate_from_json(certificate_to_json(cert, V2), V2)
+        assert back.aux_forms == forms and verify_certificate(f, g, back)
 
 
 class TestCycleDegree:

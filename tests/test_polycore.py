@@ -258,6 +258,7 @@ class TestJson:
             {"vars": ["x"], "terms": 5},
             {"vars": ["x"], "terms": [{"c": "1", "e": 2}]},
             {"vars": ["x"], "terms": [{"c": "1", "e": None}]},
+            {"vars": ["x"], "terms": [{"c": "1", "e": [True]}]},
         ],
     )
     def test_malformed_shapes_raise_schema_error(self, obj):

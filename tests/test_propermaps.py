@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import line_poly, map_spec, pj, univariate_coeffs
+from cnull import numroots, propermaps
 from cnull.errors import NotProper, ParamRequired
 from cnull.polycore import MPoly, evaluate
 from cnull.propermaps import (
@@ -186,6 +187,25 @@ class TestImageDegree:
 
     def test_identity_image_is_cusp(self, cusp_identity):
         assert image_degree(cusp_identity, seed=0) == 3
+
+    def test_two_to_one_map_divides_the_slice_count(self, cline):
+        # t -> (t^4, t^6) is 2:1 onto the cusp y1^3 = y2^2: 6 slice roots, 3 image points
+        f = load_map(cline, map_spec(pj(["x"], {(4,): 1}), pj(["x"], {(6,): 1})))
+        assert image_degree(f, seed=0) == 3
+
+    def test_no_numeric_root_finding(self, cubic_proj23, cusp_identity, monkeypatch):
+        calls = []
+        real = propermaps.roots_univariate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(propermaps, "roots_univariate", counted)
+        monkeypatch.setattr(numroots, "roots_univariate", counted)
+        assert image_degree(cubic_proj23, seed=0) == 3
+        assert image_degree(cusp_identity, seed=0) == 3
+        assert calls == []
 
 
 class TestGraphDegree:

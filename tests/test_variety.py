@@ -43,6 +43,11 @@ class TestLoadVariety:
         with pytest.raises(SchemaError):
             load_variety({"ambient_vars": ["x"], "dim": 0})
 
+    @pytest.mark.parametrize("dim", [True, 1.0])
+    def test_dim_that_is_not_an_integer_raises_schema_error(self, dim):
+        with pytest.raises(SchemaError):
+            load_variety({"ambient_vars": ["x"], "dim": dim})
+
     @pytest.mark.parametrize(
         "change",
         [{"generators": 5}, {"generators": None}, {"param": 5}, {"param": "t"}, {"param": ["t"]}],
