@@ -4,8 +4,8 @@ JSON in, JSON out: every subcommand reads its inputs from JSON files,
 runs one pipeline deterministically for a given (inputs, seed, prec),
 and writes a report to stdout or --out.  Reports embed the tool version,
 seed and precision; exact rationals are carried as strings next to float
-renderings.  Exit codes: 0 success, 2 violated hypothesis, 3 precision
-or genericity exhaustion, 4 parse/schema error.  An input file that
+renderings.  Exit codes: 0 success, 2 violated hypothesis, 3 precision,
+genericity or search exhaustion, 4 parse/schema error.  An input file that
 cannot be read or parsed, or whose document has the wrong shape, raises
 SchemaError at the point where it is loaded; any other exception is a
 bug and surfaces with its traceback.
@@ -131,8 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, default=None, help="use only the first ell components")
     p.add_argument("--L", action="append", default=None, help="affine form JSON file (repeatable)")
     p.add_argument("--cycle", default=None, help="cycle components JSON file")
-    p.add_argument("--N", type=int, default=None, help="exponent cap for the fallback search")
-    p.add_argument("--degree-cap", type=int, default=4, help="total degree cap for fallback h expressions")
 
     p = sub.add_parser("verify", help="re-verify a certificate exactly")
     common(p, need_f=True, need_g=True)
@@ -274,7 +272,7 @@ def _run_certify(args, variety, f, g, seed: int, prec: int):
             raise SchemaError("--ell is required for the partial route")
         return certify_partial(f, args.ell, g, seed, prec)
     if theorem == "general":
-        return certify_general(f, g, seed, prec, degree_cap=args.degree_cap, exponent=args.N)
+        return certify_general(f, g, seed, prec)
     forms = _load_forms(args.L, variety) if args.L else None
     cycle = _load(args.cycle, load_cycle_components) if args.cycle else None
     return certify_strictly_regular(f, g, forms=forms, cycle=cycle, seed=seed, prec=prec)

@@ -1,8 +1,8 @@
 """Exception taxonomy shared by all modules.
 
 Every error carries the process exit code the CLI maps it to:
-2 for violated mathematical hypotheses, 3 for precision or genericity
-exhaustion, 4 for malformed input.  Plain bugs stay ordinary exceptions.
+2 for violated mathematical hypotheses, 3 for precision, genericity or
+search exhaustion, 4 for malformed input.  Plain bugs stay ordinary exceptions.
 """
 
 
@@ -80,16 +80,12 @@ class ComponentNotInFiber(HypothesisError):
     """A supplied component is not contained in the zero fiber of the map."""
 
 
-class NoSolutionWithinCap(HypothesisError):
-    """The certificate search found no solution under the degree cap."""
-
-
 class NonMonicizable(HypothesisError):
     """The resultant's leading coefficient is not constant, so it cannot be normalized monic."""
 
 
 # ---------------------------------------------------------------------------
-# precision / genericity exhaustion (exit 3)
+# precision, genericity or search exhaustion (exit 3)
 
 class PrecisionError(CnullError):
     exit_code = 3
@@ -129,3 +125,7 @@ class InconsistentSamples(PrecisionError):
 
 class DivisionByZeroGradient(PrecisionError):
     """Gradient vanished at every resampled point within the budget."""
+
+
+class NoSolutionWithinCap(PrecisionError):
+    """The certificate search found nothing under its caps: a search limit, not a verdict."""

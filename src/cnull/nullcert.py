@@ -12,13 +12,12 @@ Routes: the partial case using only the first l components, which
 builds every characteristic-polynomial certificate and decides the
 vanishing hypothesis exactly (every a_j(0) = 0), the square case (as
 many components as dimensions) as the partial case with l = k, the
-overdetermined case through a random linear epimorphism (with the
-vanishing hypothesis decided per draw by an exact gcd, and a
-linear-algebra fallback search when every draw fails), and the
-underdetermined strictly regular case through an affine completion,
-with the exponent taken from the degree of the cycle of zeroes.  Cycle
-multiplicities are local multiplicities of the completed map, from
-propermaps.local_multiplicity.
+overdetermined case on a curve (the vanishing hypothesis decided by one
+exact gcd, then the linear-algebra search up to the theorem's exponent
+and Jelonek's degree cap), and the underdetermined strictly regular case
+through an affine completion, with the exponent taken from the degree of
+the cycle of zeroes.  Cycle multiplicities are local multiplicities of
+the completed map, from propermaps.local_multiplicity.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .errors import (
     ComponentNotInFiber,
     CycleDataUnavailable,
     ExactVerificationFailed,
-    InconsistentFiberCounts,
     InvalidInput,
     NoSolutionWithinCap,
     NotInIdeal,
@@ -53,6 +51,7 @@ from .polycore import (
     univ_gcd,
 )
 from .propermaps import (
+    _fiber_gcd,
     check_proper,
     fiber_points,
     geometric_degree,
@@ -249,50 +248,20 @@ def _t_power(var_count: int, e: int) -> MPoly:
 
 
 # ---------------------------------------------------------------------------
-# the overdetermined route through a random epimorphism
+# the overdetermined route: an exact hypothesis test, then a capped search
 
 
-def _linear_combination_map(f: CAMap, matrix: list[list[Fraction]]) -> CAMap:
-    """The composite of f with the linear map given by the k x n matrix."""
-    m = f.domain.m
-    dens = [den for _, den in f.components]
-    full_den = MPoly.const(m, 1)
-    for den in dens:
-        full_den = full_den * den
-    comps = []
-    pulls = []
-    for row in matrix:
-        num = MPoly(m)
-        pull = MPoly(f.domain.param.k)
-        for j, alpha in enumerate(row):
-            if alpha == 0:
-                continue
-            cross = f.components[j][0].scale(alpha)
-            for i, den in enumerate(dens):
-                if i != j:
-                    cross = cross * den
-            num = num + cross
-            pull = pull + f.pullbacks[j].scale(alpha)
-        comps.append((num, full_den))
-        pulls.append(pull)
-    return CAMap(domain=f.domain, components=comps, pullbacks=pulls)
+def certify_general(f: CAMap, g: CAMap, seed: int = 0, prec: int = 256) -> Certificate:
+    """Certificate with exponent at most d(f) * deg f(A) for an overdetermined map on a curve.
 
-
-def certify_general(
-    f: CAMap,
-    g: CAMap,
-    seed: int = 0,
-    prec: int = 256,
-    degree_cap: int = 4,
-    exponent: int | None = None,
-) -> Certificate:
-    """Certificate with exponent d(f) * deg f(A) for an overdetermined map.
-
-    Draws random rational epimorphisms pi, checks d(pi o f) equals the
-    target exponent, and runs the square route on pi o f.  A draw whose
-    zero fiber is not contained in the zero set of g is recorded and
-    retried; after the retry budget the conclusion is witnessed directly
-    by the bounded-degree linear-algebra search.
+    The vanishing hypothesis f^-1(0) in g^-1(0) is decided exactly: the
+    zero fiber is the root set of the fiber gcd D, and g vanishes on it
+    when gcd(D, g o phi) has as many distinct roots as D.  Then the
+    bounded-degree search runs with degree caps 1, 2, ... up to
+    2 deg W - 1, where W = (f, g)(A): Jelonek's effective Nullstellensatz
+    on the curve W bounds the exponent by deg W and deg(h_j f_j) by
+    (1 + deg g) deg W.  A search that runs out raises NoSolutionWithinCap,
+    a search limit and not a verdict.
     """
     k = f.domain.require_param().k
     n = f.n
@@ -301,82 +270,28 @@ def certify_general(
     if n < k:
         raise InvalidInput("overdetermined route needs more components than dimensions")
     d_f = geometric_degree(f, seed, prec)
-    deg_image = image_degree(f, seed, prec)
-    product = d_f * deg_image  # the theorem's exponent d(f) * deg f(A)
-    target = exponent if exponent is not None else product
-    notes: list[str] = []
-    for attempt in range(5):
-        gen = _rng.child_rng(seed, f"epi:{attempt}")
-        matrix = [
-            [_rng.rand_rational(gen, height=20) for _ in range(n)] for _ in range(k)
-        ]
-        if any(all(a == 0 for a in row) for row in matrix):
-            continue
-        composed = _linear_combination_map(f, matrix)
+    product = d_f * image_degree(f, seed, prec)  # the theorem's exponent; needs a curve
+    fiber = _fiber_gcd(f, [0] * n)
+    if not fiber.is_constant():
+        common = univ_gcd(fiber, g.pullbacks[0])
+        if common.is_constant() or distinct_root_count(common) != distinct_root_count(fiber):
+            raise VanishingHypothesisFailed("g does not vanish on all of f^-1(0) (exact gcd test)")
+    fg = CAMap(f.domain, f.components + g.components, f.pullbacks + g.pullbacks)
+    deg_w = image_degree(fg, seed, prec)  # W = (f, g)(A)
+    for cap in range(1, 2 * deg_w):
         try:
-            d_comp = geometric_degree(composed, seed, prec)
-        except (NotProper, InconsistentFiberCounts):
-            notes.append(f"draw {attempt}: composite map degenerate")
+            found = certify_fallback(f, g, product, cap)
+        except NoSolutionWithinCap:
             continue
-        if d_comp != product:
-            notes.append(
-                f"draw {attempt}: composite degree {d_comp} != d(f)*deg image = {product}"
-            )
-            continue
-        # image_degree raised ParamRequired unless A is a curve, so the composite
-        # is one polynomial p(t), and g o phi vanishes on its zero fiber exactly
-        # when gcd(p, g o phi) has the distinct roots of p; a failing draw is
-        # rejected here, before it costs a characteristic polynomial
-        p = composed.pullbacks[0]
-        common = univ_gcd(p, g.pullbacks[0])
-        if common.is_constant() or distinct_root_count(common) != distinct_root_count(p):
-            notes.append(
-                f"draw {attempt}: vanishing hypothesis failed, g misses part of the composite zero fiber"
-            )
-            continue
-        inner = certify_partial(composed, k, g, seed, prec)
-        h = _expand_through_matrix(inner.h_exprs, matrix, n)
-        cert = Certificate(
-            exponent=inner.exponent,
-            h_exprs=h,
+        return replace(
+            found,
             theorem="general",
-            verified=False,
-            diagnostics="; ".join(notes) if notes else "",
+            diagnostics=f"vanishing hypothesis holds (exact gcd test); least N {found.exponent} "
+            f"at degree cap {cap}; d(f)*deg f(A) = {product}; deg (f, g)(A) = {deg_w}",
         )
-        return _certified(f, g, cert)
-    notes.append("constructive route exhausted, falling back to the linear search")
-    try:
-        fallback = certify_fallback(f, g, exponent=target, degree_cap=degree_cap)
-    except NoSolutionWithinCap as exc:
-        raise VanishingHypothesisFailed(
-            "no certificate found: " + "; ".join(notes)
-        ) from exc
-    return replace(fallback, diagnostics="; ".join(notes))
-
-
-def _expand_through_matrix(h_tilde: list[MPoly], matrix, n: int) -> list[MPoly]:
-    """Rewrite expressions in (pi(y), t) as expressions in (y, t)."""
-    k = len(matrix)
-    subs = []
-    for row in matrix:
-        terms = {}
-        for j, alpha in enumerate(row):
-            if alpha != 0:
-                expo = [0] * (n + 1)
-                expo[j] = 1
-                terms[tuple(expo)] = alpha
-        subs.append(MPoly(n + 1, terms))
-    subs.append(_t_power(n + 1, 1))
-    h = []
-    for j in range(n):
-        acc = MPoly(n + 1)
-        for i in range(k):
-            alpha = matrix[i][j]
-            if alpha == 0:
-                continue
-            acc = acc + compose(h_tilde[i], subs).scale(alpha)
-        h.append(acc)
-    return h
+    raise NoSolutionWithinCap(
+        f"no certificate with N <= {product} and degree cap <= 2 deg (f, g)(A) - 1 = {2 * deg_w - 1}"
+    )
 
 
 # ---------------------------------------------------------------------------

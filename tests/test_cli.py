@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cline_spec, line_poly, map_spec, pj, univariate_coeffs
-from cnull import cli
+from cnull import cli, nullcert
 from cnull.cli import main
+from cnull.errors import NoSolutionWithinCap
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -55,6 +56,28 @@ class TestCertifyCommand:
         cert = report["result"]["certificate"]
         assert cert["verified"] and cert["N"] <= 3
         assert "vanishing" in cert["diagnostics"]
+
+    def test_general_route_search_limit_exit_3(self, capsys, monkeypatch):
+        def search(*args):
+            raise NoSolutionWithinCap("no certificate under the cap")
+
+        monkeypatch.setattr(nullcert, "certify_fallback", search)
+        maps = ["--variety", fx("graph_cubic.json"), "--f", fx("proj23.json"), "--g", fx("g_sq_minus1.json")]
+        assert main(["certify", *maps]) == 3
+        assert "NoSolutionWithinCap" in capsys.readouterr().err
+
+    def test_general_route_failed_hypothesis_exit_2(self, capsys, monkeypatch, tmp_path):
+        # f = (t^2, t^3) and g = t + 1: g(0) = 1 on the zero fiber {0}
+        def search(*args):
+            raise AssertionError("the search ran on a failed hypothesis")
+
+        monkeypatch.setattr(nullcert, "certify_fallback", search)
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps(map_spec(line_poly([0, 0, 1]), line_poly([0, 0, 0, 1]))))
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps(map_spec(line_poly([1, 1]))))
+        assert main(["certify", "--variety", fx("cline.json"), "--f", str(f), "--g", str(g)]) == 2
+        assert "VanishingHypothesisFailed" in capsys.readouterr().err
 
     def test_strictly_regular_route(self, capsys):
         code, report = run_json(

@@ -1,11 +1,12 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import axis_x1_spec, axis_x2_spec, map_spec, mpolys, pj
+from conftest import axis_x1_spec, axis_x2_spec, map_spec, mpolys, pj, univariate_coeffs
 from cnull import nullcert
 from cnull.errors import (
     ComponentNotInFiber,
@@ -30,10 +31,10 @@ from cnull.nullcert import (
     split_coeff,
     verify_certificate,
 )
-from cnull.polycore import MPoly
+from cnull.polycore import MPoly, total_degree, univ_from_coeffs, univ_gcd
 from cnull.propermaps import geometric_degree, image_degree
-from cnull.nullcert import _linear_combination_map, _solve_exact
-from cnull.variety import load_map, load_variety
+from cnull.nullcert import _solve_exact
+from cnull.variety import CAMap, load_map, load_variety
 from cnull import rng as _rng
 
 F = Fraction
@@ -145,8 +146,7 @@ class TestCertifyGeneral:
         assert cert.verified
         assert cert.exponent <= 3  # d(f) * deg f(A) = 1 * 3
         assert verify_certificate(cubic_proj23, cubic_g, cert)
-        # the drawn epimorphisms cannot satisfy the vanishing hypothesis here
-        assert "vanishing" in cert.diagnostics or cert.theorem == "general"
+        assert cert.theorem == "general" and "vanishing hypothesis" in cert.diagnostics
 
     def test_square_delegates(self, cusp_fx, cusp_gyx):
         cert = certify_general(cusp_fx, cusp_gyx, seed=0)
@@ -162,16 +162,105 @@ class TestCertifyGeneral:
         # d(pi o f) = d(f) * deg f(A) over 10 random draws
         d_f = geometric_degree(cubic_proj23, seed=0)
         deg_x = image_degree(cubic_proj23, seed=0)
+        one = MPoly.const(cubic_proj23.domain.m, 1)
+        assert all(den == one for _, den in cubic_proj23.components)  # so pi o f is sum alpha_j f_j
         hits = 0
         for attempt in range(10):
             gen = _rng.child_rng(17, f"epi-law:{attempt}")
-            matrix = [[_rng.rand_rational(gen, height=20) for _ in range(2)]]
-            if all(a == 0 for a in matrix[0]):
+            alphas = [_rng.rand_rational(gen, height=20) for _ in range(2)]
+            if all(a == 0 for a in alphas):
                 continue
-            composed = _linear_combination_map(cubic_proj23, matrix)
+            num, pull = MPoly.zero(cubic_proj23.domain.m), MPoly.zero(1)
+            for alpha, (f_num, _), f_pull in zip(alphas, cubic_proj23.components, cubic_proj23.pullbacks):
+                num, pull = num + f_num.scale(alpha), pull + f_pull.scale(alpha)
+            composed = CAMap(cubic_proj23.domain, [(num, one)], [pull])
             assert geometric_degree(composed, seed=0) == d_f * deg_x
             hits += 1
         assert hits >= 9
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "f_terms, g_terms, expected",
+        [
+            ([{2: 1}, {3: 1}], {1: 1}, 2),
+            ([{4: 1}, {5: 1, 7: 1}], {2: 1, 3: 1}, 2),
+            ([{4: 1}, {6: 1, 7: 1}], {1: 1}, 4),
+            ([{2: 1, 0: -1}, {2: 2, 0: -2}], {2: 1, 0: -1}, 1),  # f(A) is a line
+            ([{2: 1}, {3: 1}], {1: 1, 0: 1}, None),  # g(0) = 1 on f^-1(0) = {0}
+        ],
+    )
+    def test_line_probes(self, cline, f_terms, g_terms, expected, seed):
+        f = load_map(cline, map_spec(*(_line(terms) for terms in f_terms)))
+        g = load_map(cline, map_spec(_line(g_terms)))
+        if expected is None:
+            with pytest.raises(VanishingHypothesisFailed):
+                certify_general(f, g, seed=seed)
+            return
+        cert = certify_general(f, g, seed=seed)
+        assert cert.exponent == expected and cert.theorem == "general"
+        assert verify_certificate(f, g, cert)
+
+    def test_hypothesis_holds_beyond_degree_cap_1(self, cline):
+        # f^-1(0) = {0} lies in g^-1(0), yet no certificate has degree cap 1:
+        # one fixed cap would turn this case into a false failure
+        f = load_map(cline, map_spec(_line({4: 1}), _line({5: 1, 7: 1})))
+        g = load_map(cline, map_spec(_line({2: 1, 3: 1})))
+        with pytest.raises(NoSolutionWithinCap):
+            certify_fallback(f, g, exponent=7, degree_cap=1)
+        cert = certify_general(f, g, seed=0)
+        assert cert.exponent == 2 and "degree cap 2" in cert.diagnostics
+
+    def test_failed_hypothesis_skips_the_search(self, cline, monkeypatch):
+        def search(*args):
+            raise AssertionError("the search ran on a failed hypothesis")
+
+        monkeypatch.setattr(nullcert, "certify_fallback", search)
+        f = load_map(cline, map_spec(_line({2: 1}), _line({3: 1})))
+        g = load_map(cline, map_spec(_line({1: 1, 0: 1})))
+        with pytest.raises(VanishingHypothesisFailed):
+            certify_general(f, g, seed=0)
+
+    @settings(max_examples=15)
+    @given(data=st.data())
+    def test_certificate_or_exact_failure(self, cline, data):
+        f_polys, g_poly = data.draw(_overdetermined_line_probe())
+        f = load_map(cline, map_spec(*(pj(["x"], p.terms) for p in f_polys)))
+        g = load_map(cline, map_spec(pj(["x"], g_poly.terms)))
+        # f^-1(0) lies in g^-1(0) exactly when the fiber gcd D divides G^deg D
+        fiber = univ_gcd(*f.pullbacks)
+        e = total_degree(fiber)
+        holds = e == 0 or total_degree(univ_gcd(fiber, g.pullbacks[0] ** e)) == e
+        seed = data.draw(st.integers(0, 2))
+        try:
+            cert = certify_general(f, g, seed=seed)
+        except VanishingHypothesisFailed:
+            assert not holds
+            return
+        assert holds
+        assert cert.exponent <= geometric_degree(f, seed=seed) * image_degree(f, seed=seed)
+        loaded = certificate_from_json(json.loads(json.dumps(certificate_to_json(cert, ["x"]))), ["x"])
+        assert loaded.exponent == cert.exponent and loaded.h_exprs == cert.h_exprs
+        assert verify_certificate(f, g, loaded)
+
+
+def _line(terms):
+    return pj(["x"], {(e,): c for e, c in terms.items()})
+
+
+@st.composite
+def _overdetermined_line_probe(draw):
+    """Two components of degree <= 4 on the line, sharing a root r or not, and g with or without x - r."""
+    root = univ_from_coeffs([draw(st.integers(-2, 2)), 1])
+    shared = draw(st.booleans())
+    cofactor = st.one_of(st.integers(-3, 3).filter(bool).map(lambda c: [c]), univariate_coeffs(3))
+    if shared:
+        f_polys = [root * univ_from_coeffs(draw(cofactor)) for _ in range(2)]
+    else:
+        f_polys = [univ_from_coeffs(draw(univariate_coeffs(4))) for _ in range(2)]
+    g_poly = univ_from_coeffs(draw(cofactor))
+    if draw(st.booleans()):
+        g_poly = root * g_poly
+    return f_polys, g_poly
 
 
 def _combination(basis, x):
