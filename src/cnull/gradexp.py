@@ -5,8 +5,8 @@ degree mu and graph degree D, the exponent theta = 1/(d(D - mu + 1)) in
 (0, 1/d] bounds |f(x)|^theta by a constant multiple of the gradient norm
 for large x.  The profile (mu, D) treats the gradient as a map on C^m
 with the identity parametrization: mu counts a generic fiber through
-propermaps.fiber_count_at (exactly for m = 1, numerically for m = 2),
-and D counts graph slices through the shared slicing loop.  The inequality
+propermaps.fiber_count_at and D counts graph slices through the shared
+slicing loop, both exactly for m in {1, 2}.  The inequality
 itself is validated empirically on norm shells and can only be
 falsified by sampling, never proved.
 """
@@ -20,10 +20,10 @@ from fractions import Fraction
 from . import rng as _rng
 from .errors import (
     DivisionByZeroGradient,
+    InconsistentFiberCounts,
     InvalidInput,
     NonZeroDimensional,
     NotProper,
-    PrecisionExhausted,
 )
 from .polycore import MPoly, evaluate, total_degree
 from .propermaps import check_growth, fiber_count_at, graph_slice_count
@@ -68,8 +68,8 @@ def grad_profile(f: MPoly, seed: int = 0, prec: int = 256) -> tuple[int, int]:
     """(mu, D): generic fiber count of the gradient and its graph degree.
 
     Properness is validated by finite-fiber nondegeneracy plus norm
-    growth sampling (propermaps.check_growth), not proved; both counts
-    must be stable over 3 independent draws.
+    growth sampling (propermaps.check_growth), not proved.  mu must agree
+    over 3 draws of the value and the shear; D is the max of 3 slices.
     """
     m = f.var_count
     if m > 2:
@@ -84,14 +84,14 @@ def grad_profile(f: MPoly, seed: int = 0, prec: int = 256) -> tuple[int, int]:
         check_growth(grad_map, child_rng(seed, "proper2d"), prec)
     mu_counts = []
     for draw in range(3):
-        y = _rng.rand_rational_vector(child_rng(seed, f"mu:{draw}"), m)
+        gen = child_rng(seed, f"mu:{draw}")
         try:
-            mu_counts.append(fiber_count_at(grad_map, y, prec))
+            mu_counts.append(fiber_count_at(grad_map, _rng.rand_rational_vector(gen, m), gen))
         except NonZeroDimensional as exc:
             raise NotProper("gradient fibers are not finite") from exc
     if len(set(mu_counts)) != 1:
-        raise PrecisionExhausted(f"gradient fiber counts disagree: {mu_counts}")
-    D = slice_count(seed, "graph", lambda gen: graph_slice_count(grad_map, gen, prec))
+        raise InconsistentFiberCounts(f"gradient fiber counts disagree: {mu_counts}")
+    D = slice_count(seed, "graph", lambda gen: graph_slice_count(grad_map, gen))
     return mu_counts[0], D
 
 

@@ -17,7 +17,8 @@ exact gcd, then the linear-algebra search up to the theorem's exponent
 and Jelonek's degree cap), and the underdetermined strictly regular case
 through an affine completion, with the exponent taken from the degree of
 the cycle of zeroes.  Cycle multiplicities are local multiplicities of
-the completed map, from propermaps.local_multiplicity.
+the completed map, computed exactly by propermaps.local_multiplicity from
+the squarefree factors of a fiber polynomial.
 """
 
 from __future__ import annotations
@@ -47,17 +48,16 @@ from .polycore import (
     evaluate,
     poly_from_json,
     poly_to_json,
+    squarefree_factors,
     total_degree,
     univ_gcd,
 )
 from .propermaps import (
-    _fiber_gcd,
     check_proper,
-    fiber_points,
-    geometric_degree,
+    fiber_poly,
     image_degree,
+    image_slice_count,
     local_multiplicity,
-    local_multiplicity_at,
 )
 from .variety import CAMap, Variety, degree_by_slicing, load_variety
 
@@ -269,9 +269,9 @@ def certify_general(f: CAMap, g: CAMap, seed: int = 0, prec: int = 256) -> Certi
         return certify_proper(f, g, seed, prec)
     if n < k:
         raise InvalidInput("overdetermined route needs more components than dimensions")
-    d_f = geometric_degree(f, seed, prec)
-    product = d_f * image_degree(f, seed, prec)  # the theorem's exponent; needs a curve
-    fiber = _fiber_gcd(f, [0] * n)
+    check_proper(f, seed, prec)
+    product = image_slice_count(f, seed)  # d(f) * deg f(A), the theorem's exponent
+    fiber = fiber_poly(f, [0] * n)
     if not fiber.is_constant():
         common = univ_gcd(fiber, g.pullbacks[0])
         if common.is_constant() or distinct_root_count(common) != distinct_root_count(fiber):
@@ -503,7 +503,7 @@ def certify_strictly_regular(
             )
     else:
         completed = _proper_completion(f, forms, seed, prec)
-    deg_cycle = _zero_cycle(f, completed, cycle, seed, prec).total_degree
+    deg_cycle = _zero_cycle(f, completed, cycle, seed).total_degree
     inner = certify_partial(completed, n, g, seed, prec)
     d_completed = inner.exponent
     if deg_cycle < d_completed:
@@ -556,16 +556,16 @@ def cycle_degree(
     """Multiplicity-weighted degree sum over the components of the zero fiber.
 
     components: list of Variety (or (Variety, multiplicity) with a
-    user-supplied multiplicity overriding the numeric estimate).  Each
+    user-supplied multiplicity overriding the computed one).  Each
     component must be a parametrized curve contained in the zero fiber,
-    checked exactly through the pullbacks.  The estimate is the local
-    multiplicity (propermaps.local_multiplicity) of f completed by the
-    forms, at a random point of the component.
+    checked exactly through the pullbacks.  The computed multiplicity is
+    the exact local multiplicity (propermaps.local_multiplicity) of f
+    completed by the forms, at a random point of the component.
     """
-    return _zero_cycle(f, _proper_completion(f, forms, seed, prec), components, seed, prec)
+    return _zero_cycle(f, _proper_completion(f, forms, seed, prec), components, seed)
 
 
-def _zero_cycle(f: CAMap, completed: CAMap, components, seed: int, prec: int) -> CycleData:
+def _zero_cycle(f: CAMap, completed: CAMap, components, seed: int) -> CycleData:
     """cycle_degree on a completion that _proper_completion has checked."""
     rows = []
     total = 0
@@ -573,9 +573,7 @@ def _zero_cycle(f: CAMap, completed: CAMap, components, seed: int, prec: int) ->
         comp, override = entry if isinstance(entry, tuple) else (entry, None)
         _check_component_in_fiber(f, comp)
         deg_v = degree_by_slicing(comp, seed)
-        mult = override if override is not None else _component_multiplicity(
-            completed, comp, seed, prec
-        )
+        mult = override if override is not None else _component_multiplicity(completed, comp, seed)
         rows.append((comp, mult, deg_v))
         total += mult * deg_v
     return CycleData(components=rows, total_degree=total)
@@ -595,22 +593,21 @@ def _check_component_in_fiber(f: CAMap, comp: Variety):
             )
 
 
-def _component_multiplicity(completed: CAMap, comp: Variety, seed: int, prec: int) -> int:
+def _component_multiplicity(completed: CAMap, comp: Variety, seed: int) -> int:
     """Local multiplicity of the completed map at a random point of the component."""
     gen = _rng.child_rng(seed, "cycle-point")
     s0 = [_rng.rand_rational(gen, height=30) for _ in range(comp.param.k)]
     point = [evaluate(c, s0) for c in comp.param.components]
-    return local_multiplicity(completed, point, seed, prec)
+    return local_multiplicity(completed, point, seed)
 
 
-def cycle_degree_square(f: CAMap, seed: int = 0, prec: int = 256) -> CycleData:
-    """Cycle degree in the square case: isolated points with their multiplicities."""
+def cycle_degree_square(f: CAMap, seed: int = 0) -> CycleData:
+    """Cycle degree in the square case: deg S_i points of multiplicity i per squarefree factor S_i."""
     k = f.domain.require_param().k
     if f.n != k:
         raise InvalidInput("square cycle degree needs as many components as dimensions")
-    zero = [Fraction(0)] * f.n
-    reps = fiber_points(f, zero, prec)
-    rows = [(None, local_multiplicity_at(f, zero, rep, reps, seed, prec), 1) for rep in reps]
+    factors = squarefree_factors(fiber_poly(f, [0] * k, _rng.child_rng(seed, "cycle-shear")))
+    rows = [(None, i, 1) for i, s in enumerate(factors, 1) for _ in range(s.degree_in(0))]
     return CycleData(components=rows, total_degree=sum(mult for _, mult, _ in rows))
 
 

@@ -406,6 +406,24 @@ def distinct_root_count(p: MPoly) -> int:
     return (len(coeffs) - 1) - (len(univ_coeffs(g)) - 1)
 
 
+def squarefree_factors(p: MPoly) -> list[MPoly]:
+    """Yun's squarefree decomposition: monic S_1, S_2, ... with p = c * prod S_i^i.
+
+    The roots of S_i are the roots of p of multiplicity exactly i, and an
+    S_i without roots is the constant 1; a nonzero constant p has none.
+    """
+    dp = univ_derivative(p)
+    a = univ_gcd(p, dp)
+    b, d = exact_divide(p, a), exact_divide(dp, a)
+    factors = []
+    while not b.is_constant():
+        d = d - univ_derivative(b)
+        s = univ_gcd(b, d)
+        factors.append(s)
+        b, d = exact_divide(b, s), exact_divide(d, s)
+    return factors
+
+
 # ---------------------------------------------------------------------------
 # coefficient views in one distinguished variable, determinants, resultants
 

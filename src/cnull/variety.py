@@ -12,7 +12,7 @@ the parametrization.  The resulting pullbacks are cached eagerly and are
 the workhorse of every downstream computation.  polynomial_map views
 polynomials in m variables as such a map on C^m with the identity
 parametrization; gradients and graph slices are counted that way, through
-propermaps.fiber_count_at, the one fiber count for k in {1, 2} parameters.
+propermaps.fiber_count_at, the one fiber count for k in {1, 2}, exact.
 
 Degrees by slicing share one loop: random_slice draws an affine form in
 the coordinates, and slice_count retries non-generic draws under the
@@ -216,23 +216,27 @@ def slice_count(seed: int, salt: str, count) -> int:
     raise DegenerateSlice("no generic slice found within the retry budget")
 
 
-def degree_by_slicing(v: Variety, seed: int = 0) -> int:
-    """Degree of a parametrized curve: points on a random affine hyperplane.
+def curve_slice_count(coords: list[MPoly], seed: int, salt: str) -> int:
+    """Points of the curve t -> coords(t) on a random affine hyperplane, exactly.
 
-    Counts the distinct roots of <lam, phi(t)> - c for random rational
-    (lam, c) exactly, as its squarefree degree; the maximum over 3
-    independent slices is reported, retrying non-generic draws within a
-    fixed budget.
+    Counts the distinct roots of <lam, coords(t)> - c for random rational
+    (lam, c) as its squarefree degree; the maximum over 3 independent
+    slices is reported, retrying non-generic draws within a fixed budget.
     """
+
+    def count(gen):
+        sliced = random_slice(gen, coords)
+        return None if sliced.is_constant() else distinct_root_count(sliced)
+
+    return slice_count(seed, salt, count)
+
+
+def degree_by_slicing(v: Variety, seed: int = 0) -> int:
+    """Degree of a parametrized curve: curve_slice_count of its parametrization."""
     param = v.require_param()
     if param.k != 1:
         raise ParamRequired("slicing degree implemented for curves (one parameter)")
-
-    def count(gen):
-        sliced = random_slice(gen, param.components)
-        return None if sliced.is_constant() else distinct_root_count(sliced)
-
-    return slice_count(seed, "slice", count)
+    return curve_slice_count(param.components, seed, "slice")
 
 
 def sample_point(v: Variety, seed: int = 0) -> list[Fraction]:

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from cnull.errors import InvalidInput, NotProper
+from cnull import gradexp
+from cnull.errors import InconsistentFiberCounts, InvalidInput, NotProper
 from cnull.gradexp import (
     grad_profile,
     gradexp_report,
@@ -48,6 +49,12 @@ class TestGradProfile:
     def test_product_profile(self):
         mu, D = grad_profile(PROD, seed=0)
         assert D >= mu >= 1
+
+    def test_disagreeing_mu_counts_are_a_genericity_failure(self, monkeypatch):
+        counts = iter([1, 2, 1])
+        monkeypatch.setattr(gradexp, "fiber_count_at", lambda *args: next(counts))
+        with pytest.raises(InconsistentFiberCounts):
+            grad_profile(SUM_SQ, seed=0)
 
     def test_quartic_univariate(self):
         # f = x^4: f' = 4x^3: mu = 3, graph is a cubic curve: D = 3

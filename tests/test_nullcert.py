@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import axis_x1_spec, axis_x2_spec, map_spec, mpolys, pj, univariate_coeffs
-from cnull import nullcert
+from cnull import nullcert, propermaps
 from cnull.errors import (
     ComponentNotInFiber,
     CycleDataUnavailable,
@@ -34,7 +34,7 @@ from cnull.nullcert import (
 from cnull.polycore import MPoly, total_degree, univ_from_coeffs, univ_gcd
 from cnull.propermaps import geometric_degree, image_degree
 from cnull.nullcert import _solve_exact
-from cnull.variety import CAMap, load_map, load_variety
+from cnull.variety import CAMap, load_map, load_variety, polynomial_map
 from cnull import rng as _rng
 
 F = Fraction
@@ -147,6 +147,20 @@ class TestCertifyGeneral:
         assert cert.exponent <= 3  # d(f) * deg f(A) = 1 * 3
         assert verify_certificate(cubic_proj23, cubic_g, cert)
         assert cert.theorem == "general" and "vanishing hypothesis" in cert.diagnostics
+
+    def test_d_f_of_the_input_comes_from_the_image_slices(self, cubic_proj23, cubic_g, monkeypatch):
+        # d(f) * deg f(A) is read from one slice count, so d(f) itself is never computed
+        seen = []
+        real = propermaps.geometric_degree
+
+        def recorded(f, *args):
+            seen.append(f)
+            return real(f, *args)
+
+        monkeypatch.setattr(propermaps, "geometric_degree", recorded)
+        cert = certify_general(cubic_proj23, cubic_g, seed=0)
+        assert "d(f)*deg f(A) = 3" in cert.diagnostics
+        assert seen and all(f is not cubic_proj23 for f in seen)
 
     def test_square_delegates(self, cusp_fx, cusp_gyx):
         cert = certify_general(cusp_fx, cusp_gyx, seed=0)
@@ -495,6 +509,12 @@ class TestCycleDegree:
     def test_malformed_components_raise_schema_error(self, obj):
         with pytest.raises(SchemaError):
             load_cycle_components(obj)
+
+    def test_square_rows_keep_close_points_apart(self):
+        # t^2 - 2^-100 t: the zero fiber is two simple points, not one double one
+        T = MPoly.variable(1, 0)
+        f = polynomial_map([T**2 - T.scale(F(1, 2**100))])
+        assert [mult for _, mult, _ in cycle_degree_square(f, seed=0).components] == [1, 1]
 
     def test_square_case_equals_degree(self, cusp_fx, parabola_fx, plane2):
         assert cycle_degree_square(cusp_fx, seed=0).total_degree == geometric_degree(

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from conftest import line_poly, map_spec, pj, univariate_coeffs
 from cnull import numroots, propermaps
-from cnull.errors import NotProper, ParamRequired
+from cnull.errors import InvalidInput, NonZeroDimensional, NotProper, ParamRequired
+from cnull.gradexp import grad_profile
+from cnull.nullcert import cycle_degree_square
 from cnull.polycore import MPoly, evaluate
 from cnull.propermaps import (
     fiber_count_at,
@@ -22,6 +24,30 @@ from cnull.propermaps import (
 from cnull.variety import load_map, polynomial_map
 
 F = Fraction
+V2 = ["x1", "x2"]
+X1, X2 = MPoly.variable(2, 0), MPoly.variable(2, 1)
+# square(2, 2): the Jacobian 4 x1 x2 + 1 vanishes at (1/2, -1/2)
+SQUARE22 = polynomial_map([X1**2 + X2, X2**2 - X1])
+# proper with d(f) = 3, short of their Bezout numbers 6 and 4
+ZEROS_AT_INFINITY = [
+    polynomial_map([X1 + X2**2, X2**3]),
+    polynomial_map([X1 * X2 + X1, X2**2 + X1]),
+]
+
+
+def close_roots_line():
+    """t -> t^2 - 2^-100 t: the fiber over 0 is {0, 2^-100}, two simple points."""
+    T = MPoly.variable(1, 0)
+    return polynomial_map([T**2 - T.scale(F(1, 2**100))])
+
+
+def plane_polys(max_degree):
+    """Hypothesis strategy: polynomials in 2 variables of total degree <= max_degree."""
+    expo = st.tuples(st.integers(0, max_degree), st.integers(0, max_degree)).filter(
+        lambda e: sum(e) <= max_degree
+    )
+    coeff = st.integers(-4, 4).filter(bool)
+    return st.dictionaries(expo, coeff, min_size=2, max_size=4).map(lambda terms: MPoly(2, terms))
 
 
 @pytest.fixture(scope="module")
@@ -92,9 +118,7 @@ class TestFiberCount:
 
 class TestExactFiberCount:
     def test_roots_closer_than_the_cluster_tolerance_count_apart(self):
-        # the fiber of t^2 - 2^-100 t over 0 is {0, 2^-100}
-        T = MPoly.variable(1, 0)
-        f = polynomial_map([T**2 - T.scale(F(1, 2**100))])
+        f = close_roots_line()
         assert fiber_count_at(f, [F(0)]) == 2
         # clustering at 256 bits merges the pair into one coordinate
         assert len(fiber_points(f, [F(0)])) == 1
@@ -108,6 +132,27 @@ class TestExactFiberCount:
         f = load_map(cline, map_spec(*comps))
         y = [evaluate(p, [t0]) for p in f.pullbacks]
         assert fiber_count_at(f, y) == len(fiber_points(f, y)) >= 1
+
+    @settings(max_examples=15)
+    @given(
+        comps=st.lists(plane_polys(3), min_size=2, max_size=2),
+        t0=st.lists(st.fractions(-9, 9, max_denominator=5), min_size=2, max_size=2),
+    )
+    def test_square_count_matches_the_numeric_fiber(self, comps, t0):
+        f = polynomial_map(comps)
+        y = [evaluate(p, t0) for p in comps]
+        try:
+            numeric = len(fiber_points(f, y))
+        except NonZeroDimensional:
+            with pytest.raises(NonZeroDimensional):
+                fiber_count_at(f, y)
+            return
+        assert fiber_count_at(f, y) == numeric >= 1
+
+    def test_zero_first_equation_is_not_zero_dimensional(self):
+        # a zero equation never passes the shear test, so it must be caught before
+        with pytest.raises(NonZeroDimensional):
+            fiber_count_at(polynomial_map([MPoly.zero(2), X1 + X2]), [F(0), F(0)])
 
 
 class TestFiberPoints:
@@ -159,6 +204,21 @@ class TestLocalMultiplicity:
         with pytest.raises(ValueError):
             local_multiplicity(cusp_fx, [F(1), F(5)], seed=0)
 
+    def test_close_simple_roots_are_simple(self):
+        # a perturbed-fiber count merged 0 and 2^-100 into one point of multiplicity 2
+        assert local_multiplicity(close_roots_line(), [F(0)], seed=0) == 1
+
+    def test_square_map_at_its_critical_point(self):
+        assert local_multiplicity(SQUARE22, [F(1, 2), F(-1, 2)], seed=0) == 2
+        assert local_multiplicity(SQUARE22, [F(1), F(1)], seed=0) == 1
+
+    def test_zeros_at_infinity_origin(self):
+        assert [local_multiplicity(f, [F(0), F(0)], seed=0) for f in ZEROS_AT_INFINITY] == [3, 2]
+
+    def test_non_square_map_rejected(self, cubic_proj23):
+        with pytest.raises(InvalidInput):
+            local_multiplicity(cubic_proj23, [F(0), F(0)], seed=0)
+
 
 class TestStoll:
     def test_cusp_branch_fiber(self, cusp_fx):
@@ -176,6 +236,10 @@ class TestStoll:
             map_spec(pj(["x1", "x2"], {(2, 0): 1}), pj(["x1", "x2"], {(0, 1): 1})),
         )
         assert stoll_check(f, [F(0), F(0)], seed=0) == (2, 2, True)
+
+    @pytest.mark.parametrize("f", ZEROS_AT_INFINITY, ids=["x1+x2^2", "x1x2+x1"])
+    def test_zeros_at_infinity(self, f):
+        assert stoll_check(f, [F(0), F(0)], seed=0) == (3, 3, True)
 
 
 class TestImageDegree:
@@ -235,3 +299,25 @@ class TestProfileInvariants:
     def test_profile_fields(self, cusp_fx):
         prof = profile_map(cusp_fx, seed=0)
         assert prof.d_f == 2 and prof.graph_degree == 3
+
+
+class TestNoNumericSolving:
+    def test_counts_and_multiplicities_on_two_parameters(self, plane2, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a numeric solver was called")
+
+        for module, name in [
+            (propermaps, "fiber_points"),
+            (propermaps, "solve_system_2"),
+            (propermaps, "roots_univariate"),
+            (numroots, "solve_system_2"),
+            (numroots, "roots_from_coeffs"),
+        ]:
+            monkeypatch.setattr(module, name, fail)
+        plane = load_map(plane2, map_spec(pj(V2, {(2, 0): 1}), pj(V2, {(0, 1): 1})))
+        for f, d, a, mult in [(SQUARE22, 4, [F(1, 2), F(-1, 2)], 2), (plane, 2, [F(0), F(0)], 2)]:
+            assert geometric_degree(f, seed=0) == graph_degree(f, seed=0) == d
+            assert stoll_check(f, [F(0), F(0)], seed=0) == (d, d, True)
+            assert local_multiplicity(f, a, seed=0) == mult
+            assert cycle_degree_square(f, seed=0).total_degree == d
+        assert grad_profile(X1**4 + X2**4 + X1 * X2, seed=0) == (9, 9)
