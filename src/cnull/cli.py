@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -47,17 +46,6 @@ from .numroots import PREC_LADDER
 from .polycore import NEG_INF, poly_from_json, rat_to_str, total_degree
 from .propermaps import geometric_degree
 from .variety import degree_by_slicing, load_map, load_variety
-
-
-def _default_prec() -> int:
-    raw = os.environ.get("CNULL_PREC")
-    if raw is None:
-        return 256
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SchemaError(f"CNULL_PREC must be an integer, got {raw!r}")
-    return value
 
 
 def _load(path: str, parse):
@@ -118,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
         if need_g:
             p.add_argument("--g", required=True, help="map JSON file for g")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--prec", type=int, default=None, choices=PREC_LADDER)
+        p.add_argument("--prec", type=int, default=256, choices=PREC_LADDER)
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
 
     p = sub.add_parser("charpoly", help="characteristic polynomial of g relative to f")
@@ -127,7 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="extract a Nullstellensatz certificate")
     common(p, need_f=True, need_g=True)
-    p.add_argument("--theorem", default="auto", choices=["auto", "proper", "partial", "general", "strictly-regular"])
     p.add_argument("--ell", type=int, default=None, help="use only the first ell components")
     p.add_argument("--L", action="append", default=None, help="affine form JSON file (repeatable)")
     p.add_argument("--cycle", default=None, help="cycle components JSON file")
@@ -153,9 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=_rational, default=None, help="validate at this exponent instead of the computed one")
     p.add_argument("--shells", type=float, nargs="+", default=[10.0, 100.0, 1000.0, 10000.0])
     p.add_argument("--samples-per-shell", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--prec", type=int, default=None, choices=PREC_LADDER)
-    p.add_argument("--out", default=None)
+    common(p, need_variety=False)
 
     p = sub.add_parser("cycle", help="degree of the cycle of zeroes of f")
     common(p, need_f=True)
@@ -177,20 +162,15 @@ def _load_forms(paths, domain):
     return forms
 
 
-def run(argv) -> tuple[int, dict | None]:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    prec = args.prec if args.prec is not None else _default_prec()
-    if prec not in PREC_LADDER:
-        raise SchemaError(f"precision must be one of {PREC_LADDER}, got {prec}")
-    seed = getattr(args, "seed", 0)
-    result = _dispatch(args, seed, prec)
+def run(argv) -> dict:
+    args = build_parser().parse_args(argv)
+    result = _dispatch(args, args.seed, args.prec)
     report = {
         "tool": "cnull",
         "version": __version__,
         "command": args.command,
-        "seed": seed,
-        "prec": prec,
+        "seed": args.seed,
+        "prec": args.prec,
         "result": result,
     }
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -202,7 +182,7 @@ def run(argv) -> tuple[int, dict | None]:
             raise SchemaError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
-    return 0, report
+    return report
 
 
 def _dispatch(args, seed: int, prec: int) -> dict:
@@ -255,23 +235,11 @@ def _dispatch(args, seed: int, prec: int) -> dict:
 
 
 def _run_certify(args, variety, f, g, seed: int, prec: int):
-    theorem = args.theorem
-    if theorem == "auto":
-        if args.ell is not None:
-            theorem = "partial"
-        elif f.n == variety.k:
-            theorem = "proper"
-        elif f.n > variety.k:
-            theorem = "general"
-        else:
-            theorem = "strictly-regular"
-    if theorem == "proper":
-        return certify_proper(f, g, seed, prec)
-    if theorem == "partial":
-        if args.ell is None:
-            raise SchemaError("--ell is required for the partial route")
+    if args.ell is not None:
         return certify_partial(f, args.ell, g, seed, prec)
-    if theorem == "general":
+    if f.n == variety.k:
+        return certify_proper(f, g, seed, prec)
+    if f.n > variety.k:
         return certify_general(f, g, seed, prec)
     forms = _load_forms(args.L, variety) if args.L else None
     cycle = _load(args.cycle, load_cycle_components) if args.cycle else None
@@ -338,8 +306,8 @@ def _run_gradexp(args, seed: int, prec: int) -> dict:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        code, _ = run(argv)
-        return code
+        run(argv)
+        return 0
     except CnullError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return exc.exit_code

@@ -5,10 +5,9 @@ degree mu and graph degree D, the exponent theta = 1/(d(D - mu + 1)) in
 (0, 1/d] bounds |f(x)|^theta by a constant multiple of the gradient norm
 for large x.  The profile (mu, D) treats the gradient as a map on C^m
 with the identity parametrization: mu counts a generic fiber through
-propermaps.fiber_count_at and D counts graph slices through the shared
-slicing loop, both exactly for m in {1, 2}.  The inequality
-itself is validated empirically on norm shells and can only be
-falsified by sampling, never proved.
+propermaps.fiber_count_at and D is propermaps.graph_degree, both exact
+for m in {1, 2}.  The inequality itself is validated empirically on
+norm shells and can only be falsified by sampling, never proved.
 """
 
 from __future__ import annotations
@@ -26,9 +25,9 @@ from .errors import (
     NotProper,
 )
 from .polycore import MPoly, evaluate, total_degree
-from .propermaps import check_growth, fiber_count_at, graph_slice_count
+from .propermaps import check_growth, fiber_count_at, graph_degree
 from .rng import child_rng
-from .variety import polynomial_map, slice_count
+from .variety import polynomial_map
 
 
 @dataclass(frozen=True)
@@ -91,8 +90,7 @@ def grad_profile(f: MPoly, seed: int = 0, prec: int = 256) -> tuple[int, int]:
             raise NotProper("gradient fibers are not finite") from exc
     if len(set(mu_counts)) != 1:
         raise InconsistentFiberCounts(f"gradient fiber counts disagree: {mu_counts}")
-    D = slice_count(seed, "graph", lambda gen: graph_slice_count(grad_map, gen))
-    return mu_counts[0], D
+    return mu_counts[0], graph_degree(grad_map, seed)
 
 
 def validate_inequality(

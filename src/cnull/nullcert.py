@@ -265,9 +265,7 @@ def certify_general(f: CAMap, g: CAMap, seed: int = 0, prec: int = 256) -> Certi
     """
     k = f.domain.require_param().k
     n = f.n
-    if n == k:
-        return certify_proper(f, g, seed, prec)
-    if n < k:
+    if n <= k:
         raise InvalidInput("overdetermined route needs more components than dimensions")
     check_proper(f, seed, prec)
     product = image_slice_count(f, seed)  # d(f) * deg f(A), the theorem's exponent
@@ -475,14 +473,11 @@ def certify_strictly_regular(
     a proper map, runs the partial route there, and pads the identity by
     the required power of g so the final exponent is the degree of the
     cycle of zeroes, whose components (as cycle_degree takes them) must
-    be given unless the map is square.
+    be given.
     """
     k = f.domain.require_param().k
     n = f.n
-    if n == k:
-        inner = certify_proper(f, g, seed, prec)
-        return replace(inner, diagnostics="square case: cycle degree equals the geometric degree")
-    if n > k:
+    if n >= k:
         raise InvalidInput("strictly regular route needs fewer components than dimensions")
     if cycle is None:
         raise CycleDataUnavailable(

@@ -11,6 +11,7 @@ from cnull import nullcert, propermaps
 from cnull.errors import (
     ComponentNotInFiber,
     CycleDataUnavailable,
+    InvalidInput,
     NoSolutionWithinCap,
     NotInIdeal,
     SchemaError,
@@ -162,9 +163,9 @@ class TestCertifyGeneral:
         assert "d(f)*deg f(A) = 3" in cert.diagnostics
         assert seen and all(f is not cubic_proj23 for f in seen)
 
-    def test_square_delegates(self, cusp_fx, cusp_gyx):
-        cert = certify_general(cusp_fx, cusp_gyx, seed=0)
-        assert cert.theorem == "proper" and cert.exponent == 2
+    def test_square_map_is_not_overdetermined(self, cusp_fx, cusp_gyx):
+        with pytest.raises(InvalidInput):
+            certify_general(cusp_fx, cusp_gyx, seed=0)
 
     def test_zero_g(self, cubic_proj23, graph_cubic):
         zero_g = load_map(graph_cubic, map_spec(pj(["x1", "x2", "x3"], {})))
@@ -434,9 +435,9 @@ class TestStrictlyRegular:
         cert = certify_strictly_regular(f, g, cycle=comps, seed=0)
         assert cert.exponent == 2 and cert.verified
 
-    def test_square_case_delegates(self, cusp_fx, cusp_gyx):
-        cert = certify_strictly_regular(cusp_fx, cusp_gyx, seed=0)
-        assert cert.exponent == 2 and cert.verified
+    def test_square_map_is_not_underdetermined(self, cusp_fx, cusp_gyx):
+        with pytest.raises(InvalidInput):
+            certify_strictly_regular(cusp_fx, cusp_gyx, seed=0)
 
     def test_missing_cycle_fails_before_the_completion_search(self, plane2, monkeypatch):
         f = load_map(plane2, map_spec(pj(V2, {(2, 0): 1})))

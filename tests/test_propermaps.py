@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from cnull import numroots, propermaps
 from cnull.errors import InvalidInput, NonZeroDimensional, NotProper, ParamRequired
 from cnull.gradexp import grad_profile
 from cnull.nullcert import cycle_degree_square
-from cnull.polycore import MPoly, evaluate
+from cnull.polycore import MPoly, distinct_root_count, evaluate
 from cnull.propermaps import (
     fiber_count_at,
     fiber_points,
@@ -148,6 +149,21 @@ class TestExactFiberCount:
                 fiber_count_at(f, y)
             return
         assert fiber_count_at(f, y) == numeric >= 1
+
+    def test_shear_runs_along_the_accepted_direction(self):
+        # the top form 2 t1 (t1 + t2) of p is nonzero at (-lam, 1) = (1, 1) and zero at
+        # (lam, 1), so a shear the wrong way round leaves roots at infinity
+        f = polynomial_map([(X1**2 + X1 * X2).scale(2), (X1 * X2 + X2**2).scale(-1)])
+        polys = propermaps._system(f, [F(6), F(2)])
+        draws = iter([-1, 1, 5, 1])  # rand_rational draws -1, then 5
+        gen = SimpleNamespace(randint=lambda lo, hi: next(draws))
+        assert propermaps._shear(polys[0], gen) == -1
+        fiber = propermaps._fiber_poly(polys, F(-1))
+        # fiber points (3, -2) and (-3, 2), at x = t1 + lam*t2 = 5 and -5
+        for t in ([F(3), F(-2)], [F(-3), F(2)]):
+            assert [evaluate(p, t) for p in polys] == [0, 0]
+            assert evaluate(fiber, [t[0] - t[1]]) == 0
+        assert distinct_root_count(fiber) == 2
 
     def test_zero_first_equation_is_not_zero_dimensional(self):
         # a zero equation never passes the shear test, so it must be caught before

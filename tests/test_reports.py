@@ -80,14 +80,12 @@ def _path(name: str, seed: int) -> Path:
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_reports_match_recorded(seed, monkeypatch):
-    monkeypatch.delenv("CNULL_PREC", raising=False)
+def test_reports_match_recorded(seed):
     for name, text in reports_at(seed).items():
         assert text == _path(name, seed).read_text(encoding="utf-8"), f"{name} at seed {seed}"
 
 
 def record() -> None:
-    os.environ.pop("CNULL_PREC", None)
     REPORTS.mkdir(exist_ok=True)
     for seed in SEEDS:
         for name, text in reports_at(seed).items():
