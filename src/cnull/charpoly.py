@@ -120,7 +120,7 @@ def build_charpoly(
         raise InvalidInput("the map must have as many components as the set has dimensions")
     if g.n != 1:
         raise InvalidInput("g must be a single-component map")
-    prof = profile_map(f, seed, prec)
+    prof = profile_map(f, seed)
     d = prof.d_f
     growth = growth_exponent(g)
     bounds = coefficient_bounds(d, growth, prof.graph_degree)

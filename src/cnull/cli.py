@@ -29,7 +29,7 @@ from .charpoly import (
     growth_inclusion_check,
     ploski_delta,
 )
-from .errors import CnullError, SchemaError
+from .errors import CnullError, InvalidInput, SchemaError
 from .gradexp import gradexp_report, validate_inequality
 from .nullcert import (
     certificate_from_json,
@@ -188,17 +188,17 @@ def run(argv) -> dict:
 def _dispatch(args, seed: int, prec: int) -> dict:
     cmd = args.command
     if cmd == "gradexp":
-        return _run_gradexp(args, seed, prec)
+        return _run_gradexp(args, seed)
     variety = _load(args.variety, load_variety)
     if cmd == "degree":
         return {"degree": degree_by_slicing(variety, seed)}
     f = _load(args.f, lambda doc: load_map(variety, doc))
     if cmd == "geomdeg":
-        return {"geometric_degree": geometric_degree(f, seed, prec)}
+        return {"geometric_degree": geometric_degree(f, seed)}
     if cmd == "cycle":
         forms = _load_forms(args.L, variety)
         comps = _load(args.components, load_cycle_components)
-        data = cycle_degree(f, comps, forms, seed, prec)
+        data = cycle_degree(f, comps, forms, seed)
         return {
             "total_degree": data.total_degree,
             "components": [
@@ -235,12 +235,15 @@ def _dispatch(args, seed: int, prec: int) -> dict:
 
 
 def _run_certify(args, variety, f, g, seed: int, prec: int):
+    if (args.L or args.cycle) and (args.ell is not None or f.n >= variety.k):
+        # the partial, proper and general routes take no forms and no cycle
+        raise InvalidInput("--L and --cycle apply only to the strictly regular route")
     if args.ell is not None:
         return certify_partial(f, args.ell, g, seed, prec)
     if f.n == variety.k:
         return certify_proper(f, g, seed, prec)
     if f.n > variety.k:
-        return certify_general(f, g, seed, prec)
+        return certify_general(f, g, seed)
     forms = _load_forms(args.L, variety) if args.L else None
     cycle = _load(args.cycle, load_cycle_components) if args.cycle else None
     return certify_strictly_regular(f, g, forms=forms, cycle=cycle, seed=seed, prec=prec)
@@ -274,7 +277,7 @@ def _run_ploski(args, f, g, seed: int, prec: int) -> dict:
     return out
 
 
-def _run_gradexp(args, seed: int, prec: int) -> dict:
+def _run_gradexp(args, seed: int) -> dict:
     poly, _ = _load(args.poly, poly_from_json)
     if args.theta is not None:
         report = validate_inequality(
@@ -288,7 +291,6 @@ def _run_gradexp(args, seed: int, prec: int) -> dict:
         report = gradexp_report(
             poly,
             seed=seed,
-            prec=prec,
             shells=tuple(args.shells),
             samples_per_shell=args.samples_per_shell,
         )

@@ -63,7 +63,7 @@ def theta(d: int, D: int, mu: int) -> Fraction:
     return Fraction(1, d * (D - mu + 1))
 
 
-def grad_profile(f: MPoly, seed: int = 0, prec: int = 256) -> tuple[int, int]:
+def grad_profile(f: MPoly, seed: int = 0) -> tuple[int, int]:
     """(mu, D): generic fiber count of the gradient and its graph degree.
 
     Properness is validated by finite-fiber nondegeneracy plus norm
@@ -80,7 +80,7 @@ def grad_profile(f: MPoly, seed: int = 0, prec: int = 256) -> tuple[int, int]:
         raise NotProper("gradient is constant; fibers are not finite")
     grad_map = polynomial_map(grads)
     if m == 2:
-        check_growth(grad_map, child_rng(seed, "proper2d"), prec)
+        check_growth(grad_map, child_rng(seed, "proper2d"))
     mu_counts = []
     for draw in range(3):
         gen = child_rng(seed, f"mu:{draw}")
@@ -162,11 +162,15 @@ def _complex_sphere_point(gen, m: int, scale: float):
 
 
 def gradexp_report(f: MPoly, seed: int = 0, prec: int = 256, shells=(10.0, 100.0, 1000.0, 10000.0), samples_per_shell: int = 200) -> GradExpReport:
-    """Full pipeline: profile, exponent, and shell validation."""
+    """Full pipeline: profile, exponent, and shell validation.
+
+    prec is not read: every step is exact or runs in double precision.
+    It stays for callers that pass it, such as the benchmark workloads.
+    """
     d = total_degree(f)
     if d == float("-inf") or d < 1:
         raise InvalidInput("polynomial must be nonconstant")
-    mu, D = grad_profile(f, seed, prec)
+    mu, D = grad_profile(f, seed)
     exponent = theta(int(d), D, mu)
     report = validate_inequality(
         f, exponent, shells=shells, samples_per_shell=samples_per_shell, seed=seed

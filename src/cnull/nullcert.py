@@ -251,7 +251,7 @@ def _t_power(var_count: int, e: int) -> MPoly:
 # the overdetermined route: an exact hypothesis test, then a capped search
 
 
-def certify_general(f: CAMap, g: CAMap, seed: int = 0, prec: int = 256) -> Certificate:
+def certify_general(f: CAMap, g: CAMap, seed: int = 0) -> Certificate:
     """Certificate with exponent at most d(f) * deg f(A) for an overdetermined map on a curve.
 
     The vanishing hypothesis f^-1(0) in g^-1(0) is decided exactly: the
@@ -267,7 +267,7 @@ def certify_general(f: CAMap, g: CAMap, seed: int = 0, prec: int = 256) -> Certi
     n = f.n
     if n <= k:
         raise InvalidInput("overdetermined route needs more components than dimensions")
-    check_proper(f, seed, prec)
+    check_proper(f, seed)
     product = image_slice_count(f, seed)  # d(f) * deg f(A), the theorem's exponent
     fiber = fiber_poly(f, [0] * n)
     if not fiber.is_constant():
@@ -275,7 +275,7 @@ def certify_general(f: CAMap, g: CAMap, seed: int = 0, prec: int = 256) -> Certi
         if common.is_constant() or distinct_root_count(common) != distinct_root_count(fiber):
             raise VanishingHypothesisFailed("g does not vanish on all of f^-1(0) (exact gcd test)")
     fg = CAMap(f.domain, f.components + g.components, f.pullbacks + g.pullbacks)
-    deg_w = image_degree(fg, seed, prec)  # W = (f, g)(A)
+    deg_w = image_degree(fg, seed)  # W = (f, g)(A)
     for cap in range(1, 2 * deg_w):
         try:
             found = certify_fallback(f, g, product, cap)
@@ -445,7 +445,7 @@ def _random_affine_forms(domain: Variety, count: int, gen) -> list[MPoly]:
     return forms
 
 
-def _proper_completion(f: CAMap, forms: list[MPoly], seed: int, prec: int) -> CAMap:
+def _proper_completion(f: CAMap, forms: list[MPoly], seed: int) -> CAMap:
     """f completed by the affine forms to a square map; NotStrictlyRegular unless proper."""
     if len(forms) != f.domain.require_param().k - f.n:
         raise InvalidInput("need exactly dim - components affine forms")
@@ -453,7 +453,7 @@ def _proper_completion(f: CAMap, forms: list[MPoly], seed: int, prec: int) -> CA
         raise InvalidInput("completion forms must be affine")
     completed = _affine_completion(f, forms)
     try:
-        check_proper(completed, seed, prec)
+        check_proper(completed, seed)
     except NotProper as exc:
         raise NotStrictlyRegular("the affine completion is not proper") from exc
     return completed
@@ -488,7 +488,7 @@ def certify_strictly_regular(
             gen = _rng.child_rng(seed, f"forms:{attempt}")
             forms = _random_affine_forms(f.domain, k - n, gen)
             try:
-                completed = _proper_completion(f, forms, seed, prec)
+                completed = _proper_completion(f, forms, seed)
                 break
             except NotStrictlyRegular:
                 continue
@@ -497,7 +497,7 @@ def certify_strictly_regular(
                 "no affine completion became proper within the retry budget"
             )
     else:
-        completed = _proper_completion(f, forms, seed, prec)
+        completed = _proper_completion(f, forms, seed)
     deg_cycle = _zero_cycle(f, completed, cycle, seed).total_degree
     inner = certify_partial(completed, n, g, seed, prec)
     d_completed = inner.exponent
@@ -514,7 +514,7 @@ def certify_strictly_regular(
             uses_aux = True
         h.append(padded)
     if not uses_aux:
-        h = [_drop_middle_axes(expr, n, k) for expr in h]
+        h = [_drop_middle_axes(expr, n) for expr in h]
         aux_forms = None
     else:
         aux_forms = forms
@@ -529,25 +529,15 @@ def certify_strictly_regular(
     return _certified(f, g, cert)
 
 
-def _drop_middle_axes(expr: MPoly, n: int, k: int) -> MPoly:
-    out = {}
-    for e, c in expr.terms.items():
-        key = e[:n] + (e[-1],)
-        out[key] = c
-    return MPoly(n + 1, out)
+def _drop_middle_axes(expr: MPoly, n: int) -> MPoly:
+    return MPoly(n + 1, {e[:n] + (e[-1],): c for e, c in expr.terms.items()})
 
 
 # ---------------------------------------------------------------------------
 # degree of the cycle of zeroes
 
 
-def cycle_degree(
-    f: CAMap,
-    components,
-    forms: list[MPoly],
-    seed: int = 0,
-    prec: int = 256,
-) -> CycleData:
+def cycle_degree(f: CAMap, components, forms: list[MPoly], seed: int = 0) -> CycleData:
     """Multiplicity-weighted degree sum over the components of the zero fiber.
 
     components: list of Variety (or (Variety, multiplicity) with a
@@ -557,7 +547,7 @@ def cycle_degree(
     the exact local multiplicity (propermaps.local_multiplicity) of f
     completed by the forms, at a random point of the component.
     """
-    return _zero_cycle(f, _proper_completion(f, forms, seed, prec), components, seed)
+    return _zero_cycle(f, _proper_completion(f, forms, seed), components, seed)
 
 
 def _zero_cycle(f: CAMap, completed: CAMap, components, seed: int) -> CycleData:

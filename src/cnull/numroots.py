@@ -370,10 +370,10 @@ def solve_system_2(p: MPoly, q: MPoly, prec: int = 256) -> list:
     polynomial is solved for y: p(x0, y), or q(x0, y) where p(x0, .)
     vanishes numerically (both cannot vanish at a true root, since then p
     and q share a factor in x).  The pairs on which both
-    residuals vanish are kept.  The roots of res_x come to about a
-    fraction 1/m of prec at a root of multiplicity m, too coarse to tell
-    a double root of p(x0, y) from two roots; so when res_x has a multiple
-    root, its roots are solved again on its exact squarefree part.
+    residuals vanish are kept.  The x0 are the roots of the exact
+    squarefree part of res_x: at a root of multiplicity m the roots of
+    res_x itself come to about a fraction 1/m of prec, too coarse to tell
+    a double root of p(x0, y) from two roots.
     """
     if p.var_count != 2 or q.var_count != 2:
         raise ValueError("two polynomials in 2 variables expected")
@@ -398,9 +398,7 @@ def solve_system_2(p: MPoly, q: MPoly, prec: int = 256) -> list:
     if res_x.is_constant():
         return []
     rx = _drop_var(res_x, 1)
-    xset = roots_univariate(rx, prec)
-    if any(m > 1 for _, m in xset.roots):
-        xset = roots_univariate(exact_divide(rx, univ_gcd(rx, univ_derivative(rx))), prec)
+    xset = roots_univariate(exact_divide(rx, univ_gcd(rx, univ_derivative(rx))), prec)
     degree = max(total_degree(p), total_degree(q))
     solutions = []
     with mp.workprec(prec + 20):

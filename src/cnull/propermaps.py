@@ -11,7 +11,9 @@ that picks a numeric solver by k, for callers that need coordinates:
 clustered roots of the gcd for a curve (fiber_t_clusters), the bivariate
 resultant solver for k = 2 (fiber_points_2).  Every fiber point is a
 k-tuple.  The image degree of a curve is exact as well: the squarefree
-degree of a random hyperplane slice over d(f).
+degree of a random hyperplane slice over d(f), and so is the properness
+growth gate, at rational points.  Only the fiber_points family takes a
+precision.
 
 Generic sample points are always taken on the image, as f(phi(t0)) for
 random rational t0, so maps with non-dominant image (more components
@@ -22,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath as mp
 
 from . import rng as _rng
 from .errors import (
@@ -57,12 +57,13 @@ class ProperMapProfile:
     graph_degree: int
 
 
-def check_proper(f: CAMap, seed: int = 0, prec: int = 256) -> None:
+def check_proper(f: CAMap, seed: int = 0) -> None:
     """Growth-criterion properness along phi; raises NotProper on failure.
 
     For curves the criterion is exact: some pullback must be nonconstant.
-    For surfaces it is the exact finite-fiber test (fiber_poly) plus
-    norm-growth sampling on parameter spheres; a validation, not a proof.
+    For surfaces it is the exact finite-fiber test (fiber_poly) plus the
+    norm-growth gate check_growth, computed exactly at sampled rational
+    points; a validation, not a proof.
     """
     k = f.domain.require_param().k
     degs = [d for d in (total_degree(p) for p in f.pullbacks) if d != float("-inf")]
@@ -76,36 +77,37 @@ def check_proper(f: CAMap, seed: int = 0, prec: int = 256) -> None:
         fiber_poly(f, y, _rng.child_rng(seed, "proper-shear"))  # ParamRequired unless square, k = 2
     except NonZeroDimensional as exc:
         raise NotProper("fibers are not finite") from exc
-    check_growth(f, gen, prec)
+    check_growth(f, gen)
 
 
-def check_growth(f: CAMap, gen, prec: int = 256) -> None:
+def check_growth(f: CAMap, gen) -> None:
     """Norm-growth sampling along two parameters; raises NotProper on failure.
 
     The least image norm over 4 axis and 8 random directions (drawn from
     gen for each sphere) must grow 4-fold from the parameter sphere of
-    radius 10 to that of radius 1000.
+    radius 10 to that of radius 1000.  The spheres are in the max norm,
+    so the point on a direction d is the rational point
+    radius * d / max(|d1|, |d2|), and the squared image norms are
+    compared exactly.  A validation, not a proof.
     """
-    lo = _min_norm_on_sphere(f, 10, gen, prec)
-    hi = _min_norm_on_sphere(f, 1000, gen, prec)
-    if hi < max(4 * lo, mp.mpf("1e-6")):
+    lo = _min_norm_on_sphere(f, 10, gen)
+    hi = _min_norm_on_sphere(f, 1000, gen)
+    if hi < max(16 * lo, Fraction(1, 10**12)):
         raise NotProper("image norm does not grow along the parameter sphere")
 
 
-def _min_norm_on_sphere(f: CAMap, radius, gen, prec):
+def _min_norm_on_sphere(f: CAMap, radius: int, gen) -> Fraction:
+    """Least squared image norm at the rational points radius * d / max(|d1|, |d2|)."""
     dirs = [(1, 0), (0, 1), (1, 1), (1, -1)]
     dirs += [(gen.uniform(-1, 1), gen.uniform(-1, 1)) for _ in range(8)]
-    best = None
-    with mp.workprec(prec):
-        for dx, dy in dirs:
-            norm = mp.sqrt(mp.mpf(dx) ** 2 + mp.mpf(dy) ** 2)
-            if norm == 0:
-                continue
-            t = [radius * mp.mpf(dx) / norm, radius * mp.mpf(dy) / norm]
-            vals = [evaluate(p, t) for p in f.pullbacks]
-            size = mp.sqrt(sum(abs(v) ** 2 for v in vals))
-            best = size if best is None else min(best, size)
-    return best
+    sizes = []
+    for d in dirs:
+        d = [Fraction(c) for c in d]
+        top = max(abs(c) for c in d)
+        if top:
+            t = [radius * c / top for c in d]
+            sizes.append(sum(evaluate(p, t) ** 2 for p in f.pullbacks))
+    return min(sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +221,7 @@ def fiber_count_at(f: CAMap, y, gen=None) -> int:
     return 0 if p.is_constant() else distinct_root_count(p)
 
 
-def geometric_degree(f: CAMap, seed: int = 0, prec: int = 256) -> int:
+def geometric_degree(f: CAMap, seed: int = 0) -> int:
     """Cardinality of the generic fiber (sheet number over the image).
 
     Samples y = f(phi(t0)) for random rational t0 and counts distinct
@@ -229,7 +231,7 @@ def geometric_degree(f: CAMap, seed: int = 0, prec: int = 256) -> int:
     points, and a draw at a point of the set with several parameter
     preimages (a node of a curve) gives more; neither recurs on 5 draws.
     """
-    check_proper(f, seed, prec)
+    check_proper(f, seed)
     counts = []
     for attempt in range(_DRAW_BUDGET):
         gen = _rng.child_rng(seed, f"geomdeg:{attempt}")
@@ -312,7 +314,7 @@ def _map_value_exact(f: CAMap, a) -> list[Fraction]:
     return out
 
 
-def stoll_check(f: CAMap, y0, seed: int = 0, prec: int = 256):
+def stoll_check(f: CAMap, y0, seed: int = 0):
     """Degree versus the multiplicity sum over one fiber.
 
     Returns (lhs, rhs, ok) with lhs the geometric degree and rhs the sum
@@ -321,7 +323,7 @@ def stoll_check(f: CAMap, y0, seed: int = 0, prec: int = 256):
     """
     if f.n != f.domain.require_param().k:
         raise InvalidInput("multiplicity sum check needs a square (k-component) map")
-    lhs = geometric_degree(f, seed, prec)
+    lhs = geometric_degree(f, seed)
     rhs = fiber_poly(f, y0).degree_in(0)
     return lhs, rhs, lhs == rhs
 
@@ -341,9 +343,9 @@ def image_slice_count(f: CAMap, seed: int = 0) -> int:
     return curve_slice_count(f.pullbacks, seed, "imagedeg")
 
 
-def image_degree(f: CAMap, seed: int = 0, prec: int = 256) -> int:
+def image_degree(f: CAMap, seed: int = 0) -> int:
     """Degree of the image curve f(A), exactly: image_slice_count over d(f)."""
-    d_f = geometric_degree(f, seed, prec)
+    d_f = geometric_degree(f, seed)
     points, rest = divmod(image_slice_count(f, seed), d_f)
     if rest:
         raise InconsistentFiberCounts(f"d(f) = {d_f} does not divide the slice count")
@@ -373,12 +375,12 @@ def graph_degree(f: CAMap, seed: int = 0) -> int:
     return slice_count(seed, "graphdeg", lambda gen: graph_slice_count(f, gen))
 
 
-def profile_map(f: CAMap, seed: int = 0, prec: int = 256) -> ProperMapProfile:
+def profile_map(f: CAMap, seed: int = 0) -> ProperMapProfile:
     """Assemble the degree profile used by the characteristic polynomial.
 
     Properness is checked once, inside geometric_degree.
     """
     return ProperMapProfile(
-        d_f=geometric_degree(f, seed, prec),
+        d_f=geometric_degree(f, seed),
         graph_degree=graph_degree(f, seed),
     )

@@ -112,7 +112,7 @@ def _line_map(cline, coeffs):
 
 def _profile_now(monkeypatch, f):
     """Profile f here, and have build_charpoly reuse it, so its solves stay out of later counts."""
-    profile = profile_map(f, 0, 256)
+    profile = profile_map(f, 0)
     monkeypatch.setattr(charpoly, "profile_map", lambda *args: profile)
 
 

@@ -337,6 +337,22 @@ class TestCliContract:
         assert main(argv + ["--g", fx("g_sq_minus1.json"), "--ell", "1"]) == 4
         assert "InvalidInput" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "maps",
+        [
+            ["cusp.json", "fx.json", "gyx.json"],  # the proper route, n = k
+            ["graph_cubic.json", "proj23.json", "g_sq_minus1.json"],  # the general route, n > k
+            ["plane2.json", "f_x1sq.json", "g_x1.json", "--ell", "1"],  # the partial route
+        ],
+        ids=["proper", "general", "partial"],
+    )
+    @pytest.mark.parametrize("option", ["--L", "--cycle"])
+    def test_forms_and_cycle_off_the_strictly_regular_route_exit_4(self, capsys, tmp_path, maps, option):
+        # the file is never read: the option itself does not fit the route
+        argv = ["certify", "--variety", fx(maps[0]), "--f", fx(maps[1]), "--g", fx(maps[2]), *maps[3:]]
+        assert main(argv + [option, str(tmp_path / "missing.json")]) == 4
+        assert "InvalidInput" in capsys.readouterr().err
+
     def test_internal_value_error_is_not_a_parse_error(self, monkeypatch):
         def broken(*args):
             raise ValueError("internal")

@@ -1,9 +1,11 @@
-"""Every name a cnull module imports is used, and every private definition is referenced.
+"""Every name a cnull module imports is used, every private definition is referenced,
+and every function parameter is read.
 
 The project carries no linter, so this walks each module's syntax
 tree: an imported name that never appears as a name in the module is an
-unused import, and a private top-level function, class or constant that
-no module of the package reads is dead code.
+unused import, a private top-level function, class or constant that no
+module of the package reads is dead code, and a parameter that its
+function's body never reads is a dead knob.
 """
 
 import ast
@@ -78,3 +80,53 @@ def test_checker_finds_an_unreferenced_private():
 def test_no_unreferenced_private_definitions():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     assert unreferenced_privates(sources) == []
+
+
+# (function, parameter) pairs allowed to go unread, with the reason
+UNREAD_ALLOWED = {
+    # every step is exact or in double precision; kept for callers that pass prec=
+    ("gradexp_report", "prec"),
+}
+
+
+def unread_parameters(source: str) -> list[tuple[str, str]]:
+    """(function, parameter) for each parameter its function's body never reads; dunders exempt."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        name = getattr(node, "name", "<lambda>")
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            n.id for stmt in body for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        out += [(name, p.arg) for p in params if p is not None and p.arg not in read]
+    return out
+
+
+def test_checker_finds_an_unread_parameter():
+    source = (
+        "def f(a, b, *rest, c=1, **kw):\n"
+        "    def inner(d):\n"
+        "        return b\n"
+        "    return inner, a, c\n"
+        "class K:\n"
+        "    def __init__(self, unused):\n"
+        "        pass\n"
+        "    def m(self, x):\n"
+        "        return (lambda y: self)(x)\n"
+    )
+    assert unread_parameters(source) == [
+        ("f", "rest"), ("f", "kw"), ("inner", "d"), ("<lambda>", "y"),
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    unread = unread_parameters(path.read_text(encoding="utf-8"))
+    assert [pair for pair in unread if pair not in UNREAD_ALLOWED] == []

@@ -1,17 +1,21 @@
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import line_poly, map_spec, pj, univariate_coeffs
+from conftest import axis_x2_spec, line_poly, map_spec, pj, univariate_coeffs
 from cnull import numroots, propermaps
 from cnull.errors import InvalidInput, NonZeroDimensional, NotProper, ParamRequired
 from cnull.gradexp import grad_profile
-from cnull.nullcert import cycle_degree_square
+from cnull.nullcert import certify_general, cycle_degree, cycle_degree_square
 from cnull.polycore import MPoly, distinct_root_count, evaluate
 from cnull.propermaps import (
+    check_growth,
+    check_proper,
     fiber_count_at,
     fiber_points,
     geometric_degree,
@@ -22,7 +26,7 @@ from cnull.propermaps import (
     profile_map,
     stoll_check,
 )
-from cnull.variety import load_map, polynomial_map
+from cnull.variety import load_map, load_variety, polynomial_map
 
 F = Fraction
 V2 = ["x1", "x2"]
@@ -318,7 +322,7 @@ class TestProfileInvariants:
 
 
 class TestNoNumericSolving:
-    def test_counts_and_multiplicities_on_two_parameters(self, plane2, monkeypatch):
+    def test_counts_and_multiplicities_on_two_parameters(self, plane2, cubic_proj23, cubic_g, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("a numeric solver was called")
 
@@ -328,12 +332,44 @@ class TestNoNumericSolving:
             (propermaps, "roots_univariate"),
             (numroots, "solve_system_2"),
             (numroots, "roots_from_coeffs"),
+            (mpmath, "workprec"),
         ]:
             monkeypatch.setattr(module, name, fail)
         plane = load_map(plane2, map_spec(pj(V2, {(2, 0): 1}), pj(V2, {(0, 1): 1})))
         for f, d, a, mult in [(SQUARE22, 4, [F(1, 2), F(-1, 2)], 2), (plane, 2, [F(0), F(0)], 2)]:
+            assert check_proper(f, seed=0) is None
             assert geometric_degree(f, seed=0) == graph_degree(f, seed=0) == d
             assert stoll_check(f, [F(0), F(0)], seed=0) == (d, d, True)
             assert local_multiplicity(f, a, seed=0) == mult
             assert cycle_degree_square(f, seed=0).total_degree == d
         assert grad_profile(X1**4 + X2**4 + X1 * X2, seed=0) == (9, 9)
+        assert certify_general(cubic_proj23, cubic_g, seed=0).verified
+        x1_squared = load_map(plane2, map_spec(pj(V2, {(2, 0): 1})))
+        forms = [MPoly(2, {(0, 1): F(1)})]
+        assert cycle_degree(x1_squared, [load_variety(axis_x2_spec())], forms, seed=0).total_degree == 2
+
+
+class TestCheckProper:
+    @pytest.mark.parametrize("f", [SQUARE22, *ZEROS_AT_INFINITY], ids=["square(2,2)", "x1+x2^2", "x1x2+x1"])
+    def test_proper_square_maps_pass(self, f):
+        for seed in range(3):
+            check_proper(f, seed=seed)
+
+    @pytest.mark.parametrize(
+        "f",
+        [polynomial_map([X1, X1 * X2]), polynomial_map([X1, X1 * X2 - MPoly.const(2, 1)])],
+        ids=["norm-zero-on-an-axis", "norm-one-on-an-axis"],
+    )
+    def test_finite_fibers_without_growth_fail_the_gate(self, f):
+        # generic fibers are single points, but f is constant on the axis x1 = 0
+        assert fiber_count_at(f, [F(2), F(3)]) == 1
+        with pytest.raises(NotProper, match="grow"):
+            check_proper(f, seed=0)
+
+    def test_growth_gate_reads_twelve_rays_per_sphere(self):
+        # 4 fixed and 8 random directions on each of the two spheres: 2 * 8 * 2 draws of gen
+        gen, twin = random.Random(5), random.Random(5)
+        check_growth(SQUARE22, gen)
+        for _ in range(32):
+            twin.uniform(-1, 1)
+        assert gen.random() == twin.random()
