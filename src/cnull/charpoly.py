@@ -1,10 +1,13 @@
 """Characteristic polynomial of g relative to a proper map f.
 
-The construction is numeric but self-certifying: fibers over a rational
-sample grid are solved at working precision, the signed elementary
-symmetric functions of the g-values are rationally reconstructed and
-interpolated, and the result is then verified exactly, as the polynomial
-identity P(f(phi), g(phi)) = 0 in the parameter ring.
+The construction samples the coefficients on a rational grid, then
+interpolates them and verifies the result exactly, as the polynomial
+identity P(f(phi), g(phi)) = 0 in the parameter ring.  On two parameters
+each sample is exact: the characteristic polynomial of multiplication by
+g on the fiber algebra Q[x]/R of the shape lemma (propermaps.ShapeLemma),
+with no root finding.  On a curve it is numeric but self-certifying:
+fibers are solved at working precision, and the signed elementary
+symmetric functions of the g-values are rationally reconstructed.
 
 The grid grows one node per axis at a time.  The theorem bounds on the
 coefficient degrees are the cap: the grid stops early once every
@@ -56,7 +59,7 @@ from .polycore import (
     univ_coeffs,
     univ_from_coeffs,
 )
-from .propermaps import fiber_points, growth_exponent, profile_map
+from .propermaps import ShapeLemma, fiber_points, growth_exponent, profile_map
 from .variety import CAMap
 
 
@@ -108,7 +111,10 @@ def build_charpoly(
     seed: int = 0,
     prec: int = 256,
 ) -> CharPoly:
-    """Characteristic polynomial by fiber sampling, reconstruction and interpolation.
+    """Characteristic polynomial by fiber sampling and interpolation.
+
+    Samples are exact on two parameters and rationally reconstructed from
+    numeric fiber solves on a curve.
 
     Fails hard (ExactVerificationFailed) if the exact identity does not
     hold after the precision ladder is exhausted; a successful return is
@@ -175,13 +181,21 @@ class _SampleGrid:
 
     Nodes come from one shuffled span under the salt charpoly-grid; a
     candidate node whose new slab of the grid has a critical fiber is
-    skipped.  Each new slab is solved twice: once to check that every fiber
-    has d points, once to sample.
+    skipped.  On two parameters a sample is exact: the characteristic
+    polynomial of g on the fiber algebra Q[x]/R of a ShapeLemma, under one
+    shear from the salt charpoly-shear, and a node is critical when R is
+    not squarefree of degree d.  The shear is drawn again with every
+    rejected candidate for the first node, since a shear that merges two
+    points of every fiber would reject every node; once a node passes, it
+    merges them only over a proper algebraic subset.  On one parameter
+    each node is solved twice, at working precision: once to check that
+    its fiber has d points, once to sample.
     """
 
     def __init__(self, f: CAMap, g: CAMap, d: int, seed: int, wp: int, need: int):
         self.f, self.gp, self.d, self.wp = f, g.pullbacks[0], d, wp
-        self.axes: list[list[Fraction]] = [[] for _ in range(f.domain.param.k)]
+        k = f.domain.param.k
+        self.axes: list[list[Fraction]] = [[] for _ in range(k)]
         self.rows: list[tuple[tuple, list[Fraction]]] = []  # (node, [a_1 .. a_d]) as sampled
         # per coefficient: an early interpolant and the number of leading rows it reproduces
         self.early: list[tuple[MPoly, int] | None] = [None] * d
@@ -189,6 +203,7 @@ class _SampleGrid:
         span = list(range(-3 * (need + 2), 3 * (need + 2) + 1))
         gen.shuffle(span)
         self.pool = iter(span)
+        self.shape = ShapeLemma(f, _rng.child_rng(seed, "charpoly-shear")) if k == 2 else None
 
     @property
     def n(self) -> int:
@@ -211,25 +226,43 @@ class _SampleGrid:
                     )
                 nodes = {axis: [c] for axis, c in zip(new, drawn)}
                 slab = list(itertools.product(*(nodes.get(i, ax) for i, ax in enumerate(self.axes))))
-                if all(len(fiber_points(self.f, list(y), self.wp)) == self.d for y in slab):
+                rows = self._slab_rows(slab)
+                if rows is not None:
                     break
             for axis, c in zip(new, drawn):
                 self.axes[axis].append(c)
-            self._sample(slab)
+            self.rows += rows
 
-    def _sample(self, slab) -> None:
+    def _slab_rows(self, slab) -> list | None:
+        """(node, row) over every node of the slab, or None at its first critical node."""
+        rows = []
+        for y in slab:
+            row = self._row(y)
+            if row is None:
+                return None
+            rows.append((y, row))
+        return rows
+
+    def _row(self, y) -> list[Fraction] | None:
+        """a_1 .. a_d over the node y, or None when its fiber is critical."""
         d, wp = self.d, self.wp
+        if self.shape is not None:
+            fiber = self.shape.coordinates(y)
+            if fiber is None or fiber[0].d != d:
+                if not self.rows:
+                    self.shape.redraw()
+                return None
+            ring, coords = fiber
+            return ring.charpoly(ring.evaluate(self.gp, coords))
+        if len(fiber_points(self.f, list(y), wp)) != d:
+            return None
         height = 10 ** max(6, wp // 16)
         with mp.workprec(wp + 20):
-            for y in slab:
-                tpoints = fiber_points(self.f, list(y), wp)
-                if len(tpoints) != d:
-                    raise InconsistentSamples(
-                        f"fiber over {y} has {len(tpoints)} points, expected {d}"
-                    )
-                asc = _monic_from_roots([evaluate(self.gp, t) for t in tpoints])
-                row = [rational_reconstruct(asc[d - j], height, wp) for j in range(1, d + 1)]
-                self.rows.append((y, row))
+            tpoints = fiber_points(self.f, list(y), wp)
+            if len(tpoints) != d:
+                raise InconsistentSamples(f"fiber over {y} has {len(tpoints)} points, expected {d}")
+            asc = _monic_from_roots([evaluate(self.gp, t) for t in tpoints])
+            return [rational_reconstruct(asc[d - j], height, wp) for j in range(1, d + 1)]
 
     def confirmed_degrees(self, bounds: list[int]) -> list[int] | None:
         """Per-variable degrees of the coefficients, or None while one is unconfirmed.

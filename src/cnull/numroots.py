@@ -6,12 +6,12 @@ same iteration in double precision (Python complex) from the same circle
 start; that stage only picks the starting points of the mpmath
 iteration, and when it overflows or leaves the finite range the mpmath
 iteration starts from the circle.  The mpmath iteration stops when every
-correction is below 2^-prec, or at its sweep cap.  A run that reaches
-the cap with a point that is not a root of a polynomial within relative
-2^-prec of the input has not converged: its rung counts as ambiguous,
-and at the top of the ladder PrecisionExhausted is raised.  Precision is
-expressed in bits; results at a given precision are deterministic (no
-randomness enters the iteration).
+correction is below 2^-prec, when every point is a root of a polynomial
+within relative 2^-prec of the input (tested every 8 sweeps), or at its
+sweep cap.  A run that reaches the cap has not converged: its rung
+counts as ambiguous, and at the top of the ladder PrecisionExhausted is
+raised.  Precision is expressed in bits; results at a given precision
+are deterministic (no randomness enters the iteration).
 """
 
 from __future__ import annotations
@@ -72,9 +72,12 @@ def _horner(coeffs, z):
 def _aberth(coeffs, prec: int):
     """All roots of the ascending coefficient list at the given precision.
 
-    Returns (roots, converged).  converged is False when the mpmath
-    iteration reached its cap before every correction fell below 2^-prec
-    and some point is not backward stable at 2^-prec.
+    Returns (roots, converged).  The mpmath iteration stops when every
+    correction of a sweep is below 2^-prec, or when every point is
+    backward stable at 2^-prec, tested every _STABLE_EVERY sweeps: around
+    a multiple root or a tight cluster the corrections stall at the
+    rounding level and would run to the cap.  converged is False when the
+    cap comes first.
     """
     d = len(coeffs) - 1
     lead = coeffs[-1]
@@ -103,8 +106,15 @@ def _aberth(coeffs, prec: int):
     if warm is not None:
         z = [mp.mpc(w) for w in warm]
     target = mp.mpf(2) ** (-prec)
-    converged = _aberth_sweeps(coeffs, deriv, z, target, max(200, 3 * prec))
-    return z, converged or _backward_stable(coeffs, z, target)
+    cap = max(200, 3 * prec)
+    for done in range(0, cap, _STABLE_EVERY):
+        sweeps = min(_STABLE_EVERY, cap - done)
+        if _aberth_sweeps(coeffs, deriv, z, target, sweeps) or _backward_stable(coeffs, z, target):
+            return z, True
+    return z, False
+
+
+_STABLE_EVERY = 8  # mpmath sweeps between two backward-stability tests
 
 
 def _backward_stable(coeffs, z, target) -> bool:

@@ -21,6 +21,8 @@ division, and the tie-break rule used by the certificate search.
 
 from __future__ import annotations
 
+import heapq
+import math
 from fractions import Fraction
 from operator import add, sub
 from typing import Iterable, Sequence
@@ -298,7 +300,9 @@ def exact_divide(p: MPoly, q: MPoly) -> MPoly:
 
     Single-divisor division in graded-lex order; the remainder is zero
     exactly when p lies in the principal ideal (q), so the first leading
-    term not divisible by the leading term of q already decides.
+    term not divisible by the leading term of q already decides.  The
+    remainder's exponents wait in a heap, largest first; an exponent that
+    cancelled since it was pushed is skipped when it comes up.
     """
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -308,8 +312,12 @@ def exact_divide(p: MPoly, q: MPoly) -> MPoly:
     lt_e, lt_c = q.leading_term()
     rem = dict(p.terms)
     quot: dict[tuple[int, ...], Fraction] = {}
+    heap = [_heap_key(e) for e in rem]
+    heapq.heapify(heap)
     while rem:
-        expo = max(rem, key=_grlex_key)
+        expo = heapq.heappop(heap)[1]
+        if expo not in rem:
+            continue
         coeff = rem[expo]
         if any(a < b for a, b in zip(expo, lt_e)):
             raise NotDivisible("remainder is nonzero")
@@ -327,7 +335,13 @@ def exact_divide(p: MPoly, q: MPoly) -> MPoly:
                     del rem[ke]
             else:
                 rem[ke] = -qc * bc
+                heapq.heappush(heap, _heap_key(ke))
     return MPoly._raw(p.var_count, quot)
+
+
+def _heap_key(expo: tuple[int, ...]) -> tuple:
+    """A min-heap key that orders exponents by descending graded-lex order, with the exponent."""
+    return (-sum(expo), tuple(-e for e in expo)), expo
 
 
 def total_degree(p: MPoly):
@@ -422,6 +436,139 @@ def squarefree_factors(p: MPoly) -> list[MPoly]:
         factors.append(s)
         b, d = exact_divide(b, s), exact_divide(d, s)
     return factors
+
+
+class ResidueRing:
+    """The residue ring Q[x]/(R) of a nonconstant univariate R, in integer arithmetic.
+
+    A residue is a pair (c, den) of d = deg R integers and a positive
+    integer: the class of (c[0] + c[1] x + ... + c[d-1] x^(d-1)) / den,
+    with gcd(c, den) = 1.  R is held as integers r with a positive
+    leading coefficient, so reduction is integer pseudo-division and
+    each operation normalizes by one gcd; only traces and Newton's
+    identities work in Fraction.
+    """
+
+    def __init__(self, modulus: MPoly):
+        coeffs = univ_coeffs(modulus)
+        d = len(coeffs) - 1
+        if d < 1:
+            raise ValueError("nonconstant modulus expected")
+        scale = math.lcm(*(c.denominator for c in coeffs))
+        if coeffs[-1] < 0:
+            scale = -scale
+        self.d, self._r = d, [int(c * scale) for c in coeffs]
+        # lead^(d-1) * (power sums of the roots of R), from Newton's identities
+        r, lead = self._r, self._r[d]
+        sums = [d]  # sums[m] = lead^m * (sum of m-th powers of the roots)
+        for m in range(1, d):
+            acc = m * r[d - m] * lead ** (m - 1)
+            acc += sum(r[d - i] * sums[m - i] * lead ** (i - 1) for i in range(1, m))
+            sums.append(-acc)
+        self._traces = [s * lead ** (d - 1 - m) for m, s in enumerate(sums)]
+        self._trace_den = lead ** (d - 1)
+
+    def element(self, coeffs: Sequence) -> tuple[list[int], int]:
+        """The residue of the polynomial with ascending rational coefficients coeffs."""
+        coeffs = [Fraction(c) for c in coeffs]
+        den = math.lcm(1, *(c.denominator for c in coeffs))
+        return self._reduce([int(c * den) for c in coeffs], den)
+
+    def _reduce(self, c: list[int], den: int) -> tuple[list[int], int]:
+        """The residue of the integer polynomial c over den, by pseudo-division by R."""
+        r, d = self._r, self.d
+        lead = r[d]
+        while len(c) > d:
+            top = c.pop()
+            if top:
+                shift = len(c) - d
+                if lead != 1:
+                    c = [v * lead for v in c]
+                    den *= lead
+                for i in range(d):
+                    c[shift + i] -= top * r[i]
+        c += [0] * (d - len(c))
+        g = math.gcd(den, *c)
+        return [v // g for v in c], den // g
+
+    @staticmethod
+    def is_zero(a) -> bool:
+        return not any(a[0])
+
+    def add(self, a, b):
+        (ac, ad), (bc, bd) = a, b
+        return self._reduce([x * bd + y * ad for x, y in zip(ac, bc)], ad * bd)
+
+    def sub(self, a, b):
+        (ac, ad), (bc, bd) = a, b
+        return self._reduce([x * bd - y * ad for x, y in zip(ac, bc)], ad * bd)
+
+    def mul(self, a, b):
+        (ac, ad), (bc, bd) = a, b
+        w = [0] * (2 * self.d - 1)
+        for i, x in enumerate(ac):
+            if x:
+                for j, y in enumerate(bc):
+                    w[i + j] += x * y
+        return self._reduce(w, ad * bd)
+
+    def inverse(self, a):
+        """The inverse of a, or None when a shares a root with R (zero included).
+
+        By Cayley-Hamilton: with s^d + c_1 s^(d-1) + ... + c_d the
+        characteristic polynomial of a, a is a unit exactly when its norm
+        (-1)^d c_d is nonzero, and then
+        a^-1 = -(a^(d-1) + c_1 a^(d-2) + ... + c_(d-1)) / c_d.
+        """
+        if not any(a[0][1:]):  # a rational constant
+            return self.element([Fraction(a[1], a[0][0])]) if a[0][0] else None
+        c = self.charpoly(a)
+        if not c[-1]:
+            return None
+        acc = self.element([1])
+        for ci in c[:-1]:
+            acc = self.add(self.mul(acc, a), self.element([ci]))
+        return self.mul(acc, self.element([-1 / c[-1]]))
+
+    def evaluate(self, p: MPoly, point):
+        """p at a point of residues."""
+        powers = [[self.element([1]), v] for v in point]
+
+        def power(i, e):
+            while len(powers[i]) <= e:
+                powers[i].append(self.mul(powers[i][-1], point[i]))
+            return powers[i][e]
+
+        total = self.element([])
+        for expo, coeff in p.terms.items():
+            term = self.element([coeff])
+            for i, e in enumerate(expo):
+                if e:
+                    term = self.mul(term, power(i, e))
+            total = self.add(total, term)
+        return total
+
+    def trace(self, a) -> Fraction:
+        """Trace of multiplication by a: the sum of its values at the roots of R."""
+        c, den = a
+        return Fraction(sum(x * t for x, t in zip(c, self._traces)), den * self._trace_den)
+
+    def charpoly(self, a) -> list[Fraction]:
+        """c_1 .. c_d with prod (s - a(x_i)) = s^d + c_1 s^(d-1) + ... + c_d over the roots x_i of R.
+
+        The characteristic polynomial of multiplication by a, from the
+        traces of its powers by Newton's identities.
+        """
+        sums, power = [], a
+        for m in range(1, self.d + 1):
+            sums.append(self.trace(power))
+            if m < self.d:
+                power = self.mul(power, a)
+        out: list[Fraction] = []
+        for m in range(1, self.d + 1):
+            acc = sums[m - 1] + sum(out[i - 1] * sums[m - i - 1] for i in range(1, m))
+            out.append(-acc / m)
+        return out
 
 
 # ---------------------------------------------------------------------------

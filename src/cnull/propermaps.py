@@ -6,14 +6,17 @@ for k in {1, 2}: the gcd of the pulled-back components minus y for a
 curve, and for a square map on two parameters the resultant
 Res_t2(f - y) after a random shear that leaves it no roots at infinity.
 A fiber count is its squarefree degree, and its squarefree factor S_i
-holds the fiber points of multiplicity i.  fiber_points is the one place
-that picks a numeric solver by k, for callers that need coordinates:
-clustered roots of the gcd for a curve (fiber_t_clusters), the bivariate
-resultant solver for k = 2 (fiber_points_2).  Every fiber point is a
-k-tuple.  The image degree of a curve is exact as well: the squarefree
-degree of a random hyperplane slice over d(f), and so is the properness
-growth gate, at rational points.  Only the fiber_points family takes a
-precision.
+holds the fiber points of multiplicity i.  On two parameters the fiber
+itself is exact too: ShapeLemma gives its coordinates as residues mod
+the squarefree fiber polynomial, which is how the characteristic
+polynomial samples its grid.  fiber_points picks a numeric solver by k,
+for callers that need complex coordinates: clustered roots of the gcd
+for a curve (fiber_t_clusters), the bivariate resultant solver for k = 2
+(fiber_points_2); in the package only the one-parameter grid calls it.
+Every fiber point is a k-tuple.  The image degree of a curve is exact as
+well: the squarefree degree of a random hyperplane slice over d(f), and
+so is the properness growth gate, at rational points.  Only the
+fiber_points family takes a precision.
 
 Generic sample points are always taken on the image, as f(phi(t0)) for
 random rational t0, so maps with non-dominant image (more components
@@ -37,6 +40,7 @@ from .errors import (
 from .numroots import roots_univariate, solve_system_2
 from .polycore import (
     MPoly,
+    ResidueRing,
     compose,
     distinct_root_count,
     evaluate,
@@ -83,21 +87,23 @@ def check_proper(f: CAMap, seed: int = 0) -> None:
 def check_growth(f: CAMap, gen) -> None:
     """Norm-growth sampling along two parameters; raises NotProper on failure.
 
-    The least image norm over 4 axis and 8 random directions (drawn from
-    gen for each sphere) must grow 4-fold from the parameter sphere of
-    radius 10 to that of radius 1000.  The spheres are in the max norm,
-    so the point on a direction d is the rational point
-    radius * d / max(|d1|, |d2|), and the squared image norms are
-    compared exactly.  A validation, not a proof.
+    The least norm of f(t) - f(0) over 4 axis and 8 random directions
+    (drawn from gen for each sphere) must grow 4-fold from the parameter
+    sphere of radius 10 to that of radius 1000; centring at f(0) keeps a
+    large constant term from swamping both spheres.  The spheres are in
+    the max norm, so the point on a direction d is the rational point
+    radius * d / max(|d1|, |d2|), and the squared norms are compared
+    exactly.  A validation, not a proof.
     """
-    lo = _min_norm_on_sphere(f, 10, gen)
-    hi = _min_norm_on_sphere(f, 1000, gen)
+    centred = [p - MPoly.const(2, p.constant_term()) for p in f.pullbacks]
+    lo = _min_norm_on_sphere(centred, 10, gen)
+    hi = _min_norm_on_sphere(centred, 1000, gen)
     if hi < max(16 * lo, Fraction(1, 10**12)):
         raise NotProper("image norm does not grow along the parameter sphere")
 
 
-def _min_norm_on_sphere(f: CAMap, radius: int, gen) -> Fraction:
-    """Least squared image norm at the rational points radius * d / max(|d1|, |d2|)."""
+def _min_norm_on_sphere(polys: list[MPoly], radius: int, gen) -> Fraction:
+    """Least squared norm of polys at the rational points radius * d / max(|d1|, |d2|)."""
     dirs = [(1, 0), (0, 1), (1, 1), (1, -1)]
     dirs += [(gen.uniform(-1, 1), gen.uniform(-1, 1)) for _ in range(8)]
     sizes = []
@@ -106,7 +112,7 @@ def _min_norm_on_sphere(f: CAMap, radius: int, gen) -> Fraction:
         top = max(abs(c) for c in d)
         if top:
             t = [radius * c / top for c in d]
-            sizes.append(sum(evaluate(p, t) ** 2 for p in f.pullbacks))
+            sizes.append(sum(evaluate(p, t) ** 2 for p in polys))
     return min(sizes)
 
 
@@ -136,21 +142,44 @@ def _shear(p: MPoly, gen=None) -> Fraction | None:
         return None
     if p.is_zero():  # checked first: a zero p never passes the test below
         raise NonZeroDimensional("a zero polynomial has a positive-dimensional zero set")
-    d = total_degree(p)
     gen = gen or _rng.child_rng(0, "shear")
     while True:
         lam = _rng.rand_rational(gen)
-        if sum(c * (-lam) ** e[0] for e, c in p.terms.items() if sum(e) == d):
+        if _top_form_at(p, lam):
             return lam
+
+
+def _top_form_at(p: MPoly, lam) -> Fraction:
+    """The top form of p at (-lam, 1)."""
+    d = total_degree(p)
+    return sum(c * (-lam) ** e[0] for e, c in p.terms.items() if sum(e) == d)
+
+
+def _sheared(polys: list[MPoly], lam) -> list[MPoly]:
+    """The polys in (x, t2) under t1 = x - lam*t2."""
+    x, t2 = MPoly.variable(2, 0), MPoly.variable(2, 1)
+    return [compose(h, [x - t2.scale(lam), t2]) for h in polys]
+
+
+def _resultant_in_x(p: MPoly, q: MPoly) -> MPoly:
+    """Res_t2(p, q) as a polynomial in x, for a p whose leading t2-coefficient is constant.
+
+    It has no roots at infinity, and it is zero exactly when p and q
+    share a curve.
+    """
+    if q.is_zero():
+        raise NonZeroDimensional("a zero polynomial has a positive-dimensional zero set")
+    res = sylvester_resultant(p, q, 1)
+    if res.is_zero():
+        raise NonZeroDimensional("the fiber contains a curve")
+    return MPoly(1, {(e[0],): c for e, c in res.terms.items()})
 
 
 def _fiber_poly(polys: list[MPoly], lam: Fraction | None) -> MPoly:
     """Univariate polynomial whose roots are the common zeros of polys.
 
     For one parameter their gcd, in t.  For two, Res_t2(p, q) under the
-    shear t1 = x - lam*t2 from _shear, in x: p's leading t2-coefficient is
-    constant, so it has no roots at infinity, and it is zero exactly when
-    p and q share a curve.
+    shear t1 = x - lam*t2 from _shear, in x (see _resultant_in_x).
     """
     if lam is None:
         g = polys[0]
@@ -159,14 +188,7 @@ def _fiber_poly(polys: list[MPoly], lam: Fraction | None) -> MPoly:
         if g.is_zero():
             raise NotIsolated("fiber is the whole curve")
         return g
-    x, t2 = MPoly.variable(2, 0), MPoly.variable(2, 1)
-    p, q = (compose(h, [x - t2.scale(lam), t2]) for h in polys)
-    if q.is_zero():
-        raise NonZeroDimensional("a zero polynomial has a positive-dimensional zero set")
-    res = sylvester_resultant(p, q, 1)
-    if res.is_zero():
-        raise NonZeroDimensional("the fiber contains a curve")
-    return MPoly(1, {(e[0],): c for e, c in res.terms.items()})
+    return _resultant_in_x(*_sheared(polys, lam))
 
 
 def fiber_poly(f: CAMap, y, gen=None) -> MPoly:
@@ -179,6 +201,98 @@ def fiber_poly(f: CAMap, y, gen=None) -> MPoly:
     """
     polys = _system(f, y)
     return _fiber_poly(polys, _shear(polys[0], gen))
+
+
+class ShapeLemma:
+    """Exact fibers of a square map on two parameters, by the shape lemma.
+
+    Under one shear t1 = x - lam*t2 the fiber over a rational point y is
+    the zero set of R = Res_t2(f1 - y1, f2 - y2) (as in fiber_poly) and of
+    t2 - theta(x), with theta a residue mod R (Gianni and Mora 1989;
+    Rouillier 1999).  The Euclidean algorithm in t2 over Q[x]/R gives
+    theta; no root is computed.  lam is a small integer, drawn from gen
+    until f1 passes the test of _shear, and again on each redraw.
+    """
+
+    def __init__(self, f: CAMap, gen):
+        self.f, self.gen = f, gen
+        self.redraw()
+
+    def redraw(self) -> None:
+        p = self.f.pullbacks[0]
+        height = 10 + int(total_degree(p))  # more integers than roots of the top form of p
+        while True:
+            self.lam = self.gen.randint(-height, height)
+            if _top_form_at(p, self.lam):
+                break
+        self._sheared = _sheared(list(self.f.pullbacks), self.lam)
+
+    def coordinates(self, y) -> tuple[ResidueRing, list] | None:
+        """Q[x]/R and the residues of t1 and t2 on the fiber over the rational point y.
+
+        None unless R is squarefree, that is, unless the fiber has deg R
+        points, each of multiplicity 1, and the shear separates them; None
+        also when a leading coefficient of the Euclidean algorithm is not a
+        unit mod R.
+        """
+        p, q = (h - MPoly.const(2, Fraction(v)) for h, v in zip(self._sheared, y))
+        R = _resultant_in_x(p, q)
+        if R.is_constant() or distinct_root_count(R) != R.degree_in(0):
+            return None
+        ring = ResidueRing(R)
+        theta = _linear_root(ring, _t2_coeffs(ring, p), _t2_coeffs(ring, q))
+        if theta is None:
+            return None
+        t1 = ring.sub(ring.element([0, 1]), ring.mul(ring.element([self.lam]), theta))
+        return ring, [t1, theta]
+
+
+def _t2_coeffs(ring: ResidueRing, h: MPoly) -> list:
+    """The ascending t2-coefficients of h(x, t2) as residues, without zero leading ones."""
+    cols: dict[int, dict[int, Fraction]] = {}
+    for (ex, et), c in h.terms.items():
+        cols.setdefault(et, {})[ex] = c
+    out = []
+    for et in range(max(cols) + 1):
+        col = cols.get(et, {})
+        out.append(ring.element([col.get(i, 0) for i in range(max(col, default=-1) + 1)]))
+    return _without_zero_lead(ring, out)
+
+
+def _without_zero_lead(ring: ResidueRing, coeffs: list) -> list:
+    while coeffs and ring.is_zero(coeffs[-1]):
+        coeffs.pop()
+    return coeffs
+
+
+def _linear_root(ring: ResidueRing, a: list, b: list):
+    """theta with t2 - theta the gcd of a and b in t2 over Q[x]/R.
+
+    a and b have a common root over every root of R.  Their remainder
+    sequence ends at a remainder of degree 1 whose leading coefficient is
+    a unit; None when a leading coefficient on the way is not a unit.
+    """
+    while len(b) >= 2:
+        inv = ring.inverse(b[-1])
+        if inv is None:
+            return None
+        if len(b) == 2:
+            return ring.sub(ring.element([]), ring.mul(b[0], inv))
+        a, b = b, _remainder(ring, a, b, inv)
+    return None
+
+
+def _remainder(ring: ResidueRing, a: list, b: list, inv) -> list:
+    """a mod b in t2 over Q[x]/R, with inv the inverse of b's leading coefficient."""
+    a = list(a)
+    while len(a) >= len(b):
+        factor = ring.mul(a[-1], inv)
+        shift = len(a) - len(b)
+        for i, c in enumerate(b[:-1]):
+            a[shift + i] = ring.sub(a[shift + i], ring.mul(factor, c))
+        a.pop()
+        _without_zero_lead(ring, a)
+    return a
 
 
 def fiber_t_clusters(f: CAMap, y, prec: int = 256):

@@ -35,6 +35,15 @@ def mpolys(var_count, max_deg=2, max_terms=4):
     return st.dictionaries(expo, coeff, max_size=max_terms).map(lambda terms: MPoly(var_count, terms))
 
 
+def plane_polys(max_degree):
+    """Hypothesis strategy: polynomials in 2 variables of total degree <= max_degree."""
+    expo = st.tuples(st.integers(0, max_degree), st.integers(0, max_degree)).filter(
+        lambda e: sum(e) <= max_degree
+    )
+    coeff = st.integers(-4, 4).filter(bool)
+    return st.dictionaries(expo, coeff, min_size=2, max_size=4).map(lambda terms: MPoly(2, terms))
+
+
 def line_poly(coeffs):
     """Polynomial JSON in x from ascending coefficients."""
     return pj(["x"], {(i,): c for i, c in enumerate(coeffs)})

@@ -1,11 +1,13 @@
+import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import V2, line_poly, map_spec, pj, univariate_coeffs
-from cnull import charpoly, propermaps
+from conftest import line_poly, map_spec, pj, plane_polys, univariate_coeffs
+from cnull import charpoly, numroots, propermaps
 from cnull.charpoly import (
     CharPoly,
     bounds_table,
@@ -16,13 +18,15 @@ from cnull.charpoly import (
     ploski_delta,
     verify_charpoly,
 )
-from cnull.errors import InvalidInput
-from cnull.polycore import NEG_INF, MPoly, compose, total_degree, univ_coeffs, univ_from_coeffs
-from cnull.propermaps import profile_map
-from cnull.variety import load_map
+from cnull.errors import InvalidInput, NonZeroDimensional
+from cnull.numroots import rational_reconstruct
+from cnull.polycore import NEG_INF, MPoly, compose, evaluate, total_degree, univ_coeffs, univ_from_coeffs
+from cnull.propermaps import ShapeLemma, fiber_points, profile_map
+from cnull.variety import load_map, polynomial_map
 
 F = Fraction
 Y = MPoly(1, {(1,): 1})
+X1, X2 = MPoly.variable(2, 0), MPoly.variable(2, 1)
 
 
 @pytest.fixture(scope="module")
@@ -116,23 +120,17 @@ def _profile_now(monkeypatch, f):
     monkeypatch.setattr(charpoly, "profile_map", lambda *args: profile)
 
 
+# square(2, 2): f = (x1^2 + x2, x2^2 - x1), g = x1 + 2 x2
+SQUARE22 = polynomial_map([X1**2 + X2, X2**2 - X1])
+G12 = polynomial_map([X1 + X2.scale(2)])
+
+
 class TestFiberSolves:
-    @pytest.mark.parametrize(
-        "case,solver",
-        [("curve(4,3)", "fiber_t_clusters"), ("square(2,2)", "fiber_points_2")],
-    )
-    def test_two_fiber_solves_per_grid_node(self, cline, plane2, monkeypatch, case, solver):
-        # the non-critical check solves each fiber of a new slab, and the sampling solves it again
-        if case == "curve(4,3)":
-            # f = x^4 - x^2 + 3x - 2, g = x^3 + x
-            f, g = _line_map(cline, [-2, 3, -1, 0, 1]), _line_map(cline, [0, 1, 0, 1])
-        else:
-            # f = (x1^2 + x2, x2^2 - x1), g = x1 + 2 x2
-            f = load_map(
-                plane2,
-                map_spec(pj(V2, {(2, 0): 1, (0, 1): 1}), pj(V2, {(0, 2): 1, (1, 0): -1})),
-            )
-            g = load_map(plane2, map_spec(pj(V2, {(1, 0): 1, (0, 1): 2})))
+    @pytest.mark.parametrize("case,solver", [("curve(4,3)", "fiber_t_clusters")])
+    def test_two_fiber_solves_per_grid_node(self, cline, monkeypatch, case, solver):
+        # on a curve the non-critical check solves each new node, and the sampling solves it again
+        # f = x^4 - x^2 + 3x - 2, g = x^3 + x
+        f, g = _line_map(cline, [-2, 3, -1, 0, 1]), _line_map(cline, [0, 1, 0, 1])
         _profile_now(monkeypatch, f)
         real = getattr(propermaps, solver)
         calls = []
@@ -147,12 +145,107 @@ class TestFiberSolves:
         nodes = len(set(map(tuple, calls)))
         assert len(calls) == 2 * nodes
         assert nodes <= (max(P.bounds) + 1) ** P.k
-        # each new slab is checked, then sampled: the calls split into runs s + s
-        rest = calls
-        while rest:
-            half = next((h for h in range(1, len(rest) // 2 + 1) if rest[:h] == rest[h : 2 * h]), None)
-            assert half is not None, f"no repeated slab at the head of {rest}"
-            rest = rest[2 * half :]
+        # each new node is checked, then sampled: the calls come in pairs
+        assert calls[::2] == calls[1::2]
+
+    def test_square_grid_solves_no_fiber(self, monkeypatch):
+        # on two parameters every sample is exact: no root is computed or reconstructed
+        _profile_now(monkeypatch, SQUARE22)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a numeric solve in the grid")
+
+        for module, name in [
+            (charpoly, "fiber_points"),
+            (propermaps, "fiber_points"),
+            (propermaps, "solve_system_2"),
+            (numroots, "solve_system_2"),
+            (charpoly, "roots_from_coeffs"),
+            (numroots, "roots_from_coeffs"),
+            (charpoly, "rational_reconstruct"),
+            (numroots, "rational_reconstruct"),
+        ]:
+            monkeypatch.setattr(module, name, fail)
+        P = build_charpoly(SQUARE22, G12, seed=0)
+        assert P.verified and P.d == 4
+
+
+def _terms(coeffs):
+    """The coefficients a_j given as {exponent: value} dicts, as MPolys in (y1, y2)."""
+    return [MPoly(2, a) for a in coeffs]
+
+
+class TestExactSquareSamples:
+    def test_critical_node_is_rejected_under_every_shear(self):
+        # the Jacobian 4 x1 x2 + 1 of square(2, 2) vanishes at (1/2, -1/2), over (-1/4, -1/4)
+        for seed in range(5):
+            shape = ShapeLemma(SQUARE22, random.Random(seed))
+            assert shape.coordinates([F(-1, 4), F(-1, 4)]) is None
+            ring, _ = shape.coordinates([F(-1, 4), F(0)])
+            assert ring.d == 4
+
+    def test_coordinates_solve_the_fiber_equations(self):
+        shape = ShapeLemma(SQUARE22, random.Random(0))
+        y = [F(2), F(-3)]
+        ring, coords = shape.coordinates(y)
+        for p, v in zip(SQUARE22.pullbacks, y):
+            assert ring.is_zero(ring.sub(ring.evaluate(p, coords), ring.element([v])))
+
+    @pytest.mark.parametrize(
+        "f,coeffs",
+        [
+            (
+                [X1 + X2**2, X2**3],
+                [{(1, 0): -3}, {(0, 1): 6, (2, 0): 3}, {(0, 1): -8, (0, 2): 1, (1, 1): -6, (3, 0): -1}],
+            ),
+            (
+                [X1 * X2 + X1, X2**2 + X1],
+                [
+                    {(0, 0): 3, (0, 1): -1},
+                    {(0, 1): -4, (1, 0): -8},
+                    {(0, 1): -12, (0, 2): 4, (1, 0): 12, (1, 1): 4, (2, 0): 1},
+                ],
+            ),
+        ],
+        ids=["x1+x2^2", "x1x2+x1"],
+    )
+    def test_zeros_at_infinity(self, f, coeffs):
+        # proper with d(f) = 3, short of their Bezout numbers 6 and 4; the
+        # coefficients are those of the numeric construction
+        P = build_charpoly(polynomial_map(f), G12, seed=0)
+        assert P.verified and P.d == 3
+        assert P.coeffs == _terms(coeffs)
+
+    def test_coefficients_beyond_any_reconstruction_height(self):
+        # g = 10^20 x1 + x2: the samples have heights past 10^16, which the
+        # numeric construction could not reconstruct at any rung
+        g = polynomial_map([X1.scale(10**20) + X2])
+        P = build_charpoly(SQUARE22, g, seed=0)
+        assert P.verified and P.d == 4
+        assert max(abs(c) for a in P.coeffs for c in a.terms.values()) > 10**16
+
+    @settings(max_examples=15)
+    @given(
+        comps=st.lists(plane_polys(3), min_size=2, max_size=2),
+        g=plane_polys(3),
+        y=st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+    )
+    def test_exact_row_equals_the_reconstructed_numeric_row(self, comps, g, y):
+        f, y = polynomial_map(comps), [F(c) for c in y]
+        try:
+            fiber = ShapeLemma(f, random.Random(0)).coordinates(y)
+        except NonZeroDimensional:
+            return
+        if fiber is None:  # a critical node, or a shear that merges two points
+            return
+        ring, coords = fiber
+        exact = ring.charpoly(ring.evaluate(g, coords))
+        points = fiber_points(f, y, 512)
+        assert len(points) == ring.d
+        with mp.workprec(532):
+            asc = charpoly._monic_from_roots([evaluate(g, t) for t in points])
+            numeric = [rational_reconstruct(asc[ring.d - j], 10**32, 512) for j in range(1, ring.d + 1)]
+        assert exact == numeric
 
 
 def _counted_solves(monkeypatch):

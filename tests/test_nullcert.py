@@ -117,6 +117,17 @@ class TestCertifyProper:
         assert cert.h_exprs[0] == (y1 + MPoly.const(2, 10**9)).scale(F(1, 3)) ** 3  # h1 = x^3
 
 
+    def test_affine_automorphism_with_a_large_constant(self):
+        # f = (3 x1 - 10^12, x2) and g = f1 x1^6 + x2: the growth gate reads
+        # f - f(0), and the grid samples have heights past any reconstruction bound
+        X1, X2 = MPoly.variable(2, 0), MPoly.variable(2, 1)
+        f1 = X1.scale(3) - MPoly.const(2, 10**12)
+        f, g = polynomial_map([f1, X2]), polynomial_map([f1 * X1**6 + X2])
+        cert = certify_proper(f, g, seed=0)
+        assert cert.exponent == 1 and cert.verified
+        assert verify_certificate(f, g, cert)
+
+
 class TestCertifyPartial:
     def test_plane_product(self, plane2):
         f = load_map(plane2, map_spec(pj(V2, {(1, 0): 1}), pj(V2, {(0, 1): 1})))

@@ -223,6 +223,31 @@ class TestAberthConvergence:
         assert sorted(m for _, m in rs.roots) == [1, 3]
 
 
+    @pytest.mark.parametrize(
+        "factors",
+        [[[5, -1, 0, 1]] * 2, [[-2, 7]] * 4 + [[1, 1]], [[3, 1, 1]] * 3 + [[-5, 1]]],
+        ids=["(x^3-x+5)^2", "(7x-2)^4(x+1)", "(x^2+x+3)^3(x-5)"],
+    )
+    def test_multiple_roots_stop_at_backward_stability(self, monkeypatch, factors):
+        # the corrections stall at the rounding level short of 2^-256; the
+        # backward-stability test every 8 sweeps ends the run long before the cap of 768
+        coeffs = [1]
+        for factor in factors:
+            coeffs = _poly_mul(coeffs, factor)
+        real = numroots._aberth_sweeps
+        budget = []
+
+        def counted(coeffs, deriv, z, target, max_iter):
+            if not isinstance(target, float):  # the mpmath stage
+                budget.append(max_iter)
+            return real(coeffs, deriv, z, target, max_iter)
+
+        monkeypatch.setattr(numroots, "_aberth_sweeps", counted)
+        rs = roots_from_coeffs([F(c) for c in coeffs], 256)
+        assert rs.prec == 256 and sum(m for _, m in rs.roots) == len(coeffs) - 1
+        assert sum(budget) <= 64
+
+
 class TestCluster:
     def test_two_groups(self):
         pts = [mp.mpc(1.0), mp.mpc(1.0 + 1e-12), mp.mpc(5.0)]

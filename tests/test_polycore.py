@@ -12,6 +12,7 @@ from cnull.errors import GridMalformed, InconsistentSamples, NotDivisible, Schem
 from cnull.polycore import (
     NEG_INF,
     MPoly,
+    ResidueRing,
     coeffs_in_var,
     compose,
     det_bareiss,
@@ -111,6 +112,90 @@ class TestExactDivide:
     def test_zero_divisor(self):
         with pytest.raises(ZeroDivisionError):
             exact_divide(T, MPoly.zero(1))
+
+
+def _exact_divide_by_scanning(p: MPoly, q: MPoly) -> MPoly:
+    """Reference division: each leading term by a scan of the whole remainder."""
+    lt_e, lt_c = q.leading_term()
+    rem, quot = dict(p.terms), {}
+    while rem:
+        expo = max(rem, key=lambda e: (sum(e), e))
+        if any(a < b for a, b in zip(expo, lt_e)):
+            raise NotDivisible("remainder is nonzero")
+        qe = tuple(a - b for a, b in zip(expo, lt_e))
+        quot[qe] = rem[expo] / lt_c
+        for be, bc in q.terms.items():
+            ke = tuple(a + b for a, b in zip(qe, be))
+            rem[ke] = rem.get(ke, 0) - quot[qe] * bc
+            if not rem[ke]:
+                del rem[ke]
+    return MPoly(p.var_count, quot)
+
+
+class TestExactDivideAgainstTheScan:
+    @settings(max_examples=60)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(mpolys(n, 3, 5), mpolys(n, 2, 4), mpolys(n, 2, 3))))
+    def test_same_quotient_or_the_same_failure(self, polys):
+        a, b, c = polys
+        if b.is_zero():
+            return
+        for p in (a * b, a * b + c):
+            try:
+                expected = _exact_divide_by_scanning(p, b)
+            except NotDivisible:
+                with pytest.raises(NotDivisible):
+                    exact_divide(p, b)
+                continue
+            assert exact_divide(p, b) == expected
+
+
+class TestResidueRing:
+    # R = (x - 1)(x + 2)(2x - 3): roots 1, -2, 3/2
+    R = univ_from_coeffs([6, -7, -1, 2])
+    ROOTS = [F(1), F(-2), F(3, 2)]
+
+    def _values(self, ring, a):
+        """The values of the residue a at the roots of R."""
+        c, den = a
+        return [sum(F(v) * r**i for i, v in enumerate(c)) / den for r in self.ROOTS]
+
+    def test_reduction_keeps_the_values_at_the_roots(self):
+        ring = ResidueRing(self.R)
+        coeffs = [F(1, 3), 0, 5, -7, F(2, 9), 1]
+        a = ring.element(coeffs)
+        assert len(a[0]) == 3 and a[1] > 0
+        assert self._values(ring, a) == [sum(c * r**i for i, c in enumerate(coeffs)) for r in self.ROOTS]
+
+    def test_operations_act_at_every_root(self):
+        ring = ResidueRing(self.R)
+        a, b = ring.element([1, F(1, 2), 3]), ring.element([F(-2, 7), 0, 0, 1])
+        va, vb = self._values(ring, a), self._values(ring, b)
+        assert self._values(ring, ring.add(a, b)) == [x + y for x, y in zip(va, vb)]
+        assert self._values(ring, ring.sub(a, b)) == [x - y for x, y in zip(va, vb)]
+        assert self._values(ring, ring.mul(a, b)) == [x * y for x, y in zip(va, vb)]
+        assert self._values(ring, ring.inverse(a)) == [1 / x for x in va]
+        assert ring.trace(a) == sum(va)
+        point = [a, b]
+        p = MPoly(2, {(2, 1): F(3), (0, 2): F(-1, 2), (0, 0): F(4)})
+        assert self._values(ring, ring.evaluate(p, point)) == [evaluate(p, [x, y]) for x, y in zip(va, vb)]
+
+    def test_charpoly_is_the_product_over_the_roots(self):
+        ring = ResidueRing(self.R)
+        a = ring.element([F(1, 2), -1, 4])
+        values = self._values(ring, a)
+        s = MPoly.variable(1, 0)
+        expected = (s - MPoly.const(1, values[0])) * (s - MPoly.const(1, values[1])) * (s - MPoly.const(1, values[2]))
+        assert ring.charpoly(a) == univ_coeffs(expected)[::-1][1:]
+
+    def test_zero_divisors_have_no_inverse(self):
+        ring = ResidueRing(self.R)
+        assert ring.inverse(ring.element([-1, 1])) is None  # x - 1 vanishes at the root 1
+        assert ring.inverse(ring.element([])) is None
+        assert ring.is_zero(ring.element([-6, 7, 1, -2]))  # -R
+
+    def test_constant_modulus_is_rejected(self):
+        with pytest.raises(ValueError):
+            ResidueRing(univ_from_coeffs([3]))
 
 
 class TestTotalDegree:

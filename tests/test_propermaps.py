@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import axis_x2_spec, line_poly, map_spec, pj, univariate_coeffs
+from conftest import axis_x2_spec, line_poly, map_spec, pj, plane_polys, univariate_coeffs
 from cnull import numroots, propermaps
 from cnull.errors import InvalidInput, NonZeroDimensional, NotProper, ParamRequired
 from cnull.gradexp import grad_profile
@@ -44,15 +44,6 @@ def close_roots_line():
     """t -> t^2 - 2^-100 t: the fiber over 0 is {0, 2^-100}, two simple points."""
     T = MPoly.variable(1, 0)
     return polynomial_map([T**2 - T.scale(F(1, 2**100))])
-
-
-def plane_polys(max_degree):
-    """Hypothesis strategy: polynomials in 2 variables of total degree <= max_degree."""
-    expo = st.tuples(st.integers(0, max_degree), st.integers(0, max_degree)).filter(
-        lambda e: sum(e) <= max_degree
-    )
-    coeff = st.integers(-4, 4).filter(bool)
-    return st.dictionaries(expo, coeff, min_size=2, max_size=4).map(lambda terms: MPoly(2, terms))
 
 
 @pytest.fixture(scope="module")
@@ -365,6 +356,14 @@ class TestCheckProper:
         assert fiber_count_at(f, [F(2), F(3)]) == 1
         with pytest.raises(NotProper, match="grow"):
             check_proper(f, seed=0)
+
+    def test_growth_gate_is_translation_invariant(self):
+        # the affine automorphism (3 x1 - 10^12, x2): |f(t)|^2 is about 10^24 on
+        # both spheres, and |f(t) - f(0)|^2 grows 10^4-fold
+        C = MPoly.const(2, 10**12)
+        check_proper(polynomial_map([X1.scale(3) - C, X2]), seed=0)
+        with pytest.raises(NotProper, match="grow"):
+            check_proper(polynomial_map([X1 + C, X1 * X2]), seed=0)
 
     def test_growth_gate_reads_twelve_rays_per_sphere(self):
         # 4 fixed and 8 random directions on each of the two spheres: 2 * 8 * 2 draws of gen
