@@ -50,6 +50,7 @@ from .polycore import (
     coeffs_in_var,
     compose,
     distinct_root_count,
+    drop_var,
     evaluate,
     grid_interpolant,
     interpolate,
@@ -358,8 +359,8 @@ def charpoly_resultant_oracle(f: CAMap, g: CAMap) -> CharPoly:
 
     y = MPoly(3, {(0, 1, 0): Fraction(1)})
     s = MPoly(3, {(0, 0, 1): Fraction(1)})
-    res = sylvester_resultant(embed_t(fp) - y, s - embed_t(gp), 0)
-    s_coeffs = coeffs_in_var(res, 2)
+    res = sylvester_resultant(embed_t(fp) - y, s - embed_t(gp), 0)  # in (y, s)
+    s_coeffs = coeffs_in_var(res, 1)
     if len(s_coeffs) - 1 != deg_f:
         raise NonMonicizable("resultant degree in the new variable is not deg f(phi)")
     lead = s_coeffs[-1]
@@ -369,7 +370,7 @@ def charpoly_resultant_oracle(f: CAMap, g: CAMap) -> CharPoly:
     coeffs = []
     for j in range(1, deg_f + 1):
         a = s_coeffs[deg_f - j].scale(Fraction(1) / lead_c)
-        coeffs.append(_project_to_y(a))
+        coeffs.append(drop_var(a, 1))
     P = CharPoly(
         d=deg_f,
         coeffs=coeffs,
@@ -381,15 +382,6 @@ def charpoly_resultant_oracle(f: CAMap, g: CAMap) -> CharPoly:
     if not verify_charpoly(P, f, g):
         raise ExactVerificationFailed("resultant characteristic polynomial failed the exact identity")
     return replace(P, verified=True)
-
-
-def _project_to_y(a: MPoly) -> MPoly:
-    out = {}
-    for (et, ey, es), c in a.terms.items():
-        if et or es:
-            raise NonMonicizable("resultant coefficient still involves an eliminated variable")
-        out[(ey,)] = c
-    return MPoly(1, out)
 
 
 # ---------------------------------------------------------------------------

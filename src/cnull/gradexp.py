@@ -4,10 +4,11 @@ For a polynomial f of degree d whose gradient is proper with geometric
 degree mu and graph degree D, the exponent theta = 1/(d(D - mu + 1)) in
 (0, 1/d] bounds |f(x)|^theta by a constant multiple of the gradient norm
 for large x.  The profile (mu, D) treats the gradient as a map on C^m
-with the identity parametrization: mu counts a generic fiber through
-propermaps.fiber_count_at and D is propermaps.graph_degree, both exact
-for m in {1, 2}.  The inequality itself is validated empirically on
-norm shells and can only be falsified by sampling, never proved.
+with the identity parametrization and reads both numbers from
+propermaps.profile_map, the properness check and degree profile of every
+map, exact for m in {1, 2}.  The inequality itself is validated
+empirically on norm shells and can only be falsified by sampling, never
+proved.
 """
 
 from __future__ import annotations
@@ -16,16 +17,9 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from . import rng as _rng
-from .errors import (
-    DivisionByZeroGradient,
-    InconsistentFiberCounts,
-    InvalidInput,
-    NonZeroDimensional,
-    NotProper,
-)
+from .errors import DivisionByZeroGradient, InvalidInput
 from .polycore import MPoly, evaluate, total_degree
-from .propermaps import check_growth, fiber_count_at, graph_degree
+from .propermaps import profile_map
 from .rng import child_rng
 from .variety import polynomial_map
 
@@ -66,31 +60,15 @@ def theta(d: int, D: int, mu: int) -> Fraction:
 def grad_profile(f: MPoly, seed: int = 0) -> tuple[int, int]:
     """(mu, D): generic fiber count of the gradient and its graph degree.
 
-    Properness is validated by finite-fiber nondegeneracy plus norm
-    growth sampling (propermaps.check_growth), not proved.  mu must agree
-    over 3 draws of the value and the shear; D is the max of 3 slices.
+    Both come from propermaps.profile_map on the gradient map, which also
+    checks properness (NotProper when it fails): exactly in one variable,
+    by the finite-fiber test on the image and the norm-growth gate in two,
+    a validation rather than a proof.
     """
-    m = f.var_count
-    if m > 2:
+    if f.var_count > 2:
         raise InvalidInput("gradient profiles implemented for at most 2 variables")
-    grads = gradient(f)
-    degs = [total_degree(g) for g in grads]
-    finite = [d for d in degs if d != float("-inf")]
-    if not finite or max(finite) < 1:
-        raise NotProper("gradient is constant; fibers are not finite")
-    grad_map = polynomial_map(grads)
-    if m == 2:
-        check_growth(grad_map, child_rng(seed, "proper2d"))
-    mu_counts = []
-    for draw in range(3):
-        gen = child_rng(seed, f"mu:{draw}")
-        try:
-            mu_counts.append(fiber_count_at(grad_map, _rng.rand_rational_vector(gen, m), gen))
-        except NonZeroDimensional as exc:
-            raise NotProper("gradient fibers are not finite") from exc
-    if len(set(mu_counts)) != 1:
-        raise InconsistentFiberCounts(f"gradient fiber counts disagree: {mu_counts}")
-    return mu_counts[0], graph_degree(grad_map, seed)
+    profile = profile_map(polynomial_map(gradient(f)), seed)
+    return profile.d_f, profile.graph_degree
 
 
 def validate_inequality(

@@ -26,6 +26,7 @@ from .errors import NonReal, NonZeroDimensional, NoReconstruction, PrecisionExha
 from .polycore import (
     MPoly,
     coeffs_in_var,
+    drop_var,
     evaluate,
     exact_divide,
     sylvester_resultant,
@@ -392,7 +393,7 @@ def solve_system_2(p: MPoly, q: MPoly, prec: int = 256) -> list:
     for index in (1, 0):
         if p.degree_in(index) == 0 and q.degree_in(index) == 0:
             # both free of one variable: common zeros fill lines parallel to its axis
-            if not univ_gcd(_drop_var(p, index), _drop_var(q, index)).is_constant():
+            if not univ_gcd(drop_var(p, index), drop_var(q, index)).is_constant():
                 raise NonZeroDimensional("common one-variable factor")
             return []
     res_x = sylvester_resultant(p, q, 1)  # eliminate var 1 -> poly in var 0
@@ -402,13 +403,12 @@ def solve_system_2(p: MPoly, q: MPoly, prec: int = 256) -> list:
     qy = coeffs_in_var(q, 1)
     common = MPoly(1)
     for c in py + qy:
-        common = univ_gcd(common, _drop_var(c, 1))
+        common = univ_gcd(common, drop_var(c, 1))
     if not common.is_constant():
         raise NonZeroDimensional("common factor free of y")
     if res_x.is_constant():
         return []
-    rx = _drop_var(res_x, 1)
-    xset = roots_univariate(exact_divide(rx, univ_gcd(rx, univ_derivative(rx))), prec)
+    xset = roots_univariate(exact_divide(res_x, univ_gcd(res_x, univ_derivative(res_x))), prec)
     degree = max(total_degree(p), total_degree(q))
     solutions = []
     with mp.workprec(prec + 20):
@@ -429,11 +429,6 @@ def solve_system_2(p: MPoly, q: MPoly, prec: int = 256) -> list:
                     solutions.append((x0, y0))
         solutions.sort(key=lambda s: _root_key(s[0], tol) + _root_key(s[1], tol))
     return solutions
-
-
-def _drop_var(p: MPoly, index: int) -> MPoly:
-    keep = 1 - index
-    return MPoly(1, {(e[keep],): c for e, c in p.terms.items()})
 
 
 def _nonconst_roots(coeffs, prec):

@@ -592,6 +592,11 @@ def coeffs_in_var(p: MPoly, index: int) -> list[MPoly]:
     return [MPoly._raw(p.var_count, b) for b in buckets]
 
 
+def drop_var(p: MPoly, index: int) -> MPoly:
+    """p, free of variable `index`, as a polynomial in the other var_count - 1 variables."""
+    return MPoly._raw(p.var_count - 1, {e[:index] + e[index + 1:]: c for e, c in p.terms.items()})
+
+
 def det_bareiss(rows: list[list[MPoly]]) -> MPoly:
     """Exact determinant of a square MPoly matrix (fraction-free Bareiss)."""
     n = len(rows)
@@ -621,19 +626,20 @@ def det_bareiss(rows: list[list[MPoly]]) -> MPoly:
 def sylvester_resultant(p: MPoly, q: MPoly, index: int) -> MPoly:
     """Resultant of p and q with respect to variable `index`.
 
-    Exact; the result has exponent 0 in the eliminated variable.  Follows
-    the convention Res = lc(p)^deg(q) * prod q(roots of p), with the empty
-    0x0 determinant equal to 1.
+    Exact; the result is a polynomial in the other var_count - 1
+    variables, in their order.  Follows the convention
+    Res = lc(p)^deg(q) * prod q(roots of p), with the empty 0x0
+    determinant equal to 1.
     """
-    pc = coeffs_in_var(p, index)
-    qc = coeffs_in_var(q, index)
+    pc = [drop_var(c, index) for c in coeffs_in_var(p, index)]
+    qc = [drop_var(c, index) for c in coeffs_in_var(q, index)]
     if not pc or not qc:
         raise ValueError("resultant of the zero polynomial")
     dp, dq = len(pc) - 1, len(qc) - 1
     n = dp + dq
     if n == 0:
-        return MPoly.const(p.var_count, 1)
-    zero = MPoly(p.var_count)
+        return MPoly.const(p.var_count - 1, 1)
+    zero = MPoly(p.var_count - 1)
     rows: list[list[MPoly]] = []
     for i in range(dq):
         row = [zero] * n

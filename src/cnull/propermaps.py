@@ -65,9 +65,11 @@ def check_proper(f: CAMap, seed: int = 0) -> None:
     """Growth-criterion properness along phi; raises NotProper on failure.
 
     For curves the criterion is exact: some pullback must be nonconstant.
-    For surfaces it is the exact finite-fiber test (fiber_poly) plus the
-    norm-growth gate check_growth, computed exactly at sampled rational
-    points; a validation, not a proof.
+    For surfaces it is the exact finite-fiber test (fiber_poly) taken on
+    the image, at f(t0) for random rational t0 (a map whose fibers are
+    curves has an empty fiber off its image), plus the norm-growth gate
+    check_growth, computed exactly at sampled rational points; a
+    validation, not a proof.
     """
     k = f.domain.require_param().k
     degs = [d for d in (total_degree(p) for p in f.pullbacks) if d != float("-inf")]
@@ -76,7 +78,8 @@ def check_proper(f: CAMap, seed: int = 0) -> None:
     if k == 1:
         return
     gen = _rng.child_rng(seed, "proper")
-    y = [_rng.rand_rational(gen) for _ in range(2)]
+    t0 = _rng.rand_rational_vector(gen, 2)
+    y = [evaluate(p, t0) for p in f.pullbacks]
     try:
         fiber_poly(f, y, _rng.child_rng(seed, "proper-shear"))  # ParamRequired unless square, k = 2
     except NonZeroDimensional as exc:
@@ -172,7 +175,7 @@ def _resultant_in_x(p: MPoly, q: MPoly) -> MPoly:
     res = sylvester_resultant(p, q, 1)
     if res.is_zero():
         raise NonZeroDimensional("the fiber contains a curve")
-    return MPoly(1, {(e[0],): c for e, c in res.terms.items()})
+    return res
 
 
 def _fiber_poly(polys: list[MPoly], lam: Fraction | None) -> MPoly:

@@ -11,8 +11,10 @@ divides exactly, i.e. the rational function extends polynomially along
 the parametrization.  The resulting pullbacks are cached eagerly and are
 the workhorse of every downstream computation.  polynomial_map views
 polynomials in m variables as such a map on C^m with the identity
-parametrization; gradients and graph slices are counted that way, through
-propermaps.fiber_count_at, the one fiber count for k in {1, 2}, exact.
+parametrization.  A gradient is profiled that way, through
+propermaps.profile_map like any map, and graph slices are counted that
+way, through propermaps.fiber_count_at, the one fiber count for k in
+{1, 2}, exact.
 
 Degrees by slicing share one loop: random_slice draws an affine form in
 the coordinates, and slice_count retries non-generic draws under the

@@ -1,9 +1,11 @@
+import json
 from fractions import Fraction
 
 import pytest
 
-from cnull import gradexp
-from cnull.errors import InconsistentFiberCounts, InvalidInput, NotProper
+from conftest import pj
+from cnull.cli import main
+from cnull.errors import InvalidInput, NotProper
 from cnull.gradexp import (
     grad_profile,
     gradexp_report,
@@ -18,6 +20,7 @@ F = Fraction
 SUM_SQ = MPoly(2, {(2, 0): 1, (0, 2): 1})  # x1^2 + x2^2
 PROD = MPoly(2, {(1, 1): 1})  # x1 x2
 SQ1 = MPoly(1, {(2,): 1})  # x^2
+X1, X2 = MPoly.variable(2, 0), MPoly.variable(2, 1)
 
 
 class TestGradient:
@@ -50,11 +53,18 @@ class TestGradProfile:
         mu, D = grad_profile(PROD, seed=0)
         assert D >= mu >= 1
 
-    def test_disagreeing_mu_counts_are_a_genericity_failure(self, monkeypatch):
-        counts = iter([1, 2, 1])
-        monkeypatch.setattr(gradexp, "fiber_count_at", lambda *args: next(counts))
-        with pytest.raises(InconsistentFiberCounts):
-            grad_profile(SUM_SQ, seed=0)
+    def test_a_draw_on_a_critical_value_does_not_block_consensus(self):
+        # (3 x1^2, 3 x2^2) has 4 points over a generic value; at this seed one
+        # draw lands on a critical value and counts 2
+        assert grad_profile(X1**3 + X2**3, seed=6) == (4, 4)
+
+    def test_non_dominant_gradient_is_not_proper(self, capsys, tmp_path):
+        # f = (x1 + 2 x2)^2: the gradient 2 (x1 + 2 x2) (1, 2) has a line as
+        # image and lines as fibers over it
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps(pj(["x1", "x2"], {(2, 0): 1, (1, 1): 4, (0, 2): 4})))
+        assert main(["gradexp", "--poly", str(path)]) == 2
+        assert "NotProper" in capsys.readouterr().err
 
     def test_quartic_univariate(self):
         # f = x^4: f' = 4x^3: mu = 3, graph is a cubic curve: D = 3

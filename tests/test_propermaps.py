@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from conftest import axis_x2_spec, line_poly, map_spec, pj, plane_polys, univariate_coeffs
 from cnull import numroots, propermaps
-from cnull.errors import InvalidInput, NonZeroDimensional, NotProper, ParamRequired
+from cnull.errors import (
+    InconsistentFiberCounts,
+    InvalidInput,
+    NonZeroDimensional,
+    NotProper,
+    ParamRequired,
+)
 from cnull.gradexp import grad_profile
 from cnull.nullcert import certify_general, cycle_degree, cycle_degree_square
 from cnull.polycore import MPoly, distinct_root_count, evaluate
@@ -81,6 +87,12 @@ class TestGeometricDegree:
             map_spec(pj(["x1", "x2"], {(2, 0): 1}), pj(["x1", "x2"], {(0, 1): 1})),
         )
         assert geometric_degree(f, seed=0) == 2
+
+    def test_disagreeing_fiber_counts_are_a_genericity_failure(self, monkeypatch):
+        counts = iter([1, 2, 3, 4] * 4)  # no count recurs on 5 of the 15 draws
+        monkeypatch.setattr(propermaps, "fiber_count_at", lambda *args: next(counts))
+        with pytest.raises(InconsistentFiberCounts):
+            geometric_degree(SQUARE22, seed=0)
 
     def test_not_proper(self, cusp):
         from conftest import map_spec as ms
@@ -356,6 +368,14 @@ class TestCheckProper:
         assert fiber_count_at(f, [F(2), F(3)]) == 1
         with pytest.raises(NotProper, match="grow"):
             check_proper(f, seed=0)
+
+    def test_fibers_that_are_curves_fail_on_the_image(self):
+        # (u, 2u + 1) with u = x1 + 2 x2: empty fibers off the image line, lines on it
+        u = X1 + X2.scale(2)
+        f = polynomial_map([u, u.scale(2) + MPoly.const(2, 1)])
+        for seed in range(3):
+            with pytest.raises(NotProper, match="finite"):
+                check_proper(f, seed=seed)
 
     def test_growth_gate_is_translation_invariant(self):
         # the affine automorphism (3 x1 - 10^12, x2): |f(t)|^2 is about 10^24 on
