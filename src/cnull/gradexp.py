@@ -61,9 +61,7 @@ def grad_profile(f: MPoly, seed: int = 0) -> tuple[int, int]:
     """(mu, D): generic fiber count of the gradient and its graph degree.
 
     Both come from propermaps.profile_map on the gradient map, which also
-    checks properness (NotProper when it fails): exactly in one variable,
-    by the finite-fiber test on the image and the norm-growth gate in two,
-    a validation rather than a proof.
+    checks properness exactly (NotProper when it fails).
     """
     if f.var_count > 2:
         raise InvalidInput("gradient profiles implemented for at most 2 variables")

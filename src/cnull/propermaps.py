@@ -14,9 +14,10 @@ for callers that need complex coordinates: clustered roots of the gcd
 for a curve (fiber_t_clusters), the bivariate resultant solver for k = 2
 (fiber_points_2); in the package only the one-parameter grid calls it.
 Every fiber point is a k-tuple.  The image degree of a curve is exact as
-well: the squarefree degree of a random hyperplane slice over d(f), and
-so is the properness growth gate, at rational points.  Only the
-fiber_points family takes a precision.
+well: the squarefree degree of a random hyperplane slice over d(f).  So
+is properness (check_proper): on two parameters, the leading x-coefficient
+of the same resultant with y kept symbolic.  Only the fiber_points family
+takes a precision.
 
 Generic sample points are always taken on the image, as f(phi(t0)) for
 random rational t0, so maps with non-dominant image (more components
@@ -41,6 +42,7 @@ from .numroots import roots_univariate, solve_system_2
 from .polycore import (
     MPoly,
     ResidueRing,
+    coeffs_in_var,
     compose,
     distinct_root_count,
     evaluate,
@@ -62,61 +64,44 @@ class ProperMapProfile:
 
 
 def check_proper(f: CAMap, seed: int = 0) -> None:
-    """Growth-criterion properness along phi; raises NotProper on failure.
+    """Exact properness along phi; raises NotProper on failure.
 
-    For curves the criterion is exact: some pullback must be nonconstant.
-    For surfaces it is the exact finite-fiber test (fiber_poly) taken on
-    the image, at f(t0) for random rational t0 (a map whose fibers are
-    curves has an empty fiber off its image), plus the norm-growth gate
-    check_growth, computed exactly at sampled rational points; a
-    validation, not a proof.
+    For curves some pullback must be nonconstant.  A square map f on two
+    parameters is proper exactly when it is finite, and after a shear
+    t1 = x - lam*t2 that gives f1 a constant leading t2-coefficient it is
+    finite exactly when R = Res_t2(f1 - y1, f2 - y2) in Q[y1, y2][x] has
+    a nonzero constant leading coefficient in x (the criterion behind
+    Jelonek's non-properness set).  Proof: if it has, then x, then t2,
+    then t1 are integral over Q[f1, f2]; if f is finite, R is a constant
+    times a power of the equation of the surface {(x(t), f(t))}, which is
+    monic in x.  The verdict does not depend on the shear drawn.
     """
     k = f.domain.require_param().k
-    degs = [d for d in (total_degree(p) for p in f.pullbacks) if d != float("-inf")]
-    if not degs or max(degs) < 1:
-        raise NotProper("all pullbacks are constant")
     if k == 1:
+        if all(p.is_constant() for p in f.pullbacks):
+            raise NotProper("all pullbacks are constant")
         return
-    gen = _rng.child_rng(seed, "proper")
-    t0 = _rng.rand_rational_vector(gen, 2)
-    y = [evaluate(p, t0) for p in f.pullbacks]
-    try:
-        fiber_poly(f, y, _rng.child_rng(seed, "proper-shear"))  # ParamRequired unless square, k = 2
-    except NonZeroDimensional as exc:
-        raise NotProper("fibers are not finite") from exc
-    check_growth(f, gen)
+    R = _generic_resultant(f, _rng.child_rng(seed, "proper-shear"))
+    if R.degree_in(0) < 1:
+        raise NotProper("fibers are not finite")
+    if not coeffs_in_var(R, 0)[-1].is_constant():
+        raise NotProper("a fiber point escapes to infinity over a zero of the leading coefficient")
 
 
-def check_growth(f: CAMap, gen) -> None:
-    """Norm-growth sampling along two parameters; raises NotProper on failure.
+def _generic_resultant(f: CAMap, gen) -> MPoly:
+    """R = Res_t2(f1 - y1, f2 - y2) in (x, y1, y2) for a square map on two parameters.
 
-    The least norm of f(t) - f(0) over 4 axis and 8 random directions
-    (drawn from gen for each sphere) must grow 4-fold from the parameter
-    sphere of radius 10 to that of radius 1000; centring at f(0) keeps a
-    large constant term from swamping both spheres.  The spheres are in
-    the max norm, so the point on a direction d is the rational point
-    radius * d / max(|d1|, |d2|), and the squared norms are compared
-    exactly.  A validation, not a proof.
+    The shear t1 = x - lam*t2 is drawn from gen (see _shear).  Up to a
+    constant, R is the characteristic polynomial of x over Q(y1, y2)
+    when f is finite, so its degree in x is d(f).  R is never zero, as
+    f1 - y1 is irreducible; NotProper when a component is constant.
     """
-    centred = [p - MPoly.const(2, p.constant_term()) for p in f.pullbacks]
-    lo = _min_norm_on_sphere(centred, 10, gen)
-    hi = _min_norm_on_sphere(centred, 1000, gen)
-    if hi < max(16 * lo, Fraction(1, 10**12)):
-        raise NotProper("image norm does not grow along the parameter sphere")
-
-
-def _min_norm_on_sphere(polys: list[MPoly], radius: int, gen) -> Fraction:
-    """Least squared norm of polys at the rational points radius * d / max(|d1|, |d2|)."""
-    dirs = [(1, 0), (0, 1), (1, 1), (1, -1)]
-    dirs += [(gen.uniform(-1, 1), gen.uniform(-1, 1)) for _ in range(8)]
-    sizes = []
-    for d in dirs:
-        d = [Fraction(c) for c in d]
-        top = max(abs(c) for c in d)
-        if top:
-            t = [radius * c / top for c in d]
-            sizes.append(sum(evaluate(p, t) ** 2 for p in polys))
-    return min(sizes)
+    polys = _system(f, [0] * f.n)  # the pullbacks; ParamRequired unless square, k = 2
+    if any(p.is_constant() for p in polys):
+        raise NotProper("a component is constant")
+    x, t2, *ys = (MPoly.variable(4, i) for i in range(4))
+    lam = _shear(polys[0], gen)
+    return _resultant_in_x(*(compose(h, [x - t2.scale(lam), t2]) - y for h, y in zip(polys, ys)))
 
 
 # ---------------------------------------------------------------------------
@@ -135,19 +120,21 @@ def _system(f: CAMap, y) -> list[MPoly]:
     return [p - MPoly.const(k, Fraction(v)) for p, v in zip(f.pullbacks, y)]
 
 
-def _shear(p: MPoly, gen=None) -> Fraction | None:
+def _shear(p: MPoly, gen=None) -> int | None:
     """lam with the top form of p nonzero at (-lam, 1); None for one parameter.
 
     After t1 = x - lam*t2 the leading t2-coefficient of p is then a
-    nonzero constant.  lam is drawn from gen, or a fixed stream when None.
+    nonzero constant.  lam is a small integer drawn from gen, or from a
+    fixed stream when None.
     """
     if p.var_count == 1:
         return None
     if p.is_zero():  # checked first: a zero p never passes the test below
         raise NonZeroDimensional("a zero polynomial has a positive-dimensional zero set")
     gen = gen or _rng.child_rng(0, "shear")
+    height = 10 + int(total_degree(p))  # more integers than roots of the top form of p
     while True:
-        lam = _rng.rand_rational(gen)
+        lam = gen.randint(-height, height)
         if _top_form_at(p, lam):
             return lam
 
@@ -178,7 +165,7 @@ def _resultant_in_x(p: MPoly, q: MPoly) -> MPoly:
     return res
 
 
-def _fiber_poly(polys: list[MPoly], lam: Fraction | None) -> MPoly:
+def _fiber_poly(polys: list[MPoly], lam: int | None) -> MPoly:
     """Univariate polynomial whose roots are the common zeros of polys.
 
     For one parameter their gcd, in t.  For two, Res_t2(p, q) under the
@@ -213,8 +200,8 @@ class ShapeLemma:
     the zero set of R = Res_t2(f1 - y1, f2 - y2) (as in fiber_poly) and of
     t2 - theta(x), with theta a residue mod R (Gianni and Mora 1989;
     Rouillier 1999).  The Euclidean algorithm in t2 over Q[x]/R gives
-    theta; no root is computed.  lam is a small integer, drawn from gen
-    until f1 passes the test of _shear, and again on each redraw.
+    theta; no root is computed.  lam is drawn from gen by _shear, and
+    again on each redraw.
     """
 
     def __init__(self, f: CAMap, gen):
@@ -222,12 +209,7 @@ class ShapeLemma:
         self.redraw()
 
     def redraw(self) -> None:
-        p = self.f.pullbacks[0]
-        height = 10 + int(total_degree(p))  # more integers than roots of the top form of p
-        while True:
-            self.lam = self.gen.randint(-height, height)
-            if _top_form_at(p, self.lam):
-                break
+        self.lam = _shear(self.f.pullbacks[0], self.gen)
         self._sheared = _sheared(list(self.f.pullbacks), self.lam)
 
     def coordinates(self, y) -> tuple[ResidueRing, list] | None:

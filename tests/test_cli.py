@@ -203,6 +203,18 @@ class TestOtherCommands:
         )
         assert code == 0 and report["result"]["geometric_degree"] == 1
 
+    @pytest.mark.parametrize("command", ["geomdeg", "charpoly"])
+    def test_map_with_an_escaping_fiber_point_exits_2(self, capsys, tmp_path, command):
+        # (x1 (x1 x2 - 1), x2) is not proper: along t1 t2 = 1 it tends to 0
+        f = tmp_path / "f.json"
+        v2 = ["x1", "x2"]
+        f.write_text(json.dumps(map_spec(pj(v2, {(2, 1): 1, (1, 0): -1}), pj(v2, {(0, 1): 1}))))
+        argv = [command, "--variety", fx("plane2.json"), "--f", str(f)]
+        if command == "charpoly":
+            argv += ["--g", fx("g_x1.json")]
+        assert main(argv) == 2
+        assert "NotProper" in capsys.readouterr().err
+
     def test_degree(self, capsys):
         code, report = run_json(["degree", "--variety", fx("cusp.json")], capsys)
         assert code == 0 and report["result"]["degree"] == 3

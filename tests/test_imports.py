@@ -141,7 +141,7 @@ SALTS = {
     "charpoly-grid", "charpoly-shear", "growth",  # charpoly
     "shells",  # gradexp
     "forms:", "cycle-point", "cycle-shear",  # nullcert
-    "proper", "proper-shear", "shear", "geomdeg:", "multiplicity:", "imagedeg", "graphdeg",  # propermaps
+    "proper-shear", "shear", "geomdeg:", "multiplicity:", "imagedeg", "graphdeg",  # propermaps
     "slice", "sample",  # variety
 }
 

@@ -14,6 +14,7 @@ from cnull.errors import (
     InvalidInput,
     NoSolutionWithinCap,
     NotInIdeal,
+    NotStrictlyRegular,
     SchemaError,
     VanishingHypothesisFailed,
 )
@@ -118,8 +119,9 @@ class TestCertifyProper:
 
 
     def test_affine_automorphism_with_a_large_constant(self):
-        # f = (3 x1 - 10^12, x2) and g = f1 x1^6 + x2: the growth gate reads
-        # f - f(0), and the grid samples have heights past any reconstruction bound
+        # f = (3 x1 - 10^12, x2) and g = f1 x1^6 + x2: the large constant leaves
+        # the exact properness test alone, and the grid samples have heights past
+        # any reconstruction bound
         X1, X2 = MPoly.variable(2, 0), MPoly.variable(2, 1)
         f1 = X1.scale(3) - MPoly.const(2, 10**12)
         f, g = polynomial_map([f1, X2]), polynomial_map([f1 * X1**6 + X2])
@@ -495,14 +497,22 @@ class TestCycleDegree:
             cycle_degree(f, comps, forms, seed=0)
 
     @pytest.mark.parametrize("seed", [0, 4])
-    @pytest.mark.parametrize("cubic", [(3, 0), (3, 1)])
+    @pytest.mark.parametrize("cubic", [{(3, 0): 1}, {(3, 0): 1, (2, 1): 1}])
     def test_other_fiber_component_is_not_counted(self, plane2, seed, cubic):
-        # the zero fiber of x1^2 + x1^3 (or x1^2 + x1^3 x2) is {x1 = 0}, doubled,
+        # the zero fiber of x1^2 + x1^3 (or x1^2 (x1 + x2 + 1)) is {x1 = 0}, doubled,
         # and a second component that the perturbed count must leave out
-        f = load_map(plane2, map_spec(pj(V2, {(2, 0): 1, cubic: 1})))
+        f = load_map(plane2, map_spec(pj(V2, {(2, 0): 1, **cubic})))
         forms = [MPoly(2, {(0, 1): F(1)})]
         comps = [load_variety(axis_x2_spec())]
         assert cycle_degree(f, comps, forms, seed=seed).total_degree == 2
+
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_completion_whose_fiber_point_escapes_is_not_strictly_regular(self, plane2, seed):
+        # (x1^2 + x1^3 x2, x2): over y2 = 0 the root x1 = -1/y2 of the fiber escapes
+        f = load_map(plane2, map_spec(pj(V2, {(2, 0): 1, (3, 1): 1})))
+        forms = [MPoly(2, {(0, 1): F(1)})]
+        with pytest.raises(NotStrictlyRegular):
+            cycle_degree(f, [load_variety(axis_x2_spec())], forms, seed=seed)
 
     def test_multiplicity_override(self, plane2):
         f = load_map(plane2, map_spec(pj(V2, {(2, 0): 1})))

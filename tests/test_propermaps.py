@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import axis_x2_spec, line_poly, map_spec, pj, plane_polys, univariate_coeffs
@@ -20,7 +20,6 @@ from cnull.gradexp import grad_profile
 from cnull.nullcert import certify_general, cycle_degree, cycle_degree_square
 from cnull.polycore import MPoly, distinct_root_count, evaluate
 from cnull.propermaps import (
-    check_growth,
     check_proper,
     fiber_count_at,
     fiber_points,
@@ -162,7 +161,7 @@ class TestExactFiberCount:
         # (lam, 1), so a shear the wrong way round leaves roots at infinity
         f = polynomial_map([(X1**2 + X1 * X2).scale(2), (X1 * X2 + X2**2).scale(-1)])
         polys = propermaps._system(f, [F(6), F(2)])
-        draws = iter([-1, 1, 5, 1])  # rand_rational draws -1, then 5
+        draws = iter([0, 1, -1])  # the top form vanishes at (0, 1) and (-1, 1)
         gen = SimpleNamespace(randint=lambda lo, hi: next(draws))
         assert propermaps._shear(polys[0], gen) == -1
         fiber = propermaps._fiber_poly(polys, F(-1))
@@ -366,7 +365,7 @@ class TestCheckProper:
     def test_finite_fibers_without_growth_fail_the_gate(self, f):
         # generic fibers are single points, but f is constant on the axis x1 = 0
         assert fiber_count_at(f, [F(2), F(3)]) == 1
-        with pytest.raises(NotProper, match="grow"):
+        with pytest.raises(NotProper, match="infinity"):
             check_proper(f, seed=0)
 
     def test_fibers_that_are_curves_fail_on_the_image(self):
@@ -377,18 +376,42 @@ class TestCheckProper:
             with pytest.raises(NotProper, match="finite"):
                 check_proper(f, seed=seed)
 
-    def test_growth_gate_is_translation_invariant(self):
-        # the affine automorphism (3 x1 - 10^12, x2): |f(t)|^2 is about 10^24 on
-        # both spheres, and |f(t) - f(0)|^2 grows 10^4-fold
+    def test_large_constant_terms_do_not_decide_properness(self):
+        # the affine automorphism (3 x1 - 10^12, x2) is proper; (x1 + 10^12, x1 x2)
+        # is constant on the axis x1 = -10^12
         C = MPoly.const(2, 10**12)
         check_proper(polynomial_map([X1.scale(3) - C, X2]), seed=0)
-        with pytest.raises(NotProper, match="grow"):
+        with pytest.raises(NotProper, match="infinity"):
             check_proper(polynomial_map([X1 + C, X1 * X2]), seed=0)
 
-    def test_growth_gate_reads_twelve_rays_per_sphere(self):
-        # 4 fixed and 8 random directions on each of the two spheres: 2 * 8 * 2 draws of gen
-        gen, twin = random.Random(5), random.Random(5)
-        check_growth(SQUARE22, gen)
-        for _ in range(32):
-            twin.uniform(-1, 1)
-        assert gen.random() == twin.random()
+    @pytest.mark.parametrize("seed", range(5))
+    def test_fiber_point_escaping_along_a_hyperbola_is_not_proper(self, seed):
+        # along t1 t2 = 1, f = (x1 (x1 x2 - 1), x2) tends to 0 while t goes to infinity
+        f = polynomial_map([X1 * (X1 * X2 - MPoly.const(2, 1)), X2])
+        with pytest.raises(NotProper, match="infinity"):
+            check_proper(f, seed=seed)
+
+    def test_constant_component_is_not_proper(self):
+        with pytest.raises(NotProper, match="constant"):
+            check_proper(polynomial_map([X1, MPoly.const(2, 5)]), seed=0)
+
+    def test_non_square_and_three_parameter_maps_raise(self):
+        with pytest.raises(ParamRequired):
+            check_proper(polynomial_map([X1, X2, X1 * X2]), seed=0)
+        with pytest.raises(ParamRequired):
+            check_proper(polynomial_map([MPoly.variable(3, i) for i in range(3)]), seed=0)
+
+    @settings(max_examples=40)
+    @given(comps=st.lists(plane_polys(3), min_size=2, max_size=2), seed=st.integers(0, 10))
+    @example(comps=SQUARE22.pullbacks, seed=0)
+    @example(comps=ZEROS_AT_INFINITY[0].pullbacks, seed=0)  # d = 3, short of Bezout
+    @example(comps=ZEROS_AT_INFINITY[1].pullbacks, seed=0)
+    def test_degree_of_the_resultant_is_the_geometric_degree(self, comps, seed):
+        # up to a constant, R is the characteristic polynomial of x over Q(y1, y2)
+        f = polynomial_map(comps)
+        try:
+            check_proper(f, seed)
+        except NotProper:
+            return
+        R = propermaps._generic_resultant(f, random.Random(seed))
+        assert geometric_degree(f, seed) == R.degree_in(0)
