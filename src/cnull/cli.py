@@ -191,7 +191,7 @@ def _dispatch(args, seed: int, prec: int) -> dict:
         return _run_gradexp(args, seed)
     variety = _load(args.variety, load_variety)
     if cmd == "degree":
-        return {"degree": degree_by_slicing(variety, seed)}
+        return {"degree": degree_by_slicing(variety)}
     f = _load(args.f, lambda doc: load_map(variety, doc))
     if cmd == "geomdeg":
         return {"geometric_degree": geometric_degree(f, seed)}

@@ -108,7 +108,7 @@ class DegenerateSlice(PrecisionError):
 
 
 class InconsistentFiberCounts(PrecisionError):
-    """Generic fiber counts kept disagreeing within the retry budget."""
+    """No draw within the retry budget certified a fiber count, or two exact counts disagreed."""
 
 
 class CriticalSampleBudgetExhausted(PrecisionError):

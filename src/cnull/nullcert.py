@@ -268,7 +268,7 @@ def certify_general(f: CAMap, g: CAMap, seed: int = 0) -> Certificate:
     if n <= k:
         raise InvalidInput("overdetermined route needs more components than dimensions")
     check_proper(f, seed)
-    product = image_slice_count(f, seed)  # d(f) * deg f(A), the theorem's exponent
+    product = image_slice_count(f)  # d(f) * deg f(A), the theorem's exponent
     fiber = fiber_poly(f, [0] * n)
     if not fiber.is_constant():
         common = univ_gcd(fiber, g.pullbacks[0])
@@ -557,7 +557,7 @@ def _zero_cycle(f: CAMap, completed: CAMap, components, seed: int) -> CycleData:
     for entry in components:
         comp, override = entry if isinstance(entry, tuple) else (entry, None)
         _check_component_in_fiber(f, comp)
-        deg_v = degree_by_slicing(comp, seed)
+        deg_v = degree_by_slicing(comp)
         mult = override if override is not None else _component_multiplicity(completed, comp, seed)
         rows.append((comp, mult, deg_v))
         total += mult * deg_v

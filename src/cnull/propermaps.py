@@ -13,11 +13,11 @@ polynomial samples its grid.  fiber_points picks a numeric solver by k,
 for callers that need complex coordinates: clustered roots of the gcd
 for a curve (fiber_t_clusters), the bivariate resultant solver for k = 2
 (fiber_points_2); in the package only the one-parameter grid calls it.
-Every fiber point is a k-tuple.  The image degree of a curve is exact as
-well: the squarefree degree of a random hyperplane slice over d(f).  So
-is properness (check_proper): on two parameters, the leading x-coefficient
-of the same resultant with y kept symbolic.  Only the fiber_points family
-takes a precision.
+Every fiber point is a k-tuple.  check_proper decides properness and
+returns the geometric degree d(f), both exactly: from the same resultant
+with y kept symbolic on two parameters, from a certified fiber gcd on a
+curve.  The image degree of a curve is the top degree of its pullbacks
+over d(f).  Only the fiber_points family takes a precision.
 
 Generic sample points are always taken on the image, as f(phi(t0)) for
 random rational t0, so maps with non-dominant image (more components
@@ -42,18 +42,19 @@ from .numroots import roots_univariate, solve_system_2
 from .polycore import (
     MPoly,
     ResidueRing,
+    _univ_rem,
     coeffs_in_var,
     compose,
     distinct_root_count,
     evaluate,
+    exact_divide,
     squarefree_factors,
     sylvester_resultant,
     total_degree,
     univ_gcd,
 )
-from .variety import CAMap, curve_slice_count, polynomial_map, random_slice, slice_count
+from .variety import CAMap, curve_degree, polynomial_map, random_slice, slice_count
 
-_FIBER_DRAWS = 5
 _DRAW_BUDGET = 15
 
 
@@ -63,29 +64,53 @@ class ProperMapProfile:
     graph_degree: int
 
 
-def check_proper(f: CAMap, seed: int = 0) -> None:
-    """Exact properness along phi; raises NotProper on failure.
+def check_proper(f: CAMap, seed: int = 0) -> int:
+    """Exact properness along phi, and the geometric degree d(f); raises NotProper on failure.
 
-    For curves some pullback must be nonconstant.  A square map f on two
-    parameters is proper exactly when it is finite, and after a shear
-    t1 = x - lam*t2 that gives f1 a constant leading t2-coefficient it is
-    finite exactly when R = Res_t2(f1 - y1, f2 - y2) in Q[y1, y2][x] has
-    a nonzero constant leading coefficient in x (the criterion behind
-    Jelonek's non-properness set).  Proof: if it has, then x, then t2,
-    then t1 are integral over Q[f1, f2]; if f is finite, R is a constant
-    times a power of the equation of the surface {(x(t), f(t))}, which is
-    monic in x.  The verdict does not depend on the shear drawn.
+    A square map f on two parameters is proper exactly when it is finite,
+    and after a shear t1 = x - lam*t2 that gives f1 a constant leading
+    t2-coefficient it is finite exactly when R = Res_t2(f1 - y1, f2 - y2)
+    in Q[y1, y2][x] has a nonzero constant leading coefficient in x (the
+    criterion behind Jelonek's non-properness set).  Proof: if it has, then
+    x, then t2, then t1 are integral over Q[f1, f2]; if f is finite, R is
+    a constant times a power of the equation of the surface {(x(t), f(t))},
+    which is monic in x.  The verdict does not depend on the shear drawn.
+    With no roots at infinity R counts the generic fiber with multiplicity,
+    so d(f) = deg_x R.
+
+    For curves some pullback must be nonconstant, and d(f) = deg h for the
+    fiber gcd h over F(t0), t0 random, once every pullback F_j is in Q[h]:
+    then h(t) - h(s) divides every F_j(t) - F_j(s), so the generic fiber
+    has at least deg h points, and the generic fiber gcd specialises into
+    h, so it has at most deg h.  By polynomial Lueroth every t0 off a
+    finite set passes; a t0 over a node of the image fails and is redrawn.
     """
     k = f.domain.require_param().k
     if k == 1:
         if all(p.is_constant() for p in f.pullbacks):
             raise NotProper("all pullbacks are constant")
-        return
+        for attempt in range(_DRAW_BUDGET):
+            t0 = _rng.rand_rational_vector(_rng.child_rng(seed, f"geomdeg:{attempt}"), 1)
+            h = fiber_poly(f, [evaluate(p, t0) for p in f.pullbacks])
+            if all(_in_subring(p, h) for p in f.pullbacks):
+                return h.degree_in(0)
+        raise InconsistentFiberCounts(f"no fiber gcd on {_DRAW_BUDGET} draws generates the pullbacks")
     R = _generic_resultant(f, _rng.child_rng(seed, "proper-shear"))
     if R.degree_in(0) < 1:
         raise NotProper("fibers are not finite")
     if not coeffs_in_var(R, 0)[-1].is_constant():
         raise NotProper("a fiber point escapes to infinity over a zero of the leading coefficient")
+    return R.degree_in(0)
+
+
+def _in_subring(p: MPoly, h: MPoly) -> bool:
+    """Whether the univariate p lies in Q[h] for a nonconstant h: its digits in base h are constants."""
+    while not p.is_constant():
+        digit = _univ_rem(p, h)
+        if not digit.is_constant():
+            return False
+        p = exact_divide(p - digit, h)
+    return True
 
 
 def _generic_resultant(f: CAMap, gen) -> MPoly:
@@ -313,32 +338,16 @@ def fiber_count_at(f: CAMap, y, gen=None) -> int:
     """Number of distinct fiber points over the exact rational point y.
 
     The squarefree degree of fiber_poly, an exact count.  For k = 2 a
-    shear (from gen) that merges two fiber points undercounts, so callers
-    draw a new one on each of their draws.
+    shear (from gen) that merges two fiber points undercounts, so the
+    graph slices draw a new one on each of their draws.
     """
     p = fiber_poly(f, y, gen)
     return 0 if p.is_constant() else distinct_root_count(p)
 
 
 def geometric_degree(f: CAMap, seed: int = 0) -> int:
-    """Cardinality of the generic fiber (sheet number over the image).
-
-    Samples y = f(phi(t0)) for random rational t0 and counts distinct
-    fiber points with fiber_count_at (the shear drawn after t0); the
-    consensus is the first count to recur on 5 draws.
-    A draw at a critical value of f, or a merging shear, gives fewer
-    points, and a draw at a point of the set with several parameter
-    preimages (a node of a curve) gives more; neither recurs on 5 draws.
-    """
-    check_proper(f, seed)
-    counts = []
-    for attempt in range(_DRAW_BUDGET):
-        gen = _rng.child_rng(seed, f"geomdeg:{attempt}")
-        t0 = _rng.rand_rational_vector(gen, f.domain.param.k)
-        counts.append(fiber_count_at(f, [evaluate(p, t0) for p in f.pullbacks], gen))
-        if counts.count(counts[-1]) >= _FIBER_DRAWS:
-            return counts[-1]
-    raise InconsistentFiberCounts(f"fiber counts did not stabilize: {counts}")
+    """Cardinality of the generic fiber (sheet number over the image), exactly: see check_proper."""
+    return check_proper(f, seed)
 
 
 def growth_exponent(g: CAMap) -> Fraction:
@@ -431,21 +440,17 @@ def stoll_check(f: CAMap, y0, seed: int = 0):
 # image and graph degrees by random affine slicing
 
 
-def image_slice_count(f: CAMap, seed: int = 0) -> int:
-    """d(f) * deg f(A) for a curve: parameter points on a random hyperplane slice of f(A).
-
-    A slice through a special point of f(A) counts fewer, and
-    curve_slice_count keeps the max of 3.
-    """
+def image_slice_count(f: CAMap) -> int:
+    """d(f) * deg f(A) for a curve: the parameter points on a generic hyperplane slice of f(A)."""
     if f.domain.require_param().k != 1:
         raise ParamRequired("image degree implemented for curves")
-    return curve_slice_count(f.pullbacks, seed, "imagedeg")
+    return curve_degree(f.pullbacks)
 
 
 def image_degree(f: CAMap, seed: int = 0) -> int:
     """Degree of the image curve f(A), exactly: image_slice_count over d(f)."""
     d_f = geometric_degree(f, seed)
-    points, rest = divmod(image_slice_count(f, seed), d_f)
+    points, rest = divmod(image_slice_count(f), d_f)
     if rest:
         raise InconsistentFiberCounts(f"d(f) = {d_f} does not divide the slice count")
     return points

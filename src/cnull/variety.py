@@ -16,15 +16,17 @@ propermaps.profile_map like any map, and graph slices are counted that
 way, through propermaps.fiber_count_at, the one fiber count for k in
 {1, 2}, exact.
 
-Degrees by slicing share one loop: random_slice draws an affine form in
-the coordinates, and slice_count retries non-generic draws under the
-caller's salt and keeps the max of the first 3 generic counts.
+The degree of a parametrized curve needs no slice: a generic hyperplane
+meets it in max_i deg phi_i points (curve_degree).  Graph degrees, which
+have no such closed form on two parameters, are sliced in one loop:
+random_slice draws an affine form in the coordinates, and slice_count
+retries non-generic draws under the caller's salt and keeps the max of
+the first 3 generic counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import rng as _rng
 from .errors import (
@@ -35,7 +37,7 @@ from .errors import (
     ParamRequired,
     SchemaError,
 )
-from .polycore import MPoly, compose, distinct_root_count, evaluate, exact_divide, poly_from_json
+from .polycore import MPoly, compose, evaluate, exact_divide, poly_from_json, total_degree
 
 
 @dataclass(frozen=True)
@@ -185,7 +187,7 @@ def polynomial_map(polys: list[MPoly]) -> CAMap:
 
 
 # ---------------------------------------------------------------------------
-# degrees by random affine slicing
+# curve degrees, and graph degrees by random affine slicing
 
 _SLICE_DRAWS = 15
 _SLICES_KEPT = 3
@@ -218,32 +220,23 @@ def slice_count(seed: int, salt: str, count) -> int:
     raise DegenerateSlice("no generic slice found within the retry budget")
 
 
-def curve_slice_count(coords: list[MPoly], seed: int, salt: str) -> int:
-    """Points of the curve t -> coords(t) on a random affine hyperplane, exactly.
+def curve_degree(coords: list[MPoly]) -> int:
+    """Parameter points of t -> coords(t) on a generic affine hyperplane: max_i deg coords_i.
 
-    Counts the distinct roots of <lam, coords(t)> - c for random rational
-    (lam, c) as its squarefree degree; the maximum over 3 independent
-    slices is reported, retrying non-generic draws within a fixed budget.
+    <lam, coords(t)> - c keeps that degree for lam off finitely many
+    hyperplanes, and has distinct roots for c off finitely many critical
+    values.  DegenerateSlice for a constant curve, which no hyperplane
+    meets in finitely many points.
     """
-
-    def count(gen):
-        sliced = random_slice(gen, coords)
-        return None if sliced.is_constant() else distinct_root_count(sliced)
-
-    return slice_count(seed, salt, count)
+    degree = max(total_degree(c) for c in coords)
+    if degree < 1:
+        raise DegenerateSlice("a constant curve has no generic hyperplane slice")
+    return int(degree)
 
 
-def degree_by_slicing(v: Variety, seed: int = 0) -> int:
-    """Degree of a parametrized curve: curve_slice_count of its parametrization."""
+def degree_by_slicing(v: Variety) -> int:
+    """Degree of a parametrized curve: curve_degree of its generically one-to-one parametrization."""
     param = v.require_param()
     if param.k != 1:
         raise ParamRequired("slicing degree implemented for curves (one parameter)")
-    return curve_slice_count(param.components, seed, "slice")
-
-
-def sample_point(v: Variety, seed: int = 0) -> list[Fraction]:
-    """phi(t0) for a pseudo-random rational parameter point of height <= 100."""
-    param = v.require_param()
-    gen = _rng.child_rng(seed, "sample")
-    t0 = _rng.rand_rational_vector(gen, param.k)
-    return [evaluate(c, t0) for c in param.components]
+    return curve_degree(param.components)

@@ -133,7 +133,7 @@ def test_every_parameter_is_read(path):
 
 
 # where each salted call takes its salt: child_rng and the slicing loops that feed it
-SALT_ARGS = {"child_rng": 1, "slice_count": 1, "curve_slice_count": 2}
+SALT_ARGS = {"child_rng": 1, "slice_count": 1}
 
 # every salt in the package, as a literal or an f-string's literal prefix; a
 # refactor keeps the salts of the code it keeps, so that reports stay byte-identical
@@ -141,8 +141,7 @@ SALTS = {
     "charpoly-grid", "charpoly-shear", "growth",  # charpoly
     "shells",  # gradexp
     "forms:", "cycle-point", "cycle-shear",  # nullcert
-    "proper-shear", "shear", "geomdeg:", "multiplicity:", "imagedeg", "graphdeg",  # propermaps
-    "slice", "sample",  # variety
+    "proper-shear", "shear", "geomdeg:", "multiplicity:", "graphdeg",  # propermaps
 }
 
 
@@ -179,10 +178,9 @@ def test_checker_reads_every_salt():
         "_rng.child_rng(seed, f'b:{i}')\n"
         "child_rng(seed, salt=f'{salt}:{i}')\n"
         "slice_count(seed, 'c', count)\n"
-        "curve_slice_count(coords, seed, salt)\n"
-        "curve_slice_count(coords, seed, name + 'd')\n"
+        "slice_count(seed, name + 'd', count)\n"
     )
-    assert salt_sites(source) == ["a", "b:", None, "c", None, "name + 'd'"]
+    assert salt_sites(source) == ["a", "b:", None, "c", "name + 'd'"]
 
 
 def test_salts_are_distinct_and_pinned():

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import mpmath
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import axis_x2_spec, line_poly, map_spec, pj, plane_polys, univariate_coeffs
-from cnull import numroots, propermaps
+from cnull import numroots, propermaps, rng
 from cnull.errors import (
     InconsistentFiberCounts,
     InvalidInput,
@@ -76,9 +77,34 @@ class TestGeometricDegree:
         assert {geometric_degree(cubic_proj23, seed=s) for s in range(10)} == {1}
 
     @pytest.mark.parametrize("seed", [56, 68, 83, 85, 86])
-    def test_draw_on_the_node_does_not_block_consensus(self, cubic_proj23, seed):
-        # one draw lands on t = +-1, over the node, and counts 2 points
+    def test_draw_on_the_node_is_redrawn(self, cubic_proj23, seed):
+        # one draw lands on t = +-1, over the node: its fiber gcd (t - 1)(t + 1) does
+        # not generate the pullbacks, so the draw fails the certificate
         assert geometric_degree(cubic_proj23, seed=seed) == 1
+
+    @settings(max_examples=20)
+    @given(coeffs=univariate_coeffs(4))
+    def test_powers_of_one_polynomial(self, coeffs):
+        # t -> (h^2, h^3) is deg h to 1 onto the cusp y1^3 = y2^2
+        h = MPoly(1, {(i,): F(c) for i, c in enumerate(coeffs)})
+        f = polynomial_map([h**2, h**3])
+        with mock.patch.object(propermaps, "fiber_poly", wraps=propermaps.fiber_poly) as fiber:
+            assert geometric_degree(f, seed=0) == len(coeffs) - 1
+        # the first draw, t0 = 11/70, is no root of h, so its fiber gcd h - h(t0) is certified
+        assert fiber.call_count == 1
+        assert image_degree(f, seed=0) == 3
+
+    def test_square_map_reads_the_properness_resultant(self, monkeypatch):
+        calls = []
+        real = propermaps.sylvester_resultant
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(propermaps, "sylvester_resultant", counted)
+        assert geometric_degree(SQUARE22, seed=0) == 4
+        assert len(calls) == 1
 
     def test_square_two_parameter_case(self, plane2):
         f = load_map(
@@ -87,11 +113,17 @@ class TestGeometricDegree:
         )
         assert geometric_degree(f, seed=0) == 2
 
-    def test_disagreeing_fiber_counts_are_a_genericity_failure(self, monkeypatch):
-        counts = iter([1, 2, 3, 4] * 4)  # no count recurs on 5 of the 15 draws
-        monkeypatch.setattr(propermaps, "fiber_count_at", lambda *args: next(counts))
+    def test_no_draw_passing_the_certificate_is_a_genericity_failure(self, cline_f_t, monkeypatch):
+        draws = []
+
+        def fiber_poly(*args):  # t is not a polynomial in t^2
+            draws.append(args)
+            return MPoly(1, {(2,): F(1)})
+
+        monkeypatch.setattr(propermaps, "fiber_poly", fiber_poly)
         with pytest.raises(InconsistentFiberCounts):
-            geometric_degree(SQUARE22, seed=0)
+            geometric_degree(cline_f_t, seed=0)
+        assert len(draws) == 15
 
     def test_not_proper(self, cusp):
         from conftest import map_spec as ms
@@ -279,6 +311,13 @@ class TestImageDegree:
         f = load_map(cline, map_spec(pj(["x"], {(4,): 1}), pj(["x"], {(6,): 1})))
         assert image_degree(f, seed=0) == 3
 
+    def test_slice_count_draws_nothing(self, cubic_proj23, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a random stream was drawn")
+
+        monkeypatch.setattr(rng, "child_rng", fail)
+        assert propermaps.image_slice_count(cubic_proj23) == 3
+
     def test_no_numeric_root_finding(self, cubic_proj23, cusp_identity, monkeypatch):
         calls = []
         real = propermaps.roots_univariate
@@ -339,7 +378,7 @@ class TestNoNumericSolving:
             monkeypatch.setattr(module, name, fail)
         plane = load_map(plane2, map_spec(pj(V2, {(2, 0): 1}), pj(V2, {(0, 1): 1})))
         for f, d, a, mult in [(SQUARE22, 4, [F(1, 2), F(-1, 2)], 2), (plane, 2, [F(0), F(0)], 2)]:
-            assert check_proper(f, seed=0) is None
+            assert check_proper(f, seed=0) == d
             assert geometric_degree(f, seed=0) == graph_degree(f, seed=0) == d
             assert stoll_check(f, [F(0), F(0)], seed=0) == (d, d, True)
             assert local_multiplicity(f, a, seed=0) == mult
@@ -407,11 +446,17 @@ class TestCheckProper:
     @example(comps=ZEROS_AT_INFINITY[0].pullbacks, seed=0)  # d = 3, short of Bezout
     @example(comps=ZEROS_AT_INFINITY[1].pullbacks, seed=0)
     def test_degree_of_the_resultant_is_the_geometric_degree(self, comps, seed):
-        # up to a constant, R is the characteristic polynomial of x over Q(y1, y2)
+        # up to a constant, R is the characteristic polynomial of x over Q(y1, y2); a
+        # fiber of a proper map never has more points than d(f), and a generic one has d(f)
         f = polynomial_map(comps)
         try:
-            check_proper(f, seed)
+            d = check_proper(f, seed)
         except NotProper:
             return
-        R = propermaps._generic_resultant(f, random.Random(seed))
-        assert geometric_degree(f, seed) == R.degree_in(0)
+        assert propermaps._generic_resultant(f, random.Random(seed)).degree_in(0) == d
+        gen = random.Random(seed)
+        counts = []
+        for _ in range(4):
+            t0 = [F(gen.randint(-50, 50), gen.randint(1, 20)) for _ in range(2)]
+            counts.append(fiber_count_at(f, [evaluate(p, t0) for p in comps], gen))
+        assert max(counts) == d

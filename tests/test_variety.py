@@ -3,14 +3,15 @@ from fractions import Fraction
 import pytest
 
 from conftest import map_spec, pj
+from cnull import rng
 from cnull.errors import DegenerateSlice, GeneratorNotAnnihilated, NotCAlgebraic, SchemaError
 from cnull.polycore import MPoly
 from cnull.rng import child_rng
 from cnull.variety import (
+    curve_degree,
     degree_by_slicing,
     load_map,
     load_variety,
-    sample_point,
     slice_count,
 )
 
@@ -82,17 +83,24 @@ class TestPullback:
 
 class TestDegreeBySlicing:
     def test_cusp_is_cubic(self, cusp):
-        assert degree_by_slicing(cusp, seed=0) == 3
+        assert degree_by_slicing(cusp) == 3
 
     def test_parabola(self, parabola):
-        assert degree_by_slicing(parabola, seed=0) == 2
+        assert degree_by_slicing(parabola) == 2
 
     def test_line(self, diag_line):
-        assert degree_by_slicing(diag_line, seed=0) == 1
+        assert degree_by_slicing(diag_line) == 1
 
-    def test_seed_stable(self, cusp, parabola):
-        assert {degree_by_slicing(cusp, seed=s) for s in range(10)} == {3}
-        assert {degree_by_slicing(parabola, seed=s) for s in range(10)} == {2}
+    def test_constant_curve_has_no_generic_slice(self):
+        with pytest.raises(DegenerateSlice):
+            curve_degree([MPoly.const(1, 2), MPoly.zero(1)])
+
+    def test_draws_nothing(self, cusp, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a random stream was drawn")
+
+        monkeypatch.setattr(rng, "child_rng", fail)
+        assert degree_by_slicing(cusp) == 3
 
     def test_brute_force_oracle(self, cusp):
         # count roots of lam1 t^2 + lam2 t^3 - c by expanding the cubic formula
@@ -135,24 +143,3 @@ class TestSliceCount:
         with pytest.raises(DegenerateSlice):
             slice_count(0, "test", count)
         assert len(seen) == 15
-
-
-class TestSamplePoint:
-    def test_on_variety(self, cusp):
-        for seed in range(10):
-            pt = sample_point(cusp, seed)
-            assert cusp.contains(pt)
-
-    def test_exactness(self, parabola):
-        pt = sample_point(parabola, 3)
-        assert pt[1] == pt[0] ** 2
-
-    def test_known_values(self, cusp):
-        # phi(t) = (t^2, t^3) exactly on rational draws
-        pt = sample_point(cusp, 0)
-        assert isinstance(pt[0], F)
-        from cnull.polycore import evaluate
-
-        comps = cusp.param.components
-        assert [evaluate(c, [F(2)]) for c in comps] == [F(4), F(8)]
-        assert [evaluate(c, [F(0)]) for c in comps] == [F(0), F(0)]
