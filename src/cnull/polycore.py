@@ -572,7 +572,7 @@ class ResidueRing:
 
 
 # ---------------------------------------------------------------------------
-# coefficient views in one distinguished variable, determinants, resultants
+# coefficient views in one distinguished variable, resultants
 
 
 def coeffs_in_var(p: MPoly, index: int) -> list[MPoly]:
@@ -597,30 +597,61 @@ def drop_var(p: MPoly, index: int) -> MPoly:
     return MPoly._raw(p.var_count - 1, {e[:index] + e[index + 1:]: c for e, c in p.terms.items()})
 
 
-def det_bareiss(rows: list[list[MPoly]]) -> MPoly:
-    """Exact determinant of a square MPoly matrix (fraction-free Bareiss)."""
-    n = len(rows)
-    if n == 0:
-        raise ValueError("empty matrix")
-    var_count = rows[0][0].var_count
-    a = [list(r) for r in rows]
+def subresultants(p: MPoly, q: MPoly, index: int) -> tuple[MPoly, list[MPoly] | None]:
+    """The resultant of p and q in variable `index`, and the last member of degree 1 of their sequence.
+
+    Both come from one subresultant polynomial remainder sequence (Collins
+    1967; Brown and Traub 1971), by the Brown-Collins algorithm (Cohen,
+    GTM 138, Alg. 3.3.7) with exact division of its MPoly coefficients.
+    The resultant follows sylvester_resultant's convention.  The second
+    value is the last member of degree 1 in the sequence p, q, remainders,
+    as its ascending coefficients [s0, s1], or None when no member has
+    degree 1.  Both are polynomials in the other var_count - 1 variables.
+    Every member is u*p + v*q with polynomial u and v, so where p and q
+    share a root in the variable and s1 does not vanish, that root is
+    -s0/s1.
+    """
+    a = [drop_var(c, index) for c in coeffs_in_var(p, index)]
+    b = [drop_var(c, index) for c in coeffs_in_var(q, index)]
+    if not a or not b:
+        raise ValueError("resultant of the zero polynomial")
+    linear = next((m for m in (b, a) if len(m) == 2), None)
     sign = 1
-    prev = MPoly.const(var_count, 1)
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            pivot_row = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
-            if pivot_row is None:
-                return MPoly(var_count)
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = exact_divide(num, prev) if k > 0 else num
-            a[i][k] = MPoly(var_count)
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return det if sign > 0 else -det
+    if len(a) < len(b):
+        a, b = b, a
+        sign = (-1) ** ((len(a) - 1) * (len(b) - 1))
+    g = h = MPoly.const(p.var_count - 1, 1)
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        sign *= (-1) ** ((len(a) - 1) * (len(b) - 1))
+        r = _pseudo_remainder(a, b)
+        if not r:  # b divides a: a common factor
+            return MPoly.zero(p.var_count - 1), linear
+        divisor = g * h**delta
+        a, b = b, [exact_divide(c, divisor) for c in r]
+        g = a[-1]
+        h = exact_divide(g**delta, h ** (delta - 1)) if delta else h
+        if len(b) == 2:
+            linear = b
+    deg = len(a) - 1
+    res = exact_divide(b[0] ** deg, h ** (deg - 1)) if deg else h
+    return (res if sign > 0 else -res), linear
+
+
+def _pseudo_remainder(a: list[MPoly], b: list[MPoly]) -> list[MPoly]:
+    """lc(b)^(deg a - deg b + 1) * a mod b, for ascending coefficient lists with deg a >= deg b."""
+    lead, db = b[-1], len(b) - 1
+    r, steps = list(a), len(a) - db
+    while len(r) > db:
+        top = r.pop()
+        shift = len(r) - db
+        r = [c * lead for c in r]
+        for i, c in enumerate(b[:-1]):
+            r[shift + i] -= top * c
+        steps -= 1
+        while r and r[-1].is_zero():
+            r.pop()
+    return [c * lead**steps for c in r] if steps else r
 
 
 def sylvester_resultant(p: MPoly, q: MPoly, index: int) -> MPoly:
@@ -628,30 +659,11 @@ def sylvester_resultant(p: MPoly, q: MPoly, index: int) -> MPoly:
 
     Exact; the result is a polynomial in the other var_count - 1
     variables, in their order.  Follows the convention
-    Res = lc(p)^deg(q) * prod q(roots of p), with the empty 0x0
-    determinant equal to 1.
+    Res = lc(p)^deg(q) * prod q(roots of p), the determinant of the
+    Sylvester matrix with the rows of p first, and equal to 1 when both
+    are constant.
     """
-    pc = [drop_var(c, index) for c in coeffs_in_var(p, index)]
-    qc = [drop_var(c, index) for c in coeffs_in_var(q, index)]
-    if not pc or not qc:
-        raise ValueError("resultant of the zero polynomial")
-    dp, dq = len(pc) - 1, len(qc) - 1
-    n = dp + dq
-    if n == 0:
-        return MPoly.const(p.var_count - 1, 1)
-    zero = MPoly(p.var_count - 1)
-    rows: list[list[MPoly]] = []
-    for i in range(dq):
-        row = [zero] * n
-        for j, c in enumerate(reversed(pc)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(dp):
-        row = [zero] * n
-        for j, c in enumerate(reversed(qc)):
-            row[i + j] = c
-        rows.append(row)
-    return det_bareiss(rows)
+    return subresultants(p, q, index)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ Res_t2(f - y) after a random shear that leaves it no roots at infinity.
 A fiber count is its squarefree degree, and its squarefree factor S_i
 holds the fiber points of multiplicity i.  On two parameters the fiber
 itself is exact too: ShapeLemma gives its coordinates as residues mod
-the squarefree fiber polynomial, which is how the characteristic
+the squarefree fiber polynomial, reading t2 from the subresultant
+sequence that gives that polynomial, which is how the characteristic
 polynomial samples its grid.  fiber_points picks a numeric solver by k,
 for callers that need complex coordinates: clustered roots of the gcd
 for a curve (fiber_t_clusters), the bivariate resultant solver for k = 2
@@ -49,8 +50,10 @@ from .polycore import (
     evaluate,
     exact_divide,
     squarefree_factors,
+    subresultants,
     sylvester_resultant,
     total_degree,
+    univ_coeffs,
     univ_gcd,
 )
 from .variety import CAMap, curve_degree, polynomial_map, random_slice, slice_count
@@ -126,7 +129,8 @@ def _generic_resultant(f: CAMap, gen) -> MPoly:
         raise NotProper("a component is constant")
     x, t2, *ys = (MPoly.variable(4, i) for i in range(4))
     lam = _shear(polys[0], gen)
-    return _resultant_in_x(*(compose(h, [x - t2.scale(lam), t2]) - y for h, y in zip(polys, ys)))
+    p, q = (compose(h, [x - t2.scale(lam), t2]) - y for h, y in zip(polys, ys))
+    return sylvester_resultant(p, q, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -176,18 +180,18 @@ def _sheared(polys: list[MPoly], lam) -> list[MPoly]:
     return [compose(h, [x - t2.scale(lam), t2]) for h in polys]
 
 
-def _resultant_in_x(p: MPoly, q: MPoly) -> MPoly:
-    """Res_t2(p, q) as a polynomial in x, for a p whose leading t2-coefficient is constant.
+def _resultant_in_x(p: MPoly, q: MPoly) -> tuple[MPoly, list[MPoly] | None]:
+    """Res_t2(p, q) in x and the member of degree 1 (see subresultants), for p with a constant t2-lead.
 
-    It has no roots at infinity, and it is zero exactly when p and q
-    share a curve.
+    The resultant has no roots at infinity, and it is zero exactly when p
+    and q share a curve.
     """
     if q.is_zero():
         raise NonZeroDimensional("a zero polynomial has a positive-dimensional zero set")
-    res = sylvester_resultant(p, q, 1)
+    res, linear = subresultants(p, q, 1)
     if res.is_zero():
         raise NonZeroDimensional("the fiber contains a curve")
-    return res
+    return res, linear
 
 
 def _fiber_poly(polys: list[MPoly], lam: int | None) -> MPoly:
@@ -203,7 +207,7 @@ def _fiber_poly(polys: list[MPoly], lam: int | None) -> MPoly:
         if g.is_zero():
             raise NotIsolated("fiber is the whole curve")
         return g
-    return _resultant_in_x(*_sheared(polys, lam))
+    return _resultant_in_x(*_sheared(polys, lam))[0]
 
 
 def fiber_poly(f: CAMap, y, gen=None) -> MPoly:
@@ -224,9 +228,10 @@ class ShapeLemma:
     Under one shear t1 = x - lam*t2 the fiber over a rational point y is
     the zero set of R = Res_t2(f1 - y1, f2 - y2) (as in fiber_poly) and of
     t2 - theta(x), with theta a residue mod R (Gianni and Mora 1989;
-    Rouillier 1999).  The Euclidean algorithm in t2 over Q[x]/R gives
-    theta; no root is computed.  lam is drawn from gen by _shear, and
-    again on each redraw.
+    Rouillier 1999).  One subresultant sequence gives both: R is its
+    last member, and theta = -s0/s1 mod R comes from its member
+    s0 + s1*t2 of degree 1; no root is computed.  lam is drawn from gen
+    by _shear, and again on each redraw.
     """
 
     def __init__(self, f: CAMap, gen):
@@ -241,68 +246,22 @@ class ShapeLemma:
         """Q[x]/R and the residues of t1 and t2 on the fiber over the rational point y.
 
         None unless R is squarefree, that is, unless the fiber has deg R
-        points, each of multiplicity 1, and the shear separates them; None
-        also when a leading coefficient of the Euclidean algorithm is not a
-        unit mod R.
+        points, each of multiplicity 1, and the shear separates them.
+        Then a root x0 of R lies under exactly one fiber point, a
+        transversal one, so gcd(p(x0, .), q(x0, .)) = t2 - theta(x0) and
+        s1 is a unit mod R: the None for a missing s1, or one that is
+        not a unit, should not occur.
         """
         p, q = (h - MPoly.const(2, Fraction(v)) for h, v in zip(self._sheared, y))
-        R = _resultant_in_x(p, q)
+        R, linear = _resultant_in_x(p, q)
         if R.is_constant() or distinct_root_count(R) != R.degree_in(0):
             return None
         ring = ResidueRing(R)
-        theta = _linear_root(ring, _t2_coeffs(ring, p), _t2_coeffs(ring, q))
-        if theta is None:
+        if linear is None or (inv := ring.inverse(ring.element(univ_coeffs(linear[1])))) is None:
             return None
+        theta = ring.mul(ring.element([-c for c in univ_coeffs(linear[0])]), inv)
         t1 = ring.sub(ring.element([0, 1]), ring.mul(ring.element([self.lam]), theta))
         return ring, [t1, theta]
-
-
-def _t2_coeffs(ring: ResidueRing, h: MPoly) -> list:
-    """The ascending t2-coefficients of h(x, t2) as residues, without zero leading ones."""
-    cols: dict[int, dict[int, Fraction]] = {}
-    for (ex, et), c in h.terms.items():
-        cols.setdefault(et, {})[ex] = c
-    out = []
-    for et in range(max(cols) + 1):
-        col = cols.get(et, {})
-        out.append(ring.element([col.get(i, 0) for i in range(max(col, default=-1) + 1)]))
-    return _without_zero_lead(ring, out)
-
-
-def _without_zero_lead(ring: ResidueRing, coeffs: list) -> list:
-    while coeffs and ring.is_zero(coeffs[-1]):
-        coeffs.pop()
-    return coeffs
-
-
-def _linear_root(ring: ResidueRing, a: list, b: list):
-    """theta with t2 - theta the gcd of a and b in t2 over Q[x]/R.
-
-    a and b have a common root over every root of R.  Their remainder
-    sequence ends at a remainder of degree 1 whose leading coefficient is
-    a unit; None when a leading coefficient on the way is not a unit.
-    """
-    while len(b) >= 2:
-        inv = ring.inverse(b[-1])
-        if inv is None:
-            return None
-        if len(b) == 2:
-            return ring.sub(ring.element([]), ring.mul(b[0], inv))
-        a, b = b, _remainder(ring, a, b, inv)
-    return None
-
-
-def _remainder(ring: ResidueRing, a: list, b: list, inv) -> list:
-    """a mod b in t2 over Q[x]/R, with inv the inverse of b's leading coefficient."""
-    a = list(a)
-    while len(a) >= len(b):
-        factor = ring.mul(a[-1], inv)
-        shift = len(a) - len(b)
-        for i, c in enumerate(b[:-1]):
-            a[shift + i] = ring.sub(a[shift + i], ring.mul(factor, c))
-        a.pop()
-        _without_zero_lead(ring, a)
-    return a
 
 
 def fiber_t_clusters(f: CAMap, y, prec: int = 256):

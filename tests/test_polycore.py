@@ -1,10 +1,9 @@
 import random
 from fractions import Fraction
-from itertools import permutations
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import mpolys
@@ -15,13 +14,14 @@ from cnull.polycore import (
     ResidueRing,
     coeffs_in_var,
     compose,
-    det_bareiss,
     distinct_root_count,
+    drop_var,
     evaluate,
     exact_divide,
     interpolate,
     poly_from_json,
     poly_to_json,
+    subresultants,
     sylvester_resultant,
     total_degree,
     univ_coeffs,
@@ -319,10 +319,17 @@ class TestResultant:
         res = sylvester_resultant(three**2 - a, b - three, 0)
         assert res == Y**2 - X  # (a, b) as (x, y)
 
-    def test_det(self):
-        one = MPoly.const(1, 1)
-        m = [[T, one], [one, T]]
-        assert det_bareiss(m) == T**2 - one
+    def test_linear_member_gives_the_common_root(self):
+        # p - q = 2y - x: over x = 0 and x = -6 the common roots are y = 0 and y = -3, -s0/s1 = x/2
+        p, q = Y**2 + Y + X, Y**2 - Y + X.scale(2)
+        res, (s0, s1) = subresultants(p, q, 1)  # polynomials in x, written T
+        assert res == sylvester_resultant(p, q, 1) == T**2 + T.scale(6)
+        # s1^2 * p(x, -s0/s1) and s1^2 * q(x, -s0/s1) vanish wherever res does
+        for h in (s0 * s0 - s0 * s1 + T * s1 * s1, s0 * s0 + s0 * s1 + T.scale(2) * s1 * s1):
+            exact_divide(h, res)  # NotDivisible unless res divides h
+
+    def test_no_member_of_degree_1(self):
+        assert subresultants(Y**2 + X, Y**2 - X, 1)[1] is None
 
 
 class TestJson:
@@ -371,16 +378,40 @@ def poly_triples(max_deg=2, max_terms=4):
     )
 
 
-def cofactor_det(m):
-    """Reference determinant by expansion along the first row."""
-    if len(m) == 1:
-        return m[0][0]
-    total = MPoly.zero(m[0][0].var_count)
+def cofactor_det(m, var_count):
+    """Reference determinant by expansion along the first row; 1 for the empty matrix."""
+    if not m:
+        return MPoly.const(var_count, 1)
+    total = MPoly.zero(var_count)
     for j, entry in enumerate(m[0]):
+        if entry.is_zero():
+            continue
         minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = entry * cofactor_det(minor)
+        term = entry * cofactor_det(minor, var_count)
         total = total + term if j % 2 == 0 else total - term
     return total
+
+
+def sylvester_matrix(p, q, index):
+    """The Sylvester matrix in variable `index`: deg q rows of p's coefficients, then deg p rows of q's."""
+    pc = [drop_var(c, index) for c in reversed(coeffs_in_var(p, index))]
+    qc = [drop_var(c, index) for c in reversed(coeffs_in_var(q, index))]
+    n = len(pc) + len(qc) - 2
+    zero = MPoly.zero(p.var_count - 1)
+    rows = []
+    for coeffs, count in ((pc, len(qc) - 1), (qc, len(pc) - 1)):
+        rows += [[zero] * i + coeffs + [zero] * (n - len(coeffs) - i) for i in range(count)]
+    return rows
+
+
+def resultant_cases():
+    """(index, p, q): nonzero MPolys in 1-3 variables, of degree <= 3 in variable index."""
+    return st.integers(1, 3).flatmap(
+        lambda n: st.tuples(
+            st.integers(0, n - 1),
+            *[mpolys(n, max_deg=3, max_terms=4).filter(lambda p: not p.is_zero())] * 2,
+        )
+    )
 
 
 def reference_evaluate(p, point):
@@ -430,24 +461,17 @@ class TestKernelProperties:
         assert evaluate(a - b, pt) == va - vb
         assert evaluate(a * b, pt) == va * vb
 
-    @settings(max_examples=40)
-    @given(st.integers(3, 4).flatmap(
-        lambda size: st.lists(st.lists(mpolys(2, max_deg=1, max_terms=3), min_size=size, max_size=size),
-                              min_size=size, max_size=size)))
-    def test_det_bareiss_matches_cofactor_expansion(self, m):
-        det = det_bareiss(m)
-        assert_invariant(det, 2)
-        assert det == cofactor_det(m)
-
-    def test_det_bareiss_row_swaps(self):
-        # a zero pivot forces a swap; on permutation matrices the det is the sign
-        one, zero = MPoly.const(1, 1), MPoly.zero(1)
-        m = [[zero, T, one], [one, zero, T], [T, one, zero]]
-        assert det_bareiss(m) == cofactor_det(m)
-        for perm in permutations(range(3)):
-            m = [[one if perm[i] == j else zero for j in range(3)] for i in range(3)]
-            inversions = sum(perm[i] > perm[j] for i in range(3) for j in range(i + 1, 3))
-            assert det_bareiss(m) == cofactor_det(m) == MPoly.const(1, (-1) ** inversions)
+    @settings(max_examples=60)
+    @given(resultant_cases())
+    @example((1, Y**4 + Y.scale(2) + X, Y**3 + X))  # the remainder (2 - x) y + x drops 2 degrees
+    @example((1, Y + X, Y**3 + X * Y + MPoly.const(2, 1)))  # odd x odd degrees, lower degree first
+    @example((1, (X - Y) * (X + Y), (X - Y) * X))  # a common factor
+    @example((1, MPoly.const(2, 3), Y**2 + X))  # a constant operand
+    def test_resultant_is_the_sylvester_determinant(self, case):
+        index, p, q = case
+        res = sylvester_resultant(p, q, index)
+        assert_invariant(res, p.var_count - 1)
+        assert res == cofactor_det(sylvester_matrix(p, q, index), p.var_count - 1)
 
     @given(poly_triples(max_deg=3, max_terms=5),
            st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=3, max_size=3))

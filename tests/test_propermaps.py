@@ -19,8 +19,9 @@ from cnull.errors import (
 )
 from cnull.gradexp import grad_profile
 from cnull.nullcert import certify_general, cycle_degree, cycle_degree_square
-from cnull.polycore import MPoly, distinct_root_count, evaluate
+from cnull.polycore import MPoly, ResidueRing, distinct_root_count, evaluate
 from cnull.propermaps import (
+    ShapeLemma,
     check_proper,
     fiber_count_at,
     fiber_points,
@@ -229,6 +230,38 @@ class TestFiberPoints:
         f = polynomial_map([MPoly.variable(3, i) for i in range(3)])
         with pytest.raises(ParamRequired):
             fiber_points(f, [F(0)] * 3)
+
+
+class TestShapeLemma:
+    def test_linear_first_equation_is_its_own_degree_1_member(self):
+        # under lam = 0, p = x + t2 - y1 is linear in t2 and q = x - y2 is free of it
+        shape = ShapeLemma(polynomial_map([X1 + X2, X1]), SimpleNamespace(randint=lambda lo, hi: 0))
+        assert shape.lam == 0
+        for y1, y2 in [(F(3), F(-2)), (F(1, 2), F(5))]:
+            ring, (t1, t2) = shape.coordinates([y1, y2])
+            assert ring.d == 1
+            assert ring.is_zero(ring.sub(t1, ring.element([y2])))
+            assert ring.is_zero(ring.sub(t2, ring.element([y1 - y2])))
+
+    def test_one_sequence_and_at_most_one_inverse_per_node(self, monkeypatch):
+        calls = {"subresultants": 0, "inverse": 0}
+
+        def counted(name, real):
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        monkeypatch.setattr(propermaps, "subresultants", counted("subresultants", propermaps.subresultants))
+        monkeypatch.setattr(ResidueRing, "inverse", counted("inverse", ResidueRing.inverse))
+        shape = ShapeLemma(SQUARE22, random.Random(0))
+        accepted = 0
+        for y in [(F(a), F(b, 2)) for a in range(-3, 4) for b in range(-3, 4)]:
+            calls.update(subresultants=0, inverse=0)
+            if shape.coordinates(y) is not None:
+                accepted += 1
+                assert calls["subresultants"] == 1 and calls["inverse"] <= 1
+        assert accepted > 40
 
 
 class TestGrowthExponent:
