@@ -428,8 +428,8 @@ def growth_inclusion_check(
         raise InvalidInput("q must be positive")
     if samples < 1:
         raise InvalidInput("samples must be at least 1")
-    if R <= 1:
-        raise InvalidInput("R must exceed 1")
+    if not (R > 1 and math.isfinite(1e4 * R)):
+        raise InvalidInput("R must exceed 1, with 10^4 R finite")
     gen = _rng.child_rng(seed, "growth")
     k = P.k
     q_f = float(q)

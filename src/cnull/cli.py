@@ -257,7 +257,7 @@ def _run_ploski(args, f, g, seed: int, prec: int) -> dict:
         "charpoly": charpoly_to_json(P),
         "delta": _rat_view(delta),
     }
-    if q > 0:
+    if args.q is not None or q > 0:  # only a computed delta = 0 skips the check
         check = growth_inclusion_check(P, q, R=args.R, samples=args.samples, seed=seed, prec=prec)
         out["growth_check"] = {
             "q": _rat_view(q),

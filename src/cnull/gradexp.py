@@ -87,8 +87,8 @@ def validate_inequality(
     theta_value = Fraction(theta_value)
     if not 0 < theta_value <= 1:
         raise InvalidInput("theta must lie in (0, 1]")
-    if len(shells) < 2 or not all(0 < a < b for a, b in zip(shells, shells[1:])):
-        raise InvalidInput("shells must be at least two positive, increasing norm scales")
+    if len(shells) < 2 or not all(0 < a < b < math.inf for a, b in zip(shells, shells[1:])):
+        raise InvalidInput("shells must be at least two positive, increasing, finite norm scales")
     if samples_per_shell < 1:
         raise InvalidInput("samples_per_shell must be at least 1")
     grads = gradient(f)

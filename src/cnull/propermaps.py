@@ -7,18 +7,19 @@ curve, and for a square map on two parameters the resultant
 Res_t2(f - y) after a random shear that leaves it no roots at infinity.
 A fiber count is its squarefree degree, and its squarefree factor S_i
 holds the fiber points of multiplicity i.  On two parameters the fiber
-itself is exact too: ShapeLemma gives its coordinates as residues mod
-the squarefree fiber polynomial, reading t2 from the subresultant
-sequence that gives that polynomial, which is how the characteristic
-polynomial samples its grid.  fiber_points picks a numeric solver by k,
-for callers that need complex coordinates: clustered roots of the gcd
-for a curve (fiber_t_clusters), the bivariate resultant solver for k = 2
+itself is exact too: ShapeLemma is the one place that eliminates with
+y kept symbolic, one subresultant sequence per shear, and a rational
+node substitutes its y to get its fiber polynomial and the coordinates
+of its points as residues mod it; the characteristic polynomial samples
+its grid that way.  fiber_points picks a numeric solver by k, for
+callers that need complex coordinates: clustered roots of the gcd for a
+curve (fiber_t_clusters), the bivariate resultant solver for k = 2
 (fiber_points_2); in the package only the one-parameter grid calls it.
 Every fiber point is a k-tuple.  check_proper decides properness and
-returns the geometric degree d(f), both exactly: from the same resultant
-with y kept symbolic on two parameters, from a certified fiber gcd on a
-curve.  The image degree of a curve is the top degree of its pullbacks
-over d(f).  Only the fiber_points family takes a precision.
+returns the geometric degree d(f), both exactly: from ShapeLemma's
+resultant on two parameters, from a certified fiber gcd on a curve.
+The image degree of a curve is the top degree of its pullbacks over
+d(f).  Only the fiber_points family takes a precision.
 
 Generic sample points are always taken on the image, as f(phi(t0)) for
 random rational t0, so maps with non-dominant image (more components
@@ -51,9 +52,8 @@ from .polycore import (
     exact_divide,
     squarefree_factors,
     subresultants,
-    sylvester_resultant,
     total_degree,
-    univ_coeffs,
+    univ_from_coeffs,
     univ_gcd,
 )
 from .variety import CAMap, curve_degree, polynomial_map, random_slice, slice_count
@@ -73,13 +73,16 @@ def check_proper(f: CAMap, seed: int = 0) -> int:
     A square map f on two parameters is proper exactly when it is finite,
     and after a shear t1 = x - lam*t2 that gives f1 a constant leading
     t2-coefficient it is finite exactly when R = Res_t2(f1 - y1, f2 - y2)
-    in Q[y1, y2][x] has a nonzero constant leading coefficient in x (the
-    criterion behind Jelonek's non-properness set).  Proof: if it has, then
+    in Q[y1, y2][x], ShapeLemma's R under the salt proper-shear, has a
+    nonzero constant leading coefficient in x (the criterion behind
+    Jelonek's non-properness set).  Proof: if it has, then
     x, then t2, then t1 are integral over Q[f1, f2]; if f is finite, R is
     a constant times a power of the equation of the surface {(x(t), f(t))},
     which is monic in x.  The verdict does not depend on the shear drawn.
-    With no roots at infinity R counts the generic fiber with multiplicity,
-    so d(f) = deg_x R.
+    Up to a constant, R is then the characteristic polynomial of x over
+    Q(y1, y2), and with no roots at infinity it counts the generic fiber
+    with multiplicity, so d(f) = deg_x R.  A constant component is
+    NotProper before any shear is drawn.
 
     For curves some pullback must be nonconstant, and d(f) = deg h for the
     fiber gcd h over F(t0), t0 random, once every pullback F_j is in Q[h]:
@@ -98,7 +101,9 @@ def check_proper(f: CAMap, seed: int = 0) -> int:
             if all(_in_subring(p, h) for p in f.pullbacks):
                 return h.degree_in(0)
         raise InconsistentFiberCounts(f"no fiber gcd on {_DRAW_BUDGET} draws generates the pullbacks")
-    R = _generic_resultant(f, _rng.child_rng(seed, "proper-shear"))
+    if any(p.is_constant() for p in _system(f, [0] * f.n)):  # ParamRequired unless square, k = 2
+        raise NotProper("a component is constant")
+    R = ShapeLemma(f, _rng.child_rng(seed, "proper-shear")).R
     if R.degree_in(0) < 1:
         raise NotProper("fibers are not finite")
     if not coeffs_in_var(R, 0)[-1].is_constant():
@@ -114,23 +119,6 @@ def _in_subring(p: MPoly, h: MPoly) -> bool:
             return False
         p = exact_divide(p - digit, h)
     return True
-
-
-def _generic_resultant(f: CAMap, gen) -> MPoly:
-    """R = Res_t2(f1 - y1, f2 - y2) in (x, y1, y2) for a square map on two parameters.
-
-    The shear t1 = x - lam*t2 is drawn from gen (see _shear).  Up to a
-    constant, R is the characteristic polynomial of x over Q(y1, y2)
-    when f is finite, so its degree in x is d(f).  R is never zero, as
-    f1 - y1 is irreducible; NotProper when a component is constant.
-    """
-    polys = _system(f, [0] * f.n)  # the pullbacks; ParamRequired unless square, k = 2
-    if any(p.is_constant() for p in polys):
-        raise NotProper("a component is constant")
-    x, t2, *ys = (MPoly.variable(4, i) for i in range(4))
-    lam = _shear(polys[0], gen)
-    p, q = (compose(h, [x - t2.scale(lam), t2]) - y for h, y in zip(polys, ys))
-    return sylvester_resultant(p, q, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -174,31 +162,19 @@ def _top_form_at(p: MPoly, lam) -> Fraction:
     return sum(c * (-lam) ** e[0] for e, c in p.terms.items() if sum(e) == d)
 
 
-def _sheared(polys: list[MPoly], lam) -> list[MPoly]:
-    """The polys in (x, t2) under t1 = x - lam*t2."""
-    x, t2 = MPoly.variable(2, 0), MPoly.variable(2, 1)
+def _sheared(polys: list[MPoly], lam, var_count: int = 2) -> list[MPoly]:
+    """The polys in (x, t2) under t1 = x - lam*t2, as polynomials in var_count variables."""
+    x, t2 = MPoly.variable(var_count, 0), MPoly.variable(var_count, 1)
     return [compose(h, [x - t2.scale(lam), t2]) for h in polys]
-
-
-def _resultant_in_x(p: MPoly, q: MPoly) -> tuple[MPoly, list[MPoly] | None]:
-    """Res_t2(p, q) in x and the member of degree 1 (see subresultants), for p with a constant t2-lead.
-
-    The resultant has no roots at infinity, and it is zero exactly when p
-    and q share a curve.
-    """
-    if q.is_zero():
-        raise NonZeroDimensional("a zero polynomial has a positive-dimensional zero set")
-    res, linear = subresultants(p, q, 1)
-    if res.is_zero():
-        raise NonZeroDimensional("the fiber contains a curve")
-    return res, linear
 
 
 def _fiber_poly(polys: list[MPoly], lam: int | None) -> MPoly:
     """Univariate polynomial whose roots are the common zeros of polys.
 
     For one parameter their gcd, in t.  For two, Res_t2(p, q) under the
-    shear t1 = x - lam*t2 from _shear, in x (see _resultant_in_x).
+    shear t1 = x - lam*t2 from _shear, in x: it has no roots at infinity,
+    as p has a constant t2-lead, and it is zero exactly when p and q share
+    a curve.
     """
     if lam is None:
         g = polys[0]
@@ -207,7 +183,13 @@ def _fiber_poly(polys: list[MPoly], lam: int | None) -> MPoly:
         if g.is_zero():
             raise NotIsolated("fiber is the whole curve")
         return g
-    return _resultant_in_x(*_sheared(polys, lam))[0]
+    p, q = _sheared(polys, lam)
+    if q.is_zero():
+        raise NonZeroDimensional("a zero polynomial has a positive-dimensional zero set")
+    res = subresultants(p, q, 1)[0]
+    if res.is_zero():
+        raise NonZeroDimensional("the fiber contains a curve")
+    return res
 
 
 def fiber_poly(f: CAMap, y, gen=None) -> MPoly:
@@ -230,8 +212,16 @@ class ShapeLemma:
     t2 - theta(x), with theta a residue mod R (Gianni and Mora 1989;
     Rouillier 1999).  One subresultant sequence gives both: R is its
     last member, and theta = -s0/s1 mod R comes from its member
-    s0 + s1*t2 of degree 1; no root is computed.  lam is drawn from gen
-    by _shear, and again on each redraw.
+    S1 = s0 + s1*t2 of degree 1; no root is computed.  The sequence is
+    taken once per shear, with y symbolic, and a node substitutes its y
+    into R and S1.  That is exact: resultants and subresultants are
+    determinants of the Sylvester matrix of the t2-coefficients (Collins
+    1967), and its shape is the same at every node, as under the shear
+    f1 - y1 has a nonzero constant t2-lead and y2 moves no t2-degree of
+    f2 - y2 for a nonconstant f2.  So R(x; y) is the node's resultant and
+    S1(x; y) its subresultant of degree 1, proportional to the member of
+    degree 1 of the node's own sequence, with the same theta.  lam is
+    drawn from gen by _shear, and again on each redraw.
     """
 
     def __init__(self, f: CAMap, gen):
@@ -240,7 +230,9 @@ class ShapeLemma:
 
     def redraw(self) -> None:
         self.lam = _shear(self.f.pullbacks[0], self.gen)
-        self._sheared = _sheared(list(self.f.pullbacks), self.lam)
+        ys = (MPoly.variable(4, i) for i in (2, 3))
+        p, q = (h - y for h, y in zip(_sheared(self.f.pullbacks, self.lam, 4), ys))
+        self.R, self.S1 = subresultants(p, q, 1)  # in (x, y1, y2)
 
     def coordinates(self, y) -> tuple[ResidueRing, list] | None:
         """Q[x]/R and the residues of t1 and t2 on the fiber over the rational point y.
@@ -250,16 +242,23 @@ class ShapeLemma:
         Then a root x0 of R lies under exactly one fiber point, a
         transversal one, so gcd(p(x0, .), q(x0, .)) = t2 - theta(x0) and
         s1 is a unit mod R: the None for a missing s1, or one that is
-        not a unit, should not occur.
+        not a unit, should not occur.  NonZeroDimensional when R is zero
+        at y: the fiber contains a curve.
         """
-        p, q = (h - MPoly.const(2, Fraction(v)) for h, v in zip(self._sheared, y))
-        R, linear = _resultant_in_x(p, q)
+        point = [0, *(Fraction(v) for v in y)]
+
+        def at(p: MPoly) -> list[Fraction]:  # p(x; y), ascending in x
+            return [evaluate(c, point) for c in coeffs_in_var(p, 0)]
+
+        R = univ_from_coeffs(at(self.R))
+        if R.is_zero():
+            raise NonZeroDimensional("the fiber contains a curve")
         if R.is_constant() or distinct_root_count(R) != R.degree_in(0):
             return None
         ring = ResidueRing(R)
-        if linear is None or (inv := ring.inverse(ring.element(univ_coeffs(linear[1])))) is None:
+        if self.S1 is None or (inv := ring.inverse(ring.element(at(self.S1[1])))) is None:
             return None
-        theta = ring.mul(ring.element([-c for c in univ_coeffs(linear[0])]), inv)
+        theta = ring.mul(ring.element([-c for c in at(self.S1[0])]), inv)
         t1 = ring.sub(ring.element([0, 1]), ring.mul(ring.element([self.lam]), theta))
         return ring, [t1, theta]
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -456,6 +457,13 @@ class TestGrowthInclusion:
         P = CharPoly(2, [MPoly(1, {}), -Y], None, "resultant", ["y1"])
         with pytest.raises(InvalidInput):
             growth_inclusion_check(P, F(1, 2), samples=0, seed=0)
+
+    @pytest.mark.parametrize("R", [math.inf, math.nan, 1e305])
+    def test_non_finite_sampling_range_raises(self, R):
+        # |x| is drawn up to 10^4 R: a range that overflows would give a vacuous verdict
+        P = CharPoly(2, [MPoly(1, {}), -Y], None, "resultant", ["y1"])
+        with pytest.raises(InvalidInput):
+            growth_inclusion_check(P, F(1, 2), R=R, samples=10, seed=0)
 
     def test_pure_power_holds_everywhere(self):
         P = CharPoly(3, [MPoly(1, {})] * 3, None, "resultant", ["y1"])

@@ -328,7 +328,14 @@ class TestCliContract:
 
     @pytest.mark.parametrize(
         "options",
-        [["--shells", "10"], ["--shells", "100", "10"], ["--samples-per-shell", "0"]],
+        [
+            ["--shells", "10"],
+            ["--shells", "100", "10"],
+            ["--shells", "10", "inf"],
+            ["--shells", "10", "1e400"],
+            ["--shells", "10", "nan"],
+            ["--samples-per-shell", "0"],
+        ],
     )
     def test_unusable_gradexp_sampling_exit_4(self, capsys, options):
         assert main(["gradexp", "--poly", fx("sum_squares.json"), *options]) == 4
@@ -342,6 +349,19 @@ class TestCliContract:
     def test_bad_rational_option_exit_4(self, capsys):
         argv = ["ploski", "--variety", fx("cusp.json"), "--f", fx("fx.json"), "--g", fx("gyx.json")]
         assert main(argv + ["--q", "1/0"]) == 4
+
+    @pytest.mark.parametrize("option", [["--q", "0"], ["--q=-1"]])
+    def test_explicit_nonpositive_q_is_checked_exit_4(self, capsys, option):
+        # only a computed delta = 0 skips the growth check; an explicit --q reaches it
+        argv = ["ploski", "--variety", fx("cusp.json"), "--f", fx("fx.json"), "--g", fx("gyx.json")]
+        assert main(argv + option) == 4
+        assert "InvalidInput" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", ["inf", "nan", "1e400", "1e305"])
+    def test_non_finite_sampling_scale_exit_4(self, capsys, scale):
+        argv = ["ploski", "--variety", fx("cusp.json"), "--f", fx("fx.json"), "--g", fx("gyx.json")]
+        assert main(argv + ["--R", scale, "--samples", "10"]) == 4
+        assert "InvalidInput" in capsys.readouterr().err
 
     def test_inputs_that_do_not_fit_the_route_exit_4(self, capsys):
         # proj23 on the curve graph_cubic has more components than dimensions

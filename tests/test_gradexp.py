@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -127,6 +128,8 @@ class TestValidateInequality:
             {"shells": (100.0, 10.0)},
             {"shells": (10.0, 10.0)},
             {"shells": (-10.0, 10.0)},
+            {"shells": (10.0, math.inf)},
+            {"shells": (10.0, math.nan)},
             {"samples_per_shell": 0},
         ],
     )

@@ -19,7 +19,15 @@ from cnull.errors import (
 )
 from cnull.gradexp import grad_profile
 from cnull.nullcert import certify_general, cycle_degree, cycle_degree_square
-from cnull.polycore import MPoly, ResidueRing, distinct_root_count, evaluate
+from cnull.polycore import (
+    MPoly,
+    ResidueRing,
+    compose,
+    distinct_root_count,
+    evaluate,
+    subresultants,
+    univ_coeffs,
+)
 from cnull.propermaps import (
     ShapeLemma,
     check_proper,
@@ -97,15 +105,15 @@ class TestGeometricDegree:
 
     def test_square_map_reads_the_properness_resultant(self, monkeypatch):
         calls = []
-        real = propermaps.sylvester_resultant
+        real = propermaps.subresultants
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(propermaps, "sylvester_resultant", counted)
+        monkeypatch.setattr(propermaps, "subresultants", counted)
         assert geometric_degree(SQUARE22, seed=0) == 4
-        assert len(calls) == 1
+        assert len(calls) == 1  # one elimination, with y symbolic
 
     def test_square_two_parameter_case(self, plane2):
         f = load_map(
@@ -255,13 +263,64 @@ class TestShapeLemma:
         monkeypatch.setattr(propermaps, "subresultants", counted("subresultants", propermaps.subresultants))
         monkeypatch.setattr(ResidueRing, "inverse", counted("inverse", ResidueRing.inverse))
         shape = ShapeLemma(SQUARE22, random.Random(0))
+        assert calls["subresultants"] == 1  # one sequence per shear, with y symbolic
         accepted = 0
         for y in [(F(a), F(b, 2)) for a in range(-3, 4) for b in range(-3, 4)]:
             calls.update(subresultants=0, inverse=0)
             if shape.coordinates(y) is not None:
                 accepted += 1
-                assert calls["subresultants"] == 1 and calls["inverse"] <= 1
+                assert calls["inverse"] <= 1
+            assert calls["subresultants"] == 0
         assert accepted > 40
+
+
+    @settings(max_examples=80)
+    @given(
+        comps=st.lists(plane_polys(3), min_size=2, max_size=2),
+        nodes=st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=4),
+        seed=st.integers(0, 10),
+        lam=st.none(),
+    )
+    @example(comps=[X1 + X2, X1], nodes=[(3, -2), (0, 0)], seed=0, lam=0)
+    @example(comps=[X1 * X2, X1], nodes=[(0, 0), (1, 1)], seed=0, lam=None)  # a line over (0, 0)
+    @example(comps=[MPoly.const(2, 2), X1 + X2**2], nodes=[(2, 1), (3, 1)], seed=0, lam=None)
+    # under lam = 0 the sequence drops from degree 3 to 1: its member of degree 1 is S2
+    @example(comps=[X2**3 + X1, X2**3 + X2 + X1**2], nodes=[(0, 0), (1, 2), (-1, 3)], seed=0, lam=0)
+    def test_substituted_sequence_matches_the_node_sequence(self, comps, nodes, seed, lam):
+        f = polynomial_map(comps)
+        gen = random.Random(seed) if lam is None else SimpleNamespace(randint=lambda lo, hi: lam)
+        shape = ShapeLemma(f, gen)
+        for node in nodes:
+            y = [F(v) for v in node]
+            assert _outcome(shape.coordinates, y) == _outcome(lambda y: _node_coordinates(f, shape.lam, y), y)
+
+
+def _node_coordinates(f, lam, y):
+    """ShapeLemma.coordinates by its own subresultant sequence at the node y, with y fixed."""
+    x, t2 = MPoly.variable(2, 0), MPoly.variable(2, 1)
+    p, q = (compose(h, [x - t2.scale(lam), t2]) - MPoly.const(2, v) for h, v in zip(f.pullbacks, y))
+    if p.is_zero() or q.is_zero():
+        raise NonZeroDimensional("a zero polynomial")
+    R, linear = subresultants(p, q, 1)
+    if R.is_zero():
+        raise NonZeroDimensional("the fiber contains a curve")
+    if R.is_constant() or distinct_root_count(R) != R.degree_in(0):
+        return None
+    ring = ResidueRing(R)
+    if linear is None or (inv := ring.inverse(ring.element(univ_coeffs(linear[1])))) is None:
+        return None
+    theta = ring.mul(ring.element([-c for c in univ_coeffs(linear[0])]), inv)
+    t1 = ring.sub(ring.element([0, 1]), ring.mul(ring.element([lam]), theta))
+    return ring, [t1, theta]
+
+
+def _outcome(coordinates, y):
+    """The modulus and residues, None, or NonZeroDimensional, comparable across two rings."""
+    try:
+        fiber = coordinates(y)
+    except NonZeroDimensional:
+        return NonZeroDimensional
+    return fiber and (fiber[0]._r, fiber[1])
 
 
 class TestGrowthExponent:
@@ -486,7 +545,7 @@ class TestCheckProper:
             d = check_proper(f, seed)
         except NotProper:
             return
-        assert propermaps._generic_resultant(f, random.Random(seed)).degree_in(0) == d
+        assert ShapeLemma(f, random.Random(seed)).R.degree_in(0) == d
         gen = random.Random(seed)
         counts = []
         for _ in range(4):
