@@ -428,6 +428,10 @@ def growth_inclusion_check(
         raise InvalidInput("q must be positive")
     if samples < 1:
         raise InvalidInput("samples must be at least 1")
+    try:
+        R = float(R)
+    except OverflowError:  # an int beyond float range
+        R = math.inf
     if not (R > 1 and math.isfinite(1e4 * R)):
         raise InvalidInput("R must exceed 1, with 10^4 R finite")
     gen = _rng.child_rng(seed, "growth")

@@ -104,7 +104,7 @@ class NonReal(PrecisionError):
 
 
 class DegenerateSlice(PrecisionError):
-    """Every random slice drawn within the retry budget was non-generic."""
+    """A constant curve has no generic slice, or no projection drawn within budget was finite."""
 
 
 class InconsistentFiberCounts(PrecisionError):

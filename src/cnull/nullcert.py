@@ -56,7 +56,7 @@ from .propermaps import (
     check_proper,
     fiber_poly,
     image_degree,
-    image_slice_count,
+    image_slice_points,
     local_multiplicity,
 )
 from .variety import CAMap, Variety, degree_by_slicing, load_variety
@@ -268,7 +268,7 @@ def certify_general(f: CAMap, g: CAMap, seed: int = 0) -> Certificate:
     if n <= k:
         raise InvalidInput("overdetermined route needs more components than dimensions")
     check_proper(f, seed)
-    product = image_slice_count(f)  # d(f) * deg f(A), the theorem's exponent
+    product = image_slice_points(f)  # d(f) * deg f(A), the theorem's exponent
     fiber = fiber_poly(f, [0] * n)
     if not fiber.is_constant():
         common = univ_gcd(fiber, g.pullbacks[0])

@@ -19,7 +19,10 @@ Every fiber point is a k-tuple.  check_proper decides properness and
 returns the geometric degree d(f), both exactly: from ShapeLemma's
 resultant on two parameters, from a certified fiber gcd on a curve.
 The image degree of a curve is the top degree of its pullbacks over
-d(f).  Only the fiber_points family takes a precision.
+d(f).  So is the degree of a graph on a curve; on two parameters it is
+d(L o Gamma) for one random linear projection L of the graph that
+check_proper certifies finite (exact for L off a proper algebraic set;
+see graph_degree).  Only the fiber_points family takes a precision.
 
 Generic sample points are always taken on the image, as f(phi(t0)) for
 random rational t0, so maps with non-dominant image (more components
@@ -33,6 +36,7 @@ from fractions import Fraction
 
 from . import rng as _rng
 from .errors import (
+    DegenerateSlice,
     InconsistentFiberCounts,
     InvalidInput,
     NonZeroDimensional,
@@ -56,7 +60,7 @@ from .polycore import (
     univ_from_coeffs,
     univ_gcd,
 )
-from .variety import CAMap, curve_degree, polynomial_map, random_slice, slice_count
+from .variety import CAMap, curve_degree, polynomial_map
 
 _DRAW_BUDGET = 15
 
@@ -292,17 +296,6 @@ def fiber_points(f: CAMap, y, prec: int = 256) -> list[tuple]:
     return fiber_points_2(f, y, prec)
 
 
-def fiber_count_at(f: CAMap, y, gen=None) -> int:
-    """Number of distinct fiber points over the exact rational point y.
-
-    The squarefree degree of fiber_poly, an exact count.  For k = 2 a
-    shear (from gen) that merges two fiber points undercounts, so the
-    graph slices draw a new one on each of their draws.
-    """
-    p = fiber_poly(f, y, gen)
-    return 0 if p.is_constant() else distinct_root_count(p)
-
-
 def geometric_degree(f: CAMap, seed: int = 0) -> int:
     """Cardinality of the generic fiber (sheet number over the image), exactly: see check_proper."""
     return check_proper(f, seed)
@@ -395,10 +388,10 @@ def stoll_check(f: CAMap, y0, seed: int = 0):
 
 
 # ---------------------------------------------------------------------------
-# image and graph degrees by random affine slicing
+# image and graph degrees, read exactly
 
 
-def image_slice_count(f: CAMap) -> int:
+def image_slice_points(f: CAMap) -> int:
     """d(f) * deg f(A) for a curve: the parameter points on a generic hyperplane slice of f(A)."""
     if f.domain.require_param().k != 1:
         raise ParamRequired("image degree implemented for curves")
@@ -406,41 +399,59 @@ def image_slice_count(f: CAMap) -> int:
 
 
 def image_degree(f: CAMap, seed: int = 0) -> int:
-    """Degree of the image curve f(A), exactly: image_slice_count over d(f)."""
+    """Degree of the image curve f(A), exactly: image_slice_points over d(f)."""
     d_f = geometric_degree(f, seed)
-    points, rest = divmod(image_slice_count(f), d_f)
+    points, rest = divmod(image_slice_points(f), d_f)
     if rest:
         raise InconsistentFiberCounts(f"d(f) = {d_f} does not divide the slice count")
     return points
 
 
-def graph_slice_count(f: CAMap, gen) -> int | None:
-    """Points of the graph of f on k random affine slices of ambient x target space.
+def graph_degree(f: CAMap, seed: int = 0) -> int:
+    """Degree of the graph X of f in ambient x target space.
 
-    The slices pull back to k polynomials in the k parameters, whose
-    common zeros are the fiber over 0 of the map they form (the shear
-    drawn after the slices); None when the draw is not generic.
+    X is parametrized by Gamma = (phi, f o phi), generically one-to-one
+    as phi is.  On a curve deg X is curve_degree of Gamma, with no draw.
+    On k parameters take a random linear map L to C^k and the square map
+    L o Gamma.  If check_proper passes it, L is finite on X: a point of X
+    escaping with bounded L-image would pull back to an escaping t.  Its
+    generic fiber is X cut by a linear space of complementary dimension,
+    so d(L o Gamma) <= deg X, with equality when the centre of L (at
+    infinity) misses the closure of X.  That holds for every L off a
+    proper algebraic set, and is not checked: the projection of the graph
+    of (x1, x2) on x3 = x1^2 x2 onto the target is finite of degree 1,
+    and the graph has degree 3.  So the entries of L are integers drawn
+    from [-10^6, 10^6] (salt graphproj:{attempt}), where a small range
+    hits that set often: rationals of height 10 gave 3 for 6 on
+    square(3,2) at 4 of 200 seeds.  A generic L is finite on X (Noether
+    normalization), and L o Gamma is then proper whenever phi is: in
+    charpoly f o phi is proper, so phi is, and in gradexp phi is the
+    identity.  NotProper (dependent rows included) draws L again;
+    DegenerateSlice after _DRAW_BUDGET draws.  ParamRequired from
+    check_proper for k >= 3.
     """
     param = f.domain.require_param()
     coords = list(param.components) + list(f.pullbacks)
-    slices = [random_slice(gen, coords) for _ in range(param.k)]
-    if any(s.is_constant() for s in slices):
-        return None
-    try:
-        return fiber_count_at(polynomial_map(slices), [0] * param.k, gen)
-    except NonZeroDimensional:
-        return None
-
-
-def graph_degree(f: CAMap, seed: int = 0) -> int:
-    """Degree of the graph of f, sliced inside ambient x target space."""
-    return slice_count(seed, "graphdeg", lambda gen: graph_slice_count(f, gen))
+    if param.k == 1:
+        return curve_degree(coords)
+    for attempt in range(_DRAW_BUDGET):
+        gen = _rng.child_rng(seed, f"graphproj:{attempt}")
+        rows = [[gen.randint(-10**6, 10**6) for _ in coords] for _ in range(param.k)]
+        projection = [sum((c.scale(w) for c, w in zip(coords, row)), MPoly.zero(param.k)) for row in rows]
+        try:
+            return check_proper(polynomial_map(projection), seed)
+        except NotProper:
+            continue
+    raise DegenerateSlice(f"no linear projection within {_DRAW_BUDGET} draws is finite on the graph")
 
 
 def profile_map(f: CAMap, seed: int = 0) -> ProperMapProfile:
     """Assemble the degree profile used by the characteristic polynomial.
 
-    Properness is checked once, inside geometric_degree.
+    Properness of f is checked once, inside geometric_degree, and
+    graph_degree checks its projections the same way.  Nothing else is
+    drawn: only check_proper's shears (its fiber points on a curve) and
+    the projections.
     """
     return ProperMapProfile(
         d_f=geometric_degree(f, seed),

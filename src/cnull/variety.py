@@ -12,23 +12,18 @@ the parametrization.  The resulting pullbacks are cached eagerly and are
 the workhorse of every downstream computation.  polynomial_map views
 polynomials in m variables as such a map on C^m with the identity
 parametrization.  A gradient is profiled that way, through
-propermaps.profile_map like any map, and graph slices are counted that
-way, through propermaps.fiber_count_at, the one fiber count for k in
-{1, 2}, exact.
+propermaps.profile_map like any map, and so is a linear projection of
+a graph, whose degree propermaps.graph_degree reads.
 
 The degree of a parametrized curve needs no slice: a generic hyperplane
-meets it in max_i deg phi_i points (curve_degree).  Graph degrees, which
-have no such closed form on two parameters, are sliced in one loop:
-random_slice draws an affine form in the coordinates, and slice_count
-retries non-generic draws under the caller's salt and keeps the max of
-the first 3 generic counts.
+meets it in max_i deg phi_i points (curve_degree).  Nothing in this
+module draws at random.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import rng as _rng
 from .errors import (
     DegenerateSlice,
     GeneratorNotAnnihilated,
@@ -187,37 +182,7 @@ def polynomial_map(polys: list[MPoly]) -> CAMap:
 
 
 # ---------------------------------------------------------------------------
-# curve degrees, and graph degrees by random affine slicing
-
-_SLICE_DRAWS = 15
-_SLICES_KEPT = 3
-
-
-def random_slice(gen, coords: list[MPoly]) -> MPoly:
-    """sum lam_i coords_i - c for a random nonzero rational vector lam and rational c."""
-    lam = _rng.rand_nonzero_vector(gen, len(coords))
-    c = _rng.rand_rational(gen)
-    var_count = coords[0].var_count
-    sliced = MPoly(var_count, {})
-    for coeff, p in zip(lam, coords):
-        sliced = sliced + p.scale(coeff)
-    return sliced - MPoly.const(var_count, c)
-
-
-def slice_count(seed: int, salt: str, count) -> int:
-    """Max of the first 3 generic slice counts within 15 draws.
-
-    Draw i calls count(child_rng(seed, f"{salt}:{i}")), which returns the
-    number of points on its random slices, or None for a non-generic draw.
-    """
-    counts = []
-    for attempt in range(_SLICE_DRAWS):
-        n = count(_rng.child_rng(seed, f"{salt}:{attempt}"))
-        if n is not None:
-            counts.append(n)
-            if len(counts) == _SLICES_KEPT:
-                return max(counts)
-    raise DegenerateSlice("no generic slice found within the retry budget")
+# curve degrees
 
 
 def curve_degree(coords: list[MPoly]) -> int:

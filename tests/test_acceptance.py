@@ -25,9 +25,9 @@ from cnull.nullcert import (
     split_coeff,
     verify_certificate,
 )
-from cnull.polycore import NEG_INF, MPoly, compose, total_degree
+from cnull.polycore import NEG_INF, MPoly, compose, distinct_root_count, total_degree
 from cnull.propermaps import (
-    fiber_count_at,
+    fiber_poly,
     geometric_degree,
     graph_degree,
     growth_exponent,
@@ -104,7 +104,7 @@ def test_criterion_2_oracle_equivalence(
 @criterion(3, "graph-of-cubic fixture: geometric degree 1, two preimages of the origin")
 def test_criterion_3_example_reproduction(cubic_proj23):
     assert geometric_degree(cubic_proj23, seed=0) == 1
-    assert fiber_count_at(cubic_proj23, [F(0), F(0)]) == 2
+    assert distinct_root_count(fiber_poly(cubic_proj23, [F(0), F(0)])) == 2
 
 
 @criterion(4, "coefficient degree bounds hold on every fixture; cusp bounds (0, 1), tight at j=2")

@@ -458,9 +458,10 @@ class TestGrowthInclusion:
         with pytest.raises(InvalidInput):
             growth_inclusion_check(P, F(1, 2), samples=0, seed=0)
 
-    @pytest.mark.parametrize("R", [math.inf, math.nan, 1e305])
+    @pytest.mark.parametrize("R", [math.inf, math.nan, 1e305, pytest.param(10**400, id="10**400")])
     def test_non_finite_sampling_range_raises(self, R):
-        # |x| is drawn up to 10^4 R: a range that overflows would give a vacuous verdict
+        # |x| is drawn up to 10^4 R: a range that overflows would give a vacuous verdict,
+        # and an int beyond float range must not escape as an OverflowError
         P = CharPoly(2, [MPoly(1, {}), -Y], None, "resultant", ["y1"])
         with pytest.raises(InvalidInput):
             growth_inclusion_check(P, F(1, 2), R=R, samples=10, seed=0)

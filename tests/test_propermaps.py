@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import axis_x2_spec, line_poly, map_spec, pj, plane_polys, univariate_coeffs
 from cnull import numroots, propermaps, rng
 from cnull.errors import (
+    DegenerateSlice,
     InconsistentFiberCounts,
     InvalidInput,
     NonZeroDimensional,
@@ -29,10 +30,11 @@ from cnull.polycore import (
     univ_coeffs,
 )
 from cnull.propermaps import (
+    ProperMapProfile,
     ShapeLemma,
     check_proper,
-    fiber_count_at,
     fiber_points,
+    fiber_poly,
     geometric_degree,
     graph_degree,
     growth_exponent,
@@ -48,11 +50,36 @@ V2 = ["x1", "x2"]
 X1, X2 = MPoly.variable(2, 0), MPoly.variable(2, 1)
 # square(2, 2): the Jacobian 4 x1 x2 + 1 vanishes at (1/2, -1/2)
 SQUARE22 = polynomial_map([X1**2 + X2, X2**2 - X1])
+SQUARE32 = polynomial_map([X1**3 + X2, X2**2 - X1])
+GRAD_QUARTIC = polynomial_map([(X1**3).scale(4) + X2, (X2**3).scale(4) + X1])  # the bench quartic's gradient
 # proper with d(f) = 3, short of their Bezout numbers 6 and 4
 ZEROS_AT_INFINITY = [
     polynomial_map([X1 + X2**2, X2**3]),
     polynomial_map([X1 * X2 + X1, X2**2 + X1]),
 ]
+
+
+def sliced_graph_degree(f, seed):
+    """The former graph_degree: the max of the first 3 generic counts of random affine slices."""
+    param = f.domain.require_param()
+    coords = list(param.components) + list(f.pullbacks)
+    counts = []
+    for attempt in range(15):
+        gen = rng.child_rng(seed, f"graphdeg:{attempt}")
+        slices = []
+        for _ in range(param.k):
+            lam, c = rng.rand_nonzero_vector(gen, len(coords)), rng.rand_rational(gen)
+            slices.append(sum((p.scale(w) for p, w in zip(coords, lam)), MPoly.const(param.k, -c)))
+        if any(s.is_constant() for s in slices):
+            continue
+        try:
+            fiber = fiber_poly(polynomial_map(slices), [0] * param.k, gen)
+        except NonZeroDimensional:
+            continue
+        counts.append(0 if fiber.is_constant() else distinct_root_count(fiber))
+        if len(counts) == 3:
+            return max(counts)
+    raise DegenerateSlice("no generic slice within 15 draws")
 
 
 def close_roots_line():
@@ -144,21 +171,21 @@ class TestGeometricDegree:
 
 class TestFiberCount:
     def test_node_has_two_preimages(self, cubic_proj23):
-        assert fiber_count_at(cubic_proj23, [F(0), F(0)]) == 2
+        assert distinct_root_count(fiber_poly(cubic_proj23, [F(0), F(0)])) == 2
 
     def test_cusp_branch_point(self, cusp_fx):
-        assert fiber_count_at(cusp_fx, [F(0)]) == 1
+        assert distinct_root_count(fiber_poly(cusp_fx, [F(0)])) == 1
 
     def test_cusp_regular_value(self, cusp_fx):
-        assert fiber_count_at(cusp_fx, [F(1)]) == 2
+        assert distinct_root_count(fiber_poly(cusp_fx, [F(1)])) == 2
 
     def test_empty_fiber_off_image(self, cubic_proj23):
-        assert fiber_count_at(cubic_proj23, [F(1), F(10)]) == 0
+        assert fiber_poly(cubic_proj23, [F(1), F(10)]).is_constant()
 
     def test_bounded_by_degree_with_critical_dip(self, cusp_fx):
         d = geometric_degree(cusp_fx, seed=0)
         for y in (F(-2), F(-1), F(0), F(1), F(2)):
-            count = fiber_count_at(cusp_fx, [y])
+            count = distinct_root_count(fiber_poly(cusp_fx, [y]))
             assert count <= d
             if y == 0:
                 assert count < d
@@ -167,7 +194,7 @@ class TestFiberCount:
 class TestExactFiberCount:
     def test_roots_closer_than_the_cluster_tolerance_count_apart(self):
         f = close_roots_line()
-        assert fiber_count_at(f, [F(0)]) == 2
+        assert distinct_root_count(fiber_poly(f, [F(0)])) == 2
         # clustering at 256 bits merges the pair into one coordinate
         assert len(fiber_points(f, [F(0)])) == 1
 
@@ -179,7 +206,7 @@ class TestExactFiberCount:
     def test_matches_the_clustered_fiber_at_a_generic_value(self, cline, comps, t0):
         f = load_map(cline, map_spec(*comps))
         y = [evaluate(p, [t0]) for p in f.pullbacks]
-        assert fiber_count_at(f, y) == len(fiber_points(f, y)) >= 1
+        assert distinct_root_count(fiber_poly(f, y)) == len(fiber_points(f, y)) >= 1
 
     @settings(max_examples=15)
     @given(
@@ -193,9 +220,9 @@ class TestExactFiberCount:
             numeric = len(fiber_points(f, y))
         except NonZeroDimensional:
             with pytest.raises(NonZeroDimensional):
-                fiber_count_at(f, y)
+                fiber_poly(f, y)
             return
-        assert fiber_count_at(f, y) == numeric >= 1
+        assert distinct_root_count(fiber_poly(f, y)) == numeric >= 1
 
     def test_shear_runs_along_the_accepted_direction(self):
         # the top form 2 t1 (t1 + t2) of p is nonzero at (-lam, 1) = (1, 1) and zero at
@@ -215,14 +242,14 @@ class TestExactFiberCount:
     def test_zero_first_equation_is_not_zero_dimensional(self):
         # a zero equation never passes the shear test, so it must be caught before
         with pytest.raises(NonZeroDimensional):
-            fiber_count_at(polynomial_map([MPoly.zero(2), X1 + X2]), [F(0), F(0)])
+            fiber_poly(polynomial_map([MPoly.zero(2), X1 + X2]), [F(0), F(0)])
 
 
 class TestFiberPoints:
     def test_curve_points_are_1_tuples(self, cusp_fx):
         pts = fiber_points(cusp_fx, [F(1)])
         assert all(isinstance(p, tuple) and len(p) == 1 for p in pts)
-        assert len(pts) == fiber_count_at(cusp_fx, [F(1)]) == 2
+        assert len(pts) == distinct_root_count(fiber_poly(cusp_fx, [F(1)])) == 2
         assert all(abs(p[0] ** 2 - 1) < 1e-30 for p in pts)
 
     def test_square_map_points_are_pairs(self, plane2):
@@ -232,7 +259,7 @@ class TestFiberPoints:
         )
         pts = fiber_points(f, [F(4), F(3)])
         assert all(isinstance(p, tuple) and len(p) == 2 for p in pts)
-        assert len(pts) == fiber_count_at(f, [F(4), F(3)]) == 2
+        assert len(pts) == distinct_root_count(fiber_poly(f, [F(4), F(3)])) == 2
 
     def test_three_parameters_raise(self):
         f = polynomial_map([MPoly.variable(3, i) for i in range(3)])
@@ -408,7 +435,7 @@ class TestImageDegree:
             raise AssertionError("a random stream was drawn")
 
         monkeypatch.setattr(rng, "child_rng", fail)
-        assert propermaps.image_slice_count(cubic_proj23) == 3
+        assert propermaps.image_slice_points(cubic_proj23) == 3
 
     def test_no_numeric_root_finding(self, cubic_proj23, cusp_identity, monkeypatch):
         calls = []
@@ -442,6 +469,73 @@ class TestGraphDegree:
         )
         assert graph_degree(f, seed=0) == 2
 
+    def test_graph_over_a_surface_has_the_surface_degree(self):
+        # f = (x1, x2) on x3 = x1^2 x2 is one-to-one, and its graph is a cubic surface
+        xs, ts = ["x1", "x2", "x3"], ["t1", "t2"]
+        surface = load_variety({
+            "ambient_vars": xs, "dim": 2, "generators": [pj(xs, {(0, 0, 1): 1, (2, 1, 0): -1})],
+            "param": {"vars": ts, "components": [pj(ts, {(1, 0): 1}), pj(ts, {(0, 1): 1}), pj(ts, {(2, 1): 1})]},
+        })
+        f = load_map(surface, map_spec(pj(xs, {(1, 0, 0): 1}), pj(xs, {(0, 1, 0): 1})))
+        assert geometric_degree(f, seed=0) == 1
+        for seed in range(3):
+            assert graph_degree(f, seed) == sliced_graph_degree(f, seed) == 3
+
+    def test_three_parameters_raise(self):
+        with pytest.raises(ParamRequired):
+            graph_degree(polynomial_map([MPoly.variable(3, i) for i in range(3)]), seed=0)
+
+    @settings(max_examples=40)
+    @given(comps=st.lists(plane_polys(3), min_size=2, max_size=2), seed=st.integers(0, 10))
+    @example(comps=ZEROS_AT_INFINITY[0].pullbacks, seed=0)
+    @example(comps=ZEROS_AT_INFINITY[1].pullbacks, seed=0)
+    def test_projection_agrees_with_the_slice_vote(self, comps, seed):
+        f = polynomial_map(comps)
+        try:
+            check_proper(f, seed)
+        except NotProper:
+            return
+        assert graph_degree(f, seed) == sliced_graph_degree(f, seed)
+
+    @pytest.mark.parametrize(
+        "f, seed, degree",
+        [(SQUARE32, 44, 6), (SQUARE32, 93, 6), (SQUARE32, 161, 6), (GRAD_QUARTIC, 44, 9)],
+        ids=["square(3,2)@44", "square(3,2)@93", "square(3,2)@161", "quartic-gradient@44"],
+    )
+    def test_no_undercount_where_small_entries_failed(self, f, seed, degree):
+        # rational entries of height 10 drew a projection whose centre meets the closure
+        # of the graph at these seeds (a singular block on the f-columns) and returned 3
+        assert graph_degree(f, seed) == degree
+
+    def test_projections_that_fail_are_drawn_again(self, monkeypatch):
+        seen = []
+
+        def third_passes(f, seed=0):
+            seen.append(f.pullbacks)
+            if len(seen) < 3:
+                raise NotProper("not finite on the graph")
+            return check_proper(f, seed)
+
+        monkeypatch.setattr(propermaps, "check_proper", third_passes)
+        assert graph_degree(SQUARE22, seed=0) == 4
+        assert len(seen) == 3 and seen[0] != seen[1] != seen[2]
+        gen = rng.child_rng(0, "graphproj:2")
+        coords = [X1, X2, *SQUARE22.pullbacks]
+        rows = [[gen.randint(-10**6, 10**6) for _ in coords] for _ in range(2)]
+        assert seen[2] == [sum((c.scale(w) for c, w in zip(coords, row)), MPoly.zero(2)) for row in rows]
+
+    def test_draw_budget_raises(self, monkeypatch):
+        seen = []
+
+        def never_finite(f, seed=0):
+            seen.append(f)
+            raise NotProper("not finite on the graph")
+
+        monkeypatch.setattr(propermaps, "check_proper", never_finite)
+        with pytest.raises(DegenerateSlice):
+            graph_degree(SQUARE22, seed=0)
+        assert len(seen) == propermaps._DRAW_BUDGET
+
 
 class TestProfileInvariants:
     def test_degree_bounded_by_graph_degree(self, cusp_fx, parabola_fx, cubic_proj23, cline_f_t2):
@@ -452,6 +546,19 @@ class TestProfileInvariants:
     def test_profile_fields(self, cusp_fx):
         prof = profile_map(cusp_fx, seed=0)
         assert prof.d_f == 2 and prof.graph_degree == 3
+
+    def test_draws_only_shears_fiber_points_and_projections(self, cusp_fx, monkeypatch):
+        salts = []
+        real = rng.child_rng
+
+        def recorded(seed, salt):
+            salts.append(salt.split(":")[0] + ":" if ":" in salt else salt)
+            return real(seed, salt)
+
+        monkeypatch.setattr(rng, "child_rng", recorded)
+        assert profile_map(SQUARE32, seed=0) == ProperMapProfile(6, 6)
+        assert profile_map(cusp_fx, seed=0) == ProperMapProfile(2, 3)
+        assert set(salts) == {"proper-shear", "geomdeg:", "graphproj:"}
 
 
 class TestNoNumericSolving:
@@ -495,7 +602,7 @@ class TestCheckProper:
     )
     def test_finite_fibers_without_growth_fail_the_gate(self, f):
         # generic fibers are single points, but f is constant on the axis x1 = 0
-        assert fiber_count_at(f, [F(2), F(3)]) == 1
+        assert distinct_root_count(fiber_poly(f, [F(2), F(3)])) == 1
         with pytest.raises(NotProper, match="infinity"):
             check_proper(f, seed=0)
 
@@ -550,5 +657,5 @@ class TestCheckProper:
         counts = []
         for _ in range(4):
             t0 = [F(gen.randint(-50, 50), gen.randint(1, 20)) for _ in range(2)]
-            counts.append(fiber_count_at(f, [evaluate(p, t0) for p in comps], gen))
+            counts.append(distinct_root_count(fiber_poly(f, [evaluate(p, t0) for p in comps], gen)))
         assert max(counts) == d

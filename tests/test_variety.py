@@ -6,13 +6,11 @@ from conftest import map_spec, pj
 from cnull import rng
 from cnull.errors import DegenerateSlice, GeneratorNotAnnihilated, NotCAlgebraic, SchemaError
 from cnull.polycore import MPoly
-from cnull.rng import child_rng
 from cnull.variety import (
     curve_degree,
     degree_by_slicing,
     load_map,
     load_variety,
-    slice_count,
 )
 
 F = Fraction
@@ -115,31 +113,3 @@ class TestDegreeBySlicing:
             c = rng.randint(1, 9)
             rs = roots_from_coeffs([F(-c), F(0), F(lam1), F(lam2)], 256)
             assert len(rs.roots) == 3
-
-
-class TestSliceCount:
-    def test_max_of_the_first_three_generic_counts(self):
-        counts = iter([None, 4, None, 2, 7, 9])
-        assert slice_count(0, "test", lambda gen: next(counts)) == 7
-        assert next(counts) == 9  # no draw after the third generic one
-
-    def test_draw_i_uses_salt_i(self):
-        seen = []
-
-        def count(gen):
-            seen.append(gen.random())
-            return 1
-
-        slice_count(3, "test", count)
-        assert seen == [child_rng(3, f"test:{i}").random() for i in range(3)]
-
-    def test_degenerate_after_fifteen_draws(self):
-        seen = []
-
-        def count(gen):
-            seen.append(gen)
-            return None
-
-        with pytest.raises(DegenerateSlice):
-            slice_count(0, "test", count)
-        assert len(seen) == 15
