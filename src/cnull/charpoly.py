@@ -5,7 +5,8 @@ interpolates them and verifies the result exactly, as the polynomial
 identity P(f(phi), g(phi)) = 0 in the parameter ring.  On two parameters
 each sample is exact: the characteristic polynomial of multiplication by
 g on the fiber algebra Q[x]/R of the shape lemma (propermaps.ShapeLemma),
-with no root finding.  On a curve it is numeric but self-certifying:
+with no root finding.  That algebra keeps the multiplicities, so a
+critical node is sampled too.  On a curve it is numeric but self-certifying:
 fibers are solved at working precision, and the signed elementary
 symmetric functions of the g-values are rationally reconstructed.
 
@@ -178,18 +179,21 @@ def _candidates(f: CAMap, g: CAMap, d: int, bounds: list[int], seed: int, wp: in
 
 
 class _SampleGrid:
-    """A growing tensor grid of rational nodes clear of critical values, and the samples on it.
+    """A growing tensor grid of rational nodes, and the samples on it.
 
     Nodes come from one shuffled span under the salt charpoly-grid; a
-    candidate node whose new slab of the grid has a critical fiber is
-    skipped.  On two parameters a sample is exact: the characteristic
-    polynomial of g on the fiber algebra Q[x]/R of a ShapeLemma, under one
-    shear from the salt charpoly-shear, and a node is critical when R is
-    not squarefree of degree d.  The shear is drawn again with every
-    rejected candidate for the first node, since a shear that merges two
-    points of every fiber would reject every node; once a node passes, it
-    merges them only over a proper algebraic subset.  On one parameter
-    each node is solved twice, at working precision: once to check that
+    candidate node whose new slab of the grid has a node that cannot be
+    sampled is skipped.  On two parameters a sample is exact: the
+    characteristic polynomial of g on the fiber algebra Q[x]/R of a
+    ShapeLemma, under one shear from the salt charpoly-shear.  It is
+    P(y, .) at every node the ShapeLemma accepts, critical values
+    included; a node is skipped only where a root of R lies under two
+    fiber points, or under one point that is not curvilinear.  The shear
+    is drawn again with every rejected candidate for the first node, since
+    a shear that merges two points of every fiber would reject every
+    node; once a node passes, it merges them only over a proper algebraic
+    subset.  On one parameter a node with a critical fiber is skipped:
+    each node is solved twice, at working precision, once to check that
     its fiber has d points, once to sample.
     """
 
@@ -235,7 +239,7 @@ class _SampleGrid:
             self.rows += rows
 
     def _slab_rows(self, slab) -> list | None:
-        """(node, row) over every node of the slab, or None at its first critical node."""
+        """(node, row) over every node of the slab, or None at its first node that cannot be sampled."""
         rows = []
         for y in slab:
             row = self._row(y)
@@ -245,7 +249,7 @@ class _SampleGrid:
         return rows
 
     def _row(self, y) -> list[Fraction] | None:
-        """a_1 .. a_d over the node y, or None when its fiber is critical."""
+        """a_1 .. a_d over the node y, or None when it cannot be sampled (see the class docstring)."""
         d, wp = self.d, self.wp
         if self.shape is not None:
             fiber = self.shape.coordinates(y)

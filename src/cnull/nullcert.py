@@ -17,8 +17,9 @@ exact gcd, then the linear-algebra search up to the theorem's exponent
 and Jelonek's degree cap), and the underdetermined strictly regular case
 through an affine completion, with the exponent taken from the degree of
 the cycle of zeroes.  Cycle multiplicities are local multiplicities of
-the completed map, computed exactly by propermaps.local_multiplicity from
-the squarefree factors of a fiber polynomial.
+the completed map, computed by propermaps.local_multiplicity from the
+squarefree factors of a fiber polynomial: generic, not certified, as
+each of its draws can only overcount and the least is kept.
 """
 
 from __future__ import annotations
@@ -544,8 +545,9 @@ def cycle_degree(f: CAMap, components, forms: list[MPoly], seed: int = 0) -> Cyc
     user-supplied multiplicity overriding the computed one).  Each
     component must be a parametrized curve contained in the zero fiber,
     checked exactly through the pullbacks.  The computed multiplicity is
-    the exact local multiplicity (propermaps.local_multiplicity) of f
-    completed by the forms, at a random point of the component.
+    the local multiplicity (propermaps.local_multiplicity) of f completed
+    by the forms, at a random point of the component: generic, not
+    certified.
     """
     return _zero_cycle(f, _proper_completion(f, forms, seed), components, seed)
 
@@ -587,7 +589,12 @@ def _component_multiplicity(completed: CAMap, comp: Variety, seed: int) -> int:
 
 
 def cycle_degree_square(f: CAMap, seed: int = 0) -> CycleData:
-    """Cycle degree in the square case: deg S_i points of multiplicity i per squarefree factor S_i."""
+    """Cycle degree in the square case: deg S_i points of multiplicity i per squarefree factor S_i.
+
+    The total is the degree of the zero fiber polynomial, exactly; the
+    rows assume that the shear (salt cycle-shear) separates the points
+    of the zero fiber, which is generic, not certified.
+    """
     k = f.domain.require_param().k
     if f.n != k:
         raise InvalidInput("square cycle degree needs as many components as dimensions")

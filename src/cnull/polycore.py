@@ -792,6 +792,8 @@ def poly_from_json(obj, expected_vars: Sequence[str] | None = None) -> tuple[MPo
     names = obj["vars"]
     if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
         raise SchemaError("'vars' must be a list of strings")
+    if len(set(names)) != len(names):
+        raise SchemaError(f"'vars' repeats a name: {names}")
     if expected_vars is not None and list(names) != list(expected_vars):
         raise SchemaError(f"expected variables {list(expected_vars)}, got {names}")
     if not isinstance(obj["terms"], list):

@@ -40,6 +40,7 @@ from .errors import (
     InconsistentFiberCounts,
     InvalidInput,
     NonZeroDimensional,
+    NotCAlgebraic,
     NotIsolated,
     NotProper,
     ParamRequired,
@@ -51,12 +52,12 @@ from .polycore import (
     _univ_rem,
     coeffs_in_var,
     compose,
-    distinct_root_count,
     evaluate,
     exact_divide,
     squarefree_factors,
     subresultants,
     total_degree,
+    univ_derivative,
     univ_from_coeffs,
     univ_gcd,
 )
@@ -241,13 +242,18 @@ class ShapeLemma:
     def coordinates(self, y) -> tuple[ResidueRing, list] | None:
         """Q[x]/R and the residues of t1 and t2 on the fiber over the rational point y.
 
-        None unless R is squarefree, that is, unless the fiber has deg R
-        points, each of multiplicity 1, and the shear separates them.
-        Then a root x0 of R lies under exactly one fiber point, a
-        transversal one, so gcd(p(x0, .), q(x0, .)) = t2 - theta(x0) and
-        s1 is a unit mod R: the None for a missing s1, or one that is
-        not a unit, should not occur.  NonZeroDimensional when R is zero
-        at y: the fiber contains a curve.
+        None unless s1 is a unit mod R; then Q[x]/R is the fiber algebra
+        Q[t]/I, I = (f1 - y1, f2 - y2), multiplicities included.  Under
+        the shear f1 - y1 has a constant t2-lead, so deg R = dim Q[t]/I.
+        R and S1 = s0 + s1*t2 lie in I, so t2 = -s0/s1 in Q[t]/I when s1
+        is a unit mod R: Q[x]/R maps onto Q[t]/I, and the two have the
+        same dimension, so the map is an isomorphism.  The characteristic
+        polynomial of g on this ring is therefore P(y, .) at a critical
+        node too.  s1 fails to be a unit only where a root of R lies
+        under two fiber points, or under one point that is not
+        curvilinear (Basu, Pollack and Roy, ch. 8: subresultants
+        specialize).  NonZeroDimensional when R is zero at y: the fiber
+        contains a curve.
         """
         point = [0, *(Fraction(v) for v in y)]
 
@@ -257,7 +263,7 @@ class ShapeLemma:
         R = univ_from_coeffs(at(self.R))
         if R.is_zero():
             raise NonZeroDimensional("the fiber contains a curve")
-        if R.is_constant() or distinct_root_count(R) != R.degree_in(0):
+        if R.is_constant():
             return None
         ring = ResidueRing(R)
         if self.S1 is None or (inv := ring.inverse(ring.element(at(self.S1[1])))) is None:
@@ -335,7 +341,8 @@ def local_multiplicity(f: CAMap, a, seed: int = 0) -> int:
     preimages of a.  A collision of another fiber point with a preimage,
     under the shear or on h = 0, can only raise the count, and so can an
     h that vanishes on a curve of f_1 = f_1(a) (P_a is then taken as 0);
-    the least value over 3 draws of (lam, c) is kept.
+    the least value over 3 draws of (lam, c) is kept.  f(a) comes from
+    _map_value_exact, on a curve through the pullbacks.
     """
     param = f.domain.require_param()
     if f.n != param.k:
@@ -364,6 +371,25 @@ def local_multiplicity(f: CAMap, a, seed: int = 0) -> int:
 
 
 def _map_value_exact(f: CAMap, a) -> list[Fraction]:
+    """f(a), exactly.
+
+    On a curve it is read from the pullbacks, so a denominator may vanish
+    at a (y/x at the cusp): the roots of h, the squarefree part of
+    gcd_i(phi_i - a_i), are the parameter preimages of a, and F_j mod h
+    is the constant f_j(a).  A remainder that is not constant means the
+    components take two values at a: NotCAlgebraic.  On two parameters a
+    denominator that vanishes at a is NotIsolated.
+    """
+    param = f.domain.param
+    if param.k == 1:
+        h = _fiber_poly([c - MPoly.const(1, v) for c, v in zip(param.components, a)], None)
+        if h.is_constant():
+            raise NotIsolated("the point has no parameter preimage")
+        h = exact_divide(h, univ_gcd(h, univ_derivative(h)))
+        values = [_univ_rem(p, h) for p in f.pullbacks]
+        if not all(v.is_constant() for v in values):
+            raise NotCAlgebraic("the map takes two values at the point")
+        return [v.constant_term() for v in values]
     out = []
     for num, den in f.components:
         dv = evaluate(den, a)

@@ -90,6 +90,8 @@ def load_variety(spec: dict) -> Variety:
     names = spec.get("ambient_vars")
     if not isinstance(names, list) or not names or not all(isinstance(v, str) for v in names):
         raise SchemaError("'ambient_vars' must be a nonempty list of strings")
+    if len(set(names)) != len(names):
+        raise SchemaError(f"'ambient_vars' repeats a name: {names}")
     dim = spec.get("dim")
     if type(dim) is not int or dim < 1:  # bool is an int subclass
         raise SchemaError("'dim' must be a positive integer")
@@ -108,8 +110,10 @@ def load_variety(spec: dict) -> Variety:
         if not isinstance(pspec, dict):
             raise SchemaError("'param' must be a JSON object")
         pvars = pspec.get("vars")
-        if not isinstance(pvars, list) or len(pvars) != dim:
+        if not isinstance(pvars, list) or len(pvars) != dim or not all(isinstance(v, str) for v in pvars):
             raise SchemaError("'param.vars' must list exactly dim parameter names")
+        if len(set(pvars)) != len(pvars):
+            raise SchemaError(f"'param.vars' repeats a name: {pvars}")
         comps = pspec.get("components")
         if not isinstance(comps, list) or len(comps) != len(names):
             raise SchemaError("'param.components' must give one polynomial per ambient variable")

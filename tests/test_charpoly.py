@@ -171,19 +171,39 @@ class TestFiberSolves:
         assert P.verified and P.d == 4
 
 
+def _sample(shape, g, y):
+    """The exact row a_1 .. a_d of g over the node y, as _SampleGrid takes it."""
+    ring, coords = shape.coordinates(y)
+    return ring.charpoly(ring.evaluate(g.pullbacks[0], coords))
+
+
+def _value(P, y):
+    """P(y, .) as its coefficients a_1 .. a_d."""
+    return [evaluate(a, y) for a in P.coeffs]
+
+
 def _terms(coeffs):
     """The coefficients a_j given as {exponent: value} dicts, as MPolys in (y1, y2)."""
     return [MPoly(2, a) for a in coeffs]
 
 
 class TestExactSquareSamples:
-    def test_critical_node_is_rejected_under_every_shear(self):
+    def test_critical_node_is_sampled_under_every_shear(self):
         # the Jacobian 4 x1 x2 + 1 of square(2, 2) vanishes at (1/2, -1/2), over (-1/4, -1/4)
+        P = build_charpoly(SQUARE22, G12, seed=0)
         for seed in range(5):
             shape = ShapeLemma(SQUARE22, random.Random(seed))
-            assert shape.coordinates([F(-1, 4), F(-1, 4)]) is None
+            assert _sample(shape, G12, [F(-1, 4), F(-1, 4)]) == _value(P, [F(-1, 4), F(-1, 4)])
             ring, _ = shape.coordinates([F(-1, 4), F(0)])
             assert ring.d == 4
+
+    def test_whitney_cusp_is_sampled_at_its_cusp(self):
+        # a triple point over 0: the fiber algebra is Q[x]/x^3, curvilinear
+        cusp = polynomial_map([X1, X2**3 + X1 * X2])
+        P = build_charpoly(cusp, G12, seed=0)
+        assert P.verified and P.d == 3
+        for seed in range(5):
+            assert _sample(ShapeLemma(cusp, random.Random(seed)), G12, [F(0), F(0)]) == _value(P, [F(0), F(0)])
 
     def test_coordinates_solve_the_fiber_equations(self):
         shape = ShapeLemma(SQUARE22, random.Random(0))
@@ -237,7 +257,7 @@ class TestExactSquareSamples:
             fiber = ShapeLemma(f, random.Random(0)).coordinates(y)
         except NonZeroDimensional:
             return
-        if fiber is None:  # a critical node, or a shear that merges two points
+        if fiber is None:  # s1 is not a unit: a shear that merges two points, or a non-curvilinear point
             return
         ring, coords = fiber
         exact = ring.charpoly(ring.evaluate(g, coords))

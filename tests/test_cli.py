@@ -312,6 +312,7 @@ class TestCliContract:
             {"vars": ["x"], "terms": 5},
             {"vars": ["x"], "terms": [{"c": "1/0", "e": [2]}]},
             {"vars": ["x"], "terms": [{"c": "1", "e": 2}]},
+            {"vars": ["y", "y"], "terms": [{"c": "1", "e": [2, 0]}]},
         ],
     )
     def test_malformed_polynomial_exit_4(self, capsys, tmp_path, doc):
@@ -319,6 +320,17 @@ class TestCliContract:
         path.write_text(json.dumps(doc))
         assert main(["gradexp", "--poly", str(path)]) == 4
         assert "SchemaError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "names,pvars", [(["x", "x"], ["t1", "t2"]), (["x1", "x2"], ["t", "t"])], ids=["ambient_vars", "param.vars"]
+    )
+    def test_repeated_variable_names_exit_4(self, capsys, tmp_path, names, pvars):
+        # with no generators, no polynomial in the ambient names is read
+        components = [pj(pvars, {(1, 0): 1}), pj(pvars, {(0, 1): 1})]
+        path = tmp_path / "variety.json"
+        path.write_text(json.dumps({"ambient_vars": names, "dim": 2, "param": {"vars": pvars, "components": components}}))
+        assert main(["degree", "--variety", str(path)]) == 4
+        assert "repeats a name" in capsys.readouterr().err
 
     def test_malformed_certificate_exit_4(self, capsys, tmp_path):
         path = tmp_path / "cert.json"

@@ -9,12 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import axis_x2_spec, line_poly, map_spec, pj, plane_polys, univariate_coeffs
-from cnull import numroots, propermaps, rng
+from cnull import numroots, polycore, propermaps, rng
 from cnull.errors import (
     DegenerateSlice,
     InconsistentFiberCounts,
     InvalidInput,
     NonZeroDimensional,
+    NotCAlgebraic,
     NotProper,
     ParamRequired,
 )
@@ -279,7 +280,7 @@ class TestShapeLemma:
             assert ring.is_zero(ring.sub(t2, ring.element([y1 - y2])))
 
     def test_one_sequence_and_at_most_one_inverse_per_node(self, monkeypatch):
-        calls = {"subresultants": 0, "inverse": 0}
+        calls = {"subresultants": 0, "inverse": 0, "distinct_root_count": 0}
 
         def counted(name, real):
             def wrapper(*args):
@@ -289,16 +290,51 @@ class TestShapeLemma:
 
         monkeypatch.setattr(propermaps, "subresultants", counted("subresultants", propermaps.subresultants))
         monkeypatch.setattr(ResidueRing, "inverse", counted("inverse", ResidueRing.inverse))
+        squarefree_test = counted("distinct_root_count", polycore.distinct_root_count)
+        monkeypatch.setattr(polycore, "distinct_root_count", squarefree_test)
+        monkeypatch.setattr(propermaps, "distinct_root_count", squarefree_test, raising=False)
         shape = ShapeLemma(SQUARE22, random.Random(0))
         assert calls["subresultants"] == 1  # one sequence per shear, with y symbolic
         accepted = 0
         for y in [(F(a), F(b, 2)) for a in range(-3, 4) for b in range(-3, 4)]:
-            calls.update(subresultants=0, inverse=0)
+            calls.update(subresultants=0, inverse=0, distinct_root_count=0)
             if shape.coordinates(y) is not None:
                 accepted += 1
                 assert calls["inverse"] <= 1
             assert calls["subresultants"] == 0
+            assert calls["distinct_root_count"] == 0  # the unit test on s1 is the only test
         assert accepted > 40
+
+    def test_non_curvilinear_point_is_rejected_under_every_shear(self):
+        # Q[t]/(t1^2, t2^2) has dimension 4, but no element of it has nilpotency order 4
+        f = polynomial_map([X1**2, X2**2])
+        for lam in range(-12, 13):
+            if lam:
+                shape = ShapeLemma(f, SimpleNamespace(randint=lambda lo, hi: lam))
+                assert shape.coordinates([F(0), F(0)]) is None
+                ring, _ = shape.coordinates([F(1), F(4)])
+                assert ring.d == 4
+
+    @settings(max_examples=40)
+    @given(
+        comps=st.lists(plane_polys(3), min_size=2, max_size=2),
+        y=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+        seed=st.integers(0, 10),
+    )
+    @example(comps=[X1**2 + X2, X2**2 - X1], y=(F(-1, 4), F(-1, 4)), seed=0)  # square(2, 2) at its fold value
+    def test_accepted_node_solves_the_fiber_equations(self, comps, y, seed):
+        f, y = polynomial_map(comps), [F(v) for v in y]
+        try:
+            d = check_proper(f, seed)
+        except NotProper:
+            return
+        fiber = ShapeLemma(f, random.Random(seed)).coordinates(y)
+        if fiber is None:
+            return
+        ring, coords = fiber
+        assert ring.d == d
+        for p, v in zip(f.pullbacks, y):
+            assert ring.is_zero(ring.sub(ring.evaluate(p, coords), ring.element([v])))
 
 
     @settings(max_examples=80)
@@ -313,6 +349,8 @@ class TestShapeLemma:
     @example(comps=[MPoly.const(2, 2), X1 + X2**2], nodes=[(2, 1), (3, 1)], seed=0, lam=None)
     # under lam = 0 the sequence drops from degree 3 to 1: its member of degree 1 is S2
     @example(comps=[X2**3 + X1, X2**3 + X2 + X1**2], nodes=[(0, 0), (1, 2), (-1, 3)], seed=0, lam=0)
+    # a triple point over (0, 3), where R = 2 x^3 is not squarefree and s1 is a unit
+    @example(comps=[(X1**3).scale(-2) - X2.scale(2), X2 + MPoly.const(2, 3)], nodes=[(0, 3)], seed=5, lam=None)
     def test_substituted_sequence_matches_the_node_sequence(self, comps, nodes, seed, lam):
         f = polynomial_map(comps)
         gen = random.Random(seed) if lam is None else SimpleNamespace(randint=lambda lo, hi: lam)
@@ -331,7 +369,7 @@ def _node_coordinates(f, lam, y):
     R, linear = subresultants(p, q, 1)
     if R.is_zero():
         raise NonZeroDimensional("the fiber contains a curve")
-    if R.is_constant() or distinct_root_count(R) != R.degree_in(0):
+    if R.is_constant():
         return None
     ring = ResidueRing(R)
     if linear is None or (inv := ring.inverse(ring.element(univ_coeffs(linear[1])))) is None:
@@ -387,6 +425,23 @@ class TestLocalMultiplicity:
 
     def test_zeros_at_infinity_origin(self):
         assert [local_multiplicity(f, [F(0), F(0)], seed=0) for f in ZEROS_AT_INFINITY] == [3, 2]
+
+    def test_value_read_from_the_pullbacks_where_a_denominator_vanishes(self, cusp_gyx):
+        # y/x pulls back to t on the cusp (t^2, t^3), and x vanishes at the origin
+        assert local_multiplicity(cusp_gyx, [F(0), F(0)], seed=0) == 1
+
+    def test_two_values_at_a_node_are_not_c_algebraic(self):
+        # y/x pulls back to t on the nodal cubic (t^2 - 1, t^3 - t): 1 and -1 over the node
+        nodal = load_variety({
+            "ambient_vars": ["x", "y"],
+            "dim": 1,
+            "generators": [pj(["x", "y"], {(0, 2): 1, (3, 0): -1, (2, 0): -1})],
+            "param": {"vars": ["t"], "components": [pj(["t"], {(2,): 1, (0,): -1}), pj(["t"], {(3,): 1, (1,): -1})]},
+        })
+        y_over_x = load_map(nodal, map_spec((pj(["x", "y"], {(0, 1): 1}), pj(["x", "y"], {(1, 0): 1}))))
+        with pytest.raises(NotCAlgebraic):
+            local_multiplicity(y_over_x, [F(0), F(0)], seed=0)
+        assert local_multiplicity(y_over_x, [F(3), F(6)], seed=0) == 1
 
     def test_non_square_map_rejected(self, cubic_proj23):
         with pytest.raises(InvalidInput):
