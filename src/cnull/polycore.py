@@ -445,7 +445,8 @@ class ResidueRing:
     integer: the class of (c[0] + c[1] x + ... + c[d-1] x^(d-1)) / den,
     with gcd(c, den) = 1.  R is held as integers r with a positive
     leading coefficient, so reduction is integer pseudo-division and
-    each operation normalizes by one gcd; only traces and Newton's
+    each operation normalizes by one gcd.  The inverse is the extended
+    Euclidean algorithm on integer polynomials; only traces and Newton's
     identities work in Fraction.
     """
 
@@ -472,10 +473,10 @@ class ResidueRing:
         """The residue of the polynomial with ascending rational coefficients coeffs."""
         coeffs = [Fraction(c) for c in coeffs]
         den = math.lcm(1, *(c.denominator for c in coeffs))
-        return self._reduce([int(c * den) for c in coeffs], den)
+        return self.reduce([int(c * den) for c in coeffs], den)
 
-    def _reduce(self, c: list[int], den: int) -> tuple[list[int], int]:
-        """The residue of the integer polynomial c over den, by pseudo-division by R."""
+    def reduce(self, c: list[int], den: int) -> tuple[list[int], int]:
+        """The residue of the integer polynomial c (consumed) over den > 0, by pseudo-division by R."""
         r, d = self._r, self.d
         lead = r[d]
         while len(c) > d:
@@ -497,11 +498,11 @@ class ResidueRing:
 
     def add(self, a, b):
         (ac, ad), (bc, bd) = a, b
-        return self._reduce([x * bd + y * ad for x, y in zip(ac, bc)], ad * bd)
+        return self.reduce([x * bd + y * ad for x, y in zip(ac, bc)], ad * bd)
 
     def sub(self, a, b):
         (ac, ad), (bc, bd) = a, b
-        return self._reduce([x * bd - y * ad for x, y in zip(ac, bc)], ad * bd)
+        return self.reduce([x * bd - y * ad for x, y in zip(ac, bc)], ad * bd)
 
     def mul(self, a, b):
         (ac, ad), (bc, bd) = a, b
@@ -510,25 +511,44 @@ class ResidueRing:
             if x:
                 for j, y in enumerate(bc):
                     w[i + j] += x * y
-        return self._reduce(w, ad * bd)
+        return self.reduce(w, ad * bd)
 
     def inverse(self, a):
         """The inverse of a, or None when a shares a root with R (zero included).
 
-        By Cayley-Hamilton: with s^d + c_1 s^(d-1) + ... + c_d the
-        characteristic polynomial of a, a is a unit exactly when its norm
-        (-1)^d c_d is nonzero, and then
-        a^-1 = -(a^(d-1) + c_1 a^(d-2) + ... + c_(d-1)) / c_d.
+        By the extended Euclidean algorithm in integers, on R and the
+        numerator c of a = c/den: a primitive remainder sequence that
+        carries only c's cofactor u, with u*c = r mod R for each
+        remainder r.  Each step is an integer pseudo-division of the pair
+        (r, u), then divided by the common content of r and u.  a is a
+        unit exactly when the last nonzero remainder is a constant k, and
+        then a^-1 = den*u/k.
         """
-        if not any(a[0][1:]):  # a rational constant
-            return self.element([Fraction(a[1], a[0][0])]) if a[0][0] else None
-        c = self.charpoly(a)
-        if not c[-1]:
+        c, den = a
+        (r0, u0), (r1, u1) = (self._r, []), (c[:], [1])
+        while True:
+            while r1 and not r1[-1]:
+                r1.pop()
+            if len(r1) < 2:
+                break
+            lead, n = r1[-1], len(r1) - 1
+            r, u = r0[:], u0[:]
+            while len(r) > n:
+                top = r.pop()
+                if top:
+                    shift = len(r) - n
+                    r = [v * lead for v in r]
+                    u = [v * lead for v in u] + [0] * (shift + len(u1) - len(u))
+                    for i in range(n):
+                        r[shift + i] -= top * r1[i]
+                    for i, v in enumerate(u1):
+                        u[shift + i] -= top * v
+            g = math.gcd(*r, *u)
+            (r0, u0), (r1, u1) = (r1, u1), ([v // g for v in r], [v // g for v in u])
+        if not r1:  # a is zero, or the last nonzero remainder r0 is not constant
             return None
-        acc = self.element([1])
-        for ci in c[:-1]:
-            acc = self.add(self.mul(acc, a), self.element([ci]))
-        return self.mul(acc, self.element([-1 / c[-1]]))
+        sign = 1 if r1[0] > 0 else -1
+        return self.reduce([sign * den * v for v in u1], abs(r1[0]))
 
     def evaluate(self, p: MPoly, point):
         """p at a point of residues."""
@@ -750,18 +770,15 @@ def _newton_univariate(nodes, values, bound: int) -> MPoly:
     if len(set(xs)) != len(xs):
         raise GridMalformed("repeated interpolation nodes")
     ys = list(values[: bound + 1])
-    # Divided differences, then expansion of the Newton form.
+    # Divided differences, then the Newton form expanded by Horner on an ascending list.
     coeffs = list(ys)
     for level in range(1, len(xs)):
         for i in range(len(xs) - 1, level - 1, -1):
             coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - level])
-    poly = MPoly(1)
-    basis = MPoly.const(1, 1)
-    for i, c in enumerate(coeffs):
-        poly = poly + basis.scale(c)
-        if i < len(xs) - 1:
-            basis = basis * MPoly(1, {(1,): Fraction(1), (0,): -xs[i]})
-    return poly
+    acc = [Fraction(coeffs[-1])]
+    for x, c in zip(xs[-2::-1], coeffs[-2::-1]):  # acc <- acc * (X - x) + c
+        acc = [c - x * acc[0]] + [lo - x * hi for lo, hi in zip(acc, acc[1:])] + [acc[-1]]
+    return MPoly._raw(1, {(e,): v for e, v in enumerate(acc) if v})
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ than parameters) get nonempty generic fibers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -225,8 +226,10 @@ class ShapeLemma:
     f1 - y1 has a nonzero constant t2-lead and y2 moves no t2-degree of
     f2 - y2 for a nonconstant f2.  So R(x; y) is the node's resultant and
     S1(x; y) its subresultant of degree 1, proportional to the member of
-    degree 1 of the node's own sequence, with the same theta.  lam is
-    drawn from gen by _shear, and again on each redraw.
+    degree 1 of the node's own sequence, with the same theta.  Each shear
+    writes R, s0 and s1 once as integer tables in y (_y_table), and a
+    node evaluates them in integers (_at_y).  lam is drawn from gen by
+    _shear, and again on each redraw.
     """
 
     def __init__(self, f: CAMap, gen):
@@ -238,6 +241,7 @@ class ShapeLemma:
         ys = (MPoly.variable(4, i) for i in (2, 3))
         p, q = (h - y for h, y in zip(_sheared(self.f.pullbacks, self.lam, 4), ys))
         self.R, self.S1 = subresultants(p, q, 1)  # in (x, y1, y2)
+        self._tables = [_y_table(h) for h in (self.R, *(self.S1 or ()))]  # R, s0, s1
 
     def coordinates(self, y) -> tuple[ResidueRing, list] | None:
         """Q[x]/R and the residues of t1 and t2 on the fiber over the rational point y.
@@ -255,22 +259,41 @@ class ShapeLemma:
         specialize).  NonZeroDimensional when R is zero at y: the fiber
         contains a curve.
         """
-        point = [0, *(Fraction(v) for v in y)]
-
-        def at(p: MPoly) -> list[Fraction]:  # p(x; y), ascending in x
-            return [evaluate(c, point) for c in coeffs_in_var(p, 0)]
-
-        R = univ_from_coeffs(at(self.R))
+        y = [Fraction(v) for v in y]
+        r, den = _at_y(self._tables[0], y)
+        R = univ_from_coeffs([Fraction(v, den) for v in r])
         if R.is_zero():
             raise NonZeroDimensional("the fiber contains a curve")
         if R.is_constant():
             return None
         ring = ResidueRing(R)
-        if self.S1 is None or (inv := ring.inverse(ring.element(at(self.S1[1])))) is None:
+        if self.S1 is None or (inv := ring.inverse(ring.reduce(*_at_y(self._tables[2], y)))) is None:
             return None
-        theta = ring.mul(ring.element([-c for c in at(self.S1[0])]), inv)
+        s0, den = _at_y(self._tables[1], y)
+        theta = ring.mul(ring.reduce([-v for v in s0], den), inv)
         t1 = ring.sub(ring.element([0, 1]), ring.mul(ring.element([self.lam]), theta))
         return ring, [t1, theta]
+
+
+def _y_table(p: MPoly) -> tuple:
+    """p in (x, y1, y2) as integer terms (c, a, b) of c*y1^a*y2^b per x-degree, their denominator and top y-degrees."""
+    rows: list[list[tuple[int, int, int]]] = [[] for _ in range(1 + max((e[0] for e in p.terms), default=-1))]
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    for (j, a, b), c in p.terms.items():
+        rows[j].append((c.numerator * (den // c.denominator), a, b))
+    return rows, den, [max((e[i] for e in p.terms), default=0) for i in (1, 2)]
+
+
+def _at_y(table, y) -> tuple[list[int], int]:
+    """A _y_table's x-coefficients at the rational y, as integers over one den > 0.
+
+    With y_i = n_i/d_i and top degrees A, B, the term c*y1^a*y2^b adds
+    c*n1^a*d1^(A-a)*n2^b*d2^(B-b) over den*d1^A*d2^B.
+    """
+    rows, den, tops = table
+    p1, p2 = ([v.numerator**a * v.denominator ** (top - a) for a in range(top + 1)] for v, top in zip(y, tops))
+    den *= math.prod(v.denominator**top for v, top in zip(y, tops))
+    return [sum(c * p1[a] * p2[b] for c, a, b in row) for row in rows], den
 
 
 def fiber_t_clusters(f: CAMap, y, prec: int = 256):

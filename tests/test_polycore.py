@@ -12,6 +12,7 @@ from cnull.polycore import (
     NEG_INF,
     MPoly,
     ResidueRing,
+    _newton_univariate,
     coeffs_in_var,
     compose,
     distinct_root_count,
@@ -149,6 +150,35 @@ class TestExactDivideAgainstTheScan:
             assert exact_divide(p, b) == expected
 
 
+SMALL_RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+def _univ_polys(min_degree, max_degree):
+    """Univariate MPolys with small rational coefficients and a nonzero lead, of degree in the range."""
+    return st.integers(min_degree, max_degree).flatmap(
+        lambda deg: st.tuples(
+            st.lists(SMALL_RATIONALS, min_size=deg, max_size=deg), SMALL_RATIONALS.filter(bool)
+        )
+    ).map(lambda t: univ_from_coeffs(t[0] + [t[1]]))
+
+
+@st.composite
+def inverse_cases(draw):
+    """(R, coefficients of a): R of degree 1..20 with rational coefficients and a lead other than 1.
+
+    R = A*B, and half the time a is a multiple of A, so that non-units occur.
+    """
+    A = draw(_univ_polys(0, 3))
+    B = draw(_univ_polys(max(0, 1 - A.degree_in(0)), 20 - A.degree_in(0)))
+    R = A * B
+    if R.leading_term()[1] == 1:
+        R = R.scale(3)
+    a = univ_from_coeffs(draw(st.lists(SMALL_RATIONALS, max_size=R.degree_in(0) + 2)))
+    if draw(st.booleans()):
+        a = a * A
+    return R, univ_coeffs(a)
+
+
 class TestResidueRing:
     # R = (x - 1)(x + 2)(2x - 3): roots 1, -2, 3/2
     R = univ_from_coeffs([6, -7, -1, 2])
@@ -196,6 +226,38 @@ class TestResidueRing:
     def test_constant_modulus_is_rejected(self):
         with pytest.raises(ValueError):
             ResidueRing(univ_from_coeffs([3]))
+
+    @settings(max_examples=60)
+    @given(inverse_cases())
+    # a non-unit: x - 1 and x^2 - 1 share the root 1 of R = (x - 1)(2x + 3)(x^2 + 1)
+    @example((p1({(4,): 2, (3,): 1, (2,): -1, (1,): 1, (0,): -3}), [F(-1), F(0), F(1)]))
+    @example((p1({(3,): F(5, 2), (0,): F(-1, 3)}), []))  # zero
+    @example((p1({(2,): F(-3, 4), (1,): 2, (0,): 7}), [F(-3, 7)]))  # a rational constant
+    def test_euclid_inverse_equals_the_cayley_hamilton_inverse(self, case):
+        R, coeffs = case
+        ring = ResidueRing(R)
+        a = ring.element(coeffs)
+        inv = ring.inverse(a)
+        assert inv == _inverse_by_cayley_hamilton(ring, a)
+        if inv is not None:
+            assert ring.mul(a, inv) == ring.element([1])
+
+
+def _inverse_by_cayley_hamilton(ring, a):
+    """The inverse of a residue from its characteristic polynomial s^d + c_1 s^(d-1) + ... + c_d.
+
+    a is a unit exactly when its norm (-1)^d c_d is nonzero, and then
+    a^-1 = -(a^(d-1) + c_1 a^(d-2) + ... + c_(d-1)) / c_d.
+    """
+    if not any(a[0][1:]):  # a rational constant
+        return ring.element([F(a[1], a[0][0])]) if a[0][0] else None
+    c = ring.charpoly(a)
+    if not c[-1]:
+        return None
+    acc = ring.element([1])
+    for ci in c[:-1]:
+        acc = ring.add(ring.mul(acc, a), ring.element([ci]))
+    return ring.mul(acc, ring.element([-1 / c[-1]]))
 
 
 class TestTotalDegree:
@@ -278,6 +340,43 @@ class TestRingProperties:
             nodes = [F(i) for i in range(4)]
             samples = [((a, b), evaluate(p, [a, b])) for a in nodes for b in nodes]
             assert interpolate(samples, bounds) == p
+
+
+def _newton_by_products(nodes, values, bound):
+    """The Newton form through the first bound + 1 nodes, expanded by MPoly products."""
+    xs, coeffs = list(nodes[: bound + 1]), list(values[: bound + 1])
+    for level in range(1, len(xs)):
+        for i in range(len(xs) - 1, level - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - level])
+    poly, basis = MPoly(1), MPoly.const(1, 1)
+    for i, c in enumerate(coeffs):
+        poly = poly + basis.scale(c)
+        if i < len(xs) - 1:
+            basis = basis * MPoly(1, {(1,): F(1), (0,): -xs[i]})
+    return poly
+
+
+NODES = st.fractions(min_value=-12, max_value=12, max_denominator=6)
+
+
+class TestInterpolationProperties:
+    @settings(max_examples=80)
+    @given(nodes=st.lists(NODES, min_size=1, max_size=14, unique=True), data=st.data())
+    def test_newton_expansion_matches_the_product_expansion(self, nodes, data):
+        bound = data.draw(st.integers(0, len(nodes) - 1))
+        values = data.draw(st.lists(NODES, min_size=len(nodes), max_size=len(nodes)))
+        got = _newton_univariate(nodes, values, bound)
+        assert_invariant(got, 1)
+        assert got.terms == _newton_by_products(nodes, values, bound).terms
+
+    @settings(max_examples=40)
+    @given(p=mpolys(2, max_deg=4, max_terms=6), data=st.data())
+    def test_interpolate_recovers_a_polynomial_on_a_random_grid(self, p, data):
+        degrees = [0 if p.is_zero() else p.degree_in(i) for i in range(2)]
+        bounds = [data.draw(st.integers(e, e + 2)) for e in degrees]
+        axes = [data.draw(st.lists(NODES, min_size=b + 1, max_size=b + 3, unique=True)) for b in bounds]
+        samples = data.draw(st.permutations([((u, v), evaluate(p, [u, v])) for u in axes[0] for v in axes[1]]))
+        assert interpolate(samples, bounds) == p
 
 
 class TestUnivariateUtilities:

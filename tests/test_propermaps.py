@@ -24,6 +24,7 @@ from cnull.nullcert import certify_general, cycle_degree, cycle_degree_square
 from cnull.polycore import (
     MPoly,
     ResidueRing,
+    coeffs_in_var,
     compose,
     distinct_root_count,
     evaluate,
@@ -280,7 +281,7 @@ class TestShapeLemma:
             assert ring.is_zero(ring.sub(t2, ring.element([y1 - y2])))
 
     def test_one_sequence_and_at_most_one_inverse_per_node(self, monkeypatch):
-        calls = {"subresultants": 0, "inverse": 0, "distinct_root_count": 0}
+        calls = dict.fromkeys(["subresultants", "inverse", "distinct_root_count", "evaluate", "coeffs_in_var", "charpoly"], 0)
 
         def counted(name, real):
             def wrapper(*args):
@@ -289,21 +290,43 @@ class TestShapeLemma:
             return wrapper
 
         monkeypatch.setattr(propermaps, "subresultants", counted("subresultants", propermaps.subresultants))
-        monkeypatch.setattr(ResidueRing, "inverse", counted("inverse", ResidueRing.inverse))
-        squarefree_test = counted("distinct_root_count", polycore.distinct_root_count)
-        monkeypatch.setattr(polycore, "distinct_root_count", squarefree_test)
-        monkeypatch.setattr(propermaps, "distinct_root_count", squarefree_test, raising=False)
+        for cls, name in [(ResidueRing, "inverse"), (ResidueRing, "charpoly")]:
+            monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
+        for name in ["distinct_root_count", "evaluate", "coeffs_in_var"]:
+            wrapper = counted(name, getattr(polycore, name))
+            monkeypatch.setattr(polycore, name, wrapper)
+            monkeypatch.setattr(propermaps, name, wrapper, raising=False)
         shape = ShapeLemma(SQUARE22, random.Random(0))
         assert calls["subresultants"] == 1  # one sequence per shear, with y symbolic
         accepted = 0
         for y in [(F(a), F(b, 2)) for a in range(-3, 4) for b in range(-3, 4)]:
-            calls.update(subresultants=0, inverse=0, distinct_root_count=0)
+            calls.update(dict.fromkeys(calls, 0))
             if shape.coordinates(y) is not None:
                 accepted += 1
                 assert calls["inverse"] <= 1
             assert calls["subresultants"] == 0
             assert calls["distinct_root_count"] == 0  # the unit test on s1 is the only test
+            # y enters through the integer tables of the shear, and the inverse is Euclid's
+            assert calls["evaluate"] == calls["coeffs_in_var"] == calls["charpoly"] == 0
         assert accepted > 40
+
+    @settings(max_examples=40)
+    @given(
+        comps=st.lists(plane_polys(3), min_size=2, max_size=2),
+        y=st.tuples(*[st.builds(lambda n, d: F(n * d + 1, d), st.integers(-4, 4), st.integers(2, 7))] * 2),
+        seed=st.integers(0, 10),
+    )
+    def test_y_tables_at_a_rational_node(self, comps, y, seed):
+        # the grid draws integer nodes only; these have denominators 2..7
+        f = polynomial_map(comps)
+        shape = ShapeLemma(f, random.Random(seed))
+        polys = [shape.R, *(shape.S1 or [])]
+        assert len(shape._tables) == len(polys)
+        for table, p in zip(shape._tables, polys):
+            nums, den = propermaps._at_y(table, list(y))
+            assert den > 0
+            assert [F(v, den) for v in nums] == [evaluate(c, [0, *y]) for c in coeffs_in_var(p, 0)]
+        assert _outcome(shape.coordinates, list(y)) == _outcome(lambda y: _node_coordinates(f, shape.lam, y), list(y))
 
     def test_non_curvilinear_point_is_rejected_under_every_shear(self):
         # Q[t]/(t1^2, t2^2) has dimension 4, but no element of it has nilpotency order 4
