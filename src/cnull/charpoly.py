@@ -14,12 +14,12 @@ The grid grows one node per axis at a time.  The theorem bounds on the
 coefficient degrees are the cap: the grid stops early once every
 coefficient's interpolant on all but the last ZETA nodes per axis
 reproduces the samples on the rest (early termination in the manner of
-Kaltofen and Lee, 2003).  An early result is returned only when it
+Kaltofen and Lee, 2003); each such interpolant, checked on every node,
+is then its coefficient.  An early result is returned only when it
 verifies and g separates the fiber over some grid node, since only then
 does the identity force P to be the characteristic polynomial;
-otherwise the grid grows to the theorem bounds at the same precision.
-A failed verification there escalates the precision ladder and is never
-returned silently.
+otherwise the grid grows to the theorem bounds at the same precision,
+and a failed verification there escalates the precision ladder.
 
 An independent exact construction via a Sylvester resultant is provided
 as an oracle for the curve case.
@@ -158,24 +158,22 @@ def _candidates(f: CAMap, g: CAMap, d: int, bounds: list[int], seed: int, wp: in
 
     The grid gains one node per axis at a time.  It stops early once every
     coefficient a_j is confirmed: the interpolant on the first n - ZETA
-    nodes per axis reproduces the samples on the rest of the grid.  That
-    early result is offered only when g separates the fiber over some grid
-    node, for then the identity P(f, g) = 0 forces P to be the
-    characteristic polynomial.  Otherwise, and when the early result is
-    rejected, the grid grows to the theorem grid, max_j bound_j + 1 nodes
-    per axis, and the result interpolated under the theorem bounds follows.
+    nodes per axis reproduces the samples on the rest of the grid, and is
+    a_j.  The early result is offered only when g separates the fiber over
+    some grid node, for then P(f, g) = 0 forces P to be the characteristic
+    polynomial.  Otherwise, and when the early result is rejected, the grid
+    grows to the theorem grid, max_j bound_j + 1 nodes per axis, and the
+    result interpolated under the theorem bounds follows.
     """
     need = max(bounds, default=0) + 1
     grid = _SampleGrid(f, g, d, seed, wp, need)
-    degrees = None
-    while degrees is None and grid.n < need:
+    while grid.n < need and not grid.confirmed(bounds):
         grid.grow()
-        degrees = grid.confirmed_degrees(bounds)
     if grid.n < need and grid.separates():
-        yield grid.charpoly(bounds, degrees)
+        yield grid.charpoly(bounds)
     while grid.n < need:
         grid.grow()
-    yield grid.charpoly(bounds, bounds)
+    yield grid.charpoly(bounds)
 
 
 class _SampleGrid:
@@ -269,23 +267,21 @@ class _SampleGrid:
             asc = _monic_from_roots([evaluate(self.gp, t) for t in tpoints])
             return [rational_reconstruct(asc[d - j], height, wp) for j in range(1, d + 1)]
 
-    def confirmed_degrees(self, bounds: list[int]) -> list[int] | None:
-        """Per-variable degrees of the coefficients, or None while one is unconfirmed.
+    def confirmed(self, bounds: list[int]) -> bool:
+        """Whether every coefficient is settled by its bound or confirmed early.
 
         a_j is settled by its theorem bound once the grid has bound_j + 1
         nodes per axis, and confirmed earlier when the interpolant on the
-        first n - ZETA nodes per axis reproduces every sample.  An
-        interpolant that keeps reproducing the samples is checked only on
-        the new ones.
+        first n - ZETA nodes per axis reproduces every sample.  It is kept
+        in self.early, with the count of rows it reproduces, and checked
+        later only on the new ones.
         """
         k, m = len(self.axes), self.n - ZETA
-        degrees = []
         for j, bound in enumerate(bounds):
             if self.n > bound:
-                degrees.append(bound)
                 continue
             if m < 1:
-                return None
+                return False
             poly, matched = self.early[j] or (None, 0)
             if poly is None or not self._reproduces(poly, j, matched):
                 first = [set(axis[:m]) for axis in self.axes]
@@ -293,10 +289,9 @@ class _SampleGrid:
                 poly = grid_interpolant(sub, [m - 1] * k)
                 if not self._reproduces(poly, j, 0):
                     self.early[j] = None
-                    return None
+                    return False
             self.early[j] = (poly, len(self.rows))
-            degrees.append(0 if poly.is_zero() else max(poly.degree_in(i) for i in range(k)))
-        return degrees
+        return True
 
     def _reproduces(self, poly: MPoly, j: int, start: int) -> bool:
         return all(evaluate(poly, y) == row[j] for y, row in self.rows[start:])
@@ -308,12 +303,17 @@ class _SampleGrid:
             for _, row in self.rows
         )
 
-    def charpoly(self, bounds: list[int], degrees: list[int]) -> CharPoly:
-        """Interpolation on all nodes under min(bound_j, degree_j), surplus nodes as exact checks."""
+    def charpoly(self, bounds: list[int]) -> CharPoly:
+        """P on the grid: a_j confirmed on every sample is its early interpolant.
+
+        That is the one interpolant of its degree on the grid.  Any other
+        a_j is interpolated under bound_j, surplus nodes as exact checks.
+        """
         k = len(self.axes)
         coeffs = [
-            interpolate([(y, row[j]) for y, row in self.rows], [min(b, e)] * k)
-            for j, (b, e) in enumerate(zip(bounds, degrees))
+            early[0] if early and early[1] == len(self.rows)
+            else interpolate([(y, row[j]) for y, row in self.rows], [b] * k)
+            for j, (b, early) in enumerate(zip(bounds, self.early))
         ]
         return CharPoly(
             d=self.d,

@@ -107,11 +107,11 @@ def certificate_from_json(obj: dict, ambient_vars: list[str] | None = None) -> C
     if not isinstance(obj, dict) or "N" not in obj or "h" not in obj:
         raise SchemaError("certificate JSON must have 'N' and 'h'")
     try:
-        if isinstance(obj["N"], (bool, float)):
-            raise TypeError("booleans and floats are not exponents")
+        if isinstance(obj["N"], (bool, float)) or int(obj["N"]) < 0:
+            raise ValueError("booleans, floats and negative integers are not exponents")
         exponent = int(obj["N"])
     except (TypeError, ValueError) as exc:
-        raise SchemaError(f"'N' must be an integer, got {obj['N']!r}") from exc
+        raise SchemaError(f"'N' must be a nonnegative integer, got {obj['N']!r}") from exc
     if not isinstance(obj["h"], list):
         raise SchemaError("'h' must be a list")
     h = []

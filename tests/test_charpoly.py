@@ -299,6 +299,19 @@ def _counted_solves(monkeypatch):
     return calls
 
 
+def _recorded_grids(monkeypatch):
+    """The _SampleGrid behind every candidate from here on."""
+    real = charpoly._SampleGrid.charpoly
+    grids = []
+
+    def recorded(grid, *args):
+        grids.append(grid)
+        return real(grid, *args)
+
+    monkeypatch.setattr(charpoly._SampleGrid, "charpoly", recorded)
+    return grids
+
+
 class TestEarlyTermination:
     @pytest.fixture
     def curve_8_4(self, cline, monkeypatch):
@@ -338,6 +351,53 @@ class TestEarlyTermination:
         assert P.verified and P.coeffs == charpoly_resultant_oracle(f, g).coeffs
         assert len({y for y, _ in calls}) == max(P.bounds) + 1 == 33
         assert {prec for _, prec in calls} == {256}
+
+    @pytest.mark.parametrize("case,settled", [("square(4,3)", 6), ("curve(8,4)", 1)])
+    def test_confirmed_coefficients_are_not_interpolated_again(self, cline, monkeypatch, case, settled):
+        # a coefficient confirmed on the early grid is its checked interpolant; only those
+        # settled by their bounds (n > bound_j) are interpolated, once each
+        if case == "square(4,3)":
+            f, g = polynomial_map([X1**4 + X2, X2**3 - X1]), G12
+        else:  # f = x^8 - x^2 + 3x - 2, g = x^4 + x
+            f, g = _line_map(cline, [-2, 3, -1, 0, 0, 0, 0, 0, 1]), _line_map(cline, [0, 1, 0, 0, 1])
+        calls = []
+        real_interpolate = charpoly.interpolate
+        monkeypatch.setattr(charpoly, "interpolate", lambda *args: calls.append(args) or real_interpolate(*args))
+        grids = _recorded_grids(monkeypatch)
+        P = build_charpoly(f, g, seed=0)
+        assert P.verified and len(grids) == 1
+        grid = grids[0]
+        assert grid.n < max(P.bounds) + 1
+        bounded = [j for j, bound in enumerate(P.bounds) if grid.n > bound]
+        assert len(calls) == len(bounded) == settled
+        for j, a in enumerate(P.coeffs):
+            if j not in bounded:
+                assert a is grid.early[j][0]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "comps,early",
+        [
+            ([X1**2 + X2, X2**2 - X1], False),
+            ([X1**3 + X2, X2**2 - X1], True),
+            ([X1**3 + X2, X2**3 - X1], True),
+            ([X1 + X2**2, X2**3], False),
+            ([X1 * X2 + X1, X2**2 + X1], False),
+        ],
+        ids=["square(2,2)", "square(3,2)", "square(3,3)", "x1+x2^2", "x1x2+x1"],
+    )
+    def test_two_parameter_early_result_equals_the_theorem_grid_result(self, monkeypatch, comps, early, seed):
+        # with no separating node no early candidate is offered, and the grid grows to max bound + 1
+        f = polynomial_map(comps)
+        grids = _recorded_grids(monkeypatch)
+        P = build_charpoly(f, G12, seed=seed)
+        need = max(P.bounds) + 1
+        assert [grid.n < need for grid in grids] == [early]
+        monkeypatch.setattr(charpoly._SampleGrid, "separates", lambda grid: False)
+        grids.clear()
+        Q = build_charpoly(f, G12, seed=seed)
+        assert [grid.n for grid in grids] == [need]
+        assert P.verified and Q.verified and P.coeffs == Q.coeffs
 
     def test_non_separating_g_uses_the_theorem_grid(self, cline_f_t2, cline, monkeypatch):
         # g = x^4 = f^2 takes one value on each fiber of f = x^2

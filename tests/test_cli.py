@@ -338,6 +338,16 @@ class TestCliContract:
         argv = ["verify", "--variety", fx("cusp.json"), "--f", fx("fx.json"), "--g", fx("gyx.json")]
         assert main(argv + ["--cert", str(path)]) == 4
 
+    @pytest.mark.parametrize("N", [-1, "-1"], ids=["int", "str"])
+    def test_negative_certificate_exponent_exit_4(self, capsys, tmp_path, N):
+        # the good cusp certificate of TestVerifyCommand, with a negative exponent
+        cert = {"N": N, "theorem": "proper", "h": [{"vars": ["y1", "t"], "terms": [{"c": "1", "e": [0, 0]}]}]}
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert))
+        argv = ["verify", "--variety", fx("cusp.json"), "--f", fx("fx.json"), "--g", fx("gyx.json")]
+        assert main(argv + ["--cert", str(path)]) == 4
+        assert "SchemaError" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "options",
         [

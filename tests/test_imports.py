@@ -1,11 +1,12 @@
 """Every name a cnull module imports is used, every private definition is referenced,
-and every function parameter is read.
+every function parameter is read, and the exact modules import no numerics.
 
 The project carries no linter, so this walks each module's syntax
 tree: an imported name that never appears as a name in the module is an
 unused import, a private top-level function, class or constant that no
-module of the package reads is dead code, and a parameter that its
-function's body never reads is a dead knob.
+module of the package reads is dead code, a parameter that its
+function's body never reads is a dead knob, and an import of mpmath or
+numroots in an exact module crosses the numerics boundary.
 """
 
 import ast
@@ -186,3 +187,51 @@ def test_salts_are_distinct_and_pinned():
     salts = [s for s in sites if s is not None]
     assert sorted(s for s in set(salts) if salts.count(s) > 1) == []
     assert set(salts) == SALTS
+
+
+# modules whose every step is exact: they import neither mpmath nor the numeric root layer
+EXACT_MODULES = ["errors", "gradexp", "nullcert", "rng", "variety"]
+NUMERIC_MODULES = {"mpmath", "numroots"}
+
+
+def numeric_imports(source: str) -> list[str]:
+    """Each import statement, at any depth, that names mpmath or numroots as a module or a member."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            parts = {part for alias in node.names for part in alias.name.split(".")}
+        elif isinstance(node, ast.ImportFrom):
+            parts = set((node.module or "").split(".")) | {alias.name for alias in node.names}
+        else:
+            continue
+        if parts & NUMERIC_MODULES:
+            out.append(ast.unparse(node))
+    return out
+
+
+def test_checker_finds_a_numeric_import():
+    source = (
+        "import os\n"
+        "import mpmath as mp\n"
+        "from mpmath.libmp import to_str\n"
+        "from .numroots import roots_from_coeffs\n"
+        "from . import numroots, polycore\n"
+        "from cnull import numroots as nr\n"
+        "from .polycore import evaluate\n"
+        "from .charpoly import mpmath_free\n"
+        "def f():\n"
+        "    import mpmath.libmp\n"
+    )
+    assert numeric_imports(source) == [
+        "import mpmath as mp",
+        "from mpmath.libmp import to_str",
+        "from .numroots import roots_from_coeffs",
+        "from . import numroots, polycore",
+        "from cnull import numroots as nr",
+        "import mpmath.libmp",
+    ]
+
+
+@pytest.mark.parametrize("module", EXACT_MODULES)
+def test_exact_modules_import_no_numerics(module):
+    assert numeric_imports((SRC / f"{module}.py").read_text(encoding="utf-8")) == []

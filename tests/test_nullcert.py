@@ -420,6 +420,13 @@ class TestVerifyCertificate:
         with pytest.raises(SchemaError):
             certificate_from_json(obj)
 
+    @pytest.mark.parametrize("N", [-1, "-1"], ids=["int", "str"])
+    def test_negative_exponent_is_a_schema_error(self, N):
+        # g^N with N < 0 is no polynomial; N = 0 is
+        with pytest.raises(SchemaError, match="nonnegative"):
+            certificate_from_json({"N": N, "h": []})
+        assert certificate_from_json({"N": 0, "h": []}).exponent == 0
+
 
 class TestStrictlyRegular:
     def test_square_of_coordinate(self, plane2):
