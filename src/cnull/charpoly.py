@@ -283,18 +283,21 @@ class _SampleGrid:
             if m < 1:
                 return False
             poly, matched = self.early[j] or (None, 0)
-            if poly is None or not self._reproduces(poly, j, matched):
+            if poly is None or not self._reproduces(poly, j, self.rows[matched:]):
                 first = [set(axis[:m]) for axis in self.axes]
-                sub = [(y, row[j]) for y, row in self.rows if all(c in s for c, s in zip(y, first))]
+                inside = [all(c in s for c, s in zip(y, first)) for y, _ in self.rows]
+                sub = [(y, row[j]) for (y, row), on in zip(self.rows, inside) if on]
                 poly = grid_interpolant(sub, [m - 1] * k)
-                if not self._reproduces(poly, j, 0):
+                # it takes the sampled values on its own sub-grid: only the rows outside check it
+                if not self._reproduces(poly, j, [r for r, on in zip(self.rows, inside) if not on]):
                     self.early[j] = None
                     return False
             self.early[j] = (poly, len(self.rows))
         return True
 
-    def _reproduces(self, poly: MPoly, j: int, start: int) -> bool:
-        return all(evaluate(poly, y) == row[j] for y, row in self.rows[start:])
+    @staticmethod
+    def _reproduces(poly: MPoly, j: int, rows) -> bool:
+        return all(evaluate(poly, y) == row[j] for y, row in rows)
 
     def separates(self) -> bool:
         """g takes d distinct values on the fiber over some grid node."""

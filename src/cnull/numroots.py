@@ -1,22 +1,32 @@
 """Arbitrary-precision numerics: complex roots, clustering, reconstruction.
 
-Root finding is Aberth-Ehrlich simultaneous iteration on mpmath complex
-numbers, run on a doubling-precision ladder.  Each run first does the
-same iteration in double precision (Python complex) from the same circle
-start; that stage only picks the starting points of the mpmath
-iteration, and when it overflows or leaves the finite range the mpmath
-iteration starts from the circle.  The mpmath iteration stops when every
-correction is below 2^-prec, when every point is a root of a polynomial
-within relative 2^-prec of the input (tested every 8 sweeps), or at its
-sweep cap.  A run that reaches the cap has not converged: its rung
-counts as ambiguous, and at the top of the ladder PrecisionExhausted is
-raised.  Precision is expressed in bits; results at a given precision
-are deterministic (no randomness enters the iteration).
+Root finding is Aberth-Ehrlich simultaneous iteration run on a
+doubling-precision ladder, in fixed point on a power-of-two root scale
+(as in MPSolve).  Each rung converts the coefficients once into Gaussian
+integers: the roots of p are 2^s times those of the monic
+q(w) = p(2^s w) / (lead 2^(s d)), with 2^s read from the binary exponents
+of Fujiwara's bound on the root moduli, so that q's coefficients have
+modulus at most 1; q and the points w are (re, im) pairs of Python ints at
+2^-P (see _scaled).  The iteration, its backward-stability test, the
+clustering and the cluster checks all run on these integers, comparing
+squared norms; mpmath only reads the inputs and returns the cluster
+representatives as mpc.  Each run first does the same iteration in double
+precision (Python complex) from a circle of radius 2^s; that stage only
+picks the starting points of the integer iteration, and when it overflows
+or leaves the finite range the integer iteration starts from the circle.
+The integer iteration stops when every correction is below 2^-prec, when
+every point is a root of a polynomial within relative 2^-prec of the input
+(tested every 8 sweeps), or at its sweep cap.  A run that reaches the cap
+has not converged: its rung counts as ambiguous, and at the top of the
+ladder PrecisionExhausted is raised.  Precision is expressed in bits;
+results at a given precision are deterministic (no randomness enters the
+iteration).
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -70,63 +80,238 @@ def _horner(coeffs, z):
     return acc
 
 
-def _aberth(coeffs, prec: int):
-    """All roots of the ascending coefficient list at the given precision.
+# ---------------------------------------------------------------------------
+# the scaled polynomial in Gaussian integers
 
-    Returns (roots, converged).  The mpmath iteration stops when every
-    correction of a sweep is below 2^-prec, or when every point is
-    backward stable at 2^-prec, tested every _STABLE_EVERY sweeps: around
-    a multiple root or a tight cluster the corrections stall at the
-    rounding level and would run to the cap.  converged is False when the
-    cap comes first.
+_GUARD = 32  # bits of the fixed point beyond the rung's precision
+
+
+@dataclass(frozen=True)
+class _Scaled:
+    """The monic q(w) = p(2^s w) / (lead 2^(s d)) of p, in Gaussian integers at 2^-P.
+
+    A point w is held as the pair (re, im) of ints with w = (re + i im) 2^-P,
+    and z = 2^s w is the matching root of p; one unit of z is 2^(P-s).
     """
-    d = len(coeffs) - 1
-    lead = coeffs[-1]
+
+    coeffs: list  # p's coefficients as given, for the double-precision stage
+    desc: list  # q_{d-1} .. q_0 as (re, im) pairs
+    sizes: list  # |q_d| .. |q_0|, rounded down
+    s: int
+    P: int
+    wp: int
+
+
+def _exact(c):
+    """(re, im, den) with c = (re + i im) / den exactly and den > 0."""
+    if isinstance(c, (int, Fraction)):
+        return c.numerator, 0, c.denominator
+    if isinstance(c, mp.mpf):
+        parts = (c._mpf_, mp.mpf(0)._mpf_)
+    else:  # mpc(c) is exact for a Python float or complex
+        parts = (c if isinstance(c, mp.mpc) else mp.mpc(c))._mpc_
+    (rm, re), (jm, je) = (_dyadic(part) for part in parts)
+    low = min(re, je, 0)
+    return rm << (re - low), jm << (je - low), 1 << -low
+
+
+def _dyadic(part):
+    """(man, exp) with man 2^exp the value of an mpf tuple; ValueError when it is not finite."""
+    sign, man, exp, _ = part
+    man, exp = int(man), int(exp)  # gmpy2 backend hands out mpz
+    if man == 0:
+        if exp != 0:
+            raise ValueError("non-finite value")
+        return 0, 0
+    return (-man if sign else man), exp
+
+
+def _shift_div(n: int, e: int, m: int) -> int:
+    """floor(n 2^e / m) for m > 0."""
+    return (n << e) // m if e >= 0 else n // (m << -e)
+
+
+def _scaled(coeffs, wp: int) -> _Scaled:
+    """p's scaled monic polynomial for the rung wp; p's lead and constant term are nonzero.
+
+    2^s is Fujiwara's bound 2 max_j |c_{d-j}/c_d|^(1/j) on the root moduli,
+    rounded up to a power of two from the bit lengths of the ratios, so
+    |q_{d-j}| <= 2^-j.  P = wp + _GUARD + max(s, 0) + e0: the absolute error
+    in z stays below 2^-(wp+_GUARD), and e0 counts the bits by which |q_0|
+    falls below 1, so that the backward-stability test also resolves
+    roots far smaller than the scale.
+    """
+    parts = [_exact(c) for c in coeffs]
+    d = len(parts) - 1
+    ar, ai, ad = parts[-1]
+    lead2 = ar * ar + ai * ai
+    # c_j / c_d = (nr + i ni) / m exactly, and 2 log2 |c_j / c_d| within 1 of twice_log2[j]
+    ratios = [((r * ar + i * ai) * ad, (i * ar - r * ai) * ad, den * lead2) for r, i, den in parts]
+    twice_log2 = [(nr * nr + ni * ni).bit_length() - (m * m).bit_length() for nr, ni, m in ratios]
+    s = 1 + max(-(-(twice_log2[d - j] + 1) // (2 * j)) for j in range(1, d + 1))
+    e0 = max(0, -(-(2 * s * d - twice_log2[0] + 1) // 2))
+    P = wp + _GUARD + max(s, 0) + e0
+    q = [(_shift_div(nr, P + s * (j - d), m), _shift_div(ni, P + s * (j - d), m))
+         for j, (nr, ni, m) in enumerate(ratios[:d])]
+    sizes = [1 << P] + [math.isqrt(re * re + im * im) for re, im in reversed(q)]
+    return _Scaled(coeffs=list(coeffs), desc=q[::-1], sizes=sizes, s=s, P=P, wp=wp)
+
+
+def _value_and_slope(poly: _Scaled, wr: int, wi: int):
+    """q(w) and q'(w) as (re, im, re', im')."""
+    P = poly.P
+    pr, pi, dr, di = 1 << P, 0, 0, 0
+    for cr, ci in poly.desc:
+        dr, di = ((dr * wr - di * wi) >> P) + pr, ((dr * wi + di * wr) >> P) + pi
+        pr, pi = ((pr * wr - pi * wi) >> P) + cr, ((pr * wi + pi * wr) >> P) + ci
+    return pr, pi, dr, di
+
+
+# ---------------------------------------------------------------------------
+# Aberth-Ehrlich iteration
+
+
+def _aberth(poly: _Scaled, prec: int):
+    """All roots of the scaled polynomial, as (re, im) points w at 2^-P.
+
+    Returns (points, converged).  The integer iteration stops when every
+    correction of a sweep is below 2^-prec relative to 1 + |z|, or when
+    every point is backward stable at 2^-prec, tested every _STABLE_EVERY
+    sweeps: around a multiple root or a tight cluster the corrections stall
+    at the rounding level and would run to the cap.  converged is False
+    when the cap max(200, 3 prec) comes first.  Degrees 1 and 2 are solved
+    in closed form.
+    """
+    d = len(poly.desc)
+    P, s = poly.P, poly.s
     if d == 1:
-        return [-coeffs[0] / lead], True
+        cr, ci = poly.desc[0]
+        return [(-cr, -ci)], True
     if d == 2:
-        a, b, c = coeffs[2], coeffs[1], coeffs[0]
-        disc = mp.sqrt(b * b - 4 * a * c)
-        # pick the sign that avoids cancellation in the classic formula
-        if mp.re(mp.conj(b) * disc) > 0:
-            disc = -disc
-        q = -(b - disc) / 2
-        r1 = q / a
-        r2 = c / q if q != 0 else -b / a - r1
-        return [r1, r2], True
-    deriv = [coeffs[i] * i for i in range(1, d + 1)]
-    center = -coeffs[d - 1] / (d * lead)
-    # Fujiwara's bound on the root moduli: the size of the roots, where the
-    # largest coefficient ratio can overshoot it by many orders of magnitude
-    radius = 2 * max(abs(coeffs[d - j] / lead) ** (mp.mpf(1) / j) for j in range(1, d + 1))
-    z = [
-        center + radius * mp.expjpi(2 * (k + mp.mpf("0.354")) / d)
-        for k in range(d)
-    ]
-    warm = _float_start(coeffs, deriv, z)
-    if warm is not None:
-        z = [mp.mpc(w) for w in warm]
-    target = mp.mpf(2) ** (-prec)
+        return _quadratic(poly), True
+    # the start circle: radius 1 in w about the roots' centroid -q_{d-1}/d
+    center = complex(-poly.desc[0][0] / (d << P), -poly.desc[0][1] / (d << P))
+    circle = [center + cmath.exp(2j * math.pi * (k + 0.354) / d) for k in range(d)]
+    coeffs = poly.coeffs
+    try:
+        warm = _float_start(
+            coeffs,
+            [coeffs[i] * i for i in range(1, d + 1)],
+            [complex(math.ldexp(c.real, s), math.ldexp(c.imag, s)) for c in circle],
+        )
+    except OverflowError:
+        warm = None
+    shift = P if warm is None else P - s
+    w = [(_fixed(c.real, shift), _fixed(c.imag, shift)) for c in warm or circle]
     cap = max(200, 3 * prec)
     for done in range(0, cap, _STABLE_EVERY):
         sweeps = min(_STABLE_EVERY, cap - done)
-        if _aberth_sweeps(coeffs, deriv, z, target, sweeps) or _backward_stable(coeffs, z, target):
-            return z, True
-    return z, False
+        if _fixed_sweeps(poly, w, sweeps) or _fixed_backward_stable(poly, w):
+            return w, True
+    return w, False
 
 
-_STABLE_EVERY = 8  # mpmath sweeps between two backward-stability tests
+_STABLE_EVERY = 8  # integer sweeps between two backward-stability tests
 
 
-def _backward_stable(coeffs, z, target) -> bool:
-    """Every point is a root of a polynomial within relative target of coeffs.
+def _fixed(x: float, shift: int) -> int:
+    """floor(x 2^shift) for a finite float x."""
+    n, den = x.as_integer_ratio()
+    return _shift_div(n, shift, den)
 
-    The sweeps around a multiple root stall at the rounding level, short of
-    the target, with every point passing this test; a point that is still
-    far from every root fails it.
+
+def _quadratic(poly: _Scaled):
+    """The two roots of w^2 + b w + c by the formula, with the sign that avoids cancellation."""
+    P = poly.P
+    (br, bi), (cr, ci) = poly.desc
+    sr, si = _sqrt(br * br - bi * bi - (cr << (P + 2)), 2 * br * bi - (ci << (P + 2)))
+    if br * sr + bi * si > 0:
+        sr, si = -sr, -si
+    qr, qi = (sr - br) >> 1, (si - bi) >> 1
+    n = qr * qr + qi * qi
+    if n == 0:
+        return [(qr, qi), (-br - qr, -bi - qi)]
+    return [(qr, qi), (((cr * qr + ci * qi) << P) // n, ((ci * qr - cr * qi) << P) // n)]
+
+
+def _sqrt(x: int, y: int):
+    """A square root of x + i y at 2^-2P, at 2^-P."""
+    r = math.isqrt(x * x + y * y)
+    if x >= 0:
+        a = math.isqrt((r + x) >> 1)
+        return (a, y // (2 * a)) if a else (0, 0)
+    b = math.isqrt((r - x) >> 1) * (1 if y >= 0 else -1)
+    return y // (2 * b), b
+
+
+def _fixed_sweeps(poly: _Scaled, w, max_iter: int) -> bool:
+    """Aberth-Ehrlich sweeps on the points w in place, in Gaussian integers.
+
+    Stops when every correction of a sweep is below 2^-wp (1 + |z|), judged
+    on squares as |corr|^2 2^(2 wp) < 1 + |z|^2 (returns True), or after
+    max_iter sweeps (returns False).
     """
-    sizes = [abs(c) for c in coeffs]
-    return all(abs(_horner(coeffs, v)) <= target * _horner(sizes, abs(v)) for v in z)
+    P, d = poly.P, len(w)
+    one = 1 << (P - poly.s)  # 1 in z
+    unit, one2, two_p, two_wp = 1 << P, one * one, 2 * P, 2 * poly.wp
+    for _ in range(max_iter):
+        converged = True
+        for i in range(d):
+            wr, wi = w[i]
+            pr, pi, dr, di = _value_and_slope(poly, wr, wi)
+            if pr == 0 and pi == 0:
+                continue
+            nudge = max(1, (one + abs(wr) + abs(wi)) >> poly.wp)
+            n = dr * dr + di * di
+            if n == 0:
+                w[i] = (wr + nudge, wi)
+                converged = False
+                continue
+            # the Newton ratio p/p' and the sum of 1/(w_i - w_j)
+            rr, ri = ((pr * dr + pi * di) << P) // n, ((pi * dr - pr * di) << P) // n
+            sr = si = 0
+            for j in range(d):
+                if j != i:
+                    xr, xi = wr - w[j][0], wi - w[j][1]
+                    n = xr * xr + xi * xi
+                    if n == 0:
+                        xr, n = nudge, nudge * nudge
+                    sr += (xr << two_p) // n
+                    si -= (xi << two_p) // n
+            er = unit - ((rr * sr - ri * si) >> P)
+            ei = -((rr * si + ri * sr) >> P)
+            n = er * er + ei * ei
+            if n == 0:
+                cr, ci = rr, ri
+            else:
+                cr, ci = ((rr * er + ri * ei) << P) // n, ((ri * er - rr * ei) << P) // n
+            wr, wi = wr - cr, wi - ci
+            w[i] = (wr, wi)
+            if (cr * cr + ci * ci) << two_wp >= one2 + wr * wr + wi * wi:
+                converged = False
+        if converged:
+            return True
+    return False
+
+
+def _fixed_backward_stable(poly: _Scaled, w) -> bool:
+    """Every point is a root of a polynomial within relative 2^-wp of q.
+
+    That is |q(w)| <= 2^-wp sum_j |q_j| |w|^j, compared on squares.  The
+    sweeps around a multiple root stall at the rounding level, short of the
+    target, with every point passing this test; a point that is still far
+    from every root fails it.
+    """
+    P, two_wp = poly.P, 2 * poly.wp
+    for wr, wi in w:
+        pr, pi, _, _ = _value_and_slope(poly, wr, wi)
+        r = math.isqrt(wr * wr + wi * wi)
+        bound = 0
+        for m in poly.sizes:
+            bound = ((bound * r) >> P) + m
+        if (pr * pr + pi * pi) << two_wp > bound * bound:
+            return False
+    return True
 
 
 _FLOAT_TARGET = 2.0**-48  # relative correction at which the double-precision stage stops
@@ -193,16 +378,18 @@ def _root_key(z, tol):
     return (mp.nint(z.real / tol), z.imag)
 
 
-def cluster(points, tol):
-    """Single-linkage clusters at tolerance tol; representative is the mean.
+# ---------------------------------------------------------------------------
+# clusters
 
-    Returns a list of (representative, count) sorted by _root_key of the
-    representative, so the output is deterministic.
+
+def cluster(points, tol: int):
+    """Single-linkage clusters of (re, im) integer points at tolerance tol; representative is the mean.
+
+    The mean is rounded down to integers.  Returns a list of
+    (representative, count) sorted by _fixed_key of the representative, so
+    the output is deterministic.
     """
-    pts = list(points)
-    if not pts:
-        return []
-    n = len(pts)
+    n = len(points)
     parent = list(range(n))
 
     def find(i):
@@ -211,21 +398,29 @@ def cluster(points, tol):
             i = parent[i]
         return i
 
+    tol2 = tol * tol
     for i in range(n):
+        xr, xi = points[i]
         for j in range(i + 1, n):
-            if abs(pts[i] - pts[j]) <= tol:
+            dr, di = xr - points[j][0], xi - points[j][1]
+            if dr * dr + di * di <= tol2:
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[rj] = ri
     groups: dict[int, list] = {}
     for i in range(n):
-        groups.setdefault(find(i), []).append(pts[i])
+        groups.setdefault(find(i), []).append(points[i])
     out = []
     for members in groups.values():
-        rep = sum(members, mp.mpc(0)) / len(members)
-        out.append((rep, len(members)))
-    out.sort(key=lambda rc: _root_key(rc[0], tol))
+        count = len(members)
+        out.append(((sum(p[0] for p in members) // count, sum(p[1] for p in members) // count), count))
+    out.sort(key=lambda rc: _fixed_key(rc[0], tol))
     return out
+
+
+def _fixed_key(point, tol: int):
+    """_root_key of an integer point: its real part rounded to tol, then its imaginary part."""
+    return ((2 * point[0] + tol) // (2 * tol), point[1])
 
 
 def roots_from_coeffs(coeffs, prec: int = 256) -> RootSet:
@@ -233,7 +428,8 @@ def roots_from_coeffs(coeffs, prec: int = 256) -> RootSet:
 
     Runs the precision ladder until clusters are unambiguously separated;
     a rung whose Aberth iteration did not converge counts as ambiguous.
-    Exact zero leading/trailing coefficients are stripped beforehand.
+    Zero leading/trailing coefficients (exactly zero, of any type) are stripped beforehand.
+    Clusters are taken at tol = 2^-(wp/4) max(1, |z|), over all points z.
     """
     coeffs = list(coeffs)
     while coeffs and _is_exact_zero(coeffs[-1]):
@@ -241,64 +437,82 @@ def roots_from_coeffs(coeffs, prec: int = 256) -> RootSet:
     if len(coeffs) <= 1:
         raise ValueError("nonconstant polynomial required")
     zero_mult = 0
-    stripped = list(coeffs)
-    while _is_exact_zero(stripped[0]):
-        stripped.pop(0)
+    while _is_exact_zero(coeffs[zero_mult]):
         zero_mult += 1
+    stripped = coeffs[zero_mult:]
+    if len(stripped) == 1:
+        return RootSet(roots=[(mp.mpc(0), zero_mult)], residual_bound=0.0, prec=ladder_from(prec)[0])
     for wp in ladder_from(prec):
-        with mp.workprec(wp + 20):
-            full = [_to_mpc(c) for c in coeffs]
-            cs = [_to_mpc(c) for c in stripped]
-            pts, converged = _aberth(cs, wp) if len(cs) > 1 else ([], True)
-            if not converged:
-                failure = "Aberth iteration did not converge"
-                continue
-            scale = max([mp.mpf(1)] + [abs(z) for z in pts])
-            tol = mp.mpf(2) ** (-wp // 4) * scale
-            clusters = cluster(pts, tol)
-            if zero_mult:
-                clusters = _merge_zero(clusters, zero_mult, tol)
-            ok, residual = _clusters_ok(full, clusters, tol, wp)
-            if ok:
-                return RootSet(roots=clusters, residual_bound=float(residual), prec=wp)
-            failure = "root clusters remain ambiguous"
+        poly = _scaled(stripped, wp)
+        pts, converged = _aberth(poly, wp)
+        if not converged:
+            failure = "Aberth iteration did not converge"
+            continue
+        top = max(re * re + im * im for re, im in pts)
+        tol = max(1 << (poly.P - poly.s), math.isqrt(top)) >> (wp // 4)
+        clusters = cluster(pts, tol)
+        if zero_mult:
+            clusters = _merge_zero(clusters, zero_mult, tol)
+        residual = _clusters_ok(poly, clusters, tol, zero_mult)
+        if residual is not None:
+            with mp.workprec(wp + 20):
+                roots = [
+                    (mp.mpc(mp.ldexp(re, poly.s - poly.P), mp.ldexp(im, poly.s - poly.P)), count)
+                    for (re, im), count in clusters
+                ]
+            return RootSet(roots=roots, residual_bound=residual, prec=wp)
+        failure = "root clusters remain ambiguous"
     raise PrecisionExhausted(f"{failure} at 1024 bits")
 
 
 def _merge_zero(clusters, zero_mult, tol):
     out = []
     absorbed = False
-    for rep, count in clusters:
-        if abs(rep) <= tol and not absorbed:
-            out.append((rep * count / (count + zero_mult), count + zero_mult))
+    for (re, im), count in clusters:
+        if not absorbed and re * re + im * im <= tol * tol:
+            total = count + zero_mult
+            out.append(((re * count // total, im * count // total), total))
             absorbed = True
         else:
-            out.append((rep, count))
+            out.append(((re, im), count))
     if not absorbed:
-        out.append((mp.mpc(0), zero_mult))
-    out.sort(key=lambda rc: _root_key(rc[0], tol))
+        out.append(((0, 0), zero_mult))
+    out.sort(key=lambda rc: _fixed_key(rc[0], tol))
     return out
 
 
-def _clusters_ok(cs, clusters, tol, wp):
-    lead = abs(cs[-1]) if cs else mp.mpf(1)
-    residual = mp.mpf(0)
-    for rep, _ in clusters:
-        if cs and len(cs) > 1:
-            r = abs(_horner(cs, rep)) / (lead * (1 + abs(rep)) ** (len(cs) - 1))
-            residual = max(residual, r)
-    if residual > mp.mpf(2) ** (-wp // 8):
-        return False, residual
+def _clusters_ok(poly: _Scaled, clusters, tol, zero_mult):
+    """The largest residual of the representatives as a float, or None when the clusters are ambiguous.
+
+    The residual at z is |p(z)| / (|lead| (1 + |z|)^n) for p with its zero
+    roots, of degree n; it must be at most 2^-(wp/8), and two representatives
+    must be more than 4 tol apart.  With a = |w| 2^P, Q = q(w) 2^P and
+    d = deg q, the residual is a^zero_mult |Q| 2^(P(d-1)) / (2^(P-s) + a)^n.
+    """
+    P, d = poly.P, len(poly.desc)
+    one, n = 1 << (poly.P - poly.s), d + zero_mult
+    residual = 0.0
+    for (wr, wi), _ in clusters:
+        pr, pi, _, _ = _value_and_slope(poly, wr, wi)
+        a = math.isqrt(wr * wr + wi * wi)
+        num = a ** (2 * zero_mult) * (pr * pr + pi * pi) << (2 * P * (d - 1))
+        den = (one + a) ** (2 * n)
+        if num << (2 * (poly.wp // 8)) > den:
+            return None
+        residual = max(residual, math.sqrt(num / den))
     for i in range(len(clusters)):
+        (ar, ai), _ = clusters[i]
         for j in range(i + 1, len(clusters)):
-            gap = abs(clusters[i][0] - clusters[j][0])
-            if gap <= 4 * tol:
-                return False, residual
-    return True, residual
+            (br, bi), _ = clusters[j]
+            if (ar - br) ** 2 + (ai - bi) ** 2 <= 16 * tol * tol:
+                return None
+    return residual
 
 
 def _is_exact_zero(c) -> bool:
-    return isinstance(c, (int, Fraction)) and c == 0
+    # of any type: in fixed point an unstripped zero constant term would leave a
+    # multiple root at 0 where q(w) rounds to 0 far from it
+    return c == 0
 
 
 def roots_univariate(p: MPoly, prec: int = 256) -> RootSet:
@@ -316,14 +530,8 @@ def roots_univariate(p: MPoly, prec: int = 256) -> RootSet:
 def _mpf_to_fraction(x) -> Fraction:
     if not isinstance(x, mp.mpf):
         x = mp.mpf(x)  # conversion rounds at ambient precision; mpf passes through
-    sign, man, exp, _ = x._mpf_
-    man, exp = int(man), int(exp)  # gmpy2 backend hands out mpz
-    if man == 0:
-        if exp != 0:
-            raise ValueError("non-finite value")
-        return Fraction(0)
-    value = Fraction(man) * Fraction(2) ** exp
-    return -value if sign else value
+    man, exp = _dyadic(x._mpf_)
+    return Fraction(man) * Fraction(2) ** exp
 
 
 def rational_reconstruct(v, height_bound: int, prec: int = 256) -> Fraction:

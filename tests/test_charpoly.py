@@ -331,6 +331,24 @@ class TestEarlyTermination:
         assert len({y for y, _ in calls}) == 7
         assert {prec for _, prec in calls} == {256}
 
+    def test_two_solves_per_node_refined_in_integers(self, curve_8_4, monkeypatch):
+        # every grid node is solved twice (count, then sample); mpmath runs no Aberth sweep,
+        # so every _aberth_sweeps call is the double-precision stage
+        f, g = curve_8_4
+        calls = _counted_solves(monkeypatch)
+        real = numroots._aberth_sweeps
+        targets = []
+
+        def recorded(coeffs, deriv, z, target, max_iter):
+            targets.append(target)
+            return real(coeffs, deriv, z, target, max_iter)
+
+        monkeypatch.setattr(numroots, "_aberth_sweeps", recorded)
+        P = build_charpoly(f, g, seed=0)
+        assert P.verified
+        assert len(calls) == 2 * len({y for y, _ in calls}) == 14
+        assert targets and all(type(t) is float for t in targets)
+
     def test_false_early_stop_grows_to_the_theorem_grid_at_the_same_precision(
         self, curve_8_4, monkeypatch
     ):
@@ -373,6 +391,26 @@ class TestEarlyTermination:
         for j, a in enumerate(P.coeffs):
             if j not in bounded:
                 assert a is grid.early[j][0]
+
+    def test_a_new_interpolant_is_checked_off_its_own_sub_grid(self, monkeypatch):
+        # square(4,3) at seed 0: an early interpolant takes the sampled values on the nodes
+        # it is interpolated from, so only the rows outside them are evaluated to check it
+        made = {}  # id -> (interpolant, the nodes it was interpolated from); keeps the ids unique
+        real_interpolant, real_evaluate = charpoly.grid_interpolant, charpoly.evaluate
+
+        def recorded(samples, bounds):
+            poly = real_interpolant(samples, bounds)
+            made[id(poly)] = (poly, {y for y, _ in samples})
+            return poly
+
+        visits = []
+        monkeypatch.setattr(charpoly, "grid_interpolant", recorded)
+        monkeypatch.setattr(charpoly, "evaluate", lambda p, y: visits.append((id(p), y)) or real_evaluate(p, y))
+        P = build_charpoly(polynomial_map([X1**4 + X2, X2**3 - X1]), G12, seed=0)
+        assert P.verified
+        checks = [(key, y) for key, y in visits if key in made]
+        assert not any(y in made[key][1] for key, y in checks)
+        assert len(checks) == 277  # 415 with the 138 visits to the interpolants' own nodes
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize(

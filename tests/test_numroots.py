@@ -1,9 +1,11 @@
+import cmath
+import math
 import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import mpolys
@@ -184,33 +186,32 @@ class TestAberthConvergence:
         assert "did not converge" in str(info.value)
 
     def test_capped_sweeps_are_reported_unconverged(self):
-        with mp.workprec(148):
-            cs = [mp.mpc(c) for c in [5, -3, 1, 0, 2, -7, 1, 4, 0, 1]]
-            deriv = [cs[i] * i for i in range(1, len(cs))]
-            z = [mp.mpc(2) * mp.expjpi(mp.mpf(2 * k + 1) / 9) for k in range(9)]
-            target = mp.mpf(2) ** -128
-            assert not numroots._aberth_sweeps(cs, deriv, z, target, 2)
-            assert not numroots._backward_stable(cs, z, target)
+        poly = numroots._scaled([F(c) for c in [5, -3, 1, 0, 2, -7, 1, 4, 0, 1]], 128)
+        # start points on the circle |z| = 2, as integer points w = z / 2^s at 2^-P
+        shift = poly.P - poly.s
+        z = [2 * cmath.exp(1j * math.pi * (2 * k + 1) / 9) for k in range(9)]
+        w = [(numroots._fixed(c.real, shift), numroots._fixed(c.imag, shift)) for c in z]
+        assert not numroots._fixed_sweeps(poly, w, 2)
+        assert not numroots._fixed_backward_stable(poly, w)
 
     def test_start_circle_has_the_size_of_the_roots(self, monkeypatch):
         # roots of modulus about 1e3 give coefficients up to about 1e24: a
-        # start circle of that radius needed 68 mpmath sweeps here
+        # start circle of that radius needed 68 mpmath sweeps here; the integer
+        # stage starts from the double-precision stage and converges in 5
         roots = [1001, -1002, 1010, -1020, 990, -985, 1040, -960]
         coeffs = [1]
         for r in roots:
             coeffs = _poly_mul(coeffs, [-r, 1])
-        real = numroots._aberth_sweeps
-        mp_stages = []
+        real = numroots._fixed_sweeps
+        stages = []
 
-        def capped(coeffs, deriv, z, target, max_iter):
-            if isinstance(target, float):  # the double-precision stage
-                return real(coeffs, deriv, z, target, max_iter)
-            mp_stages.append(real(coeffs, deriv, z, target, 5))
-            return mp_stages[-1]
+        def capped(poly, w, max_iter):
+            stages.append(real(poly, w, 5))
+            return stages[-1]
 
-        monkeypatch.setattr(numroots, "_aberth_sweeps", capped)
+        monkeypatch.setattr(numroots, "_fixed_sweeps", capped)
         rs = roots_from_coeffs([F(c) for c in coeffs], 256)
-        assert mp_stages == [True]
+        assert stages == [True]
         assert sorted(int(mp.nint(z.real)) for z in rs.values()) == sorted(roots)
         assert all(close(z, mp.nint(z.real), 1e-60) for z in rs.values())
 
@@ -234,33 +235,184 @@ class TestAberthConvergence:
         coeffs = [1]
         for factor in factors:
             coeffs = _poly_mul(coeffs, factor)
-        real = numroots._aberth_sweeps
+        real = numroots._fixed_sweeps
         budget = []
 
-        def counted(coeffs, deriv, z, target, max_iter):
-            if not isinstance(target, float):  # the mpmath stage
-                budget.append(max_iter)
-            return real(coeffs, deriv, z, target, max_iter)
+        def counted(poly, w, max_iter):
+            budget.append(max_iter)
+            return real(poly, w, max_iter)
 
-        monkeypatch.setattr(numroots, "_aberth_sweeps", counted)
+        monkeypatch.setattr(numroots, "_fixed_sweeps", counted)
         rs = roots_from_coeffs([F(c) for c in coeffs], 256)
         assert rs.prec == 256 and sum(m for _, m in rs.roots) == len(coeffs) - 1
         assert sum(budget) <= 64
 
 
+def _mp_roots(coeffs, prec):
+    """The mpmath stage the integer stage replaced, as a reference: (roots, rung).
+
+    The same ladder, start, stopping rules, clustering and checks, on mp.mpc
+    values at wp + 20 bits, with the module's _aberth_sweeps as the sweeps.
+    Raises PrecisionExhausted where roots_from_coeffs must too.
+    """
+    coeffs = list(coeffs)
+    while numroots._is_exact_zero(coeffs[-1]):
+        coeffs.pop()
+    zero_mult = 0
+    while numroots._is_exact_zero(coeffs[zero_mult]):
+        zero_mult += 1
+    for wp in numroots.ladder_from(prec):
+        with mp.workprec(wp + 20):
+            full = [numroots._to_mpc(c) for c in coeffs]
+            pts, converged = _mp_aberth(full[zero_mult:], wp) if len(coeffs) > zero_mult + 1 else ([], True)
+            if not converged:
+                continue
+            tol = mp.mpf(2) ** (-wp // 4) * max([mp.mpf(1)] + [abs(z) for z in pts])
+            clusters = _mp_cluster(pts, tol)
+            if zero_mult:
+                near = [i for i, (rep, _) in enumerate(clusters) if abs(rep) <= tol][:1]
+                for i in near:
+                    rep, count = clusters[i]
+                    clusters[i] = (rep * count / (count + zero_mult), count + zero_mult)
+                if not near:
+                    clusters.append((mp.mpc(0), zero_mult))
+                clusters.sort(key=lambda rc: numroots._root_key(rc[0], tol))
+            lead, n = abs(full[-1]), len(full) - 1
+            residual = max(abs(numroots._horner(full, rep)) / (lead * (1 + abs(rep)) ** n) for rep, _ in clusters)
+            gaps = [abs(a - b) for i, (a, _) in enumerate(clusters) for b, _ in clusters[i + 1:]]
+            if residual <= mp.mpf(2) ** (-wp // 8) and all(gap > 4 * tol for gap in gaps):
+                return clusters, wp
+    raise PrecisionExhausted("reference")
+
+
+def _mp_aberth(cs, prec):
+    d, lead = len(cs) - 1, cs[-1]
+    if d == 1:
+        return [-cs[0] / lead], True
+    if d == 2:
+        a, b, c = cs[2], cs[1], cs[0]
+        disc = mp.sqrt(b * b - 4 * a * c)
+        if mp.re(mp.conj(b) * disc) > 0:
+            disc = -disc
+        q = -(b - disc) / 2
+        return [q / a, c / q if q != 0 else -b / a - q / a], True
+    deriv = [cs[i] * i for i in range(1, d + 1)]
+    radius = 2 * max(abs(cs[d - j] / lead) ** (mp.mpf(1) / j) for j in range(1, d + 1))
+    z = [-cs[d - 1] / (d * lead) + radius * mp.expjpi(2 * (k + mp.mpf("0.354")) / d) for k in range(d)]
+    warm = numroots._float_start(cs, deriv, z)
+    if warm is not None:
+        z = [mp.mpc(w) for w in warm]
+    target, cap = mp.mpf(2) ** (-prec), max(200, 3 * prec)
+    sizes = [abs(c) for c in cs]
+    for done in range(0, cap, 8):
+        if numroots._aberth_sweeps(cs, deriv, z, target, min(8, cap - done)) or all(
+            abs(numroots._horner(cs, v)) <= target * numroots._horner(sizes, abs(v)) for v in z
+        ):
+            return z, True
+    return z, False
+
+
+def _mp_cluster(pts, tol):
+    groups = []  # single linkage: a point joins, and merges, every group it is near
+    for z in pts:
+        near = [g for g in groups if any(abs(z - v) <= tol for v in g)]
+        groups = [g for g in groups if g not in near] + [sum(near, []) + [z]]
+    out = [(sum(g, mp.mpc(0)) / len(g), len(g)) for g in groups]
+    return sorted(out, key=lambda rc: numroots._root_key(rc[0], tol))
+
+
+_HEIGHT = 10**40
+
+
+@st.composite
+def _fraction_coeffs(draw):
+    """Degree 3..16, Fraction coefficients of height up to 10^40, some low ones exactly zero."""
+    d = draw(st.integers(3, 16))
+    zeros = draw(st.integers(0, 2))
+    part = st.builds(Fraction, st.integers(-_HEIGHT, _HEIGHT), st.integers(1, _HEIGHT))
+    lead = st.builds(Fraction, st.integers(1, _HEIGHT), st.integers(1, _HEIGHT))
+    return [Fraction(0)] * zeros + draw(st.lists(part, min_size=d - zeros, max_size=d)) + [draw(lead)]
+
+
+@st.composite
+def _mpc_coeffs(draw):
+    """Degree 3..16, mpc coefficients at 256 bits before a leading 1, as growth_inclusion_check passes them."""
+    d = draw(st.integers(3, 16))
+    parts = draw(st.lists(st.tuples(st.integers(-_HEIGHT, _HEIGHT), st.integers(-_HEIGHT, _HEIGHT),
+                                    st.integers(1, 10**20)), min_size=d, max_size=d))
+    with mp.workprec(256):
+        return [mp.mpc(mp.mpf(a) / c, mp.mpf(b) / c) for a, b, c in parts] + [1]
+
+
+def _product(*factors):
+    out = [1]
+    for factor in factors:
+        out = _poly_mul(out, factor)
+    return [F(c) for c in out]
+
+
+class TestIntegerStage:
+    """roots_from_coeffs against the mpmath stage it replaced (_mp_roots)."""
+
+    @staticmethod
+    def _matches(coeffs, prec):
+        try:
+            want, rung = _mp_roots(coeffs, prec)
+        except PrecisionExhausted:
+            with pytest.raises(PrecisionExhausted):
+                roots_from_coeffs(coeffs, prec)
+            return
+        got = roots_from_coeffs(coeffs, prec)
+        assert got.prec == rung
+        assert [m for _, m in got.roots] == [m for _, m in want]
+        with mp.workprec(rung + 20):
+            scale = max([1] + [abs(r) for r, _ in want])
+            for (z, m), (r, _) in zip(got.roots, want):
+                # simple roots to 2^-(prec - 16) relative to 1 + |r|; clusters in order, to their tolerance
+                tol = mp.mpf(2) ** -(rung - 16) * (1 + abs(r)) if m == 1 else mp.mpf(2) ** (-rung // 4) * scale
+                assert abs(z - r) <= tol
+
+    @settings(max_examples=20, deadline=None)
+    @given(_fraction_coeffs(), st.sampled_from([128, 256]))
+    @example(_product([5, -1, 0, 1], [5, -1, 0, 1]), 256)  # (x^3 - x + 5)^2
+    @example(_product(*[[-2, 7]] * 4, [1, 1]), 128)  # (7x - 2)^4 (x + 1)
+    @example(_product(*[[3, 1, 1]] * 3, [-5, 1]), 256)  # (x^2 + x + 3)^3 (x - 5)
+    @example(_product([0, 1], [0, 1], [-1, 3], [-1, 3], [2, 1]), 128)  # x^2 (3x - 1)^2 (x + 2)
+    # roots 10^-20 apart merge into one cluster; 10^-6 apart they stay two
+    @example(_product([-1, 1], [-(10**20 + 1), 10**20], [3, 1]), 128)
+    @example(_product([-1, 1], [-(10**6 + 1), 10**6], [3, 1], [1, 0, 1]), 256)
+    def test_fraction_coefficients(self, coeffs, prec):
+        self._matches(coeffs, prec)
+
+    @settings(max_examples=15, deadline=None)
+    @given(_mpc_coeffs(), st.sampled_from([128, 256]))
+    def test_mpc_coefficients(self, coeffs, prec):
+        self._matches(coeffs, prec)
+
+
 class TestCluster:
+    # points are (re, im) integer pairs; here one unit of them is 2^-40
     def test_two_groups(self):
-        pts = [mp.mpc(1.0), mp.mpc(1.0 + 1e-12), mp.mpc(5.0)]
-        cl = cluster(pts, 1e-6)
+        pts = [(1 << 40, 0), ((1 << 40) + 1, 0), (5 << 40, 0)]
+        cl = cluster(pts, 1 << 20)
         assert [c for _, c in cl] == [2, 1]
+        assert cl[0][0] == (1 << 40, 0)  # the mean, rounded down
 
     def test_empty(self):
-        assert cluster([], 0.1) == []
+        assert cluster([], 1) == []
 
     def test_sqrt_pair(self):
-        c = 7
-        pts = [mp.sqrt(mp.mpc(c)), -mp.sqrt(mp.mpc(c))]
-        assert len(cluster(pts, 1e-10)) == 2
+        root = math.isqrt(7 << 80)  # sqrt(7) at 2^-40
+        assert len(cluster([(root, 0), (-root, 0)], 1 << 10)) == 2
+
+    def test_distance_is_euclidean(self):
+        # (3, 4) is 5 from the origin: one cluster at tolerance 5, two at 4
+        assert [c for _, c in cluster([(0, 0), (3, 4)], 5)] == [2]
+        assert [c for _, c in cluster([(0, 0), (3, 4)], 4)] == [1, 1]
+
+    def test_order_rounds_the_real_part_to_tol(self):
+        # real parts 0 and 1 round to the same multiple of tol = 8: the imaginary part decides
+        assert [p for p, _ in cluster([(1, 100), (0, -100)], 8)] == [(0, -100), (1, 100)]
 
     def test_conjugate_order_does_not_depend_on_precision(self):
         # (x^3 - x + 5)^2: the pair 0.952 +- 1.311i shares its real part up
