@@ -14,12 +14,14 @@ The grid grows one node per axis at a time.  The theorem bounds on the
 coefficient degrees are the cap: the grid stops early once every
 coefficient's interpolant on all but the last ZETA nodes per axis
 reproduces the samples on the rest (early termination in the manner of
-Kaltofen and Lee, 2003); each such interpolant, checked on every node,
-is then its coefficient.  An early result is returned only when it
+Kaltofen and Lee, 2003); each such interpolant takes the samples on its
+own nodes and is checked on the others (polycore.grid_interpolant), so
+it is then its coefficient.  An early result is returned only when it
 verifies and g separates the fiber over some grid node, since only then
 does the identity force P to be the characteristic polynomial;
 otherwise the grid grows to the theorem bounds at the same precision,
-and a failed verification there escalates the precision ladder.
+and a failed verification there escalates the precision ladder on a
+curve; exact two-parameter samples try one rung.
 
 An independent exact construction via a Sylvester resultant is provided
 as an oracle for the curve case.
@@ -133,7 +135,8 @@ def build_charpoly(
     growth = growth_exponent(g)
     bounds = coefficient_bounds(d, growth, prof.graph_degree)
     last_error: Exception | None = None
-    for wp in ladder_from(prec):
+    # a two-parameter sample is exact, so a higher rung would rebuild the same grid
+    for wp in ladder_from(prec) if k == 1 else [prec]:
         try:
             for P in _candidates(f, g, d, bounds, seed, wp):
                 if verify_charpoly(P, f, g):
@@ -271,10 +274,11 @@ class _SampleGrid:
         """Whether every coefficient is settled by its bound or confirmed early.
 
         a_j is settled by its theorem bound once the grid has bound_j + 1
-        nodes per axis, and confirmed earlier when the interpolant on the
-        first n - ZETA nodes per axis reproduces every sample.  It is kept
-        in self.early, with the count of rows it reproduces, and checked
-        later only on the new ones.
+        nodes per axis, and confirmed earlier when grid_interpolant takes
+        it on the first n - ZETA nodes per axis, in the order drawn, and
+        it reproduces every other sample.  It is kept in self.early, with
+        the count of rows it reproduces, and checked later only on the
+        new ones.
         """
         k, m = len(self.axes), self.n - ZETA
         for j, bound in enumerate(bounds):
@@ -283,21 +287,13 @@ class _SampleGrid:
             if m < 1:
                 return False
             poly, matched = self.early[j] or (None, 0)
-            if poly is None or not self._reproduces(poly, j, self.rows[matched:]):
-                first = [set(axis[:m]) for axis in self.axes]
-                inside = [all(c in s for c, s in zip(y, first)) for y, _ in self.rows]
-                sub = [(y, row[j]) for (y, row), on in zip(self.rows, inside) if on]
-                poly = grid_interpolant(sub, [m - 1] * k)
-                # it takes the sampled values on its own sub-grid: only the rows outside check it
-                if not self._reproduces(poly, j, [r for r, on in zip(self.rows, inside) if not on]):
+            if poly is None or any(evaluate(poly, y) != row[j] for y, row in self.rows[matched:]):
+                poly = grid_interpolant([(y, row[j]) for y, row in self.rows], [m - 1] * k)
+                if poly is None:
                     self.early[j] = None
                     return False
             self.early[j] = (poly, len(self.rows))
         return True
-
-    @staticmethod
-    def _reproduces(poly: MPoly, j: int, rows) -> bool:
-        return all(evaluate(poly, y) == row[j] for y, row in rows)
 
     def separates(self) -> bool:
         """g takes d distinct values on the fiber over some grid node."""

@@ -695,68 +695,66 @@ def interpolate(samples, degree_bounds: Sequence[int]) -> MPoly:
 
     samples: iterable of (point, value) with rational entries; the points
     must form a tensor-product grid with at least bound+1 distinct
-    coordinates per variable.  Surplus grid nodes are used as exact
-    consistency checks.
+    coordinates per variable.  grid_interpolant takes the interpolant and
+    checks it on the surplus nodes; InconsistentSamples on a mismatch.
     """
     bounds = [int(b) for b in degree_bounds]
     if any(b < 0 for b in bounds):
         raise ValueError("negative degree bound")
     nvars = len(bounds)
-    cleaned = []
+    seen: dict[tuple, Fraction] = {}
     for point, value in samples:
         pt = tuple(Fraction(c) for c in point)
         if len(pt) != nvars:
             raise GridMalformed("sample point length does not match bounds")
-        cleaned.append((pt, Fraction(value)))
-    if not cleaned:
-        raise GridMalformed("no samples")
-    seen: dict[tuple, Fraction] = {}
-    for pt, val in cleaned:
-        if pt in seen and seen[pt] != val:
+        val = Fraction(value)
+        if seen.setdefault(pt, val) != val:
             raise InconsistentSamples(f"conflicting values at {pt}")
-        seen[pt] = val
+    if not seen:
+        raise GridMalformed("no samples")
+    if len(seen) != math.prod(len({pt[i] for pt in seen}) for i in range(nvars)):
+        raise GridMalformed("samples do not form a tensor-product grid")
     result = grid_interpolant(seen.items(), bounds)
-    for pt, val in seen.items():
-        if evaluate(result, pt) != val:
-            raise InconsistentSamples("no interpolant within the degree bounds matches all samples")
+    if result is None:
+        raise InconsistentSamples("no interpolant within the degree bounds matches all samples")
     return result
 
 
-def grid_interpolant(samples, degree_bounds: Sequence[int]) -> MPoly:
-    """The polynomial within the bounds through the first bound+1 nodes per variable.
+def grid_interpolant(samples, degree_bounds: Sequence[int]) -> MPoly | None:
+    """The polynomial within the bounds through the first bound+1 nodes per variable, or None.
 
     samples: (point, value) pairs with rational entries on a tensor-product
-    grid, one value per point; nodes count in increasing order.  Unlike
-    interpolate, the samples on the other nodes are not checked.
+    grid, one value per point; the nodes of a variable count in the order
+    they first appear.  The interpolant is taken on that sub-grid alone and
+    checked on every sample off it: None when one does not match.
     """
-    return _interp_rec(sorted(samples), list(degree_bounds))
+    samples = list(samples)
+    first = []
+    for i, bound in enumerate(degree_bounds):
+        nodes = list(dict.fromkeys(pt[i] for pt, _ in samples))
+        if len(nodes) <= bound:
+            raise GridMalformed(f"need {bound + 1} distinct coordinates in variable {i + 1}, got {len(nodes)}")
+        first.append(set(nodes[: bound + 1]))
+    sub, rest = [], []
+    for pt, val in samples:
+        (sub if all(c in s for c, s in zip(pt, first)) else rest).append((pt, val))
+    poly = _interp_rec(sub, list(degree_bounds))
+    return poly if all(evaluate(poly, pt) == val for pt, val in rest) else None
 
 
 def _interp_rec(samples: list[tuple[tuple, Fraction]], bounds: list[int]) -> MPoly:
+    """The interpolant on a tensor grid of exactly bound+1 nodes per variable."""
     if len(bounds) == 1:
-        nodes = [pt[0] for pt, _ in samples]
-        values = [val for _, val in samples]
-        return _newton_univariate(nodes, values, bounds[0])
+        return _newton_univariate([pt[0] for pt, _ in samples], [val for _, val in samples], bounds[0])
     groups: dict[Fraction, list] = {}
     for pt, val in samples:
         groups.setdefault(pt[0], []).append((pt[1:], val))
-    nodes = sorted(groups)
-    if len(nodes) < bounds[0] + 1:
-        raise GridMalformed(
-            f"need {bounds[0] + 1} distinct coordinates in variable 1, got {len(nodes)}"
-        )
-    tails = {tuple(sorted(pt for pt, _ in g)) for g in groups.values()}
-    if len(tails) != 1:
-        raise GridMalformed("samples do not form a tensor-product grid")
-    inner = {u: _interp_rec(sorted(groups[u]), bounds[1:]) for u in nodes}
-    monomials: set[tuple[int, ...]] = set()
-    for poly in inner.values():
-        monomials.update(poly.terms)
-    use = nodes[: bounds[0] + 1]
+    inner = {u: _interp_rec(group, bounds[1:]) for u, group in groups.items()}
+    monomials = set().union(*(poly.terms for poly in inner.values()))
     out: dict[tuple[int, ...], Fraction] = {}
     for mono in sorted(monomials):
-        coeff_vals = [inner[u].terms.get(mono, Fraction(0)) for u in use]
-        head = _newton_univariate(use, coeff_vals, bounds[0])
+        coeff_vals = [poly.terms.get(mono, Fraction(0)) for poly in inner.values()]
+        head = _newton_univariate(list(inner), coeff_vals, bounds[0])
         for (e,), c in head.terms.items():
             # monomials are distinct, so every expo is new
             out[(e,) + mono] = c
@@ -764,14 +762,10 @@ def _interp_rec(samples: list[tuple[tuple, Fraction]], bounds: list[int]) -> MPo
 
 
 def _newton_univariate(nodes, values, bound: int) -> MPoly:
-    if len(nodes) < bound + 1:
-        raise GridMalformed(f"need {bound + 1} distinct nodes, got {len(nodes)}")
+    """The interpolant through the first bound + 1 nodes, which must be distinct."""
     xs = list(nodes[: bound + 1])
-    if len(set(xs)) != len(xs):
-        raise GridMalformed("repeated interpolation nodes")
-    ys = list(values[: bound + 1])
     # Divided differences, then the Newton form expanded by Horner on an ascending list.
-    coeffs = list(ys)
+    coeffs = list(values[: bound + 1])
     for level in range(1, len(xs)):
         for i in range(len(xs) - 1, level - 1, -1):
             coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - level])

@@ -396,14 +396,18 @@ def local_multiplicity(f: CAMap, a, seed: int = 0) -> int:
 def _map_value_exact(f: CAMap, a) -> list[Fraction]:
     """f(a), exactly.
 
-    On a curve it is read from the pullbacks, so a denominator may vanish
+    Under the identity parametrization it is the pullbacks at t = a.  On a
+    curve it is read from the pullbacks too, so a denominator may vanish
     at a (y/x at the cusp): the roots of h, the squarefree part of
     gcd_i(phi_i - a_i), are the parameter preimages of a, and F_j mod h
     is the constant f_j(a).  A remainder that is not constant means the
-    components take two values at a: NotCAlgebraic.  On two parameters a
-    denominator that vanishes at a is NotIsolated.
+    components take two values at a: NotCAlgebraic.  Under any other
+    parametrization of two parameters a denominator that vanishes at a is
+    NotIsolated.
     """
     param = f.domain.param
+    if param.components == [MPoly.variable(param.k, i) for i in range(param.k)]:
+        return [evaluate(p, a) for p in f.pullbacks]
     if param.k == 1:
         h = _fiber_poly([c - MPoly.const(1, v) for c, v in zip(param.components, a)], None)
         if h.is_constant():

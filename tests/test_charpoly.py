@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import line_poly, map_spec, pj, plane_polys, univariate_coeffs
-from cnull import charpoly, numroots, propermaps
+from cnull import charpoly, numroots, polycore, propermaps
 from cnull.charpoly import (
     CharPoly,
     bounds_table,
@@ -19,7 +19,7 @@ from cnull.charpoly import (
     ploski_delta,
     verify_charpoly,
 )
-from cnull.errors import InvalidInput, NonZeroDimensional
+from cnull.errors import ExactVerificationFailed, InvalidInput, NoReconstruction, NonZeroDimensional
 from cnull.numroots import rational_reconstruct
 from cnull.polycore import (
     NEG_INF,
@@ -286,6 +286,68 @@ class TestExactSquareSamples:
         assert exact == numeric
 
 
+class TestLadderFailures:
+    def test_a_failing_two_parameter_build_constructs_one_grid(self, monkeypatch):
+        # all-zero bounds take constant coefficients on one node, which fail the identity;
+        # an exact sample is the same at every rung, so no rung past the first is tried
+        monkeypatch.setattr(charpoly, "coefficient_bounds", lambda d, growth, graph_deg: [0] * d)
+        precs = _constructed_grids(monkeypatch)
+        with pytest.raises(ExactVerificationFailed):
+            build_charpoly(SQUARE22, G12, seed=0)
+        assert precs == [256]
+
+    def test_no_reconstruction_is_raised_after_every_rung(self, cline, monkeypatch):
+        # curve(4, 3): every numeric sample fails to reconstruct, on one grid per rung
+        f, g = _line_map(cline, [-2, 3, -1, 0, 1]), _line_map(cline, [0, 1, 0, 1])
+
+        def fails(*args):
+            raise NoReconstruction("forced")
+
+        monkeypatch.setattr(charpoly, "rational_reconstruct", fails)
+        precs = _constructed_grids(monkeypatch)
+        with pytest.raises(NoReconstruction, match="forced"):
+            build_charpoly(f, g, seed=0)
+        assert precs == [256, 512, 1024]
+
+
+class TestShearRedraw:
+    @pytest.mark.parametrize("rejected,redraws", [(0, 1), (1, 0)])
+    def test_only_a_rejected_first_node_redraws_the_shear(self, monkeypatch, rejected, redraws):
+        # coordinates rejects its call number `rejected`: the first node, whose shear may merge
+        # two points of every fiber, or a node after the first accepted one, which keeps it
+        expected = build_charpoly(SQUARE22, G12, seed=0)
+        real_coordinates, real_redraw = ShapeLemma.coordinates, ShapeLemma.redraw
+        calls, redrawn = [], []
+
+        def coordinates(shape, y):
+            calls.append(y)
+            return None if len(calls) - 1 == rejected else real_coordinates(shape, y)
+
+        def redraw(shape):
+            if hasattr(shape, "lam"):  # not the first draw, made by the constructor
+                redrawn.append(shape.lam)
+            real_redraw(shape)
+
+        monkeypatch.setattr(ShapeLemma, "coordinates", coordinates)
+        monkeypatch.setattr(ShapeLemma, "redraw", redraw)
+        P = build_charpoly(SQUARE22, G12, seed=0)
+        assert len(redrawn) == redraws
+        assert P.verified and P.coeffs == expected.coeffs
+
+
+def _constructed_grids(monkeypatch):
+    """The working precision of every _SampleGrid constructed from here on."""
+    real = charpoly._SampleGrid.__init__
+    precs = []
+
+    def recorded(grid, *args):
+        real(grid, *args)
+        precs.append(grid.wp)
+
+    monkeypatch.setattr(charpoly._SampleGrid, "__init__", recorded)
+    return precs
+
+
 def _counted_solves(monkeypatch):
     """Record (node, prec) of every curve fiber solve from here on."""
     real = propermaps.fiber_t_clusters
@@ -373,14 +435,30 @@ class TestEarlyTermination:
     @pytest.mark.parametrize("case,settled", [("square(4,3)", 6), ("curve(8,4)", 1)])
     def test_confirmed_coefficients_are_not_interpolated_again(self, cline, monkeypatch, case, settled):
         # a coefficient confirmed on the early grid is its checked interpolant; only those
-        # settled by their bounds (n > bound_j) are interpolated, once each
+        # settled by their bounds (n > bound_j) are interpolated, once each, on all of the
+        # grid's rows, and never from confirmed: the benchmark counts interpolate's samples
+        # as grid nodes
         if case == "square(4,3)":
             f, g = polynomial_map([X1**4 + X2, X2**3 - X1]), G12
         else:  # f = x^8 - x^2 + 3x - 2, g = x^4 + x
             f, g = _line_map(cline, [-2, 3, -1, 0, 0, 0, 0, 0, 1]), _line_map(cline, [0, 1, 0, 0, 1])
-        calls = []
-        real_interpolate = charpoly.interpolate
-        monkeypatch.setattr(charpoly, "interpolate", lambda *args: calls.append(args) or real_interpolate(*args))
+        calls, confirming = [], []
+        real_interpolate, real_confirmed = polycore.interpolate, charpoly._SampleGrid.confirmed
+
+        def recorded(*args):
+            calls.append((args, bool(confirming)))
+            return real_interpolate(*args)
+
+        def confirmed(grid, bounds):
+            confirming.append(True)
+            try:
+                return real_confirmed(grid, bounds)
+            finally:
+                confirming.pop()
+
+        for module in (charpoly, polycore):
+            monkeypatch.setattr(module, "interpolate", recorded)
+        monkeypatch.setattr(charpoly._SampleGrid, "confirmed", confirmed)
         grids = _recorded_grids(monkeypatch)
         P = build_charpoly(f, g, seed=0)
         assert P.verified and len(grids) == 1
@@ -388,29 +466,41 @@ class TestEarlyTermination:
         assert grid.n < max(P.bounds) + 1
         bounded = [j for j, bound in enumerate(P.bounds) if grid.n > bound]
         assert len(calls) == len(bounded) == settled
+        assert not any(in_confirmed for _, in_confirmed in calls)
+        assert all([y for y, _ in args[0]] == [y for y, _ in grid.rows] for args, _ in calls)
         for j, a in enumerate(P.coeffs):
             if j not in bounded:
                 assert a is grid.early[j][0]
 
     def test_a_new_interpolant_is_checked_off_its_own_sub_grid(self, monkeypatch):
-        # square(4,3) at seed 0: an early interpolant takes the sampled values on the nodes
-        # it is interpolated from, so only the rows outside them are evaluated to check it
-        made = {}  # id -> (interpolant, the nodes it was interpolated from); keeps the ids unique
-        real_interpolant, real_evaluate = charpoly.grid_interpolant, charpoly.evaluate
+        # square(4,3) at seed 0: an interpolant takes the sampled values on the sub-grid it is
+        # interpolated from, so _interp_rec receives only that sub-grid and only the rows off it
+        # are evaluated to check it
+        made = {}  # id -> (interpolant, its sub-grid); keeps the ids unique
+        real_rec, real_evaluate = polycore._interp_rec, polycore.evaluate
 
         def recorded(samples, bounds):
-            poly = real_interpolant(samples, bounds)
-            made[id(poly)] = (poly, {y for y, _ in samples})
+            poly = real_rec(samples, bounds)
+            if len(bounds) == 2:
+                assert len(samples) == math.prod(b + 1 for b in bounds)
+                made[id(poly)] = (poly, {y for y, _ in samples})
             return poly
 
         visits = []
-        monkeypatch.setattr(charpoly, "grid_interpolant", recorded)
-        monkeypatch.setattr(charpoly, "evaluate", lambda p, y: visits.append((id(p), y)) or real_evaluate(p, y))
+
+        def counted(p, y):
+            visits.append((id(p), tuple(y)))
+            return real_evaluate(p, y)
+
+        monkeypatch.setattr(polycore, "_interp_rec", recorded)
+        monkeypatch.setattr(polycore, "evaluate", counted)
+        monkeypatch.setattr(charpoly, "evaluate", counted)
         P = build_charpoly(polynomial_map([X1**4 + X2, X2**3 - X1]), G12, seed=0)
         assert P.verified
         checks = [(key, y) for key, y in visits if key in made]
         assert not any(y in made[key][1] for key, y in checks)
-        assert len(checks) == 277  # 415 with the 138 visits to the interpolants' own nodes
+        # every evaluate of the build is such a check: 571 when their own nodes were evaluated too
+        assert len(checks) == len(visits) == 432
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize(

@@ -249,6 +249,36 @@ class TestOtherCommands:
         assert report["result"]["delta"] == {"rational": "1/2", "float": 0.5}
         assert report["result"]["growth_check"]["holds"] is True
 
+    def test_ploski_with_a_constant_g_skips_the_growth_check(self, capsys, tmp_path):
+        # g = 7: P = (t - 7)^2 has constant coefficients, so delta = 0 and nothing grows
+        g = tmp_path / "g7.json"
+        g.write_text(json.dumps(map_spec(pj(["x", "y"], {(0, 0): 7}))))
+        argv = ["ploski", "--variety", fx("cusp.json"), "--f", fx("fx.json"), "--g", str(g)]
+        code, report = run_json(argv, capsys)
+        assert code == 0
+        assert report["result"]["delta"] == {"rational": "0", "float": 0.0}
+        assert report["result"]["growth_check"] is None
+
+    def test_ploski_below_delta_reports_its_violation(self, capsys):
+        # P = t^2 - y on the cusp: q = 1/10 < delta = 1/2, and the witness has t^2 = x
+        argv = ["ploski", "--variety", fx("cusp.json"), "--f", fx("fx.json"), "--g", fx("gyx.json"), "--q", "1/10"]
+        code, report = run_json(argv, capsys)
+        assert code == 0
+        check = report["result"]["growth_check"]
+        assert check["holds"] is False and check["witness_C"] is None
+        assert check["q"] == {"rational": "1/10", "float": 0.1}
+        (x,), t = [complex(v["re"], v["im"]) for v in check["violation"]["x"]], check["violation"]["t"]
+        t = complex(t["re"], t["im"])
+        assert abs(t * t - x) <= 1e-9 * abs(x)
+        assert abs(t) / abs(x) ** 0.1 == pytest.approx(check["high_max"])
+
+    def test_gradexp_under_a_given_theta_reports_no_degrees(self, capsys):
+        code, report = run_json(["gradexp", "--poly", fx("sum_squares.json"), "--theta", "1/2"], capsys)
+        assert code == 0
+        res = report["result"]
+        assert res["mu"] is None and res["D"] is None
+        assert res["theta"]["rational"] == "1/2" and res["validated"]
+
     def test_gradexp(self, capsys):
         code, report = run_json(["gradexp", "--poly", fx("sum_squares.json")], capsys)
         assert code == 0

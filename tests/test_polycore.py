@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import mpolys
+from cnull import polycore
 from cnull.errors import GridMalformed, InconsistentSamples, NotDivisible, SchemaError
 from cnull.polycore import (
     NEG_INF,
@@ -19,6 +20,7 @@ from cnull.polycore import (
     drop_var,
     evaluate,
     exact_divide,
+    grid_interpolant,
     interpolate,
     poly_from_json,
     poly_to_json,
@@ -287,6 +289,19 @@ class TestInterpolate:
     def test_grid_malformed(self):
         with pytest.raises(GridMalformed):
             interpolate([((F(0),), F(0))], [2])
+
+    def test_not_a_tensor_grid(self):
+        # three of the four points of {0, 1}^2
+        with pytest.raises(GridMalformed):
+            interpolate([((F(0), F(0)), F(0)), ((F(0), F(1)), F(0)), ((F(1), F(0)), F(0))], [0, 0])
+
+    def test_grid_interpolant_takes_the_first_nodes_in_order_of_appearance(self, monkeypatch):
+        samples = [((F(c),), F(c * c)) for c in (3, 0, 1, 2)]
+        real, given = polycore._interp_rec, []
+        monkeypatch.setattr(polycore, "_interp_rec", lambda sub, bounds: given.append(sub) or real(sub, bounds))
+        assert grid_interpolant(samples, [2]) == p1({(2,): 1})
+        assert given == [samples[:3]]
+        assert grid_interpolant(samples[:3] + [((F(2),), F(5))], [2]) is None
 
     def test_inconsistent(self):
         samples = [((F(c),), F(c * c)) for c in (0, 1, 2)]

@@ -45,7 +45,7 @@ from cnull.propermaps import (
     profile_map,
     stoll_check,
 )
-from cnull.variety import load_map, load_variety, polynomial_map
+from cnull.variety import load_map, load_variety, make_map, polynomial_map
 
 F = Fraction
 V2 = ["x1", "x2"]
@@ -452,6 +452,11 @@ class TestLocalMultiplicity:
     def test_value_read_from_the_pullbacks_where_a_denominator_vanishes(self, cusp_gyx):
         # y/x pulls back to t on the cusp (t^2, t^3), and x vanishes at the origin
         assert local_multiplicity(cusp_gyx, [F(0), F(0)], seed=0) == 1
+
+    def test_value_read_from_the_pullbacks_under_the_identity(self):
+        # (x1^2/x1, x2) on C^2 is the identity, and x1 vanishes at the origin
+        identity = make_map(SQUARE22.domain, [(X1**2, X1), (X2, MPoly.const(2, 1))])
+        assert local_multiplicity(identity, [F(0), F(0)], seed=0) == 1
 
     def test_two_values_at_a_node_are_not_c_algebraic(self):
         # y/x pulls back to t on the nodal cubic (t^2 - 1, t^3 - t): 1 and -1 over the node
