@@ -10,18 +10,20 @@ critical node is sampled too.  On a curve it is numeric but self-certifying:
 fibers are solved at working precision, and the signed elementary
 symmetric functions of the g-values are rationally reconstructed.
 
-The grid grows one node per axis at a time.  The theorem bounds on the
-coefficient degrees are the cap: the grid stops early once every
-coefficient's interpolant on all but the last ZETA nodes per axis
-reproduces the samples on the rest (early termination in the manner of
-Kaltofen and Lee, 2003); each such interpolant takes the samples on its
-own nodes and is checked on the others (polycore.grid_interpolant), so
-it is then its coefficient.  An early result is returned only when it
-verifies and g separates the fiber over some grid node, since only then
-does the identity force P to be the characteristic polynomial;
-otherwise the grid grows to the theorem bounds at the same precision,
-and a failed verification there escalates the precision ladder on a
-curve; exact two-parameter samples try one rung.
+The grid grows one node per axis at a time, and keeps the points whose
+node indices sum to at most the largest theorem bound on the total
+degree of a coefficient: the simplex that determines a polynomial of
+that degree.  The bounds are the cap: the grid stops early once every
+coefficient's samples on n nodes per axis fit total degree n - ZETA - 1,
+that is, once their Newton divided differences of index sum n - ZETA or
+more vanish (polycore.grid_interpolant; early termination in the manner
+of Kaltofen and Lee, 2003), and the fit is then its coefficient.  An
+early result is returned only when it verifies and g separates the
+fiber over some grid node, since only then does the identity force P to
+be the characteristic polynomial; otherwise the grid grows to the
+theorem bounds at the same precision, and a failed verification there
+escalates the precision ladder on a curve; exact two-parameter samples
+try one rung.
 
 An independent exact construction via a Sylvester resultant is provided
 as an oracle for the curve case.
@@ -100,12 +102,12 @@ def charpoly_to_json(p: CharPoly) -> dict:
 
 
 def verify_charpoly(P: CharPoly, f: CAMap, g: CAMap) -> bool:
-    """Exact check of the identity P(f(phi), g(phi)) = 0 in the parameter ring."""
+    """Exact check of the identity P(f(phi), g(phi)) = 0 in the parameter ring, by Horner's rule in g."""
     fp = list(f.pullbacks)
     gp = g.pullbacks[0]
-    acc = gp**P.d
-    for j, a in enumerate(P.coeffs, start=1):
-        acc = acc + compose(a, fp) * gp ** (P.d - j)
+    acc = MPoly.const(gp.var_count, 1)
+    for a in P.coeffs:
+        acc = acc * gp + compose(a, fp)
     return acc.is_zero()
 
 
@@ -160,13 +162,13 @@ def _candidates(f: CAMap, g: CAMap, d: int, bounds: list[int], seed: int, wp: in
     """Interpolated characteristic polynomials at precision wp, on one growing grid.
 
     The grid gains one node per axis at a time.  It stops early once every
-    coefficient a_j is confirmed: the interpolant on the first n - ZETA
-    nodes per axis reproduces the samples on the rest of the grid, and is
-    a_j.  The early result is offered only when g separates the fiber over
-    some grid node, for then P(f, g) = 0 forces P to be the characteristic
-    polynomial.  Otherwise, and when the early result is rejected, the grid
-    grows to the theorem grid, max_j bound_j + 1 nodes per axis, and the
-    result interpolated under the theorem bounds follows.
+    coefficient a_j is confirmed: its samples fit total degree n - ZETA - 1,
+    and the fit is a_j.  The early result is offered only when g separates
+    the fiber over some grid node, for then P(f, g) = 0 forces P to be the
+    characteristic polynomial.  Otherwise, and when the early result is
+    rejected, the grid grows to the theorem grid, max_j bound_j + 1 nodes
+    per axis on the simplex of that total degree, and the result
+    interpolated under the theorem bounds follows.
     """
     need = max(bounds, default=0) + 1
     grid = _SampleGrid(f, g, d, seed, wp, need)
@@ -180,31 +182,34 @@ def _candidates(f: CAMap, g: CAMap, d: int, bounds: list[int], seed: int, wp: in
 
 
 class _SampleGrid:
-    """A growing tensor grid of rational nodes, and the samples on it.
+    """A growing grid of rational nodes on the total-degree simplex, and the samples on it.
 
-    Nodes come from one shuffled span under the salt charpoly-grid; a
-    candidate node whose new slab of the grid has a node that cannot be
-    sampled is skipped.  On two parameters a sample is exact: the
-    characteristic polynomial of g on the fiber algebra Q[x]/R of a
-    ShapeLemma, under one shear from the salt charpoly-shear.  It is
-    P(y, .) at every node the ShapeLemma accepts, critical values
-    included; a node is skipped only where a root of R lies under two
-    fiber points, or under one point that is not curvilinear.  The shear
-    is drawn again with every rejected candidate for the first node, since
-    a shear that merges two points of every fiber would reject every
-    node; once a node passes, it merges them only over a proper algebraic
-    subset.  On one parameter a node with a critical fiber is skipped:
+    Axis i holds nodes x_(i,0), x_(i,1), ... in the order drawn, and the
+    grid holds the points (x_(1,alpha_1), ..., x_(k,alpha_k)) with every
+    alpha_i < n and |alpha| < need: a lower set that holds the simplex of
+    every total degree below need.  Nodes come from one shuffled span
+    under the salt charpoly-grid; a candidate node whose new slab of the
+    grid has a point that cannot be sampled is skipped.  On two parameters
+    a sample is exact: the characteristic polynomial of g on the fiber
+    algebra Q[x]/R of a ShapeLemma, under one shear from the salt
+    charpoly-shear.  It is P(y, .) at every node the ShapeLemma accepts,
+    critical values included; a node is skipped only where a root of R
+    lies under two fiber points, or under one point that is not
+    curvilinear.  The shear is drawn again with every rejected candidate
+    for the first node, since a shear that merges two points of every
+    fiber would reject every node; once a node passes, it merges them only
+    over a proper algebraic subset.  On one parameter a node with a critical fiber is skipped:
     each node is solved twice, at working precision, once to check that
     its fiber has d points, once to sample.
     """
 
     def __init__(self, f: CAMap, g: CAMap, d: int, seed: int, wp: int, need: int):
-        self.f, self.gp, self.d, self.wp = f, g.pullbacks[0], d, wp
+        self.f, self.gp, self.d, self.wp, self.need = f, g.pullbacks[0], d, wp, need
         k = f.domain.param.k
         self.axes: list[list[Fraction]] = [[] for _ in range(k)]
         self.rows: list[tuple[tuple, list[Fraction]]] = []  # (node, [a_1 .. a_d]) as sampled
-        # per coefficient: an early interpolant and the number of leading rows it reproduces
-        self.early: list[tuple[MPoly, int] | None] = [None] * d
+        self.early: list[MPoly | None] = [None] * d  # per coefficient: its last early interpolant
+        self.failed = 0  # the coefficient that failed the last confirmation, tried first in the next
         gen = _rng.child_rng(seed, "charpoly-grid")
         span = list(range(-3 * (need + 2), 3 * (need + 2) + 1))
         gen.shuffle(span)
@@ -220,7 +225,8 @@ class _SampleGrid:
 
         The first nodes of all axes are drawn together, as one grid point;
         after that each axis in turn adds a node against the nodes of the
-        others, so every accepted node has its whole slab checked.
+        others, so every accepted node has its whole slab checked.  A slab
+        keeps the points whose node indices sum to less than need.
         """
         k = len(self.axes)
         for new in [range(k)] if self.n == 0 else [[axis] for axis in range(k)]:
@@ -230,8 +236,13 @@ class _SampleGrid:
                     raise CriticalSampleBudgetExhausted(
                         "could not draw a grid clear of critical values"
                     )
-                nodes = {axis: [c] for axis, c in zip(new, drawn)}
-                slab = list(itertools.product(*(nodes.get(i, ax) for i, ax in enumerate(self.axes))))
+                nodes = {axis: [(len(self.axes[axis]), c)] for axis, c in zip(new, drawn)}
+                choices = (nodes.get(i, list(enumerate(ax))) for i, ax in enumerate(self.axes))
+                slab = [
+                    tuple(c for _, c in point)
+                    for point in itertools.product(*choices)
+                    if sum(m for m, _ in point) < self.need
+                ]
                 rows = self._slab_rows(slab)
                 if rows is not None:
                     break
@@ -274,25 +285,21 @@ class _SampleGrid:
         """Whether every coefficient is settled by its bound or confirmed early.
 
         a_j is settled by its theorem bound once the grid has bound_j + 1
-        nodes per axis, and confirmed earlier when grid_interpolant takes
-        it on the first n - ZETA nodes per axis, in the order drawn, and
-        it reproduces every other sample.  It is kept in self.early, with
-        the count of rows it reproduces, and checked later only on the
-        new ones.
+        nodes per axis, and confirmed earlier when every Newton coefficient
+        of its samples of index sum n - ZETA or more vanishes: then
+        grid_interpolant fits them with total degree n - ZETA - 1, and the
+        fit is kept in self.early.
         """
-        k, m = len(self.axes), self.n - ZETA
-        for j, bound in enumerate(bounds):
-            if self.n > bound:
+        m = self.n - ZETA
+        for j in [*range(self.failed, len(bounds)), *range(self.failed)]:
+            if self.n > bounds[j]:
                 continue
             if m < 1:
                 return False
-            poly, matched = self.early[j] or (None, 0)
-            if poly is None or any(evaluate(poly, y) != row[j] for y, row in self.rows[matched:]):
-                poly = grid_interpolant([(y, row[j]) for y, row in self.rows], [m - 1] * k)
-                if poly is None:
-                    self.early[j] = None
-                    return False
-            self.early[j] = (poly, len(self.rows))
+            self.early[j] = grid_interpolant([(y, row[j]) for y, row in self.rows], m - 1)
+            if self.early[j] is None:
+                self.failed = j
+                return False
         return True
 
     def separates(self) -> bool:
@@ -303,16 +310,15 @@ class _SampleGrid:
         )
 
     def charpoly(self, bounds: list[int]) -> CharPoly:
-        """P on the grid: a_j confirmed on every sample is its early interpolant.
+        """P on the grid: a_j beyond its bound is interpolated under bound_j, surplus nodes as checks.
 
-        That is the one interpolant of its degree on the grid.  Any other
-        a_j is interpolated under bound_j, surplus nodes as exact checks.
+        Any other a_j was confirmed on this grid, and is its early fit:
+        the one polynomial of its degree through every sample.
         """
         k = len(self.axes)
         coeffs = [
-            early[0] if early and early[1] == len(self.rows)
-            else interpolate([(y, row[j]) for y, row in self.rows], [b] * k)
-            for j, (b, early) in enumerate(zip(bounds, self.early))
+            interpolate([(y, row[j]) for y, row in self.rows], b) if self.n > b else self.early[j]
+            for j, b in enumerate(bounds)
         ]
         return CharPoly(
             d=self.d,

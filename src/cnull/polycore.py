@@ -446,8 +446,8 @@ class ResidueRing:
     with gcd(c, den) = 1.  R is held as integers r with a positive
     leading coefficient, so reduction is integer pseudo-division and
     each operation normalizes by one gcd.  The inverse is the extended
-    Euclidean algorithm on integer polynomials; only traces and Newton's
-    identities work in Fraction.
+    Euclidean algorithm on integer polynomials; traces and the
+    characteristic polynomial make one Fraction per value.
     """
 
     def __init__(self, modulus: MPoly):
@@ -577,18 +577,26 @@ class ResidueRing:
         """c_1 .. c_d with prod (s - a(x_i)) = s^d + c_1 s^(d-1) + ... + c_d over the roots x_i of R.
 
         The characteristic polynomial of multiplication by a, from the
-        traces of its powers by Newton's identities.
+        traces of its powers by Newton's identities, in integers: with
+        L = den(a) * lead(R)^(d-1), each L*a(x_i) is an algebraic integer,
+        so T_m = L^m Tr(a^m) and E_m = L^m e_m are integers for the
+        elementary symmetric functions e_m of the a(x_i), and
+        m E_m = sum_(i=1..m) (-1)^(i-1) E_(m-i) T_i divides by m exactly.
         """
+        d, den, scale = self.d, a[1], self._trace_den  # scale = lead(R)^(d-1)
         sums, power = [], a
-        for m in range(1, self.d + 1):
-            sums.append(self.trace(power))
-            if m < self.d:
+        for m in range(1, d + 1):
+            c, power_den = power
+            # L^m Tr(a^m), with Tr(a^m) = sum(c * traces) / (power_den * scale)
+            trace = sum(x * t for x, t in zip(c, self._traces))
+            sums.append(trace * den**m * scale ** (m - 1) // power_den)
+            if m < d:
                 power = self.mul(power, a)
-        out: list[Fraction] = []
-        for m in range(1, self.d + 1):
-            acc = sums[m - 1] + sum(out[i - 1] * sums[m - i - 1] for i in range(1, m))
-            out.append(-acc / m)
-        return out
+        E = [1]
+        for m in range(1, d + 1):
+            E.append(sum((-1) ** (i - 1) * E[m - i] * sums[i - 1] for i in range(1, m + 1)) // m)
+        L = den * scale
+        return [Fraction((-1) ** m * E[m], L**m) for m in range(1, d + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -687,92 +695,88 @@ def sylvester_resultant(p: MPoly, q: MPoly, index: int) -> MPoly:
 
 
 # ---------------------------------------------------------------------------
-# interpolation on tensor grids
+# interpolation on lower sets
 
 
-def interpolate(samples, degree_bounds: Sequence[int]) -> MPoly:
-    """Unique polynomial matching the samples within per-variable bounds.
-
-    samples: iterable of (point, value) with rational entries; the points
-    must form a tensor-product grid with at least bound+1 distinct
-    coordinates per variable.  grid_interpolant takes the interpolant and
-    checks it on the surplus nodes; InconsistentSamples on a mismatch.
-    """
-    bounds = [int(b) for b in degree_bounds]
-    if any(b < 0 for b in bounds):
+def interpolate(samples, bound: int) -> MPoly:
+    """grid_interpolant's polynomial; InconsistentSamples when a sample does not fit it."""
+    if bound < 0:
         raise ValueError("negative degree bound")
-    nvars = len(bounds)
     seen: dict[tuple, Fraction] = {}
     for point, value in samples:
         pt = tuple(Fraction(c) for c in point)
-        if len(pt) != nvars:
-            raise GridMalformed("sample point length does not match bounds")
         val = Fraction(value)
         if seen.setdefault(pt, val) != val:
             raise InconsistentSamples(f"conflicting values at {pt}")
-    if not seen:
-        raise GridMalformed("no samples")
-    if len(seen) != math.prod(len({pt[i] for pt in seen}) for i in range(nvars)):
-        raise GridMalformed("samples do not form a tensor-product grid")
-    result = grid_interpolant(seen.items(), bounds)
+    result = grid_interpolant(seen.items(), bound)
     if result is None:
-        raise InconsistentSamples("no interpolant within the degree bounds matches all samples")
+        raise InconsistentSamples("no interpolant within the degree bound matches all samples")
     return result
 
 
-def grid_interpolant(samples, degree_bounds: Sequence[int]) -> MPoly | None:
-    """The polynomial within the bounds through the first bound+1 nodes per variable, or None.
+def grid_interpolant(samples, bound: int) -> MPoly | None:
+    """The polynomial of total degree at most bound through the samples, or None.
 
-    samples: (point, value) pairs with rational entries on a tensor-product
-    grid, one value per point; the nodes of a variable count in the order
-    they first appear.  The interpolant is taken on that sub-grid alone and
-    checked on every sample off it: None when one does not match.
+    samples: (point, value) pairs with rational entries, one value per
+    point.  Numbering each variable's coordinates in the order they first
+    appear gives each point an index alpha; the indices must form a lower
+    set that holds every alpha with |alpha| <= bound.  One pass of Newton
+    divided differences over it (Dyn and Floater, 2014) gives the
+    interpolant's coefficient c_alpha on prod_i prod_(m < alpha_i)
+    (y_i - node_(i,m)), of degree |alpha|: the samples fit degree bound
+    exactly when every c_alpha with |alpha| > bound vanishes.
     """
     samples = list(samples)
-    first = []
-    for i, bound in enumerate(degree_bounds):
-        nodes = list(dict.fromkeys(pt[i] for pt, _ in samples))
-        if len(nodes) <= bound:
-            raise GridMalformed(f"need {bound + 1} distinct coordinates in variable {i + 1}, got {len(nodes)}")
-        first.append(set(nodes[: bound + 1]))
-    sub, rest = [], []
-    for pt, val in samples:
-        (sub if all(c in s for c, s in zip(pt, first)) else rest).append((pt, val))
-    poly = _interp_rec(sub, list(degree_bounds))
-    return poly if all(evaluate(poly, pt) == val for pt, val in rest) else None
+    if len({len(pt) for pt, _ in samples}) != 1:
+        raise GridMalformed("need samples at points of one length")
+    k = len(samples[0][0])
+    axes = [list(dict.fromkeys(pt[i] for pt, _ in samples)) for i in range(k)]
+    index = [{c: m for m, c in enumerate(nodes)} for nodes in axes]
+    table = {tuple(ix[c] for ix, c in zip(index, pt)): Fraction(val) for pt, val in samples}
+    if any(a[i] and a[:i] + (a[i] - 1,) + a[i + 1:] not in table for a in table for i in range(k)):
+        raise GridMalformed("the sample nodes do not form a lower set")
+    if sum(sum(a) <= bound for a in table) != math.comb(bound + k, k):
+        raise GridMalformed(f"the sample nodes miss an index of total degree at most {bound}")
+    xs = [[int(c) if c.denominator == 1 else c for c in nodes] for nodes in axes]  # int steps are cheaper
+    _along_lines(table, xs, _divided_differences)
+    if any(c for a, c in table.items() if sum(a) > bound):
+        return None
+    table = {a: c for a, c in table.items() if sum(a) <= bound}
+    _along_lines(table, xs, _newton_to_monomial)
+    return MPoly._raw(k, {a: c for a, c in table.items() if c})
 
 
-def _interp_rec(samples: list[tuple[tuple, Fraction]], bounds: list[int]) -> MPoly:
-    """The interpolant on a tensor grid of exactly bound+1 nodes per variable."""
-    if len(bounds) == 1:
-        return _newton_univariate([pt[0] for pt, _ in samples], [val for _, val in samples], bounds[0])
-    groups: dict[Fraction, list] = {}
-    for pt, val in samples:
-        groups.setdefault(pt[0], []).append((pt[1:], val))
-    inner = {u: _interp_rec(group, bounds[1:]) for u, group in groups.items()}
-    monomials = set().union(*(poly.terms for poly in inner.values()))
-    out: dict[tuple[int, ...], Fraction] = {}
-    for mono in sorted(monomials):
-        coeff_vals = [poly.terms.get(mono, Fraction(0)) for poly in inner.values()]
-        head = _newton_univariate(list(inner), coeff_vals, bounds[0])
-        for (e,), c in head.terms.items():
-            # monomials are distinct, so every expo is new
-            out[(e,) + mono] = c
-    return MPoly._raw(len(bounds), out)
+def _along_lines(table: dict, axes: list, step) -> None:
+    """Axis by axis, in place: each line of the lower set table becomes step(nodes, numerators, den)."""
+    for axis, nodes in enumerate(axes):
+        lines: dict[tuple, list] = {}
+        for alpha in sorted(table):
+            lines.setdefault(alpha[:axis] + alpha[axis + 1:], []).append(alpha)
+        for alphas in lines.values():
+            values = [table[a] for a in alphas]
+            den = math.lcm(*(v.denominator for v in values))
+            table.update(zip(alphas, step(nodes, [v.numerator * (den // v.denominator) for v in values], den)))
 
 
-def _newton_univariate(nodes, values, bound: int) -> MPoly:
-    """The interpolant through the first bound + 1 nodes, which must be distinct."""
-    xs = list(nodes[: bound + 1])
-    # Divided differences, then the Newton form expanded by Horner on an ascending list.
-    coeffs = list(values[: bound + 1])
-    for level in range(1, len(xs)):
-        for i in range(len(xs) - 1, level - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - level])
-    acc = [Fraction(coeffs[-1])]
-    for x, c in zip(xs[-2::-1], coeffs[-2::-1]):  # acc <- acc * (X - x) + c
-        acc = [c - x * acc[0]] + [lo - x * hi for lo, hi in zip(acc, acc[1:])] + [acc[-1]]
-    return MPoly._raw(1, {(e,): v for e, v in enumerate(acc) if v})
+def _divided_differences(xs, c: list[int], den: int) -> list[Fraction]:
+    """Newton coefficients through (xs[m], c[m] / den) in integers; each level scales the den by its gaps' lcm."""
+    dens = [den]
+    for level in range(1, len(c)):
+        gaps = [xs[i] - xs[i - level] for i in range(level, len(c))]
+        scale = math.lcm(*(gap.numerator for gap in gaps))
+        for i in range(len(c) - 1, level - 1, -1):
+            gap = gaps[i - level]
+            c[i] = (c[i] - c[i - 1]) * gap.denominator * scale // gap.numerator
+        dens.append(dens[-1] * scale)
+    return [Fraction(v, d) for v, d in zip(c, dens)]
+
+
+def _newton_to_monomial(xs, c: list[int], den: int) -> list[Fraction]:
+    """Ascending coefficients of sum_m c[m] prod_(l < m) (X - xs[l]) / den, by Horner's rule."""
+    acc = [c[-1]]
+    for m in range(len(c) - 2, -1, -1):  # acc <- acc * (X - xs[m]) + c[m]
+        acc = [c[m] - xs[m] * acc[0]] + [lo - xs[m] * hi for lo, hi in zip(acc, acc[1:])] + [acc[-1]]
+    return [Fraction(v, den) for v in acc]
 
 
 # ---------------------------------------------------------------------------

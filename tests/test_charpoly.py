@@ -14,6 +14,7 @@ from cnull.charpoly import (
     bounds_table,
     build_charpoly,
     charpoly_resultant_oracle,
+    charpoly_to_json,
     coefficient_bounds,
     growth_inclusion_check,
     ploski_delta,
@@ -361,6 +362,34 @@ def _counted_solves(monkeypatch):
     return calls
 
 
+SQUARE_CHARPOLYS = {  # components of f, grid nodes, bounds, a_1 .. a_d as for _terms
+    "square(2,2)": (
+        [X1**2 + X2, X2**2 - X1],
+        15,
+        [1, 2, 3, 4],
+        [
+            {},
+            {(1, 0): -2, (0, 1): -8, (0, 0): 6},
+            {(1, 0): -16, (0, 1): 8, (0, 0): 7},
+            {(2, 0): 1, (1, 1): -8, (0, 2): 16, (1, 0): -14, (0, 1): 7},
+        ],
+    ),
+    "square(3,2)": (
+        [X1**3 + X2, X2**2 - X1],
+        26,
+        [1, 2, 3, 4, 5, 6],
+        [
+            {},
+            {(0, 1): -12},
+            {(1, 0): -2, (0, 0): 10},
+            {(0, 2): 48, (1, 0): -36, (0, 1): 12, (0, 0): 40},
+            {(1, 1): -24, (1, 0): -96, (0, 1): 56, (0, 0): 31},
+            {(0, 3): -64, (2, 0): 1, (1, 1): -48, (0, 2): 16, (1, 0): -62, (0, 1): 31},
+        ],
+    ),
+}
+
+
 def _recorded_grids(monkeypatch):
     """The _SampleGrid behind every candidate from here on."""
     real = charpoly._SampleGrid.charpoly
@@ -470,37 +499,26 @@ class TestEarlyTermination:
         assert all([y for y, _ in args[0]] == [y for y, _ in grid.rows] for args, _ in calls)
         for j, a in enumerate(P.coeffs):
             if j not in bounded:
-                assert a is grid.early[j][0]
+                assert a is grid.early[j]
 
-    def test_a_new_interpolant_is_checked_off_its_own_sub_grid(self, monkeypatch):
-        # square(4,3) at seed 0: an interpolant takes the sampled values on the sub-grid it is
-        # interpolated from, so _interp_rec receives only that sub-grid and only the rows off it
-        # are evaluated to check it
-        made = {}  # id -> (interpolant, its sub-grid); keeps the ids unique
-        real_rec, real_evaluate = polycore._interp_rec, polycore.evaluate
-
-        def recorded(samples, bounds):
-            poly = real_rec(samples, bounds)
-            if len(bounds) == 2:
-                assert len(samples) == math.prod(b + 1 for b in bounds)
-                made[id(poly)] = (poly, {y for y, _ in samples})
-            return poly
-
+    @pytest.mark.parametrize(
+        "comps", [[X1**4 + X2, X2**3 - X1], [X1**3 + X2, X2**2 - X1]], ids=["square(4,3)", "square(3,2)"]
+    )
+    def test_a_builds_interpolation_makes_no_evaluate_call(self, monkeypatch, comps):
+        # square(4,3) and square(3,2) at seed 0: the surplus samples of a grid are checked by
+        # its vanishing Newton coefficients, so no interpolant is evaluated at a grid node
         visits = []
+        real_evaluate = polycore.evaluate
 
         def counted(p, y):
-            visits.append((id(p), tuple(y)))
+            visits.append(tuple(y))
             return real_evaluate(p, y)
 
-        monkeypatch.setattr(polycore, "_interp_rec", recorded)
         monkeypatch.setattr(polycore, "evaluate", counted)
         monkeypatch.setattr(charpoly, "evaluate", counted)
-        P = build_charpoly(polynomial_map([X1**4 + X2, X2**3 - X1]), G12, seed=0)
+        P = build_charpoly(polynomial_map(comps), G12, seed=0)
         assert P.verified
-        checks = [(key, y) for key, y in visits if key in made]
-        assert not any(y in made[key][1] for key, y in checks)
-        # every evaluate of the build is such a check: 571 when their own nodes were evaluated too
-        assert len(checks) == len(visits) == 432
+        assert visits == []
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize(
@@ -526,6 +544,19 @@ class TestEarlyTermination:
         Q = build_charpoly(f, G12, seed=seed)
         assert [grid.n for grid in grids] == [need]
         assert P.verified and Q.verified and P.coeffs == Q.coeffs
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("case", ["square(2,2)", "square(3,2)"])
+    def test_a_square_samples_the_total_degree_simplex(self, monkeypatch, case, seed):
+        # a grid keeps the nodes whose indices sum to at most max bound: square(2,2) reaches
+        # its bound 4 on 15 nodes, and square(3,2) stops early on 26 at seed 0
+        comps, nodes, bounds, coeffs = SQUARE_CHARPOLYS[case]
+        grids = _recorded_grids(monkeypatch)
+        P = build_charpoly(polynomial_map(comps), G12, seed=seed)
+        if case == "square(2,2)" or seed == 0:
+            assert [len(grid.rows) for grid in grids] == [nodes]
+        expected = CharPoly(len(coeffs), _terms(coeffs), bounds, "interpolated", ["y1", "y2"], verified=True)
+        assert charpoly_to_json(P) == charpoly_to_json(expected)
 
     def test_non_separating_g_uses_the_theorem_grid(self, cline_f_t2, cline, monkeypatch):
         # g = x^4 = f^2 takes one value on each fiber of f = x^2

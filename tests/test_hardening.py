@@ -61,7 +61,7 @@ class TestInterpolateOverdetermined:
     def test_surplus_nodes_checked(self):
         # five nodes, bound 2: the first three determine, the rest must agree
         samples = [((F(c),), F(c * c - 3)) for c in range(5)]
-        poly = interpolate(samples, [2])
+        poly = interpolate(samples, 2)
         assert poly == MPoly(1, {(2,): 1, (0,): -3})
 
     def test_surplus_nodes_conflict(self):
@@ -70,7 +70,7 @@ class TestInterpolateOverdetermined:
         samples = [((F(c),), F(c * c)) for c in range(4)]
         samples.append(((F(4),), F(17)))  # should be 16
         with pytest.raises(InconsistentSamples):
-            interpolate(samples, [2])
+            interpolate(samples, 2)
 
 
 class TestTwoVariableCharpoly:

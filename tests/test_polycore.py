@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,13 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import mpolys
-from cnull import polycore
 from cnull.errors import GridMalformed, InconsistentSamples, NotDivisible, SchemaError
 from cnull.polycore import (
     NEG_INF,
     MPoly,
     ResidueRing,
-    _newton_univariate,
     coeffs_in_var,
     compose,
     distinct_root_count,
@@ -219,6 +218,22 @@ class TestResidueRing:
         expected = (s - MPoly.const(1, values[0])) * (s - MPoly.const(1, values[1])) * (s - MPoly.const(1, values[2]))
         assert ring.charpoly(a) == univ_coeffs(expected)[::-1][1:]
 
+    @settings(max_examples=60)
+    @given(inverse_cases())
+    def test_charpoly_equals_newtons_identities_in_fractions(self, case):
+        # the integer recurrence against the Fraction one on the traces of the powers of a
+        R, coeffs = case
+        ring = ResidueRing(R)
+        a = ring.element(coeffs)
+        sums, power = [], a
+        for _ in range(ring.d):
+            sums.append(ring.trace(power))
+            power = ring.mul(power, a)
+        expected = []
+        for m in range(1, ring.d + 1):
+            expected.append(-(sums[m - 1] + sum(expected[i - 1] * sums[m - i - 1] for i in range(1, m))) / m)
+        assert ring.charpoly(a) == expected
+
     def test_zero_divisors_have_no_inverse(self):
         ring = ResidueRing(self.R)
         assert ring.inverse(ring.element([-1, 1])) is None  # x - 1 vanishes at the root 1
@@ -276,37 +291,50 @@ class TestTotalDegree:
 class TestInterpolate:
     def test_linear_coefficient(self):
         samples = [((F(c),), F(-c)) for c in (0, 1, 2)]
-        assert interpolate(samples, [2]) == p1({(1,): -1})
+        assert interpolate(samples, 2) == p1({(1,): -1})
 
     def test_all_zero(self):
         samples = [((F(c),), F(0)) for c in (0, 1, 2)]
-        assert interpolate(samples, [2]).is_zero()
+        assert interpolate(samples, 2).is_zero()
 
     def test_bilinear(self):
-        samples = [((F(a), F(b)), F(a * b)) for a in (0, 1) for b in (0, 1)]
-        assert interpolate(samples, [1, 1]) == p2({(1, 1): 1})
+        # total degree 2 needs the simplex {a + b <= 2}: {0, 1}^2 alone lacks (2, 0)
+        samples = [((F(a), F(b)), F(a * b)) for a in (0, 1, 2) for b in (0, 1, 2)]
+        assert interpolate(samples, 2) == p2({(1, 1): 1})
+        assert interpolate([s for s in samples if sum(s[0]) <= 2], 2) == p2({(1, 1): 1})
+        with pytest.raises(GridMalformed):
+            interpolate([s for s in samples if max(s[0]) < 2], 2)
 
     def test_grid_malformed(self):
         with pytest.raises(GridMalformed):
-            interpolate([((F(0),), F(0))], [2])
-
-    def test_not_a_tensor_grid(self):
-        # three of the four points of {0, 1}^2
+            interpolate([((F(0),), F(0))], 2)
         with pytest.raises(GridMalformed):
-            interpolate([((F(0), F(0)), F(0)), ((F(0), F(1)), F(0)), ((F(1), F(0)), F(0))], [0, 0])
+            interpolate([], 0)
+        with pytest.raises(GridMalformed):
+            interpolate([((F(0),), F(0)), ((F(1), F(0)), F(0))], 0)
 
-    def test_grid_interpolant_takes_the_first_nodes_in_order_of_appearance(self, monkeypatch):
+    def test_not_a_lower_set(self):
+        # the nodes (0, 0) and (1, 1): index (1, 1) without (0, 1) or (1, 0)
+        with pytest.raises(GridMalformed):
+            interpolate([((F(0), F(0)), F(0)), ((F(1), F(1)), F(0))], 0)
+
+    def test_nodes_are_numbered_in_order_of_first_appearance(self):
+        # three of the four points of {0, 1}^2 index the lower set {(0, 0), (1, 0), (0, 1)}
+        # when (0, 0) comes first; led by (1, 0), x = 1 is node 0 and (0, 1) is index (1, 1)
+        points = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1))]
+        samples = [(pt, pt[0] + 2 * pt[1]) for pt in points]
+        assert grid_interpolant(samples, 1) == p2({(1, 0): 1, (0, 1): 2})
+        with pytest.raises(GridMalformed):
+            grid_interpolant([samples[1], samples[0], samples[2]], 1)
+        # a surplus node counts too: y^2 through 3, 0, 1, checked at 2
         samples = [((F(c),), F(c * c)) for c in (3, 0, 1, 2)]
-        real, given = polycore._interp_rec, []
-        monkeypatch.setattr(polycore, "_interp_rec", lambda sub, bounds: given.append(sub) or real(sub, bounds))
-        assert grid_interpolant(samples, [2]) == p1({(2,): 1})
-        assert given == [samples[:3]]
-        assert grid_interpolant(samples[:3] + [((F(2),), F(5))], [2]) is None
+        assert grid_interpolant(samples, 2) == p1({(2,): 1})
+        assert grid_interpolant(samples[:3] + [((F(2),), F(5))], 2) is None
 
     def test_inconsistent(self):
         samples = [((F(c),), F(c * c)) for c in (0, 1, 2)]
         with pytest.raises(InconsistentSamples):
-            interpolate(samples, [1])
+            interpolate(samples, 1)
 
 
 def random_poly(rng, var_count, max_deg=3, max_terms=5):
@@ -351,10 +379,9 @@ class TestRingProperties:
         rng = random.Random(17)
         for _ in range(20):
             p = random_poly(rng, 2, max_deg=2, max_terms=4)
-            bounds = [2, 2]
-            nodes = [F(i) for i in range(4)]
+            nodes = [F(i) for i in range(6)]
             samples = [((a, b), evaluate(p, [a, b])) for a in nodes for b in nodes]
-            assert interpolate(samples, bounds) == p
+            assert interpolate(samples, 4) == p
 
 
 def _newton_by_products(nodes, values, bound):
@@ -380,18 +407,82 @@ class TestInterpolationProperties:
     def test_newton_expansion_matches_the_product_expansion(self, nodes, data):
         bound = data.draw(st.integers(0, len(nodes) - 1))
         values = data.draw(st.lists(NODES, min_size=len(nodes), max_size=len(nodes)))
-        got = _newton_univariate(nodes, values, bound)
+        got = grid_interpolant([((x,), v) for x, v in zip(nodes, values)][: bound + 1], bound)
         assert_invariant(got, 1)
         assert got.terms == _newton_by_products(nodes, values, bound).terms
 
     @settings(max_examples=40)
     @given(p=mpolys(2, max_deg=4, max_terms=6), data=st.data())
     def test_interpolate_recovers_a_polynomial_on_a_random_grid(self, p, data):
-        degrees = [0 if p.is_zero() else p.degree_in(i) for i in range(2)]
-        bounds = [data.draw(st.integers(e, e + 2)) for e in degrees]
-        axes = [data.draw(st.lists(NODES, min_size=b + 1, max_size=b + 3, unique=True)) for b in bounds]
+        # every permutation of a tensor grid numbers its nodes into the same tensor grid
+        degree = max(total_degree(p), 0)
+        bound = data.draw(st.integers(degree, degree + 2))
+        axes = [data.draw(st.lists(NODES, min_size=bound + 1, max_size=bound + 3, unique=True)) for _ in range(2)]
         samples = data.draw(st.permutations([((u, v), evaluate(p, [u, v])) for u in axes[0] for v in axes[1]]))
-        assert interpolate(samples, bounds) == p
+        assert interpolate(samples, bound) == p
+
+
+@st.composite
+def lower_set_samples(draw):
+    """(samples, index of each point, bound, polynomial): a random lower set holding the
+    simplex of total degree bound, listed in a random order in which each index follows
+    the indices below it, at distinct rational nodes in random order per axis, with the
+    values of a random polynomial of total degree at most bound."""
+    k, bound = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    simplex = [a for a in itertools.product(range(bound + 1), repeat=k) if sum(a) <= bound]
+    tops = simplex + draw(st.lists(st.tuples(*[st.integers(0, bound + 2)] * k), max_size=3))
+    lower = {a for top in tops for a in itertools.product(*(range(e + 1) for e in top))}
+    order = sorted(draw(st.permutations(sorted(lower))), key=sum)
+    sizes = [1 + max(a[i] for a in lower) for i in range(k)]
+    axes = [draw(st.lists(NODES, min_size=n, max_size=n, unique=True)) for n in sizes]
+    terms = draw(st.dictionaries(st.sampled_from(simplex), NODES, max_size=6))
+    p = MPoly(k, terms)
+    points = [tuple(axes[i][m] for i, m in enumerate(a)) for a in order]
+    return [(y, evaluate(p, y)) for y in points], order, bound, p
+
+
+def _first_appearance(points):
+    return [list(dict.fromkeys(y[i] for y in points)) for i in range(len(points[0]))]
+
+
+class TestLowerSetInterpolation:
+    @settings(max_examples=60, deadline=None)
+    @given(case=lower_set_samples())
+    def test_interpolate_returns_the_polynomial(self, case):
+        samples, _, bound, p = case
+        assert interpolate(samples, bound) == p
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=lower_set_samples(), data=st.data())
+    def test_a_changed_sample_fails_exactly_below_a_node_over_the_bound(self, case, data):
+        samples, order, bound, _ = case
+        at = data.draw(st.integers(0, len(samples) - 1))
+        beta = order[at]
+        changed = list(samples)
+        changed[at] = (samples[at][0], samples[at][1] + data.draw(NODES.filter(bool)))
+        over = any(all(x >= y for x, y in zip(a, beta)) and sum(a) > bound for a in order)
+        assert (grid_interpolant(changed, bound) is None) == over
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=lower_set_samples(), data=st.data())
+    def test_a_node_set_off_the_lower_simplex_is_malformed(self, case, data):
+        # drop one index whose removal keeps the numbering of the nodes
+        samples, order, bound, p = case
+        numbering = _first_appearance([y for y, _ in samples])
+        keep = [
+            i for i in range(len(samples))
+            if len(samples) > 1 and _first_appearance([y for y, _ in samples[:i] + samples[i + 1:]]) == numbering
+        ]
+        if not keep:
+            return
+        at = data.draw(st.sampled_from(keep))
+        gamma, rest = order[at], samples[:at] + samples[at + 1:]
+        above = [a for a in order if all(x >= y for x, y in zip(a, gamma)) and a != gamma]
+        if above or sum(gamma) <= bound:
+            with pytest.raises(GridMalformed):
+                grid_interpolant(rest, bound)
+        else:
+            assert grid_interpolant(rest, bound) == p
 
 
 class TestUnivariateUtilities:
