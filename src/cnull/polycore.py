@@ -14,6 +14,12 @@ that already hold it, so they use the trusted constructor ``MPoly._raw``,
 which checks nothing; code that calls it must produce the invariant
 itself.
 
+Eliminations run over the integers: subresultants clears each operand
+of its denominators once, runs the Brown-Collins sequence on integer
+term dicts (every division exact), and scales its results back by powers
+of the two denominators.  The term-dict helpers take Fraction or int
+values, so MPoly and that loop share them.
+
 The canonical term order is graded lexicographic with variable 1 most
 significant.  It fixes serialization, leading-term selection in exact
 division, and the tie-break rule used by the certificate search.
@@ -24,7 +30,7 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from operator import add, sub
+from operator import add, sub, truediv
 from typing import Iterable, Sequence
 
 from .errors import GridMalformed, InconsistentSamples, NotDivisible
@@ -142,28 +148,14 @@ class MPoly:
 
     def __sub__(self, other: "MPoly") -> "MPoly":
         self._check_compatible(other)
-        out = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            if expo in out:
-                out[expo] -= coeff
-            else:
-                out[expo] = -coeff
-        return MPoly._raw(self.var_count, _nonzero(out))
+        return MPoly._raw(self.var_count, _sub_terms(self.terms, other.terms))
 
     def __neg__(self) -> "MPoly":
         return MPoly._raw(self.var_count, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "MPoly") -> "MPoly":
         self._check_compatible(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                expo = tuple(map(add, ea, eb))
-                if expo in out:
-                    out[expo] += ca * cb
-                else:
-                    out[expo] = ca * cb
-        return MPoly._raw(self.var_count, _nonzero(out))
+        return MPoly._raw(self.var_count, _mul_terms(self.terms, other.terms))
 
     def scale(self, value) -> "MPoly":
         value = Fraction(value)
@@ -174,14 +166,7 @@ class MPoly:
     def __pow__(self, n: int) -> "MPoly":
         if n < 0:
             raise ValueError("negative power")
-        result = MPoly.const(self.var_count, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return MPoly._raw(self.var_count, _pow_terms(self.terms, n, {(0,) * self.var_count: Fraction(1)}))
 
     def __eq__(self, other) -> bool:
         return (
@@ -202,6 +187,42 @@ def _nonzero(terms: dict) -> dict:
     if all(terms.values()):
         return terms
     return {e: c for e, c in terms.items() if c}
+
+
+def _sub_terms(a: dict, b: dict) -> dict:
+    """The difference of two term dicts, of Fraction or of int coefficients."""
+    out = dict(a)
+    for expo, coeff in b.items():
+        if expo in out:
+            out[expo] -= coeff
+        else:
+            out[expo] = -coeff
+    return _nonzero(out)
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    """The product of two term dicts, of Fraction or of int coefficients."""
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            expo = tuple(map(add, ea, eb))
+            if expo in out:
+                out[expo] += ca * cb
+            else:
+                out[expo] = ca * cb
+    return _nonzero(out)
+
+
+def _pow_terms(a: dict, n: int, one: dict) -> dict:
+    """a**n for a term dict, by repeated squaring from the term dict one."""
+    result = one
+    while n:
+        if n & 1:
+            result = _mul_terms(result, a)
+        n >>= 1
+        if n:
+            a = _mul_terms(a, a)
+    return result
 
 
 def evaluate(p: MPoly, point: Sequence):
@@ -307,11 +328,25 @@ def exact_divide(p: MPoly, q: MPoly) -> MPoly:
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     p._check_compatible(q)
-    if p.is_zero():
-        return MPoly._raw(p.var_count, {})
-    lt_e, lt_c = q.leading_term()
-    rem = dict(p.terms)
-    quot: dict[tuple[int, ...], Fraction] = {}
+    return MPoly._raw(p.var_count, _divide_terms(p.terms, q.terms, truediv))
+
+
+def _int_quotient(a: int, b: int) -> int:
+    """a / b for integers b that divide a; NotDivisible otherwise."""
+    quot, rem = divmod(a, b)
+    if rem:
+        raise NotDivisible("an integer coefficient does not divide")
+    return quot
+
+
+def _divide_terms(p: dict, q: dict, quotient) -> dict:
+    """exact_divide on term dicts, with quotient(a, b) dividing one coefficient by another."""
+    if not p:
+        return {}
+    lt_e = max(q, key=_grlex_key)
+    lt_c = q[lt_e]
+    rem = dict(p)
+    quot: dict = {}
     heap = [_heap_key(e) for e in rem]
     heapq.heapify(heap)
     while rem:
@@ -322,10 +357,10 @@ def exact_divide(p: MPoly, q: MPoly) -> MPoly:
         if any(a < b for a, b in zip(expo, lt_e)):
             raise NotDivisible("remainder is nonzero")
         qe = tuple(map(sub, expo, lt_e))
-        qc = coeff / lt_c
+        qc = quotient(coeff, lt_c)
         # each step's quotient term is below the previous one in the term order
         quot[qe] = qc
-        for be, bc in q.terms.items():
+        for be, bc in q.items():
             ke = tuple(map(add, qe, be))
             if ke in rem:
                 acc = rem[ke] - qc * bc
@@ -336,7 +371,7 @@ def exact_divide(p: MPoly, q: MPoly) -> MPoly:
             else:
                 rem[ke] = -qc * bc
                 heapq.heappush(heap, _heap_key(ke))
-    return MPoly._raw(p.var_count, quot)
+    return quot
 
 
 def _heap_key(expo: tuple[int, ...]) -> tuple:
@@ -443,22 +478,39 @@ class ResidueRing:
 
     A residue is a pair (c, den) of d = deg R integers and a positive
     integer: the class of (c[0] + c[1] x + ... + c[d-1] x^(d-1)) / den,
-    with gcd(c, den) = 1.  R is held as integers r with a positive
-    leading coefficient, so reduction is integer pseudo-division and
-    each operation normalizes by one gcd.  The inverse is the extended
+    with gcd(c, den) = 1, so each class has one residue whatever nonzero
+    multiple of R the ring was built from (from_integers takes one with
+    integer coefficients).  R is held as primitive integers r with a
+    positive leading coefficient, so reduction is integer
+    pseudo-division and each operation normalizes by one gcd.  The inverse is the extended
     Euclidean algorithm on integer polynomials; traces and the
     characteristic polynomial make one Fraction per value.
     """
 
     def __init__(self, modulus: MPoly):
         coeffs = univ_coeffs(modulus)
+        den = math.lcm(1, *(c.denominator for c in coeffs))
+        self._set_modulus([c.numerator * (den // c.denominator) for c in coeffs])
+
+    @classmethod
+    def from_integers(cls, coeffs: list[int]) -> "ResidueRing":
+        """Q[x]/(R) for R with ascending integer coefficients coeffs, the last one nonzero.
+
+        Q[x]/(R) depends on R only up to a nonzero scalar: for a rational
+        modulus, any integer multiple of it gives ResidueRing(modulus),
+        residue for residue.
+        """
+        ring = object.__new__(cls)
+        ring._set_modulus(coeffs)
+        return ring
+
+    def _set_modulus(self, coeffs: list[int]) -> None:
+        """Hold R = coeffs as the primitive integer polynomial with a positive lead, and its traces."""
         d = len(coeffs) - 1
         if d < 1:
             raise ValueError("nonconstant modulus expected")
-        scale = math.lcm(*(c.denominator for c in coeffs))
-        if coeffs[-1] < 0:
-            scale = -scale
-        self.d, self._r = d, [int(c * scale) for c in coeffs]
+        content = math.gcd(*coeffs) if coeffs[-1] > 0 else -math.gcd(*coeffs)
+        self.d, self._r = d, [c // content for c in coeffs]
         # lead^(d-1) * (power sums of the roots of R), from Newton's identities
         r, lead = self._r, self._r[d]
         sums = [d]  # sums[m] = lead^m * (sum of m-th powers of the roots)
@@ -630,56 +682,88 @@ def subresultants(p: MPoly, q: MPoly, index: int) -> tuple[MPoly, list[MPoly] | 
 
     Both come from one subresultant polynomial remainder sequence (Collins
     1967; Brown and Traub 1971), by the Brown-Collins algorithm (Cohen,
-    GTM 138, Alg. 3.3.7) with exact division of its MPoly coefficients.
-    The resultant follows sylvester_resultant's convention.  The second
-    value is the last member of degree 1 in the sequence p, q, remainders,
-    as its ascending coefficients [s0, s1], or None when no member has
-    degree 1.  Both are polynomials in the other var_count - 1 variables.
-    Every member is u*p + v*q with polynomial u and v, so where p and q
-    share a root in the variable and s1 does not vanish, that root is
-    -s0/s1.
+    GTM 138, Alg. 3.3.7).  Every division in it is exact over an integral
+    domain, so it runs over the integers: p and q are cleared of their
+    denominators once, to ca*p and cb*q with integer coefficients, and
+    the sequence takes integer polynomials in the other variables as its
+    coefficients.  A subresultant of index j is homogeneous of degree
+    deg q - j in the coefficients of p and deg p - j in those of q, so the
+    results are scaled back exactly: the resultant (index 0) by
+    ca^deg(q) * cb^deg(p), a remainder of degree 1 by
+    ca^(deg q - j) * cb^(deg p - j) for its index j, and an operand of
+    degree 1 is returned as given.  The resultant follows
+    sylvester_resultant's convention.  The second value is the last
+    member of degree 1 in the sequence p, q, remainders, as its ascending
+    coefficients [s0, s1], or None when no member has degree 1.  Both
+    are polynomials in the other var_count - 1 variables.  Every member
+    is u*p + v*q with polynomial u and v, so where p and q share a root in
+    the variable and s1 does not vanish, that root is -s0/s1.
     """
-    a = [drop_var(c, index) for c in coeffs_in_var(p, index)]
-    b = [drop_var(c, index) for c in coeffs_in_var(q, index)]
+    (a, ca), (b, cb) = (_integer_coeffs(h, index) for h in (p, q))
     if not a or not b:
         raise ValueError("resultant of the zero polynomial")
-    linear = next((m for m in (b, a) if len(m) == 2), None)
+    m, n, k = len(a) - 1, len(b) - 1, p.var_count - 1  # deg p, deg q
+    linear = next(((c, scale) for c, scale in ((b, cb), (a, ca)) if len(c) == 2), None)
     sign = 1
-    if len(a) < len(b):
+    if m < n:
         a, b = b, a
-        sign = (-1) ** ((len(a) - 1) * (len(b) - 1))
-    g = h = MPoly.const(p.var_count - 1, 1)
+        sign = (-1) ** (m * n)
+    one = {(0,) * k: 1}
+    g = h = one
     while len(b) > 1:
         delta = len(a) - len(b)
         sign *= (-1) ** ((len(a) - 1) * (len(b) - 1))
-        r = _pseudo_remainder(a, b)
+        r = _pseudo_remainder(a, b, one)
         if not r:  # b divides a: a common factor
-            return MPoly.zero(p.var_count - 1), linear
-        divisor = g * h**delta
-        a, b = b, [exact_divide(c, divisor) for c in r]
+            res = {}
+            break
+        divisor = _mul_terms(g, _pow_terms(h, delta, one))
+        a, b = b, [_divide_terms(c, divisor, _int_quotient) for c in r]
         g = a[-1]
-        h = exact_divide(g**delta, h ** (delta - 1)) if delta else h
+        if delta:
+            h = _divide_terms(_pow_terms(g, delta, one), _pow_terms(h, delta - 1, one), _int_quotient)
         if len(b) == 2:
-            linear = b
-    deg = len(a) - 1
-    res = exact_divide(b[0] ** deg, h ** (deg - 1)) if deg else h
-    return (res if sign > 0 else -res), linear
+            j = len(a) - 2  # b is the subresultant of index deg a - 1
+            linear = b, ca ** (n - j) * cb ** (m - j)
+    else:
+        deg = len(a) - 1
+        res = _divide_terms(_pow_terms(b[0], deg, one), _pow_terms(h, deg - 1, one), _int_quotient) if deg else h
+    res = _from_integers(res, k, sign * ca**n * cb**m)
+    return res, linear and [_from_integers(c, k, linear[1]) for c in linear[0]]
 
 
-def _pseudo_remainder(a: list[MPoly], b: list[MPoly]) -> list[MPoly]:
-    """lc(b)^(deg a - deg b + 1) * a mod b, for ascending coefficient lists with deg a >= deg b."""
+def _integer_coeffs(p: MPoly, index: int) -> tuple[list[dict], int]:
+    """The ascending coefficients of den*p in variable `index`, without it, as integer term dicts, and den > 0."""
+    den = math.lcm(1, *(c.denominator for c in p.terms.values()))
+    out: list[dict] = [{} for _ in range(1 + max((e[index] for e in p.terms), default=-1))]
+    for e, c in p.terms.items():
+        out[e[index]][e[:index] + e[index + 1:]] = c.numerator * (den // c.denominator)
+    return out, den
+
+
+def _from_integers(terms: dict, var_count: int, den: int) -> MPoly:
+    """The MPoly of an integer term dict over a nonzero den."""
+    return MPoly._raw(var_count, {e: Fraction(c, den) for e, c in terms.items()})
+
+
+def _pseudo_remainder(a: list[dict], b: list[dict], one: dict) -> list[dict]:
+    """lc(b)^(deg a - deg b + 1) * a mod b, for ascending lists of integer term dicts with deg a >= deg b."""
     lead, db = b[-1], len(b) - 1
     r, steps = list(a), len(a) - db
     while len(r) > db:
         top = r.pop()
         shift = len(r) - db
-        r = [c * lead for c in r]
-        for i, c in enumerate(b[:-1]):
-            r[shift + i] -= top * c
+        r = [_mul_terms(c, lead) for c in r]
+        if top:
+            for i, c in enumerate(b[:-1]):
+                r[shift + i] = _sub_terms(r[shift + i], _mul_terms(top, c))
         steps -= 1
-        while r and r[-1].is_zero():
+        while r and not r[-1]:
             r.pop()
-    return [c * lead**steps for c in r] if steps else r
+    if not steps:
+        return r
+    scale = _pow_terms(lead, steps, one)
+    return [_mul_terms(c, scale) for c in r]
 
 
 def sylvester_resultant(p: MPoly, q: MPoly, index: int) -> MPoly:

@@ -7,17 +7,18 @@ curve, and for a square map on two parameters the resultant
 Res_t2(f - y) after a random shear that leaves it no roots at infinity.
 A fiber count is its squarefree degree, and its squarefree factor S_i
 holds the fiber points of multiplicity i.  On two parameters the fiber
-itself is exact too: ShapeLemma is the one place that eliminates with
-y kept symbolic, one subresultant sequence per shear, and a rational
-node substitutes its y to get its fiber polynomial and the coordinates
-of its points as residues mod it; the characteristic polynomial samples
-its grid that way.  fiber_points picks a numeric solver by k, for
+itself is exact too: ShapeLemma eliminates with y kept symbolic, one
+subresultant sequence per shear, and a rational node substitutes its y
+to get its fiber polynomial and the coordinates of its points as
+residues mod it; the characteristic polynomial samples its grid that
+way.  _generic_system sets up that elimination, for ShapeLemma and for
+check_proper.  fiber_points picks a numeric solver by k, for
 callers that need complex coordinates: clustered roots of the gcd for a
 curve (fiber_t_clusters), the bivariate resultant solver for k = 2
 (fiber_points_2); in the package only the one-parameter grid calls it.
 Every fiber point is a k-tuple.  check_proper decides properness and
-returns the geometric degree d(f), both exactly: from ShapeLemma's
-resultant on two parameters, from a certified fiber gcd on a curve.
+returns the geometric degree d(f), both exactly: from the resultant
+with y symbolic on two parameters, from a certified fiber gcd on a curve.
 The image degree of a curve is the top degree of its pullbacks over
 d(f).  So is the degree of a graph on a curve; on two parameters it is
 d(L o Gamma) for one random linear projection L of the graph that
@@ -59,7 +60,6 @@ from .polycore import (
     subresultants,
     total_degree,
     univ_derivative,
-    univ_from_coeffs,
     univ_gcd,
 )
 from .variety import CAMap, curve_degree, polynomial_map
@@ -79,7 +79,8 @@ def check_proper(f: CAMap, seed: int = 0) -> int:
     A square map f on two parameters is proper exactly when it is finite,
     and after a shear t1 = x - lam*t2 that gives f1 a constant leading
     t2-coefficient it is finite exactly when R = Res_t2(f1 - y1, f2 - y2)
-    in Q[y1, y2][x], ShapeLemma's R under the salt proper-shear, has a
+    in Q[y1, y2][x], one elimination with y symbolic under a shear from
+    the salt proper-shear (ShapeLemma's R under that draw), has a
     nonzero constant leading coefficient in x (the criterion behind
     Jelonek's non-properness set).  Proof: if it has, then
     x, then t2, then t1 are integral over Q[f1, f2]; if f is finite, R is
@@ -109,7 +110,8 @@ def check_proper(f: CAMap, seed: int = 0) -> int:
         raise InconsistentFiberCounts(f"no fiber gcd on {_DRAW_BUDGET} draws generates the pullbacks")
     if any(p.is_constant() for p in _system(f, [0] * f.n)):  # ParamRequired unless square, k = 2
         raise NotProper("a component is constant")
-    R = ShapeLemma(f, _rng.child_rng(seed, "proper-shear")).R
+    lam = _shear(f.pullbacks[0], _rng.child_rng(seed, "proper-shear"))
+    R = subresultants(*_generic_system(f, lam), 1)[0]
     if R.degree_in(0) < 1:
         raise NotProper("fibers are not finite")
     if not coeffs_in_var(R, 0)[-1].is_constant():
@@ -238,9 +240,7 @@ class ShapeLemma:
 
     def redraw(self) -> None:
         self.lam = _shear(self.f.pullbacks[0], self.gen)
-        ys = (MPoly.variable(4, i) for i in (2, 3))
-        p, q = (h - y for h, y in zip(_sheared(self.f.pullbacks, self.lam, 4), ys))
-        self.R, self.S1 = subresultants(p, q, 1)  # in (x, y1, y2)
+        self.R, self.S1 = subresultants(*_generic_system(self.f, self.lam), 1)  # in (x, y1, y2)
         self._tables = [_y_table(h) for h in (self.R, *(self.S1 or ()))]  # R, s0, s1
 
     def coordinates(self, y) -> tuple[ResidueRing, list] | None:
@@ -260,19 +260,26 @@ class ShapeLemma:
         contains a curve.
         """
         y = [Fraction(v) for v in y]
-        r, den = _at_y(self._tables[0], y)
-        R = univ_from_coeffs([Fraction(v, den) for v in r])
-        if R.is_zero():
+        r = _at_y(self._tables[0], y)[0]  # den * R at y
+        while r and not r[-1]:
+            r.pop()
+        if not r:
             raise NonZeroDimensional("the fiber contains a curve")
-        if R.is_constant():
+        if len(r) == 1:
             return None
-        ring = ResidueRing(R)
+        ring = ResidueRing.from_integers(r)
         if self.S1 is None or (inv := ring.inverse(ring.reduce(*_at_y(self._tables[2], y)))) is None:
             return None
         s0, den = _at_y(self._tables[1], y)
         theta = ring.mul(ring.reduce([-v for v in s0], den), inv)
         t1 = ring.sub(ring.element([0, 1]), ring.mul(ring.element([self.lam]), theta))
         return ring, [t1, theta]
+
+
+def _generic_system(f: CAMap, lam: int) -> list[MPoly]:
+    """f1 - y1 and f2 - y2 under the shear t1 = x - lam*t2, in (x, t2, y1, y2) with y symbolic."""
+    ys = (MPoly.variable(4, i) for i in (2, 3))
+    return [h - y for h, y in zip(_sheared(f.pullbacks, lam, 4), ys)]
 
 
 def _y_table(p: MPoly) -> tuple:

@@ -234,6 +234,18 @@ class TestResidueRing:
             expected.append(-(sums[m - 1] + sum(expected[i - 1] * sums[m - i - 1] for i in range(1, m))) / m)
         assert ring.charpoly(a) == expected
 
+    def test_integer_modulus_gives_the_same_ring(self):
+        # -6 R: content 6 and a negative lead
+        ring, scaled = ResidueRing(self.R), ResidueRing.from_integers([-36, 42, 6, -12])
+        assert scaled.d == ring.d == 3
+        for coeffs in ([F(1, 2), -1, 4], [F(-2, 7), 0, 0, 1], [-1, 1], [F(5, 3)], [3, F(1, 4), -2, 7, F(2, 9)]):
+            a = scaled.element(coeffs)
+            assert a == ring.element(coeffs)
+            assert scaled.charpoly(a) == ring.charpoly(a)
+            assert scaled.inverse(a) == ring.inverse(a)
+            assert scaled.trace(a) == ring.trace(a)
+            assert scaled.mul(a, a) == ring.mul(a, a)
+
     def test_zero_divisors_have_no_inverse(self):
         ring = ResidueRing(self.R)
         assert ring.inverse(ring.element([-1, 1])) is None  # x - 1 vanishes at the root 1
@@ -609,6 +621,55 @@ def sylvester_matrix(p, q, index):
     return rows
 
 
+def fraction_subresultants(p, q, index):
+    """The Brown-Collins loop over MPoly coefficients, with Fraction arithmetic throughout: (Res, S1)."""
+    a = [drop_var(c, index) for c in coeffs_in_var(p, index)]
+    b = [drop_var(c, index) for c in coeffs_in_var(q, index)]
+    linear = next((m for m in (b, a) if len(m) == 2), None)
+    sign = 1
+    if len(a) < len(b):
+        a, b = b, a
+        sign = (-1) ** ((len(a) - 1) * (len(b) - 1))
+    g = h = MPoly.const(p.var_count - 1, 1)
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        sign *= (-1) ** ((len(a) - 1) * (len(b) - 1))
+        lead, r, steps = b[-1], list(a), len(a) - len(b) + 1
+        while len(r) >= len(b):  # the pseudo-remainder lc(b)^(delta + 1) * a mod b
+            top = r.pop()
+            shift = len(r) - len(b) + 1
+            r = [c * lead for c in r]
+            for i, c in enumerate(b[:-1]):
+                r[shift + i] -= top * c
+            steps -= 1
+            while r and r[-1].is_zero():
+                r.pop()
+        r = [c * lead**steps for c in r]
+        if not r:
+            return MPoly.zero(p.var_count - 1), linear
+        a, b = b, [exact_divide(c, g * h**delta) for c in r]
+        g = a[-1]
+        h = exact_divide(g**delta, h ** (delta - 1)) if delta else h
+        if len(b) == 2:
+            linear = b
+    deg = len(a) - 1
+    res = exact_divide(b[0] ** deg, h ** (deg - 1)) if deg else h
+    return (res if sign > 0 else -res), linear
+
+
+# odd numerators over even denominators: no coefficient is an integer
+HALF_ODD = st.builds(lambda n, d: F(2 * n + 1, 2 * d), st.integers(-5, 4), st.integers(1, 4))
+
+
+def rational_resultant_cases():
+    """(index, p, q): nonzero MPolys in 1-3 variables, of degree <= 3 in each, no coefficient an integer."""
+    def polys(n):
+        return st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), HALF_ODD, min_size=1, max_size=4).map(
+            lambda terms: MPoly(n, terms)
+        )
+    return st.integers(1, 3).flatmap(lambda n: st.tuples(st.integers(0, n - 1), polys(n), polys(n)))
+
+
 def resultant_cases():
     """(index, p, q): nonzero MPolys in 1-3 variables, of degree <= 3 in variable index."""
     return st.integers(1, 3).flatmap(
@@ -677,6 +738,23 @@ class TestKernelProperties:
         res = sylvester_resultant(p, q, index)
         assert_invariant(res, p.var_count - 1)
         assert res == cofactor_det(sylvester_matrix(p, q, index), p.var_count - 1)
+
+    @settings(max_examples=80)
+    @given(rational_resultant_cases())
+    @example((1, Y.scale(F(1, 2)) + X.scale(F(2, 3)), (Y**3).scale(F(3, 5)) + X * Y + MPoly.const(2, F(1, 7))))  # degree 1
+    @example((1, (Y**2).scale(F(1, 3)) + X, Y**3 + (X * Y).scale(F(5, 2)) + MPoly.const(2, F(1, 4))))  # the swap
+    # the remainder (2 - x) y + x drops 2 degrees, so the member of degree 1 has index 2
+    @example((1, (Y**4 + Y.scale(2) + X).scale(F(3, 2)), (Y**3 + X).scale(F(-1, 5))))
+    @example((1, ((X - Y) * (X + Y)).scale(F(1, 2)), ((X - Y) * X).scale(F(2, 3))))  # a common factor
+    @example((1, MPoly.const(2, F(3, 2)), (Y**2).scale(F(1, 3)) + X))  # a constant operand
+    def test_integer_sequence_equals_the_fraction_sequence(self, case):
+        # the integer loop scales back to exactly what the Fraction loop computes, member of degree 1 included
+        index, p, q = case
+        res, linear = subresultants(p, q, index)
+        assert (res, linear) == fraction_subresultants(p, q, index)
+        assert_invariant(res, p.var_count - 1)
+        for c in linear or []:
+            assert_invariant(c, p.var_count - 1)
 
     @given(poly_triples(max_deg=3, max_terms=5),
            st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=3, max_size=3))

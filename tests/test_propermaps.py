@@ -144,6 +144,23 @@ class TestGeometricDegree:
         assert geometric_degree(SQUARE22, seed=0) == 4
         assert len(calls) == 1  # one elimination, with y symbolic
 
+    @pytest.mark.parametrize("f", [SQUARE22, SQUARE32], ids=["square(2,2)", "square(3,2)"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_properness_resultant_is_the_shape_lemma_resultant(self, f, seed, monkeypatch):
+        # check_proper eliminates under ShapeLemma's draw from the salt proper-shear
+        results = []
+        real = propermaps.subresultants
+
+        def recorded(*args):
+            results.append(real(*args))
+            return results[-1]
+
+        monkeypatch.setattr(propermaps, "subresultants", recorded)
+        check_proper(f, seed)
+        assert len(results) == 1
+        R = results[0][0]
+        assert R == ShapeLemma(f, rng.child_rng(seed, "proper-shear")).R
+
     def test_square_two_parameter_case(self, plane2):
         f = load_map(
             plane2,
