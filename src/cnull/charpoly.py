@@ -1,6 +1,6 @@
 """Characteristic polynomial of g relative to a proper map f.
 
-The construction samples the coefficients on a rational grid, then
+The construction samples the coefficients on an integer grid, then
 interpolates them and verifies the result exactly, as the polynomial
 identity P(f(phi), g(phi)) = 0 in the parameter ring.  On two parameters
 each sample is exact: the characteristic polynomial of multiplication by
@@ -182,9 +182,10 @@ def _candidates(f: CAMap, g: CAMap, d: int, bounds: list[int], seed: int, wp: in
 
 
 class _SampleGrid:
-    """A growing grid of rational nodes on the total-degree simplex, and the samples on it.
+    """A growing grid of integer nodes on the total-degree simplex, and the samples on it.
 
-    Axis i holds nodes x_(i,0), x_(i,1), ... in the order drawn, and the
+    Axis i holds nodes x_(i,0), x_(i,1), ... in the order drawn, as ints
+    (grid_interpolant then runs on integer nodes throughout), and the
     grid holds the points (x_(1,alpha_1), ..., x_(k,alpha_k)) with every
     alpha_i < n and |alpha| < need: a lower set that holds the simplex of
     every total degree below need.  Nodes come from one shuffled span
@@ -206,7 +207,7 @@ class _SampleGrid:
     def __init__(self, f: CAMap, g: CAMap, d: int, seed: int, wp: int, need: int):
         self.f, self.gp, self.d, self.wp, self.need = f, g.pullbacks[0], d, wp, need
         k = f.domain.param.k
-        self.axes: list[list[Fraction]] = [[] for _ in range(k)]
+        self.axes: list[list[int]] = [[] for _ in range(k)]
         self.rows: list[tuple[tuple, list[Fraction]]] = []  # (node, [a_1 .. a_d]) as sampled
         self.early: list[MPoly | None] = [None] * d  # per coefficient: its last early interpolant
         self.failed = 0  # the coefficient that failed the last confirmation, tried first in the next
@@ -231,7 +232,7 @@ class _SampleGrid:
         k = len(self.axes)
         for new in [range(k)] if self.n == 0 else [[axis] for axis in range(k)]:
             while True:
-                drawn = [Fraction(c) for c in itertools.islice(self.pool, len(new))]
+                drawn = list(itertools.islice(self.pool, len(new)))
                 if len(drawn) < len(new):
                     raise CriticalSampleBudgetExhausted(
                         "could not draw a grid clear of critical values"

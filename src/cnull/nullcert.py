@@ -316,11 +316,8 @@ def certify_fallback(
     gp = g.pullbacks[0]
     subs = list(f.pullbacks) + [gp]
     monos = _monomials_up_to(n + 1, degree_cap)
-    columns = []  # (j, expo, basis poly in the parameter ring)
-    for j in range(n):
-        for expo in monos:
-            basis = f.pullbacks[j] * _compose_monomial(expo, subs, param.k)
-            columns.append((j, expo, basis))
+    values = _monomial_values(monos, subs, param.k)
+    columns = [(j, e, f.pullbacks[j] * values[e]) for j in range(n) for e in monos]  # (j, expo, basis poly)
     for target_n in range(1, exponent + 1):
         rhs = gp**target_n
         solution = _solve_exact([c[2] for c in columns], rhs)
@@ -357,12 +354,13 @@ def _monomials_up_to(var_count: int, cap: int):
     return out
 
 
-def _compose_monomial(expo, subs, k: int) -> MPoly:
-    acc = MPoly.const(k, 1)
-    for e, s in zip(expo, subs):
-        if e:
-            acc = acc * s**e
-    return acc
+def _monomial_values(monos, subs, k: int) -> dict:
+    """The monomials monos (all up to a degree, in grlex order) at subs: one product each."""
+    values = {monos[0]: MPoly.const(k, 1)}
+    for expo in monos[1:]:  # the monomial below expo in its first variable, times that substitution
+        i = next(i for i, e in enumerate(expo) if e)
+        values[expo] = values[expo[:i] + (expo[i] - 1,) + expo[i + 1:]] * subs[i]
+    return values
 
 
 def _solve_exact(basis: list[MPoly], rhs: MPoly):

@@ -18,7 +18,8 @@ Eliminations run over the integers: subresultants clears each operand
 of its denominators once, runs the Brown-Collins sequence on integer
 term dicts (every division exact), and scales its results back by powers
 of the two denominators.  The term-dict helpers take Fraction or int
-values, so MPoly and that loop share them.
+values, so MPoly and that loop share them.  So does interpolation, over
+one denominator: grid_interpolant makes Fractions only for its results.
 
 The canonical term order is graded lexicographic with variable 1 most
 significant.  It fixes serialization, leading-term selection in exact
@@ -30,7 +31,7 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from operator import add, sub, truediv
+from operator import add, getitem, sub, truediv
 from typing import Iterable, Sequence
 
 from .errors import GridMalformed, InconsistentSamples, NotDivisible
@@ -482,9 +483,10 @@ class ResidueRing:
     multiple of R the ring was built from (from_integers takes one with
     integer coefficients).  R is held as primitive integers r with a
     positive leading coefficient, so reduction is integer
-    pseudo-division and each operation normalizes by one gcd.  The inverse is the extended
-    Euclidean algorithm on integer polynomials; traces and the
-    characteristic polynomial make one Fraction per value.
+    pseudo-division and each operation normalizes by one gcd.  A residue
+    times a rational (scale) needs no reduction at all.  The inverse is
+    the extended Euclidean algorithm on integer polynomials; traces and
+    the characteristic polynomial make one Fraction per value.
     """
 
     def __init__(self, modulus: MPoly):
@@ -602,9 +604,18 @@ class ResidueRing:
         sign = 1 if r1[0] > 0 else -1
         return self.reduce([sign * den * v for v in u1], abs(r1[0]))
 
+    @staticmethod
+    def scale(a, q):
+        """q * a for a rational q, in O(d): no product of residues, no reduction."""
+        (c, den), n = a, q.numerator
+        c, den = [v * n for v in c], den * q.denominator
+        g = math.gcd(den, *c)
+        return [v // g for v in c], den // g
+
     def evaluate(self, p: MPoly, point):
-        """p at a point of residues."""
-        powers = [[self.element([1]), v] for v in point]
+        """p at a point of residues: each term is its coefficient times a product of powers."""
+        one = self.element([1])
+        powers = [[one, v] for v in point]
 
         def power(i, e):
             while len(powers[i]) <= e:
@@ -613,11 +624,11 @@ class ResidueRing:
 
         total = self.element([])
         for expo, coeff in p.terms.items():
-            term = self.element([coeff])
+            term = one
             for i, e in enumerate(expo):
                 if e:
-                    term = self.mul(term, power(i, e))
-            total = self.add(total, term)
+                    term = power(i, e) if term is one else self.mul(term, power(i, e))
+            total = self.add(total, self.scale(term, coeff))
         return total
 
     def trace(self, a) -> Fraction:
@@ -783,12 +794,12 @@ def sylvester_resultant(p: MPoly, q: MPoly, index: int) -> MPoly:
 
 
 def interpolate(samples, bound: int) -> MPoly:
-    """grid_interpolant's polynomial; InconsistentSamples when a sample does not fit it."""
+    """grid_interpolant's polynomial; InconsistentSamples when a sample, or a repeated point, does not fit it."""
     if bound < 0:
         raise ValueError("negative degree bound")
     seen: dict[tuple, Fraction] = {}
     for point, value in samples:
-        pt = tuple(Fraction(c) for c in point)
+        pt = tuple(c if type(c) is int else Fraction(c) for c in point)  # 2 and Fraction(2) hash alike
         val = Fraction(value)
         if seen.setdefault(pt, val) != val:
             raise InconsistentSamples(f"conflicting values at {pt}")
@@ -801,14 +812,22 @@ def interpolate(samples, bound: int) -> MPoly:
 def grid_interpolant(samples, bound: int) -> MPoly | None:
     """The polynomial of total degree at most bound through the samples, or None.
 
-    samples: (point, value) pairs with rational entries, one value per
-    point.  Numbering each variable's coordinates in the order they first
-    appear gives each point an index alpha; the indices must form a lower
-    set that holds every alpha with |alpha| <= bound.  One pass of Newton
-    divided differences over it (Dyn and Floater, 2014) gives the
+    samples: (point, value) pairs with int or Fraction entries, one value
+    per point.  Numbering each variable's coordinates in the order they
+    first appear gives each point an index alpha; the indices must form a
+    lower set that holds every alpha with |alpha| <= bound.  One pass of
+    Newton divided differences over it (Dyn and Floater, 2014) gives the
     interpolant's coefficient c_alpha on prod_i prod_(m < alpha_i)
     (y_i - node_(i,m)), of degree |alpha|: the samples fit degree bound
     exactly when every c_alpha with |alpha| > bound vanishes.
+
+    In integers throughout: axis i runs on the nodes B_i*node_(i,m), with
+    B_i the lcm of their denominators (the coefficient of y_i^e is then
+    multiplied by B_i^e), and the values over the lcm D of theirs.
+    Level l along axis i multiplies by S_(i,l)/gap, S_(i,l) the lcm of
+    that level's gaps, so c_alpha is over D * prod_i prod_(l <= alpha_i)
+    S_(i,l).  The entries under the bound are put over the largest of
+    these, one denominator, and Horner's rule gives the monomial form.
     """
     samples = list(samples)
     if len({len(pt) for pt, _ in samples}) != 1:
@@ -816,51 +835,54 @@ def grid_interpolant(samples, bound: int) -> MPoly | None:
     k = len(samples[0][0])
     axes = [list(dict.fromkeys(pt[i] for pt, _ in samples)) for i in range(k)]
     index = [{c: m for m, c in enumerate(nodes)} for nodes in axes]
-    table = {tuple(ix[c] for ix, c in zip(index, pt)): Fraction(val) for pt, val in samples}
-    if any(a[i] and a[:i] + (a[i] - 1,) + a[i + 1:] not in table for a in table for i in range(k)):
+    values = {tuple(map(getitem, index, pt)): val for pt, val in samples}
+    keys = sorted(values)
+    lines = [_lines(keys, axis) for axis in range(k)]  # a lower set: each line holds 0 .. len - 1
+    if any(line[-1][axis] != len(line) - 1 for axis in range(k) for line in lines[axis]):
         raise GridMalformed("the sample nodes do not form a lower set")
-    if sum(sum(a) <= bound for a in table) != math.comb(bound + k, k):
+    if sum(sum(a) <= bound for a in keys) != math.comb(bound + k, k):
         raise GridMalformed(f"the sample nodes miss an index of total degree at most {bound}")
-    xs = [[int(c) if c.denominator == 1 else c for c in nodes] for nodes in axes]  # int steps are cheaper
-    _along_lines(table, xs, _divided_differences)
-    if any(c for a, c in table.items() if sum(a) > bound):
+    den = math.lcm(*(v.denominator for v in values.values()))
+    table = {a: v.numerator * (den // v.denominator) for a, v in values.items()}
+    node_scales = [math.lcm(*(c.denominator for c in nodes)) for nodes in axes]
+    xs = [[c.numerator * (b // c.denominator) for c in nodes] for nodes, b in zip(axes, node_scales)]
+    dens = []  # dens[i][m]: prod_(l <= m) S_(i,l)
+    for axis, x in enumerate(xs):
+        gaps = [[x[m] - x[m - level] for m in range(level, len(x))] for level in range(1, len(x))]
+        scales = [math.lcm(*level) for level in gaps]
+        levels = [[scale // gap for gap in level] for scale, level in zip(scales, gaps)]
+        dens.append([math.prod(scales[:m]) for m in range(len(x))])
+        for line in lines[axis]:
+            c = [table[a] for a in line]
+            for level, mults in enumerate(levels[: len(c) - 1], 1):
+                for m in range(len(c) - 1, level - 1, -1):
+                    c[m] = (c[m] - c[m - 1]) * mults[m - level]
+            table.update(zip(line, c))
+    if any(table[a] for a in keys if sum(a) > bound):
         return None
-    table = {a: c for a, c in table.items() if sum(a) <= bound}
-    _along_lines(table, xs, _newton_to_monomial)
-    return MPoly._raw(k, {a: c for a, c in table.items() if c})
+    # each line of the lower set |alpha| <= bound is the start of a line of the table
+    lines = [[line[: bound + 1 - sum(line[0])] for line in axis if sum(line[0]) <= bound] for axis in lines]
+    tops = [len(max(axis, key=len)) - 1 for axis in lines]
+    ups = [[d[top] // v for v in d[: top + 1]] for d, top in zip(dens, tops)]
+    table = {a: table[a] * math.prod(map(getitem, ups, a)) for a in keys if sum(a) <= bound}
+    for axis, x in enumerate(xs):
+        for line in lines[axis]:
+            c = [table[a] for a in line]
+            acc = [c[-1]]
+            for m in range(len(c) - 2, -1, -1):  # acc <- acc * (X - x[m]) + c[m]
+                acc = [c[m] - x[m] * acc[0]] + [lo - x[m] * hi for lo, hi in zip(acc, acc[1:])] + [acc[-1]]
+            table.update(zip(line, acc))
+    den *= math.prod(d[top] for d, top in zip(dens, tops))
+    powers = {a: math.prod(b**m for b, m in zip(node_scales, a)) for a in table}  # 1 on integer nodes
+    return MPoly._raw(k, {a: Fraction(c * powers[a], den) for a, c in table.items() if c})
 
 
-def _along_lines(table: dict, axes: list, step) -> None:
-    """Axis by axis, in place: each line of the lower set table becomes step(nodes, numerators, den)."""
-    for axis, nodes in enumerate(axes):
-        lines: dict[tuple, list] = {}
-        for alpha in sorted(table):
-            lines.setdefault(alpha[:axis] + alpha[axis + 1:], []).append(alpha)
-        for alphas in lines.values():
-            values = [table[a] for a in alphas]
-            den = math.lcm(*(v.denominator for v in values))
-            table.update(zip(alphas, step(nodes, [v.numerator * (den // v.denominator) for v in values], den)))
-
-
-def _divided_differences(xs, c: list[int], den: int) -> list[Fraction]:
-    """Newton coefficients through (xs[m], c[m] / den) in integers; each level scales the den by its gaps' lcm."""
-    dens = [den]
-    for level in range(1, len(c)):
-        gaps = [xs[i] - xs[i - level] for i in range(level, len(c))]
-        scale = math.lcm(*(gap.numerator for gap in gaps))
-        for i in range(len(c) - 1, level - 1, -1):
-            gap = gaps[i - level]
-            c[i] = (c[i] - c[i - 1]) * gap.denominator * scale // gap.numerator
-        dens.append(dens[-1] * scale)
-    return [Fraction(v, d) for v, d in zip(c, dens)]
-
-
-def _newton_to_monomial(xs, c: list[int], den: int) -> list[Fraction]:
-    """Ascending coefficients of sum_m c[m] prod_(l < m) (X - xs[l]) / den, by Horner's rule."""
-    acc = [c[-1]]
-    for m in range(len(c) - 2, -1, -1):  # acc <- acc * (X - xs[m]) + c[m]
-        acc = [c[m] - xs[m] * acc[0]] + [lo - xs[m] * hi for lo, hi in zip(acc, acc[1:])] + [acc[-1]]
-    return [Fraction(v, den) for v in acc]
+def _lines(keys: list, axis: int):
+    """The lines of a sorted lower set along axis: its indices grouped by the others, ascending in axis."""
+    lines: dict[tuple, list] = {}
+    for a in keys:
+        lines.setdefault(a[:axis] + a[axis + 1:], []).append(a)
+    return lines.values()
 
 
 # ---------------------------------------------------------------------------

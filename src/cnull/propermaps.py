@@ -8,7 +8,7 @@ Res_t2(f - y) after a random shear that leaves it no roots at infinity.
 A fiber count is its squarefree degree, and its squarefree factor S_i
 holds the fiber points of multiplicity i.  On two parameters the fiber
 itself is exact too: ShapeLemma eliminates with y kept symbolic, one
-subresultant sequence per shear, and a rational node substitutes its y
+subresultant sequence per shear, and a node substitutes its y
 to get its fiber polynomial and the coordinates of its points as
 residues mod it; the characteristic polynomial samples its grid that
 way.  _generic_system sets up that elimination, for ShapeLemma and for
@@ -244,7 +244,7 @@ class ShapeLemma:
         self._tables = [_y_table(h) for h in (self.R, *(self.S1 or ()))]  # R, s0, s1
 
     def coordinates(self, y) -> tuple[ResidueRing, list] | None:
-        """Q[x]/R and the residues of t1 and t2 on the fiber over the rational point y.
+        """Q[x]/R and the residues of t1 and t2 on the fiber over the point y of ints or Fractions.
 
         None unless s1 is a unit mod R; then Q[x]/R is the fiber algebra
         Q[t]/I, I = (f1 - y1, f2 - y2), multiplicities included.  Under
@@ -259,7 +259,6 @@ class ShapeLemma:
         specialize).  NonZeroDimensional when R is zero at y: the fiber
         contains a curve.
         """
-        y = [Fraction(v) for v in y]
         r = _at_y(self._tables[0], y)[0]  # den * R at y
         while r and not r[-1]:
             r.pop()
@@ -272,7 +271,7 @@ class ShapeLemma:
             return None
         s0, den = _at_y(self._tables[1], y)
         theta = ring.mul(ring.reduce([-v for v in s0], den), inv)
-        t1 = ring.sub(ring.element([0, 1]), ring.mul(ring.element([self.lam]), theta))
+        t1 = ring.sub(ring.element([0, 1]), ring.scale(theta, self.lam))
         return ring, [t1, theta]
 
 
@@ -292,7 +291,7 @@ def _y_table(p: MPoly) -> tuple:
 
 
 def _at_y(table, y) -> tuple[list[int], int]:
-    """A _y_table's x-coefficients at the rational y, as integers over one den > 0.
+    """A _y_table's x-coefficients at y, of ints or Fractions, as integers over one den > 0.
 
     With y_i = n_i/d_i and top degrees A, B, the term c*y1^a*y2^b adds
     c*n1^a*d1^(A-a)*n2^b*d2^(B-b) over den*d1^A*d2^B.

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -387,6 +388,26 @@ SQUARE_CHARPOLYS = {  # components of f, grid nodes, bounds, a_1 .. a_d as for _
             {(0, 3): -64, (2, 0): 1, (1, 1): -48, (0, 2): 16, (1, 0): -62, (0, 1): 31},
         ],
     ),
+    "square(4,3)": (
+        [X1**4 + X2, X2**3 - X1],
+        49,
+        list(range(1, 13)),
+        [
+            {},
+            {},
+            {(0, 1): -32},
+            {(1, 0): -3},
+            {(0, 0): 88},
+            {(0, 2): 384, (1, 0): -320, (0, 1): 120},
+            {(1, 1): -384, (0, 0): 1056},
+            {(2, 0): 3, (1, 0): -2688, (0, 1): 2336, (0, 0): -22},
+            {(0, 3): -2048, (1, 1): -4096, (0, 2): 1536, (1, 0): 104, (0, 1): -24, (0, 0): 2816},
+            {(1, 2): -1920, (2, 0): -192, (1, 1): 72, (1, 0): -6144, (0, 1): 5376, (0, 0): 176},
+            {(2, 1): -96, (1, 1): -6144, (0, 2): 3328, (1, 0): -416, (0, 1): 224, (0, 0): 2049},
+            {(0, 4): 4096, (3, 0): -1, (1, 2): -2048, (0, 3): 768, (2, 0): 128, (1, 1): -160,
+             (0, 2): 48, (1, 0): -4098, (0, 1): 2049},
+        ],
+    ),
 }
 
 
@@ -546,16 +567,32 @@ class TestEarlyTermination:
         assert P.verified and Q.verified and P.coeffs == Q.coeffs
 
     @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("case", ["square(2,2)", "square(3,2)"])
+    @pytest.mark.parametrize("case", ["square(2,2)", "square(3,2)", "square(4,3)"])
     def test_a_square_samples_the_total_degree_simplex(self, monkeypatch, case, seed):
         # a grid keeps the nodes whose indices sum to at most max bound: square(2,2) reaches
-        # its bound 4 on 15 nodes, and square(3,2) stops early on 26 at seed 0
+        # its bound 4 on 15 nodes, and square(3,2) and square(4,3) stop early on 26 and 49
+        # at seed 0; the nodes are ints
         comps, nodes, bounds, coeffs = SQUARE_CHARPOLYS[case]
         grids = _recorded_grids(monkeypatch)
         P = build_charpoly(polynomial_map(comps), G12, seed=seed)
         if case == "square(2,2)" or seed == 0:
             assert [len(grid.rows) for grid in grids] == [nodes]
+        assert all(type(c) is int for grid in grids for axis in grid.axes for c in axis)
+        assert all(type(c) is int for grid in grids for y, _ in grid.rows for c in y)
         expected = CharPoly(len(coeffs), _terms(coeffs), bounds, "interpolated", ["y1", "y2"], verified=True)
+        assert charpoly_to_json(P) == charpoly_to_json(expected)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("case", ["curve(4,3)", "curve(8,4)"])
+    def test_a_curve_grid_has_integer_nodes(self, cline, monkeypatch, case, seed):
+        # curve(d, e): f = x^d - x^2 + 3x - 2, g = x^e + x; P is the resultant oracle's
+        d, e = {"curve(4,3)": (4, 3), "curve(8,4)": (8, 4)}[case]
+        f = _line_map(cline, [-2, 3, -1] + [0] * (d - 3) + [1])
+        g = _line_map(cline, [0, 1] + [0] * (e - 2) + [1])
+        grids = _recorded_grids(monkeypatch)
+        P = build_charpoly(f, g, seed=seed)
+        assert grids and all(type(c) is int for grid in grids for c in grid.axes[0])
+        expected = replace(charpoly_resultant_oracle(f, g), bounds=P.bounds, provenance="interpolated")
         assert charpoly_to_json(P) == charpoly_to_json(expected)
 
     def test_non_separating_g_uses_the_theorem_grid(self, cline_f_t2, cline, monkeypatch):

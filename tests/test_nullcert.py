@@ -33,7 +33,7 @@ from cnull.nullcert import (
     split_coeff,
     verify_certificate,
 )
-from cnull.polycore import MPoly, total_degree, univ_from_coeffs, univ_gcd
+from cnull.polycore import MPoly, compose, total_degree, univ_from_coeffs, univ_gcd
 from cnull.propermaps import geometric_degree, image_degree
 from cnull.nullcert import _solve_exact
 from cnull.variety import CAMap, load_map, load_variety, polynomial_map
@@ -370,6 +370,15 @@ class TestCertifyFallback:
         for cap_exponent in (2, 3, 4):
             cert = certify_fallback(cusp_fx, cusp_gyx, exponent=cap_exponent, degree_cap=2)
             assert cert.verified and cert.exponent <= cap_exponent
+
+    def test_basis_monomials_are_the_composed_monomials(self, cubic_proj23, cubic_g):
+        # built incrementally, each basis monomial is still x^e composed with the substitutions
+        subs = list(cubic_proj23.pullbacks) + list(cubic_g.pullbacks)
+        monos = nullcert._monomials_up_to(len(subs), 4)
+        values = nullcert._monomial_values(monos, subs, subs[0].var_count)
+        assert list(values) == monos
+        for expo in monos:
+            assert values[expo] == compose(MPoly(len(subs), {expo: 1}), subs)
 
 
 class TestVerifyCertificate:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -271,6 +272,56 @@ class TestResidueRing:
         if inv is not None:
             assert ring.mul(a, inv) == ring.element([1])
 
+    def test_scalar_product_of_zero_negative_and_non_integer_scalars(self):
+        ring = ResidueRing(self.R)
+        a = ring.element([F(1, 2), -1, 4])
+        for q in (0, F(0), -3, F(-3), F(-5, 7), F(9, 4), 6):
+            assert ring.scale(a, q) == ring.mul(ring.element([q]), a)
+        assert ring.scale(a, 0) == ring.element([])
+        assert self._values(ring, ring.scale(a, F(-5, 7))) == [F(-5, 7) * v for v in self._values(ring, a)]
+
+    @settings(max_examples=80)
+    @given(inverse_cases(), st.fractions(max_denominator=10**6))
+    @example((univ_from_coeffs([6, -7, -1, 2]), [F(1, 2), -1, 4]), F(0))
+    @example((univ_from_coeffs([6, -7, -1, 2]), [F(1, 2), -1, 4]), F(-4))
+    @example((univ_from_coeffs([6, -7, -1, 2]), [F(3, 10), F(-1, 6), 4]), F(-25, 9))
+    @example((univ_from_coeffs([6, -7, -1, 2]), []), F(2, 3))  # the zero residue
+    def test_scalar_product_is_the_product_with_a_constant_residue(self, case, q):
+        R, coeffs = case
+        ring = ResidueRing(R)
+        a = ring.element(coeffs)
+        c, den = got = ring.scale(a, q)
+        assert got == ring.mul(ring.element([q]), a)
+        assert len(c) == ring.d and den > 0 and math.gcd(den, *c) == 1  # canonical
+
+    @settings(max_examples=60, deadline=None)
+    @given(inverse_cases(), mpolys(2, max_deg=3, max_terms=6), st.data())
+    def test_evaluate_equals_the_residue_product_loop(self, case, p, data):
+        R, coeffs = case
+        ring = ResidueRing(R)
+        other = data.draw(st.lists(SMALL_RATIONALS, max_size=ring.d + 1))
+        point = [ring.element(coeffs), ring.element(other)]
+        assert ring.evaluate(p, point) == residue_product_evaluate(ring, p, point)
+
+
+def residue_product_evaluate(ring, p, point):
+    """ResidueRing.evaluate by products of residues only: each term's coefficient as a residue, times its powers."""
+    powers = [[ring.element([1]), v] for v in point]
+
+    def power(i, e):
+        while len(powers[i]) <= e:
+            powers[i].append(ring.mul(powers[i][-1], point[i]))
+        return powers[i][e]
+
+    total = ring.element([])
+    for expo, coeff in p.terms.items():
+        term = ring.element([coeff])
+        for i, e in enumerate(expo):
+            if e:
+                term = ring.mul(term, power(i, e))
+        total = ring.add(total, term)
+    return total
+
 
 def _inverse_by_cayley_hamilton(ring, a):
     """The inverse of a residue from its characteristic polynomial s^d + c_1 s^(d-1) + ... + c_d.
@@ -495,6 +546,132 @@ class TestLowerSetInterpolation:
                 grid_interpolant(rest, bound)
         else:
             assert grid_interpolant(rest, bound) == p
+
+
+def fraction_interpolate(samples, bound):
+    """interpolate over Fraction points, on fraction_grid_interpolant."""
+    seen = {}
+    for point, value in samples:
+        pt = tuple(F(c) for c in point)
+        val = F(value)
+        if seen.setdefault(pt, val) != val:
+            raise InconsistentSamples(f"conflicting values at {pt}")
+    result = fraction_grid_interpolant(seen.items(), bound)
+    if result is None:
+        raise InconsistentSamples("no interpolant within the degree bound matches all samples")
+    return result
+
+
+def fraction_grid_interpolant(samples, bound):
+    """grid_interpolant with one denominator per line: Fraction values, int or Fraction nodes."""
+    samples = list(samples)
+    if len({len(pt) for pt, _ in samples}) != 1:
+        raise GridMalformed("need samples at points of one length")
+    k = len(samples[0][0])
+    axes = [list(dict.fromkeys(pt[i] for pt, _ in samples)) for i in range(k)]
+    index = [{c: m for m, c in enumerate(nodes)} for nodes in axes]
+    table = {tuple(ix[c] for ix, c in zip(index, pt)): F(val) for pt, val in samples}
+    if any(a[i] and a[:i] + (a[i] - 1,) + a[i + 1:] not in table for a in table for i in range(k)):
+        raise GridMalformed("the sample nodes do not form a lower set")
+    if sum(sum(a) <= bound for a in table) != math.comb(bound + k, k):
+        raise GridMalformed(f"the sample nodes miss an index of total degree at most {bound}")
+    xs = [[int(c) if F(c).denominator == 1 else F(c) for c in nodes] for nodes in axes]
+    _fraction_along_lines(table, xs, _fraction_divided_differences)
+    if any(c for a, c in table.items() if sum(a) > bound):
+        return None
+    table = {a: c for a, c in table.items() if sum(a) <= bound}
+    _fraction_along_lines(table, xs, _fraction_newton_to_monomial)
+    return MPoly._raw(k, {a: c for a, c in table.items() if c})
+
+
+def _fraction_along_lines(table, axes, step):
+    """Axis by axis, in place: each line of the lower set table becomes step(nodes, numerators, den)."""
+    for axis, nodes in enumerate(axes):
+        lines = {}
+        for alpha in sorted(table):
+            lines.setdefault(alpha[:axis] + alpha[axis + 1:], []).append(alpha)
+        for alphas in lines.values():
+            values = [table[a] for a in alphas]
+            den = math.lcm(*(v.denominator for v in values))
+            table.update(zip(alphas, step(nodes, [v.numerator * (den // v.denominator) for v in values], den)))
+
+
+def _fraction_divided_differences(xs, c, den):
+    """Newton coefficients through (xs[m], c[m] / den); each level scales the den by its gaps' lcm."""
+    dens = [den]
+    for level in range(1, len(c)):
+        gaps = [F(xs[i] - xs[i - level]) for i in range(level, len(c))]
+        scale = math.lcm(*(gap.numerator for gap in gaps))
+        for i in range(len(c) - 1, level - 1, -1):
+            gap = gaps[i - level]
+            c[i] = (c[i] - c[i - 1]) * gap.denominator * scale // gap.numerator
+        dens.append(dens[-1] * scale)
+    return [F(v, d) for v, d in zip(c, dens)]
+
+
+def _fraction_newton_to_monomial(xs, c, den):
+    """Ascending coefficients of sum_m c[m] prod_(l < m) (X - xs[l]) / den, by Horner's rule."""
+    acc = [c[-1]]
+    for m in range(len(c) - 2, -1, -1):
+        acc = [c[m] - xs[m] * acc[0]] + [lo - xs[m] * hi for lo, hi in zip(acc, acc[1:])] + [acc[-1]]
+    return [F(v) / den for v in acc]
+
+
+LARGE_DENOMINATORS = st.builds(F, st.integers(-10**12, 10**12), st.integers(1, 10**12))
+# nodes of one axis: ints, integral Fractions, or rationals
+AXIS_NODES = st.sampled_from([st.integers(-30, 30), st.integers(-30, 30).map(F), NODES])
+
+
+@st.composite
+def kernel_cases(draw):
+    """(samples, bound): a random lower set holding the simplex of total degree bound (k = 1-3),
+    listed by index sum, at int, integral Fraction or rational nodes per axis, with the values
+    of a polynomial of total degree up to bound + 2 with large denominators, or random values;
+    a point may be listed again with its coordinates as the other type, with any value."""
+    k, bound = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    simplex = [a for a in itertools.product(range(bound + 1), repeat=k) if sum(a) <= bound]
+    tops = simplex + draw(st.lists(st.tuples(*[st.integers(0, bound + 2)] * k), max_size=3))
+    lower = {a for top in tops for a in itertools.product(*(range(e + 1) for e in top))}
+    order = sorted(draw(st.permutations(sorted(lower))), key=sum)
+    sizes = [1 + max(a[i] for a in lower) for i in range(k)]
+    axes = [draw(st.lists(draw(AXIS_NODES), min_size=n, max_size=n, unique=True)) for n in sizes]
+    points = [tuple(axes[i][m] for i, m in enumerate(a)) for a in order]
+    degree = draw(st.integers(0, bound + 2))
+    monomials = [a for a in itertools.product(range(degree + 1), repeat=k) if sum(a) <= degree]
+    p = MPoly(k, draw(st.dictionaries(st.sampled_from(monomials), LARGE_DENOMINATORS, max_size=6)))
+    if draw(st.booleans()):
+        samples = [(y, evaluate(p, y)) for y in points]
+    else:
+        samples = [(y, draw(LARGE_DENOMINATORS)) for y in points]
+    for _ in range(draw(st.integers(0, 2))):
+        y, v = draw(st.sampled_from(samples))
+        again = tuple(F(c) if type(c) is int else int(c) if c.denominator == 1 else c for c in y)
+        samples.append((again, draw(st.sampled_from([v, v + 1]))))
+    return samples, bound
+
+
+class TestIntegerKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(case=kernel_cases())
+    @example(case=([((2,), F(4)), ((0,), F(0)), ((F(2),), F(5))], 1))  # 2 and Fraction(2), two values
+    @example(case=([((F(2), 1), F(4)), ((0, 1), F(0)), ((2, 3), F(4)), ((2, F(1)), F(4))], 1))  # one value
+    def test_integer_kernel_equals_the_fraction_kernel(self, case):
+        samples, bound = case
+        unique = dict(samples)  # 2 and Fraction(2) are one coordinate
+        if any(unique[y] != v for y, v in samples):
+            with pytest.raises(InconsistentSamples):
+                fraction_interpolate(samples, bound)
+            with pytest.raises(InconsistentSamples):
+                interpolate(samples, bound)
+            return
+        got = grid_interpolant(unique.items(), bound)
+        assert got == fraction_grid_interpolant(unique.items(), bound)
+        if got is None:
+            with pytest.raises(InconsistentSamples):
+                interpolate(samples, bound)
+        else:
+            assert_invariant(got, len(samples[0][0]))
+            assert interpolate(samples, bound) == got
 
 
 class TestUnivariateUtilities:
