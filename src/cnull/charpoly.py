@@ -5,10 +5,12 @@ interpolates them and verifies the result exactly, as the polynomial
 identity P(f(phi), g(phi)) = 0 in the parameter ring.  On two parameters
 each sample is exact: the characteristic polynomial of multiplication by
 g on the fiber algebra Q[x]/R of the shape lemma (propermaps.ShapeLemma),
-with no root finding.  That algebra keeps the multiplicities, so a
-critical node is sampled too.  On a curve it is numeric but self-certifying:
-fibers are solved at working precision, and the signed elementary
-symmetric functions of the g-values are rationally reconstructed.
+with no root finding, through the elimination that checked properness
+and with g written once in that shear's coordinates.  That algebra keeps
+the multiplicities, so a critical node is sampled too.  On a curve it is
+numeric but self-certifying: fibers are solved at working precision, and
+the signed elementary symmetric functions of the g-values are rationally
+reconstructed.
 
 The grid grows one node per axis at a time, and keeps the points whose
 node indices sum to at most the largest theorem bound on the total
@@ -140,7 +142,7 @@ def build_charpoly(
     # a two-parameter sample is exact, so a higher rung would rebuild the same grid
     for wp in ladder_from(prec) if k == 1 else [prec]:
         try:
-            for P in _candidates(f, g, d, bounds, seed, wp):
+            for P in _candidates(f, g, d, bounds, seed, wp, prof.shape):
                 if verify_charpoly(P, f, g):
                     return replace(P, verified=True)
                 last_error = ExactVerificationFailed(
@@ -158,7 +160,7 @@ def build_charpoly(
 ZETA = 2  # confirming nodes per axis beyond those an early interpolant is taken on
 
 
-def _candidates(f: CAMap, g: CAMap, d: int, bounds: list[int], seed: int, wp: int):
+def _candidates(f: CAMap, g: CAMap, d: int, bounds: list[int], seed: int, wp: int, shape: ShapeLemma | None):
     """Interpolated characteristic polynomials at precision wp, on one growing grid.
 
     The grid gains one node per axis at a time.  It stops early once every
@@ -171,7 +173,7 @@ def _candidates(f: CAMap, g: CAMap, d: int, bounds: list[int], seed: int, wp: in
     interpolated under the theorem bounds follows.
     """
     need = max(bounds, default=0) + 1
-    grid = _SampleGrid(f, g, d, seed, wp, need)
+    grid = _SampleGrid(f, g, d, seed, wp, need, shape)
     while grid.n < need and not grid.confirmed(bounds):
         grid.grow()
     if grid.n < need and grid.separates():
@@ -192,22 +194,25 @@ class _SampleGrid:
     under the salt charpoly-grid; a candidate node whose new slab of the
     grid has a point that cannot be sampled is skipped.  On two parameters
     a sample is exact: the characteristic polynomial of g on the fiber
-    algebra Q[x]/R of a ShapeLemma, under one shear from the salt
-    charpoly-shear.  It is P(y, .) at every node the ShapeLemma accepts,
-    critical values included; a node is skipped only where a root of R
-    lies under two fiber points, or under one point that is not
-    curvilinear.  The shear is drawn again with every rejected candidate
-    for the first node, since a shear that merges two points of every
-    fiber would reject every node; once a node passes, it merges them only
-    over a proper algebraic subset.  On one parameter a node with a critical fiber is skipped:
-    each node is solved twice, at working precision, once to check that
-    its fiber has d points, once to sample.
+    algebra Q[x]/R of a ShapeLemma, at first the properness elimination
+    of the map's profile.  It is P(y, .) at every node the ShapeLemma
+    accepts, critical values included; a node is skipped only where a
+    root of R lies under two fiber points, or under one point that is not
+    curvilinear.  The shear is drawn again, from the salt charpoly-shear,
+    with every rejected candidate for the first node, since a shear that
+    merges two points of every fiber would reject every node; once a node
+    passes, it merges them only over a proper algebraic subset.  Each
+    shear writes g under t1 = x - lam*t2 once, as its t2-coefficients
+    G_k(x) (ShapeLemma.t2_table), and a node takes g as sum_k G_k theta^k
+    for the residue theta of t2, by Horner's rule.  On one parameter a
+    node with a critical fiber is skipped: each node is solved twice, at
+    working precision, once to check that its fiber has d points, once
+    to sample.
     """
 
-    def __init__(self, f: CAMap, g: CAMap, d: int, seed: int, wp: int, need: int):
+    def __init__(self, f: CAMap, g: CAMap, d: int, seed: int, wp: int, need: int, shape: ShapeLemma | None):
         self.f, self.gp, self.d, self.wp, self.need = f, g.pullbacks[0], d, wp, need
-        k = f.domain.param.k
-        self.axes: list[list[int]] = [[] for _ in range(k)]
+        self.axes: list[list[int]] = [[] for _ in range(f.domain.param.k)]
         self.rows: list[tuple[tuple, list[Fraction]]] = []  # (node, [a_1 .. a_d]) as sampled
         self.early: list[MPoly | None] = [None] * d  # per coefficient: its last early interpolant
         self.failed = 0  # the coefficient that failed the last confirmation, tried first in the next
@@ -215,7 +220,12 @@ class _SampleGrid:
         span = list(range(-3 * (need + 2), 3 * (need + 2) + 1))
         gen.shuffle(span)
         self.pool = iter(span)
-        self.shape = ShapeLemma(f, _rng.child_rng(seed, "charpoly-shear")) if k == 2 else None
+        self.shears = _rng.child_rng(seed, "charpoly-shear")  # draws only a rejected first node's shear
+        self._sample_through(shape)
+
+    def _sample_through(self, shape: ShapeLemma | None) -> None:
+        """Sample through shape (None on a curve), with g written in its shear's coordinates once."""
+        self.shape, self.g_table = shape, shape.t2_table(self.gp) if shape else None
 
     @property
     def n(self) -> int:
@@ -268,10 +278,9 @@ class _SampleGrid:
             fiber = self.shape.coordinates(y)
             if fiber is None or fiber[0].d != d:
                 if not self.rows:
-                    self.shape.redraw()
+                    self._sample_through(ShapeLemma(self.f, self.shears))
                 return None
-            ring, coords = fiber
-            return ring.charpoly(ring.evaluate(self.gp, coords))
+            return fiber[0].charpoly(_horner(*fiber, self.g_table))
         if len(fiber_points(self.f, list(y), wp)) != d:
             return None
         height = 10 ** max(6, wp // 16)
@@ -329,6 +338,20 @@ class _SampleGrid:
             y_vars=[f"y{i + 1}" for i in range(k)],
             verified=False,
         )
+
+
+def _horner(ring, theta, table):
+    """sum_k G_k(x) theta^k mod R for a ShapeLemma.t2_table, by Horner's rule in theta.
+
+    A constant accumulator, such as a constant top G_m, multiplies theta by a scale, not a product.
+    """
+    rows, den = table
+    acc = ring.reduce(rows[-1][:], den)
+    for row in reversed(rows[:-1]):
+        c, acc_den = acc
+        acc = ring.mul(acc, theta) if any(c[1:]) else ring.scale(theta, Fraction(c[0], acc_den))
+        acc = ring.add(acc, ring.reduce(row[:], den))
+    return acc
 
 
 def _monic_from_roots(values):

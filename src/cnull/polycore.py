@@ -612,25 +612,6 @@ class ResidueRing:
         g = math.gcd(den, *c)
         return [v // g for v in c], den // g
 
-    def evaluate(self, p: MPoly, point):
-        """p at a point of residues: each term is its coefficient times a product of powers."""
-        one = self.element([1])
-        powers = [[one, v] for v in point]
-
-        def power(i, e):
-            while len(powers[i]) <= e:
-                powers[i].append(self.mul(powers[i][-1], point[i]))
-            return powers[i][e]
-
-        total = self.element([])
-        for expo, coeff in p.terms.items():
-            term = one
-            for i, e in enumerate(expo):
-                if e:
-                    term = power(i, e) if term is one else self.mul(term, power(i, e))
-            total = self.add(total, self.scale(term, coeff))
-        return total
-
     def trace(self, a) -> Fraction:
         """Trace of multiplication by a: the sum of its values at the roots of R."""
         c, den = a

@@ -10,9 +10,9 @@ holds the fiber points of multiplicity i.  On two parameters the fiber
 itself is exact too: ShapeLemma eliminates with y kept symbolic, one
 subresultant sequence per shear, and a node substitutes its y
 to get its fiber polynomial and the coordinates of its points as
-residues mod it; the characteristic polynomial samples its grid that
-way.  _generic_system sets up that elimination, for ShapeLemma and for
-check_proper.  fiber_points picks a numeric solver by k, for
+residues mod it.  check_proper decides properness from that same
+elimination, and profile_map keeps it, so the characteristic polynomial
+samples its grid without eliminating again.  fiber_points picks a numeric solver by k, for
 callers that need complex coordinates: clustered roots of the gcd for a
 curve (fiber_t_clusters), the bivariate resultant solver for k = 2
 (fiber_points_2); in the package only the one-parameter grid calls it.
@@ -33,8 +33,9 @@ than parameters) get nonempty generic fibers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import rng as _rng
 from .errors import (
@@ -69,8 +70,10 @@ _DRAW_BUDGET = 15
 
 @dataclass(frozen=True)
 class ProperMapProfile:
+    """d(f), the graph degree and, on two parameters, the properness elimination as a ShapeLemma."""
     d_f: int
     graph_degree: int
+    shape: ShapeLemma | None = field(default=None, compare=False)  # None on curves
 
 
 def check_proper(f: CAMap, seed: int = 0) -> int:
@@ -80,10 +83,10 @@ def check_proper(f: CAMap, seed: int = 0) -> int:
     and after a shear t1 = x - lam*t2 that gives f1 a constant leading
     t2-coefficient it is finite exactly when R = Res_t2(f1 - y1, f2 - y2)
     in Q[y1, y2][x], one elimination with y symbolic under a shear from
-    the salt proper-shear (ShapeLemma's R under that draw), has a
-    nonzero constant leading coefficient in x (the criterion behind
-    Jelonek's non-properness set).  Proof: if it has, then
-    x, then t2, then t1 are integral over Q[f1, f2]; if f is finite, R is
+    the salt proper-shear (a ShapeLemma: profile_map keeps its lam, R and
+    S1 for the sample grid), has a nonzero constant leading coefficient
+    in x (the criterion behind Jelonek's non-properness set).  Proof: if
+    it has, then x, then t2, then t1 are integral over Q[f1, f2]; if f is finite, R is
     a constant times a power of the equation of the surface {(x(t), f(t))},
     which is monic in x.  The verdict does not depend on the shear drawn.
     Up to a constant, R is then the characteristic polynomial of x over
@@ -98,6 +101,11 @@ def check_proper(f: CAMap, seed: int = 0) -> int:
     h, so it has at most deg h.  By polynomial Lueroth every t0 off a
     finite set passes; a t0 over a node of the image fails and is redrawn.
     """
+    return _properness(f, seed)[0]
+
+
+def _properness(f: CAMap, seed: int) -> tuple[int, ShapeLemma | None]:
+    """check_proper's d(f), and on two parameters the ShapeLemma of its elimination (None on curves)."""
     k = f.domain.require_param().k
     if k == 1:
         if all(p.is_constant() for p in f.pullbacks):
@@ -106,17 +114,16 @@ def check_proper(f: CAMap, seed: int = 0) -> int:
             t0 = _rng.rand_rational_vector(_rng.child_rng(seed, f"geomdeg:{attempt}"), 1)
             h = fiber_poly(f, [evaluate(p, t0) for p in f.pullbacks])
             if all(_in_subring(p, h) for p in f.pullbacks):
-                return h.degree_in(0)
+                return h.degree_in(0), None
         raise InconsistentFiberCounts(f"no fiber gcd on {_DRAW_BUDGET} draws generates the pullbacks")
     if any(p.is_constant() for p in _system(f, [0] * f.n)):  # ParamRequired unless square, k = 2
         raise NotProper("a component is constant")
-    lam = _shear(f.pullbacks[0], _rng.child_rng(seed, "proper-shear"))
-    R = subresultants(*_generic_system(f, lam), 1)[0]
-    if R.degree_in(0) < 1:
+    shape = ShapeLemma(f, _rng.child_rng(seed, "proper-shear"))
+    if shape.R.degree_in(0) < 1:
         raise NotProper("fibers are not finite")
-    if not coeffs_in_var(R, 0)[-1].is_constant():
+    if not coeffs_in_var(shape.R, 0)[-1].is_constant():
         raise NotProper("a fiber point escapes to infinity over a zero of the leading coefficient")
-    return R.degree_in(0)
+    return shape.R.degree_in(0), shape
 
 
 def _in_subring(p: MPoly, h: MPoly) -> bool:
@@ -228,23 +235,36 @@ class ShapeLemma:
     f1 - y1 has a nonzero constant t2-lead and y2 moves no t2-degree of
     f2 - y2 for a nonconstant f2.  So R(x; y) is the node's resultant and
     S1(x; y) its subresultant of degree 1, proportional to the member of
-    degree 1 of the node's own sequence, with the same theta.  Each shear
-    writes R, s0 and s1 once as integer tables in y (_y_table), and a
-    node evaluates them in integers (_at_y).  lam is drawn from gen by
-    _shear, and again on each redraw.
+    degree 1 of the node's own sequence, with the same theta.  lam is
+    drawn from gen by _shear.  The first node that asks writes R, s0 and
+    s1 as integer tables in y (_y_table), and a node evaluates them in
+    integers (_at_y); a shape that only decides properness builds none.
+    A polynomial in t reaches a node through t2_table: its t2-coefficients
+    under the shear are polynomials in x, so no node needs t1.
     """
 
     def __init__(self, f: CAMap, gen):
-        self.f, self.gen = f, gen
-        self.redraw()
+        self.lam = _shear(f.pullbacks[0], gen)
+        ys = (MPoly.variable(4, i) for i in (2, 3))  # f - y in (x, t2, y1, y2), y symbolic
+        system = [h - y for h, y in zip(_sheared(f.pullbacks, self.lam, 4), ys)]
+        self.R, self.S1 = subresultants(*system, 1)  # in (x, y1, y2)
 
-    def redraw(self) -> None:
-        self.lam = _shear(self.f.pullbacks[0], self.gen)
-        self.R, self.S1 = subresultants(*_generic_system(self.f, self.lam), 1)  # in (x, y1, y2)
-        self._tables = [_y_table(h) for h in (self.R, *(self.S1 or ()))]  # R, s0, s1
+    @cached_property
+    def _tables(self) -> list[tuple]:
+        return [_y_table(h) for h in (self.R, *(self.S1 or ()))]  # R, s0, s1
 
-    def coordinates(self, y) -> tuple[ResidueRing, list] | None:
-        """Q[x]/R and the residues of t1 and t2 on the fiber over the point y of ints or Fractions.
+    def t2_table(self, p: MPoly) -> tuple[list[list[int]], int]:
+        """p(x - lam*t2, t2) by its t2-coefficients G_0(x) .. G_m(x), integer x-coefficients over one den."""
+        (sheared,) = _sheared([p], self.lam)
+        den = math.lcm(1, *(c.denominator for c in sheared.terms.values()))
+        rows: list[list[int]] = [[] for _ in range(1 + max((e[1] for e in sheared.terms), default=0))]
+        for (i, j), c in sheared.terms.items():
+            rows[j] += [0] * (i + 1 - len(rows[j]))
+            rows[j][i] = c.numerator * (den // c.denominator)
+        return rows, den
+
+    def coordinates(self, y) -> tuple[ResidueRing, tuple[list[int], int]] | None:
+        """Q[x]/R and the residue theta of t2 on the fiber over the point y of ints or Fractions.
 
         None unless s1 is a unit mod R; then Q[x]/R is the fiber algebra
         Q[t]/I, I = (f1 - y1, f2 - y2), multiplicities included.  Under
@@ -270,15 +290,7 @@ class ShapeLemma:
         if self.S1 is None or (inv := ring.inverse(ring.reduce(*_at_y(self._tables[2], y)))) is None:
             return None
         s0, den = _at_y(self._tables[1], y)
-        theta = ring.mul(ring.reduce([-v for v in s0], den), inv)
-        t1 = ring.sub(ring.element([0, 1]), ring.scale(theta, self.lam))
-        return ring, [t1, theta]
-
-
-def _generic_system(f: CAMap, lam: int) -> list[MPoly]:
-    """f1 - y1 and f2 - y2 under the shear t1 = x - lam*t2, in (x, t2, y1, y2) with y symbolic."""
-    ys = (MPoly.variable(4, i) for i in (2, 3))
-    return [h - y for h, y in zip(_sheared(f.pullbacks, lam, 4), ys)]
+        return ring, ring.mul(ring.reduce([-v for v in s0], den), inv)
 
 
 def _y_table(p: MPoly) -> tuple:
@@ -507,12 +519,11 @@ def graph_degree(f: CAMap, seed: int = 0) -> int:
 def profile_map(f: CAMap, seed: int = 0) -> ProperMapProfile:
     """Assemble the degree profile used by the characteristic polynomial.
 
-    Properness of f is checked once, inside geometric_degree, and
-    graph_degree checks its projections the same way.  Nothing else is
-    drawn: only check_proper's shears (its fiber points on a curve) and
-    the projections.
+    Properness of f is checked once, as in check_proper, and on two
+    parameters its elimination is kept as the profile's ShapeLemma, from
+    which the sample grid takes its fibers.  graph_degree checks its
+    projections the same way.  Nothing else is drawn: only check_proper's
+    shears (its fiber points on a curve) and the projections.
     """
-    return ProperMapProfile(
-        d_f=geometric_degree(f, seed),
-        graph_degree=graph_degree(f, seed),
-    )
+    d_f, shape = _properness(f, seed)
+    return ProperMapProfile(d_f=d_f, graph_degree=graph_degree(f, seed), shape=shape)

@@ -44,6 +44,39 @@ def plane_polys(max_degree):
     return st.dictionaries(expo, coeff, min_size=2, max_size=4).map(lambda terms: MPoly(2, terms))
 
 
+def residue_evaluate(ring, p, point):
+    """p at a point of residues of ring: each term is its coefficient times a product of powers.
+
+    The reference for a node's sample: g at the residues of (t1, t2),
+    term by term, against the sample grid's Horner form in theta.
+    """
+    one = ring.element([1])
+    powers = [[one, v] for v in point]
+
+    def power(i, e):
+        while len(powers[i]) <= e:
+            powers[i].append(ring.mul(powers[i][-1], point[i]))
+        return powers[i][e]
+
+    total = ring.element([])
+    for expo, coeff in p.terms.items():
+        term = one
+        for i, e in enumerate(expo):
+            if e:
+                term = power(i, e) if term is one else ring.mul(term, power(i, e))
+        total = ring.add(total, ring.scale(term, coeff))
+    return total
+
+
+def fiber_coordinates(shape, y):
+    """ShapeLemma.coordinates with t1 = x - lam*theta put in: (ring, [t1, theta]), or None."""
+    fiber = shape.coordinates(y)
+    if fiber is None:
+        return None
+    ring, theta = fiber
+    return ring, [ring.sub(ring.element([0, 1]), ring.scale(theta, shape.lam)), theta]
+
+
 def line_poly(coeffs):
     """Polynomial JSON in x from ascending coefficients."""
     return pj(["x"], {(i,): c for i, c in enumerate(coeffs)})

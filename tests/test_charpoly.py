@@ -2,14 +2,15 @@ import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import line_poly, map_spec, pj, plane_polys, univariate_coeffs
-from cnull import charpoly, numroots, polycore, propermaps
+from conftest import fiber_coordinates, line_poly, map_spec, pj, plane_polys, residue_evaluate, univariate_coeffs
+from cnull import charpoly, numroots, polycore, propermaps, rng
 from cnull.charpoly import (
     CharPoly,
     bounds_table,
@@ -135,6 +136,7 @@ def _profile_now(monkeypatch, f):
 
 # square(2, 2): f = (x1^2 + x2, x2^2 - x1), g = x1 + 2 x2
 SQUARE22 = polynomial_map([X1**2 + X2, X2**2 - X1])
+SQUARE32 = polynomial_map([X1**3 + X2, X2**2 - X1])
 G12 = polynomial_map([X1 + X2.scale(2)])
 
 
@@ -184,9 +186,15 @@ class TestFiberSolves:
 
 
 def _sample(shape, g, y):
-    """The exact row a_1 .. a_d of g over the node y, as _SampleGrid takes it."""
-    ring, coords = shape.coordinates(y)
-    return ring.charpoly(ring.evaluate(g.pullbacks[0], coords))
+    """The exact row a_1 .. a_d of g over the node y, as _SampleGrid takes it from shape."""
+    ring, theta = shape.coordinates(y)
+    return ring.charpoly(charpoly._horner(ring, theta, shape.t2_table(g.pullbacks[0])))
+
+
+def _reference_sample(shape, g, y):
+    """The row by evaluating g at the residues (x - lam*theta, theta) term by term."""
+    ring, coords = fiber_coordinates(shape, y)
+    return ring.charpoly(residue_evaluate(ring, g.pullbacks[0], coords))
 
 
 def _value(P, y):
@@ -220,9 +228,9 @@ class TestExactSquareSamples:
     def test_coordinates_solve_the_fiber_equations(self):
         shape = ShapeLemma(SQUARE22, random.Random(0))
         y = [F(2), F(-3)]
-        ring, coords = shape.coordinates(y)
+        ring, coords = fiber_coordinates(shape, y)
         for p, v in zip(SQUARE22.pullbacks, y):
-            assert ring.is_zero(ring.sub(ring.evaluate(p, coords), ring.element([v])))
+            assert ring.is_zero(ring.sub(residue_evaluate(ring, p, coords), ring.element([v])))
 
     @pytest.mark.parametrize(
         "f,coeffs",
@@ -274,8 +282,8 @@ class TestExactSquareSamples:
             return
         if fiber is None:  # s1 is not a unit: a shear that merges two points, or a non-curvilinear point
             return
-        ring, coords = fiber
-        exact = ring.charpoly(ring.evaluate(g, coords))
+        ring = fiber[0]
+        exact = _sample(shape, polynomial_map([g]), y)
         points = fiber_points(f, y, 512)
         # the roots of R lie under distinct fiber points, one each, and a critical node has fewer than d
         R = univ_from_coeffs([evaluate(c, [0, *y]) for c in coeffs_in_var(shape.R, 0)])
@@ -286,6 +294,36 @@ class TestExactSquareSamples:
             asc = charpoly._monic_from_roots([evaluate(g, t) for t in points])
             numeric = [rational_reconstruct(asc[ring.d - j], 10**32, 512) for j in range(1, ring.d + 1)]
         assert exact == numeric
+
+    @settings(max_examples=40)
+    @given(
+        comps=st.lists(plane_polys(3), min_size=2, max_size=2),
+        g=plane_polys(3),
+        seed=st.integers(0, 10**6),
+        y=st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+        lam=st.none(),
+    )
+    # under lam = 1, g(x - t2, t2) has t2-degree 0 (x), 1 with a constant top (x + t2),
+    # 1 with top x (x t2), 3 with a constant top, and 2 with top -x (x^2 t2 - x t2^2)
+    @example(comps=[X1**2 + X2, X2**2 - X1], g=X1 + X2, seed=0, y=(2, -3), lam=1)
+    @example(comps=[X1**2 + X2, X2**2 - X1], g=X1 + X2.scale(2), seed=0, y=(2, -3), lam=1)
+    @example(comps=[X1**2 + X2, X2**2 - X1], g=X1 * X2 + X2**2, seed=0, y=(2, -3), lam=1)
+    @example(comps=[X1**2 + X2, X2**2 - X1], g=X2**3 + X1**2, seed=0, y=(2, -3), lam=1)
+    @example(comps=[X1**2 + X2, X2**2 - X1], g=X1**2 * X2 + X1 * X2**2, seed=0, y=(2, -3), lam=1)
+    def test_grid_sample_equals_the_term_by_term_evaluation(self, comps, g, seed, y, lam):
+        # the grid takes g through the shear once and a node by Horner's rule in theta;
+        # the reference evaluates g at the residues (x - lam*theta, theta) term by term
+        f, g = polynomial_map(comps), polynomial_map([g])
+        gen = random.Random(seed) if lam is None else SimpleNamespace(randint=lambda lo, hi: lam)
+        try:
+            shape = ShapeLemma(f, gen)
+            fiber = shape.coordinates(y)
+        except NonZeroDimensional:
+            return
+        if fiber is None:
+            return
+        grid = charpoly._SampleGrid(f, g, fiber[0].d, 0, 256, 1, shape)
+        assert grid._row(y) == _reference_sample(shape, g, y)
 
 
 class TestLadderFailures:
@@ -318,23 +356,55 @@ class TestShearRedraw:
         # coordinates rejects its call number `rejected`: the first node, whose shear may merge
         # two points of every fiber, or a node after the first accepted one, which keeps it
         expected = build_charpoly(SQUARE22, G12, seed=0)
-        real_coordinates, real_redraw = ShapeLemma.coordinates, ShapeLemma.redraw
-        calls, redrawn = [], []
-
-        def coordinates(shape, y):
-            calls.append(y)
-            return None if len(calls) - 1 == rejected else real_coordinates(shape, y)
-
-        def redraw(shape):
-            if hasattr(shape, "lam"):  # not the first draw, made by the constructor
-                redrawn.append(shape.lam)
-            real_redraw(shape)
-
-        monkeypatch.setattr(ShapeLemma, "coordinates", coordinates)
-        monkeypatch.setattr(ShapeLemma, "redraw", redraw)
+        _, redrawn = _reject_call(monkeypatch, rejected)
         P = build_charpoly(SQUARE22, G12, seed=0)
-        assert len(redrawn) == redraws
+        assert redrawn == [propermaps._shear(SQUARE22.pullbacks[0], rng.child_rng(0, "charpoly-shear"))][:redraws]
         assert P.verified and P.coeffs == expected.coeffs
+
+
+class TestOneElimination:
+    @pytest.mark.parametrize("f", [SQUARE22, SQUARE32], ids=["square(2,2)", "square(3,2)"])
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("rejected,eliminations", [(None, 2), (0, 3)])
+    def test_the_grid_samples_through_the_properness_elimination(self, monkeypatch, f, seed, rejected, eliminations):
+        # properness and the graph projection eliminate once each, and the grid's first shear is
+        # the properness shear; only a rejected first node eliminates again, under a new shear
+        sequences = []
+        real = polycore.subresultants
+
+        def counted(*args):
+            sequences.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(polycore, "subresultants", counted)
+        monkeypatch.setattr(propermaps, "subresultants", counted)
+        lams, _ = _reject_call(monkeypatch, rejected)
+        assert build_charpoly(f, G12, seed=seed).verified
+        assert len(sequences) == eliminations
+        assert lams[0] == propermaps._shear(f.pullbacks[0], rng.child_rng(seed, "proper-shear"))
+
+
+def _reject_call(monkeypatch, rejected):
+    """Have ShapeLemma.coordinates reject its call number `rejected` (None: no call).
+
+    Returns the shear of every coordinates call, and the shears the grid
+    draws again, in order.
+    """
+    real = ShapeLemma.coordinates
+    lams, redrawn = [], []
+
+    def coordinates(shape, y):
+        lams.append(shape.lam)
+        return None if len(lams) - 1 == rejected else real(shape, y)
+
+    class Redrawn(ShapeLemma):
+        def __init__(self, f, gen):
+            super().__init__(f, gen)
+            redrawn.append(self.lam)
+
+    monkeypatch.setattr(ShapeLemma, "coordinates", coordinates)
+    monkeypatch.setattr(charpoly, "ShapeLemma", Redrawn)
+    return lams, redrawn
 
 
 def _constructed_grids(monkeypatch):

@@ -8,7 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import axis_x2_spec, line_poly, map_spec, pj, plane_polys, univariate_coeffs
+from conftest import (
+    axis_x2_spec,
+    fiber_coordinates,
+    line_poly,
+    map_spec,
+    pj,
+    plane_polys,
+    residue_evaluate,
+    univariate_coeffs,
+)
 from cnull import numroots, polycore, propermaps, rng
 from cnull.errors import (
     DegenerateSlice,
@@ -292,7 +301,7 @@ class TestShapeLemma:
         shape = ShapeLemma(polynomial_map([X1 + X2, X1]), SimpleNamespace(randint=lambda lo, hi: 0))
         assert shape.lam == 0
         for y1, y2 in [(F(3), F(-2)), (F(1, 2), F(5))]:
-            ring, (t1, t2) = shape.coordinates([y1, y2])
+            ring, (t1, t2) = fiber_coordinates(shape, [y1, y2])
             assert ring.d == 1
             assert ring.is_zero(ring.sub(t1, ring.element([y2])))
             assert ring.is_zero(ring.sub(t2, ring.element([y1 - y2])))
@@ -368,13 +377,13 @@ class TestShapeLemma:
             d = check_proper(f, seed)
         except NotProper:
             return
-        fiber = ShapeLemma(f, random.Random(seed)).coordinates(y)
+        fiber = fiber_coordinates(ShapeLemma(f, random.Random(seed)), y)
         if fiber is None:
             return
         ring, coords = fiber
         assert ring.d == d
         for p, v in zip(f.pullbacks, y):
-            assert ring.is_zero(ring.sub(ring.evaluate(p, coords), ring.element([v])))
+            assert ring.is_zero(ring.sub(residue_evaluate(ring, p, coords), ring.element([v])))
 
 
     @settings(max_examples=80)
@@ -414,9 +423,7 @@ def _node_coordinates(f, lam, y):
     ring = ResidueRing(R)
     if linear is None or (inv := ring.inverse(ring.element(univ_coeffs(linear[1])))) is None:
         return None
-    theta = ring.mul(ring.element([-c for c in univ_coeffs(linear[0])]), inv)
-    t1 = ring.sub(ring.element([0, 1]), ring.mul(ring.element([lam]), theta))
-    return ring, [t1, theta]
+    return ring, ring.mul(ring.element([-c for c in univ_coeffs(linear[0])]), inv)
 
 
 def _outcome(coordinates, y):
