@@ -59,6 +59,7 @@ from .polycore import (
     distinct_root_count,
     drop_var,
     evaluate,
+    evaluator,
     grid_interpolant,
     interpolate,
     poly_to_json,
@@ -476,11 +477,12 @@ def growth_inclusion_check(
     best = 0.0
     top_witness = None
     with mp.workprec(prec):
+        # identically-zero coefficients stay exact so zero roots strip fast
+        coeffs_at = evaluator(P.coeffs[::-1], use_mp=True)
         for _ in range(samples):
             r = R * 10.0 ** (4 * gen.random())
             x = _sample_point_of_norm(gen, k, r)
-            # identically-zero coefficients stay exact so zero roots strip fast
-            asc = [evaluate(a, x) for a in reversed(P.coeffs)] + [1]
+            asc = coeffs_at(x) + [1]
             rs = roots_from_coeffs(asc, prec)
             denom = mp.mpf(r) ** q_f
             for root, _ in rs.roots:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import DivisionByZeroGradient, InvalidInput
-from .polycore import MPoly, evaluate, total_degree
+from .polycore import MPoly, evaluator, total_degree
 from .propermaps import profile_map
 from .rng import child_rng
 from .variety import polynomial_map
@@ -91,7 +91,7 @@ def validate_inequality(
         raise InvalidInput("shells must be at least two positive, increasing, finite norm scales")
     if samples_per_shell < 1:
         raise InvalidInput("samples_per_shell must be at least 1")
-    grads = gradient(f)
+    at = evaluator([*gradient(f), f])
     exponent = float(theta_value)
     gen = child_rng(seed, "shells")
     shell_rows = []
@@ -108,12 +108,12 @@ def validate_inequality(
                 )
             attempts += 1
             x = _complex_sphere_point(gen, f.var_count, scale)
-            grad_norm = math.hypot(*(abs(evaluate(g, x)) for g in grads))
+            *grad_values, value = at(x)
+            grad_norm = math.hypot(*map(abs, grad_values))
             if grad_norm == 0.0:
                 continue
             produced += 1
-            value = abs(evaluate(f, x))
-            ratio = value**exponent / grad_norm
+            ratio = abs(value) ** exponent / grad_norm
             best = max(best, ratio)
         shell_rows.append((float(scale), best))
         overall = max(overall, best)

@@ -3,7 +3,11 @@
 A polynomial is a map from exponent tuples to nonzero Fraction
 coefficients.  Everything downstream (pullbacks along parametrizations,
 characteristic polynomials, certificate identities) rides on this module,
-so all operations here are exact; floats never enter.
+so all its operations are exact but one: evaluator, the one numeric
+entry point, evaluates polynomials at float, complex or mpmath points.
+It rounds each coefficient once, correctly, at the precision in force
+when it is made (double precision for floats), and is to be called
+under that precision; evaluate takes its numeric points through it.
 
 Every MPoly keeps one invariant on its ``terms`` dict: the keys are
 tuples of ``var_count`` nonnegative ints and the values are nonzero
@@ -229,53 +233,84 @@ def _pow_terms(a: dict, n: int, one: dict) -> dict:
 def evaluate(p: MPoly, point: Sequence):
     """Evaluate at a point.
 
-    Exact (Fraction result) when every coordinate is an int or Fraction;
-    otherwise computed in the arithmetic of the supplied values, with the
-    rational coefficients converted by dividing numerator by denominator
-    so the result is correctly rounded at the working precision.
+    Exact (Fraction result) when every coordinate is an int or Fraction.
+    Otherwise numeric, through evaluator: in mpmath when a coordinate is
+    not a Python number, and in floats when none is.
     """
     vals = list(point)
     if len(vals) != p.var_count:
         raise ValueError("point length does not match var_count")
-    exact = all(isinstance(v, (int, Fraction)) for v in vals)
-    if exact:
-        vals = [Fraction(v) for v in vals]
+    if not all(isinstance(v, (int, Fraction)) for v in vals):
+        use_mp = not all(isinstance(v, (int, Fraction, float, complex)) for v in vals)
+        return evaluator([p], use_mp)(vals)[0]
+    vals = [Fraction(v) for v in vals]
     # powers[i][e] = vals[i]**e, each computed once per call
     powers: list[dict] = [{} for _ in vals]
-
-    def power(i: int, e: int):
-        cache = powers[i]
-        if e not in cache:
-            cache[e] = vals[i] ** e
-        return cache[e]
-
-    if exact:
-        total = Fraction(0)
-        for expo, coeff in p.terms.items():
-            term = coeff
-            for i, e in enumerate(expo):
-                if e:
-                    term *= power(i, e)
-            total += term
-        return total
-    import mpmath as mp
-
-    use_mp = any(isinstance(v, (mp.mpf, mp.mpc)) for v in vals)
-
-    def conv(q: Fraction):
-        # divide in the target arithmetic so the result is correctly rounded
-        if use_mp:
-            return mp.mpf(q.numerator) / mp.mpf(q.denominator)
-        return q.numerator / q.denominator
-
-    total = 0
-    for expo, coeff in p.sorted_terms():
-        term = conv(coeff)
+    total = Fraction(0)
+    for expo, coeff in p.terms.items():
+        term = coeff
         for i, e in enumerate(expo):
             if e:
-                term = term * power(i, e)
-        total = total + term
+                cache = powers[i]
+                if e not in cache:
+                    cache[e] = vals[i] ** e
+                term *= cache[e]
+        total += term
     return total
+
+
+def evaluator(polys: Sequence[MPoly], use_mp: bool = False):
+    """point -> [p(point) for p in polys], numerically; the one numeric evaluation.
+
+    Each coefficient is converted once, here, by dividing its numerator by
+    its denominator in the target arithmetic, so that it is correctly
+    rounded: to a float, or with use_mp to an mpf at the mpmath precision
+    in force when the evaluator is made.  Call it under that precision.
+    The terms keep the canonical order, each point's coordinate powers are
+    computed once for all of polys, and the zero polynomial gives the
+    exact int 0.
+    """
+    if use_mp:
+        import mpmath as mp
+
+        def conv(q: Fraction):
+            return mp.mpf(q.numerator) / mp.mpf(q.denominator)
+    else:
+        def conv(q: Fraction):
+            return q.numerator / q.denominator
+
+    polys = list(polys)
+    n = polys[0].var_count if polys else 0
+    slots: dict[tuple[int, int], int] = {}  # (variable, exponent) -> index into a point's powers
+    compiled = []
+    for p in polys:
+        if p.var_count != n:
+            raise ValueError("polynomials must share one var_count")
+        terms = []
+        for expo, coeff in p.sorted_terms():
+            factors = []
+            for i, e in enumerate(expo):
+                if e:
+                    factors.append(slots.setdefault((i, e), len(slots)))
+            terms.append((conv(coeff), factors))
+        compiled.append(terms)
+    needed = list(slots)
+
+    def at(point: Sequence) -> list:
+        if len(point) != n:
+            raise ValueError("point length does not match var_count")
+        powers = [point[i] ** e for i, e in needed]
+        out = []
+        for terms in compiled:
+            total = 0
+            for term, factors in terms:
+                for j in factors:
+                    term = term * powers[j]
+                total = total + term
+            out.append(total)
+        return out
+
+    return at
 
 
 def compose(p: MPoly, subs: Sequence[MPoly]) -> MPoly:

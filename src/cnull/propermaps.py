@@ -351,10 +351,15 @@ def geometric_degree(f: CAMap, seed: int = 0) -> int:
 def growth_exponent(g: CAMap) -> Fraction:
     """Growth exponent at infinity as the exact pullback degree ratio.
 
-    deg of the pulled-back component over the top degree of phi; 0 for a
-    constant map.  Exact for parametrizations dominated by their top
-    degree; parametrizations with cancellations at infinity may make this
-    an overestimate of the true infimum.
+    deg of the pulled-back component over the top degree e of phi; 0 for a
+    constant map.  The ratio is exact when |phi(t)| is of the order of
+    |t|^e, that is when the degree-e forms of phi's components have no
+    common zero but 0.  That always holds on a curve and under the
+    identity parametrization, and it is checked on two parameters: where
+    the forms share a zero, the ratio can under- or overestimate (the
+    surface y = x + z^2 through (t, t + s^2, s) with g = x gives 1/2, not
+    1), and ParamRequired is raised.  On three or more parameters it is
+    not checked.
     """
     if g.n != 1:
         raise InvalidInput("growth exponent takes a single-component map")
@@ -365,7 +370,28 @@ def growth_exponent(g: CAMap) -> Fraction:
     den = max(
         d for d in (total_degree(c) for c in param.components) if d != float("-inf")
     )
+    if param.k == 2 and _top_forms_share_a_zero(param.components, den):
+        raise ParamRequired(
+            "the top-degree forms of the parametrization share a zero at infinity, "
+            "so its degree does not give the growth exponent"
+        )
     return Fraction(int(num), int(den))
+
+
+def _top_forms_share_a_zero(components: list[MPoly], e: int) -> bool:
+    """Whether the degree-e forms of components in (t1, t2) have a common zero in P^1.
+
+    They share [1:0] when none has a t1^e term, and any other zero [a:1]
+    when their values at t2 = 1 have a nonconstant gcd.
+    """
+    forms = [{(a,): c for (a, b), c in p.terms.items() if a + b == e} for p in components]
+    forms = [MPoly._raw(1, f) for f in forms if f]
+    if all((e,) not in f.terms for f in forms):
+        return True
+    common = forms[0]
+    for f in forms[1:]:
+        common = univ_gcd(common, f)
+    return not common.is_constant()
 
 
 # ---------------------------------------------------------------------------

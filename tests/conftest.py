@@ -6,6 +6,7 @@ import pytest
 from hypothesis import Phase, settings
 from hypothesis import strategies as st
 
+from cnull import polycore
 from cnull.polycore import MPoly
 from cnull.variety import load_map, load_variety
 
@@ -66,6 +67,21 @@ def residue_evaluate(ring, p, point):
                 term = power(i, e) if term is one else ring.mul(term, power(i, e))
         total = ring.add(total, ring.scale(term, coeff))
     return total
+
+
+def counted_evaluator(built, points):
+    """polycore.evaluator that appends each list of polynomials it is made for to built, and each point to points."""
+    real_evaluator = polycore.evaluator
+
+    def make(polys, use_mp=False):
+        built.append(list(polys))
+        at = real_evaluator(polys, use_mp)
+
+        def counted_at(x):
+            points.append(x)
+            return at(x)
+        return counted_at
+    return make
 
 
 def fiber_coordinates(shape, y):

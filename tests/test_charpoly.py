@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fiber_coordinates, line_poly, map_spec, pj, plane_polys, residue_evaluate, univariate_coeffs
+from conftest import counted_evaluator, fiber_coordinates, line_poly, map_spec, pj, plane_polys, residue_evaluate, univariate_coeffs
 from cnull import charpoly, numroots, polycore, propermaps, rng
 from cnull.charpoly import (
     CharPoly,
@@ -815,6 +815,18 @@ class TestGrowthInclusion:
         res = growth_inclusion_check(P, F(1, 4), R=100.0, samples=1000, seed=0)
         assert not res.holds
         assert res.violation is not None
+
+    def test_one_evaluator_per_call_and_no_evaluate_in_the_loop(self, monkeypatch):
+        P = CharPoly(3, [MPoly(1, {}), -Y, Y**3], None, "resultant", ["y1"])
+        built, points, visits = [], [], []
+        monkeypatch.setattr(charpoly, "evaluator", counted_evaluator(built, points))
+        for module in (polycore, charpoly, numroots):
+            monkeypatch.setattr(module, "evaluate", lambda p, y: visits.append(y))
+        for calls in (1, 2):
+            growth_inclusion_check(P, F(1), R=100.0, samples=50, seed=calls)
+            assert built == [P.coeffs[::-1]] * calls
+            assert len(points) == 50 * calls
+        assert visits == []
 
     def test_no_samples_raise(self):
         P = CharPoly(2, [MPoly(1, {}), -Y], None, "resultant", ["y1"])

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import pj
+from conftest import counted_evaluator, pj
+from cnull import gradexp, polycore
 from cnull.cli import main
 from cnull.errors import InvalidInput, NotProper
 from cnull.gradexp import (
@@ -99,6 +100,17 @@ class TestTheta:
 
 
 class TestValidateInequality:
+    def test_one_evaluator_per_call_and_no_evaluate_in_the_loop(self, monkeypatch):
+        built, points, visits = [], [], []
+        monkeypatch.setattr(gradexp, "evaluator", counted_evaluator(built, points))
+        for module in (polycore, gradexp):
+            monkeypatch.setattr(module, "evaluate", lambda p, y: visits.append(y), raising=False)
+        for calls in (1, 2):
+            validate_inequality(SUM_SQ, F(1, 2), shells=(10.0, 100.0), samples_per_shell=20, seed=calls)
+            assert built == [[*gradient(SUM_SQ), SUM_SQ]] * calls
+            assert len(points) == 40 * calls  # the gradient of x1^2 + x2^2 vanishes only at 0
+        assert visits == []
+
     def test_sum_of_squares_at_half(self):
         report = validate_inequality(SUM_SQ, F(1, 2), seed=0)
         assert report.validated

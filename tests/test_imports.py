@@ -6,7 +6,9 @@ tree: an imported name that never appears as a name in the module is an
 unused import, a private top-level function, class or constant that no
 module of the package reads is dead code, a parameter that its
 function's body never reads is a dead knob, and an import of mpmath or
-numroots in an exact module crosses the numerics boundary.
+numroots in an exact module crosses the numerics boundary.  polycore's
+one numeric entry point, evaluator, imports mpmath lazily; nothing else
+in polycore may.
 """
 
 import ast
@@ -194,18 +196,34 @@ EXACT_MODULES = ["errors", "gradexp", "nullcert", "rng", "variety"]
 NUMERIC_MODULES = {"mpmath", "numroots"}
 
 
+def numeric_import(node: ast.AST) -> str | None:
+    """The text of node when it is an import statement naming mpmath or numroots as a module or a member."""
+    if isinstance(node, ast.Import):
+        parts = {part for alias in node.names for part in alias.name.split(".")}
+    elif isinstance(node, ast.ImportFrom):
+        parts = set((node.module or "").split(".")) | {alias.name for alias in node.names}
+    else:
+        return None
+    return ast.unparse(node) if parts & NUMERIC_MODULES else None
+
+
 def numeric_imports(source: str) -> list[str]:
     """Each import statement, at any depth, that names mpmath or numroots as a module or a member."""
+    return [text for node in ast.walk(ast.parse(source)) if (text := numeric_import(node))]
+
+
+def numeric_import_sites(source: str) -> list[tuple[str | None, str]]:
+    """(innermost enclosing function, None at module level, import text) for each numeric import."""
     out = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            parts = {part for alias in node.names for part in alias.name.split(".")}
-        elif isinstance(node, ast.ImportFrom):
-            parts = set((node.module or "").split(".")) | {alias.name for alias in node.names}
-        else:
-            continue
-        if parts & NUMERIC_MODULES:
-            out.append(ast.unparse(node))
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if text := numeric_import(child):
+                out.append((function, text))
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
     return out
 
 
@@ -235,3 +253,29 @@ def test_checker_finds_a_numeric_import():
 @pytest.mark.parametrize("module", EXACT_MODULES)
 def test_exact_modules_import_no_numerics(module):
     assert numeric_imports((SRC / f"{module}.py").read_text(encoding="utf-8")) == []
+
+
+def test_checker_finds_each_numeric_import_site():
+    source = (
+        "import mpmath\n"
+        "def evaluator():\n"
+        "    import mpmath as mp\n"
+        "    def conv():\n"
+        "        from .numroots import roots_from_coeffs\n"
+        "class K:\n"
+        "    def m(self):\n"
+        "        import os, mpmath.libmp\n"
+    )
+    assert numeric_import_sites(source) == [
+        (None, "import mpmath"),
+        ("evaluator", "import mpmath as mp"),
+        ("conv", "from .numroots import roots_from_coeffs"),
+        ("m", "import os, mpmath.libmp"),
+    ]
+
+
+def test_polycore_imports_mpmath_only_lazily_in_evaluator():
+    # the exact layer's one numeric entry point converts coefficients in mpmath only on request
+    assert numeric_import_sites((SRC / "polycore.py").read_text(encoding="utf-8")) == [
+        ("evaluator", "import mpmath as mp"),
+    ]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import mpolys, residue_evaluate
 from cnull.errors import GridMalformed, InconsistentSamples, NotDivisible, SchemaError
+from cnull.numroots import roots_from_coeffs
 from cnull.polycore import (
     NEG_INF,
     MPoly,
@@ -19,6 +20,7 @@ from cnull.polycore import (
     distinct_root_count,
     drop_var,
     evaluate,
+    evaluator,
     exact_divide,
     grid_interpolant,
     interpolate,
@@ -857,16 +859,40 @@ def resultant_cases():
     )
 
 
-def reference_evaluate(p, point):
-    """The evaluation loop without power tables: v**e recomputed for every term."""
+def reference_evaluate(p, point, use_mp=True):
+    """The numeric evaluation loop term by term, without power tables: v**e recomputed for every term."""
     total = 0
     for expo, coeff in p.sorted_terms():
-        term = mp.mpf(coeff.numerator) / mp.mpf(coeff.denominator)
+        if use_mp:
+            term = mp.mpf(coeff.numerator) / mp.mpf(coeff.denominator)
+        else:
+            term = coeff.numerator / coeff.denominator
         for e, v in zip(expo, point):
             if e:
                 term = term * v**e
         total = total + term
     return total
+
+
+def evaluator_cases(coordinate):
+    """(polys, point): 1-4 MPolys in 1-3 variables, zero ones included, and a point of coordinates drawn by coordinate."""
+    return st.integers(1, 3).flatmap(
+        lambda n: st.tuples(
+            st.lists(mpolys(n, max_deg=3, max_terms=5), min_size=1, max_size=4),
+            st.lists(coordinate, min_size=n, max_size=n),
+        )
+    )
+
+
+# floats and complexes, with zero coordinates of both types
+NATIVE_COORDINATES = st.one_of(
+    st.sampled_from([0.0, 0j, -0.0]),
+    st.floats(-9, 9),
+    st.complex_numbers(max_magnitude=9, allow_nan=False, allow_infinity=False),
+)
+
+# mpc coordinates from pairs of small integers, made at the working precision; (0, 0) gives mpc(0)
+MPC_PAIRS = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
 
 
 class TestKernelProperties:
@@ -933,11 +959,37 @@ class TestKernelProperties:
         for c in linear or []:
             assert_invariant(c, p.var_count - 1)
 
-    @given(poly_triples(max_deg=3, max_terms=5),
-           st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=3, max_size=3))
+    @given(poly_triples(max_deg=3, max_terms=5), st.lists(MPC_PAIRS, min_size=3, max_size=3))
     def test_power_tables_keep_mpmath_evaluation_bit_identical(self, polys, point):
         n, a, _, _ = polys
         with mp.workprec(80):
             pt = [mp.mpc(mp.mpf(re) / 7, mp.mpf(im) / 3) for re, im in point[:n]]
             assert evaluate(a, pt) == reference_evaluate(a, pt)
 
+    @given(evaluator_cases(NATIVE_COORDINATES))
+    @example(([MPoly(2, {(1, 0): 1, (0, 2): F(-1, 3)}), MPoly.zero(2), MPoly.const(2, F(2, 7))], [0j, 0.0]))
+    def test_evaluator_equals_the_term_by_term_loop_in_floats(self, case):
+        polys, point = case
+        assert evaluator(polys)(point) == [reference_evaluate(p, point, use_mp=False) for p in polys]
+
+    @settings(max_examples=60)
+    @given(evaluator_cases(MPC_PAIRS), st.sampled_from([53, 256]))
+    @example(([MPoly(1, {(3,): F(1, 3), (1,): -1}), MPoly.zero(1)], [(0, 0)]), 256)
+    def test_evaluator_equals_the_term_by_term_loop_in_mpmath(self, case, prec):
+        polys, pairs = case
+        with mp.workprec(prec):
+            point = [mp.mpc(mp.mpf(re) / 7, mp.mpf(im) / 3) for re, im in pairs]
+            at = evaluator(polys, use_mp=True)
+            assert at(point) == [reference_evaluate(p, point) for p in polys]
+
+    @pytest.mark.parametrize("use_mp", [False, True])
+    def test_the_zero_polynomial_gives_an_exact_int_zero(self, use_mp):
+        # growth_inclusion_check relies on it: roots_from_coeffs strips exact zeros
+        point = [mp.mpc(2, 1), mp.mpc(0)] if use_mp else [2 + 1j, 0.0]
+        values = evaluator([MPoly.zero(2), MPoly.zero(2), X], use_mp)(point)
+        assert [type(v) for v in values[:2]] == [int, int] and values[:2] == [0, 0]
+        assert roots_from_coeffs(values[:2] + [1], 53).roots == [(0, 2)]
+
+    def test_evaluator_rejects_a_point_of_the_wrong_length(self):
+        with pytest.raises(ValueError):
+            evaluator([X, Y])([1.0])

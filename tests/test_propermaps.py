@@ -446,6 +446,38 @@ class TestGrowthExponent:
         g = load_map(cusp, map_spec(pj(["x", "y"], {(0, 0): 7})))
         assert growth_exponent(g) == 0
 
+    def test_a_surface_its_top_degree_does_not_dominate_raises(self):
+        # y = x + z^2 through (t, t + s^2, s): the degree-2 forms (0, s^2, 0) all vanish at [1:0],
+        # where g = x grows like the point, so the degree ratio 1/2 would underestimate 1
+        v, ts = ["x", "y", "z"], ["t", "s"]
+        surface = load_variety({
+            "ambient_vars": v,
+            "dim": 2,
+            "generators": [pj(v, {(0, 1, 0): 1, (1, 0, 0): -1, (0, 0, 2): -1})],
+            "param": {
+                "vars": ts,
+                "components": [pj(ts, {(1, 0): 1}), pj(ts, {(1, 0): 1, (0, 2): 1}), pj(ts, {(0, 1): 1})],
+            },
+        })
+        g = load_map(surface, map_spec(pj(v, {(1, 0, 0): 1})))
+        with pytest.raises(ParamRequired, match="share a zero at infinity"):
+            growth_exponent(g)
+
+    def test_identity_parametrization_gives_the_degree_ratio(self, plane2):
+        g = load_map(plane2, map_spec(pj(V2, {(2, 0): 1, (0, 1): 3})))
+        assert growth_exponent(g) == 2
+
+    @pytest.mark.parametrize("components, shared", [
+        ([{(1, 0): 1}, {(0, 1): 1}], False),  # the identity
+        ([{(1, 0): 1}, {(1, 0): 1, (0, 2): 1}, {(0, 1): 1}], True),  # (0, s^2, 0) vanish at [1:0]
+        ([{(2, 0): 1, (0, 2): -1}, {(2, 0): 1, (1, 1): -1, (0, 1): 1}], True),  # both vanish at [1:1]
+        ([{(2, 0): 1, (0, 2): -1}, {(2, 0): 1, (0, 2): 1}], False),
+    ])
+    def test_top_forms_share_a_zero(self, components, shared):
+        polys = [MPoly(2, c) for c in components]
+        e = max(sum(x) for c in components for x in c)
+        assert propermaps._top_forms_share_a_zero(polys, e) is shared
+
 
 class TestLocalMultiplicity:
     def test_cusp_origin(self, cusp_fx):
