@@ -68,7 +68,7 @@ from .polycore import (
     univ_coeffs,
     univ_from_coeffs,
 )
-from .propermaps import ShapeLemma, fiber_points, growth_exponent, profile_map
+from .propermaps import ShapeLemma, fiber_t_clusters, growth_exponent, profile_map
 from .variety import CAMap
 
 
@@ -206,9 +206,9 @@ class _SampleGrid:
     shear writes g under t1 = x - lam*t2 once, as its t2-coefficients
     G_k(x) (ShapeLemma.t2_table), and a node takes g as sum_k G_k theta^k
     for the residue theta of t2, by Horner's rule.  On one parameter a
-    node with a critical fiber is skipped: each node is solved twice, at
-    working precision, once to check that its fiber has d points, once
-    to sample.
+    node with a critical fiber is skipped: each node is solved twice by
+    fiber_t_clusters, at working precision, once to check that its fiber
+    has d points, once to sample.
     """
 
     def __init__(self, f: CAMap, g: CAMap, d: int, seed: int, wp: int, need: int, shape: ShapeLemma | None):
@@ -282,14 +282,14 @@ class _SampleGrid:
                     self._sample_through(ShapeLemma(self.f, self.shears))
                 return None
             return fiber[0].charpoly(_horner(*fiber, self.g_table))
-        if len(fiber_points(self.f, list(y), wp)) != d:
+        if len(fiber_t_clusters(self.f, list(y), wp)) != d:
             return None
         height = 10 ** max(6, wp // 16)
         with mp.workprec(wp + 20):
-            tpoints = fiber_points(self.f, list(y), wp)
-            if len(tpoints) != d:
-                raise InconsistentSamples(f"fiber over {y} has {len(tpoints)} points, expected {d}")
-            asc = _monic_from_roots([evaluate(self.gp, t) for t in tpoints])
+            clusters = fiber_t_clusters(self.f, list(y), wp)
+            if len(clusters) != d:
+                raise InconsistentSamples(f"fiber over {y} has {len(clusters)} points, expected {d}")
+            asc = _monic_from_roots([evaluate(self.gp, [t]) for t, _ in clusters])
             return [rational_reconstruct(asc[d - j], height, wp) for j in range(1, d + 1)]
 
     def confirmed(self, bounds: list[int]) -> bool:

@@ -19,7 +19,8 @@ through an affine completion, with the exponent taken from the degree of
 the cycle of zeroes.  Cycle multiplicities are local multiplicities of
 the completed map, computed by propermaps.local_multiplicity from the
 squarefree factors of a fiber polynomial: generic, not certified, as
-each of its draws can only overcount and the least is kept.
+each of its draws can only overcount and the least is kept.  The cycle
+of a square map is its zero fiber, of degree d(f) (propermaps.fiber_poly).
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .polycore import (
     evaluate,
     poly_from_json,
     poly_to_json,
-    squarefree_factors,
     total_degree,
     univ_gcd,
 )
@@ -584,21 +584,6 @@ def _component_multiplicity(completed: CAMap, comp: Variety, seed: int) -> int:
     s0 = [_rng.rand_rational(gen, height=30) for _ in range(comp.param.k)]
     point = [evaluate(c, s0) for c in comp.param.components]
     return local_multiplicity(completed, point, seed)
-
-
-def cycle_degree_square(f: CAMap, seed: int = 0) -> CycleData:
-    """Cycle degree in the square case: deg S_i points of multiplicity i per squarefree factor S_i.
-
-    The total is the degree of the zero fiber polynomial, exactly; the
-    rows assume that the shear (salt cycle-shear) separates the points
-    of the zero fiber, which is generic, not certified.
-    """
-    k = f.domain.require_param().k
-    if f.n != k:
-        raise InvalidInput("square cycle degree needs as many components as dimensions")
-    factors = squarefree_factors(fiber_poly(f, [0] * k, _rng.child_rng(seed, "cycle-shear")))
-    rows = [(None, i, 1) for i, s in enumerate(factors, 1) for _ in range(s.degree_in(0))]
-    return CycleData(components=rows, total_degree=sum(mult for _, mult, _ in rows))
 
 
 def load_cycle_components(obj: dict) -> list:

@@ -6,24 +6,25 @@ for k in {1, 2}: the gcd of the pulled-back components minus y for a
 curve, and for a square map on two parameters the resultant
 Res_t2(f - y) after a random shear that leaves it no roots at infinity.
 A fiber count is its squarefree degree, and its squarefree factor S_i
-holds the fiber points of multiplicity i.  On two parameters the fiber
-itself is exact too: ShapeLemma eliminates with y kept symbolic, one
-subresultant sequence per shear, and a node substitutes its y
-to get its fiber polynomial and the coordinates of its points as
-residues mod it.  check_proper decides properness from that same
-elimination, and profile_map keeps it, so the characteristic polynomial
-samples its grid without eliminating again.  fiber_points picks a numeric solver by k, for
-callers that need complex coordinates: clustered roots of the gcd for a
-curve (fiber_t_clusters), the bivariate resultant solver for k = 2
-(fiber_points_2); in the package only the one-parameter grid calls it.
-Every fiber point is a k-tuple.  check_proper decides properness and
+holds the fiber points of multiplicity i, so its degree sum_i i * deg S_i
+is the multiplicity sum over the fiber: d(f) over every y for a proper
+square map.  On two parameters the fiber itself is exact too: ShapeLemma
+eliminates with y kept symbolic, one subresultant sequence per shear,
+and a node substitutes its y to get its fiber polynomial and the
+coordinates of its points as residues mod it.  check_proper decides
+properness from that same elimination, and profile_map keeps it, so the
+characteristic polynomial samples its grid without eliminating again.
+Two numeric solvers give complex coordinates: fiber_t_clusters clusters
+the roots of the gcd on a curve, for the one-parameter grid, and
+fiber_points_2 solves the system on two parameters, a numeric
+cross-check of the exact fiber.  check_proper decides properness and
 returns the geometric degree d(f), both exactly: from the resultant
 with y symbolic on two parameters, from a certified fiber gcd on a curve.
 The image degree of a curve is the top degree of its pullbacks over
 d(f).  So is the degree of a graph on a curve; on two parameters it is
 d(L o Gamma) for one random linear projection L of the graph that
 check_proper certifies finite (exact for L off a proper algebraic set;
-see graph_degree).  Only the fiber_points family takes a precision.
+see graph_degree).  Only the two numeric solvers take a precision.
 
 Generic sample points are always taken on the image, as f(phi(t0)) for
 random rational t0, so maps with non-dominant image (more components
@@ -332,17 +333,6 @@ def fiber_points_2(f: CAMap, y, prec: int = 256):
     return solve_system_2(p, q, prec)
 
 
-def fiber_points(f: CAMap, y, prec: int = 256) -> list[tuple]:
-    """Distinct parameter-space points of the fiber over rational y, as k-tuples.
-
-    The one dispatch on the number k of parameters: k = 1 goes through
-    fiber_t_clusters, k = 2 through fiber_points_2 (ParamRequired above).
-    """
-    if f.domain.require_param().k == 1:
-        return [(rep,) for rep, _ in fiber_t_clusters(f, y, prec)]
-    return fiber_points_2(f, y, prec)
-
-
 def geometric_degree(f: CAMap, seed: int = 0) -> int:
     """Cardinality of the generic fiber (sheet number over the image), exactly: see check_proper."""
     return check_proper(f, seed)
@@ -359,7 +349,8 @@ def growth_exponent(g: CAMap) -> Fraction:
     the forms share a zero, the ratio can under- or overestimate (the
     surface y = x + z^2 through (t, t + s^2, s) with g = x gives 1/2, not
     1), and ParamRequired is raised.  On three or more parameters it is
-    not checked.
+    not checked, so any parametrization but the identity raises
+    ParamRequired.
     """
     if g.n != 1:
         raise InvalidInput("growth exponent takes a single-component map")
@@ -375,6 +366,8 @@ def growth_exponent(g: CAMap) -> Fraction:
             "the top-degree forms of the parametrization share a zero at infinity, "
             "so its degree does not give the growth exponent"
         )
+    if param.k > 2 and not param.is_identity:
+        raise ParamRequired("growth exponent on three or more parameters needs the identity parametrization")
     return Fraction(int(num), int(den))
 
 
@@ -450,7 +443,7 @@ def _map_value_exact(f: CAMap, a) -> list[Fraction]:
     NotIsolated.
     """
     param = f.domain.param
-    if param.components == [MPoly.variable(param.k, i) for i in range(param.k)]:
+    if param.is_identity:
         return [evaluate(p, a) for p in f.pullbacks]
     if param.k == 1:
         h = _fiber_poly([c - MPoly.const(1, v) for c, v in zip(param.components, a)], None)
@@ -468,20 +461,6 @@ def _map_value_exact(f: CAMap, a) -> list[Fraction]:
             raise NotIsolated("denominator vanishes at the point")
         out.append(evaluate(num, a) / dv)
     return out
-
-
-def stoll_check(f: CAMap, y0, seed: int = 0):
-    """Degree versus the multiplicity sum over one fiber.
-
-    Returns (lhs, rhs, ok) with lhs the geometric degree and rhs the sum
-    of local multiplicities over the fiber at y0: sum_i i * deg S_i over
-    the fiber polynomial's squarefree factors, which is its degree.
-    """
-    if f.n != f.domain.require_param().k:
-        raise InvalidInput("multiplicity sum check needs a square (k-component) map")
-    lhs = geometric_degree(f, seed)
-    rhs = fiber_poly(f, y0).degree_in(0)
-    return lhs, rhs, lhs == rhs
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,10 @@ class Param:
     def k(self) -> int:
         return len(self.var_names)
 
+    @property
+    def is_identity(self) -> bool:
+        return self.components == [MPoly.variable(self.k, i) for i in range(self.k)]
+
 
 @dataclass(frozen=True)
 class Variety:

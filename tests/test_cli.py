@@ -235,6 +235,12 @@ class TestOtherCommands:
             {"j": 2, "deg": 1, "bound": 1, "ok": True},
         ]
 
+    def test_check_bounds_on_a_surface_whose_top_forms_share_a_zero_exits_4(self, capsys):
+        # y = x + z^2 through (t, t + s^2, s): the degree ratio 1/2 of g = x is not its exponent 1
+        argv = ["check-bounds", "--variety", fx("surface_xz2.json"), "--f", fx("f_surface.json")]
+        assert main([*argv, "--g", fx("g_surface_x.json")]) == 4
+        assert "share a zero at infinity" in capsys.readouterr().err
+
     def test_ploski_holds_at_delta(self, capsys):
         code, report = run_json(
             [

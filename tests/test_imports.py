@@ -1,10 +1,11 @@
-"""Every name a cnull module imports is used, every private definition is referenced,
+"""Every name a cnull module imports is used, every definition is referenced,
 every function parameter is read, and the exact modules import no numerics.
 
 The project carries no linter, so this walks each module's syntax
 tree: an imported name that never appears as a name in the module is an
 unused import, a private top-level function, class or constant that no
-module of the package reads is dead code, a parameter that its
+module of the package reads is dead code, and so is a public function or
+class that nothing but itself and the tests reads, a parameter that its
 function's body never reads is a dead knob, and an import of mpmath or
 numroots in an exact module crosses the numerics boundary.  polycore's
 one numeric entry point, evaluator, imports mpmath lazily; nothing else
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cnull"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -85,6 +87,61 @@ def test_no_unreferenced_private_definitions():
     assert unreferenced_privates(sources) == []
 
 
+# public functions and classes allowed to go unreferenced, with the reason
+UNREFERENCED_PUBLIC_ALLOWED: dict[str, str] = {}
+
+
+def _references(node: ast.AST) -> set[str]:
+    """Names node reads: as a name, an attribute, or a string that is the name, as the bench tracer takes it."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
+            out.add(n.value)
+    return out
+
+
+def unreferenced_publics(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """module.name of each public top-level function or class of sources that nothing else reads.
+
+    A definition counts as read when another top-level statement of sources
+    reads it, or any of readers does; its own body does not count, so
+    recursion alone keeps nothing alive.
+    """
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    outside = set().union(*(_references(ast.parse(source)) for source in readers))
+    statements = [(stmt, _references(stmt)) for tree in trees.values() for stmt in tree.body]
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            others = (read for stmt, read in statements if stmt is not node)
+            if node.name not in outside and not any(node.name in read for read in others):
+                dead.append(f"{module}.{node.name}")
+    return dead
+
+
+def test_checker_finds_an_unreferenced_public():
+    sources = {
+        "a": "def used():\n    return helper()\ndef helper():\n    return 1\ndef dead():\n    return dead()\n",
+        "b": "from .a import used\nclass Gone:\n    pass\nclass Traced:\n    pass\nused()\n",
+    }
+    readers = ["TRACED = ('Traced',)\n"]
+    assert unreferenced_publics(sources, readers) == ["a.dead", "b.Gone"]
+
+
+def test_every_public_definition_is_referenced():
+    # the benchmark counts as a reader: it names the functions it traces
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    readers = [path.read_text(encoding="utf-8") for path in sorted(BENCH.glob("*.py"))]
+    unreferenced = unreferenced_publics(sources, readers)
+    assert [name for name in unreferenced if name not in UNREFERENCED_PUBLIC_ALLOWED] == []
+
+
 # (function, parameter) pairs allowed to go unread, with the reason
 UNREAD_ALLOWED = {
     # every step is exact or in double precision; kept for callers that pass prec=
@@ -143,7 +200,7 @@ SALT_ARGS = {"child_rng": 1}
 SALTS = {
     "charpoly-grid", "charpoly-shear", "growth",  # charpoly
     "shells",  # gradexp
-    "forms:", "cycle-point", "cycle-shear",  # nullcert
+    "forms:", "cycle-point",  # nullcert
     "proper-shear", "shear", "geomdeg:", "multiplicity:", "graphproj:",  # propermaps
 }
 

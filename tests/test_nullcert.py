@@ -28,7 +28,6 @@ from cnull.nullcert import (
     certify_proper,
     certify_strictly_regular,
     cycle_degree,
-    cycle_degree_square,
     load_cycle_components,
     split_coeff,
     verify_certificate,
@@ -547,24 +546,6 @@ class TestCycleDegree:
     def test_malformed_components_raise_schema_error(self, obj):
         with pytest.raises(SchemaError):
             load_cycle_components(obj)
-
-    def test_square_rows_keep_close_points_apart(self):
-        # t^2 - 2^-100 t: the zero fiber is two simple points, not one double one
-        T = MPoly.variable(1, 0)
-        f = polynomial_map([T**2 - T.scale(F(1, 2**100))])
-        assert [mult for _, mult, _ in cycle_degree_square(f, seed=0).components] == [1, 1]
-
-    def test_square_case_equals_degree(self, cusp_fx, parabola_fx, plane2):
-        assert cycle_degree_square(cusp_fx, seed=0).total_degree == geometric_degree(
-            cusp_fx, seed=0
-        )
-        assert cycle_degree_square(parabola_fx, seed=0).total_degree == geometric_degree(
-            parabola_fx, seed=0
-        )
-        fsq = load_map(plane2, map_spec(pj(V2, {(2, 0): 1}), pj(V2, {(0, 1): 1})))
-        assert cycle_degree_square(fsq, seed=0).total_degree == geometric_degree(
-            fsq, seed=0
-        )
 
     def test_exponent_laws(self, cusp_fx, cusp_gyx, cubic_proj23, cubic_g):
         proper = certify_proper(cusp_fx, cusp_gyx, seed=0)

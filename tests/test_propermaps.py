@@ -29,7 +29,7 @@ from cnull.errors import (
     ParamRequired,
 )
 from cnull.gradexp import grad_profile
-from cnull.nullcert import certify_general, cycle_degree, cycle_degree_square
+from cnull.nullcert import certify_general, cycle_degree
 from cnull.polycore import (
     MPoly,
     ResidueRing,
@@ -37,6 +37,7 @@ from cnull.polycore import (
     compose,
     distinct_root_count,
     evaluate,
+    squarefree_factors,
     subresultants,
     univ_coeffs,
 )
@@ -44,15 +45,15 @@ from cnull.propermaps import (
     ProperMapProfile,
     ShapeLemma,
     check_proper,
-    fiber_points,
+    fiber_points_2,
     fiber_poly,
+    fiber_t_clusters,
     geometric_degree,
     graph_degree,
     growth_exponent,
     image_degree,
     local_multiplicity,
     profile_map,
-    stoll_check,
 )
 from cnull.variety import load_map, load_variety, make_map, polynomial_map
 
@@ -224,7 +225,7 @@ class TestExactFiberCount:
         f = close_roots_line()
         assert distinct_root_count(fiber_poly(f, [F(0)])) == 2
         # clustering at 256 bits merges the pair into one coordinate
-        assert len(fiber_points(f, [F(0)])) == 1
+        assert len(fiber_t_clusters(f, [F(0)])) == 1
 
     @settings(max_examples=15)
     @given(
@@ -234,7 +235,7 @@ class TestExactFiberCount:
     def test_matches_the_clustered_fiber_at_a_generic_value(self, cline, comps, t0):
         f = load_map(cline, map_spec(*comps))
         y = [evaluate(p, [t0]) for p in f.pullbacks]
-        assert distinct_root_count(fiber_poly(f, y)) == len(fiber_points(f, y)) >= 1
+        assert distinct_root_count(fiber_poly(f, y)) == len(fiber_t_clusters(f, y)) >= 1
 
     @settings(max_examples=15)
     @given(
@@ -245,7 +246,7 @@ class TestExactFiberCount:
         f = polynomial_map(comps)
         y = [evaluate(p, t0) for p in comps]
         try:
-            numeric = len(fiber_points(f, y))
+            numeric = len(fiber_points_2(f, y))
         except NonZeroDimensional:
             with pytest.raises(NonZeroDimensional):
                 fiber_poly(f, y)
@@ -273,26 +274,26 @@ class TestExactFiberCount:
             fiber_poly(polynomial_map([MPoly.zero(2), X1 + X2]), [F(0), F(0)])
 
 
-class TestFiberPoints:
-    def test_curve_points_are_1_tuples(self, cusp_fx):
-        pts = fiber_points(cusp_fx, [F(1)])
-        assert all(isinstance(p, tuple) and len(p) == 1 for p in pts)
-        assert len(pts) == distinct_root_count(fiber_poly(cusp_fx, [F(1)])) == 2
-        assert all(abs(p[0] ** 2 - 1) < 1e-30 for p in pts)
+class TestNumericFiberSolvers:
+    def test_curve_clusters_are_simple_roots(self, cusp_fx):
+        clusters = fiber_t_clusters(cusp_fx, [F(1)])
+        assert [count for _, count in clusters] == [1, 1]
+        assert len(clusters) == distinct_root_count(fiber_poly(cusp_fx, [F(1)])) == 2
+        assert all(abs(t**2 - 1) < 1e-30 for t, _ in clusters)
 
     def test_square_map_points_are_pairs(self, plane2):
         f = load_map(
             plane2,
             map_spec(pj(["x1", "x2"], {(2, 0): 1}), pj(["x1", "x2"], {(0, 1): 1})),
         )
-        pts = fiber_points(f, [F(4), F(3)])
+        pts = fiber_points_2(f, [F(4), F(3)])
         assert all(isinstance(p, tuple) and len(p) == 2 for p in pts)
         assert len(pts) == distinct_root_count(fiber_poly(f, [F(4), F(3)])) == 2
 
     def test_three_parameters_raise(self):
         f = polynomial_map([MPoly.variable(3, i) for i in range(3)])
         with pytest.raises(ParamRequired):
-            fiber_points(f, [F(0)] * 3)
+            fiber_t_clusters(f, [F(0)] * 3)
 
 
 class TestShapeLemma:
@@ -466,6 +467,28 @@ class TestGrowthExponent:
     def test_identity_parametrization_gives_the_degree_ratio(self, plane2):
         g = load_map(plane2, map_spec(pj(V2, {(2, 0): 1, (0, 1): 3})))
         assert growth_exponent(g) == 2
+        x1, x3 = MPoly.variable(3, 0), MPoly.variable(3, 2)
+        assert growth_exponent(polynomial_map([x1**2 * x3 + x1])) == 3
+
+    def test_three_parameters_other_than_the_identity_raise(self):
+        # y = x + z^2 in C^4 through (t, t + s^2, s, u): g = x grows like the point,
+        # exponent 1, but the degree ratio is 1/2; the top forms are checked on two parameters only
+        v, ts = ["x", "y", "z", "w"], ["t", "s", "u"]
+        hypersurface = load_variety({
+            "ambient_vars": v,
+            "dim": 3,
+            "generators": [pj(v, {(0, 1, 0, 0): 1, (1, 0, 0, 0): -1, (0, 0, 2, 0): -1})],
+            "param": {
+                "vars": ts,
+                "components": [
+                    pj(ts, {(1, 0, 0): 1}), pj(ts, {(1, 0, 0): 1, (0, 2, 0): 1}),
+                    pj(ts, {(0, 1, 0): 1}), pj(ts, {(0, 0, 1): 1}),
+                ],
+            },
+        })
+        g = load_map(hypersurface, map_spec(pj(v, {(1, 0, 0, 0): 1})))
+        with pytest.raises(ParamRequired, match="identity parametrization"):
+            growth_exponent(g)
 
     @pytest.mark.parametrize("components, shared", [
         ([{(1, 0): 1}, {(0, 1): 1}], False),  # the identity
@@ -532,26 +555,44 @@ class TestLocalMultiplicity:
             local_multiplicity(cubic_proj23, [F(0), F(0)], seed=0)
 
 
-class TestStoll:
-    def test_cusp_branch_fiber(self, cusp_fx):
-        assert stoll_check(cusp_fx, [F(0)], seed=0) == (2, 2, True)
+class TestMultiplicitySum:
+    """d(f) is the multiplicity sum over every fiber of a proper square map: the fiber polynomial's degree."""
 
-    def test_cusp_regular_fiber(self, cusp_fx):
-        assert stoll_check(cusp_fx, [F(1)], seed=0) == (2, 2, True)
+    @settings(max_examples=25)
+    @given(
+        comps=st.lists(plane_polys(3), min_size=2, max_size=2),
+        seed=st.integers(0, 10**6),
+        y=st.lists(st.fractions(-9, 9, max_denominator=5), min_size=2, max_size=2),
+    )
+    def test_at_random_values(self, comps, seed, y):
+        f = polynomial_map(comps)
+        try:
+            d = check_proper(f, seed)
+        except NotProper:
+            return
+        assert fiber_poly(f, y, random.Random(seed)).degree_in(0) == d
+
+    def test_cusp_at_the_branch_and_a_regular_value(self, cusp_fx):
+        assert geometric_degree(cusp_fx, seed=0) == 2
+        assert fiber_poly(cusp_fx, [F(0)]).degree_in(0) == fiber_poly(cusp_fx, [F(1)]).degree_in(0) == 2
 
     def test_parabola(self, parabola_fx):
-        assert stoll_check(parabola_fx, [F(0)], seed=0) == (1, 1, True)
+        assert geometric_degree(parabola_fx, seed=0) == fiber_poly(parabola_fx, [F(0)]).degree_in(0) == 1
 
     def test_square_case_plane(self, plane2):
         f = load_map(
             plane2,
             map_spec(pj(["x1", "x2"], {(2, 0): 1}), pj(["x1", "x2"], {(0, 1): 1})),
         )
-        assert stoll_check(f, [F(0), F(0)], seed=0) == (2, 2, True)
+        assert geometric_degree(f, seed=0) == fiber_poly(f, [F(0), F(0)]).degree_in(0) == 2
 
     @pytest.mark.parametrize("f", ZEROS_AT_INFINITY, ids=["x1+x2^2", "x1x2+x1"])
     def test_zeros_at_infinity(self, f):
-        assert stoll_check(f, [F(0), F(0)], seed=0) == (3, 3, True)
+        assert geometric_degree(f, seed=0) == fiber_poly(f, [F(0), F(0)]).degree_in(0) == 3
+
+    def test_close_points_stay_two_simple_points(self):
+        # t^2 - 2^-100 t: the zero fiber is two simple points, not one double one
+        assert [s.degree_in(0) for s in squarefree_factors(fiber_poly(close_roots_line(), [F(0)]))] == [2]
 
 
 class TestImageDegree:
@@ -706,7 +747,8 @@ class TestNoNumericSolving:
             raise AssertionError("a numeric solver was called")
 
         for module, name in [
-            (propermaps, "fiber_points"),
+            (propermaps, "fiber_t_clusters"),
+            (propermaps, "fiber_points_2"),
             (propermaps, "solve_system_2"),
             (propermaps, "roots_univariate"),
             (numroots, "solve_system_2"),
@@ -718,9 +760,8 @@ class TestNoNumericSolving:
         for f, d, a, mult in [(SQUARE22, 4, [F(1, 2), F(-1, 2)], 2), (plane, 2, [F(0), F(0)], 2)]:
             assert check_proper(f, seed=0) == d
             assert geometric_degree(f, seed=0) == graph_degree(f, seed=0) == d
-            assert stoll_check(f, [F(0), F(0)], seed=0) == (d, d, True)
+            assert fiber_poly(f, [F(0), F(0)]).degree_in(0) == d
             assert local_multiplicity(f, a, seed=0) == mult
-            assert cycle_degree_square(f, seed=0).total_degree == d
         assert grad_profile(X1**4 + X2**4 + X1 * X2, seed=0) == (9, 9)
         assert certify_general(cubic_proj23, cubic_g, seed=0).verified
         x1_squared = load_map(plane2, map_spec(pj(V2, {(2, 0): 1})))
