@@ -13,9 +13,11 @@ the signed elementary symmetric functions of the g-values are rationally
 reconstructed.
 
 The grid grows one node per axis at a time, and keeps the points whose
-node indices sum to at most the largest theorem bound on the total
-degree of a coefficient: the simplex that determines a polynomial of
-that degree.  The bounds are the cap: the grid stops early once every
+node indices sum to at most the largest cap on the total degree of a
+coefficient: the simplex that determines a polynomial of that degree.
+The caps are the theorem bounds, lowered on a curve to
+floor(j deg G / deg F) (_grid_caps); the reported bounds stay the
+theorem's.  The grid stops at the caps, or early once every
 coefficient's samples on n nodes per axis fit total degree n - ZETA - 1,
 that is, once their Newton divided differences of index sum n - ZETA or
 more vanish (polycore.grid_interpolant; early termination in the manner
@@ -23,7 +25,7 @@ of Kaltofen and Lee, 2003), and the fit is then its coefficient.  An
 early result is returned only when it verifies and g separates the
 fiber over some grid node, since only then does the identity force P to
 be the characteristic polynomial; otherwise the grid grows to the
-theorem bounds at the same precision, and a failed verification there
+caps at the same precision, and a failed verification there
 escalates the precision ladder on a curve; exact two-parameter samples
 try one rung.
 
@@ -139,13 +141,14 @@ def build_charpoly(
     d = prof.d_f
     growth = growth_exponent(g)
     bounds = coefficient_bounds(d, growth, prof.graph_degree)
+    caps = _grid_caps(f, g, bounds)
     last_error: Exception | None = None
     # a two-parameter sample is exact, so a higher rung would rebuild the same grid
     for wp in ladder_from(prec) if k == 1 else [prec]:
         try:
-            for P in _candidates(f, g, d, bounds, seed, wp, prof.shape):
+            for P in _candidates(f, g, d, caps, seed, wp, prof.shape):
                 if verify_charpoly(P, f, g):
-                    return replace(P, verified=True)
+                    return replace(P, bounds=bounds, verified=True)
                 last_error = ExactVerificationFailed(
                     "interpolated characteristic polynomial failed the exact identity"
                 )
@@ -158,10 +161,30 @@ def build_charpoly(
     ) from last_error
 
 
+def _grid_caps(f: CAMap, g: CAMap, bounds: list[int]) -> list[int]:
+    """Caps on deg a_j for the sample grid: the theorem bounds, sharpened on a curve.
+
+    On a curve write F = f(phi) and G = g(phi), with deg G = 0 for g = 0.
+    By Fujiwara's bound (1916) every root of F(t) - y lies within
+    C (1 + |y|)^(1/deg F), so every value of g on the fiber over y is
+    O(|y|^(deg G / deg F)), and a_j, up to sign the j-th elementary
+    symmetric function of the d values, is O(|y|^(j deg G / deg F)).  So
+    deg a_j <= floor(j deg G / deg F), and a curve's cap is the lower of
+    that and bound_j.  The cap of a_d is reached: a_d = +-prod G(t_i) has
+    degree exactly d deg G / deg F, d times Ploski's exponent, so early
+    termination never stops a curve's grid before its caps.  On two
+    parameters the bounds are returned unchanged.
+    """
+    if f.domain.param.k != 1:
+        return bounds
+    deg_f, deg_g = total_degree(f.pullbacks[0]), max(total_degree(g.pullbacks[0]), 0)
+    return [min(b, j * deg_g // deg_f) for j, b in enumerate(bounds, start=1)]
+
+
 ZETA = 2  # confirming nodes per axis beyond those an early interpolant is taken on
 
 
-def _candidates(f: CAMap, g: CAMap, d: int, bounds: list[int], seed: int, wp: int, shape: ShapeLemma | None):
+def _candidates(f: CAMap, g: CAMap, d: int, caps: list[int], seed: int, wp: int, shape: ShapeLemma | None):
     """Interpolated characteristic polynomials at precision wp, on one growing grid.
 
     The grid gains one node per axis at a time.  It stops early once every
@@ -169,19 +192,20 @@ def _candidates(f: CAMap, g: CAMap, d: int, bounds: list[int], seed: int, wp: in
     and the fit is a_j.  The early result is offered only when g separates
     the fiber over some grid node, for then P(f, g) = 0 forces P to be the
     characteristic polynomial.  Otherwise, and when the early result is
-    rejected, the grid grows to the theorem grid, max_j bound_j + 1 nodes
-    per axis on the simplex of that total degree, and the result
-    interpolated under the theorem bounds follows.
+    rejected, the grid grows to the cap grid, max_j cap_j + 1 nodes per
+    axis on the simplex of that total degree, and the result interpolated
+    under the caps follows.  A curve's grid always grows to its caps,
+    since its a_d reaches its cap (_grid_caps).
     """
-    need = max(bounds, default=0) + 1
+    need = max(caps, default=0) + 1
     grid = _SampleGrid(f, g, d, seed, wp, need, shape)
-    while grid.n < need and not grid.confirmed(bounds):
+    while grid.n < need and not grid.confirmed(caps):
         grid.grow()
     if grid.n < need and grid.separates():
-        yield grid.charpoly(bounds)
+        yield grid.charpoly(caps)
     while grid.n < need:
         grid.grow()
-    yield grid.charpoly(bounds)
+    yield grid.charpoly(caps)
 
 
 class _SampleGrid:
@@ -190,9 +214,10 @@ class _SampleGrid:
     Axis i holds nodes x_(i,0), x_(i,1), ... in the order drawn, as ints
     (grid_interpolant then runs on integer nodes throughout), and the
     grid holds the points (x_(1,alpha_1), ..., x_(k,alpha_k)) with every
-    alpha_i < n and |alpha| < need: a lower set that holds the simplex of
-    every total degree below need.  Nodes come from one shuffled span
-    under the salt charpoly-grid; a candidate node whose new slab of the
+    alpha_i < n and |alpha| < need, where need is the largest cap + 1: a
+    lower set that holds the simplex of every total degree below need.
+    Nodes come from one shuffled span, sized by need, under the salt
+    charpoly-grid; a candidate node whose new slab of the
     grid has a point that cannot be sampled is skipped.  On two parameters
     a sample is exact: the characteristic polynomial of g on the fiber
     algebra Q[x]/R of a ShapeLemma, at first the properness elimination
@@ -292,18 +317,18 @@ class _SampleGrid:
             asc = _monic_from_roots([evaluate(self.gp, [t]) for t, _ in clusters])
             return [rational_reconstruct(asc[d - j], height, wp) for j in range(1, d + 1)]
 
-    def confirmed(self, bounds: list[int]) -> bool:
-        """Whether every coefficient is settled by its bound or confirmed early.
+    def confirmed(self, caps: list[int]) -> bool:
+        """Whether every coefficient is settled by its cap or confirmed early.
 
-        a_j is settled by its theorem bound once the grid has bound_j + 1
-        nodes per axis, and confirmed earlier when every Newton coefficient
+        a_j is settled by its cap once the grid has cap_j + 1 nodes per
+        axis, and confirmed earlier when every Newton coefficient
         of its samples of index sum n - ZETA or more vanishes: then
         grid_interpolant fits them with total degree n - ZETA - 1, and the
         fit is kept in self.early.
         """
         m = self.n - ZETA
-        for j in [*range(self.failed, len(bounds)), *range(self.failed)]:
-            if self.n > bounds[j]:
+        for j in [*range(self.failed, len(caps)), *range(self.failed)]:
+            if self.n > caps[j]:
                 continue
             if m < 1:
                 return False
@@ -320,21 +345,22 @@ class _SampleGrid:
             for _, row in self.rows
         )
 
-    def charpoly(self, bounds: list[int]) -> CharPoly:
-        """P on the grid: a_j beyond its bound is interpolated under bound_j, surplus nodes as checks.
+    def charpoly(self, caps: list[int]) -> CharPoly:
+        """P on the grid: a_j beyond its cap is interpolated under cap_j, surplus nodes as checks.
 
         Any other a_j was confirmed on this grid, and is its early fit:
-        the one polynomial of its degree through every sample.
+        the one polynomial of its degree through every sample.  P.bounds
+        holds the caps; build_charpoly reports the theorem bounds.
         """
         k = len(self.axes)
         coeffs = [
             interpolate([(y, row[j]) for y, row in self.rows], b) if self.n > b else self.early[j]
-            for j, b in enumerate(bounds)
+            for j, b in enumerate(caps)
         ]
         return CharPoly(
             d=self.d,
             coeffs=coeffs,
-            bounds=list(bounds),
+            bounds=list(caps),
             provenance="interpolated",
             y_vars=[f"y{i + 1}" for i in range(k)],
             verified=False,

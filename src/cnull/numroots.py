@@ -527,18 +527,20 @@ def roots_univariate(p: MPoly, prec: int = 256) -> RootSet:
 # rational reconstruction
 
 
-def _mpf_to_fraction(x) -> Fraction:
+def _mpf_ratio(x) -> tuple[int, int]:
+    """(N, D) with N / D the exact dyadic value of x and D a positive power of 2."""
     if not isinstance(x, mp.mpf):
         x = mp.mpf(x)  # conversion rounds at ambient precision; mpf passes through
     man, exp = _dyadic(x._mpf_)
-    return Fraction(man) * Fraction(2) ** exp
+    return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
 
 
 def rational_reconstruct(v, height_bound: int, prec: int = 256) -> Fraction:
     """Recover the rational of height <= height_bound within 2^(-prec/2) of v.
 
-    Continued-fraction convergents of the exact dyadic value of v.real;
-    the first convergent inside the tolerance is the minimal-height one.
+    Continued-fraction convergents p/q of the exact dyadic value N/D of
+    v.real, by Euclid's algorithm in integers; the first convergent inside
+    the tolerance TN/TD, |N q - p D| TD <= TN D q, is the minimal-height one.
     """
     # split into parts without reconverting (conversion rounds at ambient prec)
     if isinstance(v, mp.mpc):
@@ -551,25 +553,21 @@ def rational_reconstruct(v, height_bound: int, prec: int = 256) -> Fraction:
     tol = mp.mpf(2) ** (-prec // 2) * scale
     if abs(im_part) > tol:
         raise NonReal(f"imaginary part {im_part} exceeds tolerance")
-    x = _mpf_to_fraction(re_part)
-    tol_f = _mpf_to_fraction(tol) if tol > 0 else Fraction(0)
-    # continued fraction of x
+    N, D = _mpf_ratio(re_part)
+    TN, TD = _mpf_ratio(tol)
+    # continued fraction of N/D: num/den is the next complete quotient; the last convergent is N/D
     p_prev, q_prev = 1, 0
-    p_cur, q_cur = int(x // 1), 1
-    a = x - (x // 1)
+    p_cur, q_cur = N // D, 1
+    num, den = D, N % D
     while True:
-        cand = Fraction(p_cur, q_cur)
-        if abs(p_cur) <= height_bound and q_cur <= height_bound and abs(x - cand) <= tol_f:
-            return cand
         if abs(p_cur) > height_bound or q_cur > height_bound:
             raise NoReconstruction(
                 f"no rational of height <= {height_bound} within tolerance"
             )
-        if a == 0:
-            return cand
-        x_next = 1 / a
-        digit = int(x_next // 1)
-        a = x_next - digit
+        if abs(N * q_cur - p_cur * D) * TD <= TN * D * q_cur:
+            return Fraction(p_cur, q_cur)
+        digit, rem = divmod(num, den)
+        num, den = den, rem
         p_cur, p_prev = digit * p_cur + p_prev, p_cur
         q_cur, q_prev = digit * q_cur + q_prev, q_cur
 

@@ -510,8 +510,9 @@ class TestEarlyTermination:
         P = build_charpoly(f, g, seed=0)
         assert P.verified and P.bounds == coefficient_bounds(8, F(4), 8)
         assert P.coeffs == charpoly_resultant_oracle(f, g).coeffs
-        # degree 4 is confirmed on 4 + 1 nodes plus ZETA = 2, against 33 theorem nodes
-        assert len({y for y, _ in calls}) == 7
+        # the caps floor(j * 4 / 8) top out at 4 = deg a_8: 4 + 1 nodes, against 33 theorem nodes
+        assert charpoly._grid_caps(f, g, P.bounds) == [0, 1, 1, 2, 2, 3, 3, 4]
+        assert len({y for y, _ in calls}) == 5
         assert {prec for _, prec in calls} == {256}
 
     def test_two_solves_per_node_refined_in_integers(self, curve_8_4, monkeypatch):
@@ -529,13 +530,14 @@ class TestEarlyTermination:
         monkeypatch.setattr(numroots, "_aberth_sweeps", recorded)
         P = build_charpoly(f, g, seed=0)
         assert P.verified
-        assert len(calls) == 2 * len({y for y, _ in calls}) == 14
+        assert len(calls) == 2 * len({y for y, _ in calls}) == 10
         assert targets and all(type(t) is float for t in targets)
 
     def test_false_early_stop_grows_to_the_theorem_grid_at_the_same_precision(
         self, curve_8_4, monkeypatch
     ):
-        # with no confirming nodes, a constant interpolant on one node stops the grid
+        # with no confirming nodes, a constant interpolant on one node stops the grid; the
+        # grid it then grows to is the caps', max cap + 1 nodes
         f, g = curve_8_4
         monkeypatch.setattr(charpoly, "ZETA", 0)
         real_verify = charpoly.verify_charpoly
@@ -550,15 +552,16 @@ class TestEarlyTermination:
         P = build_charpoly(f, g, seed=0)
         assert verdicts == [False, True]
         assert P.verified and P.coeffs == charpoly_resultant_oracle(f, g).coeffs
-        assert len({y for y, _ in calls}) == max(P.bounds) + 1 == 33
+        assert len({y for y, _ in calls}) == max(charpoly._grid_caps(f, g, P.bounds)) + 1 == 5
         assert {prec for _, prec in calls} == {256}
 
-    @pytest.mark.parametrize("case,settled", [("square(4,3)", 6), ("curve(8,4)", 1)])
+    @pytest.mark.parametrize("case,settled", [("square(4,3)", 6), ("curve(8,4)", 8)])
     def test_confirmed_coefficients_are_not_interpolated_again(self, cline, monkeypatch, case, settled):
         # a coefficient confirmed on the early grid is its checked interpolant; only those
-        # settled by their bounds (n > bound_j) are interpolated, once each, on all of the
+        # settled by their caps (n > cap_j) are interpolated, once each, on all of the
         # grid's rows, and never from confirmed: the benchmark counts interpolate's samples
-        # as grid nodes
+        # as grid nodes.  A square's caps are its bounds; a curve's grid settles every
+        # coefficient by its cap
         if case == "square(4,3)":
             f, g = polynomial_map([X1**4 + X2, X2**3 - X1]), G12
         else:  # f = x^8 - x^2 + 3x - 2, g = x^4 + x
@@ -585,7 +588,7 @@ class TestEarlyTermination:
         assert P.verified and len(grids) == 1
         grid = grids[0]
         assert grid.n < max(P.bounds) + 1
-        bounded = [j for j, bound in enumerate(P.bounds) if grid.n > bound]
+        bounded = [j for j, cap in enumerate(charpoly._grid_caps(f, g, P.bounds)) if grid.n > cap]
         assert len(calls) == len(bounded) == settled
         assert not any(in_confirmed for _, in_confirmed in calls)
         assert all([y for y, _ in args[0]] == [y for y, _ in grid.rows] for args, _ in calls)
@@ -667,14 +670,16 @@ class TestEarlyTermination:
         assert charpoly_to_json(P) == charpoly_to_json(expected)
 
     def test_non_separating_g_uses_the_theorem_grid(self, cline_f_t2, cline, monkeypatch):
-        # g = x^4 = f^2 takes one value on each fiber of f = x^2
+        # g = x^4 = f^2 takes one value on each fiber of f = x^2; the grid grows to its caps,
+        # floor(j * 4 / 2), and not to the theorem bounds it reports
         g = _line_map(cline, [0, 0, 0, 0, 1])
         _profile_now(monkeypatch, cline_f_t2)
         calls = _counted_solves(monkeypatch)
         P = build_charpoly(cline_f_t2, g, seed=0)
         assert P.verified and P.bounds == [4, 8]
         assert P.coeffs == [(Y**2).scale(-2), Y**4]
-        assert len({y for y, _ in calls}) == 9
+        assert charpoly._grid_caps(cline_f_t2, g, P.bounds) == [2, 4]
+        assert len({y for y, _ in calls}) == 5
         assert {prec for _, prec in calls} == {256}
 
 
@@ -699,6 +704,37 @@ class TestResultantDifferential:
         oracle = charpoly_resultant_oracle(f, g)
         assert built.verified and built.d == oracle.d
         assert built.coeffs == oracle.coeffs
+
+
+class TestCurveCaps:
+    @settings(max_examples=12)
+    @given(pair=_line_pairs)
+    def test_caps_hold_are_reached_and_size_the_grid(self, cline, pair):
+        # deg a_j <= floor(j deg G / deg F), with equality at j = d; the grid has max cap + 1 nodes
+        f, g = _line_map(cline, pair[0]), _line_map(cline, pair[1])
+        deg_f, deg_g = total_degree(f.pullbacks[0]), total_degree(g.pullbacks[0])
+        oracle = charpoly_resultant_oracle(f, g)
+        caps = [j * deg_g // deg_f for j in range(1, oracle.d + 1)]
+        degrees = [total_degree(a) for a in oracle.coeffs]
+        assert all(deg <= cap for deg, cap in zip(degrees, caps))
+        assert degrees[-1] == caps[-1]
+        assert ploski_delta(oracle) == F(deg_g, deg_f)
+        with pytest.MonkeyPatch.context() as patch:
+            grids = _recorded_grids(patch)
+            built = build_charpoly(f, g, seed=0)
+        assert built.verified and built.coeffs == oracle.coeffs
+        assert charpoly._grid_caps(f, g, built.bounds) == caps
+        assert [grid.n for grid in grids] == [max(caps) + 1]
+
+    def test_zero_g_caps_at_zero(self, cline):
+        f, g = _line_map(cline, [-2, 3, -1, 0, 1]), _line_map(cline, [0])
+        assert charpoly._grid_caps(f, g, [5, 10, 15, 20]) == [0, 0, 0, 0]
+        P = build_charpoly(f, g, seed=0)
+        assert P.verified and all(a.is_zero() for a in P.coeffs)
+
+    def test_two_parameters_keep_their_bounds(self):
+        bounds = [4, 8, 12, 16]
+        assert charpoly._grid_caps(SQUARE22, G12, bounds) is bounds
 
 
 class TestResultantOracle:

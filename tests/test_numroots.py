@@ -458,6 +458,63 @@ class TestRationalReconstruct:
                 assert rational_reconstruct(v, 10**4, 256) == q
 
 
+def _fraction_reconstruct(v, height_bound, prec):
+    """rational_reconstruct's continued fraction run on Fractions, as an independent reference."""
+    re_part, im_part = v.real, v.imag
+    tol = mp.mpf(2) ** (-prec // 2) * max(1, abs(re_part) + abs(im_part))
+    if abs(im_part) > tol:
+        raise NonReal("imaginary part")
+    x, tol_f = (F(m) * F(2) ** e for m, e in (numroots._dyadic(part._mpf_) for part in (re_part, tol)))
+    p_prev, q_prev = 1, 0
+    p_cur, q_cur = int(x // 1), 1
+    a = x - (x // 1)
+    while True:
+        cand = F(p_cur, q_cur)
+        if abs(p_cur) <= height_bound and q_cur <= height_bound and abs(x - cand) <= tol_f:
+            return cand
+        if abs(p_cur) > height_bound or q_cur > height_bound:
+            raise NoReconstruction("height")
+        if a == 0:
+            return cand
+        x_next = 1 / a
+        digit = int(x_next // 1)
+        a = x_next - digit
+        p_cur, p_prev = digit * p_cur + p_prev, p_cur
+        q_cur, q_prev = digit * q_cur + q_prev, q_cur
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (NoReconstruction, NonReal) as exc:
+        return type(exc)
+
+
+class TestRationalReconstructDifferential:
+    @pytest.mark.parametrize("prec", [64, 128, 256, 512])
+    def test_integer_convergents_equal_the_fraction_run(self, prec):
+        # rationals of every height around the bound, with noise below, near and above the
+        # tolerance, small imaginary parts, dyadic and huge values, and zero
+        rng = random.Random(prec)
+        cases = [(mp.mpc(0), 10), (mp.mpc(2) ** 300, 10**100), (mp.mpc(-2) ** -40, 10**20)]
+        with mp.workprec(prec + 20):
+            for _ in range(500):
+                height = 10 ** rng.randint(1, prec // 8)
+                top = height * rng.choice([1, 1, 10])
+                q = F(rng.randint(-top, top), rng.randint(1, top))
+                noise = mp.mpf(2) ** -rng.randint(prec // 2 - 8, prec // 2 + 8) * rng.choice([-1, 0, 1])
+                imag = mp.mpf(2) ** -rng.randint(prec // 2 - 4, prec + 4) * rng.choice([0, 1])
+                v = mp.mpc(mp.mpf(q.numerator) / q.denominator + noise, imag)
+                cases.append((v, height))
+                cases.append((mp.mpc(mp.mpf(rng.random()) * 10 ** rng.randint(-5, 20)), height))
+        outcomes = [
+            (_outcome(rational_reconstruct, v, h, prec), _outcome(_fraction_reconstruct, v, h, prec))
+            for v, h in cases
+        ]
+        assert all(new == old for new, old in outcomes)
+        assert {new if isinstance(new, type) else F for new, _ in outcomes} == {F, NoReconstruction, NonReal}
+
+
 class TestSolveSystem2:
     def test_circle_line(self):
         x = MPoly(2, {(1, 0): 1})

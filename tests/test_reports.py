@@ -33,6 +33,7 @@ COMMANDS = {
     "geomdeg": "geomdeg --variety graph_cubic --f proj23",
     "charpoly-oracle": "charpoly --variety cusp --f fx --g gyx --oracle",
     "charpoly-square": "charpoly --variety plane2 --f f_square22 --g g_x1_2x2",
+    "charpoly-line": "charpoly --variety cline --f f_line8 --g g_line4",
     "check-bounds": "check-bounds --variety cusp --f fx --g gyx",
     "ploski": "ploski --variety cusp --f fx --g gyx",
     "certify-general": "certify --variety graph_cubic --f proj23 --g g_sq_minus1",
