@@ -131,7 +131,7 @@ def build_charpoly(
     hold after the precision ladder is exhausted; a successful return is
     always exactly verified.
     """
-    param = f.domain.require_param()
+    param = f.domain.param
     k = param.k
     if f.n != k:
         raise InvalidInput("the map must have as many components as the set has dimensions")
@@ -404,7 +404,7 @@ def charpoly_resultant_oracle(f: CAMap, g: CAMap) -> CharPoly:
     requires the leading parameter coefficient of f(phi) - y to be free
     of y, which holds whenever f(phi) is a nonconstant polynomial.
     """
-    param = f.domain.require_param()
+    param = f.domain.param
     if param.k != 1 or f.n != 1 or g.n != 1:
         raise InvalidInput("resultant oracle covers single-component maps on curves")
     fp = f.pullbacks[0]
@@ -469,35 +469,31 @@ class GrowthCheck:
     high_max: float
 
 
+GROWTH_R = 100.0  # the growth check samples |x| in [GROWTH_R, 10^4 GROWTH_R]
+
+
 def growth_inclusion_check(
     P: CharPoly,
     q: Fraction,
-    R: float = 100.0,
     samples: int = 1000,
     seed: int = 0,
     prec: int = 256,
 ) -> GrowthCheck:
     """Sample test of the root-growth inclusion |t| <= C |x|^q for |x| >= R.
 
-    Draws |x| log-uniform in [R, 10^4 R]; the inclusion holds when the
-    max of |t|/|x|^q over the top half of the range does not exceed the
-    bottom-half max by more than a factor 1.25.  On violation the sample
-    achieving the top-half max is the witness.
+    Draws |x| log-uniform in [R, 10^4 R] for R = GROWTH_R; the inclusion
+    holds when the max of |t|/|x|^q over the top half of the range does
+    not exceed the bottom-half max by more than a factor 1.25.  On
+    violation the sample achieving the top-half max is the witness.
     """
     if q <= 0:
         raise InvalidInput("q must be positive")
     if samples < 1:
         raise InvalidInput("samples must be at least 1")
-    try:
-        R = float(R)
-    except OverflowError:  # an int beyond float range
-        R = math.inf
-    if not (R > 1 and math.isfinite(1e4 * R)):
-        raise InvalidInput("R must exceed 1, with 10^4 R finite")
     gen = _rng.child_rng(seed, "growth")
     k = P.k
     q_f = float(q)
-    mid = R * 100.0
+    mid = GROWTH_R * 100.0
     low_max = 0.0
     high_max = 0.0
     best = 0.0
@@ -506,7 +502,7 @@ def growth_inclusion_check(
         # identically-zero coefficients stay exact so zero roots strip fast
         coeffs_at = evaluator(P.coeffs[::-1], use_mp=True)
         for _ in range(samples):
-            r = R * 10.0 ** (4 * gen.random())
+            r = GROWTH_R * 10.0 ** (4 * gen.random())
             x = _sample_point_of_norm(gen, k, r)
             asc = coeffs_at(x) + [1]
             rs = roots_from_coeffs(asc, prec)

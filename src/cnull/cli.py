@@ -132,14 +132,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ploski", help="root-growth exponent of the characteristic polynomial")
     common(p, need_f=True, need_g=True)
     p.add_argument("--q", type=_rational, default=None, help="exponent to test (rational string); default is the computed delta")
-    p.add_argument("--R", type=float, default=100.0)
     p.add_argument("--samples", type=int, default=1000)
 
     p = sub.add_parser("gradexp", help="gradient growth exponent of a polynomial")
     p.add_argument("--poly", required=True, help="polynomial JSON file")
     p.add_argument("--theta", type=_rational, default=None, help="validate at this exponent instead of the computed one")
-    p.add_argument("--shells", type=float, nargs="+", default=[10.0, 100.0, 1000.0, 10000.0])
-    p.add_argument("--samples-per-shell", type=int, default=200)
     common(p, need_variety=False)
 
     p = sub.add_parser("cycle", help="degree of the cycle of zeroes of f")
@@ -258,7 +255,7 @@ def _run_ploski(args, f, g, seed: int, prec: int) -> dict:
         "delta": _rat_view(delta),
     }
     if args.q is not None or q > 0:  # only a computed delta = 0 skips the check
-        check = growth_inclusion_check(P, q, R=args.R, samples=args.samples, seed=seed, prec=prec)
+        check = growth_inclusion_check(P, q, samples=args.samples, seed=seed, prec=prec)
         out["growth_check"] = {
             "q": _rat_view(q),
             "holds": check.holds,
@@ -280,20 +277,9 @@ def _run_ploski(args, f, g, seed: int, prec: int) -> dict:
 def _run_gradexp(args, seed: int) -> dict:
     poly, _ = _load(args.poly, poly_from_json)
     if args.theta is not None:
-        report = validate_inequality(
-            poly,
-            args.theta,
-            shells=tuple(args.shells),
-            samples_per_shell=args.samples_per_shell,
-            seed=seed,
-        )
+        report = validate_inequality(poly, args.theta, seed=seed)
     else:
-        report = gradexp_report(
-            poly,
-            seed=seed,
-            shells=tuple(args.shells),
-            samples_per_shell=args.samples_per_shell,
-        )
+        report = gradexp_report(poly, seed=seed)
     return {
         "d": report.d,
         "mu": report.mu,

@@ -22,7 +22,7 @@ class GeneratorNotAnnihilated(SchemaError):
 
 
 class ParamRequired(SchemaError):
-    """The requested operation needs a polynomial parametrization."""
+    """A variety has no polynomial parametrization, or not one of the kind the operation needs."""
 
 
 class GridMalformed(SchemaError):

@@ -7,7 +7,8 @@ for large x.  The profile (mu, D) treats the gradient as a map on C^m
 with the identity parametrization and reads both numbers from
 propermaps.profile_map, the properness check and degree profile of every
 map, exact for m in {1, 2}.  The inequality itself is validated
-empirically on norm shells and can only be falsified by sampling, never
+empirically on the fixed norm shells |x| = 10, 100, 1000 and 10^4,
+with 200 points on each, and can only be falsified by sampling, never
 proved.
 """
 
@@ -69,40 +70,33 @@ def grad_profile(f: MPoly, seed: int = 0) -> tuple[int, int]:
     return profile.d_f, profile.graph_degree
 
 
-def validate_inequality(
-    f: MPoly,
-    theta_value: Fraction,
-    shells=(10.0, 100.0, 1000.0, 10000.0),
-    samples_per_shell: int = 200,
-    seed: int = 0,
-) -> GradExpReport:
-    """Empirical check of |f(x)|^theta <= C |grad f(x)| on norm shells.
+SHELLS = (10.0, 100.0, 1000.0, 10000.0)  # norm scales of the sampled shells
+SAMPLES_PER_SHELL = 200
 
-    Reports the per-shell maxima of the ratio; validated means the top
-    two shells stay within a factor 2 of each other (a bounded-trend
-    test), so at least two positive, increasing shells are needed.
-    Samples with vanishing gradient are redrawn within a budget.  mu and
-    D are left unset; gradexp_report attaches them.
+
+def validate_inequality(f: MPoly, theta_value: Fraction, seed: int = 0) -> GradExpReport:
+    """Empirical check of |f(x)|^theta <= C |grad f(x)| on the norm shells SHELLS.
+
+    Reports the per-shell maxima of the ratio over SAMPLES_PER_SHELL
+    points each; validated means the top two shells stay within a factor
+    2 of each other (a bounded-trend test).  Samples with vanishing
+    gradient are redrawn within a budget.  mu and D are left unset;
+    gradexp_report attaches them.
     """
     theta_value = Fraction(theta_value)
     if not 0 < theta_value <= 1:
         raise InvalidInput("theta must lie in (0, 1]")
-    if len(shells) < 2 or not all(0 < a < b < math.inf for a, b in zip(shells, shells[1:])):
-        raise InvalidInput("shells must be at least two positive, increasing, finite norm scales")
-    if samples_per_shell < 1:
-        raise InvalidInput("samples_per_shell must be at least 1")
     at = evaluator([*gradient(f), f])
     exponent = float(theta_value)
     gen = child_rng(seed, "shells")
     shell_rows = []
     overall = 0.0
-    for scale in shells:
+    for scale in SHELLS:
         best = 0.0
         produced = 0
         attempts = 0
-        budget = 10 * samples_per_shell
-        while produced < samples_per_shell:
-            if attempts >= budget:
+        while produced < SAMPLES_PER_SHELL:
+            if attempts >= 10 * SAMPLES_PER_SHELL:
                 raise DivisionByZeroGradient(
                     f"gradient vanished on too many samples at shell {scale}"
                 )
@@ -115,7 +109,7 @@ def validate_inequality(
             produced += 1
             ratio = abs(value) ** exponent / grad_norm
             best = max(best, ratio)
-        shell_rows.append((float(scale), best))
+        shell_rows.append((scale, best))
         overall = max(overall, best)
     validated = shell_rows[-1][1] <= 2.0 * shell_rows[-2][1]
     return GradExpReport(
@@ -137,7 +131,7 @@ def _complex_sphere_point(gen, m: int, scale: float):
             return [c * (scale / norm) for c in coords]
 
 
-def gradexp_report(f: MPoly, seed: int = 0, prec: int = 256, shells=(10.0, 100.0, 1000.0, 10000.0), samples_per_shell: int = 200) -> GradExpReport:
+def gradexp_report(f: MPoly, seed: int = 0, prec: int = 256) -> GradExpReport:
     """Full pipeline: profile, exponent, and shell validation.
 
     prec is not read: every step is exact or runs in double precision.
@@ -148,7 +142,5 @@ def gradexp_report(f: MPoly, seed: int = 0, prec: int = 256, shells=(10.0, 100.0
         raise InvalidInput("polynomial must be nonconstant")
     mu, D = grad_profile(f, seed)
     exponent = theta(int(d), D, mu)
-    report = validate_inequality(
-        f, exponent, shells=shells, samples_per_shell=samples_per_shell, seed=seed
-    )
+    report = validate_inequality(f, exponent, seed=seed)
     return replace(report, mu=mu, D=D)

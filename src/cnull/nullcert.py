@@ -170,7 +170,7 @@ def verify_certificate(f: CAMap, g: CAMap, cert: Certificate) -> bool:
     """Exact recomputation of g^N(phi) - sum f_j(phi) h_j(f(phi), g(phi)) = 0."""
     subs = list(f.pullbacks)
     if cert.aux_forms:
-        phi = f.domain.require_param().components
+        phi = f.domain.param.components
         subs += [compose(form, phi) for form in cert.aux_forms]
     subs.append(g.pullbacks[0])
     if len(cert.h_exprs) != f.n:
@@ -197,7 +197,7 @@ def _certified(f: CAMap, g: CAMap, cert: Certificate) -> Certificate:
 
 def certify_proper(f: CAMap, g: CAMap, seed: int = 0, prec: int = 256) -> Certificate:
     """Certificate with exponent d(f) for a square proper map: the partial route on all components."""
-    return certify_partial(f, f.domain.require_param().k, g, seed, prec)
+    return certify_partial(f, f.domain.param.k, g, seed, prec)
 
 
 def certify_partial(f: CAMap, ell: int, g: CAMap, seed: int = 0, prec: int = 256) -> Certificate:
@@ -207,7 +207,7 @@ def certify_partial(f: CAMap, ell: int, g: CAMap, seed: int = 0, prec: int = 256
     vanish on {0}^ell x C^(k-ell) (checked exactly); regrouping the
     identity P(f, g) = 0 by the lowest dividing variable yields the h_j.
     """
-    k = f.domain.require_param().k
+    k = f.domain.param.k
     if f.n != k:
         raise InvalidInput("partial route needs as many components as dimensions")
     if not 1 <= ell <= k:
@@ -264,7 +264,7 @@ def certify_general(f: CAMap, g: CAMap, seed: int = 0) -> Certificate:
     (1 + deg g) deg W.  A search that runs out raises NoSolutionWithinCap,
     a search limit and not a verdict.
     """
-    k = f.domain.require_param().k
+    k = f.domain.param.k
     n = f.n
     if n <= k:
         raise InvalidInput("overdetermined route needs more components than dimensions")
@@ -311,7 +311,7 @@ def certify_fallback(
     """
     if exponent < 1:
         raise InvalidInput("exponent must be positive")
-    param = f.domain.require_param()
+    param = f.domain.param
     n = f.n
     gp = g.pullbacks[0]
     subs = list(f.pullbacks) + [gp]
@@ -446,7 +446,7 @@ def _random_affine_forms(domain: Variety, count: int, gen) -> list[MPoly]:
 
 def _proper_completion(f: CAMap, forms: list[MPoly], seed: int) -> CAMap:
     """f completed by the affine forms to a square map; NotStrictlyRegular unless proper."""
-    if len(forms) != f.domain.require_param().k - f.n:
+    if len(forms) != f.domain.param.k - f.n:
         raise InvalidInput("need exactly dim - components affine forms")
     if any(total_degree(form) > 1 for form in forms):
         raise InvalidInput("completion forms must be affine")
@@ -474,7 +474,7 @@ def certify_strictly_regular(
     cycle of zeroes, whose components (as cycle_degree takes them) must
     be given.
     """
-    k = f.domain.require_param().k
+    k = f.domain.param.k
     n = f.n
     if n >= k:
         raise InvalidInput("strictly regular route needs fewer components than dimensions")
@@ -565,7 +565,7 @@ def _zero_cycle(f: CAMap, completed: CAMap, components, seed: int) -> CycleData:
 
 
 def _check_component_in_fiber(f: CAMap, comp: Variety):
-    param = comp.require_param()
+    param = comp.param
     if comp.m != f.domain.m:
         raise InvalidInput("component lives in a different ambient space")
     for num, den in f.components:

@@ -107,7 +107,7 @@ def check_proper(f: CAMap, seed: int = 0) -> int:
 
 def _properness(f: CAMap, seed: int) -> tuple[int, ShapeLemma | None]:
     """check_proper's d(f), and on two parameters the ShapeLemma of its elimination (None on curves)."""
-    k = f.domain.require_param().k
+    k = f.domain.param.k
     if k == 1:
         if all(p.is_constant() for p in f.pullbacks):
             raise NotProper("all pullbacks are constant")
@@ -143,7 +143,7 @@ def _in_subring(p: MPoly, h: MPoly) -> bool:
 
 def _system(f: CAMap, y) -> list[MPoly]:
     """The pulled-back components minus the rational point y (k = 1, or a square map on k = 2)."""
-    k = f.domain.require_param().k
+    k = f.domain.param.k
     if k > 2:
         raise ParamRequired("fibers implemented for 1 or 2 parameters")
     if k == 2 and f.n != 2:
@@ -354,7 +354,7 @@ def growth_exponent(g: CAMap) -> Fraction:
     """
     if g.n != 1:
         raise InvalidInput("growth exponent takes a single-component map")
-    param = g.domain.require_param()
+    param = g.domain.param
     num = total_degree(g.pullbacks[0])
     if num == float("-inf") or num == 0:
         return Fraction(0)
@@ -404,7 +404,7 @@ def local_multiplicity(f: CAMap, a, seed: int = 0) -> int:
     the least value over 3 draws of (lam, c) is kept.  f(a) comes from
     _map_value_exact, on a curve through the pullbacks.
     """
-    param = f.domain.require_param()
+    param = f.domain.param
     if f.n != param.k:
         raise InvalidInput("local multiplicity needs a square (k-component) map")
     a = [Fraction(v) for v in a]
@@ -469,7 +469,7 @@ def _map_value_exact(f: CAMap, a) -> list[Fraction]:
 
 def image_slice_points(f: CAMap) -> int:
     """d(f) * deg f(A) for a curve: the parameter points on a generic hyperplane slice of f(A)."""
-    if f.domain.require_param().k != 1:
+    if f.domain.param.k != 1:
         raise ParamRequired("image degree implemented for curves")
     return curve_degree(f.pullbacks)
 
@@ -506,7 +506,7 @@ def graph_degree(f: CAMap, seed: int = 0) -> int:
     DegenerateSlice after _DRAW_BUDGET draws.  ParamRequired from
     check_proper for k >= 3.
     """
-    param = f.domain.require_param()
+    param = f.domain.param
     coords = list(param.components) + list(f.pullbacks)
     if param.k == 1:
         return curve_degree(coords)

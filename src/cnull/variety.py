@@ -1,9 +1,11 @@
 """Algebraic sets with implicit generators and polynomial parametrizations.
 
 A Variety holds the ambient dimension, the pure dimension, implicit
-generators, and optionally a polynomial parametrization phi assumed to be
-generically one-to-one onto the set.  Loading validates exactly that
-every generator vanishes identically after substituting phi.
+generators, and a polynomial parametrization phi assumed to be
+generically one-to-one onto the set.  Every computation runs through
+phi, so loading rejects a set without one (ParamRequired), and it
+validates exactly that every generator vanishes identically after
+substituting phi.
 
 A CAMap is a tuple of rational-function components on the ambient space;
 its continuity contract is that each component, composed with phi,
@@ -22,7 +24,7 @@ module draws at random.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     DegenerateSlice,
@@ -54,7 +56,7 @@ class Variety:
     ambient_vars: list[str]
     dim: int
     generators: list[MPoly]
-    param: Param | None = None
+    param: Param
 
     @property
     def m(self) -> int:
@@ -63,11 +65,6 @@ class Variety:
     @property
     def k(self) -> int:
         return self.dim
-
-    def require_param(self) -> Param:
-        if self.param is None:
-            raise ParamRequired("operation requires a polynomial parametrization")
-        return self.param
 
     def contains(self, point) -> bool:
         """Exact membership test against the implicit generators."""
@@ -80,7 +77,7 @@ class CAMap:
 
     domain: Variety
     components: list[tuple[MPoly, MPoly]]  # (num, den) in ambient variables
-    pullbacks: list[MPoly] = field(default_factory=list)  # in the k parameters
+    pullbacks: list[MPoly]  # in the k parameters
 
     @property
     def n(self) -> int:
@@ -108,36 +105,36 @@ def load_variety(spec: dict) -> Variety:
     for g in gen_specs:
         poly, _ = poly_from_json(g, expected_vars=names)
         gens.append(poly)
-    param = None
-    if spec.get("param") is not None:
-        pspec = spec["param"]
-        if not isinstance(pspec, dict):
-            raise SchemaError("'param' must be a JSON object")
-        pvars = pspec.get("vars")
-        if not isinstance(pvars, list) or len(pvars) != dim or not all(isinstance(v, str) for v in pvars):
-            raise SchemaError("'param.vars' must list exactly dim parameter names")
-        if len(set(pvars)) != len(pvars):
-            raise SchemaError(f"'param.vars' repeats a name: {pvars}")
-        comps = pspec.get("components")
-        if not isinstance(comps, list) or len(comps) != len(names):
-            raise SchemaError("'param.components' must give one polynomial per ambient variable")
-        components = []
-        for c in comps:
-            poly, _ = poly_from_json(c, expected_vars=pvars)
-            components.append(poly)
-        if all(p.is_constant() for p in components):
-            raise SchemaError("parametrization is constant")
-        param = Param(var_names=list(pvars), components=components)
-        for g in gens:
-            if not compose(g, components).is_zero():
-                raise GeneratorNotAnnihilated(
-                    "a generator does not vanish along the parametrization"
-                )
+    pspec = spec.get("param")
+    if pspec is None:
+        raise ParamRequired("'param' is required: every operation runs through a polynomial parametrization")
+    if not isinstance(pspec, dict):
+        raise SchemaError("'param' must be a JSON object")
+    pvars = pspec.get("vars")
+    if not isinstance(pvars, list) or len(pvars) != dim or not all(isinstance(v, str) for v in pvars):
+        raise SchemaError("'param.vars' must list exactly dim parameter names")
+    if len(set(pvars)) != len(pvars):
+        raise SchemaError(f"'param.vars' repeats a name: {pvars}")
+    comps = pspec.get("components")
+    if not isinstance(comps, list) or len(comps) != len(names):
+        raise SchemaError("'param.components' must give one polynomial per ambient variable")
+    components = []
+    for c in comps:
+        poly, _ = poly_from_json(c, expected_vars=pvars)
+        components.append(poly)
+    if all(p.is_constant() for p in components):
+        raise SchemaError("parametrization is constant")
+    for g in gens:
+        if not compose(g, components).is_zero():
+            raise GeneratorNotAnnihilated(
+                "a generator does not vanish along the parametrization"
+            )
+    param = Param(var_names=list(pvars), components=components)
     return Variety(ambient_vars=list(names), dim=dim, generators=gens, param=param)
 
 
 def load_map(domain: Variety, spec: dict) -> CAMap:
-    """Validated CAMap; computes and caches the pullbacks when phi exists."""
+    """Validated CAMap with its pullbacks along phi computed and cached."""
     if not isinstance(spec, dict) or not isinstance(spec.get("components"), list):
         raise SchemaError("map document must have a 'components' list")
     comps = []
@@ -158,20 +155,19 @@ def load_map(domain: Variety, spec: dict) -> CAMap:
 
 
 def make_map(domain: Variety, comps: list[tuple[MPoly, MPoly]]) -> CAMap:
+    phi = domain.param.components
     pullbacks = []
-    if domain.param is not None:
-        phi = domain.param.components
-        for num, den in comps:
-            num_t = compose(num, phi)
-            den_t = compose(den, phi)
-            if den_t.is_zero():
-                raise NotCAlgebraic("denominator vanishes identically on the set")
-            try:
-                pullbacks.append(exact_divide(num_t, den_t))
-            except NotDivisible as exc:
-                raise NotCAlgebraic(
-                    "component does not extend polynomially along the parametrization"
-                ) from exc
+    for num, den in comps:
+        num_t = compose(num, phi)
+        den_t = compose(den, phi)
+        if den_t.is_zero():
+            raise NotCAlgebraic("denominator vanishes identically on the set")
+        try:
+            pullbacks.append(exact_divide(num_t, den_t))
+        except NotDivisible as exc:
+            raise NotCAlgebraic(
+                "component does not extend polynomially along the parametrization"
+            ) from exc
     return CAMap(domain=domain, components=comps, pullbacks=pullbacks)
 
 
@@ -209,7 +205,7 @@ def curve_degree(coords: list[MPoly]) -> int:
 
 def degree_by_slicing(v: Variety) -> int:
     """Degree of a parametrized curve: curve_degree of its generically one-to-one parametrization."""
-    param = v.require_param()
+    param = v.param
     if param.k != 1:
         raise ParamRequired("slicing degree implemented for curves (one parameter)")
     return curve_degree(param.components)

@@ -20,6 +20,11 @@ def fx(name: str) -> str:
     return str(FIXTURES / name)
 
 
+def cli_subparsers() -> dict:
+    """The subcommand parsers of cnull, by name."""
+    return next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def run_json(argv, capsys):
     code = main(argv)
     out = capsys.readouterr().out
@@ -384,21 +389,6 @@ class TestCliContract:
         assert main(argv + ["--cert", str(path)]) == 4
         assert "SchemaError" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "options",
-        [
-            ["--shells", "10"],
-            ["--shells", "100", "10"],
-            ["--shells", "10", "inf"],
-            ["--shells", "10", "1e400"],
-            ["--shells", "10", "nan"],
-            ["--samples-per-shell", "0"],
-        ],
-    )
-    def test_unusable_gradexp_sampling_exit_4(self, capsys, options):
-        assert main(["gradexp", "--poly", fx("sum_squares.json"), *options]) == 4
-        assert "InvalidInput" in capsys.readouterr().err
-
     def test_ploski_without_samples_exit_4(self, capsys):
         argv = ["ploski", "--variety", fx("cusp.json"), "--f", fx("fx.json"), "--g", fx("gyx.json")]
         assert main(argv + ["--samples", "0"]) == 4
@@ -415,11 +405,49 @@ class TestCliContract:
         assert main(argv + option) == 4
         assert "InvalidInput" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("scale", ["inf", "nan", "1e400", "1e305"])
-    def test_non_finite_sampling_scale_exit_4(self, capsys, scale):
-        argv = ["ploski", "--variety", fx("cusp.json"), "--f", fx("fx.json"), "--g", fx("gyx.json")]
-        assert main(argv + ["--R", scale, "--samples", "10"]) == 4
-        assert "InvalidInput" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ploski", "--variety", fx("cusp.json"), "--f", fx("fx.json"), "--g", fx("gyx.json"), "--R", "10"],
+            ["gradexp", "--poly", fx("sum_squares.json"), "--shells", "10", "100"],
+            ["gradexp", "--poly", fx("sum_squares.json"), "--samples-per-shell", "5"],
+        ],
+        ids=["R", "shells", "samples-per-shell"],
+    )
+    def test_fixed_sampling_scales_take_no_option(self, capsys, argv):
+        assert main(argv) == 4
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("param", ["absent", None])
+    @pytest.mark.parametrize(
+        "command", ["charpoly", "certify", "verify", "degree", "geomdeg", "ploski", "cycle", "check-bounds"]
+    )
+    def test_variety_without_a_parametrization_exit_4(self, capsys, tmp_path, command, param):
+        spec = json.loads(Path(fx("plane2.json")).read_text())
+        if param == "absent":
+            del spec["param"]
+        else:
+            spec["param"] = param
+        variety = tmp_path / "variety.json"
+        variety.write_text(json.dumps(spec))
+        cert = tmp_path / "cert.json"  # g = x1 on f = x1^2: g^2 = 1 * f
+        cert.write_text(json.dumps({"N": 2, "theorem": "proper", "h": [pj(["y1", "t"], {(0, 0): 1})]}))
+        inputs = {
+            "--f": fx("f_x1sq.json"),
+            "--g": fx("g_x1.json"),
+            "--cert": str(cert),
+            "--components": fx("cycle_axis.json"),
+            "--L": fx("form_x2.json"),
+        }
+        options = [a.option_strings[0] for a in cli_subparsers()[command]._actions if a.required]
+        argv = [command, "--variety", str(variety)]
+        for option in options:
+            if option != "--variety":
+                argv += [option, inputs[option]]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert "ParamRequired" in err
+        assert "Traceback" not in err
 
     def test_inputs_that_do_not_fit_the_route_exit_4(self, capsys):
         # proj23 on the curve graph_cubic has more components than dimensions
@@ -457,17 +485,20 @@ class TestCliContract:
 
     def test_every_option_is_documented_in_the_readme(self):
         readme = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
-        sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         options = {
             option
-            for parser in sub.choices.values()
+            for parser in cli_subparsers().values()
             for action in parser._actions
             for option in action.option_strings
             if option not in ("-h", "--help")
         }
-        assert options >= {"--ell", "--prec", "--samples-per-shell"}
+        assert options >= {"--ell", "--prec", "--samples"}
         undocumented = [o for o in sorted(options) if not re.search(re.escape(o) + r"(?![\w-])", readme)]
         assert not undocumented
+        # and the other way: a flag the README names is an option of some subcommand (pip's aside)
+        named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", readme)) - {"--no-build-isolation"}
+        assert named >= {"--ell", "--samples"}
+        assert sorted(named - options) == []
 
     def test_out_file(self, capsys, tmp_path):
         out = tmp_path / "report.json"

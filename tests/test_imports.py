@@ -248,7 +248,8 @@ def test_salts_are_distinct_and_pinned():
     assert set(salts) == SALTS
 
 
-# modules whose every step is exact: they import neither mpmath nor the numeric root layer
+# modules that import neither mpmath nor the numeric root layer: they compute exactly,
+# or, as gradexp does when it samples its shells, in double-precision floats
 EXACT_MODULES = ["errors", "gradexp", "nullcert", "rng", "variety"]
 NUMERIC_MODULES = {"mpmath", "numroots"}
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import axis_x1_spec, axis_x2_spec, map_spec, mpolys, pj, univariate_coeffs
+from conftest import axis_x1_spec, axis_x2_spec, ex_graph_cubic_spec, map_spec, mpolys, pj, univariate_coeffs
 from cnull import nullcert, propermaps
 from cnull.errors import (
     ComponentNotInFiber,
@@ -476,6 +476,21 @@ class TestStrictlyRegular:
             certify_strictly_regular(f, g, seed=0)
         assert calls == []
 
+    def test_no_proper_completion_within_the_retry_budget(self, plane2, monkeypatch):
+        # f = 1: no affine form completes a constant component to a proper map
+        f = load_map(plane2, map_spec(pj(V2, {(0, 0): 1})))
+        g = load_map(plane2, map_spec(pj(V2, {(1, 0): 1})))
+        drawn = []
+
+        def counted(completed, seed):
+            drawn.append(completed.pullbacks[1])
+            return propermaps.check_proper(completed, seed)
+
+        monkeypatch.setattr(nullcert, "check_proper", counted)
+        with pytest.raises(NotStrictlyRegular, match="retry budget"):
+            certify_strictly_regular(f, g, cycle=[load_variety(axis_x2_spec())], seed=0)
+        assert len(drawn) == len(set(drawn)) == 5
+
     def test_expressions_in_the_form_values(self, plane2):
         # g = x1 x2 on the double line x1^2 = 0: h1 needs the value v1 of the form x2
         f = load_map(plane2, map_spec(pj(V2, {(2, 0): 1})))
@@ -510,6 +525,26 @@ class TestCycleDegree:
         comps = [load_variety(axis_x1_spec())]  # {x2 = 0} is not in the zero fiber
         with pytest.raises(ComponentNotInFiber):
             cycle_degree(f, comps, forms, seed=0)
+
+    @pytest.mark.parametrize(
+        "num, den, reason",
+        [
+            ({(1, 0): 1, (0, 0): 1}, {(0, 0): 1}, "map component does not vanish"),  # x1 + 1
+            ({(2, 0): 1}, {(1, 0): 1}, "denominator vanishes identically"),  # x1^2 / x1
+        ],
+        ids=["component", "denominator"],
+    )
+    def test_map_that_does_not_vanish_on_the_component(self, plane2, num, den, reason):
+        f = load_map(plane2, map_spec((pj(V2, num), pj(V2, den))))
+        forms = [MPoly(2, {(0, 1): F(1)})]
+        with pytest.raises(ComponentNotInFiber, match=reason):
+            cycle_degree(f, [load_variety(axis_x2_spec())], forms, seed=0)
+
+    def test_component_in_another_ambient_space(self, plane2):
+        f = load_map(plane2, map_spec(pj(V2, {(1, 0): 1})))
+        forms = [MPoly(2, {(0, 1): F(1)})]
+        with pytest.raises(InvalidInput, match="ambient space"):
+            cycle_degree(f, [load_variety(ex_graph_cubic_spec())], forms, seed=0)
 
     @pytest.mark.parametrize("seed", [0, 4])
     @pytest.mark.parametrize("cubic", [{(3, 0): 1}, {(3, 0): 1, (2, 1): 1}])

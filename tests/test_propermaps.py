@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -25,6 +27,7 @@ from cnull.errors import (
     InvalidInput,
     NonZeroDimensional,
     NotCAlgebraic,
+    NotIsolated,
     NotProper,
     ParamRequired,
 )
@@ -73,7 +76,7 @@ ZEROS_AT_INFINITY = [
 
 def sliced_graph_degree(f, seed):
     """The former graph_degree: the max of the first 3 generic counts of random affine slices."""
-    param = f.domain.require_param()
+    param = f.domain.param
     coords = list(param.components) + list(f.pullbacks)
     counts = []
     for attempt in range(15):
@@ -549,6 +552,18 @@ class TestLocalMultiplicity:
         with pytest.raises(NotCAlgebraic):
             local_multiplicity(y_over_x, [F(0), F(0)], seed=0)
         assert local_multiplicity(y_over_x, [F(3), F(6)], seed=0) == 1
+
+    def test_value_from_the_components_under_a_two_parameter_parametrization(self):
+        # f = (x^2 + z, z^3 - x) on y = x + z^2, through (t, t + s^2, s): no denominator vanishes
+        fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+        surface = load_variety(json.loads((fixtures / "surface_xz2.json").read_text()))
+        f = load_map(surface, json.loads((fixtures / "f_surface.json").read_text()))
+        for point in ([0, 0, 0], [1, 1, 0], [2, 3, 1]):
+            assert local_multiplicity(f, [F(v) for v in point], seed=0) == 1
+        # (x^2/x, z): the denominator x vanishes at the origin, where the components are not read
+        x, z, one = MPoly.variable(3, 0), MPoly.variable(3, 2), MPoly.const(3, 1)
+        with pytest.raises(NotIsolated, match="denominator"):
+            local_multiplicity(make_map(surface, [(x**2, x), (z, one)]), [F(0)] * 3, seed=0)
 
     def test_non_square_map_rejected(self, cubic_proj23):
         with pytest.raises(InvalidInput):

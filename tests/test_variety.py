@@ -4,7 +4,7 @@ import pytest
 
 from conftest import map_spec, pj
 from cnull import rng
-from cnull.errors import DegenerateSlice, GeneratorNotAnnihilated, NotCAlgebraic, SchemaError
+from cnull.errors import DegenerateSlice, GeneratorNotAnnihilated, NotCAlgebraic, ParamRequired, SchemaError
 from cnull.polycore import MPoly
 from cnull.variety import (
     curve_degree,
@@ -54,6 +54,12 @@ class TestLoadVariety:
     def test_malformed_shapes_raise_schema_error(self, change):
         spec = {"ambient_vars": ["x"], "dim": 1, "generators": [], **change}
         with pytest.raises(SchemaError):
+            load_variety(spec)
+
+    @pytest.mark.parametrize("change", [{}, {"param": None}], ids=["absent", "null"])
+    def test_a_variety_without_a_parametrization_is_rejected(self, change):
+        spec = {"ambient_vars": ["x"], "dim": 1, "generators": [], **change}
+        with pytest.raises(ParamRequired):
             load_variety(spec)
 
     @pytest.mark.parametrize("components", [5, None, {"num": 1}])
