@@ -1,12 +1,14 @@
 """Command-line entry point.
 
 JSON in, JSON out: every subcommand reads its inputs from JSON files,
-runs one pipeline deterministically for a given (inputs, seed, prec),
-and writes a report to stdout or --out.  Reports embed the tool version,
-seed and precision; exact rationals are carried as strings next to float
-renderings.  Exit codes: 0 success, 2 violated hypothesis, 3 precision,
-genericity or search exhaustion, 4 parse/schema error.  An input file that
-cannot be read or parsed, or whose document has the wrong shape, raises
+runs one pipeline deterministically for given inputs and seed, and
+writes a report to stdout or --out.  Reports embed the tool version and
+seed; exact rationals are carried as strings next to float renderings.
+Precision takes no option: numeric fiber samples and root solves start
+at the library's default rung and climb its ladder by themselves.  Exit
+codes: 0 success, 2 violated hypothesis, 3 precision, genericity or
+search exhaustion, 4 parse/schema error.  An input file that cannot be
+read or parsed, or whose document has the wrong shape, raises
 SchemaError at the point where it is loaded; any other exception is a
 bug and surfaces with its traceback.
 """
@@ -17,8 +19,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-
-import mpmath as mp
 
 from . import __version__
 from .charpoly import (
@@ -42,7 +42,6 @@ from .nullcert import (
     load_cycle_components,
     verify_certificate,
 )
-from .numroots import PREC_LADDER
 from .polycore import NEG_INF, poly_from_json, rat_to_str, total_degree
 from .propermaps import geometric_degree
 from .variety import degree_by_slicing, load_map, load_variety
@@ -82,8 +81,8 @@ def _rat_view(q) -> dict:
 
 
 def _complex_view(z) -> dict:
-    z = mp.mpc(z)
-    return {"re": float(mp.re(z)), "im": float(mp.im(z))}
+    z = complex(z)
+    return {"re": z.real, "im": z.imag}
 
 
 def _deg_view(deg):
@@ -106,7 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
         if need_g:
             p.add_argument("--g", required=True, help="map JSON file for g")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--prec", type=int, default=256, choices=PREC_LADDER)
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
 
     p = sub.add_parser("charpoly", help="characteristic polynomial of g relative to f")
@@ -161,13 +159,12 @@ def _load_forms(paths, domain):
 
 def run(argv) -> dict:
     args = build_parser().parse_args(argv)
-    result = _dispatch(args, args.seed, args.prec)
+    result = _dispatch(args, args.seed)
     report = {
         "tool": "cnull",
         "version": __version__,
         "command": args.command,
         "seed": args.seed,
-        "prec": args.prec,
         "result": result,
     }
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -182,7 +179,7 @@ def run(argv) -> dict:
     return report
 
 
-def _dispatch(args, seed: int, prec: int) -> dict:
+def _dispatch(args, seed: int) -> dict:
     cmd = args.command
     if cmd == "gradexp":
         return _run_gradexp(args, seed)
@@ -204,7 +201,7 @@ def _dispatch(args, seed: int, prec: int) -> dict:
         }
     g = _load(args.g, lambda doc: load_map(variety, doc))
     if cmd == "charpoly":
-        P = build_charpoly(f, g, seed, prec)
+        P = build_charpoly(f, g, seed)
         out = {"charpoly": charpoly_to_json(P)}
         if args.oracle:
             oracle = charpoly_resultant_oracle(f, g)
@@ -212,15 +209,15 @@ def _dispatch(args, seed: int, prec: int) -> dict:
             out["oracle_match"] = oracle.d == P.d and oracle.coeffs == P.coeffs
         return out
     if cmd == "certify":
-        cert = _run_certify(args, variety, f, g, seed, prec)
+        cert = _run_certify(args, variety, f, g, seed)
         return {"certificate": certificate_to_json(cert, variety.ambient_vars)}
     if cmd == "verify":
         cert = _load(args.cert, lambda doc: certificate_from_json(doc, variety.ambient_vars))
         return {"verified": verify_certificate(f, g, cert)}
     if cmd == "ploski":
-        return _run_ploski(args, f, g, seed, prec)
+        return _run_ploski(args, f, g, seed)
     if cmd == "check-bounds":
-        P = build_charpoly(f, g, seed, prec)
+        P = build_charpoly(f, g, seed)
         rows = bounds_table(P)
         return {
             "rows": [
@@ -231,23 +228,23 @@ def _dispatch(args, seed: int, prec: int) -> dict:
     raise SchemaError(f"unknown command {cmd!r}")
 
 
-def _run_certify(args, variety, f, g, seed: int, prec: int):
+def _run_certify(args, variety, f, g, seed: int):
     if (args.L or args.cycle) and (args.ell is not None or f.n >= variety.k):
         # the partial, proper and general routes take no forms and no cycle
         raise InvalidInput("--L and --cycle apply only to the strictly regular route")
     if args.ell is not None:
-        return certify_partial(f, args.ell, g, seed, prec)
+        return certify_partial(f, args.ell, g, seed)
     if f.n == variety.k:
-        return certify_proper(f, g, seed, prec)
+        return certify_proper(f, g, seed)
     if f.n > variety.k:
         return certify_general(f, g, seed)
     forms = _load_forms(args.L, variety) if args.L else None
     cycle = _load(args.cycle, load_cycle_components) if args.cycle else None
-    return certify_strictly_regular(f, g, forms=forms, cycle=cycle, seed=seed, prec=prec)
+    return certify_strictly_regular(f, g, forms=forms, cycle=cycle, seed=seed)
 
 
-def _run_ploski(args, f, g, seed: int, prec: int) -> dict:
-    P = build_charpoly(f, g, seed, prec)
+def _run_ploski(args, f, g, seed: int) -> dict:
+    P = build_charpoly(f, g, seed)
     delta = ploski_delta(P)
     q = args.q if args.q is not None else delta
     out = {
@@ -255,7 +252,7 @@ def _run_ploski(args, f, g, seed: int, prec: int) -> dict:
         "delta": _rat_view(delta),
     }
     if args.q is not None or q > 0:  # only a computed delta = 0 skips the check
-        check = growth_inclusion_check(P, q, samples=args.samples, seed=seed, prec=prec)
+        check = growth_inclusion_check(P, q, samples=args.samples, seed=seed)
         out["growth_check"] = {
             "q": _rat_view(q),
             "holds": check.holds,

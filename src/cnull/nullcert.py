@@ -464,7 +464,6 @@ def certify_strictly_regular(
     forms: list[MPoly] | None = None,
     cycle: list | None = None,
     seed: int = 0,
-    prec: int = 256,
 ) -> Certificate:
     """Certificate with exponent deg Z_f for a strictly regular map.
 
@@ -498,7 +497,7 @@ def certify_strictly_regular(
     else:
         completed = _proper_completion(f, forms, seed)
     deg_cycle = _zero_cycle(f, completed, cycle, seed).total_degree
-    inner = certify_partial(completed, n, g, seed, prec)
+    inner = certify_partial(completed, n, g, seed)
     d_completed = inner.exponent
     if deg_cycle < d_completed:
         raise NotStrictlyRegular(

@@ -420,6 +420,20 @@ def _constructed_grids(monkeypatch):
     return precs
 
 
+def _counted_rows(monkeypatch):
+    """Record (node, working precision, accepted) of every grid node sampled from here on."""
+    real = charpoly._SampleGrid._row
+    rows = []
+
+    def counted(grid, y):
+        row = real(grid, y)
+        rows.append((tuple(y), grid.wp, row is not None))
+        return row
+
+    monkeypatch.setattr(charpoly._SampleGrid, "_row", counted)
+    return rows
+
+
 def _counted_solves(monkeypatch):
     """Record (node, prec) of every curve fiber solve of the sample grid from here on."""
     real = charpoly.fiber_t_clusters
@@ -505,14 +519,15 @@ class TestEarlyTermination:
 
     def test_curve_stops_after_the_true_degree(self, curve_8_4, monkeypatch):
         f, g = curve_8_4
-        calls = _counted_solves(monkeypatch)
+        rows = _counted_rows(monkeypatch)
         P = build_charpoly(f, g, seed=0)
         assert P.verified and P.bounds == coefficient_bounds(8, F(4), 8)
         assert P.coeffs == charpoly_resultant_oracle(f, g).coeffs
         # the caps floor(j * 4 / 8) top out at 4 = deg a_8: 4 + 1 nodes, against 33 theorem nodes
         assert charpoly._grid_caps(f, g, P.bounds) == [0, 1, 1, 2, 2, 3, 3, 4]
-        assert len({y for y, _ in calls}) == 5
-        assert {prec for _, prec in calls} == {256}
+        assert len({y for y, _, _ in rows}) == 5
+        assert {wp for _, wp, _ in rows} == {256}
+        assert all(accepted for _, _, accepted in rows)
 
     def test_two_solves_per_node_refined_in_integers(self, curve_8_4, monkeypatch):
         # every grid node is solved twice (count, then sample); mpmath runs no Aberth sweep,
@@ -547,12 +562,13 @@ class TestEarlyTermination:
             return verdicts[-1]
 
         monkeypatch.setattr(charpoly, "verify_charpoly", recorded)
-        calls = _counted_solves(monkeypatch)
+        rows = _counted_rows(monkeypatch)
         P = build_charpoly(f, g, seed=0)
         assert verdicts == [False, True]
         assert P.verified and P.coeffs == charpoly_resultant_oracle(f, g).coeffs
-        assert len({y for y, _ in calls}) == max(charpoly._grid_caps(f, g, P.bounds)) + 1 == 5
-        assert {prec for _, prec in calls} == {256}
+        assert len({y for y, _, _ in rows}) == max(charpoly._grid_caps(f, g, P.bounds)) + 1 == 5
+        assert {wp for _, wp, _ in rows} == {256}
+        assert all(accepted for _, _, accepted in rows)
 
     @pytest.mark.parametrize("case,settled", [("square(4,3)", 6), ("curve(8,4)", 8)])
     def test_confirmed_coefficients_are_not_interpolated_again(self, cline, monkeypatch, case, settled):
@@ -673,13 +689,14 @@ class TestEarlyTermination:
         # floor(j * 4 / 2), and not to the theorem bounds it reports
         g = _line_map(cline, [0, 0, 0, 0, 1])
         _profile_now(monkeypatch, cline_f_t2)
-        calls = _counted_solves(monkeypatch)
+        rows = _counted_rows(monkeypatch)
         P = build_charpoly(cline_f_t2, g, seed=0)
         assert P.verified and P.bounds == [4, 8]
         assert P.coeffs == [(Y**2).scale(-2), Y**4]
         assert charpoly._grid_caps(cline_f_t2, g, P.bounds) == [2, 4]
-        assert len({y for y, _ in calls}) == 5
-        assert {prec for _, prec in calls} == {256}
+        assert len({y for y, _, _ in rows}) == 5
+        assert {wp for _, wp, _ in rows} == {256}
+        assert all(accepted for _, _, accepted in rows)
 
 
 def _composed(h_coeffs, f_coeffs):

@@ -31,6 +31,23 @@ def run_json(argv, capsys):
     return code, (json.loads(out) if out else None)
 
 
+# a complete argument list for each subcommand, by name
+VALID_ARGS = {
+    "charpoly": ["--variety", fx("cusp.json"), "--f", fx("fx.json"), "--g", fx("gyx.json")],
+    "certify": ["--variety", fx("cusp.json"), "--f", fx("fx.json"), "--g", fx("gyx.json")],
+    "verify": ["--variety", fx("cusp.json"), "--f", fx("fx.json"), "--g", fx("gyx.json"), "--cert", "cert.json"],
+    "degree": ["--variety", fx("cusp.json")],
+    "geomdeg": ["--variety", fx("graph_cubic.json"), "--f", fx("proj23.json")],
+    "ploski": ["--variety", fx("cusp.json"), "--f", fx("fx.json"), "--g", fx("gyx.json")],
+    "gradexp": ["--poly", fx("sum_squares.json")],
+    "cycle": [
+        "--variety", fx("plane2.json"), "--f", fx("f_x1sq.json"),
+        "--components", fx("cycle_axis.json"), "--L", fx("form_x2.json"),
+    ],
+    "check-bounds": ["--variety", fx("cusp.json"), "--f", fx("fx.json"), "--g", fx("gyx.json")],
+}
+
+
 class TestCertifyCommand:
     def test_cusp_certificate(self, capsys):
         code, report = run_json(
@@ -116,13 +133,13 @@ class TestCertifyCommand:
         code, report = run_json(["verify", *maps, "--cert", str(cert)], capsys)
         assert code == 0 and report["result"]["verified"] is True
 
-    def test_vanishing_far_from_the_origin_prec_128(self, capsys, tmp_path):
+    def test_vanishing_far_from_the_origin(self, capsys, tmp_path):
         # f = 3x - 10^9 and g = f x^3, whose zero fiber x = 10^9/3 is far out
         f = tmp_path / "f.json"
         f.write_text(json.dumps(map_spec(line_poly([-(10**9), 3]))))
         g = tmp_path / "g.json"
         g.write_text(json.dumps(map_spec(line_poly([0, 0, 0, -(10**9), 3]))))
-        argv = ["certify", "--variety", fx("cline.json"), "--f", str(f), "--g", str(g), "--prec", "128"]
+        argv = ["certify", "--variety", fx("cline.json"), "--f", str(f), "--g", str(g)]
         code, report = run_json(argv, capsys)
         assert code == 0 and report["result"]["certificate"]["N"] == 1
 
@@ -330,10 +347,18 @@ class TestCliContract:
 
     def test_report_provenance_fields(self, capsys):
         _, report = run_json(["degree", "--variety", fx("cusp.json"), "--seed", "7"], capsys)
+        assert sorted(report) == ["command", "result", "seed", "tool", "version"]
         assert report["tool"] == "cnull"
         assert report["version"]
         assert report["seed"] == 7
-        assert report["prec"] == 256
+
+    @pytest.mark.parametrize("command", sorted(cli_subparsers()))
+    def test_prec_is_not_an_option(self, command, capsys):
+        # the precision ladder picks its own rungs; --prec is an unknown option everywhere
+        cli.build_parser().parse_args([command, *VALID_ARGS[command]])
+        assert main([command, *VALID_ARGS[command], "--prec", "256"]) == 4
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --prec 256" in err and "Traceback" not in err
 
     def test_missing_file_exit_4(self, capsys):
         assert main(["degree", "--variety", "no-such-file.json"]) == 4
@@ -492,7 +517,7 @@ class TestCliContract:
             for option in action.option_strings
             if option not in ("-h", "--help")
         }
-        assert options >= {"--ell", "--prec", "--samples"}
+        assert options >= {"--ell", "--seed", "--samples"}
         undocumented = [o for o in sorted(options) if not re.search(re.escape(o) + r"(?![\w-])", readme)]
         assert not undocumented
         # and the other way: a flag the README names is an option of some subcommand (pip's aside)

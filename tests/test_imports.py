@@ -250,7 +250,7 @@ def test_salts_are_distinct_and_pinned():
 
 # modules that import neither mpmath nor the numeric root layer: they compute exactly,
 # or, as gradexp does when it samples its shells, in double-precision floats
-EXACT_MODULES = ["errors", "gradexp", "nullcert", "rng", "variety"]
+EXACT_MODULES = ["cli", "errors", "gradexp", "nullcert", "rng", "variety"]
 NUMERIC_MODULES = {"mpmath", "numroots"}
 
 

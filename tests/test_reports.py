@@ -27,7 +27,8 @@ REPORTS = Path(__file__).resolve().parent / "reports"
 SEEDS = (0, 1, 7)
 CERT = "<cert>"
 
-# README.md command lines, by report name; bare words are fixtures/<word>.json
+# README.md command lines, by report name; a word that names a fixture stands for
+# fixtures/<word>.json, and other words (options, numbers) pass as they are
 COMMANDS = {
     "certify-proper": "certify --variety cusp --f fx --g gyx",
     "geomdeg": "geomdeg --variety graph_cubic --f proj23",
@@ -36,6 +37,7 @@ COMMANDS = {
     "charpoly-line": "charpoly --variety cline --f f_line8 --g g_line4",
     "check-bounds": "check-bounds --variety cusp --f fx --g gyx",
     "ploski": "ploski --variety cusp --f fx --g gyx",
+    "ploski-violation": "ploski --variety cusp --f fx --g gyx --q 1/10",
     "certify-general": "certify --variety graph_cubic --f proj23 --g g_sq_minus1",
     "certify-strictly-regular": "certify --variety plane2 --f f_x1sq --g g_x1 --L form_x2 --cycle cycle_axis",
     "cycle": "cycle --variety plane2 --f f_x1sq --components cycle_axis --L form_x2",
@@ -50,10 +52,10 @@ def _argv(command: str, seed: int, cert_path: str) -> list[str]:
     for word in words[1:]:
         if word == CERT:
             argv.append(cert_path)
-        elif word.startswith("--"):
-            argv.append(word)
-        else:
+        elif (FIXTURES / f"{word}.json").is_file():
             argv.append(str(FIXTURES / f"{word}.json"))
+        else:
+            argv.append(word)
     return argv + ["--seed", str(seed)]
 
 
