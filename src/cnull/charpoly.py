@@ -8,9 +8,10 @@ g on the fiber algebra Q[x]/R of the shape lemma (propermaps.ShapeLemma),
 with no root finding, through the elimination that checked properness
 and with g written once in that shear's coordinates.  That algebra keeps
 the multiplicities, so a critical node is sampled too.  On a curve it is
-numeric but self-certifying: fibers are solved at working precision, and
-the signed elementary symmetric functions of the g-values are rationally
-reconstructed.
+numeric but self-certifying: each fiber is counted at the first rung of
+the precision ladder and solved again at working precision from the
+count's roots, and the signed elementary symmetric functions of the
+g-values are rationally reconstructed.
 
 The grid grows one node per axis at a time, and keeps the points whose
 node indices sum to at most the largest cap on the total degree of a
@@ -49,10 +50,11 @@ from .errors import (
     InconsistentSamples,
     InvalidInput,
     NonMonicizable,
+    NonReal,
     NoReconstruction,
     PrecisionExhausted,
 )
-from .numroots import ladder_from, rational_reconstruct, roots_from_coeffs
+from .numroots import PREC_LADDER, ladder_from, rational_reconstruct, roots_from_coeffs
 from .polycore import (
     MPoly,
     NEG_INF,
@@ -60,7 +62,6 @@ from .polycore import (
     compose,
     distinct_root_count,
     drop_var,
-    evaluate,
     evaluator,
     grid_interpolant,
     interpolate,
@@ -70,7 +71,7 @@ from .polycore import (
     univ_coeffs,
     univ_from_coeffs,
 )
-from .propermaps import ShapeLemma, fiber_t_clusters, growth_exponent, profile_map
+from .propermaps import ShapeLemma, fiber_poly, fiber_t_clusters, growth_exponent, profile_map
 from .variety import CAMap
 
 
@@ -232,8 +233,14 @@ class _SampleGrid:
     G_k(x) (ShapeLemma.t2_table), and a node takes g as sum_k G_k theta^k
     for the residue theta of t2, by Horner's rule.  On one parameter a
     node with a critical fiber is skipped: each node is solved twice by
-    fiber_t_clusters, at working precision, once to check that its fiber
-    has d points, once to sample.
+    fiber_t_clusters, once at the ladder's first rung to check that its
+    fiber has d points, then at working precision from those d points to
+    sample, and the second solve must find d points too
+    (InconsistentSamples).  g is evaluated on the fiber by one evaluator
+    made at the sample precision.  A node whose sample does not
+    reconstruct is tested exactly, and skipped when its fiber polynomial
+    has fewer than d distinct roots: the clusters of an m-fold root can
+    pass the count.
     """
 
     def __init__(self, f: CAMap, g: CAMap, d: int, seed: int, wp: int, need: int, shape: ShapeLemma | None):
@@ -248,6 +255,9 @@ class _SampleGrid:
         self.pool = iter(span)
         self.shears = _rng.child_rng(seed, "charpoly-shear")  # draws only a rejected first node's shear
         self._sample_through(shape)
+        if shape is None:  # a curve: g on the fiber points
+            with mp.workprec(wp + 20):
+                self.g_at = evaluator([self.gp], use_mp=True)
 
     def _sample_through(self, shape: ShapeLemma | None) -> None:
         """Sample through shape (None on a curve), with g written in its shear's coordinates once."""
@@ -307,15 +317,21 @@ class _SampleGrid:
                     self._sample_through(ShapeLemma(self.f, self.shears))
                 return None
             return fiber[0].charpoly(_horner(*fiber, self.g_table))
-        if len(fiber_t_clusters(self.f, list(y), wp)) != d:
+        check = fiber_t_clusters(self.f, list(y), PREC_LADDER[0])
+        if len(check) != d:
             return None
         height = 10 ** max(6, wp // 16)
         with mp.workprec(wp + 20):
-            clusters = fiber_t_clusters(self.f, list(y), wp)
+            clusters = fiber_t_clusters(self.f, list(y), wp, [t for t, _ in check])
             if len(clusters) != d:
                 raise InconsistentSamples(f"fiber over {y} has {len(clusters)} points, expected {d}")
-            asc = _monic_from_roots([evaluate(self.gp, [t]) for t, _ in clusters])
-            return [rational_reconstruct(asc[d - j], height, wp) for j in range(1, d + 1)]
+            asc = _monic_from_roots([self.g_at([t])[0] for t, _ in clusters])
+            try:
+                return [rational_reconstruct(asc[d - j], height, wp) for j in range(1, d + 1)]
+            except (NonReal, NoReconstruction):
+                if distinct_root_count(fiber_poly(self.f, list(y))) < d:
+                    return None
+                raise
 
     def confirmed(self, caps: list[int]) -> bool:
         """Whether every coefficient is settled by its cap or confirmed early.

@@ -10,10 +10,14 @@ modulus at most 1; q and the points w are (re, im) pairs of Python ints at
 2^-P (see _scaled).  The iteration, its backward-stability test, the
 clustering and the cluster checks all run on these integers, comparing
 squared norms; mpmath only reads the inputs and returns the cluster
-representatives as mpc.  Each run first does the same iteration in double
-precision (Python complex) from a circle of radius 2^s; that stage only
-picks the starting points of the integer iteration, and when it overflows
-or leaves the finite range the integer iteration starts from the circle.
+representatives as mpc.  Unless the caller gives starting points, each
+run first does the same iteration in double precision (Python complex)
+from a circle of radius 2^s; that stage only picks the starting points of
+the integer iteration, and when it overflows or leaves the finite range
+the integer iteration starts from the circle.  A caller's starting
+points, such as the roots of a solve at a lower rung (MPSolve refines
+its approximations the same way when it raises the precision; Bini and
+Robol 2014), replace that stage on the first rung only.
 The integer iteration stops when every correction is below 2^-prec, when
 every point is a root of a polynomial within relative 2^-prec of the input
 (tested every 8 sweeps), or at its sweep cap.  A run that reaches the cap
@@ -157,6 +161,15 @@ def _scaled(coeffs, wp: int) -> _Scaled:
     return _Scaled(coeffs=list(coeffs), desc=q[::-1], sizes=sizes, s=s, P=P, wp=wp)
 
 
+def _value(poly: _Scaled, wr: int, wi: int):
+    """q(w) as (re, im): _value_and_slope without the derivative."""
+    P = poly.P
+    pr, pi = 1 << P, 0
+    for cr, ci in poly.desc:
+        pr, pi = ((pr * wr - pi * wi) >> P) + cr, ((pr * wi + pi * wr) >> P) + ci
+    return pr, pi
+
+
 def _value_and_slope(poly: _Scaled, wr: int, wi: int):
     """q(w) and q'(w) as (re, im, re', im')."""
     P = poly.P
@@ -171,10 +184,13 @@ def _value_and_slope(poly: _Scaled, wr: int, wi: int):
 # Aberth-Ehrlich iteration
 
 
-def _aberth(poly: _Scaled, prec: int):
+def _aberth(poly: _Scaled, prec: int, start=None):
     """All roots of the scaled polynomial, as (re, im) points w at 2^-P.
 
-    Returns (points, converged).  The integer iteration stops when every
+    Returns (points, converged).  The integer iteration starts from the
+    roots z in start, one per root, when they are given and fall on
+    distinct points w (from coincident points its corrections vanish at
+    once), and otherwise from the double-precision stage.  It stops when every
     correction of a sweep is below 2^-prec relative to 1 + |z|, or when
     every point is backward stable at 2^-prec, tested every _STABLE_EVERY
     sweeps: around a multiple root or a tight cluster the corrections stall
@@ -189,7 +205,28 @@ def _aberth(poly: _Scaled, prec: int):
         return [(-cr, -ci)], True
     if d == 2:
         return _quadratic(poly), True
-    # the start circle: radius 1 in w about the roots' centroid -q_{d-1}/d
+    w = None if start is None else [_fixed_point(z, P - s) for z in start]
+    if w is None or len(set(w)) < d:
+        w = _start(poly)
+    cap = max(200, 3 * prec)
+    for done in range(0, cap, _STABLE_EVERY):
+        sweeps = min(_STABLE_EVERY, cap - done)
+        if _fixed_sweeps(poly, w, sweeps) or _fixed_backward_stable(poly, w):
+            return w, True
+    return w, False
+
+
+_STABLE_EVERY = 8  # integer sweeps between two backward-stability tests
+
+
+def _start(poly: _Scaled):
+    """Start points w of the integer iteration, from the double-precision stage.
+
+    That stage starts on the circle of radius 1 in w about the roots'
+    centroid -q_{d-1}/d; when it overflows or leaves the finite range the
+    integer iteration starts from the circle itself.
+    """
+    d, P, s = len(poly.desc), poly.P, poly.s
     center = complex(-poly.desc[0][0] / (d << P), -poly.desc[0][1] / (d << P))
     circle = [center + cmath.exp(2j * math.pi * (k + 0.354) / d) for k in range(d)]
     coeffs = poly.coeffs
@@ -202,16 +239,13 @@ def _aberth(poly: _Scaled, prec: int):
     except OverflowError:
         warm = None
     shift = P if warm is None else P - s
-    w = [(_fixed(c.real, shift), _fixed(c.imag, shift)) for c in warm or circle]
-    cap = max(200, 3 * prec)
-    for done in range(0, cap, _STABLE_EVERY):
-        sweeps = min(_STABLE_EVERY, cap - done)
-        if _fixed_sweeps(poly, w, sweeps) or _fixed_backward_stable(poly, w):
-            return w, True
-    return w, False
+    return [(_fixed(c.real, shift), _fixed(c.imag, shift)) for c in warm or circle]
 
 
-_STABLE_EVERY = 8  # integer sweeps between two backward-stability tests
+def _fixed_point(z, shift: int):
+    """(floor(re z 2^shift), floor(im z 2^shift)) for an exact or mpmath number z."""
+    re, im, den = _exact(z)
+    return _shift_div(re, shift, den), _shift_div(im, shift, den)
 
 
 def _fixed(x: float, shift: int) -> int:
@@ -304,7 +338,7 @@ def _fixed_backward_stable(poly: _Scaled, w) -> bool:
     """
     P, two_wp = poly.P, 2 * poly.wp
     for wr, wi in w:
-        pr, pi, _, _ = _value_and_slope(poly, wr, wi)
+        pr, pi = _value(poly, wr, wi)
         r = math.isqrt(wr * wr + wi * wi)
         bound = 0
         for m in poly.sizes:
@@ -423,13 +457,18 @@ def _fixed_key(point, tol: int):
     return ((2 * point[0] + tol) // (2 * tol), point[1])
 
 
-def roots_from_coeffs(coeffs, prec: int = 256) -> RootSet:
+def roots_from_coeffs(coeffs, prec: int = 256, start=None) -> RootSet:
     """Root set of an ascending coefficient list (Fraction or complex entries).
 
     Runs the precision ladder until clusters are unambiguously separated;
     a rung whose Aberth iteration did not converge counts as ambiguous.
     Zero leading/trailing coefficients (exactly zero, of any type) are stripped beforehand.
     Clusters are taken at tol = 2^-(wp/4) max(1, |z|), over all points z.
+    start, approximate roots such as the representatives of a solve at a
+    lower rung, replaces the double-precision stage on the first rung; it
+    is ignored unless it holds one distinct point per root of the stripped
+    polynomial, and a higher rung starts cold.  The stopping rule and the
+    cluster checks decide the result either way.
     """
     coeffs = list(coeffs)
     while coeffs and _is_exact_zero(coeffs[-1]):
@@ -442,9 +481,12 @@ def roots_from_coeffs(coeffs, prec: int = 256) -> RootSet:
     stripped = coeffs[zero_mult:]
     if len(stripped) == 1:
         return RootSet(roots=[(mp.mpc(0), zero_mult)], residual_bound=0.0, prec=ladder_from(prec)[0])
+    if start is not None and len(start) != len(stripped) - 1:
+        start = None
     for wp in ladder_from(prec):
         poly = _scaled(stripped, wp)
-        pts, converged = _aberth(poly, wp)
+        pts, converged = _aberth(poly, wp, start)
+        start = None
         if not converged:
             failure = "Aberth iteration did not converge"
             continue
@@ -493,7 +535,7 @@ def _clusters_ok(poly: _Scaled, clusters, tol, zero_mult):
     one, n = 1 << (poly.P - poly.s), d + zero_mult
     residual = 0.0
     for (wr, wi), _ in clusters:
-        pr, pi, _, _ = _value_and_slope(poly, wr, wi)
+        pr, pi = _value(poly, wr, wi)
         a = math.isqrt(wr * wr + wi * wi)
         num = a ** (2 * zero_mult) * (pr * pr + pi * pi) << (2 * P * (d - 1))
         den = (one + a) ** (2 * n)
@@ -515,12 +557,12 @@ def _is_exact_zero(c) -> bool:
     return c == 0
 
 
-def roots_univariate(p: MPoly, prec: int = 256) -> RootSet:
-    """All complex roots of a nonconstant univariate rational polynomial."""
+def roots_univariate(p: MPoly, prec: int = 256, start=None) -> RootSet:
+    """All complex roots of a nonconstant univariate rational polynomial (start: see roots_from_coeffs)."""
     coeffs = univ_coeffs(p)
     if len(coeffs) <= 1:
         raise ValueError("nonconstant polynomial required")
-    return roots_from_coeffs(coeffs, prec)
+    return roots_from_coeffs(coeffs, prec, start)
 
 
 # ---------------------------------------------------------------------------

@@ -315,16 +315,17 @@ def _at_y(table, y) -> tuple[list[int], int]:
     return [sum(c * p1[a] * p2[b] for c, a, b in row) for row in rows], den
 
 
-def fiber_t_clusters(f: CAMap, y, prec: int = 256):
+def fiber_t_clusters(f: CAMap, y, prec: int = 256, start=None):
     """Distinct parameter-space fiber clusters over exact rational y (curves).
 
     Clusters the roots of the exact fiber gcd; returns a list of
-    (representative, count).
+    (representative, count).  start, approximate roots, starts the solve
+    (see numroots.roots_from_coeffs).
     """
     g = fiber_poly(f, y)
     if g.is_constant():
         return []
-    return roots_univariate(g, prec).roots
+    return roots_univariate(g, prec, start).roots
 
 
 def fiber_points_2(f: CAMap, y, prec: int = 256):

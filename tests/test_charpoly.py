@@ -1,6 +1,8 @@
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -9,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import counted_evaluator, fiber_coordinates, line_poly, map_spec, pj, plane_polys, residue_evaluate, univariate_coeffs
-from cnull import charpoly, numroots, polycore, propermaps, rng
+from cnull import charpoly, cli, numroots, polycore, propermaps, rng
 from cnull.charpoly import (
     CharPoly,
     bounds_table,
@@ -21,7 +23,14 @@ from cnull.charpoly import (
     ploski_delta,
     verify_charpoly,
 )
-from cnull.errors import ExactVerificationFailed, InvalidInput, NoReconstruction, NonZeroDimensional
+from cnull.errors import (
+    ExactVerificationFailed,
+    InconsistentSamples,
+    InvalidInput,
+    NonReal,
+    NoReconstruction,
+    NonZeroDimensional,
+)
 from cnull.numroots import rational_reconstruct
 from cnull.polycore import (
     NEG_INF,
@@ -147,11 +156,12 @@ class TestFiberSolves:
         f, g = _line_map(cline, [-2, 3, -1, 0, 1]), _line_map(cline, [0, 1, 0, 1])
         _profile_now(monkeypatch, f)
         real = getattr(charpoly, solver)  # the grid's own binding
-        calls = []
+        calls, started = [], []
 
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return real(*args, **kwargs)
+        def counted(f, y, prec=256, start=None):
+            calls.append(y)
+            started.append(start is not None)
+            return real(f, y, prec, start)
 
         monkeypatch.setattr(charpoly, solver, counted)
         P = build_charpoly(f, g, seed=0)
@@ -159,8 +169,9 @@ class TestFiberSolves:
         nodes = len(set(map(tuple, calls)))
         assert nodes >= 1 and len(calls) == 2 * nodes
         assert nodes <= (max(P.bounds) + 1) ** P.k
-        # each new node is checked, then sampled: the calls come in pairs
+        # each new node is checked, then sampled from the check's roots: the calls come in pairs
         assert calls[::2] == calls[1::2]
+        assert not any(started[::2]) and all(started[1::2])
 
     def test_square_grid_solves_no_fiber(self, monkeypatch):
         # on two parameters every sample is exact: no root is computed or reconstructed
@@ -350,6 +361,68 @@ class TestLadderFailures:
         assert precs == [256, 512, 1024]
 
 
+    @staticmethod
+    def _short_samples(monkeypatch, rungs):
+        """The sample solve at a working precision in rungs finds one cluster fewer than its check."""
+        real = charpoly.fiber_t_clusters
+
+        def fewer(f, y, prec=256, start=None):
+            clusters = real(f, y, prec, start)
+            return clusters[:-1] if start is not None and prec in rungs else clusters
+
+        monkeypatch.setattr(charpoly, "fiber_t_clusters", fewer)
+
+    def test_a_sample_short_of_its_check_moves_to_the_next_rung(self, cline, monkeypatch):
+        # curve(4, 3): the 256-bit grid raises InconsistentSamples at its first node, the 512-bit one builds P
+        f, g = _line_map(cline, [-2, 3, -1, 0, 1]), _line_map(cline, [0, 1, 0, 1])
+        self._short_samples(monkeypatch, {256})
+        precs = _constructed_grids(monkeypatch)
+        P = build_charpoly(f, g, seed=0)
+        assert precs == [256, 512]
+        assert P.verified and P.coeffs == charpoly_resultant_oracle(f, g).coeffs
+
+    def test_samples_short_at_every_rung_fail_verification(self, cline, monkeypatch, capsys):
+        f, g = _line_map(cline, [-2, 3, -1, 0, 1]), _line_map(cline, [0, 1, 0, 1])
+        self._short_samples(monkeypatch, set(numroots.PREC_LADDER))
+        precs = _constructed_grids(monkeypatch)
+        with pytest.raises(ExactVerificationFailed) as info:
+            build_charpoly(f, g, seed=0)
+        assert isinstance(info.value.__cause__, InconsistentSamples)
+        assert precs == [256, 512, 1024]
+        fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+        argv = ["charpoly", *(f"--{k}={fixtures / v}" for k, v in
+                              [("variety", "cline.json"), ("f", "f_line8.json"), ("g", "g_line4.json")])]
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "ExactVerificationFailed" in err and "Traceback" not in err
+
+
+class TestCriticalNodes:
+    @pytest.mark.parametrize("m", [5, 6])
+    @pytest.mark.parametrize("seed", [6, 15])
+    def test_an_m_fold_root_is_skipped_as_critical(self, cline, monkeypatch, m, seed):
+        # f = (x - 1)^m, g = x^2 + 1: at these seeds the node 0 has an m-fold root, whose
+        # clusters pass the count of d = m points; its sample does not reconstruct, and the
+        # exact fiber polynomial, with one distinct root, marks the node critical
+        f = _line_map(cline, [math.comb(m, i) * (-1) ** (m - i) for i in range(m + 1)])
+        g = _line_map(cline, [1, 0, 1])
+        rows = _counted_rows(monkeypatch)
+        P = build_charpoly(f, g, seed=seed)
+        assert P.verified and P.coeffs == charpoly_resultant_oracle(f, g).coeffs
+        assert ((0,), 256, False) in rows
+
+    def test_a_noncritical_node_that_does_not_reconstruct_still_raises(self, cline, monkeypatch):
+        # the exact test skips only a critical node: curve(4, 3) has none at its grid nodes
+        f, g = _line_map(cline, [-2, 3, -1, 0, 1]), _line_map(cline, [0, 1, 0, 1])
+
+        def nonreal(*args):
+            raise NonReal("forced")
+
+        monkeypatch.setattr(charpoly, "rational_reconstruct", nonreal)
+        with pytest.raises(NonReal, match="forced"):
+            build_charpoly(f, g, seed=0)
+
+
 class TestShearRedraw:
     @pytest.mark.parametrize("rejected,redraws", [(0, 1), (1, 0)])
     def test_only_a_rejected_first_node_redraws_the_shear(self, monkeypatch, rejected, redraws):
@@ -435,13 +508,14 @@ def _counted_rows(monkeypatch):
 
 
 def _counted_solves(monkeypatch):
-    """Record (node, prec) of every curve fiber solve of the sample grid from here on."""
+    """Record (node, prec, start, clusters) of every curve fiber solve of the sample grid from here on."""
     real = charpoly.fiber_t_clusters
     calls = []
 
-    def counted(f, y, prec=256):
-        calls.append((tuple(y), prec))
-        return real(f, y, prec)
+    def counted(f, y, prec=256, start=None):
+        clusters = real(f, y, prec, start)
+        calls.append((tuple(y), prec, start, clusters))
+        return clusters
 
     monkeypatch.setattr(charpoly, "fiber_t_clusters", counted)
     return calls
@@ -530,8 +604,10 @@ class TestEarlyTermination:
         assert all(accepted for _, _, accepted in rows)
 
     def test_two_solves_per_node_refined_in_integers(self, curve_8_4, monkeypatch):
-        # every grid node is solved twice (count, then sample); mpmath runs no Aberth sweep,
-        # so every _aberth_sweeps call is the double-precision stage
+        # every grid node is solved twice: its count at the ladder's first rung, then its
+        # sample at the working precision, started from the count's representatives, so the
+        # double-precision stage runs once per node; mpmath runs no Aberth sweep, so every
+        # _aberth_sweeps call is that stage
         f, g = curve_8_4
         calls = _counted_solves(monkeypatch)
         real = numroots._aberth_sweeps
@@ -544,8 +620,16 @@ class TestEarlyTermination:
         monkeypatch.setattr(numroots, "_aberth_sweeps", recorded)
         P = build_charpoly(f, g, seed=0)
         assert P.verified
-        assert len(calls) == 2 * len({y for y, _ in calls}) == 10
-        assert targets and all(type(t) is float for t in targets)
+        nodes = {y for y, *_ in calls}
+        assert len(calls) == 2 * len(nodes) == 10
+        checks, samples = calls[::2], calls[1::2]
+        assert [y for y, *_ in checks] == [y for y, *_ in samples]
+        assert all(prec == numroots.PREC_LADDER[0] == 128 and start is None for _, prec, start, _ in checks)
+        assert all(prec == 256 for _, prec, _, _ in samples)
+        for (_, _, _, check), (_, _, start, sample) in zip(checks, samples):
+            assert start == [t for t, _ in check] and len(start) == len(sample) == 8
+        assert len(targets) == len(nodes)
+        assert all(type(t) is float for t in targets)
 
     def test_false_early_stop_grows_to_the_theorem_grid_at_the_same_precision(
         self, curve_8_4, monkeypatch
@@ -625,7 +709,7 @@ class TestEarlyTermination:
             return real_evaluate(p, y)
 
         monkeypatch.setattr(polycore, "evaluate", counted)
-        monkeypatch.setattr(charpoly, "evaluate", counted)
+        assert not hasattr(charpoly, "evaluate")  # nor can charpoly call it unseen
         P = build_charpoly(polynomial_map(comps), G12, seed=0)
         assert P.verified
         assert visits == []
@@ -873,8 +957,9 @@ class TestGrowthInclusion:
         P = CharPoly(3, [MPoly(1, {}), -Y, Y**3], None, "resultant", ["y1"])
         built, points, visits = [], [], []
         monkeypatch.setattr(charpoly, "evaluator", counted_evaluator(built, points))
-        for module in (polycore, charpoly, numroots):
+        for module in (polycore, numroots):
             monkeypatch.setattr(module, "evaluate", lambda p, y: visits.append(y))
+        assert not hasattr(charpoly, "evaluate")
         for calls in (1, 2):
             growth_inclusion_check(P, F(1), samples=50, seed=calls)
             assert built == [P.coeffs[::-1]] * calls

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import mpolys
+from conftest import mpolys, univariate_coeffs
 from cnull import numroots
 from cnull.errors import NonReal, NonZeroDimensional, NoReconstruction, PrecisionExhausted
 from cnull.numroots import (
@@ -169,8 +169,8 @@ class TestAberthConvergence:
     def test_unconverged_rung_moves_up_the_ladder(self, monkeypatch):
         real = numroots._aberth
 
-        def stalls_below_512(coeffs, prec):
-            z, _ = real(coeffs, prec)
+        def stalls_below_512(poly, prec, start=None):
+            z, _ = real(poly, prec, start)
             return z, prec >= 512
 
         monkeypatch.setattr(numroots, "_aberth", stalls_below_512)
@@ -179,11 +179,20 @@ class TestAberthConvergence:
 
     def test_unconverged_at_every_rung_exhausts_precision(self, monkeypatch):
         real = numroots._aberth
-        monkeypatch.setattr(numroots, "_aberth", lambda coeffs, prec: (real(coeffs, prec)[0], False))
+        monkeypatch.setattr(numroots, "_aberth", lambda poly, prec, start=None: (real(poly, prec, start)[0], False))
         with pytest.raises(PrecisionExhausted) as info:
             roots_from_coeffs([F(-2), F(1), F(0), F(1)], 256)
         assert info.value.exit_code == 3
         assert "did not converge" in str(info.value)
+
+    def test_value_is_the_value_of_value_and_slope(self):
+        # the residual checks read q(w) only, from the Horner loop without the derivative
+        gen = random.Random(3)
+        for degree in (1, 2, 5, 9):
+            poly = numroots._scaled([F(gen.randint(-9, 9), gen.randint(1, 9)) for _ in range(degree)] + [F(1)], 128)
+            for _ in range(20):
+                wr, wi = (gen.randint(-(2 << poly.P), 2 << poly.P) for _ in range(2))
+                assert numroots._value(poly, wr, wi) == numroots._value_and_slope(poly, wr, wi)[:2]
 
     def test_capped_sweeps_are_reported_unconverged(self):
         poly = numroots._scaled([F(c) for c in [5, -3, 1, 0, 2, -7, 1, 4, 0, 1]], 128)
@@ -388,6 +397,100 @@ class TestIntegerStage:
     @given(_mpc_coeffs(), st.sampled_from([128, 256]))
     def test_mpc_coefficients(self, coeffs, prec):
         self._matches(coeffs, prec)
+
+
+def _recorded_starts(monkeypatch, converged_at=lambda prec: True):
+    """The start handed to every _aberth run from here on; converged_at(prec) overrides its verdict."""
+    real = numroots._aberth
+    starts = []
+
+    def recorded(poly, prec, start=None):
+        starts.append(start)
+        w, converged = real(poly, prec, start)
+        return w, converged and converged_at(prec)
+
+    monkeypatch.setattr(numroots, "_aberth", recorded)
+    return starts
+
+
+def _points(rs):
+    """One point per root of a RootSet: each representative, as often as it counts."""
+    return [z for z, m in rs.roots for _ in range(m)]
+
+
+CUBIC = [F(-2), F(1), F(0), F(1)]  # x^3 + x - 2, of roots 1 and (-1 +- i sqrt 7) / 2
+
+
+class TestWarmStart:
+    """roots_from_coeffs from given start points, as the second solve of a curve grid node."""
+
+    def test_start_replaces_the_double_precision_stage(self, monkeypatch):
+        start = _points(roots_from_coeffs(CUBIC, 128))
+        cold = roots_from_coeffs(CUBIC, 256)
+        floats = []
+        real = numroots._float_start
+        monkeypatch.setattr(numroots, "_float_start", lambda *args: floats.append(1) or real(*args))
+        starts = _recorded_starts(monkeypatch)
+        warm = roots_from_coeffs(CUBIC, 256, start)
+        assert starts == [start] and floats == []
+        assert warm.prec == cold.prec == 256
+        assert [m for _, m in warm.roots] == [m for _, m in cold.roots] == [1, 1, 1]
+        assert all(close(z, r, 1e-70) for z, r in zip(warm.values(), cold.values()))
+
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_a_start_of_the_wrong_length_starts_cold(self, monkeypatch, length):
+        start = (_points(roots_from_coeffs(CUBIC, 128)) * 2)[:length]
+        cold = roots_from_coeffs(CUBIC, 256)
+        starts = _recorded_starts(monkeypatch)
+        assert roots_from_coeffs(CUBIC, 256, start) == cold
+        assert starts == [None]
+
+    def test_a_start_with_the_stripped_zero_roots_starts_cold(self, monkeypatch):
+        # x^2 (x^3 + x - 2): the solve runs on the cubic, so only three points start it
+        coeffs = [F(0), F(0)] + CUBIC
+        five, three = _points(roots_from_coeffs(coeffs, 128)), _points(roots_from_coeffs(CUBIC, 128))
+        assert len(five) == 5
+        starts = _recorded_starts(monkeypatch)
+        cold = roots_from_coeffs(coeffs, 256)
+        assert roots_from_coeffs(coeffs, 256, five) == cold
+        warm = roots_from_coeffs(coeffs, 256, three)
+        assert starts == [None, None, three]
+        assert [m for _, m in warm.roots] == [m for _, m in cold.roots] == [1, 1, 2, 1]
+
+    def test_coincident_start_points_start_cold(self):
+        # (x - 4)^3 from its 128-bit cluster, three times: from one point the corrections vanish
+        # at once, and the run would stop at the start's error of about 1e-15
+        coeffs = [F(-64), F(48), F(-12), F(1)]
+        start = _points(roots_from_coeffs(coeffs, 128))
+        assert len(start) == 3 and len(set(start)) == 1
+        assert roots_from_coeffs(coeffs, 256, start) == roots_from_coeffs(coeffs, 256)
+
+    def test_an_unconverged_first_rung_retries_the_next_rung_cold(self, monkeypatch):
+        start = _points(roots_from_coeffs(CUBIC, 128))
+        starts = _recorded_starts(monkeypatch, converged_at=lambda prec: prec > 256)
+        rs = roots_from_coeffs(CUBIC, 256, start)
+        assert starts == [start, None]
+        assert rs.prec == 512 and len(rs.roots) == 3
+
+    @settings(max_examples=40, deadline=None)
+    @given(univariate_coeffs(8))
+    @example([-1, 3, -3, 1])  # (x - 1)^3
+    @example([4, 0, -4, 0, 1])  # (x^2 - 2)^2
+    def test_warm_and_cold_runs_agree(self, coeffs):
+        # the representatives of a 128-bit solve start a 256-bit one (a multiple root's, repeated,
+        # start it cold): the counts are the cold run's, and the roots agree within the rung's
+        # cluster tolerance
+        coeffs = [F(c) for c in coeffs]
+        assume(coeffs[0] != 0)
+        cold = roots_from_coeffs(coeffs, 256)
+        warm = roots_from_coeffs(coeffs, 256, _points(roots_from_coeffs(coeffs, 128)))
+        assert warm.prec == cold.prec
+        assert [m for _, m in warm.roots] == [m for _, m in cold.roots]
+        with mp.workprec(warm.prec + 20):
+            scale = max([1] + [abs(r) for r in cold.values()])
+            tol = mp.mpf(2) ** (-warm.prec // 4) * scale
+            for (z, m), (r, n) in zip(warm.roots, cold.roots):
+                assert m == n and abs(z - r) <= tol
 
 
 class TestCluster:
