@@ -18,17 +18,17 @@ node indices sum to at most the largest cap on the total degree of a
 coefficient: the simplex that determines a polynomial of that degree.
 The caps are the theorem bounds, lowered on a curve to
 floor(j deg G / deg F) (_grid_caps); the reported bounds stay the
-theorem's.  The grid stops at the caps, or early once every
-coefficient's samples on n nodes per axis fit total degree n - ZETA - 1,
-that is, once their Newton divided differences of index sum n - ZETA or
-more vanish (polycore.grid_interpolant; early termination in the manner
-of Kaltofen and Lee, 2003), and the fit is then its coefficient.  An
-early result is returned only when it verifies and g separates the
-fiber over some grid node, since only then does the identity force P to
-be the characteristic polynomial; otherwise the grid grows to the
-caps at the same precision, and a failed verification there
-escalates the precision ladder on a curve; exact two-parameter samples
-try one rung.
+theorem's.  The grid stops at the caps.  Only a two-parameter grid may
+stop earlier, once every coefficient's samples on n nodes per axis fit
+total degree n - ZETA - 1, that is, once their Newton divided
+differences of index sum n - ZETA or more vanish
+(polycore.grid_interpolant; early termination in the manner of Kaltofen
+and Lee, 2003), and the fit is then its coefficient.  An early result is
+returned only when it verifies and g separates the fiber over some grid
+node, since only then does the identity force P to be the
+characteristic polynomial; otherwise the grid grows to the caps at the
+same precision.  A failed verification at the caps escalates the
+precision ladder on a curve; exact two-parameter samples try one rung.
 
 An independent exact construction via a Sylvester resultant is provided
 as an oracle for the curve case.
@@ -49,7 +49,6 @@ from .errors import (
     ExactVerificationFailed,
     InconsistentSamples,
     InvalidInput,
-    NonMonicizable,
     NonReal,
     NoReconstruction,
     PrecisionExhausted,
@@ -172,9 +171,9 @@ def _grid_caps(f: CAMap, g: CAMap, bounds: list[int]) -> list[int]:
     symmetric function of the d values, is O(|y|^(j deg G / deg F)).  So
     deg a_j <= floor(j deg G / deg F), and a curve's cap is the lower of
     that and bound_j.  The cap of a_d is reached: a_d = +-prod G(t_i) has
-    degree exactly d deg G / deg F, d times Ploski's exponent, so early
-    termination never stops a curve's grid before its caps.  On two
-    parameters the bounds are returned unchanged.
+    degree exactly d deg G / deg F, d times Ploski's exponent, so no early
+    fit of it can succeed and a curve's grid grows straight to its caps.
+    On two parameters the bounds are returned unchanged.
     """
     if f.domain.param.k != 1:
         return bounds
@@ -188,22 +187,22 @@ ZETA = 2  # confirming nodes per axis beyond those an early interpolant is taken
 def _candidates(f: CAMap, g: CAMap, d: int, caps: list[int], seed: int, wp: int, shape: ShapeLemma | None):
     """Interpolated characteristic polynomials at precision wp, on one growing grid.
 
-    The grid gains one node per axis at a time.  It stops early once every
-    coefficient a_j is confirmed: its samples fit total degree n - ZETA - 1,
-    and the fit is a_j.  The early result is offered only when g separates
-    the fiber over some grid node, for then P(f, g) = 0 forces P to be the
-    characteristic polynomial.  Otherwise, and when the early result is
-    rejected, the grid grows to the cap grid, max_j cap_j + 1 nodes per
-    axis on the simplex of that total degree, and the result interpolated
-    under the caps follows.  A curve's grid always grows to its caps,
-    since its a_d reaches its cap (_grid_caps).
+    The grid gains one node per axis at a time, up to the cap grid:
+    max_j cap_j + 1 nodes per axis on the simplex of that total degree,
+    under which the result is interpolated.  Only a two-parameter grid
+    stops early, once every coefficient a_j is confirmed: its samples fit
+    total degree n - ZETA - 1, and the fit is a_j.  That result is offered
+    only when g separates the fiber over some grid node, for then
+    P(f, g) = 0 forces P to be the characteristic polynomial.  A curve's
+    a_d reaches its cap (_grid_caps), so no early fit of it can succeed.
     """
     need = max(caps, default=0) + 1
     grid = _SampleGrid(f, g, d, seed, wp, need, shape)
-    while grid.n < need and not grid.confirmed(caps):
-        grid.grow()
-    if grid.n < need and grid.separates():
-        yield grid.charpoly(caps)
+    if shape is not None:
+        while grid.n < need and not grid.confirmed(caps):
+            grid.grow()
+        if grid.n < need and grid.separates():
+            yield grid.charpoly(caps)
     while grid.n < need:
         grid.grow()
     yield grid.charpoly(caps)
@@ -217,6 +216,7 @@ class _SampleGrid:
     grid holds the points (x_(1,alpha_1), ..., x_(k,alpha_k)) with every
     alpha_i < n and |alpha| < need, where need is the largest cap + 1: a
     lower set that holds the simplex of every total degree below need.
+    Only a two-parameter grid is asked whether it is confirmed early.
     Nodes come from one shuffled span, sized by need, under the salt
     charpoly-grid; a candidate node whose new slab of the
     grid has a point that cannot be sampled is skipped.  On two parameters
@@ -334,7 +334,7 @@ class _SampleGrid:
                 raise
 
     def confirmed(self, caps: list[int]) -> bool:
-        """Whether every coefficient is settled by its cap or confirmed early.
+        """Whether every coefficient is settled by its cap or confirmed early; two parameters only.
 
         a_j is settled by its cap once the grid has cap_j + 1 nodes per
         axis, and confirmed earlier when every Newton coefficient
@@ -416,9 +416,10 @@ def _monic_from_roots(values):
 def charpoly_resultant_oracle(f: CAMap, g: CAMap) -> CharPoly:
     """Exact characteristic polynomial as a normalized Sylvester resultant.
 
-    Eliminates the curve parameter from (f(phi)(t) - y, s - g(phi)(t));
-    requires the leading parameter coefficient of f(phi) - y to be free
-    of y, which holds whenever f(phi) is a nonconstant polynomial.
+    Eliminates the curve parameter from (F(t) - y, s - G(t)), for
+    F = f(phi) and G = g(phi): the resultant is
+    lc(F)^(deg G) prod (s - G(t_i)) over the roots t_i of F(t) - y, of
+    degree deg F in s with a constant lead, which is divided out.
     """
     param = f.domain.param
     if param.k != 1 or f.n != 1 or g.n != 1:
@@ -437,12 +438,7 @@ def charpoly_resultant_oracle(f: CAMap, g: CAMap) -> CharPoly:
     s = MPoly(3, {(0, 0, 1): Fraction(1)})
     res = sylvester_resultant(embed_t(fp) - y, s - embed_t(gp), 0)  # in (y, s)
     s_coeffs = coeffs_in_var(res, 1)
-    if len(s_coeffs) - 1 != deg_f:
-        raise NonMonicizable("resultant degree in the new variable is not deg f(phi)")
-    lead = s_coeffs[-1]
-    if not lead.is_constant():
-        raise NonMonicizable("leading coefficient depends on y")
-    lead_c = lead.constant_term()
+    lead_c = s_coeffs[-1].constant_term()
     coeffs = []
     for j in range(1, deg_f + 1):
         a = s_coeffs[deg_f - j].scale(Fraction(1) / lead_c)
@@ -500,7 +496,8 @@ def growth_inclusion_check(
     Draws |x| log-uniform in [R, 10^4 R] for R = GROWTH_R; the inclusion
     holds when the max of |t|/|x|^q over the top half of the range does
     not exceed the bottom-half max by more than a factor 1.25.  On
-    violation the sample achieving the top-half max is the witness.
+    violation the sample achieving the top-half max is the witness.  A
+    draw that leaves a half without a sample raises InvalidInput.
     """
     if q <= 0:
         raise InvalidInput("q must be positive")
@@ -512,7 +509,7 @@ def growth_inclusion_check(
     mid = GROWTH_R * 100.0
     low_max = 0.0
     high_max = 0.0
-    best = 0.0
+    halves = [0, 0]  # samples with |x| up to mid, and above it
     top_witness = None
     with mp.workprec(prec):
         # identically-zero coefficients stay exact so zero roots strip fast
@@ -523,19 +520,21 @@ def growth_inclusion_check(
             asc = coeffs_at(x) + [1]
             rs = roots_from_coeffs(asc, prec)
             denom = mp.mpf(r) ** q_f
+            halves[r > mid] += 1
             for root, _ in rs.roots:
                 ratio = float(abs(root) / denom)
-                best = max(best, ratio)
                 if r <= mid:
                     low_max = max(low_max, ratio)
                 elif ratio > high_max:
                     high_max = ratio
                     top_witness = (tuple(x), root)
+    if not all(halves):
+        raise InvalidInput(f"{halves[0]} of {samples} samples at |x| <= {mid:g}, {halves[1]} above: a half is empty")
     holds = high_max <= 1.25 * low_max or (high_max == 0.0 and low_max == 0.0)
     return GrowthCheck(
         holds=holds,
         q=Fraction(q),
-        witness_C=best if holds else None,
+        witness_C=max(low_max, high_max) if holds else None,
         violation=None if holds else top_witness,
         low_max=low_max,
         high_max=high_max,

@@ -25,6 +25,10 @@ class ParamRequired(SchemaError):
     """A variety has no polynomial parametrization, or not one of the kind the operation needs."""
 
 
+class ParamNotOneToOne(SchemaError):
+    """A curve's parametrization is not generically one-to-one onto the set."""
+
+
 class GridMalformed(SchemaError):
     """Interpolation samples do not form a tensor-product grid."""
 
@@ -78,10 +82,6 @@ class CycleDataUnavailable(HypothesisError):
 
 class ComponentNotInFiber(HypothesisError):
     """A supplied component is not contained in the zero fiber of the map."""
-
-
-class NonMonicizable(HypothesisError):
-    """The resultant's leading coefficient is not constant, so it cannot be normalized monic."""
 
 
 # ---------------------------------------------------------------------------

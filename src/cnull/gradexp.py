@@ -90,7 +90,6 @@ def validate_inequality(f: MPoly, theta_value: Fraction, seed: int = 0) -> GradE
     exponent = float(theta_value)
     gen = child_rng(seed, "shells")
     shell_rows = []
-    overall = 0.0
     for scale in SHELLS:
         best = 0.0
         produced = 0
@@ -110,7 +109,6 @@ def validate_inequality(f: MPoly, theta_value: Fraction, seed: int = 0) -> GradE
             ratio = abs(value) ** exponent / grad_norm
             best = max(best, ratio)
         shell_rows.append((scale, best))
-        overall = max(overall, best)
     validated = shell_rows[-1][1] <= 2.0 * shell_rows[-2][1]
     return GradExpReport(
         d=int(total_degree(f)),
@@ -118,7 +116,7 @@ def validate_inequality(f: MPoly, theta_value: Fraction, seed: int = 0) -> GradE
         D=None,
         theta=theta_value,
         validated=validated,
-        max_ratio_C=overall,
+        max_ratio_C=max(best for _, best in shell_rows),
         shells=shell_rows,
     )
 

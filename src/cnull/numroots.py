@@ -41,7 +41,7 @@ from .polycore import (
     MPoly,
     coeffs_in_var,
     drop_var,
-    evaluate,
+    evaluator,
     exact_divide,
     sylvester_resultant,
     total_degree,
@@ -55,10 +55,9 @@ PREC_LADDER = (128, 256, 512, 1024)
 
 @dataclass(frozen=True)
 class RootSet:
-    """Distinct roots with multiplicities; multiplicities sum to the degree."""
+    """Distinct roots with multiplicities, which sum to the degree, and the rung that found them."""
 
     roots: list  # list of (mp.mpc, int)
-    residual_bound: float
     prec: int
 
     def values(self) -> list:
@@ -480,7 +479,7 @@ def roots_from_coeffs(coeffs, prec: int = 256, start=None) -> RootSet:
         zero_mult += 1
     stripped = coeffs[zero_mult:]
     if len(stripped) == 1:
-        return RootSet(roots=[(mp.mpc(0), zero_mult)], residual_bound=0.0, prec=ladder_from(prec)[0])
+        return RootSet(roots=[(mp.mpc(0), zero_mult)], prec=ladder_from(prec)[0])
     if start is not None and len(start) != len(stripped) - 1:
         start = None
     for wp in ladder_from(prec):
@@ -495,14 +494,13 @@ def roots_from_coeffs(coeffs, prec: int = 256, start=None) -> RootSet:
         clusters = cluster(pts, tol)
         if zero_mult:
             clusters = _merge_zero(clusters, zero_mult, tol)
-        residual = _clusters_ok(poly, clusters, tol, zero_mult)
-        if residual is not None:
+        if _clusters_ok(poly, clusters, tol, zero_mult):
             with mp.workprec(wp + 20):
                 roots = [
                     (mp.mpc(mp.ldexp(re, poly.s - poly.P), mp.ldexp(im, poly.s - poly.P)), count)
                     for (re, im), count in clusters
                 ]
-            return RootSet(roots=roots, residual_bound=residual, prec=wp)
+            return RootSet(roots=roots, prec=wp)
         failure = "root clusters remain ambiguous"
     raise PrecisionExhausted(f"{failure} at 1024 bits")
 
@@ -524,7 +522,7 @@ def _merge_zero(clusters, zero_mult, tol):
 
 
 def _clusters_ok(poly: _Scaled, clusters, tol, zero_mult):
-    """The largest residual of the representatives as a float, or None when the clusters are ambiguous.
+    """Whether the clusters are unambiguous: small residuals, well-separated representatives.
 
     The residual at z is |p(z)| / (|lead| (1 + |z|)^n) for p with its zero
     roots, of degree n; it must be at most 2^-(wp/8), and two representatives
@@ -533,22 +531,20 @@ def _clusters_ok(poly: _Scaled, clusters, tol, zero_mult):
     """
     P, d = poly.P, len(poly.desc)
     one, n = 1 << (poly.P - poly.s), d + zero_mult
-    residual = 0.0
     for (wr, wi), _ in clusters:
         pr, pi = _value(poly, wr, wi)
         a = math.isqrt(wr * wr + wi * wi)
         num = a ** (2 * zero_mult) * (pr * pr + pi * pi) << (2 * P * (d - 1))
         den = (one + a) ** (2 * n)
         if num << (2 * (poly.wp // 8)) > den:
-            return None
-        residual = max(residual, math.sqrt(num / den))
+            return False
     for i in range(len(clusters)):
         (ar, ai), _ = clusters[i]
         for j in range(i + 1, len(clusters)):
             (br, bi), _ = clusters[j]
             if (ar - br) ** 2 + (ai - bi) ** 2 <= 16 * tol * tol:
-                return None
-    return residual
+                return False
+    return True
 
 
 def _is_exact_zero(c) -> bool:
@@ -569,10 +565,8 @@ def roots_univariate(p: MPoly, prec: int = 256, start=None) -> RootSet:
 # rational reconstruction
 
 
-def _mpf_ratio(x) -> tuple[int, int]:
-    """(N, D) with N / D the exact dyadic value of x and D a positive power of 2."""
-    if not isinstance(x, mp.mpf):
-        x = mp.mpf(x)  # conversion rounds at ambient precision; mpf passes through
+def _mpf_ratio(x: mp.mpf) -> tuple[int, int]:
+    """(N, D) with N / D the exact dyadic value of the mpf x and D a positive power of 2."""
     man, exp = _dyadic(x._mpf_)
     return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
 
@@ -666,14 +660,15 @@ def solve_system_2(p: MPoly, q: MPoly, prec: int = 256) -> list:
             + [abs(_to_mpc(c)) for c in q.terms.values()]
         )
         tol = mp.mpf(2) ** (-prec // 4)
+        py_at, qy_at, pq_at = (evaluator(polys, use_mp=True) for polys in (py, qy, [p, q]))
         for x0, _ in xset.roots:
             # the y-coefficients are free of y, and a zero one evaluates to an exact 0
-            yc = [evaluate(c, (x0, 0)) for c in py]
+            yc = py_at((x0, 0))
             if all(abs(c) <= tol * coeff_scale for c in yc):
-                yc = [evaluate(c, (x0, 0)) for c in qy]
+                yc = qy_at((x0, 0))
             for y0 in _nonconst_roots(yc, prec):
                 scale_pt = coeff_scale * (1 + abs(x0) + abs(y0)) ** degree
-                if all(abs(evaluate(h, (x0, y0))) <= tol * scale_pt for h in (p, q)):
+                if all(abs(v) <= tol * scale_pt for v in pq_at((x0, y0))):
                     solutions.append((x0, y0))
         solutions.sort(key=lambda s: _root_key(s[0], tol) + _root_key(s[1], tol))
     return solutions

@@ -7,7 +7,7 @@ so all its operations are exact but one: evaluator, the one numeric
 entry point, evaluates polynomials at float, complex or mpmath points.
 It rounds each coefficient once, correctly, at the precision in force
 when it is made (double precision for floats), and is to be called
-under that precision; evaluate takes its numeric points through it.
+under that precision.  evaluate is exact, and refuses a numeric point.
 
 Every MPoly keeps one invariant on its ``terms`` dict: the keys are
 tuples of ``var_count`` nonnegative ints and the values are nonzero
@@ -230,20 +230,13 @@ def _pow_terms(a: dict, n: int, one: dict) -> dict:
     return result
 
 
-def evaluate(p: MPoly, point: Sequence):
-    """Evaluate at a point.
-
-    Exact (Fraction result) when every coordinate is an int or Fraction.
-    Otherwise numeric, through evaluator: in mpmath when a coordinate is
-    not a Python number, and in floats when none is.
-    """
+def evaluate(p: MPoly, point: Sequence) -> Fraction:
+    """Evaluate exactly at a point of ints and Fractions; a numeric point goes to evaluator."""
     vals = list(point)
     if len(vals) != p.var_count:
         raise ValueError("point length does not match var_count")
     if not all(isinstance(v, (int, Fraction)) for v in vals):
-        use_mp = not all(isinstance(v, (int, Fraction, float, complex)) for v in vals)
-        return evaluator([p], use_mp)(vals)[0]
-    vals = [Fraction(v) for v in vals]
+        raise TypeError("evaluate is exact: evaluate a numeric point with evaluator")
     # powers[i][e] = vals[i]**e, each computed once per call
     powers: list[dict] = [{} for _ in vals]
     total = Fraction(0)
@@ -516,10 +509,10 @@ class ResidueRing:
     integer: the class of (c[0] + c[1] x + ... + c[d-1] x^(d-1)) / den,
     with gcd(c, den) = 1, so each class has one residue whatever nonzero
     multiple of R the ring was built from (from_integers takes one with
-    integer coefficients).  R is held as primitive integers r with a
-    positive leading coefficient, so reduction is integer
-    pseudo-division and each operation normalizes by one gcd.  A residue
-    times a rational (scale) needs no reduction at all.  The inverse is
+    integer coefficients), and residues compare with ==.  R is held as
+    primitive integers r with a positive leading coefficient, so reduction
+    is integer pseudo-division and each operation normalizes by one gcd.
+    A residue times a rational (scale) needs no reduction at all.  The inverse is
     the extended Euclidean algorithm on integer polynomials; traces and
     the characteristic polynomial make one Fraction per value.
     """
@@ -581,17 +574,9 @@ class ResidueRing:
         g = math.gcd(den, *c)
         return [v // g for v in c], den // g
 
-    @staticmethod
-    def is_zero(a) -> bool:
-        return not any(a[0])
-
     def add(self, a, b):
         (ac, ad), (bc, bd) = a, b
         return self.reduce([x * bd + y * ad for x, y in zip(ac, bc)], ad * bd)
-
-    def sub(self, a, b):
-        (ac, ad), (bc, bd) = a, b
-        return self.reduce([x * bd - y * ad for x, y in zip(ac, bc)], ad * bd)
 
     def mul(self, a, b):
         (ac, ad), (bc, bd) = a, b

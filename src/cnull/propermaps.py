@@ -41,7 +41,6 @@ from functools import cached_property
 from . import rng as _rng
 from .errors import (
     DegenerateSlice,
-    InconsistentFiberCounts,
     InvalidInput,
     NonZeroDimensional,
     NotCAlgebraic,
@@ -64,7 +63,7 @@ from .polycore import (
     univ_derivative,
     univ_gcd,
 )
-from .variety import CAMap, curve_degree, polynomial_map
+from .variety import CAMap, curve_degree, curve_generic_degree, polynomial_map
 
 _DRAW_BUDGET = 15
 
@@ -95,12 +94,10 @@ def check_proper(f: CAMap, seed: int = 0) -> int:
     with multiplicity, so d(f) = deg_x R.  A constant component is
     NotProper before any shear is drawn.
 
-    For curves some pullback must be nonconstant, and d(f) = deg h for the
-    fiber gcd h over F(t0), t0 random, once every pullback F_j is in Q[h]:
-    then h(t) - h(s) divides every F_j(t) - F_j(s), so the generic fiber
-    has at least deg h points, and the generic fiber gcd specialises into
-    h, so it has at most deg h.  By polynomial Lueroth every t0 off a
-    finite set passes; a t0 over a node of the image fails and is redrawn.
+    For curves some pullback must be nonconstant, and d(f) is
+    variety.curve_generic_degree of the pullbacks at random t0, drawn
+    under the salts geomdeg:{attempt}: deg h for the fiber gcd h over
+    F(t0) once every pullback F_j is in Q[h].
     """
     return _properness(f, seed)[0]
 
@@ -111,12 +108,8 @@ def _properness(f: CAMap, seed: int) -> tuple[int, ShapeLemma | None]:
     if k == 1:
         if all(p.is_constant() for p in f.pullbacks):
             raise NotProper("all pullbacks are constant")
-        for attempt in range(_DRAW_BUDGET):
-            t0 = _rng.rand_rational_vector(_rng.child_rng(seed, f"geomdeg:{attempt}"), 1)
-            h = fiber_poly(f, [evaluate(p, t0) for p in f.pullbacks])
-            if all(_in_subring(p, h) for p in f.pullbacks):
-                return h.degree_in(0), None
-        raise InconsistentFiberCounts(f"no fiber gcd on {_DRAW_BUDGET} draws generates the pullbacks")
+        draws = (_rng.rand_rational(_rng.child_rng(seed, f"geomdeg:{attempt}")) for attempt in range(_DRAW_BUDGET))
+        return curve_generic_degree(f.pullbacks, draws), None
     if any(p.is_constant() for p in _system(f, [0] * f.n)):  # ParamRequired unless square, k = 2
         raise NotProper("a component is constant")
     shape = ShapeLemma(f, _rng.child_rng(seed, "proper-shear"))
@@ -125,16 +118,6 @@ def _properness(f: CAMap, seed: int) -> tuple[int, ShapeLemma | None]:
     if not coeffs_in_var(shape.R, 0)[-1].is_constant():
         raise NotProper("a fiber point escapes to infinity over a zero of the leading coefficient")
     return shape.R.degree_in(0), shape
-
-
-def _in_subring(p: MPoly, h: MPoly) -> bool:
-    """Whether the univariate p lies in Q[h] for a nonconstant h: its digits in base h are constants."""
-    while not p.is_constant():
-        digit = _univ_rem(p, h)
-        if not digit.is_constant():
-            return False
-        p = exact_divide(p - digit, h)
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -476,12 +459,9 @@ def image_slice_points(f: CAMap) -> int:
 
 
 def image_degree(f: CAMap, seed: int = 0) -> int:
-    """Degree of the image curve f(A), exactly: image_slice_points over d(f)."""
+    """Degree of the image curve f(A), exactly: image_slice_points over d(f), which divides it (check_proper)."""
     d_f = geometric_degree(f, seed)
-    points, rest = divmod(image_slice_points(f), d_f)
-    if rest:
-        raise InconsistentFiberCounts(f"d(f) = {d_f} does not divide the slice count")
-    return points
+    return image_slice_points(f) // d_f
 
 
 def graph_degree(f: CAMap, seed: int = 0) -> int:

@@ -1,11 +1,12 @@
 """Algebraic sets with implicit generators and polynomial parametrizations.
 
 A Variety holds the ambient dimension, the pure dimension, implicit
-generators, and a polynomial parametrization phi assumed to be
-generically one-to-one onto the set.  Every computation runs through
-phi, so loading rejects a set without one (ParamRequired), and it
-validates exactly that every generator vanishes identically after
-substituting phi.
+generators, and a polynomial parametrization phi, generically one-to-one
+onto the set.  Every computation runs through phi, so loading rejects a
+set without one (ParamRequired).  It validates exactly that every
+generator vanishes identically after substituting phi, and on a curve
+that phi is one-to-one (ParamNotOneToOne); a two-parameter phi is not
+checked.
 
 A CAMap is a tuple of rational-function components on the ambient space;
 its continuity contract is that each component, composed with phi,
@@ -25,16 +26,19 @@ module draws at random.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import (
     DegenerateSlice,
     GeneratorNotAnnihilated,
+    InconsistentFiberCounts,
     NotCAlgebraic,
     NotDivisible,
+    ParamNotOneToOne,
     ParamRequired,
     SchemaError,
 )
-from .polycore import MPoly, compose, evaluate, exact_divide, poly_from_json, total_degree
+from .polycore import MPoly, _univ_rem, compose, evaluate, exact_divide, poly_from_json, total_degree, univ_gcd
 
 
 @dataclass(frozen=True)
@@ -129,6 +133,8 @@ def load_variety(spec: dict) -> Variety:
             raise GeneratorNotAnnihilated(
                 "a generator does not vanish along the parametrization"
             )
+    if dim == 1 and (m := curve_generic_degree(components, (3, 7, -4, 11, -13))) != 1:  # fixed t0: no seed here
+        raise ParamNotOneToOne(f"the parametrization is {m}-to-one onto the curve; it must be one-to-one")
     param = Param(var_names=list(pvars), components=components)
     return Variety(ambient_vars=list(names), dim=dim, generators=gens, param=param)
 
@@ -201,6 +207,39 @@ def curve_degree(coords: list[MPoly]) -> int:
     if degree < 1:
         raise DegenerateSlice("a constant curve has no generic hyperplane slice")
     return int(degree)
+
+
+def curve_generic_degree(polys: list[MPoly], points) -> int:
+    """The generic number of parameter preimages of t -> polys(t), exactly, for polys not all constant.
+
+    At each t0 of points in turn take the fiber gcd h = gcd_i(p_i - p_i(t0)).
+    Once every p_i lies in Q[h], deg h is that number: then h(t) - h(s)
+    divides every p_i(t) - p_i(s), so the generic fiber has at least deg h
+    points, and the generic fiber gcd specialises into h, so it has at most
+    deg h.  By polynomial Lueroth every t0 off a finite set passes; a t0
+    over a node of the image fails, and the next is tried.
+    InconsistentFiberCounts when none passes.
+    """
+    for t0 in points:
+        h = _fiber_gcd(polys, t0)
+        if all(_in_subring(p, h) for p in polys):
+            return h.degree_in(0)
+    raise InconsistentFiberCounts("no fiber gcd at the points tried generates the components")
+
+
+def _fiber_gcd(polys: list[MPoly], t0) -> MPoly:
+    """gcd_i(p_i - p_i(t0)): the fiber of t -> polys(t) through t0, with multiplicity."""
+    return reduce(univ_gcd, [p - MPoly.const(1, evaluate(p, [t0])) for p in polys])
+
+
+def _in_subring(p: MPoly, h: MPoly) -> bool:
+    """Whether the univariate p lies in Q[h] for a nonconstant h: its digits in base h are constants."""
+    while not p.is_constant():
+        digit = _univ_rem(p, h)
+        if not digit.is_constant():
+            return False
+        p = exact_divide(p - digit, h)
+    return True
 
 
 def degree_by_slicing(v: Variety) -> int:

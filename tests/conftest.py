@@ -90,7 +90,7 @@ def fiber_coordinates(shape, y):
     if fiber is None:
         return None
     ring, theta = fiber
-    return ring, [ring.sub(ring.element([0, 1]), ring.scale(theta, shape.lam)), theta]
+    return ring, [ring.add(ring.element([0, 1]), ring.scale(theta, -shape.lam)), theta]
 
 
 def line_poly(coeffs):

@@ -39,6 +39,7 @@ from cnull.polycore import (
     compose,
     distinct_root_count,
     evaluate,
+    evaluator,
     total_degree,
     univ_coeffs,
     univ_from_coeffs,
@@ -241,7 +242,7 @@ class TestExactSquareSamples:
         y = [F(2), F(-3)]
         ring, coords = fiber_coordinates(shape, y)
         for p, v in zip(SQUARE22.pullbacks, y):
-            assert ring.is_zero(ring.sub(residue_evaluate(ring, p, coords), ring.element([v])))
+            assert residue_evaluate(ring, p, coords) == ring.element([v])  # residues are canonical
 
     @pytest.mark.parametrize(
         "f,coeffs",
@@ -302,7 +303,8 @@ class TestExactSquareSamples:
         if len(points) < ring.d:
             return
         with mp.workprec(532):
-            asc = charpoly._monic_from_roots([evaluate(g, t) for t in points])
+            g_at = evaluator([g], use_mp=True)
+            asc = charpoly._monic_from_roots([g_at(t)[0] for t in points])
             numeric = [rational_reconstruct(asc[ring.d - j], 10**32, 512) for j in range(1, ring.d + 1)]
         assert exact == numeric
 
@@ -631,12 +633,12 @@ class TestEarlyTermination:
         assert len(targets) == len(nodes)
         assert all(type(t) is float for t in targets)
 
-    def test_false_early_stop_grows_to_the_theorem_grid_at_the_same_precision(
-        self, curve_8_4, monkeypatch
-    ):
+    def test_false_early_stop_grows_to_the_theorem_grid_at_the_same_precision(self, monkeypatch):
         # with no confirming nodes, a constant interpolant on one node stops the grid; the
-        # grid it then grows to is the caps', max cap + 1 nodes
-        f, g = curve_8_4
+        # grid it then grows to is the caps', the simplex of max cap + 1 nodes per axis.
+        # Only a two-parameter grid stops early, so the case is square(2,2)
+        f, g = SQUARE22, G12
+        expected = build_charpoly(f, g, seed=0)
         monkeypatch.setattr(charpoly, "ZETA", 0)
         real_verify = charpoly.verify_charpoly
         verdicts = []
@@ -649,10 +651,29 @@ class TestEarlyTermination:
         rows = _counted_rows(monkeypatch)
         P = build_charpoly(f, g, seed=0)
         assert verdicts == [False, True]
-        assert P.verified and P.coeffs == charpoly_resultant_oracle(f, g).coeffs
-        assert len({y for y, _, _ in rows}) == max(charpoly._grid_caps(f, g, P.bounds)) + 1 == 5
+        assert P.verified and P.coeffs == expected.coeffs
+        need = max(charpoly._grid_caps(f, g, P.bounds)) + 1
+        assert len({y for y, _, _ in rows}) == math.comb(need + 1, 2) == 15
         assert {wp for _, wp, _ in rows} == {256}
         assert all(accepted for _, _, accepted in rows)
+
+    @pytest.mark.parametrize("degrees", [(8, 4), (12, 5)], ids=["curve(8,4)", "curve(12,5)"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_curve_grid_makes_no_early_fit(self, cline, monkeypatch, degrees, seed):
+        # a_d reaches its cap, so no early fit on a curve can succeed: its grid is never
+        # asked whether it is confirmed, and no grid_interpolant call is made
+        d, e = degrees
+        f = _line_map(cline, [-2, 3, -1] + [0] * (d - 3) + [1])
+        g = _line_map(cline, [0, 1] + [0] * (e - 2) + [1])
+        fits, asked = [], []
+        real_fit, real_confirmed = charpoly.grid_interpolant, charpoly._SampleGrid.confirmed
+        monkeypatch.setattr(charpoly, "grid_interpolant", lambda *args: fits.append(args) or real_fit(*args))
+        monkeypatch.setattr(
+            charpoly._SampleGrid, "confirmed", lambda grid, caps: asked.append(caps) or real_confirmed(grid, caps)
+        )
+        P = build_charpoly(f, g, seed=seed)
+        assert P.verified and P.coeffs == charpoly_resultant_oracle(f, g).coeffs
+        assert fits == [] and asked == []
 
     @pytest.mark.parametrize("case,settled", [("square(4,3)", 6), ("curve(8,4)", 8)])
     def test_confirmed_coefficients_are_not_interpolated_again(self, cline, monkeypatch, case, settled):
@@ -806,6 +827,29 @@ class TestResultantDifferential:
         assert built.coeffs == oracle.coeffs
 
 
+    @settings(max_examples=15)
+    @given(
+        f_coeffs=univariate_coeffs(6),
+        g_coeffs=st.one_of(univariate_coeffs(4), st.lists(st.integers(-3, 3), max_size=1)),
+    )
+    @example(f_coeffs=[0, 0, 2], g_coeffs=[])  # g = 0
+    @example(f_coeffs=[1, -1, 0, 3], g_coeffs=[5])  # g constant
+    def test_resultant_has_degree_deg_f_and_a_constant_lead(self, cline, f_coeffs, g_coeffs):
+        # Res_t(F - y, s - G) = lc(F)^(deg G) prod (s - G(t_i)) over the roots of F - y
+        f, g = _line_map(cline, f_coeffs), _line_map(cline, g_coeffs)
+        deg_f, deg_g = total_degree(f.pullbacks[0]), max(total_degree(g.pullbacks[0]), 0)
+        results = []
+        real = charpoly.sylvester_resultant
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(charpoly, "sylvester_resultant", lambda *args: results.append(real(*args)) or results[-1])
+            oracle = charpoly_resultant_oracle(f, g)
+        s_coeffs = coeffs_in_var(results[0], 1)
+        assert len(s_coeffs) - 1 == deg_f == oracle.d
+        assert s_coeffs[-1].is_constant()
+        assert s_coeffs[-1].constant_term() == F(univ_coeffs(f.pullbacks[0])[-1]) ** deg_g
+        assert build_charpoly(f, g, seed=0).coeffs == oracle.coeffs
+
+
 class TestCurveCaps:
     @settings(max_examples=12)
     @given(pair=_line_pairs)
@@ -957,14 +1001,27 @@ class TestGrowthInclusion:
         P = CharPoly(3, [MPoly(1, {}), -Y, Y**3], None, "resultant", ["y1"])
         built, points, visits = [], [], []
         monkeypatch.setattr(charpoly, "evaluator", counted_evaluator(built, points))
-        for module in (polycore, numroots):
-            monkeypatch.setattr(module, "evaluate", lambda p, y: visits.append(y))
-        assert not hasattr(charpoly, "evaluate")
+        monkeypatch.setattr(polycore, "evaluate", lambda p, y: visits.append(y))
+        # neither the loop nor its root solves can reach evaluate, which is exact only
+        assert not hasattr(charpoly, "evaluate") and not hasattr(numroots, "evaluate")
         for calls in (1, 2):
             growth_inclusion_check(P, F(1), samples=50, seed=calls)
             assert built == [P.coeffs[::-1]] * calls
             assert len(points) == 50 * calls
         assert visits == []
+
+    def test_an_empty_half_is_refused_not_judged(self):
+        # cusp P = s^2 - y at q = delta = 1/2: every ratio is 1, so the inclusion holds; with
+        # 2 to 4 samples a draw with no sample in one half once read that half as 0.0
+        P = CharPoly(2, [MPoly(1, {}), -Y], None, "resultant", ["y1"])
+        refused = 0
+        for samples in (2, 3, 4):
+            for seed in range(20):
+                try:
+                    assert growth_inclusion_check(P, F(1, 2), samples=samples, seed=seed).holds
+                except InvalidInput:
+                    refused += 1
+        assert refused == 20
 
     def test_no_samples_raise(self):
         P = CharPoly(2, [MPoly(1, {}), -Y], None, "resultant", ["y1"])

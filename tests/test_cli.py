@@ -474,6 +474,52 @@ class TestCliContract:
         assert "ParamRequired" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "seed,q",
+        [(1, None), (2, None), (3, None), (0, "1/10"), (4, "1/10")],
+        ids=["delta-seed1", "delta-seed2", "delta-seed3", "q1/10-seed0", "q1/10-seed4"],
+    )
+    def test_ploski_with_an_empty_half_exit_4(self, capsys, seed, q):
+        # one sample leaves a half of the range empty: read as 0.0, it gave a false violation
+        # at the computed delta = 1/2 (seeds 1-3) and a false hold at q = 1/10 < delta (seeds 0, 4)
+        argv = ["ploski", *VALID_ARGS["ploski"], "--samples", "1", "--seed", str(seed)]
+        assert main(argv + (["--q", q] if q else [])) == 4
+        err = capsys.readouterr().err
+        assert "InvalidInput" in err and re.search(r"\b[01] of 1 samples", err)
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {  # the line x = t^2
+                "ambient_vars": ["x"],
+                "dim": 1,
+                "generators": [],
+                "param": {"vars": ["t"], "components": [pj(["t"], {(2,): 1})]},
+            },
+            {  # the parabola y = x^2 through (t^2, t^4)
+                "ambient_vars": ["x", "y"],
+                "dim": 1,
+                "generators": [pj(["x", "y"], {(0, 1): 1, (2, 0): -1})],
+                "param": {"vars": ["t"], "components": [pj(["t"], {(2,): 1}), pj(["t"], {(4,): 1})]},
+            },
+        ],
+        ids=["line-t2", "parabola-t2-t4"],
+    )
+    @pytest.mark.parametrize("command", ["degree", "geomdeg"])
+    def test_two_to_one_parametrization_exit_4(self, capsys, tmp_path, spec, command):
+        # every degree and fiber count is taken in parameter space, so a two-to-one phi would
+        # double them: degree and geomdeg of f = x would say 2 on the line x = t^2
+        variety = tmp_path / "variety.json"
+        variety.write_text(json.dumps(spec))
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps(map_spec(pj(spec["ambient_vars"], {(1,) + (0,) * (len(spec["ambient_vars"]) - 1): 1}))))
+        argv = [command, "--variety", str(variety)] + (["--f", str(f)] if command == "geomdeg" else [])
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert "ParamNotOneToOne" in err and "2-to-one" in err
+        assert "Traceback" not in err
+
     def test_inputs_that_do_not_fit_the_route_exit_4(self, capsys):
         # proj23 on the curve graph_cubic has more components than dimensions
         argv = ["certify", "--variety", fx("graph_cubic.json"), "--f", fx("proj23.json")]

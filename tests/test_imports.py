@@ -5,11 +5,12 @@ The project carries no linter, so this walks each module's syntax
 tree: an imported name that never appears as a name in the module is an
 unused import, a private top-level function, class or constant that no
 module of the package reads is dead code, and so is a public function or
-class that nothing but itself and the tests reads, a parameter that its
-function's body never reads is a dead knob, and an import of mpmath or
-numroots in an exact module crosses the numerics boundary.  polycore's
-one numeric entry point, evaluator, imports mpmath lazily; nothing else
-in polycore may.
+class that nothing but itself and the tests reads, and so is a leaf
+exception class that no raise names; a parameter that its function's
+body never reads is a dead knob, and an import of mpmath or numroots in
+an exact module crosses the numerics boundary.  polycore's one numeric
+entry point, evaluator, imports mpmath lazily; nothing else in polycore
+may.
 """
 
 import ast
@@ -337,3 +338,44 @@ def test_polycore_imports_mpmath_only_lazily_in_evaluator():
     assert numeric_import_sites((SRC / "polycore.py").read_text(encoding="utf-8")) == [
         ("evaluator", "import mpmath as mp"),
     ]
+
+
+def unraised_errors(errors_source: str, sources: list[str]) -> list[str]:
+    """Each leaf subclass of CnullError in errors_source that no raise statement in sources names."""
+    bases = {
+        node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+        for node in ast.parse(errors_source).body
+        if isinstance(node, ast.ClassDef)
+    }
+
+    def is_error(name: str) -> bool:
+        return name == "CnullError" or any(is_error(b) for b in bases.get(name, []))
+
+    parents = {b for names in bases.values() for b in names}
+    raised = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    return [name for name in bases if is_error(name) and name not in parents and name not in raised]
+
+
+def test_checker_finds_an_unraised_error():
+    errors = (
+        "class CnullError(Exception): pass\n"
+        "class SchemaError(CnullError): pass\n"
+        "class Raised(SchemaError): pass\n"
+        "class Bare(SchemaError): pass\n"
+        "class Unraised(SchemaError): pass\n"
+        "class Plain(ValueError): pass\n"
+    )
+    source = "def f(x):\n    if x:\n        raise Raised('x')\n    raise Bare\n"
+    assert unraised_errors(errors, [source]) == ["Unraised"]
+
+
+def test_every_leaf_error_is_raised():
+    # an error class outlives its last raise otherwise
+    sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
+    assert unraised_errors((SRC / "errors.py").read_text(encoding="utf-8"), sources) == []

@@ -20,7 +20,7 @@ from conftest import (
     residue_evaluate,
     univariate_coeffs,
 )
-from cnull import numroots, polycore, propermaps, rng
+from cnull import numroots, polycore, propermaps, rng, variety
 from cnull.errors import (
     DegenerateSlice,
     InconsistentFiberCounts,
@@ -139,7 +139,7 @@ class TestGeometricDegree:
         # t -> (h^2, h^3) is deg h to 1 onto the cusp y1^3 = y2^2
         h = MPoly(1, {(i,): F(c) for i, c in enumerate(coeffs)})
         f = polynomial_map([h**2, h**3])
-        with mock.patch.object(propermaps, "fiber_poly", wraps=propermaps.fiber_poly) as fiber:
+        with mock.patch.object(variety, "_fiber_gcd", wraps=variety._fiber_gcd) as fiber:
             assert geometric_degree(f, seed=0) == len(coeffs) - 1
         # the first draw, t0 = 11/70, is no root of h, so its fiber gcd h - h(t0) is certified
         assert fiber.call_count == 1
@@ -184,11 +184,11 @@ class TestGeometricDegree:
     def test_no_draw_passing_the_certificate_is_a_genericity_failure(self, cline_f_t, monkeypatch):
         draws = []
 
-        def fiber_poly(*args):  # t is not a polynomial in t^2
+        def fiber_gcd(*args):  # t is not a polynomial in t^2
             draws.append(args)
             return MPoly(1, {(2,): F(1)})
 
-        monkeypatch.setattr(propermaps, "fiber_poly", fiber_poly)
+        monkeypatch.setattr(variety, "_fiber_gcd", fiber_gcd)
         with pytest.raises(InconsistentFiberCounts):
             geometric_degree(cline_f_t, seed=0)
         assert len(draws) == 15
@@ -307,8 +307,8 @@ class TestShapeLemma:
         for y1, y2 in [(F(3), F(-2)), (F(1, 2), F(5))]:
             ring, (t1, t2) = fiber_coordinates(shape, [y1, y2])
             assert ring.d == 1
-            assert ring.is_zero(ring.sub(t1, ring.element([y2])))
-            assert ring.is_zero(ring.sub(t2, ring.element([y1 - y2])))
+            assert t1 == ring.element([y2])  # residues are canonical
+            assert t2 == ring.element([y1 - y2])
 
     def test_one_sequence_and_at_most_one_inverse_per_node(self, monkeypatch):
         calls = dict.fromkeys(["subresultants", "inverse", "distinct_root_count", "evaluate", "coeffs_in_var", "charpoly"], 0)
@@ -387,7 +387,7 @@ class TestShapeLemma:
         ring, coords = fiber
         assert ring.d == d
         for p, v in zip(f.pullbacks, y):
-            assert ring.is_zero(ring.sub(residue_evaluate(ring, p, coords), ring.element([v])))
+            assert residue_evaluate(ring, p, coords) == ring.element([v])  # residues are canonical
 
 
     @settings(max_examples=80)

@@ -1,4 +1,5 @@
-"""Golden CLI reports: each README command at seeds 0, 1 and 7, byte for byte.
+"""Golden CLI reports: each README command at seeds 0, 1 and 7, byte for byte,
+and one result per seed-free command at seeds 0-4.
 
 tests/reports/<command>-seed<seed>.json holds the exact report text. The
 verify command reads the certificate that certify-proper writes at the
@@ -87,6 +88,21 @@ def _path(name: str, seed: int) -> Path:
 def test_reports_match_recorded(seed):
     for name, text in reports_at(seed).items():
         assert text == _path(name, seed).read_text(encoding="utf-8"), f"{name} at seed {seed}"
+
+
+# README commands whose results hold sampled floats: gradexp's shell maxima, and the growth
+# check's maxima and witness at q = 1/10; every other result is exact
+SEED_DEPENDENT = {"gradexp", "ploski-violation"}
+
+
+def test_seed_free_results_do_not_depend_on_the_seed():
+    results = {}
+    for seed in range(5):
+        for name, text in reports_at(seed).items():
+            if name not in SEED_DEPENDENT:
+                results.setdefault(name, set()).add(json.dumps(json.loads(text)["result"], sort_keys=True))
+    assert len(results) == len(COMMANDS) - len(SEED_DEPENDENT) == 11
+    assert {name: len(texts) for name, texts in results.items()} == dict.fromkeys(results, 1)
 
 
 def record() -> None:

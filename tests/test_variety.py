@@ -1,13 +1,23 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import map_spec, pj
 from cnull import rng
-from cnull.errors import DegenerateSlice, GeneratorNotAnnihilated, NotCAlgebraic, ParamRequired, SchemaError
+from cnull.errors import (
+    DegenerateSlice,
+    GeneratorNotAnnihilated,
+    InconsistentFiberCounts,
+    NotCAlgebraic,
+    ParamRequired,
+    SchemaError,
+)
 from cnull.polycore import MPoly
 from cnull.variety import (
     curve_degree,
+    curve_generic_degree,
     degree_by_slicing,
     load_map,
     load_variety,
@@ -15,6 +25,7 @@ from cnull.variety import (
 
 F = Fraction
 T = MPoly(1, {(1,): 1})
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 class TestLoadVariety:
@@ -70,6 +81,35 @@ class TestLoadVariety:
     def test_membership(self, cusp):
         assert cusp.contains([F(4), F(8)])
         assert not cusp.contains([F(1), F(2)])
+
+
+class TestOneToOne:
+    @pytest.mark.parametrize(
+        "components,degree",
+        [
+            ([T], 1),
+            ([T**2, T**3], 1),  # the cusp
+            ([T**2], 2),  # the line x = t^2
+            ([T**2, T**4], 2),  # the parabola through (t^2, t^4)
+            ([T**3 + T, (T**3 + T) ** 2], 3),
+        ],
+    )
+    def test_generic_degree(self, components, degree):
+        assert curve_generic_degree(components, [3, 7, F(5, 2)]) == degree
+
+    def test_a_point_over_a_node_is_passed_over(self):
+        # t -> (t^2 - 1, t^3 - t) has its node over t = +-1: the fiber gcd there is t^2 - 1,
+        # and t^3 - t = t (t^2 - 1) is not in Q[t^2 - 1], so t0 = 1 fails and t0 = 3 certifies 1
+        components = [T**2 - MPoly.const(1, 1), T**3 - T]
+        assert curve_generic_degree(components, [1, 3]) == 1
+        with pytest.raises(InconsistentFiberCounts):
+            curve_generic_degree(components, [1, -1])
+
+    def test_every_curve_fixture_loads(self):
+        for path in sorted(FIXTURES.glob("*.json")):
+            spec = json.loads(path.read_text(encoding="utf-8"))
+            if spec.get("dim") == 1:
+                assert load_variety(spec).k == 1
 
 
 class TestPullback:
