@@ -42,6 +42,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import from_float, mpf_cos_sin_pi, mpf_div, mpf_mul, mpf_pow, to_float
 
 from . import rng as _rng
 from .errors import (
@@ -356,10 +357,7 @@ class _SampleGrid:
 
     def separates(self) -> bool:
         """g takes d distinct values on the fiber over some grid node."""
-        return any(
-            distinct_root_count(univ_from_coeffs(row[::-1] + [Fraction(1)])) == self.d
-            for _, row in self.rows
-        )
+        return any(_distinct_roots(row) for _, row in self.rows)
 
     def charpoly(self, caps: list[int]) -> CharPoly:
         """P on the grid: a_j beyond its cap is interpolated under cap_j, surplus nodes as checks.
@@ -381,6 +379,11 @@ class _SampleGrid:
             y_vars=[f"y{i + 1}" for i in range(k)],
             verified=False,
         )
+
+
+def _distinct_roots(row: list[Fraction]) -> bool:
+    """Whether s^d + a_1 s^(d-1) + ... + a_d has d distinct roots, for row = [a_1 .. a_d]."""
+    return distinct_root_count(univ_from_coeffs(row[::-1] + [Fraction(1)])) == len(row)
 
 
 def _horner(ring, theta, table):
@@ -483,6 +486,9 @@ class GrowthCheck:
 
 GROWTH_R = 100.0  # the growth check samples |x| in [GROWTH_R, 10^4 GROWTH_R]
 
+# the diagonal nodes (c, ..., c) at which the growth check tests P for d distinct roots in s
+SQUAREFREE_NODES = (3, 7, -4, 11, -13)
+
 
 def growth_inclusion_check(
     P: CharPoly,
@@ -498,6 +504,15 @@ def growth_inclusion_check(
     not exceed the bottom-half max by more than a factor 1.25.  On
     violation the sample achieving the top-half max is the witness.  A
     draw that leaves a half without a sample raises InvalidInput.
+
+    Each sample is drawn, evaluated and solved at the first rung of the
+    precision ladder (at prec, when that is lower) when P is squarefree
+    in s, and at prec otherwise: a root of multiplicity m is resolved to
+    only about 1/m of the working precision.  P counts as squarefree when
+    P(y0, .) has d distinct roots at one of the SQUAREFREE_NODES, decided
+    exactly; a P whose nodes all lie on its discriminant is solved at
+    prec.  Each |t| is read from the fixed point of its solve
+    (RootSet.moduli), and an mpc is built only for a new witness.
     """
     if q <= 0:
         raise InvalidInput("q must be positive")
@@ -505,32 +520,33 @@ def growth_inclusion_check(
         raise InvalidInput("samples must be at least 1")
     gen = _rng.child_rng(seed, "growth")
     k = P.k
-    q_f = float(q)
+    wp = min(prec, PREC_LADDER[0]) if _squarefree_in_s(P) else prec
+    q_f = from_float(float(q))
     mid = GROWTH_R * 100.0
     low_max = 0.0
     high_max = 0.0
     halves = [0, 0]  # samples with |x| up to mid, and above it
     top_witness = None
-    with mp.workprec(prec):
+    with mp.workprec(wp):
         # identically-zero coefficients stay exact so zero roots strip fast
         coeffs_at = evaluator(P.coeffs[::-1], use_mp=True)
         for _ in range(samples):
             r = GROWTH_R * 10.0 ** (4 * gen.random())
-            x = _sample_point_of_norm(gen, k, r)
-            asc = coeffs_at(x) + [1]
-            rs = roots_from_coeffs(asc, prec)
-            denom = mp.mpf(r) ** q_f
-            halves[r > mid] += 1
-            for root, _ in rs.roots:
-                ratio = float(abs(root) / denom)
-                if r <= mid:
+            x = _sample_point_of_norm(gen, k, r, wp)
+            rs = roots_from_coeffs(coeffs_at(x) + [1], wp)
+            denom = mpf_pow(from_float(r), q_f, wp, "n")
+            high = r > mid
+            halves[high] += 1
+            for i, modulus in enumerate(rs.moduli(wp)):
+                ratio = to_float(mpf_div(modulus, denom, wp, "n"), rnd="n")
+                if not high:
                     low_max = max(low_max, ratio)
                 elif ratio > high_max:
                     high_max = ratio
-                    top_witness = (tuple(x), root)
+                    top_witness = (tuple(x), rs.roots[i][0])
     if not all(halves):
         raise InvalidInput(f"{halves[0]} of {samples} samples at |x| <= {mid:g}, {halves[1]} above: a half is empty")
-    holds = high_max <= 1.25 * low_max or (high_max == 0.0 and low_max == 0.0)
+    holds = high_max <= 1.25 * low_max
     return GrowthCheck(
         holds=holds,
         q=Fraction(q),
@@ -541,11 +557,23 @@ def growth_inclusion_check(
     )
 
 
-def _sample_point_of_norm(gen, k: int, r: float):
-    # one dominant coordinate of modulus r with a random phase; the rest zero
-    phase = mp.expjpi(2 * mp.mpf(gen.random()))
+def _squarefree_in_s(P: CharPoly) -> bool:
+    """Whether P(y0, .) has d distinct roots at one of the SQUAREFREE_NODES y0 = (c, ..., c)."""
+    return any(
+        _distinct_roots([compose(a, [MPoly.const(0, c)] * P.k).constant_term() for a in P.coeffs])
+        for c in SQUAREFREE_NODES
+    )
+
+
+def _sample_point_of_norm(gen, k: int, r: float, prec: int):
+    """One dominant coordinate r e^(2 pi i u) for u uniform in [0, 1); the rest zero.
+
+    The coordinate is rounded as r * mp.expjpi(2 * mp.mpf(u)) rounds it at prec bits.
+    """
+    cos, sin = mpf_cos_sin_pi(from_float(2 * gen.random()), prec, "n")
+    radius = from_float(r)
     point = [mp.mpc(0)] * k
-    point[gen.randrange(k)] = r * phase
+    point[gen.randrange(k)] = mp.make_mpc((mpf_mul(cos, radius, prec, "n"), mpf_mul(sin, radius, prec, "n")))
     return point
 
 

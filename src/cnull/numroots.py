@@ -9,12 +9,14 @@ of Fujiwara's bound on the root moduli, so that q's coefficients have
 modulus at most 1; q and the points w are (re, im) pairs of Python ints at
 2^-P (see _scaled).  The iteration, its backward-stability test, the
 clustering and the cluster checks all run on these integers, comparing
-squared norms; mpmath only reads the inputs and returns the cluster
-representatives as mpc.  Unless the caller gives starting points, each
-run first does the same iteration in double precision (Python complex)
-from a circle of radius 2^s; that stage only picks the starting points of
-the integer iteration, and when it overflows or leaves the finite range
-the integer iteration starts from the circle.  A caller's starting
+squared norms; mpmath only reads the inputs.  The RootSet returned keeps
+the cluster representatives in that fixed point, builds them as mpc on
+first read, and gives their moduli from the integers.  Unless the
+caller gives starting points, each run first does the same iteration in
+double precision (Python complex) from a circle of radius 2^s; that
+stage only picks the starting points of the integer iteration, and when
+it overflows or leaves the finite range the integer iteration starts
+from the circle.  A caller's starting
 points, such as the roots of a solve at a lower rung (MPSolve refines
 its approximations the same way when it raises the precision; Bini and
 Robol 2014), replace that stage on the first rung only.
@@ -33,8 +35,10 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, mpf_sqrt
 
 from .errors import NonReal, NonZeroDimensional, NoReconstruction, PrecisionExhausted
 from .polycore import (
@@ -55,13 +59,33 @@ PREC_LADDER = (128, 256, 512, 1024)
 
 @dataclass(frozen=True)
 class RootSet:
-    """Distinct roots with multiplicities, which sum to the degree, and the rung that found them."""
+    """Distinct roots with multiplicities, which sum to the degree, and the rung that found them.
 
-    roots: list  # list of (mp.mpc, int)
+    The roots stay in the fixed point of the solve: cluster i is the root
+    (re + i im) 2^exp of multiplicity count, for ((re, im), count) =
+    clusters[i].  roots, the pairs (mp.mpc, count), is built on first read,
+    with each part rounded to prec + 20 bits; moduli reads |root| from the
+    integers without building it.
+    """
+
+    clusters: list  # list of ((re, im), count), re and im ints
+    exp: int
     prec: int
+
+    @cached_property
+    def roots(self) -> list:
+        prec = self.prec + 20
+        return [
+            (mp.make_mpc((from_man_exp(re, self.exp, prec, "n"), from_man_exp(im, self.exp, prec, "n"))), count)
+            for (re, im), count in self.clusters
+        ]
 
     def values(self) -> list:
         return [r for r, _ in self.roots]
+
+    def moduli(self, prec: int) -> list:
+        """|root| of each cluster, in order, as a raw mpf rounded to nearest at prec bits."""
+        return [mpf_sqrt(from_man_exp(re * re + im * im, 2 * self.exp), prec, "n") for (re, im), _ in self.clusters]
 
 
 def ladder_from(prec: int):
@@ -479,7 +503,7 @@ def roots_from_coeffs(coeffs, prec: int = 256, start=None) -> RootSet:
         zero_mult += 1
     stripped = coeffs[zero_mult:]
     if len(stripped) == 1:
-        return RootSet(roots=[(mp.mpc(0), zero_mult)], prec=ladder_from(prec)[0])
+        return RootSet(clusters=[((0, 0), zero_mult)], exp=0, prec=ladder_from(prec)[0])
     if start is not None and len(start) != len(stripped) - 1:
         start = None
     for wp in ladder_from(prec):
@@ -495,12 +519,7 @@ def roots_from_coeffs(coeffs, prec: int = 256, start=None) -> RootSet:
         if zero_mult:
             clusters = _merge_zero(clusters, zero_mult, tol)
         if _clusters_ok(poly, clusters, tol, zero_mult):
-            with mp.workprec(wp + 20):
-                roots = [
-                    (mp.mpc(mp.ldexp(re, poly.s - poly.P), mp.ldexp(im, poly.s - poly.P)), count)
-                    for (re, im), count in clusters
-                ]
-            return RootSet(roots=roots, prec=wp)
+            return RootSet(clusters=clusters, exp=poly.s - poly.P, prec=wp)
         failure = "root clusters remain ambiguous"
     raise PrecisionExhausted(f"{failure} at 1024 bits")
 

@@ -49,6 +49,7 @@ from cnull.variety import load_map, polynomial_map
 
 F = Fraction
 Y = MPoly(1, {(1,): 1})
+X = MPoly.variable(1, 0)
 X1, X2 = MPoly.variable(2, 0), MPoly.variable(2, 1)
 
 
@@ -1051,3 +1052,123 @@ class TestGrowthInclusion:
         below = delta * (1 - F(1, 8))
         at_below = growth_inclusion_check(P, below, samples=600, seed=0)
         assert not at_below.holds
+
+    def test_zero_maxima_hold(self):
+        # P = s^2: every root is 0, both maxima are 0.0, and high_max <= 1.25 low_max holds
+        P = CharPoly(2, [MPoly(1, {})] * 2, None, "resultant", ["y1"])
+        res = growth_inclusion_check(P, F(1), samples=200, seed=0)
+        assert (res.low_max, res.high_max, res.holds, res.witness_C) == (0.0, 0.0, True, 0.0)
+
+
+# the growth check's probes: the cusp P = s^2 - y, curve(4,3) and square(2,2)
+GROWTH_PROBES = {
+    "cusp": lambda: CharPoly(2, [MPoly(1, {}), -Y], None, "resultant", ["y1"]),
+    "curve(4,3)": lambda: charpoly_resultant_oracle(
+        polynomial_map([X**4 - X**2 + X.scale(3) - MPoly.const(1, 2)]), polynomial_map([X**3 + X])
+    ),
+    "square(2,2)": lambda: build_charpoly(SQUARE22, G12, seed=0),
+}
+
+
+def _reference_growth(P, q, samples, seed):
+    """(holds, low_max, high_max, top-half witness (x, root)) with every sample drawn, evaluated and solved at 256 bits.
+
+    The arithmetic is that of the check before it solved squarefree P at
+    128 bits: mpc roots, and each ratio as float(abs(root) / mpf(r) ** float(q)).
+    """
+    gen = rng.child_rng(seed, "growth")
+    mid = charpoly.GROWTH_R * 100.0
+    low_max = high_max = 0.0
+    witness = None
+    with mp.workprec(256):
+        coeffs_at = evaluator(P.coeffs[::-1], use_mp=True)
+        for _ in range(samples):
+            r = charpoly.GROWTH_R * 10.0 ** (4 * gen.random())
+            phase = mp.expjpi(2 * mp.mpf(gen.random()))
+            x = [mp.mpc(0)] * P.k
+            x[gen.randrange(P.k)] = r * phase
+            for root, _ in numroots.roots_from_coeffs(coeffs_at(x) + [1], 256).roots:
+                ratio = float(abs(root) / mp.mpf(r) ** float(q))
+                if r <= mid:
+                    low_max = max(low_max, ratio)
+                elif ratio > high_max:
+                    high_max, witness = ratio, (tuple(x), root)
+    return high_max <= 1.25 * low_max, low_max, high_max, witness
+
+
+def _complex_witness(witness):
+    x, root = witness
+    return [complex(v) for v in x], complex(root)
+
+
+def _solve_precs(monkeypatch):
+    """The prec of each roots_from_coeffs call charpoly makes, while monkeypatch holds."""
+    precs = []
+
+    def recorded(coeffs, prec=256, start=None):
+        precs.append(prec)
+        return numroots.roots_from_coeffs(coeffs, prec, start)
+
+    monkeypatch.setattr(charpoly, "roots_from_coeffs", recorded)
+    return precs
+
+
+class TestGrowthPrecision:
+    """The check solves squarefree P at the first rung, and reports as a 256-bit solve would."""
+
+    @pytest.mark.parametrize("name", list(GROWTH_PROBES))
+    def test_matches_the_256_bit_reference(self, name):
+        P = GROWTH_PROBES[name]()
+        for q in (ploski_delta(P), F(1, 10)):
+            for seed in range(5):
+                got = growth_inclusion_check(P, q, samples=100, seed=seed)
+                holds, low_max, high_max, witness = _reference_growth(P, q, 100, seed)
+                assert (got.holds, got.low_max, got.high_max) == (holds, low_max, high_max)
+                if not holds:
+                    assert _complex_witness(got.violation) == _complex_witness(witness)
+
+    @pytest.mark.parametrize("name", ["cusp", "curve(4,3)"])
+    def test_squarefree_p_solves_at_the_first_rung(self, monkeypatch, name):
+        P = GROWTH_PROBES[name]()
+        precs = _solve_precs(monkeypatch)
+        growth_inclusion_check(P, ploski_delta(P), samples=50, seed=0)
+        assert precs == [numroots.PREC_LADDER[0]] * 50
+
+    def test_a_repeated_root_solves_at_prec(self, monkeypatch, cline):
+        # f = g = x^5 on the line: P = (s - y)^5, whose one root is resolved to about wp/5 bits
+        x5 = load_map(cline, map_spec(line_poly([0, 0, 0, 0, 0, 1])))
+        P = charpoly_resultant_oracle(x5, x5)
+        precs = _solve_precs(monkeypatch)
+        res = growth_inclusion_check(P, F(1), samples=200, seed=3)
+        assert precs == [256] * 200
+        # the maxima of the check before the gate; at 128 bits low_max moved off 1 by 4e-8
+        assert (res.low_max, res.high_max) == (1.0000000000000009, 1.0000000000000007)
+
+    def test_nodes_on_the_discriminant_fall_back_to_prec(self, monkeypatch):
+        # s^2 - prod (y - c): squarefree in s, but a double root 0 over every node
+        on_all = MPoly.const(1, 1)
+        for c in charpoly.SQUAREFREE_NODES:
+            on_all = on_all * (Y - MPoly.const(1, c))
+        precs = _solve_precs(monkeypatch)
+        growth_inclusion_check(CharPoly(2, [MPoly(1, {}), -on_all], None, "resultant", ["y1"]), F(5, 2), samples=20, seed=0)
+        assert precs == [256] * 20
+        # one node on it is not enough: the next node decides
+        precs.clear()
+        growth_inclusion_check(CharPoly(2, [MPoly(1, {}), MPoly.const(1, 3) - Y], None, "resultant", ["y1"]), F(1, 2), samples=20, seed=0)
+        assert precs == [numroots.PREC_LADDER[0]] * 20
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(0, 1, exclude_max=True),
+        st.floats(100, 1e6),
+        st.integers(1, 3).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, k - 1))),
+        st.sampled_from([128, 256]),
+    )
+    def test_sample_point_rounds_as_expjpi(self, u, r, k_i, prec):
+        k, i = k_i
+        gen = SimpleNamespace(random=lambda: u, randrange=lambda n: i)
+        with mp.workprec(prec):
+            want = [mp.mpc(0)] * k
+            want[i] = r * mp.expjpi(2 * mp.mpf(u))
+        got = charpoly._sample_point_of_norm(gen, k, r, prec)
+        assert [z._mpc_ for z in got] == [z._mpc_ for z in want]

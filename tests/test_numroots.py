@@ -767,3 +767,35 @@ def _newton_multistart_oracle(p, q, starts=2000, iters=60):
         if ok and all(abs(x - fx) + abs(y - fy) > 1e-6 for fx, fy in found):
             found.append((x, y))
     return [(mp.mpc(fx), mp.mpc(fy)) for fx, fy in found]
+
+
+@st.composite
+def _small_mpc_coeffs(draw):
+    """Degree 1..6, mpc coefficients with parts a/c, b/c at 256 bits before a leading 1."""
+    d = draw(st.integers(1, 6))
+    parts = draw(st.lists(st.tuples(st.integers(-99, 99), st.integers(-99, 99), st.integers(1, 7)), min_size=d, max_size=d))
+    with mp.workprec(256):
+        return [mp.mpc(mp.mpf(a) / c, mp.mpf(b) / c) for a, b, c in parts] + [1]
+
+
+class TestRootSetFixedPoint:
+    """RootSet keeps its clusters in fixed point, and builds the mpc roots the solve used to build."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(univariate_coeffs(8) | _small_mpc_coeffs(), st.sampled_from([128, 256]))
+    def test_roots_round_as_the_mpc_they_replaced(self, coeffs, prec):
+        rs = roots_from_coeffs(coeffs, prec)
+        with mp.workprec(rs.prec + 20):
+            want = [mp.mpc(mp.ldexp(re, rs.exp), mp.ldexp(im, rs.exp)) for (re, im), _ in rs.clusters]
+        assert [z._mpc_ for z in rs.values()] == [z._mpc_ for z in want]
+        assert [m for _, m in rs.roots] == [m for _, m in rs.clusters]
+        # each modulus is |root| to within the rounding of either
+        for modulus, z in zip(rs.moduli(prec), rs.values()):
+            with mp.workprec(prec):
+                assert abs(mp.mpf(modulus) - abs(z)) <= mp.mpf(2) ** (4 - prec) * abs(z)
+
+    def test_zero_roots_give_mpc_zero(self):
+        rs = roots_from_coeffs([F(0), F(0), F(0), F(1)], 256)
+        assert rs.roots == [(mp.mpc(0), 3)] and type(rs.roots[0][0]) is mp.mpc
+        assert rs.values() == [mp.mpc(0)]
+        assert rs.moduli(128) == [mp.mpf(0)._mpf_]
