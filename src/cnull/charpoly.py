@@ -13,22 +13,19 @@ the precision ladder and solved again at working precision from the
 count's roots, and the signed elementary symmetric functions of the
 g-values are rationally reconstructed.
 
-The grid grows one node per axis at a time, and keeps the points whose
-node indices sum to at most the largest cap on the total degree of a
-coefficient: the simplex that determines a polynomial of that degree.
-The caps are the theorem bounds, lowered on a curve to
-floor(j deg G / deg F) (_grid_caps); the reported bounds stay the
-theorem's.  The grid stops at the caps.  Only a two-parameter grid may
-stop earlier, once every coefficient's samples on n nodes per axis fit
-total degree n - ZETA - 1, that is, once their Newton divided
-differences of index sum n - ZETA or more vanish
-(polycore.grid_interpolant; early termination in the manner of Kaltofen
-and Lee, 2003), and the fit is then its coefficient.  An early result is
-returned only when it verifies and g separates the fiber over some grid
-node, since only then does the identity force P to be the
-characteristic polynomial; otherwise the grid grows to the caps at the
-same precision.  A failed verification at the caps escalates the
-precision ladder on a curve; exact two-parameter samples try one rung.
+Each coefficient a_j has a cap on its total degree, by one rule on one
+and two parameters (_grid_caps): cap_j = min(bound_j, floor(j deg G delta))
+for G = g(phi), where every fiber point over y has |t| <= C (1 + |y|)^delta.
+Then a_j, up to sign the j-th elementary symmetric function of the values
+of g on the fiber, is O(|y|^(j deg G delta)), so its degree is at most
+floor(j deg G delta).  The grid keeps the points whose node indices sum
+to at most the largest cap, the simplex that determines a polynomial of
+that degree, and grows to it; every a_j is interpolated under its cap,
+the surplus samples serving as checks.  The reported bounds stay the
+theorem's.  A failed verification escalates the precision ladder on a
+curve; exact two-parameter samples try one rung.  A g that grows more
+slowly than |t|^deg G on the fibers leaves its coefficients below their
+caps, and its grid samples more nodes than their true degrees need.
 
 An independent exact construction via a Sylvester resultant is provided
 as an oracle for the curve case.
@@ -63,7 +60,6 @@ from .polycore import (
     distinct_root_count,
     drop_var,
     evaluator,
-    grid_interpolant,
     interpolate,
     poly_to_json,
     sylvester_resultant,
@@ -142,17 +138,20 @@ def build_charpoly(
     d = prof.d_f
     growth = growth_exponent(g)
     bounds = coefficient_bounds(d, growth, prof.graph_degree)
-    caps = _grid_caps(f, g, bounds)
+    caps = _grid_caps(f, g, bounds, prof.shape)
     last_error: Exception | None = None
     # a two-parameter sample is exact, so a higher rung would rebuild the same grid
     for wp in ladder_from(prec) if k == 1 else [prec]:
         try:
-            for P in _candidates(f, g, d, caps, seed, wp, prof.shape):
-                if verify_charpoly(P, f, g):
-                    return replace(P, bounds=bounds, verified=True)
-                last_error = ExactVerificationFailed(
-                    "interpolated characteristic polynomial failed the exact identity"
-                )
+            grid = _SampleGrid(f, g, d, seed, wp, max(caps) + 1, prof.shape)
+            while grid.n < grid.need:
+                grid.grow()
+            P = grid.charpoly(caps)
+            if verify_charpoly(P, f, g):
+                return replace(P, bounds=bounds, verified=True)
+            last_error = ExactVerificationFailed(
+                "interpolated characteristic polynomial failed the exact identity"
+            )
         except (NoReconstruction, InconsistentSamples, PrecisionExhausted) as exc:
             last_error = exc
     if isinstance(last_error, (NoReconstruction, PrecisionExhausted)):
@@ -162,62 +161,49 @@ def build_charpoly(
     ) from last_error
 
 
-def _grid_caps(f: CAMap, g: CAMap, bounds: list[int]) -> list[int]:
-    """Caps on deg a_j for the sample grid: the theorem bounds, sharpened on a curve.
+def _grid_caps(f: CAMap, g: CAMap, bounds: list[int], shape: ShapeLemma | None) -> list[int]:
+    """Caps on deg a_j for the sample grid: min(bound_j, floor(j deg G delta)).
 
-    On a curve write F = f(phi) and G = g(phi), with deg G = 0 for g = 0.
-    By Fujiwara's bound (1916) every root of F(t) - y lies within
-    C (1 + |y|)^(1/deg F), so every value of g on the fiber over y is
-    O(|y|^(deg G / deg F)), and a_j, up to sign the j-th elementary
-    symmetric function of the d values, is O(|y|^(j deg G / deg F)).  So
-    deg a_j <= floor(j deg G / deg F), and a curve's cap is the lower of
-    that and bound_j.  The cap of a_d is reached: a_d = +-prod G(t_i) has
-    degree exactly d deg G / deg F, d times Ploski's exponent, so no early
-    fit of it can succeed and a curve's grid grows straight to its caps.
-    On two parameters the bounds are returned unchanged.
+    Write F = f(phi) and G = g(phi), with deg G = 0 for g = 0, and let
+    delta be a rational with |t| <= C (1 + |y|)^delta at every point t of
+    every fiber.  Then each value of g on the fiber over y is
+    O(|y|^(delta deg G)), and a_j, up to sign the j-th elementary
+    symmetric function of the d values, is O(|y|^(j delta deg G)).  A
+    polynomial in y that grows no faster along every line has degree at
+    most j delta deg G, so deg a_j <= floor(j delta deg G).  delta comes
+    from Fujiwara's bound (1916): every root of a polynomial with a
+    constant lead c and coefficients c_i lies within
+    2 max_(i >= 1) |c_(m-i) / c|^(1/i) of 0.
+
+    On a curve F(t) - y has a constant lead, so delta = 1/deg F.  The cap
+    of a_d is reached: a_d = +-prod G(t_i) has degree exactly
+    d deg G / deg F.  On two parameters take shape's shear
+    x = t1 + lam*t2, under which the x of every fiber point is a root of
+    R(x; y) = sum_i r_i(y) x^i, of x-degree d with r_d constant
+    (check_proper).  So |x| = O(|y|^delta_x) for
+    delta_x = max_j deg r_(d-j) / j.  Under the same shear
+    f1(x - lam*t2, t2) - y1 has a constant t2-lead of degree deg F1, and
+    its t2^i coefficient has x-degree at most deg F1 - i, so
+    |t2| = O(1 + |x| + |y|^(1/deg F1)), and t1 = x - lam*t2.  So
+    delta = max(delta_x, 1/deg F1): no elimination beyond check_proper's.
     """
-    if f.domain.param.k != 1:
-        return bounds
-    deg_f, deg_g = total_degree(f.pullbacks[0]), max(total_degree(g.pullbacks[0]), 0)
-    return [min(b, j * deg_g // deg_f) for j, b in enumerate(bounds, start=1)]
-
-
-ZETA = 2  # confirming nodes per axis beyond those an early interpolant is taken on
-
-
-def _candidates(f: CAMap, g: CAMap, d: int, caps: list[int], seed: int, wp: int, shape: ShapeLemma | None):
-    """Interpolated characteristic polynomials at precision wp, on one growing grid.
-
-    The grid gains one node per axis at a time, up to the cap grid:
-    max_j cap_j + 1 nodes per axis on the simplex of that total degree,
-    under which the result is interpolated.  Only a two-parameter grid
-    stops early, once every coefficient a_j is confirmed: its samples fit
-    total degree n - ZETA - 1, and the fit is a_j.  That result is offered
-    only when g separates the fiber over some grid node, for then
-    P(f, g) = 0 forces P to be the characteristic polynomial.  A curve's
-    a_d reaches its cap (_grid_caps), so no early fit of it can succeed.
-    """
-    need = max(caps, default=0) + 1
-    grid = _SampleGrid(f, g, d, seed, wp, need, shape)
+    deltas = [Fraction(1, total_degree(f.pullbacks[0]))]
     if shape is not None:
-        while grid.n < need and not grid.confirmed(caps):
-            grid.grow()
-        if grid.n < need and grid.separates():
-            yield grid.charpoly(caps)
-    while grid.n < need:
-        grid.grow()
-    yield grid.charpoly(caps)
+        r = coeffs_in_var(shape.R, 0)[::-1]  # r_d, r_(d-1), .., r_0
+        deltas += [Fraction(total_degree(c), j) for j, c in enumerate(r) if j and not c.is_zero()]
+    deg_g = max(total_degree(g.pullbacks[0]), 0)
+    return [min(b, math.floor(j * deg_g * max(deltas))) for j, b in enumerate(bounds, start=1)]
 
 
 class _SampleGrid:
     """A growing grid of integer nodes on the total-degree simplex, and the samples on it.
 
     Axis i holds nodes x_(i,0), x_(i,1), ... in the order drawn, as ints
-    (grid_interpolant then runs on integer nodes throughout), and the
-    grid holds the points (x_(1,alpha_1), ..., x_(k,alpha_k)) with every
-    alpha_i < n and |alpha| < need, where need is the largest cap + 1: a
-    lower set that holds the simplex of every total degree below need.
-    Only a two-parameter grid is asked whether it is confirmed early.
+    (interpolate then runs on integer nodes throughout), and the grid
+    holds the points (x_(1,alpha_1), ..., x_(k,alpha_k)) with every
+    alpha_i < n and |alpha| < need, where need is the largest cap + 1.
+    build_charpoly grows it to n = need, the simplex of total degree
+    need - 1, on which every a_j is interpolated under its cap (_grid_caps).
     Nodes come from one shuffled span, sized by need, under the salt
     charpoly-grid; a candidate node whose new slab of the
     grid has a point that cannot be sampled is skipped.  On two parameters
@@ -248,8 +234,6 @@ class _SampleGrid:
         self.f, self.gp, self.d, self.wp, self.need = f, g.pullbacks[0], d, wp, need
         self.axes: list[list[int]] = [[] for _ in range(f.domain.param.k)]
         self.rows: list[tuple[tuple, list[Fraction]]] = []  # (node, [a_1 .. a_d]) as sampled
-        self.early: list[MPoly | None] = [None] * d  # per coefficient: its last early interpolant
-        self.failed = 0  # the coefficient that failed the last confirmation, tried first in the next
         gen = _rng.child_rng(seed, "charpoly-grid")
         span = list(range(-3 * (need + 2), 3 * (need + 2) + 1))
         gen.shuffle(span)
@@ -334,43 +318,13 @@ class _SampleGrid:
                     return None
                 raise
 
-    def confirmed(self, caps: list[int]) -> bool:
-        """Whether every coefficient is settled by its cap or confirmed early; two parameters only.
-
-        a_j is settled by its cap once the grid has cap_j + 1 nodes per
-        axis, and confirmed earlier when every Newton coefficient
-        of its samples of index sum n - ZETA or more vanishes: then
-        grid_interpolant fits them with total degree n - ZETA - 1, and the
-        fit is kept in self.early.
-        """
-        m = self.n - ZETA
-        for j in [*range(self.failed, len(caps)), *range(self.failed)]:
-            if self.n > caps[j]:
-                continue
-            if m < 1:
-                return False
-            self.early[j] = grid_interpolant([(y, row[j]) for y, row in self.rows], m - 1)
-            if self.early[j] is None:
-                self.failed = j
-                return False
-        return True
-
-    def separates(self) -> bool:
-        """g takes d distinct values on the fiber over some grid node."""
-        return any(_distinct_roots(row) for _, row in self.rows)
-
     def charpoly(self, caps: list[int]) -> CharPoly:
-        """P on the grid: a_j beyond its cap is interpolated under cap_j, surplus nodes as checks.
+        """P on the grid: each a_j interpolated under cap_j, the surplus samples as checks.
 
-        Any other a_j was confirmed on this grid, and is its early fit:
-        the one polynomial of its degree through every sample.  P.bounds
-        holds the caps; build_charpoly reports the theorem bounds.
+        P.bounds holds the caps; build_charpoly reports the theorem bounds.
         """
         k = len(self.axes)
-        coeffs = [
-            interpolate([(y, row[j]) for y, row in self.rows], b) if self.n > b else self.early[j]
-            for j, b in enumerate(caps)
-        ]
+        coeffs = [interpolate([(y, row[j]) for y, row in self.rows], b) for j, b in enumerate(caps)]
         return CharPoly(
             d=self.d,
             coeffs=coeffs,
@@ -486,9 +440,6 @@ class GrowthCheck:
 
 GROWTH_R = 100.0  # the growth check samples |x| in [GROWTH_R, 10^4 GROWTH_R]
 
-# the diagonal nodes (c, ..., c) at which the growth check tests P for d distinct roots in s
-SQUAREFREE_NODES = (3, 7, -4, 11, -13)
-
 
 def growth_inclusion_check(
     P: CharPoly,
@@ -509,9 +460,9 @@ def growth_inclusion_check(
     precision ladder (at prec, when that is lower) when P is squarefree
     in s, and at prec otherwise: a root of multiplicity m is resolved to
     only about 1/m of the working precision.  P counts as squarefree when
-    P(y0, .) has d distinct roots at one of the SQUAREFREE_NODES, decided
-    exactly; a P whose nodes all lie on its discriminant is solved at
-    prec.  Each |t| is read from the fixed point of its solve
+    P(y0, .) has d distinct roots at y0 = (c, ..., c) for one of the
+    rng.FIXED_NODES c, decided exactly; a P whose nodes all lie on its
+    discriminant is solved at prec.  Each |t| is read from the fixed point of its solve
     (RootSet.moduli), and an mpc is built only for a new witness.
     """
     if q <= 0:
@@ -558,10 +509,10 @@ def growth_inclusion_check(
 
 
 def _squarefree_in_s(P: CharPoly) -> bool:
-    """Whether P(y0, .) has d distinct roots at one of the SQUAREFREE_NODES y0 = (c, ..., c)."""
+    """Whether P(y0, .) has d distinct roots at y0 = (c, ..., c) for one of rng.FIXED_NODES c."""
     return any(
         _distinct_roots([compose(a, [MPoly.const(0, c)] * P.k).constant_term() for a in P.coeffs])
-        for c in SQUAREFREE_NODES
+        for c in _rng.FIXED_NODES
     )
 
 

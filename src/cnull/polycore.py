@@ -632,11 +632,6 @@ class ResidueRing:
         g = math.gcd(den, *c)
         return [v // g for v in c], den // g
 
-    def trace(self, a) -> Fraction:
-        """Trace of multiplication by a: the sum of its values at the roots of R."""
-        c, den = a
-        return Fraction(sum(x * t for x, t in zip(c, self._traces)), den * self._trace_den)
-
     def charpoly(self, a) -> list[Fraction]:
         """c_1 .. c_d with prod (s - a(x_i)) = s^d + c_1 s^(d-1) + ... + c_d over the roots x_i of R.
 

@@ -39,6 +39,7 @@ from .errors import (
     SchemaError,
 )
 from .polycore import MPoly, _univ_rem, compose, evaluate, exact_divide, poly_from_json, total_degree, univ_gcd
+from .rng import FIXED_NODES
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,7 @@ def load_variety(spec: dict) -> Variety:
             raise GeneratorNotAnnihilated(
                 "a generator does not vanish along the parametrization"
             )
-    if dim == 1 and (m := curve_generic_degree(components, (3, 7, -4, 11, -13))) != 1:  # fixed t0: no seed here
+    if dim == 1 and (m := curve_generic_degree(components, FIXED_NODES)) != 1:
         raise ParamNotOneToOne(f"the parametrization is {m}-to-one onto the curve; it must be one-to-one")
     param = Param(var_names=list(pvars), components=components)
     return Variety(ambient_vars=list(names), dim=dim, generators=gens, param=param)

@@ -30,6 +30,7 @@ from cnull.errors import (
     NonReal,
     NoReconstruction,
     NonZeroDimensional,
+    NotProper,
 )
 from cnull.numroots import rational_reconstruct
 from cnull.polycore import (
@@ -45,7 +46,7 @@ from cnull.polycore import (
     univ_from_coeffs,
 )
 from cnull.propermaps import ShapeLemma, fiber_points_2, profile_map
-from cnull.variety import load_map, polynomial_map
+from cnull.variety import CAMap, Param, Variety, load_map, polynomial_map
 
 F = Fraction
 Y = MPoly(1, {(1,): 1})
@@ -527,7 +528,7 @@ def _counted_solves(monkeypatch):
 SQUARE_CHARPOLYS = {  # components of f, grid nodes, bounds, a_1 .. a_d as for _terms
     "square(2,2)": (
         [X1**2 + X2, X2**2 - X1],
-        15,
+        6,
         [1, 2, 3, 4],
         [
             {},
@@ -538,7 +539,7 @@ SQUARE_CHARPOLYS = {  # components of f, grid nodes, bounds, a_1 .. a_d as for _
     ),
     "square(3,2)": (
         [X1**3 + X2, X2**2 - X1],
-        26,
+        10,
         [1, 2, 3, 4, 5, 6],
         [
             {},
@@ -551,7 +552,7 @@ SQUARE_CHARPOLYS = {  # components of f, grid nodes, bounds, a_1 .. a_d as for _
     ),
     "square(4,3)": (
         [X1**4 + X2, X2**3 - X1],
-        49,
+        15,
         list(range(1, 13)),
         [
             {},
@@ -573,7 +574,7 @@ SQUARE_CHARPOLYS = {  # components of f, grid nodes, bounds, a_1 .. a_d as for _
 
 
 def _recorded_grids(monkeypatch):
-    """The _SampleGrid behind every candidate from here on."""
+    """The _SampleGrid behind every interpolated P from here on."""
     real = charpoly._SampleGrid.charpoly
     grids = []
 
@@ -585,7 +586,17 @@ def _recorded_grids(monkeypatch):
     return grids
 
 
-class TestEarlyTermination:
+def _caps(f, g, bounds, seed=0):
+    """The grid caps of build_charpoly(f, g, seed), for the theorem bounds that it reports."""
+    return charpoly._grid_caps(f, g, bounds, profile_map(f, seed).shape)
+
+
+def _theorem_grid(monkeypatch):
+    """Have build_charpoly size its grid by the theorem bounds, as the caps' reference."""
+    monkeypatch.setattr(charpoly, "_grid_caps", lambda f, g, bounds, shape: bounds)
+
+
+class TestCapGrid:
     @pytest.fixture
     def curve_8_4(self, cline, monkeypatch):
         # f = x^8 - x^2 + 3x - 2, g = x^4 + x: the theorem bounds reach 32, the true degrees 4
@@ -601,7 +612,7 @@ class TestEarlyTermination:
         assert P.verified and P.bounds == coefficient_bounds(8, F(4), 8)
         assert P.coeffs == charpoly_resultant_oracle(f, g).coeffs
         # the caps floor(j * 4 / 8) top out at 4 = deg a_8: 4 + 1 nodes, against 33 theorem nodes
-        assert charpoly._grid_caps(f, g, P.bounds) == [0, 1, 1, 2, 2, 3, 3, 4]
+        assert charpoly._grid_caps(f, g, P.bounds, None) == [0, 1, 1, 2, 2, 3, 3, 4]
         assert len({y for y, _, _ in rows}) == 5
         assert {wp for _, wp, _ in rows} == {256}
         assert all(accepted for _, _, accepted in rows)
@@ -634,88 +645,36 @@ class TestEarlyTermination:
         assert len(targets) == len(nodes)
         assert all(type(t) is float for t in targets)
 
-    def test_false_early_stop_grows_to_the_theorem_grid_at_the_same_precision(self, monkeypatch):
-        # with no confirming nodes, a constant interpolant on one node stops the grid; the
-        # grid it then grows to is the caps', the simplex of max cap + 1 nodes per axis.
-        # Only a two-parameter grid stops early, so the case is square(2,2)
-        f, g = SQUARE22, G12
-        expected = build_charpoly(f, g, seed=0)
-        monkeypatch.setattr(charpoly, "ZETA", 0)
-        real_verify = charpoly.verify_charpoly
-        verdicts = []
+    def test_no_early_termination_is_left(self):
+        # the caps determine P, so no grid is fitted early or asked whether g separates a fiber
+        assert not hasattr(charpoly, "grid_interpolant") and not hasattr(charpoly, "ZETA")
+        assert not hasattr(charpoly._SampleGrid, "confirmed") and not hasattr(charpoly._SampleGrid, "separates")
 
-        def recorded(P, f, g):
-            verdicts.append(real_verify(P, f, g))
-            return verdicts[-1]
-
-        monkeypatch.setattr(charpoly, "verify_charpoly", recorded)
-        rows = _counted_rows(monkeypatch)
-        P = build_charpoly(f, g, seed=0)
-        assert verdicts == [False, True]
-        assert P.verified and P.coeffs == expected.coeffs
-        need = max(charpoly._grid_caps(f, g, P.bounds)) + 1
-        assert len({y for y, _, _ in rows}) == math.comb(need + 1, 2) == 15
-        assert {wp for _, wp, _ in rows} == {256}
-        assert all(accepted for _, _, accepted in rows)
-
-    @pytest.mark.parametrize("degrees", [(8, 4), (12, 5)], ids=["curve(8,4)", "curve(12,5)"])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_curve_grid_makes_no_early_fit(self, cline, monkeypatch, degrees, seed):
-        # a_d reaches its cap, so no early fit on a curve can succeed: its grid is never
-        # asked whether it is confirmed, and no grid_interpolant call is made
-        d, e = degrees
-        f = _line_map(cline, [-2, 3, -1] + [0] * (d - 3) + [1])
-        g = _line_map(cline, [0, 1] + [0] * (e - 2) + [1])
-        fits, asked = [], []
-        real_fit, real_confirmed = charpoly.grid_interpolant, charpoly._SampleGrid.confirmed
-        monkeypatch.setattr(charpoly, "grid_interpolant", lambda *args: fits.append(args) or real_fit(*args))
-        monkeypatch.setattr(
-            charpoly._SampleGrid, "confirmed", lambda grid, caps: asked.append(caps) or real_confirmed(grid, caps)
-        )
-        P = build_charpoly(f, g, seed=seed)
-        assert P.verified and P.coeffs == charpoly_resultant_oracle(f, g).coeffs
-        assert fits == [] and asked == []
-
-    @pytest.mark.parametrize("case,settled", [("square(4,3)", 6), ("curve(8,4)", 8)])
-    def test_confirmed_coefficients_are_not_interpolated_again(self, cline, monkeypatch, case, settled):
-        # a coefficient confirmed on the early grid is its checked interpolant; only those
-        # settled by their caps (n > cap_j) are interpolated, once each, on all of the
-        # grid's rows, and never from confirmed: the benchmark counts interpolate's samples
-        # as grid nodes.  A square's caps are its bounds; a curve's grid settles every
-        # coefficient by its cap
+    @pytest.mark.parametrize("case", ["square(4,3)", "curve(8,4)"])
+    def test_each_coefficient_is_interpolated_once_on_every_row(self, cline, monkeypatch, case):
+        # every a_j is interpolated once, on all of the grid's rows, and the grid has
+        # max cap + 1 nodes per axis: the benchmark counts interpolate's samples as grid nodes
         if case == "square(4,3)":
             f, g = polynomial_map([X1**4 + X2, X2**3 - X1]), G12
         else:  # f = x^8 - x^2 + 3x - 2, g = x^4 + x
             f, g = _line_map(cline, [-2, 3, -1, 0, 0, 0, 0, 0, 1]), _line_map(cline, [0, 1, 0, 0, 1])
-        calls, confirming = [], []
-        real_interpolate, real_confirmed = polycore.interpolate, charpoly._SampleGrid.confirmed
+        calls = []
+        real_interpolate = polycore.interpolate
 
         def recorded(*args):
-            calls.append((args, bool(confirming)))
+            calls.append(args)
             return real_interpolate(*args)
-
-        def confirmed(grid, bounds):
-            confirming.append(True)
-            try:
-                return real_confirmed(grid, bounds)
-            finally:
-                confirming.pop()
 
         for module in (charpoly, polycore):
             monkeypatch.setattr(module, "interpolate", recorded)
-        monkeypatch.setattr(charpoly._SampleGrid, "confirmed", confirmed)
         grids = _recorded_grids(monkeypatch)
         P = build_charpoly(f, g, seed=0)
+        caps = _caps(f, g, P.bounds)
         assert P.verified and len(grids) == 1
         grid = grids[0]
-        assert grid.n < max(P.bounds) + 1
-        bounded = [j for j, cap in enumerate(charpoly._grid_caps(f, g, P.bounds)) if grid.n > cap]
-        assert len(calls) == len(bounded) == settled
-        assert not any(in_confirmed for _, in_confirmed in calls)
-        assert all([y for y, _ in args[0]] == [y for y, _ in grid.rows] for args, _ in calls)
-        for j, a in enumerate(P.coeffs):
-            if j not in bounded:
-                assert a is grid.early[j]
+        assert grid.n == max(caps) + 1 < max(P.bounds) + 1
+        assert [bound for _, bound in calls] == caps and len(calls) == P.d
+        assert all([y for y, _ in samples] == [y for y, _ in grid.rows] for samples, _ in calls)
 
     @pytest.mark.parametrize(
         "comps", [[X1**4 + X2, X2**3 - X1], [X1**3 + X2, X2**2 - X1]], ids=["square(4,3)", "square(3,2)"]
@@ -738,40 +697,39 @@ class TestEarlyTermination:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize(
-        "comps,early",
+        "comps",
         [
-            ([X1**2 + X2, X2**2 - X1], False),
-            ([X1**3 + X2, X2**2 - X1], True),
-            ([X1**3 + X2, X2**3 - X1], True),
-            ([X1 + X2**2, X2**3], False),
-            ([X1 * X2 + X1, X2**2 + X1], False),
+            [X1**2 + X2, X2**2 - X1],
+            [X1**3 + X2, X2**2 - X1],
+            [X1**3 + X2, X2**3 - X1],
+            [X1 + X2**2, X2**3],
+            [X1 * X2 + X1, X2**2 + X1],
         ],
         ids=["square(2,2)", "square(3,2)", "square(3,3)", "x1+x2^2", "x1x2+x1"],
     )
-    def test_two_parameter_early_result_equals_the_theorem_grid_result(self, monkeypatch, comps, early, seed):
-        # with no separating node no early candidate is offered, and the grid grows to max bound + 1
+    def test_the_cap_grid_result_equals_the_theorem_grid_result(self, monkeypatch, comps, seed):
+        # the cap grid has max cap + 1 nodes per axis, and the grid of the theorem bounds
+        # max bound + 1; both give the same P
         f = polynomial_map(comps)
         grids = _recorded_grids(monkeypatch)
         P = build_charpoly(f, G12, seed=seed)
-        need = max(P.bounds) + 1
-        assert [grid.n < need for grid in grids] == [early]
-        monkeypatch.setattr(charpoly._SampleGrid, "separates", lambda grid: False)
+        assert [grid.n for grid in grids] == [max(_caps(f, G12, P.bounds, seed)) + 1]
+        _theorem_grid(monkeypatch)
         grids.clear()
         Q = build_charpoly(f, G12, seed=seed)
-        assert [grid.n for grid in grids] == [need]
+        assert [grid.n for grid in grids] == [max(P.bounds) + 1]
         assert P.verified and Q.verified and P.coeffs == Q.coeffs
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("case", ["square(2,2)", "square(3,2)", "square(4,3)"])
     def test_a_square_samples_the_total_degree_simplex(self, monkeypatch, case, seed):
-        # a grid keeps the nodes whose indices sum to at most max bound: square(2,2) reaches
-        # its bound 4 on 15 nodes, and square(3,2) and square(4,3) stop early on 26 and 49
-        # at seed 0; the nodes are ints
+        # a grid keeps the nodes whose indices sum to at most max cap: square(2,2), (3,2)
+        # and (4,3) have max caps 2, 3 and 4, so C(max cap + 2, 2) = 6, 10 and 15 rows at
+        # every seed; the nodes are ints
         comps, nodes, bounds, coeffs = SQUARE_CHARPOLYS[case]
         grids = _recorded_grids(monkeypatch)
         P = build_charpoly(polynomial_map(comps), G12, seed=seed)
-        if case == "square(2,2)" or seed == 0:
-            assert [len(grid.rows) for grid in grids] == [nodes]
+        assert [len(grid.rows) for grid in grids] == [nodes]
         assert all(type(c) is int for grid in grids for axis in grid.axes for c in axis)
         assert all(type(c) is int for grid in grids for y, _ in grid.rows for c in y)
         expected = CharPoly(len(coeffs), _terms(coeffs), bounds, "interpolated", ["y1", "y2"], verified=True)
@@ -790,7 +748,7 @@ class TestEarlyTermination:
         expected = replace(charpoly_resultant_oracle(f, g), bounds=P.bounds, provenance="interpolated")
         assert charpoly_to_json(P) == charpoly_to_json(expected)
 
-    def test_non_separating_g_uses_the_theorem_grid(self, cline_f_t2, cline, monkeypatch):
+    def test_a_non_separating_g_grows_to_its_caps(self, cline_f_t2, cline, monkeypatch):
         # g = x^4 = f^2 takes one value on each fiber of f = x^2; the grid grows to its caps,
         # floor(j * 4 / 2), and not to the theorem bounds it reports
         g = _line_map(cline, [0, 0, 0, 0, 1])
@@ -799,7 +757,7 @@ class TestEarlyTermination:
         P = build_charpoly(cline_f_t2, g, seed=0)
         assert P.verified and P.bounds == [4, 8]
         assert P.coeffs == [(Y**2).scale(-2), Y**4]
-        assert charpoly._grid_caps(cline_f_t2, g, P.bounds) == [2, 4]
+        assert charpoly._grid_caps(cline_f_t2, g, P.bounds, None) == [2, 4]
         assert len({y for y, _, _ in rows}) == 5
         assert {wp for _, wp, _ in rows} == {256}
         assert all(accepted for _, _, accepted in rows)
@@ -851,7 +809,15 @@ class TestResultantDifferential:
         assert build_charpoly(f, g, seed=0).coeffs == oracle.coeffs
 
 
-class TestCurveCaps:
+def _linear_param_map(polys):
+    """The polynomials in (x1, x2) as a map on C^2 parametrized by (t1 + t2, t1 - t2)."""
+    phi = [X1 + X2, X1 - X2]
+    domain = Variety(["x1", "x2"], 2, [], Param(["t1", "t2"], phi))
+    one = MPoly.const(2, 1)
+    return CAMap(domain, [(p, one) for p in polys], [compose(p, phi) for p in polys])
+
+
+class TestGridCaps:
     @settings(max_examples=12)
     @given(pair=_line_pairs)
     def test_caps_hold_are_reached_and_size_the_grid(self, cline, pair):
@@ -868,18 +834,67 @@ class TestCurveCaps:
             grids = _recorded_grids(patch)
             built = build_charpoly(f, g, seed=0)
         assert built.verified and built.coeffs == oracle.coeffs
-        assert charpoly._grid_caps(f, g, built.bounds) == caps
+        assert charpoly._grid_caps(f, g, built.bounds, None) == caps
         assert [grid.n for grid in grids] == [max(caps) + 1]
 
     def test_zero_g_caps_at_zero(self, cline):
         f, g = _line_map(cline, [-2, 3, -1, 0, 1]), _line_map(cline, [0])
-        assert charpoly._grid_caps(f, g, [5, 10, 15, 20]) == [0, 0, 0, 0]
+        assert charpoly._grid_caps(f, g, [5, 10, 15, 20], None) == [0, 0, 0, 0]
         P = build_charpoly(f, g, seed=0)
         assert P.verified and all(a.is_zero() for a in P.coeffs)
 
-    def test_two_parameters_keep_their_bounds(self):
-        bounds = [4, 8, 12, 16]
-        assert charpoly._grid_caps(SQUARE22, G12, bounds) is bounds
+    def test_two_parameter_caps_are_below_the_bounds(self):
+        P = build_charpoly(SQUARE22, G12, seed=0)
+        assert P.bounds == [1, 2, 3, 4]
+        assert _caps(SQUARE22, G12, P.bounds) == [0, 1, 1, 2]
+
+    @pytest.mark.parametrize("a,b", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 3)])
+    def test_a_square_has_caps_j_over_its_lesser_degree(self, a, b):
+        # every fiber point of (x1^a + x2, x2^b - x1) over y is O(|y|^(1/min(a, b))), and
+        # a_d = prod g(t_i) reaches its cap max(a, b)
+        f = polynomial_map([X1**a + X2, X2**b - X1])
+        P = build_charpoly(f, G12, seed=0)
+        caps = _caps(f, G12, P.bounds)
+        assert P.verified and caps == [j // min(a, b) for j in range(1, a * b + 1)]
+        assert [total_degree(c) <= cap for c, cap in zip(P.coeffs, caps)] == [True] * P.d
+        assert total_degree(P.coeffs[-1]) == caps[-1] == max(a, b)
+
+    @settings(max_examples=20)
+    @given(
+        comps=st.lists(plane_polys(3), min_size=2, max_size=2),
+        g=plane_polys(2),
+        linear=st.booleans(),
+    )
+    @example(comps=[X1**2 + X2, X2**2 - X1], g=X1 * X2 + X2, linear=True)
+    @example(comps=[X1 * X2 + X1, X2**2 + X1], g=X1**2 - X2, linear=False)
+    def test_random_proper_maps_stay_under_their_caps(self, comps, g, linear):
+        # the caps hold on random proper square maps, under the identity parametrization or
+        # (t1 + t2, t1 - t2), the grid is their simplex, and the cap grid's P is the theorem grid's
+        f, g = (_linear_param_map(comps), _linear_param_map([g])) if linear else (polynomial_map(comps), polynomial_map([g]))
+        with pytest.MonkeyPatch.context() as patch:
+            grids = _recorded_grids(patch)
+            try:
+                P = build_charpoly(f, g, seed=0)
+            except NotProper:
+                return
+        caps = _caps(f, g, P.bounds)
+        assert P.verified and [len(grid.rows) for grid in grids] == [math.comb(max(caps) + 2, 2)]
+        assert all(total_degree(a) <= cap for a, cap in zip(P.coeffs, caps))
+        with pytest.MonkeyPatch.context() as patch:
+            _theorem_grid(patch)
+            assert build_charpoly(f, g, seed=0).coeffs == P.coeffs
+
+    def test_a_slow_g_samples_past_its_true_degrees(self):
+        # g = x1 on (x1^5, x2): P = s^5 - y1 has degree 1 in y, but t2 = y2 grows like |y|,
+        # so delta = 1 and the caps reach 5: the grid holds C(7, 2) = 21 rows, where the
+        # true degrees need C(3, 2) = 3
+        f, g = polynomial_map([X1**5, X2]), polynomial_map([X1])
+        with pytest.MonkeyPatch.context() as patch:
+            rows = _counted_rows(patch)
+            P = build_charpoly(f, g, seed=0)
+        assert P.verified and P.coeffs == [MPoly.zero(2)] * 4 + [MPoly(2, {(1, 0): -1})]
+        assert _caps(f, g, P.bounds) == [1, 2, 3, 4, 5]
+        assert len(rows) == math.comb(7, 2) == 21
 
 
 class TestResultantOracle:
@@ -1147,7 +1162,7 @@ class TestGrowthPrecision:
     def test_nodes_on_the_discriminant_fall_back_to_prec(self, monkeypatch):
         # s^2 - prod (y - c): squarefree in s, but a double root 0 over every node
         on_all = MPoly.const(1, 1)
-        for c in charpoly.SQUAREFREE_NODES:
+        for c in rng.FIXED_NODES:
             on_all = on_all * (Y - MPoly.const(1, c))
         precs = _solve_precs(monkeypatch)
         growth_inclusion_check(CharPoly(2, [MPoly(1, {}), -on_all], None, "resultant", ["y1"]), F(5, 2), samples=20, seed=0)

@@ -214,7 +214,7 @@ class TestResidueRing:
         assert self._values(ring, ring.scale(b, F(-2, 3))) == [F(-2, 3) * y for y in vb]
         assert self._values(ring, ring.mul(a, b)) == [x * y for x, y in zip(va, vb)]
         assert self._values(ring, ring.inverse(a)) == [1 / x for x in va]
-        assert ring.trace(a) == sum(va)
+        assert -ring.charpoly(a)[0] == sum(va)  # the trace
         point = [a, b]
         p = MPoly(2, {(2, 1): F(3), (0, 2): F(-1, 2), (0, 0): F(4)})
         assert self._values(ring, residue_evaluate(ring, p, point)) == [evaluate(p, [x, y]) for x, y in zip(va, vb)]
@@ -236,7 +236,7 @@ class TestResidueRing:
         a = ring.element(coeffs)
         sums, power = [], a
         for _ in range(ring.d):
-            sums.append(ring.trace(power))
+            sums.append(-ring.charpoly(power)[0])  # the trace of a^m
             power = ring.mul(power, a)
         expected = []
         for m in range(1, ring.d + 1):
@@ -252,7 +252,6 @@ class TestResidueRing:
             assert a == ring.element(coeffs)
             assert scaled.charpoly(a) == ring.charpoly(a)
             assert scaled.inverse(a) == ring.inverse(a)
-            assert scaled.trace(a) == ring.trace(a)
             assert scaled.mul(a, a) == ring.mul(a, a)
 
     def test_zero_divisors_have_no_inverse(self):
