@@ -17,10 +17,9 @@ exact gcd, then the linear-algebra search up to the theorem's exponent
 and Jelonek's degree cap), and the underdetermined strictly regular case
 through an affine completion, with the exponent taken from the degree of
 the cycle of zeroes.  Cycle multiplicities are local multiplicities of
-the completed map, computed by propermaps.local_multiplicity from the
-squarefree factors of a fiber polynomial: generic, not certified, as
-each of its draws can only overcount and the least is kept.  The cycle
-of a square map is its zero fiber, of degree d(f) (propermaps.fiber_poly).
+the completed map, computed exactly by propermaps.local_multiplicity
+from the squarefree factors of a fiber polynomial.  The cycle of a
+square map is its zero fiber, of degree d(f) (propermaps.fiber_poly).
 """
 
 from __future__ import annotations
@@ -542,9 +541,8 @@ def cycle_degree(f: CAMap, components, forms: list[MPoly], seed: int = 0) -> Cyc
     user-supplied multiplicity overriding the computed one).  Each
     component must be a parametrized curve contained in the zero fiber,
     checked exactly through the pullbacks.  The computed multiplicity is
-    the local multiplicity (propermaps.local_multiplicity) of f completed
-    by the forms, at a random point of the component: generic, not
-    certified.
+    the exact local multiplicity (propermaps.local_multiplicity) of f
+    completed by the forms, at a random point of the component.
     """
     return _zero_cycle(f, _proper_completion(f, forms, seed), components, seed)
 
@@ -582,7 +580,7 @@ def _component_multiplicity(completed: CAMap, comp: Variety, seed: int) -> int:
     gen = _rng.child_rng(seed, "cycle-point")
     s0 = [_rng.rand_rational(gen, height=30) for _ in range(comp.param.k)]
     point = [evaluate(c, s0) for c in comp.param.components]
-    return local_multiplicity(completed, point, seed)
+    return local_multiplicity(completed, point)
 
 
 def load_cycle_components(obj: dict) -> list:

@@ -33,6 +33,7 @@ than parameters) get nonempty generic fibers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -55,6 +56,7 @@ from .polycore import (
     _univ_rem,
     coeffs_in_var,
     compose,
+    distinct_root_count,
     evaluate,
     exact_divide,
     squarefree_factors,
@@ -63,7 +65,7 @@ from .polycore import (
     univ_derivative,
     univ_gcd,
 )
-from .variety import CAMap, curve_degree, curve_generic_degree, polynomial_map
+from .variety import CAMap, Param, curve_degree, curve_generic_degree, polynomial_map
 
 _DRAW_BUDGET = 15
 
@@ -95,9 +97,9 @@ def check_proper(f: CAMap, seed: int = 0) -> int:
     NotProper before any shear is drawn.
 
     For curves some pullback must be nonconstant, and d(f) is
-    variety.curve_generic_degree of the pullbacks at random t0, drawn
-    under the salts geomdeg:{attempt}: deg h for the fiber gcd h over
-    F(t0) once every pullback F_j is in Q[h].
+    variety.curve_generic_degree of the pullbacks at t0 in
+    rng.FIXED_NODES, with no draw: deg h for the fiber gcd h over F(t0)
+    once every pullback F_j is in Q[h].
     """
     return _properness(f, seed)[0]
 
@@ -108,8 +110,7 @@ def _properness(f: CAMap, seed: int) -> tuple[int, ShapeLemma | None]:
     if k == 1:
         if all(p.is_constant() for p in f.pullbacks):
             raise NotProper("all pullbacks are constant")
-        draws = (_rng.rand_rational(_rng.child_rng(seed, f"geomdeg:{attempt}")) for attempt in range(_DRAW_BUDGET))
-        return curve_generic_degree(f.pullbacks, draws), None
+        return curve_generic_degree(f.pullbacks, _rng.FIXED_NODES), None
     if any(p.is_constant() for p in _system(f, [0] * f.n)):  # ParamRequired unless square, k = 2
         raise NotProper("a component is constant")
     shape = ShapeLemma(f, _rng.child_rng(seed, "proper-shear"))
@@ -375,18 +376,13 @@ def _top_forms_share_a_zero(components: list[MPoly], e: int) -> bool:
 # local multiplicities and the degree formula over a fiber
 
 
-def local_multiplicity(f: CAMap, a, seed: int = 0) -> int:
-    """Local geometric multiplicity of the square map f at the point a of the set.
+def local_multiplicity(f: CAMap, a) -> int:
+    """Local geometric multiplicity of the square map f at the point a of the set, exactly and with no draw.
 
-    With S_i the squarefree factors of the fiber polynomial R over f(a),
-    it is sum_i i * deg gcd(S_i, P_a).  P_a is the fiber polynomial of
-    (f_1 - f_1(a), h) under the same shear, for h = sum_j c_j (phi_j - a_j)
-    with random rational c: its common roots with R are the parameter
-    preimages of a.  A collision of another fiber point with a preimage,
-    under the shear or on h = 0, can only raise the count, and so can an
-    h that vanishes on a curve of f_1 = f_1(a) (P_a is then taken as 0);
-    the least value over 3 draws of (lam, c) is kept.  f(a) comes from
-    _map_value_exact, on a curve through the pullbacks.
+    It is sum_i i * deg gcd(S_i, H), for S_i the squarefree factors of a
+    fiber polynomial R over f(a) and H squarefree with the preimages of a
+    as its roots among R's: from _curve_fiber on a curve, from
+    _isolating_line on two parameters.
     """
     param = f.domain.param
     if f.n != param.k:
@@ -394,57 +390,72 @@ def local_multiplicity(f: CAMap, a, seed: int = 0) -> int:
     a = [Fraction(v) for v in a]
     if not f.domain.contains(a):
         raise InvalidInput("point does not satisfy the variety's generators")
-    polys = _system(f, _map_value_exact(f, a))
-    coords = [c - MPoly.const(param.k, v) for c, v in zip(param.components, a)]
-    counts = []
-    for draw in range(3):
-        gen = _rng.child_rng(seed, f"multiplicity:{draw}")
-        lam = _shear(polys[0], gen)
-        weights = _rng.rand_nonzero_vector(gen, len(coords))
-        h = sum((c.scale(w) for c, w in zip(coords, weights)), MPoly.zero(param.k))
-        factors = squarefree_factors(_fiber_poly(polys, lam))
-        try:
-            preimages = _fiber_poly([polys[0], h], lam)
-        except NonZeroDimensional:  # h vanishes on a curve of f_1 = f_1(a)
-            preimages = MPoly.zero(1)
-        at_a = [univ_gcd(s, preimages).degree_in(0) for s in factors]
-        counts.append(sum(i * n for i, n in enumerate(at_a, 1)))
-    if not min(counts):
-        raise NotIsolated("no parameter preimage of the point lies in the fiber over f(a)")
-    return min(counts)
+    R, H = (_curve_fiber if param.k == 1 else _isolating_line)(f, a)
+    return sum(i * univ_gcd(s, H).degree_in(0) for i, s in enumerate(squarefree_factors(R), 1))
 
 
-def _map_value_exact(f: CAMap, a) -> list[Fraction]:
-    """f(a), exactly.
+def _curve_fiber(f: CAMap, a) -> tuple[MPoly, MPoly]:
+    """The fiber gcd over f(a) on a curve, and H, the squarefree part of gcd_i(phi_i - a_i).
 
-    Under the identity parametrization it is the pullbacks at t = a.  On a
-    curve it is read from the pullbacks too, so a denominator may vanish
-    at a (y/x at the cusp): the roots of h, the squarefree part of
-    gcd_i(phi_i - a_i), are the parameter preimages of a, and F_j mod h
-    is the constant f_j(a).  A remainder that is not constant means the
-    components take two values at a: NotCAlgebraic.  Under any other
-    parametrization of two parameters a denominator that vanishes at a is
-    NotIsolated.
+    The roots of H are the parameter preimages of a, so f(a) is read from
+    the pullbacks even where a denominator vanishes (y/x at the cusp):
+    F_j mod H is the constant f_j(a), and NotCAlgebraic when it is not
+    constant, as the components then take two values at a.
     """
-    param = f.domain.param
-    if param.is_identity:
-        return [evaluate(p, a) for p in f.pullbacks]
-    if param.k == 1:
-        h = _fiber_poly([c - MPoly.const(1, v) for c, v in zip(param.components, a)], None)
-        if h.is_constant():
-            raise NotIsolated("the point has no parameter preimage")
-        h = exact_divide(h, univ_gcd(h, univ_derivative(h)))
-        values = [_univ_rem(p, h) for p in f.pullbacks]
-        if not all(v.is_constant() for v in values):
-            raise NotCAlgebraic("the map takes two values at the point")
-        return [v.constant_term() for v in values]
-    out = []
-    for num, den in f.components:
-        dv = evaluate(den, a)
-        if dv == 0:
-            raise NotIsolated("denominator vanishes at the point")
-        out.append(evaluate(num, a) / dv)
-    return out
+    h = _fiber_poly([c - MPoly.const(1, v) for c, v in zip(f.domain.param.components, a)], None)
+    if h.is_constant():
+        raise NotIsolated("the point has no parameter preimage")
+    h = exact_divide(h, univ_gcd(h, univ_derivative(h)))
+    values = [_univ_rem(p, h) for p in f.pullbacks]
+    if not all(v.is_constant() for v in values):
+        raise NotCAlgebraic("the map takes two values at the point")
+    return _fiber_poly(_system(f, [v.constant_term() for v in values]), None), h
+
+
+def _isolating_line(f: CAMap, a) -> tuple[MPoly, MPoly]:
+    """R = Res_t2(f - f(a)) under a shear x = t1 + lam*t2, and H = x - x0 for the preimage t of a.
+
+    t is _preimage_2's and f(a) = F(t).  lam walks 0, 1, -1, 2, ... past
+    each zero of the top form of F_1 at (-lam, 1), to the first whose line
+    x = x0 = t1 + lam*t2 meets the fiber only at t: the two sheared
+    equations at x0 have a gcd in Q[t2] with one distinct root.  F_1 -
+    f_1(a) then has a constant t2-lead, so the order of x0 as a root of
+    R is the sum of the intersection multiplicities on the line (Fulton,
+    Algebraic Curves, ch. 3): the local multiplicity at t.  Over a
+    finite fiber each other point rules out at most one lam, so the walk
+    ends; R is built first at each lam, so a curve in the fiber, which
+    would meet every line again, raises NonZeroDimensional at the first.
+    """
+    t = _preimage_2(f.domain.param, a)
+    polys = _system(f, [evaluate(p, t) for p in f.pullbacks])
+    if polys[0].is_zero():
+        raise NonZeroDimensional("a zero polynomial has a positive-dimensional zero set")
+    walk = ((n + 1) // 2 * (-1) ** (n + 1) for n in itertools.count())  # 0, 1, -1, 2, -2, ...
+    t2 = MPoly.variable(1, 0)
+    for lam in (lam for lam in walk if _top_form_at(polys[0], lam)):
+        R = _fiber_poly(polys, lam)
+        x0 = t[0] + lam * t[1]
+        on_line = [compose(h, [MPoly.const(1, x0) - t2.scale(lam), t2]) for h in polys]
+        if distinct_root_count(univ_gcd(*on_line)) == 1:
+            return R, MPoly(1, {(1,): Fraction(1), (0,): -x0})
+
+
+def _preimage_2(param: Param, a) -> list[Fraction]:
+    """The one parameter preimage of a, read off two affine components of phi with independent linear parts.
+
+    The identity, every polynomial_map, plane2 and surface_xz2 have two.
+    ParamRequired without them, NotIsolated when phi(t) is not a.
+    """
+    affine = [(i, c) for i, c in enumerate(param.components) if param.k == 2 and total_degree(c) <= 1]
+    for (i, p), (j, q) in itertools.combinations(affine, 2):
+        (p1, p2), (q1, q2) = ([c.terms.get(e, Fraction(0)) for e in ((1, 0), (0, 1))] for c in (p, q))
+        if det := p1 * q2 - p2 * q1:
+            u, v = a[i] - p.terms.get((0, 0), 0), a[j] - q.terms.get((0, 0), 0)
+            t = [(u * q2 - p2 * v) / det, (p1 * v - q1 * u) / det]
+            if [evaluate(c, t) for c in param.components] != a:
+                raise NotIsolated("the point has no parameter preimage")
+            return t
+    raise ParamRequired("local multiplicities need a curve, or two parameters and two affine components of phi")
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +520,7 @@ def profile_map(f: CAMap, seed: int = 0) -> ProperMapProfile:
     parameters its elimination is kept as the profile's ShapeLemma, from
     which the sample grid takes its fibers.  graph_degree checks its
     projections the same way.  Nothing else is drawn: only check_proper's
-    shears (its fiber points on a curve) and the projections.
+    shear on two parameters and the projections.
     """
     d_f, shape = _properness(f, seed)
     return ProperMapProfile(d_f=d_f, graph_degree=graph_degree(f, seed), shape=shape)

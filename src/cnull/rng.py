@@ -11,8 +11,8 @@ import hashlib
 import random
 from fractions import Fraction
 
-# Fixed integer nodes for the exact tests that take no seed: a curve
-# parametrization's one-to-one check and the growth check's squarefree test
+# Fixed integer nodes for the exact tests that take no seed: a curve's
+# generic fiber degree, one-to-one checks included, and the growth check
 FIXED_NODES = (3, 7, -4, 11, -13)
 
 
@@ -27,14 +27,3 @@ def rand_rational(rng: random.Random, height: int = 100) -> Fraction:
     num = rng.randint(-height, height)
     den = rng.randint(1, height)
     return Fraction(num, den)
-
-
-def rand_rational_vector(rng: random.Random, n: int, height: int = 100) -> list[Fraction]:
-    return [rand_rational(rng, height) for _ in range(n)]
-
-
-def rand_nonzero_vector(rng: random.Random, n: int, height: int = 100) -> list[Fraction]:
-    while True:
-        v = rand_rational_vector(rng, n, height)
-        if any(q != 0 for q in v):
-            return v

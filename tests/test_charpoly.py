@@ -24,6 +24,7 @@ from cnull.charpoly import (
     verify_charpoly,
 )
 from cnull.errors import (
+    CriticalSampleBudgetExhausted,
     ExactVerificationFailed,
     InconsistentSamples,
     InvalidInput,
@@ -52,6 +53,11 @@ F = Fraction
 Y = MPoly(1, {(1,): 1})
 X = MPoly.variable(1, 0)
 X1, X2 = MPoly.variable(2, 0), MPoly.variable(2, 1)
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def fx(name: str) -> str:
+    return str(FIXTURES / name)
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +91,15 @@ class TestBuildCharpoly:
         assert P.d == 2 and P.verified
         assert P.coeffs[0].is_zero()
         assert P.coeffs[1] == -Y
+
+    def test_maps_that_do_not_fit_raise(self, cusp_fx, cusp_identity, cubic_proj23, cubic_g, capsys):
+        with pytest.raises(InvalidInput, match="as many components"):
+            build_charpoly(cubic_proj23, cubic_g, seed=0)
+        with pytest.raises(InvalidInput, match="single-component"):
+            build_charpoly(cusp_fx, cusp_identity, seed=0)
+        argv = ["--variety", fx("graph_cubic.json"), "--f", fx("proj23.json"), "--g", fx("g_sq_minus1.json")]
+        assert cli.main(["charpoly", *argv]) == 4
+        assert "InvalidInput" in capsys.readouterr().err
 
     def test_line_with_square(self, cline_f_t, cline_g_t2):
         P = build_charpoly(cline_f_t, cline_g_t2, seed=0)
@@ -402,6 +417,13 @@ class TestLadderFailures:
 
 
 class TestCriticalNodes:
+    def test_no_node_clear_of_critical_values_exhausts_the_pool(self, cusp_fx, cusp_gyx, monkeypatch, capsys):
+        monkeypatch.setattr(charpoly._SampleGrid, "_row", lambda self, y: None)
+        with pytest.raises(CriticalSampleBudgetExhausted):
+            build_charpoly(cusp_fx, cusp_gyx, seed=0)
+        assert cli.main(["charpoly", "--variety", fx("cusp.json"), "--f", fx("fx.json"), "--g", fx("gyx.json")]) == 3
+        assert "CriticalSampleBudgetExhausted" in capsys.readouterr().err
+
     @pytest.mark.parametrize("m", [5, 6])
     @pytest.mark.parametrize("seed", [6, 15])
     def test_an_m_fold_root_is_skipped_as_critical(self, cline, monkeypatch, m, seed):
@@ -898,6 +920,13 @@ class TestGridCaps:
 
 
 class TestResultantOracle:
+    def test_two_parameters_raise(self, capsys):
+        with pytest.raises(InvalidInput, match="on curves"):
+            charpoly_resultant_oracle(polynomial_map([X1**2 + X2, X2**2 - X1]), polynomial_map([X1]))
+        argv = ["--variety", fx("plane2.json"), "--f", fx("f_square22.json"), "--g", fx("g_x1.json")]
+        assert cli.main(["charpoly", *argv, "--oracle"]) == 4
+        assert "InvalidInput" in capsys.readouterr().err
+
     def test_cusp_quotient(self, cusp_fx, cusp_gyx):
         P = charpoly_resultant_oracle(cusp_fx, cusp_gyx)
         assert P.d == 2 and P.provenance == "resultant"

@@ -520,6 +520,26 @@ class TestCliContract:
         assert "ParamNotOneToOne" in err and "2-to-one" in err
         assert "Traceback" not in err
 
+    def test_certify_with_a_non_affine_form_exits_4(self, capsys, tmp_path):
+        form = tmp_path / "form.json"
+        form.write_text(json.dumps(pj(["x1", "x2"], {(0, 2): 1})))
+        maps = ["--variety", fx("plane2.json"), "--f", fx("f_x1sq.json"), "--g", fx("g_x1.json")]
+        assert main(["certify", *maps, "--L", str(form), "--cycle", fx("cycle_axis.json")]) == 4
+        assert "not affine" in capsys.readouterr().err
+
+    def test_cycle_on_a_plane_without_two_affine_components_exits_4(self, capsys, tmp_path):
+        # C^2 through (t1 + t2^2, t2): local multiplicities read the preimage off two affine components
+        ts = ["t1", "t2"]
+        variety = tmp_path / "variety.json"
+        variety.write_text(json.dumps({
+            "ambient_vars": ["x1", "x2"], "dim": 2, "generators": [],
+            "param": {"vars": ts, "components": [pj(ts, {(1, 0): 1, (0, 2): 1}), pj(ts, {(0, 1): 1})]},
+        }))
+        argv = ["cycle", "--variety", str(variety), "--f", fx("f_x1sq.json")]
+        assert main([*argv, "--components", fx("cycle_axis.json"), "--L", fx("form_x2.json")]) == 4
+        err = capsys.readouterr().err
+        assert "ParamRequired" in err and "two affine components" in err and "Traceback" not in err
+
     def test_inputs_that_do_not_fit_the_route_exit_4(self, capsys):
         # proj23 on the curve graph_cubic has more components than dimensions
         argv = ["certify", "--variety", fx("graph_cubic.json"), "--f", fx("proj23.json")]

@@ -6,7 +6,7 @@ import pytest
 from conftest import counted_evaluator, pj
 from cnull import gradexp, polycore
 from cnull.cli import main
-from cnull.errors import NotProper
+from cnull.errors import DivisionByZeroGradient, NotProper
 from cnull.gradexp import (
     grad_profile,
     gradexp_report,
@@ -110,6 +110,13 @@ class TestValidateInequality:
             # 4 shells of 200 points: the gradient of x1^2 + x2^2 vanishes only at 0
             assert len(points) == 800 * calls
         assert visits == []
+
+    def test_gradient_vanishing_everywhere_exhausts_the_redraws(self, tmp_path):
+        with pytest.raises(DivisionByZeroGradient):
+            validate_inequality(MPoly.const(2, 3), F(1, 2), seed=0)
+        path = tmp_path / "const.json"
+        path.write_text(json.dumps(pj(["x1", "x2"], {(0, 0): 3})))
+        assert main(["gradexp", "--poly", str(path), "--theta", "1/2"]) == 3
 
     def test_sum_of_squares_at_half(self):
         report = validate_inequality(SUM_SQ, F(1, 2), seed=0)

@@ -202,7 +202,7 @@ SALTS = {
     "charpoly-grid", "charpoly-shear", "growth",  # charpoly
     "shells",  # gradexp
     "forms:", "cycle-point",  # nullcert
-    "proper-shear", "shear", "geomdeg:", "multiplicity:", "graphproj:",  # propermaps
+    "proper-shear", "shear", "graphproj:",  # propermaps
 }
 
 

@@ -456,6 +456,14 @@ class TestStrictlyRegular:
         assert cert.exponent == 1
         assert cert.h_exprs[0] == MPoly.const(2, 1)
 
+    def test_cycle_override_below_the_completed_degree(self, plane2):
+        # the double line x1^2 = 0 declared simple: cycle degree 1 under d = 2 of (x1^2, x2)
+        f = load_map(plane2, map_spec(pj(V2, {(2, 0): 1})))
+        g = load_map(plane2, map_spec(pj(V2, {(1, 0): 1})))
+        forms = [MPoly(2, {(0, 1): F(1)})]
+        with pytest.raises(NotStrictlyRegular, match="below the completed map degree"):
+            certify_strictly_regular(f, g, forms=forms, cycle=[(load_variety(axis_x2_spec()), 1)], seed=0)
+
     def test_auto_forms(self, plane2):
         f = load_map(plane2, map_spec(pj(V2, {(2, 0): 1})))
         g = load_map(plane2, map_spec(pj(V2, {(1, 0): 1})))
@@ -538,6 +546,15 @@ class TestCycleDegree:
         f = load_map(plane2, map_spec((pj(V2, num), pj(V2, den))))
         forms = [MPoly(2, {(0, 1): F(1)})]
         with pytest.raises(ComponentNotInFiber, match=reason):
+            cycle_degree(f, [load_variety(axis_x2_spec())], forms, seed=0)
+
+    @pytest.mark.parametrize("forms, reason", [
+        ([], "exactly dim - components"),
+        ([MPoly(2, {(0, 2): F(1)})], "affine"),
+    ], ids=["count", "non-affine"])
+    def test_completion_forms_that_do_not_fit(self, plane2, forms, reason):
+        f = load_map(plane2, map_spec(pj(V2, {(2, 0): 1})))
+        with pytest.raises(InvalidInput, match=reason):
             cycle_degree(f, [load_variety(axis_x2_spec())], forms, seed=0)
 
     def test_component_in_another_ambient_space(self, plane2):

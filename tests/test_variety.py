@@ -6,6 +6,7 @@ import pytest
 
 from conftest import map_spec, pj
 from cnull import rng
+from cnull.cli import main
 from cnull.errors import (
     DegenerateSlice,
     GeneratorNotAnnihilated,
@@ -134,6 +135,13 @@ class TestDegreeBySlicing:
 
     def test_line(self, diag_line):
         assert degree_by_slicing(diag_line) == 1
+
+    def test_surface_raises(self, capsys):
+        surface = FIXTURES / "surface_xz2.json"
+        with pytest.raises(ParamRequired):
+            degree_by_slicing(load_variety(json.loads(surface.read_text())))
+        assert main(["degree", "--variety", str(surface)]) == 4
+        assert "ParamRequired" in capsys.readouterr().err
 
     def test_constant_curve_has_no_generic_slice(self):
         with pytest.raises(DegenerateSlice):
