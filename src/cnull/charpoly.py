@@ -469,10 +469,13 @@ def growth_inclusion_check(
         raise InvalidInput("q must be positive")
     if samples < 1:
         raise InvalidInput("samples must be at least 1")
+    try:
+        q_f = from_float(float(q))
+    except OverflowError:
+        raise InvalidInput("q is too large for a float") from None
     gen = _rng.child_rng(seed, "growth")
     k = P.k
     wp = min(prec, PREC_LADDER[0]) if _squarefree_in_s(P) else prec
-    q_f = from_float(float(q))
     mid = GROWTH_R * 100.0
     low_max = 0.0
     high_max = 0.0

@@ -16,6 +16,7 @@ bug and surfaces with its traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -89,6 +90,7 @@ def _deg_view(deg):
     return "-inf" if deg == NEG_INF else int(deg)
 
 
+@functools.cache  # parse_args leaves the parser as it was, so in-process runs share one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cnull",

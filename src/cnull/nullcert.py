@@ -24,6 +24,7 @@ square map is its zero fiber, of degree d(f) (propermaps.fiber_poly).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -44,6 +45,8 @@ from .errors import (
 from .polycore import (
     MPoly,
     _grlex_key,
+    _integer_terms,
+    _primitive,
     compose,
     distinct_root_count,
     evaluate,
@@ -365,9 +368,16 @@ def _monomial_values(monos, subs, k: int) -> dict:
 def _solve_exact(basis: list[MPoly], rhs: MPoly):
     """Particular rational solution of sum x_i basis_i = rhs, or None.
 
-    Gaussian elimination over the exact coefficients; free variables are
-    set to zero, with columns taken in their given order, so the result
-    is deterministic.
+    Fraction-free Gauss-Jordan elimination.  Each column (basis_i, and
+    rhs) is cleared of its denominators, which rescales the unknowns and
+    moves no zero entry, and each row (one monomial) is divided by its
+    content.  A row operation replaces a row by (p/g) row - (e/g) pivot
+    row, for the pivot p, the row's entry e in the pivot column and
+    g = gcd(p, e), and divides it by its content.  Up to the column
+    scales, each row stays a nonzero multiple of its row in the
+    elimination over the rationals, so the pivots (the first row at or
+    below the current one with a nonzero entry, columns in their given
+    order) and the solution are the same: free variables are set to zero.
     """
     row_keys = set(rhs.terms)
     for b in basis:
@@ -376,12 +386,12 @@ def _solve_exact(basis: list[MPoly], rhs: MPoly):
     key_index = {e: i for i, e in enumerate(keys)}
     rows = len(keys)
     cols = len(basis)
-    a = [[Fraction(0)] * (cols + 1) for _ in range(rows)]
-    for c, b in enumerate(basis):
-        for e, v in b.terms.items():
+    columns = [_integer_terms(b.terms) for b in basis + [rhs]]  # (integer terms, denominator)
+    a = [[0] * (cols + 1) for _ in range(rows)]
+    for c, (terms, _) in enumerate(columns):
+        for e, v in terms.items():
             a[key_index[e]][c] = v
-    for e, v in rhs.terms.items():
-        a[key_index[e]][cols] = v
+    a = [_primitive(row) for row in a]
     pivot_rows: list[tuple[int, int]] = []  # (row, col)
     r = 0
     for c in range(cols):
@@ -390,16 +400,13 @@ def _solve_exact(basis: list[MPoly], rhs: MPoly):
             continue
         a[r], a[pivot] = a[pivot], a[r]
         prow = a[r]
-        support = [j for j, x in enumerate(prow) if x]  # zero entries change no row
         pv = prow[c]
-        for j in support:
-            prow[j] /= pv
         for i in range(rows):
             row = a[i]
             if i != r and row[c]:
-                factor = row[c]
-                for j in support:
-                    row[j] -= factor * prow[j]
+                g = math.gcd(pv, row[c])
+                m, f = pv // g, row[c] // g
+                a[i] = _primitive([m * x - f * y for x, y in zip(row, prow)])
         pivot_rows.append((r, c))
         r += 1
         if r == rows:
@@ -408,8 +415,8 @@ def _solve_exact(basis: list[MPoly], rhs: MPoly):
         if a[i][cols] != 0:
             return None
     solution = [Fraction(0)] * cols
-    for row, col in pivot_rows:
-        solution[col] = a[row][cols]
+    for row, col in pivot_rows:  # x_col = den(basis_col) * (the row's rhs over its pivot) / den(rhs)
+        solution[col] = Fraction(a[row][cols] * columns[col][1], a[row][col] * columns[cols][1])
     return solution
 
 

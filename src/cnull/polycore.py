@@ -18,12 +18,14 @@ that already hold it, so they use the trusted constructor ``MPoly._raw``,
 which checks nothing; code that calls it must produce the invariant
 itself.
 
-Eliminations run over the integers: subresultants clears each operand
-of its denominators once, runs the Brown-Collins sequence on integer
-term dicts (every division exact), and scales its results back by powers
-of the two denominators.  The term-dict helpers take Fraction or int
-values, so MPoly and that loop share them.  So does interpolation, over
-one denominator: grid_interpolant makes Fractions only for its results.
+Most exact work runs over the integers: products, powers, compose, the
+univariate remainder and gcd (a primitive remainder sequence) and
+subresultants clear each operand of its denominators once, compute on
+integer term dicts, and make one Fraction per result term; subresultants
+scale theirs back by powers of the two denominators.  The term-dict
+helpers take Fraction or int values, so exact division, sums and
+differences share them with those loops.  grid_interpolant works over
+one denominator and makes Fractions only for its results.
 
 The canonical term order is graded lexicographic with variable 1 most
 significant.  It fixes serialization, leading-term selection in exact
@@ -38,7 +40,7 @@ from fractions import Fraction
 from operator import add, getitem, sub, truediv
 from typing import Iterable, Sequence
 
-from .errors import GridMalformed, InconsistentSamples, NotDivisible
+from .errors import GridMalformed, InconsistentSamples, InvalidInput, NotDivisible
 
 # Degree of the zero polynomial; excluded from max/ratio computations.
 NEG_INF = float("-inf")
@@ -160,7 +162,8 @@ class MPoly:
 
     def __mul__(self, other: "MPoly") -> "MPoly":
         self._check_compatible(other)
-        return MPoly._raw(self.var_count, _mul_terms(self.terms, other.terms))
+        (a, da), (b, db) = _integer_terms(self.terms), _integer_terms(other.terms)
+        return _from_integers(_mul_terms(a, b), self.var_count, da * db)
 
     def scale(self, value) -> "MPoly":
         value = Fraction(value)
@@ -171,7 +174,8 @@ class MPoly:
     def __pow__(self, n: int) -> "MPoly":
         if n < 0:
             raise ValueError("negative power")
-        return MPoly._raw(self.var_count, _pow_terms(self.terms, n, {(0,) * self.var_count: Fraction(1)}))
+        a, den = _integer_terms(self.terms)
+        return _from_integers(_pow_terms(a, n, {(0,) * self.var_count: 1}), self.var_count, den**n)
 
     def __eq__(self, other) -> bool:
         return (
@@ -192,6 +196,17 @@ def _nonzero(terms: dict) -> dict:
     if all(terms.values()):
         return terms
     return {e: c for e, c in terms.items() if c}
+
+
+def _integer_terms(terms: dict) -> tuple[dict, int]:
+    """den * terms as an integer term dict, for the least den > 0 that clears the Fraction values."""
+    den = math.lcm(1, *(c.denominator for c in terms.values()))
+    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
+
+
+def _from_integers(terms: dict, var_count: int, den: int) -> MPoly:
+    """The MPoly of an integer term dict over a nonzero den."""
+    return MPoly._raw(var_count, {e: Fraction(c, den) for e, c in terms.items()})
 
 
 def _sub_terms(a: dict, b: dict) -> dict:
@@ -270,7 +285,10 @@ def evaluator(polys: Sequence[MPoly], use_mp: bool = False):
             return mp.mpf(q.numerator) / mp.mpf(q.denominator)
     else:
         def conv(q: Fraction):
-            return q.numerator / q.denominator
+            try:
+                return q.numerator / q.denominator
+            except OverflowError:
+                raise InvalidInput("a coefficient is too large for a float") from None
 
     polys = list(polys)
     n = polys[0].var_count if polys else 0
@@ -307,7 +325,10 @@ def evaluator(polys: Sequence[MPoly], use_mp: bool = False):
 
 
 def compose(p: MPoly, subs: Sequence[MPoly]) -> MPoly:
-    """Substitute subs[i] for variable i; exact."""
+    """Substitute subs[i] for variable i; exact.
+
+    In integers, over den(p) * prod_i den(subs[i])^(the degree of p in variable i).
+    """
     subs = list(subs)
     if len(subs) != p.var_count:
         raise ValueError("substitution length does not match var_count")
@@ -317,32 +338,37 @@ def compose(p: MPoly, subs: Sequence[MPoly]) -> MPoly:
     for s in subs:
         if s.var_count != inner_vars:
             raise ValueError("substitution polynomials must share one var_count")
+    terms, den = _integer_terms(p.terms)
+    subs = [_integer_terms(s.terms) for s in subs]
+    tops = [max((e[i] for e in terms), default=0) for i in range(p.var_count)]
+    den *= math.prod(d**top for (_, d), top in zip(subs, tops))
     # Cache powers of each substituted polynomial.
-    one = MPoly.const(inner_vars, 1)
-    pow_cache: list[dict[int, MPoly]] = [{0: one} for _ in range(p.var_count)]
+    one = {(0,) * inner_vars: 1}
+    pow_cache: list[dict[int, dict]] = [{0: one} for _ in range(p.var_count)]
 
-    def power(i: int, e: int) -> MPoly:
+    def power(i: int, e: int) -> dict:
         cache = pow_cache[i]
         if e not in cache:
             best = max(k for k in cache if k <= e)
             acc = cache[best]
             for k in range(best + 1, e + 1):
-                acc = acc * subs[i]
+                acc = _mul_terms(acc, subs[i][0])
                 cache[k] = acc
         return cache[e]
 
-    out: dict[tuple[int, ...], Fraction] = {}
-    for expo, coeff in p.terms.items():
+    out: dict[tuple[int, ...], int] = {}
+    for expo, coeff in terms.items():
         term = one
         for i, e in enumerate(expo):
+            coeff *= subs[i][1] ** (tops[i] - e)
             if e:
-                term = power(i, e) if term is one else term * power(i, e)
-        for te, tc in term.terms.items():
+                term = power(i, e) if term is one else _mul_terms(term, power(i, e))
+        for te, tc in term.items():
             if te in out:
                 out[te] += coeff * tc
             else:
                 out[te] = coeff * tc
-    return MPoly._raw(inner_vars, _nonzero(out))
+    return _from_integers(_nonzero(out), inner_vars, den)
 
 
 def exact_divide(p: MPoly, q: MPoly) -> MPoly:
@@ -443,36 +469,58 @@ def univ_derivative(p: MPoly) -> MPoly:
     return MPoly._raw(1, {(e - 1,): c * e for (e,), c in p.terms.items() if e > 0})
 
 
-def univ_monic(p: MPoly) -> MPoly:
-    _, lc = p.leading_term()
-    return p.scale(1 / lc)
-
-
 def univ_gcd(p: MPoly, q: MPoly) -> MPoly:
-    """Monic gcd in Q[t] by the Euclidean algorithm."""
+    """Monic gcd in Q[t], by a primitive remainder sequence (Brown 1971) in integers.
+
+    Each remainder is an integer pseudo-remainder divided by its content,
+    and the last nonzero one is made monic with one Fraction per
+    coefficient.  The gcd of two zero polynomials is zero.
+    """
     if p.var_count != 1 or q.var_count != 1:
         raise ValueError("univariate polynomials expected")
-    a, b = p, q
-    while not b.is_zero():
-        a, b = b, _univ_rem(a, b)
-    if a.is_zero():
-        return a
-    return univ_monic(a)
+    a, b = (_primitive(_univ_integers(h)[0]) for h in (p, q))
+    while b:
+        a, b = b, _primitive(_univ_pseudo_rem(a, b)[0])
+    return _from_integers({(i,): c for i, c in enumerate(a) if c}, 1, a[-1] if a else 1)
 
 
 def _univ_rem(a: MPoly, b: MPoly) -> MPoly:
-    bc = univ_coeffs(b)
-    db = len(bc) - 1
-    lc = bc[-1]
-    rem = univ_coeffs(a)
-    while len(rem) - 1 >= db and rem:
-        da = len(rem) - 1
-        factor = rem[-1] / lc
-        for i in range(db + 1):
-            rem[da - db + i] -= factor * bc[i]
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return univ_from_coeffs(rem)
+    """a mod b in Q[t], b nonzero, by one integer pseudo-division."""
+    (ac, den), (bc, _) = _univ_integers(a), _univ_integers(b)
+    rem, mult = _univ_pseudo_rem(ac, bc)
+    return _from_integers({(i,): c for i, c in enumerate(rem) if c}, 1, den * mult)
+
+
+def _univ_integers(p: MPoly) -> tuple[list[int], int]:
+    """The ascending coefficients of den*p as integers, and den > 0."""
+    coeffs, den = _integer_coeffs(p, 0)
+    return [c.get((), 0) for c in coeffs], den
+
+
+def _primitive(c: list[int]) -> list[int]:
+    """A list of integers divided by their content."""
+    g = math.gcd(*c)
+    return [v // g for v in c] if g > 1 else c
+
+
+def _univ_pseudo_rem(c: list[int], r: list[int]) -> tuple[list[int], int]:
+    """(m*c mod r, m) for ascending integer lists, r's last entry nonzero; the result has no zero top.
+
+    c is consumed; each nonzero top of c multiplies c, and m, by lead(r).
+    """
+    d, lead, mult = len(r) - 1, r[-1], 1
+    while len(c) > d:
+        top = c.pop()
+        if top:
+            shift = len(c) - d
+            if lead != 1:
+                c = [v * lead for v in c]
+                mult *= lead
+            for i in range(d):
+                c[shift + i] -= top * r[i]
+    while c and not c[-1]:
+        c.pop()
+    return c, mult
 
 
 def distinct_root_count(p: MPoly) -> int:
@@ -559,18 +607,9 @@ class ResidueRing:
 
     def reduce(self, c: list[int], den: int) -> tuple[list[int], int]:
         """The residue of the integer polynomial c (consumed) over den > 0, by pseudo-division by R."""
-        r, d = self._r, self.d
-        lead = r[d]
-        while len(c) > d:
-            top = c.pop()
-            if top:
-                shift = len(c) - d
-                if lead != 1:
-                    c = [v * lead for v in c]
-                    den *= lead
-                for i in range(d):
-                    c[shift + i] -= top * r[i]
-        c += [0] * (d - len(c))
+        c, mult = _univ_pseudo_rem(c, self._r)
+        den *= mult
+        c += [0] * (self.d - len(c))
         g = math.gcd(den, *c)
         return [v // g for v in c], den // g
 
@@ -741,16 +780,11 @@ def subresultants(p: MPoly, q: MPoly, index: int) -> tuple[MPoly, list[MPoly] | 
 
 def _integer_coeffs(p: MPoly, index: int) -> tuple[list[dict], int]:
     """The ascending coefficients of den*p in variable `index`, without it, as integer term dicts, and den > 0."""
-    den = math.lcm(1, *(c.denominator for c in p.terms.values()))
-    out: list[dict] = [{} for _ in range(1 + max((e[index] for e in p.terms), default=-1))]
-    for e, c in p.terms.items():
-        out[e[index]][e[:index] + e[index + 1:]] = c.numerator * (den // c.denominator)
+    terms, den = _integer_terms(p.terms)
+    out: list[dict] = [{} for _ in range(1 + max((e[index] for e in terms), default=-1))]
+    for e, c in terms.items():
+        out[e[index]][e[:index] + e[index + 1:]] = c
     return out, den
-
-
-def _from_integers(terms: dict, var_count: int, den: int) -> MPoly:
-    """The MPoly of an integer term dict over a nonzero den."""
-    return MPoly._raw(var_count, {e: Fraction(c, den) for e, c in terms.items()})
 
 
 def _pseudo_remainder(a: list[dict], b: list[dict], one: dict) -> list[dict]:

@@ -423,6 +423,32 @@ class TestCliContract:
         argv = ["ploski", "--variety", fx("cusp.json"), "--f", fx("fx.json"), "--g", fx("gyx.json")]
         assert main(argv + ["--q", "1/0"]) == 4
 
+    def test_q_too_large_for_a_float_exit_4(self, capsys):
+        argv = ["ploski", "--variety", fx("cusp.json"), "--f", fx("fx.json"), "--g", fx("gyx.json")]
+        assert main(argv + ["--q", "1e400"]) == 4
+        assert "InvalidInput: q is too large for a float" in capsys.readouterr().err
+
+    def test_gradexp_coefficient_too_large_for_a_float_exit_4(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(pj(["x1", "x2"], {(2, 0): "1e400", (0, 2): 1})), encoding="utf-8")
+        assert main(["gradexp", "--poly", str(path)]) == 4
+        assert "InvalidInput: a coefficient is too large for a float" in capsys.readouterr().err
+
+    def test_in_process_runs_share_the_parser_but_not_their_options(self, capsys, monkeypatch):
+        # the parser is built once per process; each run's repeatable --L list is its own
+        form = fx("form_x2.json")
+        seen = []
+        load_forms = cli._load_forms
+        monkeypatch.setattr(cli, "_load_forms", lambda paths, domain: seen.append(list(paths)) or load_forms(paths, domain))
+        argv = ["cycle", "--variety", fx("plane2.json"), "--f", fx("f_x1sq.json"), "--components", fx("cycle_axis.json")]
+        first = cli.run(argv + ["--L", form])
+        assert main(argv + ["--L", form, "--L", form]) == 4  # one form too many on a plane with one component
+        third = cli.run(argv + ["--L", form])
+        assert "InvalidInput" in capsys.readouterr().err
+        assert seen == [[form], [form, form], [form]]
+        assert first == third and first["result"]["total_degree"] == 2
+        assert cli.build_parser() is cli.build_parser()
+
     @pytest.mark.parametrize("option", [["--q", "0"], ["--q=-1"]])
     def test_explicit_nonpositive_q_is_checked_exit_4(self, capsys, option):
         # only a computed delta = 0 skips the growth check; an explicit --q reaches it

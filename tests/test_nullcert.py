@@ -1,9 +1,10 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import axis_x1_spec, axis_x2_spec, ex_graph_cubic_spec, map_spec, mpolys, pj, univariate_coeffs
@@ -40,6 +41,7 @@ from cnull import rng as _rng
 
 F = Fraction
 V2 = ["x1", "x2"]
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def mk2(terms):
@@ -325,7 +327,40 @@ def _dense_solve(basis, rhs):
 coefficient_vectors = st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=4), min_size=6, max_size=6)
 
 
+@st.composite
+def rank_deficient_systems(draw):
+    """(basis, rhs): a basis with members that combine others, in random order, and a consistent or random rhs.
+
+    A random rhs over the basis support is mostly outside the span, so
+    both the solution and the None answer are drawn.
+    """
+    base = draw(st.lists(mpolys(2, max_deg=3, max_terms=4), min_size=1, max_size=4))
+    combos = draw(st.lists(coefficient_vectors, min_size=1, max_size=3))
+    basis = base + [_combination(base, x) for x in combos]
+    basis = [basis[i] for i in draw(st.permutations(range(len(basis))))]
+    if draw(st.booleans()):
+        return basis, _combination(basis, draw(st.lists(_SMALL_FRACTIONS, min_size=len(basis), max_size=len(basis))))
+    support = sorted(set().union(*(b.terms for b in basis)))
+    return basis, MPoly(2, {e: draw(_SMALL_FRACTIONS) for e in support})
+
+
+_SMALL_FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
 class TestSolveExact:
+    @settings(max_examples=150)
+    @given(rank_deficient_systems())
+    @example(([MPoly(2, {(1, 0): F(1, 2), (0, 1): 1}), MPoly(2, {(1, 0): 1, (0, 1): 2})], MPoly(2, {(1, 0): 1})))
+    @example(([MPoly(2, {(1, 0): F(1, 3)}), MPoly.zero(2), MPoly(2, {(1, 0): F(-2, 9)})], MPoly(2, {(1, 0): F(5, 7)})))
+    def test_rank_deficient_and_inconsistent_systems_match_the_fraction_elimination(self, system):
+        # the integer elimination picks the same pivots and returns the same solution, or the same None
+        basis, rhs = system
+        solution = _solve_exact(basis, rhs)
+        assert solution == _dense_solve(basis, rhs)
+        if solution is not None:
+            assert all(type(v) is F for v in solution)
+            assert _combination(basis, solution) == rhs
+
     @given(st.lists(mpolys(2, max_deg=3, max_terms=4), min_size=1, max_size=6), coefficient_vectors)
     def test_consistent_system_is_solved(self, basis, x):
         rhs = _combination(basis, x)
@@ -350,6 +385,26 @@ class TestSolveExact:
 
 
 class TestCertifyFallback:
+    def test_the_benchmark_call_gives_the_recorded_certificate(self):
+        # graph_cubic, proj23 and g_sq_minus1 from fixtures/, exponent 2 and degree cap 6;
+        # recorded with the elimination over the rationals
+        def load(name):
+            return json.loads((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))
+
+        variety = load_variety(load("graph_cubic"))
+        f, g = load_map(variety, load("proj23")), load_map(variety, load("g_sq_minus1"))
+        cert = certify_fallback(f, g, 2, degree_cap=6)
+        assert certificate_to_json(cert, f.domain.ambient_vars) == {
+            "N": 1,
+            "diagnostics": "",
+            "h": [
+                {"terms": [{"c": "1", "e": [0, 0, 0]}], "vars": ["y1", "y2", "t"]},
+                {"terms": [], "vars": ["y1", "y2", "t"]},
+            ],
+            "theorem": "fallback",
+            "verified": True,
+        }
+
     def test_graph_cubic_direct_identity(self, cubic_proj23, cubic_g):
         cert = certify_fallback(cubic_proj23, cubic_g, exponent=3, degree_cap=4)
         assert cert.verified and cert.exponent <= 3

@@ -33,6 +33,7 @@ from cnull.polycore import (
     univ_derivative,
     univ_from_coeffs,
     univ_gcd,
+    _univ_rem,
 )
 
 F = Fraction
@@ -998,3 +999,120 @@ class TestKernelProperties:
     def test_evaluator_rejects_a_point_of_the_wrong_length(self):
         with pytest.raises(ValueError):
             evaluator([X, Y])([1.0])
+
+
+# ---------------------------------------------------------------------------
+# integer kernels against plain Fraction loops: products, powers, compose,
+# the univariate remainder and gcd clear their operands to integers and make
+# one Fraction per result term; these references never leave Fraction
+
+
+def fraction_mul(a: MPoly, b: MPoly) -> MPoly:
+    out = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, F(0)) + ca * cb
+    return MPoly(a.var_count, out)
+
+
+def fraction_pow(a: MPoly, n: int) -> MPoly:
+    out = MPoly.const(a.var_count, 1)
+    for _ in range(n):
+        out = fraction_mul(out, a)
+    return out
+
+
+def fraction_compose(p: MPoly, subs: list, inner_vars: int) -> MPoly:
+    out = MPoly.zero(inner_vars)
+    for expo, coeff in p.terms.items():
+        term = MPoly.const(inner_vars, coeff)
+        for s, e in zip(subs, expo):
+            term = fraction_mul(term, fraction_pow(s, e))
+        out = out + term  # MPoly addition adds Fractions
+    return out
+
+
+def fraction_rem(a: MPoly, b: MPoly) -> MPoly:
+    """Long division of a by b in Q[t], one Fraction step per coefficient."""
+    rem, bc = univ_coeffs(a), univ_coeffs(b)
+    while len(rem) >= len(bc):
+        factor, shift = rem[-1] / bc[-1], len(rem) - len(bc)
+        for i, c in enumerate(bc):
+            rem[shift + i] -= factor * c
+        rem.pop()
+    return MPoly(1, {(i,): c for i, c in enumerate(rem)})
+
+
+def fraction_gcd(a: MPoly, b: MPoly) -> MPoly:
+    """The Euclidean algorithm in Q[t] with fraction_rem, made monic."""
+    while not b.is_zero():
+        a, b = b, fraction_rem(a, b)
+    if a.is_zero():
+        return a
+    return a.scale(1 / a.leading_term()[1])
+
+
+def compose_cases():
+    """(p, subs, k): p in 0-3 variables, and one substitution in k = 0-3 variables for each."""
+    return st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
+        lambda nk: st.tuples(
+            mpolys(nk[0], max_deg=3, max_terms=4),
+            st.lists(mpolys(nk[1], max_deg=2, max_terms=3), min_size=nk[0], max_size=nk[0]),
+            st.just(nk[1]),
+        )
+    )
+
+
+UNIVARIATE = mpolys(1, max_deg=6, max_terms=6)
+
+
+class TestIntegerKernelsAgainstFractions:
+    @given(poly_triples(max_deg=3, max_terms=5))
+    @example((2, MPoly.zero(2), X + MPoly.const(2, F(1, 3)), Y))
+    @example((2, MPoly.const(2, F(-2, 7)), X.scale(F(3, 4)) + Y, Y))
+    def test_product(self, polys):
+        n, a, b, _ = polys
+        got = a * b
+        assert got == fraction_mul(a, b)
+        assert_invariant(got, n)
+
+    @given(st.integers(1, 3).flatmap(lambda n: mpolys(n, max_deg=2, max_terms=4)), st.integers(0, 5))
+    @example(MPoly.zero(1), 0)
+    @example(MPoly.zero(2), 3)
+    @example(MPoly.const(1, F(-3, 2)), 4)
+    def test_power(self, a, n):
+        got = a**n
+        assert got == fraction_pow(a, n)
+        assert_invariant(got, a.var_count)
+
+    @given(compose_cases())
+    @example((MPoly.const(0, F(5, 3)), [], 0))
+    @example((MPoly.zero(0), [], 0))
+    @example((MPoly(2, {(2, 1): F(1, 2), (0, 0): 3}), [MPoly.const(0, F(2, 3)), MPoly.const(0, F(-1, 5))], 0))
+    @example((MPoly(2, {(2, 1): F(1, 2)}), [MPoly.zero(1), T.scale(F(1, 3))], 1))
+    @example((MPoly(1, {(3,): F(4, 9), (1,): 1}), [X.scale(F(3, 2)) + MPoly.const(2, F(1, 6))], 2))
+    def test_compose(self, case):
+        p, subs, k = case
+        got = compose(p, subs)
+        assert got == (fraction_compose(p, subs, k) if subs else p)  # no substitution: p, in 0 variables
+        assert_invariant(got, k if subs else 0)
+
+    @given(UNIVARIATE, UNIVARIATE)
+    @example(MPoly.zero(1), MPoly.zero(1))
+    @example(MPoly.zero(1), (T - MPoly.const(1, F(1, 2))).scale(F(-3, 7)))
+    @example(MPoly.const(1, F(5, 2)), MPoly.zero(1))
+    @example(((T - MPoly.const(1, 2)) ** 2).scale(F(2, 3)), (T**2 - MPoly.const(1, 4)).scale(F(-5, 4)))
+    def test_gcd(self, a, b):
+        got = univ_gcd(a, b)
+        assert got == fraction_gcd(a, b)
+        assert_invariant(got, 1)
+
+    @given(UNIVARIATE, UNIVARIATE.filter(lambda b: not b.is_zero()))
+    @example(MPoly.zero(1), T.scale(F(1, 2)))
+    @example(T**3 + MPoly.const(1, F(1, 3)), MPoly.const(1, F(-2, 5)))
+    @example(T.scale(F(7, 4)), T**2 + T)
+    def test_remainder(self, a, b):
+        got = _univ_rem(a, b)
+        assert got == fraction_rem(a, b)
+        assert_invariant(got, 1)
