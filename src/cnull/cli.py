@@ -81,11 +81,6 @@ def _rat_view(q) -> dict:
     return {"rational": rat_to_str(q), "float": float(q)}
 
 
-def _complex_view(z) -> dict:
-    z = complex(z)
-    return {"re": z.real, "im": z.imag}
-
-
 def _deg_view(deg):
     return "-inf" if deg == NEG_INF else int(deg)
 
@@ -132,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ploski", help="root-growth exponent of the characteristic polynomial")
     common(p, need_f=True, need_g=True)
     p.add_argument("--q", type=_rational, default=None, help="exponent to test (rational string); default is the computed delta")
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=int, default=1000, help="ignored: the growth check is exact and samples nothing")
 
     p = sub.add_parser("gradexp", help="gradient growth exponent of a polynomial")
     p.add_argument("--poly", required=True, help="polynomial JSON file")
@@ -254,19 +249,18 @@ def _run_ploski(args, f, g, seed: int) -> dict:
         "delta": _rat_view(delta),
     }
     if args.q is not None or q > 0:  # only a computed delta = 0 skips the check
-        check = growth_inclusion_check(P, q, samples=args.samples, seed=seed)
+        check = growth_inclusion_check(P, q)
+        try:
+            q_view = _rat_view(q)
+        except OverflowError:
+            raise InvalidInput("q is too large for a float") from None
         out["growth_check"] = {
-            "q": _rat_view(q),
+            "q": q_view,
             "holds": check.holds,
             "witness_C": check.witness_C,
-            "low_max": check.low_max,
-            "high_max": check.high_max,
             "violation": None
             if check.violation is None
-            else {
-                "x": [_complex_view(c) for c in check.violation[0]],
-                "t": _complex_view(check.violation[1]),
-            },
+            else {"direction": [_rat_view(c) for c in check.violation[0]], "j": check.violation[1]},
         }
     else:
         out["growth_check"] = None

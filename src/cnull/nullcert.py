@@ -320,25 +320,26 @@ def certify_fallback(
     monos = _monomials_up_to(n + 1, degree_cap)
     values = _monomial_values(monos, subs, param.k)
     columns = [(j, e, f.pullbacks[j] * values[e]) for j in range(n) for e in monos]  # (j, expo, basis poly)
-    for target_n in range(1, exponent + 1):
-        rhs = gp**target_n
-        solution = _solve_exact([c[2] for c in columns], rhs)
-        if solution is None:
-            continue
-        h = [dict() for _ in range(n)]
-        for (j, expo, _), value in zip(columns, solution):
-            if value != 0:
-                h[j][expo] = h[j].get(expo, Fraction(0)) + value
-        cert = Certificate(
-            exponent=target_n,
-            h_exprs=[MPoly(n + 1, t) for t in h],
-            theorem="fallback",
-            verified=False,
+    powers = [gp]  # g^1 .. g^exponent, one right-hand side each
+    while len(powers) < exponent:
+        powers.append(powers[-1] * gp)
+    solutions = _solve_exact([c[2] for c in columns], powers)
+    found = next((N for N, solution in enumerate(solutions, start=1) if solution is not None), None)
+    if found is None:
+        raise NoSolutionWithinCap(
+            f"no bounded-degree certificate with exponent <= {exponent} and cap {degree_cap}"
         )
-        return _certified(f, g, cert)
-    raise NoSolutionWithinCap(
-        f"no bounded-degree certificate with exponent <= {exponent} and cap {degree_cap}"
+    h = [dict() for _ in range(n)]
+    for (j, expo, _), value in zip(columns, solutions[found - 1]):
+        if value != 0:
+            h[j][expo] = h[j].get(expo, Fraction(0)) + value
+    cert = Certificate(
+        exponent=found,
+        h_exprs=[MPoly(n + 1, t) for t in h],
+        theorem="fallback",
+        verified=False,
     )
+    return _certified(f, g, cert)
 
 
 def _monomials_up_to(var_count: int, cap: int):
@@ -365,29 +366,30 @@ def _monomial_values(monos, subs, k: int) -> dict:
     return values
 
 
-def _solve_exact(basis: list[MPoly], rhs: MPoly):
-    """Particular rational solution of sum x_i basis_i = rhs, or None.
+def _solve_exact(basis: list[MPoly], rhss: list[MPoly]) -> list:
+    """For each rhs of rhss, the particular rational solution of sum x_i basis_i = rhs, or None.
 
-    Fraction-free Gauss-Jordan elimination.  Each column (basis_i, and
-    rhs) is cleared of its denominators, which rescales the unknowns and
-    moves no zero entry, and each row (one monomial) is divided by its
-    content.  A row operation replaces a row by (p/g) row - (e/g) pivot
-    row, for the pivot p, the row's entry e in the pivot column and
-    g = gcd(p, e), and divides it by its content.  Up to the column
-    scales, each row stays a nonzero multiple of its row in the
-    elimination over the rationals, so the pivots (the first row at or
-    below the current one with a nonzero entry, columns in their given
-    order) and the solution are the same: free variables are set to zero.
+    One fraction-free Gauss-Jordan elimination, which carries every rhs
+    as a column after the basis.  The rows are the monomials of the
+    basis; a rhs with a term outside them is None at once.  Each column
+    is cleared of its denominators, which rescales the unknowns and
+    moves no zero entry, and each row is divided by its content.  A row
+    operation replaces a row by (p/g) row - (e/g) pivot row, for the
+    pivot p, the row's entry e in the pivot column and g = gcd(p, e),
+    and divides it by its content.  Up to the column scales, each row
+    stays a nonzero multiple of its row in the elimination over the
+    rationals, so the pivots (the first row at or below the current one
+    with a nonzero entry, columns in their given order) and each
+    solution are those of solving for that rhs alone: free variables are
+    set to zero.
     """
-    row_keys = set(rhs.terms)
-    for b in basis:
-        row_keys.update(b.terms)
-    keys = sorted(row_keys, key=_grlex_key)
+    keys = sorted(set().union(*(b.terms for b in basis)), key=_grlex_key)
     key_index = {e: i for i, e in enumerate(keys)}
+    live = [m for m, rhs in enumerate(rhss) if all(e in key_index for e in rhs.terms)]
     rows = len(keys)
     cols = len(basis)
-    columns = [_integer_terms(b.terms) for b in basis + [rhs]]  # (integer terms, denominator)
-    a = [[0] * (cols + 1) for _ in range(rows)]
+    columns = [_integer_terms(b.terms) for b in basis + [rhss[m] for m in live]]  # (integer terms, denominator)
+    a = [[0] * len(columns) for _ in range(rows)]
     for c, (terms, _) in enumerate(columns):
         for e, v in terms.items():
             a[key_index[e]][c] = v
@@ -411,13 +413,15 @@ def _solve_exact(basis: list[MPoly], rhs: MPoly):
         r += 1
         if r == rows:
             break
-    for i in range(r, rows):
-        if a[i][cols] != 0:
-            return None
-    solution = [Fraction(0)] * cols
-    for row, col in pivot_rows:  # x_col = den(basis_col) * (the row's rhs over its pivot) / den(rhs)
-        solution[col] = Fraction(a[row][cols] * columns[col][1], a[row][col] * columns[cols][1])
-    return solution
+    solutions = [None] * len(rhss)
+    for rc, m in enumerate(live, start=cols):
+        if any(a[i][rc] for i in range(r, rows)):
+            continue
+        solution = [Fraction(0)] * cols
+        for row, col in pivot_rows:  # x_col = den(basis_col) * (the row's rhs over its pivot) / den(rhs)
+            solution[col] = Fraction(a[row][rc] * columns[col][1], a[row][col] * columns[rc][1])
+        solutions[m] = solution
+    return solutions
 
 
 # ---------------------------------------------------------------------------

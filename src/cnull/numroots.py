@@ -10,10 +10,10 @@ modulus at most 1; q and the points w are (re, im) pairs of Python ints at
 2^-P (see _scaled).  The iteration, its backward-stability test, the
 clustering and the cluster checks all run on these integers, comparing
 squared norms; mpmath only reads the inputs.  The RootSet returned keeps
-the cluster representatives in that fixed point, builds them as mpc on
-first read, and gives their moduli from the integers.  Unless the
-caller gives starting points, each run first does the same iteration in
-double precision (Python complex) from a circle of radius 2^s; that
+the cluster representatives in that fixed point and builds them as mpc
+on first read.  Unless the caller gives starting points, each run first
+does the same iteration in double precision (Python complex) from a
+circle of radius 2^s; that
 stage only picks the starting points of the integer iteration, and when
 it overflows or leaves the finite range the integer iteration starts
 from the circle.  A caller's starting
@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import cached_property
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, mpf_sqrt
+from mpmath.libmp import from_man_exp
 
 from .errors import NonReal, NonZeroDimensional, NoReconstruction, PrecisionExhausted
 from .polycore import (
@@ -64,8 +64,7 @@ class RootSet:
     The roots stay in the fixed point of the solve: cluster i is the root
     (re + i im) 2^exp of multiplicity count, for ((re, im), count) =
     clusters[i].  roots, the pairs (mp.mpc, count), is built on first read,
-    with each part rounded to prec + 20 bits; moduli reads |root| from the
-    integers without building it.
+    with each part rounded to prec + 20 bits.
     """
 
     clusters: list  # list of ((re, im), count), re and im ints
@@ -82,10 +81,6 @@ class RootSet:
 
     def values(self) -> list:
         return [r for r, _ in self.roots]
-
-    def moduli(self, prec: int) -> list:
-        """|root| of each cluster, in order, as a raw mpf rounded to nearest at prec bits."""
-        return [mpf_sqrt(from_man_exp(re * re + im * im, 2 * self.exp), prec, "n") for (re, im), _ in self.clusters]
 
 
 def ladder_from(prec: int):

@@ -63,6 +63,7 @@ from .polycore import (
     subresultants,
     total_degree,
     univ_derivative,
+    univ_from_coeffs,
     univ_gcd,
 )
 from .variety import CAMap, Param, curve_degree, curve_generic_degree, polynomial_map
@@ -437,7 +438,7 @@ def _isolating_line(f: CAMap, a) -> tuple[MPoly, MPoly]:
         x0 = t[0] + lam * t[1]
         on_line = [compose(h, [MPoly.const(1, x0) - t2.scale(lam), t2]) for h in polys]
         if distinct_root_count(univ_gcd(*on_line)) == 1:
-            return R, MPoly(1, {(1,): Fraction(1), (0,): -x0})
+            return R, univ_from_coeffs([-x0, 1])
 
 
 def _preimage_2(param: Param, a) -> list[Fraction]:

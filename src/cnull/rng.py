@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 # Fixed integer nodes for the exact tests that take no seed: a curve's
-# generic fiber degree, one-to-one checks included, and the growth check
+# generic fiber degree, one-to-one checks included
 FIXED_NODES = (3, 7, -4, 11, -13)
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import counted_evaluator, fiber_coordinates, line_poly, map_spec, pj, plane_polys, residue_evaluate, univariate_coeffs
+from conftest import fiber_coordinates, line_poly, map_spec, mpolys, pj, plane_polys, residue_evaluate, univariate_coeffs
 from cnull import charpoly, cli, numroots, polycore, propermaps, rng
 from cnull.charpoly import (
     CharPoly,
@@ -42,6 +42,7 @@ from cnull.polycore import (
     distinct_root_count,
     evaluate,
     evaluator,
+    squarefree_factors,
     total_degree,
     univ_coeffs,
     univ_from_coeffs,
@@ -1029,49 +1030,20 @@ class TestPloskiDelta:
         assert ploski_delta(P) == F(3, 2)
 
 
+CUSP_P = CharPoly(2, [MPoly(1, {}), -Y], None, "resultant", ["y1"])
+
+
 class TestGrowthInclusion:
     def test_holds_at_half(self):
-        P = CharPoly(2, [MPoly(1, {}), -Y], None, "resultant", ["y1"])
-        res = growth_inclusion_check(P, F(1, 2), samples=1000, seed=0)
+        res = growth_inclusion_check(CUSP_P, F(1, 2), samples=1000, seed=0)
         assert res.holds
-        assert abs(res.witness_C - 1.0) < 1e-6
+        # the certified C of the cusp: C^2 >= 2^2 ||-y||_1 = 4
+        assert res.witness_C == 2.0
 
     def test_violated_at_quarter(self):
-        P = CharPoly(2, [MPoly(1, {}), -Y], None, "resultant", ["y1"])
-        res = growth_inclusion_check(P, F(1, 4), samples=1000, seed=0)
+        res = growth_inclusion_check(CUSP_P, F(1, 4), samples=1000, seed=0)
         assert not res.holds
-        assert res.violation is not None
-
-    def test_one_evaluator_per_call_and_no_evaluate_in_the_loop(self, monkeypatch):
-        P = CharPoly(3, [MPoly(1, {}), -Y, Y**3], None, "resultant", ["y1"])
-        built, points, visits = [], [], []
-        monkeypatch.setattr(charpoly, "evaluator", counted_evaluator(built, points))
-        monkeypatch.setattr(polycore, "evaluate", lambda p, y: visits.append(y))
-        # neither the loop nor its root solves can reach evaluate, which is exact only
-        assert not hasattr(charpoly, "evaluate") and not hasattr(numroots, "evaluate")
-        for calls in (1, 2):
-            growth_inclusion_check(P, F(1), samples=50, seed=calls)
-            assert built == [P.coeffs[::-1]] * calls
-            assert len(points) == 50 * calls
-        assert visits == []
-
-    def test_an_empty_half_is_refused_not_judged(self):
-        # cusp P = s^2 - y at q = delta = 1/2: every ratio is 1, so the inclusion holds; with
-        # 2 to 4 samples a draw with no sample in one half once read that half as 0.0
-        P = CharPoly(2, [MPoly(1, {}), -Y], None, "resultant", ["y1"])
-        refused = 0
-        for samples in (2, 3, 4):
-            for seed in range(20):
-                try:
-                    assert growth_inclusion_check(P, F(1, 2), samples=samples, seed=seed).holds
-                except InvalidInput:
-                    refused += 1
-        assert refused == 20
-
-    def test_no_samples_raise(self):
-        P = CharPoly(2, [MPoly(1, {}), -Y], None, "resultant", ["y1"])
-        with pytest.raises(InvalidInput):
-            growth_inclusion_check(P, F(1, 2), samples=0, seed=0)
+        assert res.violation == ((1,), 2)
 
     def test_pure_power_holds_everywhere(self):
         P = CharPoly(3, [MPoly(1, {})] * 3, None, "resultant", ["y1"])
@@ -1097,122 +1069,147 @@ class TestGrowthInclusion:
         at_below = growth_inclusion_check(P, below, samples=600, seed=0)
         assert not at_below.holds
 
-    def test_zero_maxima_hold(self):
-        # P = s^2: every root is 0, both maxima are 0.0, and high_max <= 1.25 low_max holds
+    def test_zero_coefficients_certify_C_zero(self):
+        # P = s^2: every root is 0
         P = CharPoly(2, [MPoly(1, {})] * 2, None, "resultant", ["y1"])
         res = growth_inclusion_check(P, F(1), samples=200, seed=0)
-        assert (res.low_max, res.high_max, res.holds, res.witness_C) == (0.0, 0.0, True, 0.0)
+        assert (res.holds, res.witness_C, res.violation) == (True, 0.0, None)
+
+    def test_q_must_be_positive(self):
+        with pytest.raises(InvalidInput):
+            growth_inclusion_check(CUSP_P, F(0))
+
+    def test_a_constant_beyond_the_doubles_is_refused(self):
+        P = CharPoly(1, [MPoly.const(1, 10**400) * Y], None, "resultant", ["y1"])
+        with pytest.raises(InvalidInput, match="outside the range of a double"):
+            growth_inclusion_check(P, F(1))
+
+    def test_the_witness_direction_avoids_the_zeros_of_the_top_form(self):
+        # a_2 = y1 y2 + y1^2 - 5: its top form y1 (y1 + y2) vanishes at (0, 1), (0, 2) and (0, 3)
+        y1, y2 = MPoly.variable(2, 0), MPoly.variable(2, 1)
+        P = CharPoly(2, [MPoly(2, {}), y1 * y2 + y1 * y1 - MPoly.const(2, 5)], None, "resultant", ["y1", "y2"])
+        assert growth_inclusion_check(P, F(1, 2)).violation == ((1, 0), 2)
 
 
-# the growth check's probes: the cusp P = s^2 - y, curve(4,3) and square(2,2)
+def _one_norm(a: MPoly) -> Fraction:
+    return sum((abs(c) for c in a.terms.values()), F(0))
+
+
+def _assert_least_certified_C(P: CharPoly, C: float) -> None:
+    """C^j >= 2^j ||a_j||_1 for every j, in rationals, and the double below C fails one of them."""
+    needs = [(j, 2**j * _one_norm(a)) for j, a in enumerate(P.coeffs, start=1)]
+    assert all(F(C) ** j >= need for j, need in needs)
+    if C > 0:
+        below = F(math.nextafter(C, 0.0))
+        assert any(below**j < need for j, need in needs)
+
+
+# the certified C of the benchmark's curve and square inputs at q = delta, to two decimals
 GROWTH_PROBES = {
-    "cusp": lambda: CharPoly(2, [MPoly(1, {}), -Y], None, "resultant", ["y1"]),
-    "curve(4,3)": lambda: charpoly_resultant_oracle(
+    "curve(4,3)": (lambda: charpoly_resultant_oracle(
         polynomial_map([X**4 - X**2 + X.scale(3) - MPoly.const(1, 2)]), polynomial_map([X**3 + X])
-    ),
-    "square(2,2)": lambda: build_charpoly(SQUARE22, G12, seed=0),
+    ), F(3, 4), 18.0),
+    "curve(8,4)": (lambda: charpoly_resultant_oracle(
+        polynomial_map([X**8 - X**2 + X.scale(3) - MPoly.const(1, 2)]), polynomial_map([X**4 + X])
+    ), F(1, 2), 6.93),
+    "square(2,2)": (lambda: build_charpoly(SQUARE22, G12, seed=0), F(1, 2), 8.0),
+    "square(3,2)": (lambda: build_charpoly(SQUARE32, G12, seed=0), F(1, 2), 6.93),
 }
 
 
-def _reference_growth(P, q, samples, seed):
-    """(holds, low_max, high_max, top-half witness (x, root)) with every sample drawn, evaluated and solved at 256 bits.
-
-    The arithmetic is that of the check before it solved squarefree P at
-    128 bits: mpc roots, and each ratio as float(abs(root) / mpf(r) ** float(q)).
-    """
-    gen = rng.child_rng(seed, "growth")
-    mid = charpoly.GROWTH_R * 100.0
-    low_max = high_max = 0.0
-    witness = None
-    with mp.workprec(256):
-        coeffs_at = evaluator(P.coeffs[::-1], use_mp=True)
-        for _ in range(samples):
-            r = charpoly.GROWTH_R * 10.0 ** (4 * gen.random())
-            phase = mp.expjpi(2 * mp.mpf(gen.random()))
-            x = [mp.mpc(0)] * P.k
-            x[gen.randrange(P.k)] = r * phase
-            for root, _ in numroots.roots_from_coeffs(coeffs_at(x) + [1], 256).roots:
-                ratio = float(abs(root) / mp.mpf(r) ** float(q))
-                if r <= mid:
-                    low_max = max(low_max, ratio)
-                elif ratio > high_max:
-                    high_max, witness = ratio, (tuple(x), root)
-    return high_max <= 1.25 * low_max, low_max, high_max, witness
+def _mpf(q: Fraction) -> mp.mpf:
+    return mp.mpf(q.numerator) / q.denominator
 
 
-def _complex_witness(witness):
-    x, root = witness
-    return [complex(v) for v in x], complex(root)
+@st.composite
+def monic_charpolys(draw):
+    """A monic P of degree 1..4 in 1 or 2 variables, with small random coefficients a_j."""
+    k = draw(st.integers(1, 2))
+    d = draw(st.integers(1, 4))
+    coeffs = draw(st.lists(mpolys(k, max_deg=3, max_terms=3), min_size=d, max_size=d))
+    return CharPoly(d, coeffs, None, "resultant", [f"y{i + 1}" for i in range(k)])
 
 
-def _solve_precs(monkeypatch):
-    """The prec of each roots_from_coeffs call charpoly makes, while monkeypatch holds."""
-    precs = []
-
-    def recorded(coeffs, prec=256, start=None):
-        precs.append(prec)
-        return numroots.roots_from_coeffs(coeffs, prec, start)
-
-    monkeypatch.setattr(charpoly, "roots_from_coeffs", recorded)
-    return precs
-
-
-class TestGrowthPrecision:
-    """The check solves squarefree P at the first rung, and reports as a 256-bit solve would."""
-
+class TestGrowthCertificate:
     @pytest.mark.parametrize("name", list(GROWTH_PROBES))
-    def test_matches_the_256_bit_reference(self, name):
-        P = GROWTH_PROBES[name]()
-        for q in (ploski_delta(P), F(1, 10)):
-            for seed in range(5):
-                got = growth_inclusion_check(P, q, samples=100, seed=seed)
-                holds, low_max, high_max, witness = _reference_growth(P, q, 100, seed)
-                assert (got.holds, got.low_max, got.high_max) == (holds, low_max, high_max)
-                if not holds:
-                    assert _complex_witness(got.violation) == _complex_witness(witness)
+    def test_the_probe_table(self, name):
+        build, delta, C = GROWTH_PROBES[name]
+        P = build()
+        assert ploski_delta(P) == delta
+        res = growth_inclusion_check(P, delta)
+        assert res.holds and res.violation is None
+        assert round(res.witness_C, 2) == C
+        _assert_least_certified_C(P, res.witness_C)
 
-    @pytest.mark.parametrize("name", ["cusp", "curve(4,3)"])
-    def test_squarefree_p_solves_at_the_first_rung(self, monkeypatch, name):
-        P = GROWTH_PROBES[name]()
-        precs = _solve_precs(monkeypatch)
-        growth_inclusion_check(P, ploski_delta(P), samples=50, seed=0)
-        assert precs == [numroots.PREC_LADDER[0]] * 50
-
-    def test_a_repeated_root_solves_at_prec(self, monkeypatch, cline):
-        # f = g = x^5 on the line: P = (s - y)^5, whose one root is resolved to about wp/5 bits
-        x5 = load_map(cline, map_spec(line_poly([0, 0, 0, 0, 0, 1])))
-        P = charpoly_resultant_oracle(x5, x5)
-        precs = _solve_precs(monkeypatch)
-        res = growth_inclusion_check(P, F(1), samples=200, seed=3)
-        assert precs == [256] * 200
-        # the maxima of the check before the gate; at 128 bits low_max moved off 1 by 4e-8
-        assert (res.low_max, res.high_max) == (1.0000000000000009, 1.0000000000000007)
-
-    def test_nodes_on_the_discriminant_fall_back_to_prec(self, monkeypatch):
-        # s^2 - prod (y - c): squarefree in s, but a double root 0 over every node
-        on_all = MPoly.const(1, 1)
-        for c in rng.FIXED_NODES:
-            on_all = on_all * (Y - MPoly.const(1, c))
-        precs = _solve_precs(monkeypatch)
-        growth_inclusion_check(CharPoly(2, [MPoly(1, {}), -on_all], None, "resultant", ["y1"]), F(5, 2), samples=20, seed=0)
-        assert precs == [256] * 20
-        # one node on it is not enough: the next node decides
-        precs.clear()
-        growth_inclusion_check(CharPoly(2, [MPoly(1, {}), MPoly.const(1, 3) - Y], None, "resultant", ["y1"]), F(1, 2), samples=20, seed=0)
-        assert precs == [numroots.PREC_LADDER[0]] * 20
+    @settings(max_examples=300, deadline=None)
+    @given(st.fractions(min_value=F(1, 10**30), max_value=10**30), st.integers(1, 8))
+    @example(F(4), 2)  # an exact square: C = 2.0, and the double below fails
+    @example(F(48), 2)  # curve(8,4): C = 4 sqrt 3
+    def test_the_least_double_root(self, bound, j):
+        c = charpoly._least_double_root(bound, j)
+        assert F(c) ** j >= bound > F(math.nextafter(c, 0.0)) ** j
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.floats(0, 1, exclude_max=True),
-        st.floats(100, 1e6),
-        st.integers(1, 3).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, k - 1))),
-        st.sampled_from([128, 256]),
-    )
-    def test_sample_point_rounds_as_expjpi(self, u, r, k_i, prec):
-        k, i = k_i
-        gen = SimpleNamespace(random=lambda: u, randrange=lambda n: i)
-        with mp.workprec(prec):
-            want = [mp.mpc(0)] * k
-            want[i] = r * mp.expjpi(2 * mp.mpf(u))
-        got = charpoly._sample_point_of_norm(gen, k, r, prec)
-        assert [z._mpc_ for z in got] == [z._mpc_ for z in want]
+    @given(monic_charpolys(), st.data())
+    def test_the_certified_C_bounds_every_root(self, P, data):
+        delta = ploski_delta(P)
+        res = growth_inclusion_check(P, delta if delta > 0 else F(1))
+        assert res.holds
+        _assert_least_certified_C(P, res.witness_C)
+        # at rational points y with max |y_i| >= 1, every root of P(y, .) has |t| <= C |y|^delta
+        rational = st.fractions(min_value=-20, max_value=20, max_denominator=5)
+        for _ in range(3):
+            y = data.draw(st.lists(rational, min_size=P.k, max_size=P.k).filter(lambda y: max(map(abs, y)) >= 1))
+            fiber = univ_from_coeffs([evaluate(a, y) for a in reversed(P.coeffs)] + [F(1)])
+            with mp.workdps(50):
+                # each squarefree factor has simple roots, on which polyroots converges
+                roots = [
+                    t
+                    for factor in squarefree_factors(fiber) if total_degree(factor) > 0
+                    for t in mp.polyroots([_mpf(c) for c in reversed(univ_coeffs(factor))], maxsteps=200, extraprec=200)
+                ]
+                bound = mp.mpf(res.witness_C) * _mpf(max(map(abs, y))) ** _mpf(delta)
+                assert all(abs(t) <= bound * (1 + mp.mpf(10) ** -20) for t in roots)
+
+    @settings(max_examples=60, deadline=None)
+    @given(monic_charpolys())
+    def test_the_witness_grows_at_exactly_delta(self, P):
+        delta = ploski_delta(P)
+        if delta == 0:
+            return
+        res = growth_inclusion_check(P, delta / 2)
+        assert not res.holds and res.witness_C is None
+        v, j = res.violation
+        assert j == min(j for j, a in enumerate(P.coeffs, start=1) if total_degree(a) == j * delta)
+        line = [MPoly(1, {(1,): c}) for c in v]  # x = r v
+        assert total_degree(compose(P.coeffs[j - 1], line)) == j * delta
+
+
+class TestNoRootSolve:
+    """The growth check reads P's coefficients only: no call reaches the root solver."""
+
+    @pytest.fixture
+    def no_roots(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("roots_from_coeffs was called")
+
+        monkeypatch.setattr(numroots, "roots_from_coeffs", refuse)
+        monkeypatch.setattr(charpoly, "roots_from_coeffs", refuse)
+
+    def test_growth_inclusion_check(self, no_roots):
+        # the probes' exact builds (the resultant oracle, residue-ring samples) solve no root either
+        for build, delta, _ in GROWTH_PROBES.values():
+            P = build()
+            assert [growth_inclusion_check(P, q).holds for q in (delta, delta / 2)] == [True, False]
+
+    def test_the_refusal_reaches_a_curve_build(self, no_roots, cusp_fx, cusp_gyx):
+        # a curve's fiber samples are numeric: the patch is seen through every module
+        with pytest.raises(AssertionError, match="roots_from_coeffs was called"):
+            build_charpoly(cusp_fx, cusp_gyx, seed=0)
+
+    @pytest.mark.parametrize("q", [[], ["--q", "1/10"]], ids=["delta", "1/10"])
+    def test_cnull_ploski(self, no_roots, capsys, q):
+        # a two-parameter build samples in the residue ring, so the whole command solves no root
+        argv = ["ploski", "--variety", fx("plane2.json"), "--f", fx("f_square22.json"), "--g", fx("g_x1_2x2.json")]
+        assert cli.main(argv + q) == 0
+        assert "growth_check" in capsys.readouterr().out

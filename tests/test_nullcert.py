@@ -355,7 +355,7 @@ class TestSolveExact:
     def test_rank_deficient_and_inconsistent_systems_match_the_fraction_elimination(self, system):
         # the integer elimination picks the same pivots and returns the same solution, or the same None
         basis, rhs = system
-        solution = _solve_exact(basis, rhs)
+        solution = _solve_exact(basis, [rhs])[0]
         assert solution == _dense_solve(basis, rhs)
         if solution is not None:
             assert all(type(v) is F for v in solution)
@@ -364,7 +364,7 @@ class TestSolveExact:
     @given(st.lists(mpolys(2, max_deg=3, max_terms=4), min_size=1, max_size=6), coefficient_vectors)
     def test_consistent_system_is_solved(self, basis, x):
         rhs = _combination(basis, x)
-        solution = _solve_exact(basis, rhs)
+        solution = _solve_exact(basis, [rhs])[0]
         assert solution is not None
         assert all(type(v) is F for v in solution)
         assert _combination(basis, solution) == rhs
@@ -375,16 +375,62 @@ class TestSolveExact:
     def test_term_outside_every_basis_support_is_inconsistent(self, basis, x, c):
         # degrees of the basis stay <= 3 in each variable, so x^4 is in no support
         rhs = _combination(basis, x) + MPoly(2, {(4, 0): c})
-        assert _solve_exact(basis, rhs) is None
+        assert _solve_exact(basis, [rhs]) == [None]
         assert _dense_solve(basis, rhs) is None
 
     def test_rhs_in_the_support_but_not_the_span(self):
         x, y = MPoly(2, {(1, 0): 1}), MPoly(2, {(0, 1): 1})
-        assert _solve_exact([x + y], x) is None
-        assert _solve_exact([x + y, x - y], x) == [F(1, 2), F(1, 2)]
+        assert _solve_exact([x + y], [x]) == [None]
+        assert _solve_exact([x + y, x - y], [x]) == [[F(1, 2), F(1, 2)]]
+
+
+    @settings(max_examples=100)
+    @given(rank_deficient_systems(), st.lists(coefficient_vectors, max_size=3), st.data())
+    def test_several_right_hand_sides_solve_as_one_each(self, system, combos, data):
+        # one elimination carrying every rhs: each solution is the one of its own elimination
+        basis, rhs = system
+        extra = mpolys(2, max_deg=4, max_terms=4)
+        rhss = [rhs] + [_combination(basis, x) for x in combos] + data.draw(st.lists(extra, max_size=2))
+        assert _solve_exact(basis, rhss) == [_dense_solve(basis, r) for r in rhss]
+
+
+def _per_exponent_fallback(f, g, exponent, degree_cap):
+    """(N, h) as the search found them one exponent at a time: the least N whose system solves, and its h_j."""
+    subs = list(f.pullbacks) + [g.pullbacks[0]]
+    monos = nullcert._monomials_up_to(len(subs), degree_cap)
+    values = nullcert._monomial_values(monos, subs, f.domain.param.k)
+    basis = [p * values[e] for p in f.pullbacks for e in monos]
+    for N in range(1, exponent + 1):
+        solution = _dense_solve(basis, g.pullbacks[0] ** N)
+        if solution is not None:
+            h = [{e: v for e, v in zip(monos, solution[j * len(monos):(j + 1) * len(monos)]) if v} for j in range(f.n)]
+            return N, [MPoly(len(subs), terms) for terms in h]
+    return None
+
+
+_T = MPoly.variable(1, 0)
+_AT_MOST_LINEAR = st.tuples(st.lists(st.integers(-3, 3), max_size=1), st.integers(-3, 3).filter(bool)).map(
+    lambda t: t[0] + [t[1]]
+)  # ascending coefficients of a polynomial of degree 0 or 1
 
 
 class TestCertifyFallback:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 2), _AT_MOST_LINEAR, st.integers(1, 2), _AT_MOST_LINEAR, st.integers(1, 4), st.integers(1, 3),
+    )
+    def test_one_elimination_matches_the_search_by_exponent(self, a, u, b, w, exponent, cap):
+        # f = t^a u(t) and g = t^b w(t) on the line; about half of these draws find a least N in 1 .. 3
+        f = polynomial_map([_T**a * univ_from_coeffs(u)])
+        g = polynomial_map([_T**b * univ_from_coeffs(w)])
+        want = _per_exponent_fallback(f, g, exponent, cap)
+        if want is None:
+            with pytest.raises(NoSolutionWithinCap):
+                certify_fallback(f, g, exponent, degree_cap=cap)
+        else:
+            cert = certify_fallback(f, g, exponent, degree_cap=cap)
+            assert (cert.exponent, cert.h_exprs) == want
+
     def test_the_benchmark_call_gives_the_recorded_certificate(self):
         # graph_cubic, proj23 and g_sq_minus1 from fixtures/, exponent 2 and degree cap 6;
         # recorded with the elimination over the rationals

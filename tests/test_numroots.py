@@ -343,7 +343,7 @@ def _fraction_coeffs(draw):
 
 @st.composite
 def _mpc_coeffs(draw):
-    """Degree 3..16, mpc coefficients at 256 bits before a leading 1, as growth_inclusion_check passes them."""
+    """Degree 3..16, mpc coefficients at 256 bits before a leading 1."""
     d = draw(st.integers(3, 16))
     parts = draw(st.lists(st.tuples(st.integers(-_HEIGHT, _HEIGHT), st.integers(-_HEIGHT, _HEIGHT),
                                     st.integers(1, 10**20)), min_size=d, max_size=d))
@@ -789,13 +789,8 @@ class TestRootSetFixedPoint:
             want = [mp.mpc(mp.ldexp(re, rs.exp), mp.ldexp(im, rs.exp)) for (re, im), _ in rs.clusters]
         assert [z._mpc_ for z in rs.values()] == [z._mpc_ for z in want]
         assert [m for _, m in rs.roots] == [m for _, m in rs.clusters]
-        # each modulus is |root| to within the rounding of either
-        for modulus, z in zip(rs.moduli(prec), rs.values()):
-            with mp.workprec(prec):
-                assert abs(mp.mpf(modulus) - abs(z)) <= mp.mpf(2) ** (4 - prec) * abs(z)
 
     def test_zero_roots_give_mpc_zero(self):
         rs = roots_from_coeffs([F(0), F(0), F(0), F(1)], 256)
         assert rs.roots == [(mp.mpc(0), 3)] and type(rs.roots[0][0]) is mp.mpc
         assert rs.values() == [mp.mpc(0)]
-        assert rs.moduli(128) == [mp.mpf(0)._mpf_]

@@ -990,7 +990,7 @@ class TestKernelProperties:
 
     @pytest.mark.parametrize("use_mp", [False, True])
     def test_the_zero_polynomial_gives_an_exact_int_zero(self, use_mp):
-        # growth_inclusion_check relies on it: roots_from_coeffs strips exact zeros
+        # roots_from_coeffs strips exact zeros, so zero coefficients must stay exact
         point = [mp.mpc(2, 1), mp.mpc(0)] if use_mp else [2 + 1j, 0.0]
         values = evaluator([MPoly.zero(2), MPoly.zero(2), X], use_mp)(point)
         assert [type(v) for v in values[:2]] == [int, int] and values[:2] == [0, 0]

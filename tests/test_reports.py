@@ -90,9 +90,9 @@ def test_reports_match_recorded(seed):
         assert text == _path(name, seed).read_text(encoding="utf-8"), f"{name} at seed {seed}"
 
 
-# README commands whose results hold sampled floats: gradexp's shell maxima, and the growth
-# check's maxima and witness at q = 1/10; every other result is exact
-SEED_DEPENDENT = {"gradexp", "ploski-violation"}
+# README commands whose results hold sampled floats: gradexp's shell maxima; every other
+# result is exact
+SEED_DEPENDENT = {"gradexp"}
 
 
 def test_seed_free_results_do_not_depend_on_the_seed():
@@ -101,7 +101,7 @@ def test_seed_free_results_do_not_depend_on_the_seed():
         for name, text in reports_at(seed).items():
             if name not in SEED_DEPENDENT:
                 results.setdefault(name, set()).add(json.dumps(json.loads(text)["result"], sort_keys=True))
-    assert len(results) == len(COMMANDS) - len(SEED_DEPENDENT) == 11
+    assert len(results) == len(COMMANDS) - len(SEED_DEPENDENT) == 12
     assert {name: len(texts) for name, texts in results.items()} == dict.fromkeys(results, 1)
 
 
